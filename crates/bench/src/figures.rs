@@ -8,6 +8,7 @@
 //! `tunestore` snapshot instead, so a whole reproduction run pays the
 //! seeding cost at most once ever per machine.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -120,12 +121,15 @@ pub struct SeedingEvent {
 }
 
 /// Shared state of one reproduction run: the options plus the lazily built
-/// (and possibly warm-started) schedulers, one per [`SchedulerKind`].
+/// (and possibly warm-started) schedulers, one per [`SchedulerKind`], and
+/// what the trace-backed figure columns share.
 #[derive(Debug, Default)]
 pub struct ReproContext {
     options: ReproOptions,
     schedulers: HashMap<SchedulerKind, DaisyScheduler>,
     events: Vec<SeedingEvent>,
+    trace_model: OnceCell<CostModel>,
+    trace_versions: OnceCell<Vec<(&'static str, Program)>>,
 }
 
 impl ReproContext {
@@ -133,8 +137,7 @@ impl ReproContext {
     pub fn new(options: ReproOptions) -> Self {
         ReproContext {
             options,
-            schedulers: HashMap::new(),
-            events: Vec::new(),
+            ..ReproContext::default()
         }
     }
 
@@ -163,6 +166,43 @@ impl ReproContext {
             CloudscSizes::mini()
         } else {
             CloudscSizes::paper()
+        }
+    }
+
+    /// The cost model behind every trace-backed column of the run: the
+    /// paper's machine at the run's `--cache-mode` and `--sim-workers`.
+    /// One model for the whole run, so a trace two figures both need
+    /// (Fig. 11's daisy row and Fig. 12b's schedule point) is simulated
+    /// once and answered from the model's simulation memo afterwards.
+    pub fn trace_model(&self) -> &CostModel {
+        self.trace_model.get_or_init(|| {
+            CostModel::new(MachineConfig::xeon_e5_2680v3(), 1)
+                .with_cost_mode(self.options.cache_mode)
+                .with_simulation_parallelism(self.options.sim_workers)
+        })
+    }
+
+    /// [`cloudsc_versions`] at the sizes the trace-backed columns simulate
+    /// (the run's sizes, lifted to [`FULL_TRACE_NBLOCKS`] outside smoke
+    /// runs), built on first use.
+    pub fn trace_versions(&self) -> &[(&'static str, Program)] {
+        self.trace_versions
+            .get_or_init(|| cloudsc_versions(self.trace_sizes()))
+    }
+
+    /// The CLOUDSC sizes the trace-backed figure columns simulate: the
+    /// run's sizes, lifted to the paper's full `NBLOCKS = 4096` outside
+    /// smoke runs. Earlier PRs capped this at 64 blocks to keep the
+    /// sequential simulation tractable; the sharded driver removed the cap.
+    pub fn trace_sizes(&self) -> CloudscSizes {
+        let sizes = self.sizes();
+        if self.options.smoke {
+            sizes
+        } else {
+            CloudscSizes {
+                nblocks: FULL_TRACE_NBLOCKS,
+                ..sizes
+            }
         }
     }
 
@@ -574,8 +614,10 @@ pub fn cloudsc_versions(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
 /// FLOP/s of Fortran and daisy against the machine peak (§5.2).
 pub fn fig11_cloudsc_full(ctx: &ReproContext) {
     let sizes = ctx.sizes();
+    let trace_sizes = ctx.trace_sizes();
     let sequential = paper_machine_model(1);
-    let versions = cloudsc_versions(sizes);
+    let at_run_sizes = (trace_sizes.nblocks != sizes.nblocks).then(|| cloudsc_versions(sizes));
+    let versions = at_run_sizes.as_deref().unwrap_or(ctx.trace_versions());
 
     let reports: Vec<(&str, machine::CostReport)> = versions
         .iter()
@@ -617,20 +659,13 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
     // Since PR 5 the run-compressed simulator sustains multi-block
     // full-model traces, so every Fig. 11 schedule point is backed by the
     // exact simulated access stream, not only the analytical model.
-    let trace_sizes = trace_block_sizes(ctx);
-    let sim_workers = ctx.options().sim_workers;
-    let machine = MachineConfig::xeon_e5_2680v3();
-    let trace_versions = if trace_sizes.nblocks == sizes.nblocks {
-        versions
-    } else {
-        cloudsc_versions(trace_sizes)
-    };
-    let mut shards = 0;
-    let rows: Vec<Vec<String>> = trace_versions
+    let mut sharding = (0, 0);
+    let rows: Vec<Vec<String>> = ctx
+        .trace_versions()
         .iter()
         .map(|(name, p)| {
-            let t = simulate_trace(name, p, &machine, sim_workers, ctx.options().cache_mode);
-            shards = t.shards;
+            let t = simulate_trace(name, p, ctx.trace_model());
+            sharding = (t.shards, t.classes);
             vec![
                 name.to_string(),
                 t.accesses.to_string(),
@@ -656,29 +691,13 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
         ],
         &rows,
     );
-    print_trace_sharding("\ntrace sharding", trace_sizes, shards, sim_workers);
+    print_trace_sharding("\ntrace sharding", ctx, sharding);
 }
 
 /// The block count the paper's full CLOUDSC experiments sweep
 /// (`NBLOCKS = 4096`, ~1.6B accesses per schedule point at paper
 /// NPROMA/KLEV) — sustained by the block-sharded parallel simulator.
 pub const FULL_TRACE_NBLOCKS: i64 = 4096;
-
-/// The CLOUDSC sizes the trace-backed figure columns simulate: the run's
-/// sizes, lifted to the paper's full `NBLOCKS = 4096` outside smoke runs.
-/// Earlier PRs capped this at 64 blocks to keep the sequential simulation
-/// tractable; the sharded driver removed the cap.
-fn trace_block_sizes(ctx: &ReproContext) -> CloudscSizes {
-    let sizes = ctx.sizes();
-    if ctx.options().smoke {
-        sizes
-    } else {
-        CloudscSizes {
-            nblocks: FULL_TRACE_NBLOCKS,
-            ..sizes
-        }
-    }
-}
 
 /// One trace simulation of a figure workload.
 struct TraceStats {
@@ -687,6 +706,7 @@ struct TraceStats {
     l1_hit_rate: f64,
     l1_loads: u64,
     shards: usize,
+    classes: usize,
 }
 
 /// Produces one figure workload's trace-backed counters through
@@ -695,24 +715,15 @@ struct TraceStats {
 /// streams the access trace through the sharded cache driver, whose
 /// counters are bit-identical at any `sim_workers` value. Under
 /// `--cache-mode analytic` the counters come from the bounded-error
-/// estimator instead and `shards` is 0 (nothing is simulated).
-fn simulate_trace(
-    name: &str,
-    program: &Program,
-    machine: &MachineConfig,
-    sim_workers: usize,
-    cache_mode: CostMode,
-) -> TraceStats {
-    let model = CostModel::new(machine.clone(), 1)
-        .with_cost_mode(cache_mode)
-        .with_simulation_parallelism(sim_workers);
+/// estimator instead and `shards` / `classes` are 0 (nothing is simulated).
+fn simulate_trace(name: &str, program: &Program, model: &CostModel) -> TraceStats {
     let start = Instant::now();
     let assessment = model
         .assess_cache(program, true)
         .unwrap_or_else(|e| panic!("{name}: trace fails: {e}"));
-    let shards = match &assessment {
-        CacheAssessment::Exact(stats) => stats.shards(),
-        CacheAssessment::Analytic(_) => 0,
+    let (shards, classes) = match &assessment {
+        CacheAssessment::Exact(stats) => (stats.shards(), stats.classes()),
+        CacheAssessment::Analytic(_) => (0, 0),
     };
     TraceStats {
         accesses: assessment.accesses(),
@@ -720,19 +731,20 @@ fn simulate_trace(
         l1_hit_rate: assessment.l1().hit_rate(),
         l1_loads: assessment.l1().loads,
         shards,
+        classes,
     }
 }
 
 /// Prints the sharding configuration of a trace-backed figure section:
-/// block count, shard count, and the requested/effective simulation worker
-/// counts.
-fn print_trace_sharding(label: &str, sizes: CloudscSizes, shards: usize, sim_workers: usize) {
+/// block count, `(shards, classes)` — the shard plan and how many of its
+/// shards were actually simulated — and the requested/effective simulation
+/// worker counts (the pool fans out classes, so it clamps to them).
+fn print_trace_sharding(label: &str, ctx: &ReproContext, (shards, classes): (usize, usize)) {
+    let sim_workers = ctx.options().sim_workers;
     println!(
-        "{label}: NBLOCKS={}, {} shards, sim-workers={} (effective {})",
-        sizes.nblocks,
-        shards,
-        sim_workers,
-        effective_sim_workers(sim_workers, shards),
+        "{label}: NBLOCKS={}, {shards} shards in {classes} classes, sim-workers={sim_workers} (effective {})",
+        ctx.trace_sizes().nblocks,
+        effective_sim_workers(sim_workers, classes),
     );
 }
 
@@ -825,25 +837,19 @@ pub fn fig12_cloudsc_scaling(ctx: &ReproContext, mode: ScalingMode) {
         // The weak-scaling points only grow the block count and blocks are
         // independent, so one sharded simulation at the full schedule-point
         // block count stands for every row's exact per-block access stream.
-        let trace_sizes = trace_block_sizes(ctx);
-        let sim_workers = ctx.options().sim_workers;
-        let machine = MachineConfig::xeon_e5_2680v3();
-        let trace = simulate_trace(
-            "daisy",
-            &daisy_full_model(trace_sizes),
-            &machine,
-            sim_workers,
-            ctx.options().cache_mode,
-        );
+        // Fig. 11 simulated this very trace on the same model, so after
+        // it this answers from the model's simulation memo.
+        let (name, daisy) = &ctx.trace_versions()[3];
+        let trace = simulate_trace(name, daisy, ctx.trace_model());
         println!(
             "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses simulated in {:.1} ms ({:.0} Macc/s), L1 hit rate {:.1}%",
-            trace_sizes.nblocks,
+            ctx.trace_sizes().nblocks,
             trace.accesses,
             trace.seconds * 1e3,
             trace.accesses as f64 / trace.seconds / 1e6,
             100.0 * trace.l1_hit_rate
         );
-        print_trace_sharding("trace sharding", trace_sizes, trace.shards, sim_workers);
+        print_trace_sharding("trace sharding", ctx, (trace.shards, trace.classes));
     }
 }
 
@@ -874,7 +880,6 @@ pub fn table1_workloads(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
 pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
     let sizes = ctx.sizes();
     let model = paper_machine_model(1);
-    let machine = MachineConfig::xeon_e5_2680v3();
 
     let original_single = erosion_single_level(sizes, false);
     let optimized_single = erosion_single_level(sizes, true);
@@ -885,15 +890,11 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
     // The single-level nests have a one-trip top-level loop, so the sharded
     // driver runs them as one covering shard: counters exactly match the
     // monolithic simulation at any worker count.
-    let sim_workers = ctx.options().sim_workers;
     // `(l1_loads, l1_evicts, accesses)` per nest — exactly simulated under
     // the exact tier and `Auto` (table rows are final validation), estimated
     // with bounded error under `--cache-mode analytic`.
-    let cache_model = CostModel::new(machine.clone(), 1)
-        .with_cost_mode(ctx.options().cache_mode)
-        .with_simulation_parallelism(sim_workers);
     let cache = |p: &Program| -> (u64, u64, u64) {
-        let a = cache_model.assess_cache(p, true).expect("trace runs");
+        let a = ctx.trace_model().assess_cache(p, true).expect("trace runs");
         (a.l1().loads, a.l1().evicts, a.accesses())
     };
     let orig_cache = cache(&original_single);

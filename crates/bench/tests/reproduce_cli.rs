@@ -178,3 +178,37 @@ fn profile_writes_a_parseable_json_lines_profile_and_verbose_prints_phases() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fig12_answers_its_trace_from_the_simulation_fig11_ran() {
+    // Fig. 12b's schedule point is Fig. 11's daisy trace. One cost model per
+    // run serves both, so the second request must be a simulation-memo hit
+    // instead of a second simulation (and a second normalize + fuse of the
+    // daisy model).
+    let dir = std::env::temp_dir().join(format!("reproduce-cli-memo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("profile.json");
+    let output = reproduce(&[
+        "--smoke",
+        "--only",
+        "fig11,fig12",
+        "--profile",
+        path.to_str().expect("utf8 path"),
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+
+    let contents = std::fs::read_to_string(&path).expect("profile file exists");
+    let profile = telemetry::Profile::from_json_lines(&contents).expect("profile parses");
+    let counter = |name: &str| profile.counters.get(name).copied().unwrap_or(0);
+    assert!(
+        counter("machine.cost.sim_memo_hits") >= 1,
+        "fig12 re-simulated fig11's daisy trace: {:?}",
+        profile.counters
+    );
+    // Four versions simulated once each; the fifth request is the hit.
+    assert_eq!(counter("machine.cost.sim_memo_misses"), 4);
+    assert_eq!(counter("machine.shard.simulations"), 4);
+
+    std::fs::remove_dir_all(&dir).ok();
+}

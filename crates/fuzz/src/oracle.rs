@@ -13,7 +13,9 @@
 //!   [`machine::trace::walk_accesses_symbolic`]: identical entry sequences.
 //! * **cache** — the run-compressed simulation versus the per-access
 //!   pipeline and the naive LRU reference: bit-identical counters on the
-//!   tiny test machine whose four sets force conflicts.
+//!   tiny test machine whose four sets force conflicts; and the sharded
+//!   driver under the program's canonical plan (translation classes and
+//!   all) versus every shard streamed through the per-access pipeline.
 //! * **analytic** — the closed-form cache tier ([`machine::estimate_cache`])
 //!   versus the exact simulator: the estimated miss counts must stay within
 //!   the estimate's *own reported* error bound on both levels, and access
@@ -28,13 +30,15 @@
 //!   program still validates and executes differentially.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::prelude::*;
 use machine::interp::{reference, ProgramData};
 use machine::{
-    simulate_cache, simulate_cache_per_access, simulate_cache_reference, Interpreter,
-    MachineConfig, TraceEntry,
+    simulate_cache, simulate_cache_per_access, simulate_cache_reference,
+    simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan, CompiledProgram,
+    Interpreter, MachineConfig, ShardPlan, TraceEntry,
 };
 use normalize::Normalizer;
 
@@ -372,6 +376,36 @@ fn cache_oracle(program: &Program) -> std::result::Result<(), String> {
             ));
         }
     }
+    sharded_cache_differential(program, &machine)
+}
+
+/// The sharded driver under the canonical plan — one simulation per
+/// translation class, on two workers — against the un-deduplicated
+/// per-access oracle of the same plan. Runs only on programs the monolithic
+/// simulations accepted, so any error here is a divergence.
+fn sharded_cache_differential(
+    program: &Program,
+    machine: &MachineConfig,
+) -> std::result::Result<(), String> {
+    let sharded = || -> machine::Result<_> {
+        let compiled = CompiledProgram::lower(program)?;
+        let plan = ShardPlan::for_program(&compiled)?;
+        Ok((
+            simulate_cache_sharded_with_plan(&compiled, &plan, machine, 2)?,
+            simulate_cache_sharded_per_access(&compiled, &plan, machine)?,
+        ))
+    };
+    let (fast, oracle) =
+        sharded().map_err(|e| format!("sharded simulation fails where monolithic ran: {e}"))?;
+    let counters = |s: &machine::ShardedCacheStats| (s.accesses(), s.l1(), s.l2(), s.shards());
+    if counters(&fast) != counters(&oracle) {
+        return Err(format!(
+            "sharded counters ({} classes) diverge from the per-access shards: {:?} vs {:?}",
+            fast.classes(),
+            counters(&fast),
+            counters(&oracle)
+        ));
+    }
     Ok(())
 }
 
@@ -510,10 +544,14 @@ fn schedule_oracle(program: &Program) -> std::result::Result<(), String> {
     // Cold-vs-warm: persisting the (possibly empty) database and warm
     // starting a fresh scheduler from it must reproduce the outcome
     // bit-identically.
+    // The sequence number keeps concurrent checks of one program (parallel
+    // tests replaying the same seed) out of each other's directory.
+    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "daisyfuzz-store-{}-{:016x}",
+        "daisyfuzz-store-{}-{:016x}-{}",
         std::process::id(),
-        program.structural_hash()
+        program.structural_hash(),
+        SEQUENCE.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).map_err(|e| format!("store dir: {e}"))?;
     let path = dir.join("case.tunedb");

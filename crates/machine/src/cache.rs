@@ -126,11 +126,18 @@ struct CacheLevel {
 }
 
 impl CacheLevel {
+    /// The rounded `(line_bytes, set_count)` of a level (see the module
+    /// docs), both powers of two.
+    fn geometry(capacity: usize, assoc: usize, line_bytes: usize) -> (u64, u64) {
+        let assoc = assoc.max(1) as u64;
+        let line_bytes = nearest_pow2(line_bytes.max(1) as u64);
+        let lines = ((capacity as u64) / line_bytes).max(assoc);
+        (line_bytes, nearest_pow2(lines / assoc))
+    }
+
     fn new(capacity: usize, assoc: usize, line_bytes: usize) -> Self {
         let assoc = assoc.max(1);
-        let line_bytes = nearest_pow2(line_bytes.max(1) as u64);
-        let lines = ((capacity as u64) / line_bytes).max(assoc as u64);
-        let set_count = nearest_pow2(lines / assoc as u64);
+        let (line_bytes, set_count) = Self::geometry(capacity, assoc, line_bytes);
         CacheLevel {
             tags: vec![EMPTY; (set_count as usize) * assoc].into_boxed_slice(),
             probes: 0,
@@ -250,6 +257,19 @@ impl CacheHierarchy {
         // sharing one line size keeps those addresses on the original lines.
         debug_assert_eq!(hierarchy.l1.line_shift, hierarchy.l2.line_shift);
         hierarchy
+    }
+
+    /// The byte distance after which the set mapping of both levels
+    /// repeats: `line_bytes × max(L1 sets, L2 sets)`. Moving a whole array
+    /// by a multiple of it keeps every address on the same line offset and
+    /// in the same set at both levels. `None` when a line is wider than the
+    /// [`AddressMap`] alignment, so that two arrays could share one.
+    pub(crate) fn set_period_bytes(machine: &MachineConfig) -> Option<u64> {
+        let (line_bytes, l1_sets) =
+            CacheLevel::geometry(machine.l1_bytes, machine.l1_assoc, machine.line_bytes);
+        let (_, l2_sets) =
+            CacheLevel::geometry(machine.l2_bytes, machine.l2_assoc, machine.line_bytes);
+        (line_bytes <= AddressMap::ALIGN).then(|| line_bytes * l1_sets.max(l2_sets))
     }
 
     /// Simulates one access to the given byte address (reads and writes are
@@ -766,14 +786,17 @@ pub struct AddressMap {
 }
 
 impl AddressMap {
+    /// Alignment of every array base; arrays are padded to a multiple of it.
+    pub(crate) const ALIGN: u64 = 0x1000;
+
     /// Lays out the arrays of a program consecutively, 4 KiB aligned.
     pub fn for_program(program: &loop_ir::Program) -> Self {
         let mut bases = BTreeMap::new();
-        let mut cursor: u64 = 0x1000;
+        let mut cursor: u64 = Self::ALIGN;
         for (name, array) in &program.arrays {
             let bytes = array.size_bytes(&program.params).unwrap_or(0).max(0) as u64;
             bases.insert(name.to_string(), cursor);
-            cursor += (bytes + 0xFFF) & !0xFFF;
+            cursor += (bytes + Self::ALIGN - 1) & !(Self::ALIGN - 1);
         }
         AddressMap { bases }
     }

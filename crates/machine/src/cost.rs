@@ -1290,22 +1290,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_pricings_memoize_and_count() {
-        let p = gemm("ikj", 32);
-        let model = CostModel::sequential().with_cost_mode(CostMode::Analytic);
-        let sink = Arc::new(telemetry::CollectingRecorder::default());
-        telemetry::with_recorder(sink.clone(), || {
-            let first = model.assess_cache(&p, false).unwrap();
-            let second = model.assess_cache(&p, false).unwrap();
-            assert_eq!(first.l1(), second.l1());
-        });
-        assert_eq!(sink.counter_total("machine.cost.analytic_pricings"), 2);
-        assert_eq!(sink.counter_total("machine.cost.exact_pricings"), 0);
-        assert_eq!(sink.counter_total("machine.cost.analytic_memo_misses"), 1);
-        assert_eq!(sink.counter_total("machine.cost.analytic_memo_hits"), 1);
-    }
-
-    #[test]
     fn cost_mode_parses_its_cli_spellings_round_trip() {
         for mode in [CostMode::Exact, CostMode::Analytic, CostMode::Auto] {
             assert_eq!(CostMode::parse(mode.as_str()), Some(mode));

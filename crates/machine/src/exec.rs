@@ -407,24 +407,73 @@ fn bound_independent(b: &CBound, slot: usize) -> bool {
     }
 }
 
-/// Whether the trace emitted by `nodes` is provably identical for every
-/// value of `frame[slot]`: all accesses are affine with a zero coefficient
-/// on the slot and no descendant loop bound references it. Symbolic
-/// accesses answer `false` conservatively; library calls emit nothing into
-/// the trace and are neutral.
-fn subtree_trace_invariant(nodes: &[CNode], slot: usize) -> bool {
+/// How the trace emitted by `nodes` moves with `frame[slot]`: provably a
+/// pure per-array translation when every access is affine, all accesses to
+/// one array share one flat-offset coefficient on the slot, and no
+/// descendant loop bound references it. On success `shifts[array]` holds
+/// that coefficient (elements per unit of the iterator) for every array
+/// the subtree touches, and raising the iterator by `d` replays the same
+/// emission sequence with each array's offsets moved by `d × coefficient`.
+/// All-zero coefficients are the iterator-invariant case. Symbolic accesses
+/// and descendants rebinding the slot answer `false` conservatively;
+/// library calls emit nothing into the trace and are neutral.
+fn subtree_slot_shifts(nodes: &[CNode], slot: usize, shifts: &mut [Option<i64>]) -> bool {
     nodes.iter().all(|node| match node {
         CNode::Comp(c) => c.accesses.iter().all(|a| match a {
-            CAccess::Affine { flat, .. } => flat.coeff(slot) == 0,
+            CAccess::Affine { array, flat, .. } => {
+                *shifts[*array].get_or_insert(flat.coeff(slot)) == flat.coeff(slot)
+            }
             CAccess::Symbolic { .. } => false,
         }),
         CNode::Loop(inner) => {
-            bound_independent(&inner.lower, slot)
+            inner.slot != slot
+                && bound_independent(&inner.lower, slot)
                 && bound_independent(&inner.upper, slot)
-                && subtree_trace_invariant(&inner.body, slot)
+                && subtree_slot_shifts(&inner.body, slot, shifts)
         }
         CNode::Call(_) => true,
     })
+}
+
+/// One array's translation per trip of the block loop, as
+/// [`CompiledProgram::block_shifts`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ArrayShift {
+    /// The array's slot.
+    array: usize,
+    /// Elements every offset into the array advances per block trip.
+    elems: u64,
+    /// Array length in elements.
+    len: u64,
+    /// `elems` in bytes.
+    pub(crate) bytes: u64,
+}
+
+/// What one [`CompiledProgram::stream_block_range`] call touched: per array
+/// slot, the lowest and highest flat element offset the stream computed —
+/// before clamping, so a negative minimum records a clamped access.
+/// Untouched arrays keep `(i64::MAX, i64::MIN)`.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockFootprint {
+    extents: Vec<(i64, i64)>,
+}
+
+impl BlockFootprint {
+    /// Whether replaying this stream `trips` block iterations later — each
+    /// array moved by its shift — keeps every access inside its own array:
+    /// nothing clamps at an array base and nothing spills past an array's
+    /// end into a neighbour's lines. All-zero shifts replay the identical
+    /// stream, whatever it touches.
+    pub(crate) fn translates(&self, shifts: &[ArrayShift], trips: u64) -> bool {
+        shifts.iter().all(|s| s.elems == 0)
+            || shifts.iter().all(|s| {
+                let (min, max) = self.extents[s.array];
+                // Trip counts and shifts both come from `i64`s, so the
+                // product stays far inside `i128`.
+                let last = i128::from(max) + i128::from(trips) * i128::from(s.elems);
+                max < min || (min >= 0 && last < i128::from(s.len))
+            })
+    }
 }
 
 /// Per-array lowering result: name, layout and the trace base address.
@@ -845,8 +894,11 @@ impl<'p> Lowerer<'p> {
         } else {
             Vec::new()
         };
+        let mut shifts = vec![None; self.arrays.len()];
+        let trace_invariant = subtree_slot_shifts(&body, slot, &mut shifts)
+            && shifts.iter().all(|c| c.unwrap_or(0) == 0);
         Ok(CLoop {
-            trace_invariant: subtree_trace_invariant(&body, slot),
+            trace_invariant,
             slot,
             lower,
             upper,
@@ -1219,6 +1271,9 @@ struct Streamer<'c> {
     count: u64,
     /// Scratch run-group plan reused across innermost-loop entries.
     runs: Vec<StrideRun>,
+    /// Per array slot, the lowest and highest flat element offset computed
+    /// so far, before clamping (see [`BlockFootprint`]).
+    extents: Vec<(i64, i64)>,
 }
 
 impl CompiledProgram {
@@ -1235,41 +1290,72 @@ impl CompiledProgram {
     /// # Errors
     /// Non-evaluable bounds or subscripts.
     pub fn stream(&self, sink: &mut impl AccessSink) -> Result<u64> {
-        let mut streamer = Streamer {
-            compiled: self,
-            frame: self.frame_init.clone(),
-            count: 0,
-            runs: Vec::new(),
-        };
+        let mut streamer = Streamer::new(self);
         for node in &self.nodes {
             streamer.stream_node(node, sink)?;
         }
         Ok(streamer.count)
     }
 
-    /// Trip count of the block loop when this program is block-shardable:
-    /// the body is exactly one top-level loop with nested structure (a flat
-    /// innermost loop emits one lockstep run group for its whole domain, so
-    /// cutting it per iteration would only deoptimize the stream). The
-    /// bounds are evaluated against the initial frame — exactly the frame
-    /// [`stream`](CompiledProgram::stream) evaluates them against, since a
-    /// top-level loop streams before any iterator slot is written.
+    /// The block loop when this program is block-shardable: the body is
+    /// exactly one top-level loop with nested structure (a flat innermost
+    /// loop emits one lockstep run group for its whole domain, so cutting
+    /// it per iteration would only deoptimize the stream).
+    fn block_loop(&self) -> Option<&CLoop> {
+        match self.nodes.as_slice() {
+            [CNode::Loop(l)] if !l.inner => Some(l),
+            _ => None,
+        }
+    }
+
+    /// Trip count of the block loop when this program is block-shardable.
+    /// The bounds are evaluated against the initial frame — exactly the
+    /// frame [`stream`](CompiledProgram::stream) evaluates them against,
+    /// since a top-level loop streams before any iterator slot is written.
     ///
     /// `Some(0)` is a shardable zero-trip block loop; `None` means the
     /// program shards at run-group granularity instead.
     pub(crate) fn block_trips(&self) -> Option<u64> {
-        let [CNode::Loop(l)] = self.nodes.as_slice() else {
-            return None;
-        };
-        if l.inner {
-            return None;
-        }
+        let l = self.block_loop()?;
         let lower = l.lower.eval(&self.frame_init).ok()?;
         let upper = l.upper.eval(&self.frame_init).ok()?;
         if upper <= lower {
             return Some(0);
         }
         Some(((upper - lower + l.step - 1) / l.step) as u64)
+    }
+
+    /// How far one trip of the block loop moves each array the block body
+    /// touches, in array-slot order — the lowering fact behind the shard
+    /// layer's translation classes. `Some` means block trip `t + d` emits
+    /// trip `t`'s access sequence with every array's offsets raised by
+    /// `d` times its shift (see [`subtree_slot_shifts`] for when that is
+    /// provable). `None` when it is not, when some array moves backwards
+    /// (later trips could clamp at the array base where earlier ones do
+    /// not), or when the program has no block loop.
+    pub(crate) fn block_shifts(&self) -> Option<Vec<ArrayShift>> {
+        let l = self.block_loop()?;
+        let mut coeffs = vec![None; self.arrays.len()];
+        if !subtree_slot_shifts(&l.body, l.slot, &mut coeffs) {
+            return None;
+        }
+        let mut shifts = Vec::new();
+        for (array, coeff) in coeffs.into_iter().enumerate() {
+            let Some(coeff) = coeff else { continue };
+            let carray = &self.arrays[array];
+            let elems = u64::try_from(coeff.checked_mul(l.step)?).ok()?;
+            let dims = &carray.layout.as_ref()?.dims;
+            let len = dims
+                .iter()
+                .try_fold(1u64, |n, &d| n.checked_mul(u64::try_from(d).ok()?))?;
+            shifts.push(ArrayShift {
+                array,
+                elems,
+                len,
+                bytes: elems.checked_mul(carray.elem_size as u64)?,
+            });
+        }
+        Some(shifts)
     }
 
     /// Streams trip indices `[lo, hi)` of the block loop — the sub-trace one
@@ -1280,27 +1366,21 @@ impl CompiledProgram {
     /// streams the body through the same per-node walk.
     ///
     /// # Errors
-    /// [`MachineError::InvalidLoop`] when the program is not block-shardable
-    /// ([`block_trips`](CompiledProgram::block_trips) is `None`); bound and
-    /// subscript evaluation errors as in `stream`.
+    /// [`MachineError::NotShardable`] when the program is not
+    /// block-shardable ([`block_trips`](CompiledProgram::block_trips) is
+    /// `None`); bound and subscript evaluation errors as in `stream`.
     pub(crate) fn stream_block_range(
         &self,
         lo: u64,
         hi: u64,
         sink: &mut impl AccessSink,
-    ) -> Result<u64> {
-        let trips = self.block_trips().ok_or_else(|| {
-            MachineError::NotShardable("the program has no block loop".to_string())
-        })?;
-        let [CNode::Loop(l)] = self.nodes.as_slice() else {
-            unreachable!("block_trips accepted the program shape")
+    ) -> Result<BlockFootprint> {
+        let (Some(l), Some(trips)) = (self.block_loop(), self.block_trips()) else {
+            return Err(MachineError::NotShardable(
+                "the program has no block loop".to_string(),
+            ));
         };
-        let mut streamer = Streamer {
-            compiled: self,
-            frame: self.frame_init.clone(),
-            count: 0,
-            runs: Vec::new(),
-        };
+        let mut streamer = Streamer::new(self);
         let lower = l.lower.eval(&streamer.frame)?;
         let (lo, hi) = (lo.min(trips), hi.min(trips));
         for trip in lo..hi {
@@ -1309,11 +1389,31 @@ impl CompiledProgram {
                 streamer.stream_node(child, sink)?;
             }
         }
-        Ok(streamer.count)
+        Ok(BlockFootprint {
+            extents: streamer.extents,
+        })
     }
 }
 
-impl Streamer<'_> {
+impl<'c> Streamer<'c> {
+    fn new(compiled: &'c CompiledProgram) -> Self {
+        Streamer {
+            compiled,
+            frame: compiled.frame_init.clone(),
+            count: 0,
+            runs: Vec::new(),
+            extents: vec![(i64::MAX, i64::MIN); compiled.arrays.len()],
+        }
+    }
+
+    /// Widens an array's offset extent to cover `offset`.
+    #[inline]
+    fn touch(&mut self, array: usize, offset: i64) {
+        let (min, max) = &mut self.extents[array];
+        *min = (*min).min(offset);
+        *max = (*max).max(offset);
+    }
+
     fn stream_node(&mut self, node: &CNode, sink: &mut impl AccessSink) -> Result<()> {
         match node {
             CNode::Loop(l) => self.stream_loop(l, sink),
@@ -1408,6 +1508,8 @@ impl Streamer<'_> {
                     // falling back to the per-iteration path.
                     return false;
                 }
+                self.touch(*array, first);
+                self.touch(*array, last);
                 let carray = &self.compiled.arrays[*array];
                 let elem = carray.elem_size as i64;
                 self.runs.push(StrideRun {
@@ -1441,6 +1543,7 @@ impl Streamer<'_> {
                     (*array, offset)
                 }
             };
+            self.touch(array, offset);
             let carray = &self.compiled.arrays[array];
             let address = carray.base + (offset.max(0) as u64) * carray.elem_size as u64;
             self.count += 1;
@@ -1517,12 +1620,11 @@ mod tests {
         let mut whole = Collect::default();
         let total = compiled.stream(&mut whole).unwrap();
         let mut pieces = Collect::default();
-        let mut count = 0;
         // Ragged cuts, including an empty range and one clamped past the end.
         for (lo, hi) in [(0, 2), (2, 2), (2, 3), (3, 9)] {
-            count += compiled.stream_block_range(lo, hi, &mut pieces).unwrap();
+            compiled.stream_block_range(lo, hi, &mut pieces).unwrap();
         }
-        assert_eq!(count, total);
+        assert_eq!(pieces.0.len() as u64, total);
         assert_eq!(pieces.0.len(), whole.0.len());
         assert!(pieces
             .0
@@ -1538,6 +1640,77 @@ mod tests {
             flat.stream_block_range(0, 1, &mut Collect::default()),
             Err(MachineError::NotShardable(_))
         ));
+    }
+
+    #[test]
+    fn block_shifts_exist_exactly_when_block_trips_are_translations() {
+        let blocked = |body: &str| {
+            lower(&format!(
+                "program s {{ param NB = 4; param N = 8;
+                   array A[NB * N]; array T[N]; array U[NB][N];
+                   for b in 0..NB step 2 {{ {body} }} }}"
+            ))
+        };
+        // A moves 8 elements per unit of `b`, so 16 per trip of the step-2
+        // loop; T is stationary; U is never touched and not listed.
+        let shifts = blocked("for i in 0..N { A[b * N + i] = T[i]; }")
+            .block_shifts()
+            .expect("a pure translation");
+        let summary: Vec<_> = shifts
+            .iter()
+            .map(|s| (s.array, s.elems, s.len, s.bytes))
+            .collect();
+        assert_eq!(summary, vec![(0, 16, 32, 128), (1, 0, 8, 0)]);
+
+        for (why, body) in [
+            ("two rates on A", "for i in 0..N { A[b * N + i] = A[i]; }"),
+            (
+                "a block-dependent bound",
+                "for i in 0..b + 1 { A[b * N + i] = T[i]; }",
+            ),
+            (
+                "a symbolic subscript",
+                "for i in 0..N { A[(b * N + i) % 32] = T[i]; }",
+            ),
+            (
+                "A moves backwards",
+                "for i in 0..N { A[(NB - 1 - b) * N + i] = T[i]; }",
+            ),
+        ] {
+            assert!(blocked(body).block_shifts().is_none(), "{why}");
+        }
+        // No block loop, no shifts.
+        let flat = lower("program f { param N = 8; array A[N]; for i in 0..N { A[i] = 1.0; } }");
+        assert!(flat.block_shifts().is_none());
+    }
+
+    #[test]
+    fn footprints_translate_only_while_every_array_stays_in_bounds() {
+        let compiled = lower(
+            "program t { param NB = 4; param N = 8; array A[NB * N + 2]; array T[N];
+               for b in 0..NB { for i in 0..N { A[b * N + i + 2] = T[i] + A[b * N + i - 1]; } } }",
+        );
+        let shifts = compiled.block_shifts().unwrap();
+        struct Drop0;
+        impl AccessSink for Drop0 {
+            fn access(&mut self, _entry: TraceEntry) {}
+        }
+        // Block 0 computes offset -1 (clamped), block 1 does not.
+        let clamped = compiled.stream_block_range(0, 1, &mut Drop0).unwrap();
+        assert_eq!(clamped.extents, vec![(-1, 9), (0, 7)]);
+        assert!(!clamped.translates(&shifts, 1));
+        let inside = compiled.stream_block_range(1, 2, &mut Drop0).unwrap();
+        assert_eq!(inside.extents, vec![(7, 17), (0, 7)]);
+        // Two trips on, A[.. + 2] still ends at 33 < 34; three trips on it
+        // would spill past the end.
+        assert!(inside.translates(&shifts, 2));
+        assert!(!inside.translates(&shifts, 3));
+        // Stationary arrays replay the identical stream wherever it goes.
+        let stationary = compiled.block_shifts().map(|mut s| {
+            s.iter_mut().for_each(|s| s.elems = 0);
+            s
+        });
+        assert!(clamped.translates(&stationary.unwrap(), 3));
     }
 
     #[test]

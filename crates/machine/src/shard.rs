@@ -4,8 +4,9 @@
 //! loop; at the paper's full `NBLOCKS = 4096` one thread walking the whole
 //! trace (~1.6B accesses) is the bottleneck of every trace-backed figure.
 //! This module cuts a compiled program's trace into shards, streams each
-//! shard through its *own* [`CacheHierarchy`] replica on a worker pool, and
-//! merges the per-shard counters with an order-independent reduction.
+//! shard — one per class of shards a replica cannot tell apart — through
+//! its *own* [`CacheHierarchy`] replica on a worker pool, and merges the
+//! per-shard counters with an order-independent reduction.
 //!
 //! # Shard granularity
 //!
@@ -39,12 +40,63 @@
 //! ways of a cold replica, so hits, misses and loads coincide with the
 //! monolithic counters; only `evicts` is defined per shard.
 //!
+//! # Shard classes
+//!
+//! CLOUDSC's blocks are independent and identically shaped: block `b`'s
+//! trace is block 0's with every array moved by `b` slabs. A cold LRU
+//! replica cannot tell two such shards apart once their moves agree modulo
+//! the *set period* `line_bytes × max(L1 sets, L2 sets)`, so the driver
+//! groups the shards of a block plan into *translation classes*, simulates
+//! one representative per class and adds its counters once per member —
+//! 4096 CLOUDSC blocks are 32 simulations. [`ShardedCacheStats`] still
+//! reports the logical totals of the whole plan and is bit-identical to
+//! simulating every shard (the per-access oracle,
+//! [`simulate_cache_sharded_per_access`], does exactly that and the
+//! differential suite holds the two equal);
+//! [`ShardedCacheStats::classes`] says how many shards were streamed.
+//!
+//! The class key of a shard `[lo, hi)` (clamped to the trip count) is its
+//! length and, per array the block body touches, `lo × shift mod period`,
+//! where `shift` is the array's byte move per block trip
+//! (`CompiledProgram::block_shifts`). **Why equal keys mean equal
+//! counters:** the two streams have the same length and shape, and each
+//! array's addresses differ by a whole number of set periods. That keeps
+//! every address at the same offset inside its line and in the same set at
+//! both levels, and — arrays being page-aligned, so that in-bounds accesses
+//! to different arrays never share a line — maps the lines one stream
+//! touches one-to-one onto the other's, preserving which accesses share a
+//! line. Hits, misses, evictions and the LRU order of every set depend on
+//! nothing else, and neither do the decisions of the run-group fast path
+//! (phase cuts, stagger merging, super-line stepping, the conflict
+//! fallback), so `probes` agree as well. Singleton classes are simulated
+//! exactly as before.
+//!
+//! Three conditions refuse a class, each falling back to simulating the
+//! shards one by one:
+//!
+//! 1. **The block loop is not a translation.** Some descendant bound
+//!    depends on the block iterator, some access is not affine, or two
+//!    accesses to one array move at different rates — `block_shifts` is
+//!    `None` and every shard is its own class. The same holds for
+//!    run-group plans and for cache lines wider than the array alignment.
+//! 2. **An array moves backwards.** A later block could clamp at the array
+//!    base where an earlier one does not; `block_shifts` is `None` again.
+//! 3. **The representative's stream leaves an array.** Negative offsets
+//!    clamp to the array base and offsets past the end land in a
+//!    neighbouring array, and either breaks the one-to-one line mapping.
+//!    Each class is represented by its lowest trip; the streamer records
+//!    the offset range it touched per array, and unless that range, moved
+//!    to the class's highest trip, stays inside every array, all members
+//!    of the class are simulated. (All-zero shifts replay the identical
+//!    stream and need no check.)
+//!
 //! The worker pool mirrors the clamping and panic containment of `daisy`'s
 //! `parallel_map_with` (which lives above this crate and cannot be reused
 //! directly): explicit worker requests clamp to the machine's available
-//! parallelism and the shard count, a panicking shard is retried
-//! sequentially on the caller, and results are merged by shard index.
+//! parallelism and the number of simulations, a panicking shard is retried
+//! sequentially on the caller, and results are merged by index.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -53,7 +105,7 @@ use loop_ir::program::Program;
 use crate::cache::{CacheHierarchy, CacheStats};
 use crate::config::MachineConfig;
 use crate::error::Result;
-use crate::exec::CompiledProgram;
+use crate::exec::{ArrayShift, BlockFootprint, CompiledProgram};
 use crate::trace::{AccessSink, CacheSink, PerAccessCacheSink, StrideRun, TraceEntry};
 
 /// Maximum shard count of the run-group fallback. Each fallback shard
@@ -213,10 +265,37 @@ pub struct ShardedCacheStats {
     l1: CacheStats,
     l2: CacheStats,
     shards: usize,
+    classes: usize,
     granularity: ShardGranularity,
 }
 
 impl ShardedCacheStats {
+    fn empty(plan: &ShardPlan, classes: usize) -> Self {
+        ShardedCacheStats {
+            accesses: 0,
+            probes: 0,
+            l1: CacheStats::default(),
+            l2: CacheStats::default(),
+            shards: plan.len(),
+            classes,
+            granularity: plan.granularity(),
+        }
+    }
+
+    /// Adds the counters of one finished replica, `times` over.
+    fn add(&mut self, replica: &Replica, times: u64) {
+        let scaled = |stats: CacheStats| CacheStats {
+            loads: stats.loads * times,
+            evicts: stats.evicts * times,
+            hits: stats.hits * times,
+            misses: stats.misses * times,
+        };
+        self.accesses += replica.accesses * times;
+        self.probes += replica.probes * times;
+        self.l1.merge(&scaled(replica.l1));
+        self.l2.merge(&scaled(replica.l2));
+    }
+
     /// Total accesses simulated across all shards.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -242,9 +321,36 @@ impl ShardedCacheStats {
         self.shards
     }
 
+    /// Number of shards actually streamed through a replica: one per
+    /// translation class (see the module docs), plus every further member
+    /// of a class whose representative could not stand for it. Equal to
+    /// [`shards`](Self::shards) when nothing was deduplicated.
+    pub fn classes(&self) -> usize {
+        self.classes
+    }
+
     /// The granularity the trace was cut at.
     pub fn granularity(&self) -> ShardGranularity {
         self.granularity
+    }
+}
+
+/// The counters of one finished shard replica.
+struct Replica {
+    accesses: u64,
+    probes: u64,
+    l1: CacheStats,
+    l2: CacheStats,
+}
+
+impl Replica {
+    fn of(cache: &CacheHierarchy) -> Self {
+        Replica {
+            accesses: cache.accesses(),
+            probes: cache.probes(),
+            l1: cache.l1(),
+            l2: cache.l2(),
+        }
     }
 }
 
@@ -265,13 +371,15 @@ pub fn simulate_cache_sharded(
     simulate_cache_sharded_with_plan(&compiled, &plan, machine, workers)
 }
 
-/// [`simulate_cache_sharded`] with an explicit plan: streams each shard
+/// [`simulate_cache_sharded`] with an explicit plan: streams one
+/// representative shard per translation class (see the module docs)
 /// through its own cold [`CacheHierarchy`] replica on the worker pool and
-/// merges the counters by shard index (field-wise sums, so any worker
-/// schedule produces bit-identical totals).
+/// merges the counters, each class weighted by its member count
+/// (field-wise sums, so any worker schedule produces bit-identical totals).
 ///
 /// # Errors
-/// Trace-generation errors; the first failing shard (in plan order) wins.
+/// Trace-generation errors; the first failing class (in plan order of
+/// first appearance) wins.
 pub fn simulate_cache_sharded_with_plan(
     compiled: &CompiledProgram,
     plan: &ShardPlan,
@@ -279,46 +387,58 @@ pub fn simulate_cache_sharded_with_plan(
     workers: usize,
 ) -> Result<ShardedCacheStats> {
     let _span = telemetry::span("simulate_cache_sharded");
-    let shard_results = parallel_map_shards(workers, plan.shards(), |&(lo, hi)| {
-        let _shard_span = telemetry::span("simulate_cache_sharded.shard");
-        let mut cache = CacheHierarchy::from_machine(machine);
-        simulate_shard(compiled, plan.granularity(), lo, hi, &mut cache)?;
-        Ok::<_, crate::error::MachineError>((
-            cache.accesses(),
-            cache.probes(),
-            cache.l1(),
-            cache.l2(),
-        ))
-    });
-    let mut merged = ShardedCacheStats {
-        accesses: 0,
-        probes: 0,
-        l1: CacheStats::default(),
-        l2: CacheStats::default(),
-        shards: plan.len(),
-        granularity: plan.granularity(),
+    let shifts = match plan.granularity() {
+        ShardGranularity::Blocks => compiled.block_shifts(),
+        ShardGranularity::RunGroups => None,
     };
-    for result in shard_results {
-        let (accesses, probes, l1, l2) = result?;
-        merged.accesses += accesses;
-        merged.probes += probes;
-        merged.l1.merge(&l1);
-        merged.l2.merge(&l2);
+    let classes = shard_classes(compiled, plan, machine, shifts.as_deref());
+    let simulate = |&(lo, hi): &(u64, u64)| {
+        let _shard_span = telemetry::span("simulate_cache_sharded.shard");
+        simulate_shard(compiled, plan.granularity(), lo, hi, machine)
+    };
+    let representatives = parallel_map_shards(workers, &classes, |class| {
+        let (replica, footprint) = simulate(&plan.shards()[class.representative])?;
+        // A class of one translates nothing; a larger one stands for its
+        // members only if the highest of them still stays inside every
+        // array (classes with members have block shifts and footprints).
+        let translates = class.others.is_empty()
+            || footprint
+                .zip(shifts.as_deref())
+                .is_some_and(|(touched, shifts)| touched.translates(shifts, class.span));
+        Ok::<_, crate::error::MachineError>((replica, translates))
+    });
+    let mut merged = ShardedCacheStats::empty(plan, classes.len());
+    let mut stragglers = Vec::new();
+    for (class, result) in classes.iter().zip(representatives) {
+        let (replica, translates) = result?;
+        if translates {
+            merged.add(&replica, 1 + class.others.len() as u64);
+        } else {
+            merged.add(&replica, 1);
+            stragglers.extend(class.others.iter().map(|&shard| plan.shards()[shard]));
+        }
+    }
+    // Members a representative could not stand for are simulated one by
+    // one, exactly as if each had been its own class.
+    merged.classes += stragglers.len();
+    for result in parallel_map_shards(workers, &stragglers, simulate) {
+        merged.add(&result?.0, 1);
     }
     record_sharded_counters(&merged);
     Ok(merged)
 }
 
 /// The sequential per-access oracle of the differential suite: the same
-/// shard decomposition, but every shard's stream expanded through the
-/// retained per-access pipeline
+/// shard decomposition, but *every* shard's stream — no translation
+/// classes, nothing skipped — expanded through the retained per-access
+/// pipeline
 /// ([`simulate_cache_per_access`](crate::simulate_cache_per_access)'s sink)
 /// instead of the run-group fast path. Accesses and per-level counters are
 /// bit-identical to [`simulate_cache_sharded_with_plan`] at any worker
-/// count — that equality is exactly the run-compression contract, shard by
-/// shard. (`probes` is a property of the pipeline, not of the contract:
-/// run compression probes once per distinct line, this oracle once per
-/// access.)
+/// count — that equality is exactly the run-compression and translation
+/// contract, shard by shard. (`probes` is a property of the pipeline, not
+/// of the contract: run compression probes once per distinct line, this
+/// oracle once per access.)
 ///
 /// # Errors
 /// Trace-generation errors.
@@ -327,14 +447,7 @@ pub fn simulate_cache_sharded_per_access(
     plan: &ShardPlan,
     machine: &MachineConfig,
 ) -> Result<ShardedCacheStats> {
-    let mut merged = ShardedCacheStats {
-        accesses: 0,
-        probes: 0,
-        l1: CacheStats::default(),
-        l2: CacheStats::default(),
-        shards: plan.len(),
-        granularity: plan.granularity(),
-    };
+    let mut merged = ShardedCacheStats::empty(plan, plan.len());
     for &(lo, hi) in plan.shards() {
         let mut cache = CacheHierarchy::from_machine(machine);
         match plan.granularity() {
@@ -352,38 +465,108 @@ pub fn simulate_cache_sharded_per_access(
                 compiled.stream(&mut sink)?;
             }
         }
-        merged.accesses += cache.accesses();
-        merged.probes += cache.probes();
-        merged.l1.merge(&cache.l1());
-        merged.l2.merge(&cache.l2());
+        merged.add(&Replica::of(&cache), 1);
     }
     Ok(merged)
 }
 
-/// Streams one shard into `cache` through the run-compressed sink.
+/// The shards of a plan one simulation stands for, by plan index.
+struct ShardClass {
+    /// The member starting at the lowest block trip — the one simulated.
+    /// Shifts are non-negative, so if its stream clamps nowhere, no
+    /// member's does.
+    representative: usize,
+    /// The other members.
+    others: Vec<usize>,
+    /// Block trips from the representative's start to the start of the
+    /// highest member.
+    span: u64,
+}
+
+/// Groups the shards of a plan into translation classes, in order of first
+/// appearance. Without block shifts (run-group plans, block loops whose
+/// trips are not translations of each other, geometries where arrays can
+/// share a line) every shard is its own class.
+fn shard_classes(
+    compiled: &CompiledProgram,
+    plan: &ShardPlan,
+    machine: &MachineConfig,
+    shifts: Option<&[ArrayShift]>,
+) -> Vec<ShardClass> {
+    let trips = compiled.block_trips().unwrap_or(0);
+    let clamped = |shard: usize| {
+        let (lo, hi) = plan.shards()[shard];
+        (lo.min(trips), hi.min(trips))
+    };
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    match shifts.zip(CacheHierarchy::set_period_bytes(machine)) {
+        None => groups.extend((0..plan.len()).map(|shard| vec![shard])),
+        Some((shifts, period)) => {
+            let mut by_key: HashMap<Vec<u64>, usize> = HashMap::new();
+            for shard in 0..plan.len() {
+                let (lo, hi) = clamped(shard);
+                // Shard length, then every array's start shift modulo the
+                // set period; `u128` keeps `lo × shift` exact.
+                let mut key = vec![hi.saturating_sub(lo)];
+                if lo < hi {
+                    let residue = |s: &ArrayShift| {
+                        (u128::from(lo) * u128::from(s.bytes) % u128::from(period)) as u64
+                    };
+                    key.extend(shifts.iter().map(residue));
+                }
+                let group = *by_key.entry(key).or_insert(groups.len());
+                if group == groups.len() {
+                    groups.push(Vec::new());
+                }
+                groups[group].push(shard);
+            }
+        }
+    }
+    groups
+        .into_iter()
+        .map(|mut members| {
+            let start = |shard: &usize| clamped(*shard).0;
+            let lowest = (0..members.len())
+                .min_by_key(|&i| start(&members[i]))
+                .expect("groups are never empty");
+            let representative = members.swap_remove(lowest);
+            let highest = members.iter().map(start).max();
+            ShardClass {
+                representative,
+                span: highest.map_or(0, |high| high - start(&representative)),
+                others: members,
+            }
+        })
+        .collect()
+}
+
+/// Streams one shard through the run-compressed sink into a cold replica;
+/// block shards also report what they touched.
 fn simulate_shard(
     compiled: &CompiledProgram,
     granularity: ShardGranularity,
     lo: u64,
     hi: u64,
-    cache: &mut CacheHierarchy,
-) -> Result<()> {
-    match granularity {
+    machine: &MachineConfig,
+) -> Result<(Replica, Option<BlockFootprint>)> {
+    let mut cache = CacheHierarchy::from_machine(machine);
+    let footprint = match granularity {
         ShardGranularity::Blocks => {
-            let mut sink = CacheSink { cache };
-            compiled.stream_block_range(lo, hi, &mut sink)?;
+            let mut sink = CacheSink { cache: &mut cache };
+            Some(compiled.stream_block_range(lo, hi, &mut sink)?)
         }
         ShardGranularity::RunGroups => {
             let mut sink = UnitWindow {
-                inner: CacheSink { cache },
+                inner: CacheSink { cache: &mut cache },
                 next: 0,
                 lo,
                 hi,
             };
             compiled.stream(&mut sink)?;
+            None
         }
-    }
-    Ok(())
+    };
+    Ok((Replica::of(&cache), footprint))
 }
 
 /// Publishes the counters of one finished sharded simulation, at the
@@ -395,6 +578,7 @@ fn record_sharded_counters(stats: &ShardedCacheStats) {
     }
     telemetry::counter("machine.shard.simulations", 1);
     telemetry::counter("machine.shard.shards", stats.shards as u64);
+    telemetry::counter("machine.shard.classes", stats.classes as u64);
     telemetry::counter("machine.shard.accesses", stats.accesses);
 }
 
@@ -459,10 +643,12 @@ impl<S: AccessSink> AccessSink for UnitWindow<S> {
 /// The worker-thread count the shard pool actually uses for a request:
 /// `0` means "the machine decides"; any explicit request is clamped to
 /// [`std::thread::available_parallelism`] — oversubscribing cores only adds
-/// spawn and scheduling overhead — and to the shard count. Mirrors the
-/// scheduler-side clamp of `daisy`'s `parallel_map_with` (see
-/// `BENCH_PR4.json` for the regression that motivated it).
-pub fn effective_sim_workers(requested: usize, shards: usize) -> usize {
+/// spawn and scheduling overhead — and to `jobs`, the number of shard
+/// simulations fanned out ([`ShardedCacheStats::classes`], not the plan's
+/// shard count). Mirrors the scheduler-side clamp of `daisy`'s
+/// `parallel_map_with` (see `BENCH_PR4.json` for the regression that
+/// motivated it).
+pub fn effective_sim_workers(requested: usize, jobs: usize) -> usize {
     let available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -471,7 +657,7 @@ pub fn effective_sim_workers(requested: usize, shards: usize) -> usize {
     } else {
         requested.min(available)
     };
-    requested.min(shards)
+    requested.min(jobs)
 }
 
 /// Maps `f` over shards on scoped worker threads, preserving order —
@@ -711,6 +897,100 @@ mod tests {
             simulate_cache_per_access(&program, &machine)
                 .unwrap()
                 .accesses()
+        );
+    }
+
+    /// Rows of `n` doubles per block; `n = 128` is one set period of the
+    /// tiny machine (64 B lines x 16 L2 sets).
+    fn rows_program(nblocks: i64, n: i64) -> Program {
+        parse_program(&format!(
+            "program rows {{ param NB = {nblocks}; param N = {n};
+               array A[NB * N]; array B[NB * N];
+               for b in 0..NB {{
+                 for i in 0..N {{ B[b * N + i] = A[b * N + i] * 2.0; }}
+               }} }}"
+        ))
+        .expect("rows program parses")
+    }
+
+    #[test]
+    fn classes_group_shards_by_length_and_shift_residue() {
+        let machine = MachineConfig::tiny_for_tests();
+        // Half-period rows: even and odd blocks alternate between two
+        // residues. Cuts out of order, one of length 2, one past the end.
+        let compiled = CompiledProgram::lower(&rows_program(7, 64)).unwrap();
+        let plan = ShardPlan::blocks(vec![(5, 6), (1, 2), (2, 3), (3, 5), (0, 1), (6, 9), (7, 9)]);
+        let shifts = compiled.block_shifts().expect("rows translate");
+        let classes = shard_classes(&compiled, &plan, &machine, Some(&shifts));
+        let summary: Vec<_> = classes
+            .iter()
+            .map(|c| (c.representative, c.others.clone(), c.span))
+            .collect();
+        assert_eq!(
+            summary,
+            vec![
+                // Odd single blocks: 5, 1 -> represented by block 1.
+                (1, vec![0], 4),
+                // Even single blocks: 2, 0, and (6, 9) clamped to (6, 7).
+                (4, vec![2, 5], 6),
+                // The only shard of length 2, and the only empty one.
+                (3, vec![], 0),
+                (6, vec![], 0),
+            ]
+        );
+        // Without shifts every shard stands alone.
+        assert_eq!(shard_classes(&compiled, &plan, &machine, None).len(), 7);
+    }
+
+    #[test]
+    fn deduplicated_counters_equal_every_shard_simulated_alone() {
+        let machine = MachineConfig::tiny_for_tests();
+        let compiled = CompiledProgram::lower(&rows_program(9, 128)).unwrap();
+        let plan = ShardPlan::for_program(&compiled).unwrap();
+        let stats = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 4).unwrap();
+        assert_eq!((stats.shards(), stats.classes()), (9, 1));
+
+        let mut alone = ShardedCacheStats::empty(&plan, plan.len());
+        for &(lo, hi) in plan.shards() {
+            let granularity = ShardGranularity::Blocks;
+            let (replica, _) = simulate_shard(&compiled, granularity, lo, hi, &machine).unwrap();
+            alone.add(&replica, 1);
+        }
+        assert_eq!(stats.probes(), alone.probes());
+        assert_counters_eq(&stats, &alone);
+    }
+
+    #[test]
+    fn a_clamping_representative_hands_its_class_back() {
+        let machine = MachineConfig::tiny_for_tests();
+        // Block 0 reads A[-1], which clamps to A[0]; later blocks read the
+        // last element of the previous row instead.
+        let program = parse_program(
+            "program clamp { param NB = 5; param N = 128;
+               array A[NB * N]; array B[NB * N];
+               for b in 0..NB {
+                 for i in 0..N { B[b * N + i] = A[b * N + i - 1]; }
+               } }",
+        )
+        .unwrap();
+        let compiled = CompiledProgram::lower(&program).unwrap();
+        let plan = ShardPlan::for_program(&compiled).unwrap();
+        let stats = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 2).unwrap();
+        assert_eq!(stats.classes(), 5, "every member is simulated");
+        let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+        assert_counters_eq(&stats, &oracle);
+        assert_ne!(
+            stats.l1().loads,
+            5 * simulate_cache_sharded_with_plan(
+                &compiled,
+                &ShardPlan::blocks(vec![(0, 1)]),
+                &machine,
+                1
+            )
+            .unwrap()
+            .l1()
+            .loads,
+            "block 0 alone does not stand for the others"
         );
     }
 

@@ -17,6 +17,15 @@
 //!   run compression probes once per distinct line, the oracle once per
 //!   access (the same exclusion `cache_differential` makes).
 //!
+//! * **translation classes** — the driver simulates one representative per
+//!   class of block shards that are whole-set-period translations of each
+//!   other and weights its counters by the class size; the oracle never
+//!   deduplicates, so oracle equality on nests built to form classes (and
+//!   to break every precondition: two coefficients on one array,
+//!   block-dependent bounds, symbolic subscripts, sub-line shifts, clamped
+//!   and spilling offsets) *is* the equivalence check. `probes` is pinned
+//!   separately against every shard simulated alone.
+//!
 //! A single all-covering shard must degenerate to exactly the monolithic
 //! [`machine::simulate_cache`], and zero-trip block loops to an empty plan
 //! with all-zero counters.
@@ -28,7 +37,9 @@ use machine::{
     simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan, CompiledProgram,
     MachineConfig, ShardGranularity, ShardPlan, ShardedCacheStats,
 };
-use proptest::{prop_assert_eq, proptest, ProptestConfig, Strategy};
+use normalize::Normalizer;
+use polybench::cloudsc::{full_model, CloudscSizes, CloudscVariant};
+use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
 
 /// A blocked nest: `NB` trips of a top-level block loop, each reading and
 /// writing its own `N`-element rows of `A`/`B` plus a vector `C` shared by
@@ -120,6 +131,281 @@ proptest! {
             assert_counters_match("blocked nest", &baseline, &oracle);
         }
     }
+}
+
+/// A blocked nest whose block trips are translations of each other unless a
+/// `body` bit says otherwise: each block sweeps its own `L x N` slab of `A`
+/// and `B`, level by level, so both move by `L * N` elements per trip (on
+/// the tiny machine 128 doubles are one whole set period, 64 half of it —
+/// a whole L1 period — and 4 half a line), and odd `L` push a slab past the
+/// 8 KiB L2. `AT` is a zero-coefficient temporary shared by every block
+/// (DaCe's `ZCOND_0`), laid out directly behind `A` (whose size is a whole
+/// number of pages), so that whatever spills past the end of `A` lands on
+/// lines every block keeps touching; `S` moves by two elements (a sub-line
+/// shift). Each `body` bit adds one statement or loop shape:
+///
+/// | bit | adds |
+/// |-----|------|
+/// | 0 | a write to the temporary `AT` |
+/// | 1 | a three-tap stencil on `B` (stagger merge) |
+/// | 2 | `A[.. - K]`: clamps at the array base in the first block |
+/// | 3 | `A[.. + L * N + G]`: spills past the end of `A` in the last block when `K > 8` |
+/// | 4 | a block loop starting at 1 with step 2 |
+/// | 5 | a second coefficient on `B` (`B[l * N + i]` next to `B[(b * L + l) * N + i]`) |
+/// | 6 | a symbolic subscript (`%`) |
+/// | 7 | a block-dependent (triangular) inner bound |
+/// | 8 | the sub-line-shift array `S` |
+/// | 9 | a second inner loop walking the columns of `D[N][NB]` (super-line stride, 8-byte shift) |
+fn translated_program(nb: i64, l: i64, n: i64, k: i64, body: u16) -> Program {
+    let bit = |i: u16| body & (1 << i) != 0;
+    let statements = [
+        (
+            true,
+            "A[(b * L + l) * N + i] = B[(b * L + l) * N + i] * 0.5 + AT[i];",
+        ),
+        (bit(0), "AT[i] = A[(b * L + l) * N + i] + 1.0;"),
+        (
+            bit(1),
+            "A[(b * L + l) * N + i] = (B[(b * L + l) * N + i] + B[(b * L + l) * N + i + 1]
+               + B[(b * L + l) * N + i + 2]) * 0.3;",
+        ),
+        (
+            bit(2),
+            "B[(b * L + l) * N + i] = A[(b * L + l) * N + i - K];",
+        ),
+        (
+            bit(3),
+            "B[(b * L + l) * N + i] = A[(b * L + l) * N + i + L * N + G];",
+        ),
+        (
+            bit(5),
+            "A[(b * L + l) * N + i] = A[(b * L + l) * N + i] + B[l * N + i];",
+        ),
+        (bit(6), "AT[(b + i) % N] = 1.0;"),
+        (bit(8), "S[b * 2 + i] = S[b * 2 + i] + 1.0;"),
+    ];
+    let inner: Vec<&str> = statements
+        .iter()
+        .filter_map(|&(on, statement)| on.then_some(statement))
+        .collect();
+    let block_loop = if bit(4) {
+        "for b in 1..NB step 2"
+    } else {
+        "for b in 0..NB"
+    };
+    let inner_upper = if bit(7) { "b + 1" } else { "N" };
+    let columns = if bit(9) {
+        "for i in 0..N { D[i][b] = D[i][b] + A[b * L * N + i]; }"
+    } else {
+        ""
+    };
+    // `A` holds every block's slab, the slab bit 3 reads ahead into and 8
+    // elements more, rounded up to whole 4 KiB pages; `G` is sized so that
+    // the read-ahead ends `K - 8` elements past the end.
+    let used = nb * l * n + l * n + 8;
+    let a_len = (used + 511) / 512 * 512;
+    let g = a_len - used + k;
+    parse_program(&format!(
+        "program shardclasses {{
+           param NB = {nb}; param L = {l}; param N = {n}; param K = {k}; param G = {g};
+           array A[{a_len}]; array B[NB * L * N + L * N + 8];
+           array AT[N + 8]; array S[NB * 2 + N + 8]; array D[N][NB];
+           {block_loop} {{
+             for l in 0..L {{ for i in 0..{inner_upper} {{ {} }} }}
+             {columns}
+           }}
+         }}",
+        inner.join("\n")
+    ))
+    .expect("generated translated nest parses")
+}
+
+/// `body` bits of [`translated_program`] under which block trips stop being
+/// translations of each other, so no class may form.
+const BREAKS_TRANSLATION: u16 = 1 << 5 | 1 << 6 | 1 << 7;
+
+/// Every statement of [`translated_program`] is common; the bits that keep
+/// classes from forming (5 and up) are drawn at one in eight each, so that
+/// a good third of the cases does deduplicate.
+fn arbitrary_translated_nest() -> impl Strategy<Value = (i64, i64, i64, i64, u16, u64)> {
+    let sizes = (1i64..10, 1i64..8, 0usize..6, 0i64..16);
+    let body = (0u16..1024, 0u16..1024, 0u16..1024);
+    (sizes, body, 1u64..4).prop_map(|((nb, l, n, k), (body, rare, rarer), chunk)| {
+        let body = body & (rare & rarer | 0b1_1111);
+        (nb, l, [4, 24, 64, 64, 128, 128][n], k, body, chunk)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn translation_classes_match_the_undeduplicated_oracle(
+        (nb, l, n, k, body, chunk) in arbitrary_translated_nest()
+    ) {
+        let program = translated_program(nb, l, n, k, body);
+        let machine = MachineConfig::tiny_for_tests();
+        let compiled = CompiledProgram::lower(&program).unwrap();
+        let canonical = ShardPlan::for_program(&compiled).unwrap();
+        prop_assert_eq!(canonical.granularity(), ShardGranularity::Blocks);
+        let trips = canonical.len() as u64;
+
+        // The canonical plan, ragged chunks with a past-the-end cut, and
+        // the canonical shards in descending order (a class must pick its
+        // lowest trip as representative wherever it sits in the plan).
+        let descending = canonical.shards().iter().rev().copied().collect();
+        let mut canonical_classes = None;
+        for (index, plan) in [
+            canonical,
+            ShardPlan::blocks(descending),
+            ShardPlan::blocks(ragged_cuts(trips, chunk)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let baseline = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 1).unwrap();
+            for workers in [3usize, 8] {
+                let threaded =
+                    simulate_cache_sharded_with_plan(&compiled, &plan, &machine, workers).unwrap();
+                prop_assert_eq!(&threaded, &baseline, "workers = {}", workers);
+            }
+            let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+            assert_counters_match("translated nest", &baseline, &oracle);
+            prop_assert_eq!(oracle.classes(), plan.len(), "the oracle never deduplicates");
+            prop_assert!(baseline.classes() <= plan.len());
+            if body & BREAKS_TRANSLATION != 0 {
+                prop_assert_eq!(baseline.classes(), plan.len(), "body = {:#b}", body);
+            }
+            if index < 2 {
+                let classes = *canonical_classes.get_or_insert(baseline.classes());
+                prop_assert_eq!(baseline.classes(), classes, "plan order changed the classes");
+            }
+
+            // Probes are a property of the run-compressed pipeline, so the
+            // oracle cannot pin them; every shard simulated alone can.
+            let alone: u64 = plan
+                .shards()
+                .iter()
+                .map(|&cut| {
+                    let single = ShardPlan::blocks(vec![cut]);
+                    simulate_cache_sharded_with_plan(&compiled, &single, &machine, 1)
+                        .unwrap()
+                        .probes()
+                })
+                .sum();
+            prop_assert_eq!(baseline.probes(), alone, "probes");
+        }
+    }
+}
+
+/// The merged stats under the canonical plan next to its per-access oracle.
+fn canonical_and_oracle(
+    program: &Program,
+    machine: &MachineConfig,
+) -> (ShardedCacheStats, ShardedCacheStats) {
+    let compiled = CompiledProgram::lower(program).unwrap();
+    let plan = ShardPlan::for_program(&compiled).unwrap();
+    (
+        simulate_cache_sharded_with_plan(&compiled, &plan, machine, 2).unwrap(),
+        simulate_cache_sharded_per_access(&compiled, &plan, machine).unwrap(),
+    )
+}
+
+#[test]
+fn whole_period_shifts_collapse_to_one_class_and_half_periods_to_two() {
+    let machine = MachineConfig::tiny_for_tests();
+    // The tiny machine's set period is 64 B x 16 L2 sets = 128 doubles.
+    for (n, classes) in [(256, 1), (128, 1), (64, 2), (32, 4), (4, 12)] {
+        let (stats, oracle) = canonical_and_oracle(&translated_program(12, 1, n, 0, 0), &machine);
+        assert_eq!(stats.shards(), 12);
+        assert_eq!(stats.classes(), classes, "N = {n}");
+        assert_counters_match("whole-period shifts", &stats, &oracle);
+    }
+}
+
+#[test]
+fn clamped_and_spilling_representatives_fall_back_to_every_member() {
+    let machine = MachineConfig::tiny_for_tests();
+    // One class of 6; block 0 clamps `A[i - K]` at the array base, and the
+    // last block's `A[.. + N + K]` spills past the end of `A` for K > 8.
+    for (k, body) in [(3, 1 << 2), (12, 1 << 3)] {
+        let (stats, oracle) =
+            canonical_and_oracle(&translated_program(6, 1, 128, k, body), &machine);
+        assert_eq!(
+            stats.classes(),
+            6,
+            "body = {body:#b}: nothing is deduplicated"
+        );
+        assert_counters_match("clamped representative", &stats, &oracle);
+    }
+    // Neither happens for K = 0 (and the read-ahead stays inside A's pad).
+    let (stats, oracle) =
+        canonical_and_oracle(&translated_program(6, 1, 128, 0, 1 << 2 | 1 << 3), &machine);
+    assert_eq!(stats.classes(), 1);
+    assert_counters_match("in-bounds representative", &stats, &oracle);
+}
+
+/// The daisy CLOUDSC version as the figure harnesses build it.
+fn daisy_full_model(sizes: CloudscSizes) -> Program {
+    let dace = full_model(CloudscVariant::Dace, sizes);
+    let normalized = Normalizer::new().run(&dace).expect("normalizes").program;
+    transforms::fuse_producer_consumers(&normalized)
+}
+
+#[test]
+fn cloudsc_blocks_form_32_classes_with_oracle_equal_counters() {
+    // Paper NPROMA/KLEV: a 3-D slab is 128 x 137 x 8 B = 137 KiB, which is
+    // 9 KiB modulo the Xeon's 32 KiB set period (64 B x 512 L2 sets), and a
+    // 2-D row 1 KiB: both repeat every 32 blocks.
+    let sizes = CloudscSizes {
+        nproma: 128,
+        klev: 137,
+        nblocks: 64,
+    };
+    let machine = MachineConfig::xeon_e5_2680v3();
+    let versions = [
+        ("Fortran", full_model(CloudscVariant::Fortran, sizes)),
+        ("C", full_model(CloudscVariant::C, sizes)),
+        ("DaCe", full_model(CloudscVariant::Dace, sizes)),
+        ("daisy", daisy_full_model(sizes)),
+    ];
+    for (name, program) in &versions {
+        let (stats, oracle) = canonical_and_oracle(program, &machine);
+        assert_eq!(stats.shards(), 64, "{name}");
+        assert_eq!(stats.classes(), 32, "{name}");
+        assert_counters_match(name, &stats, &oracle);
+    }
+}
+
+#[test]
+fn stationary_time_steps_form_one_class_and_gemm_rows_one_each() {
+    let machine = MachineConfig::tiny_for_tests();
+    // `stencil_5tap`-shaped: every time step sweeps the same two arrays.
+    let stencil = parse_program(
+        "program stencil { param N = 500; param T = 7;
+           array A[(N + 4)]; array B[(N + 4)];
+           for t in 0..T { for j in 0..N {
+             B[(j + 2)] = (A[j] + A[(j + 1)] + A[(j + 2)] + A[(j + 3)] + A[(j + 4)]) * 0.2;
+           } } }",
+    )
+    .unwrap();
+    let (stats, oracle) = canonical_and_oracle(&stencil, &machine);
+    assert_eq!((stats.shards(), stats.classes()), (7, 1));
+    assert_counters_match("stencil", &stats, &oracle);
+
+    // `gemm_ijk`: rows of C and A move by 37 and 41 doubles per trip, which
+    // never line up modulo the set period within 10 trips.
+    let gemm = parse_program(
+        "program gemm_ijk { param NI = 10; param NJ = 37; param NK = 41;
+           array C[NI][NJ]; array A[NI][NK]; array B[NK][NJ];
+           for i in 0..NI { for j in 0..NJ { for k in 0..NK {
+             C[i][j] = C[i][j] + A[i][k] * B[k][j];
+           } } } }",
+    )
+    .unwrap();
+    let (stats, oracle) = canonical_and_oracle(&gemm, &machine);
+    assert_eq!((stats.shards(), stats.classes()), (10, 10));
+    assert_counters_match("gemm_ijk", &stats, &oracle);
 }
 
 #[test]
