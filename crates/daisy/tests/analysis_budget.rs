@@ -1,0 +1,96 @@
+//! How many dependence analyses normalizing and scheduling cost, counted by
+//! `dependence.analyze.calls`. The recorder is process-global, so exact
+//! totals need a test binary in which every instrumented call sits inside a
+//! `with_recorder` scope — hence a binary of its own (the lesson of
+//! `crates/machine/tests/telemetry_counters.rs`).
+
+use std::sync::Arc;
+
+use daisy::{DaisyConfig, DaisyScheduler};
+use loop_ir::parser::parse_program;
+use loop_ir::program::Program;
+use normalize::Normalizer;
+use telemetry::{with_recorder, CollectingRecorder};
+
+const ANALYSES: &str = "dependence.analyze.calls";
+
+/// Runs `f` recorded; returns its result and the sink.
+fn recorded<R>(f: impl FnOnce() -> R) -> (R, Arc<CollectingRecorder>) {
+    let sink = Arc::new(CollectingRecorder::default());
+    let result = with_recorder(sink.clone(), f);
+    (result, sink)
+}
+
+/// Initialization, a GEMM update and an independent column-major copy in one
+/// loop nest: fission makes three nests of it, keeping the statements' order.
+fn fused() -> Program {
+    parse_program(
+        "program fused { param N = 24;
+           array A[N][N]; array B[N][N]; array C[N][N]; array D[N][N]; array E[N][N];
+           for i in 0..N { for j in 0..N {
+             C[i][j] = C[i][j] * 0.5;
+             for k in 0..N { C[i][j] += A[i][k] * B[k][j]; }
+             E[j][i] = D[j][i] + 1.0;
+           } } }",
+    )
+    .unwrap()
+}
+
+#[test]
+fn normalizing_analyzes_once_while_fission_keeps_the_statements_in_order() {
+    let program = fused();
+    let (normalized, sink) = recorded(|| Normalizer::new().run(&program).unwrap());
+    assert_eq!(normalized.program.loop_nests().len(), 3);
+    assert!(normalized.stats.fission.iterations >= 2);
+    assert_eq!(sink.counter_total(ANALYSES), 1);
+    assert_eq!(sink.span_count("normalize.run"), 1);
+    assert!(sink.counter_total("dependence.analyze.pair_tests") > 0);
+    assert!(sink.counter_total("dependence.analyze.pruned_leaves") > 0);
+}
+
+#[test]
+fn a_sweep_that_reorders_statements_costs_one_more_analysis() {
+    // `crates/normalize/tests/single_graph.rs` has the story of this program:
+    // its first two sweeps each move a statement ahead of an earlier one.
+    let program = parse_program(
+        "program reordered { param N = 5; scalar alpha = 1.5;
+           array A0[6]; array A3[6][N]; array A4[6][1]; array A5[1]; array A6[11];
+           for i0 in 3..6 step 2 {
+             A0[5 - i0] = 1.0;
+             for i1 in 0..N {
+               A3[i0][i1] = A0[i0] + 1.0;
+               A4[5 - i0][0] = A3[i0][6 - i1] * alpha * 0.5;
+               A5[0] += A4[i0][0] * alpha * 0.5;
+             }
+             A6[2 * i0] = A0[5 - i0] * A5[0] + 1.0;
+           } }",
+    )
+    .unwrap();
+    let (normalized, sink) = recorded(|| Normalizer::new().run(&program).unwrap());
+    assert_eq!(normalized.stats.fission.iterations, 3);
+    assert_eq!(sink.counter_total(ANALYSES), 3);
+}
+
+#[test]
+fn scheduling_a_normalized_program_analyzes_it_once_and_each_nest_at_most_once() {
+    let (normalized, _) = recorded(|| Normalizer::new().run(&fused()).unwrap().program);
+    let nests = normalized.loop_nests().len() as u64;
+    // Idiom detection off and a database to transfer from, so that every
+    // nest reaches the legality gate and its nest-scoped graph.
+    let config = DaisyConfig {
+        idiom_detection: false,
+        ..DaisyConfig::default()
+    };
+    let (scheduler, _) = recorded(|| {
+        let mut scheduler = DaisyScheduler::new(config);
+        scheduler.seed_from_programs(std::slice::from_ref(&normalized));
+        scheduler
+    });
+    assert!(!scheduler.database().is_empty());
+    let (_, sink) = recorded(|| scheduler.schedule(&normalized));
+    let analyses = sink.counter_total(ANALYSES);
+    assert!(
+        (2..=1 + nests).contains(&analyses),
+        "{analyses} analyses for {nests} nests"
+    );
+}

@@ -8,7 +8,7 @@ use loop_ir::nest::CompId;
 use loop_ir::program::Program;
 use loop_ir::visit::CompContext;
 
-use crate::tester::{may_depend, AccessContext, LoopBound};
+use crate::tester::{LoopBound, LoopPairing, Pair, Subscripts};
 use crate::types::{DepKind, Dependence, Direction};
 
 /// Fallback extent used for loops whose bounds cannot be evaluated under the
@@ -23,8 +23,8 @@ const UNKNOWN_EXTENT: i64 = 1 << 20;
 /// loops of the two endpoints.
 #[derive(Clone, Debug, Default)]
 pub struct DependenceGraph {
-    deps: Vec<Dependence>,
-    order: Vec<CompId>,
+    pub(crate) deps: Vec<Dependence>,
+    pub(crate) order: Vec<CompId>,
 }
 
 impl DependenceGraph {
@@ -81,138 +81,257 @@ impl DependenceGraph {
     }
 }
 
+/// The loops enclosing a computation with their bounds evaluated under
+/// `params`. An upper bound that cannot be evaluated becomes
+/// `lower + UNKNOWN_EXTENT`, clamped to `i64::MAX` — no `i64` bound lies
+/// above that, so the clamp drops no iteration.
+pub(crate) fn loop_bounds(ctx: &CompContext<'_>, params: &BTreeMap<Var, i64>) -> Vec<LoopBound> {
+    ctx.loops
+        .iter()
+        .map(|l| {
+            let lower = l.lower.eval(params).unwrap_or(0);
+            let upper = l
+                .upper
+                .eval(params)
+                .unwrap_or_else(|| lower.saturating_add(UNKNOWN_EXTENT));
+            LoopBound::new(l.iter.clone(), lower, upper)
+        })
+        .collect()
+}
+
+/// One computation as the pair loop needs it: everything that depends on the
+/// computation alone, computed once.
+struct LoweredComp {
+    id: CompId,
+    loops: Vec<LoopBound>,
+    accesses: Vec<LoweredAccess>,
+}
+
+struct LoweredAccess {
+    access: Access,
+    /// Index of the accessed array among the arrays the program touches.
+    array: usize,
+    subscripts: Subscripts,
+}
+
+/// What one `analyze` did, for the `dependence.analyze.*` counters.
+#[derive(Default)]
+struct WalkStats {
+    /// Access pairs (same array, at least one write) put through the walk.
+    pair_tests: u64,
+    /// Direction vectors below a refuted prefix, never tested themselves.
+    pruned_leaves: u64,
+}
+
 /// Analyzes a program and returns its dependence graph.
 ///
 /// Loop bounds are evaluated under the program's concrete parameter bindings;
 /// bounds that cannot be evaluated are replaced by a very large extent, which
 /// keeps the result conservative.
 pub fn analyze(program: &Program) -> DependenceGraph {
-    let contexts = program.computation_contexts();
-    let mut graph = DependenceGraph {
-        deps: Vec::new(),
-        order: contexts.iter().map(|c| c.computation.id).collect(),
-    };
-
-    // Pre-compute numeric loop bounds per computation.
-    let loop_bounds: Vec<Vec<LoopBound>> = contexts
+    let mut array_ids: BTreeMap<Var, usize> = BTreeMap::new();
+    let comps: Vec<LoweredComp> = program
+        .computation_contexts()
         .iter()
         .map(|ctx| {
-            ctx.loops
-                .iter()
-                .map(|l| {
-                    let lower = l.lower.eval(&program.params).unwrap_or(0);
-                    let upper = l
-                        .upper
-                        .eval(&program.params)
-                        .unwrap_or(lower + UNKNOWN_EXTENT);
-                    LoopBound::new(l.iter.clone(), lower, upper)
+            let loops = loop_bounds(ctx, &program.params);
+            let accesses = ctx
+                .computation
+                .accesses()
+                .into_iter()
+                .map(|access| {
+                    let name = &access.array_ref.array;
+                    let array = array_ids.get(name).copied().unwrap_or_else(|| {
+                        array_ids.insert(name.clone(), array_ids.len());
+                        array_ids.len() - 1
+                    });
+                    LoweredAccess {
+                        array,
+                        subscripts: Subscripts::lower(&access.array_ref, &loops, &program.params),
+                        access,
+                    }
                 })
-                .collect()
+                .collect();
+            LoweredComp {
+                id: ctx.computation.id,
+                loops,
+                accesses,
+            }
         })
         .collect();
 
-    for (i, src_ctx) in contexts.iter().enumerate() {
-        for (j, dst_ctx) in contexts.iter().enumerate().skip(i) {
-            analyze_pair(
-                program,
-                src_ctx,
-                &loop_bounds[i],
-                dst_ctx,
-                &loop_bounds[j],
-                i == j,
-                &mut graph.deps,
-            );
+    // Per array, the computations that read it and those that write it
+    // (ascending): the only partners of a computation are the ones writing
+    // what it touches or reading what it writes.
+    let mut reading: Vec<Vec<usize>> = vec![Vec::new(); array_ids.len()];
+    let mut writing: Vec<Vec<usize>> = vec![Vec::new(); array_ids.len()];
+    for (index, comp) in comps.iter().enumerate() {
+        for a in &comp.accesses {
+            let bucket = if a.access.is_write() {
+                &mut writing[a.array]
+            } else {
+                &mut reading[a.array]
+            };
+            if bucket.last() != Some(&index) {
+                bucket.push(index);
+            }
         }
+    }
+
+    let mut graph = DependenceGraph {
+        deps: Vec::new(),
+        order: comps.iter().map(|c| c.id).collect(),
+    };
+    let mut stats = WalkStats::default();
+    let mut partners: Vec<usize> = Vec::new();
+    for (i, src) in comps.iter().enumerate() {
+        partners.clear();
+        for a in &src.accesses {
+            let from_here = |bucket: &[usize]| bucket.partition_point(|&j| j < i);
+            let writers = &writing[a.array];
+            partners.extend_from_slice(&writers[from_here(writers)..]);
+            if a.access.is_write() {
+                let readers = &reading[a.array];
+                partners.extend_from_slice(&readers[from_here(readers)..]);
+            }
+        }
+        partners.sort_unstable();
+        partners.dedup();
+        for &j in &partners {
+            analyze_pair(src, &comps[j], i == j, &mut graph.deps, &mut stats);
+        }
+    }
+    if telemetry::enabled() {
+        telemetry::counter("dependence.analyze.calls", 1);
+        telemetry::counter("dependence.analyze.pair_tests", stats.pair_tests);
+        telemetry::counter("dependence.analyze.pruned_leaves", stats.pruned_leaves);
     }
     graph
 }
 
-/// Common loops of two computations: the iterators shared by both loop
-/// stacks, in the source's (outermost-first) order.
-fn common_loops(a: &CompContext<'_>, b: &CompContext<'_>) -> Vec<Var> {
-    let b_iters: Vec<Var> = b.iterators();
-    a.iterators()
-        .into_iter()
-        .filter(|v| b_iters.contains(v))
+/// Common loops of two loop stacks: the iterators shared by both, in the
+/// source's (outermost-first) order.
+pub(crate) fn common_loops(src: &[LoopBound], dst: &[LoopBound]) -> Vec<Var> {
+    src.iter()
+        .map(|l| &l.iter)
+        .filter(|iter| dst.iter().any(|l| &l.iter == *iter))
+        .cloned()
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn analyze_pair(
-    program: &Program,
-    src_ctx: &CompContext<'_>,
-    src_bounds: &[LoopBound],
-    dst_ctx: &CompContext<'_>,
-    dst_bounds: &[LoopBound],
+    src: &LoweredComp,
+    dst: &LoweredComp,
     is_self: bool,
     out: &mut Vec<Dependence>,
+    stats: &mut WalkStats,
 ) {
-    let common = common_loops(src_ctx, dst_ctx);
-    let src_accesses = src_ctx.computation.accesses();
-    let dst_accesses = dst_ctx.computation.accesses();
-
-    for sa in &src_accesses {
-        for da in &dst_accesses {
-            if sa.array_ref.array != da.array_ref.array {
+    let common = common_loops(&src.loops, &dst.loops);
+    let pairing = LoopPairing::new(&src.loops, &dst.loops, &common);
+    let mut levels: Vec<Option<Direction>> = vec![None; common.len()];
+    for sa in &src.accesses {
+        for da in &dst.accesses {
+            if sa.array != da.array || !(sa.access.is_write() || da.access.is_write()) {
                 continue;
             }
-            if !sa.is_write() && !da.is_write() {
-                continue;
-            }
-            for directions in direction_vectors(common.len()) {
-                // Skip the degenerate self pair in the same iteration: it is
-                // the statement's own read-modify-write, not an ordering
-                // constraint.
-                if is_self && directions.iter().all(|d| *d == Direction::Eq) {
-                    continue;
-                }
-                let lexi = lexicographic_sign(&directions);
-                if lexi == Sign::Negative && is_self {
-                    // For a self pair the reversed vector is enumerated
-                    // anyway; skip duplicates.
-                    continue;
-                }
-                let src_acc = AccessContext {
-                    array_ref: &sa.array_ref,
-                    loops: src_bounds,
-                };
-                let dst_acc = AccessContext {
-                    array_ref: &da.array_ref,
-                    loops: dst_bounds,
-                };
-                if !may_depend(&src_acc, &dst_acc, &common, &directions, &program.params) {
-                    continue;
-                }
-                match lexi {
-                    Sign::NonNegative => out.push(make_dep(
-                        src_ctx.computation.id,
-                        dst_ctx.computation.id,
-                        sa,
-                        da,
-                        &common,
-                        directions,
-                    )),
-                    Sign::Negative => {
-                        // The dependence actually flows from dst to src with
-                        // the reversed direction vector.
-                        let reversed: Vec<Direction> =
-                            directions.iter().map(|d| reverse(*d)).collect();
-                        out.push(make_dep(
-                            dst_ctx.computation.id,
-                            src_ctx.computation.id,
-                            da,
-                            sa,
-                            &common,
-                            reversed,
-                        ));
-                    }
-                }
-            }
+            stats.pair_tests += 1;
+            let walk = Walk {
+                pair: Pair {
+                    src: &sa.subscripts,
+                    src_loops: &src.loops,
+                    dst: &da.subscripts,
+                    dst_loops: &dst.loops,
+                    pairing: &pairing,
+                },
+                is_self,
+            };
+            walk.refine(&mut levels, 0, stats, &mut |directions| {
+                out.push(oriented_dep(
+                    (src.id, &sa.access),
+                    (dst.id, &da.access),
+                    &common,
+                    directions,
+                ));
+            });
         }
     }
 }
 
-fn make_dep(
+/// The refinement of one access pair into the direction vectors that may
+/// carry a dependence (see the [`crate::tester`] module docs).
+struct Walk<'a> {
+    pair: Pair<'a>,
+    /// Both accesses belong to one computation.
+    is_self: bool,
+}
+
+impl Walk<'_> {
+    /// Visits the vectors extending `levels[..depth]` in `=, <, >` order and
+    /// passes those that may depend to `emit`; `levels[depth..]` is `None`
+    /// on entry and on return.
+    fn refine(
+        &self,
+        levels: &mut [Option<Direction>],
+        depth: usize,
+        stats: &mut WalkStats,
+        emit: &mut impl FnMut(Vec<Direction>),
+    ) {
+        let leading_eq = levels[..depth].iter().all(|l| *l == Some(Direction::Eq));
+        let leaf = depth == levels.len();
+        // A statement's accesses within one iteration are its own
+        // read-modify-write, not an ordering constraint.
+        if leaf && self.is_self && leading_eq {
+            return;
+        }
+        if !self.pair.may_depend(levels) {
+            if !leaf {
+                let below = u32::try_from(levels.len() - depth).unwrap_or(u32::MAX);
+                stats.pruned_leaves += 3u64.saturating_pow(below);
+            }
+            return;
+        }
+        if leaf {
+            emit(
+                levels
+                    .iter()
+                    .map(|l| l.expect("a leaf fixes every level"))
+                    .collect(),
+            );
+            return;
+        }
+        for direction in [Direction::Eq, Direction::Lt, Direction::Gt] {
+            // A lexicographically negative vector of a self pair is the
+            // mirror image of one visited under `<`.
+            if self.is_self && leading_eq && direction == Direction::Gt {
+                continue;
+            }
+            levels[depth] = Some(direction);
+            self.refine(levels, depth + 1, stats, &mut *emit);
+        }
+        levels[depth] = None;
+    }
+}
+
+/// The dependence between two accesses that may touch one element under
+/// `directions` (source iteration relative to destination iteration). A
+/// lexicographically negative vector means the destination's access happens
+/// first: the dependence flows from it, with the reversed vector.
+fn oriented_dep(
+    (src, src_access): (CompId, &Access),
+    (dst, dst_access): (CompId, &Access),
+    common: &[Var],
+    directions: Vec<Direction>,
+) -> Dependence {
+    let backwards = directions.iter().find(|d| **d != Direction::Eq) == Some(&Direction::Gt);
+    if backwards {
+        let reversed = directions.into_iter().map(reverse).collect();
+        make_dep(dst, src, dst_access, src_access, common, reversed)
+    } else {
+        make_dep(src, dst, src_access, dst_access, common, directions)
+    }
+}
+
+pub(crate) fn make_dep(
     src: CompId,
     dst: CompId,
     src_access: &Access,
@@ -236,7 +355,7 @@ fn make_dep(
     }
 }
 
-fn reverse(d: Direction) -> Direction {
+pub(crate) fn reverse(d: Direction) -> Direction {
     match d {
         Direction::Lt => Direction::Gt,
         Direction::Gt => Direction::Lt,
@@ -245,64 +364,13 @@ fn reverse(d: Direction) -> Direction {
     }
 }
 
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum Sign {
-    NonNegative,
-    Negative,
-}
-
-/// The lexicographic sign of a direction vector: negative when the first
-/// non-`=` component is `>`, i.e. the "dependence" would point backwards in
-/// time and must be reported with source and destination swapped.
-fn lexicographic_sign(directions: &[Direction]) -> Sign {
-    for d in directions {
-        match d {
-            Direction::Eq => continue,
-            Direction::Lt | Direction::Any => return Sign::NonNegative,
-            Direction::Gt => return Sign::Negative,
-        }
-    }
-    Sign::NonNegative
-}
-
-/// Enumerates all direction vectors over `n` common loops.
-fn direction_vectors(n: usize) -> Vec<Vec<Direction>> {
-    let mut out = vec![Vec::new()];
-    for _ in 0..n {
-        let mut next = Vec::with_capacity(out.len() * 3);
-        for prefix in &out {
-            for d in [Direction::Eq, Direction::Lt, Direction::Gt] {
-                let mut v = prefix.clone();
-                v.push(d);
-                next.push(v);
-            }
-        }
-        out = next;
-    }
-    out
-}
-
 /// Evaluated loop bounds for every computation of a program, exposed for
 /// reuse by downstream crates (e.g. the cost model).
 pub fn evaluated_bounds(program: &Program) -> BTreeMap<CompId, Vec<LoopBound>> {
     program
         .computation_contexts()
         .iter()
-        .map(|ctx| {
-            let bounds = ctx
-                .loops
-                .iter()
-                .map(|l| {
-                    let lower = l.lower.eval(&program.params).unwrap_or(0);
-                    let upper = l
-                        .upper
-                        .eval(&program.params)
-                        .unwrap_or(lower + UNKNOWN_EXTENT);
-                    LoopBound::new(l.iter.clone(), lower, upper)
-                })
-                .collect();
-            (ctx.computation.id, bounds)
-        })
+        .map(|ctx| (ctx.computation.id, loop_bounds(ctx, &program.params)))
         .collect()
 }
 
@@ -532,5 +600,46 @@ mod tests {
         assert_eq!(deps.len(), 1);
         assert!(deps[0].common_loops.is_empty());
         assert!(deps[0].is_loop_independent());
+    }
+
+    /// `S: A[subscript] = A[i] + 1.0` inside `for i in lower..upper`.
+    fn one_loop(lower: Expr, upper: Expr, subscript: Expr, n: i64) -> Program {
+        let s = Computation::assign(
+            "S",
+            ArrayRef::new("A", vec![subscript]),
+            load("A", vec![var("i")]) + fconst(1.0),
+        );
+        Program::builder("hostile")
+            .param("N", n)
+            .array_with_dims("A", vec![cst(16)])
+            .node(for_loop("i", lower, upper, vec![Node::Computation(s)]))
+            .build_unchecked()
+    }
+
+    #[test]
+    fn a_parameter_product_that_overflows_is_not_folded_to_its_wrapped_value() {
+        // 4 * 2^62 wraps to 0, which would make the subscript `i` and the
+        // loop dependence-free. An honest N = 0 does exactly that.
+        let i = Var::new("i");
+        let wrapped = one_loop(cst(0), cst(8), var("N") * cst(4) + var("i"), 0);
+        assert!(analyze(&wrapped).carried_by(&i).is_empty());
+        let overflowing = one_loop(cst(0), cst(8), var("N") * cst(4) + var("i"), 1 << 62);
+        assert!(!analyze(&overflowing).carried_by(&i).is_empty());
+    }
+
+    #[test]
+    fn a_loop_from_i64_min_has_an_extent_and_carries_its_recurrence() {
+        let p = one_loop(cst(i64::MIN), cst(0), var("i") + cst(1), 0);
+        let g = analyze(&p);
+        assert_eq!(g.carried_by(&Var::new("i")).len(), 1, "{:?}", g.all());
+        assert_eq!(g.all()[0].kind, DepKind::Flow);
+    }
+
+    #[test]
+    fn an_unknown_extent_next_to_i64_max_clamps_instead_of_overflowing() {
+        let p = one_loop(cst(i64::MAX - 5), var("unbound"), var("i") + cst(1), 0);
+        let id = p.computations()[0].id;
+        assert_eq!(evaluated_bounds(&p)[&id][0].upper, i64::MAX);
+        assert_eq!(analyze(&p).carried_by(&Var::new("i")).len(), 1);
     }
 }

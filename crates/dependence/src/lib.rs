@@ -8,7 +8,9 @@
 //!
 //! * [`analyze`] builds a [`DependenceGraph`] for a program: every pair of
 //!   accesses to the same array (at least one being a write) is tested with a
-//!   GCD + Banerjee-style test per direction vector over the common loops,
+//!   GCD + Banerjee-style test per direction vector over the common loops
+//!   ([`tester`]: dense integer rows, direction vectors refined level by
+//!   level),
 //! * [`legality`] answers the scheduling questions downstream passes ask:
 //!   can these statements be distributed, is this loop permutation legal, can
 //!   this loop run in parallel, can these two nests be fused.
@@ -41,6 +43,8 @@
 
 pub mod graph;
 pub mod legality;
+#[cfg(any(test, feature = "test-support"))]
+pub mod reference;
 pub mod tester;
 pub mod types;
 

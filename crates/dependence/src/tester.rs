@@ -5,11 +5,69 @@
 //! a candidate direction vector over the common loops. It is conservative:
 //! it answers "no dependence" only when a dimension's equation provably has
 //! no solution inside the iteration box.
+//!
+//! # Dense rows
+//!
+//! An access is lowered once ([`Subscripts::lower`]) against the loops that
+//! enclose its computation, outermost first. Subscript dimension `d` becomes
+//! the integer row
+//!
+//! ```text
+//! rows[d * (depth + 1) ..][..depth + 1] = [constant, c_0, …, c_{depth-1}]
+//! ```
+//!
+//! with the program's parameters folded into `constant` and `c_k` the
+//! coefficient of the `k`-th enclosing loop's iterator. A symbol that is
+//! neither a bound parameter nor an enclosing iterator is kept as a
+//! [`FreeTerm`]: an unbounded unknown shared by both sides of a pair. All
+//! folding is checked; a subscript that is not affine, or whose row does not
+//! fit `i64`, has no rows and may depend on anything.
+//!
+//! A pair of accesses is tested through a [`LoopPairing`] of the two loop
+//! stacks. For one dimension the equation `src − dst = 0` has these
+//! unknowns, each with an inclusive range:
+//!
+//! * a loop of only one side: its iterator over that loop's bounds;
+//! * a common loop, source iteration `s` over the *source's* bounds and,
+//!   with `E` the larger of the two extents, destination iteration
+//!   `=`: `d = s`; `<`: `d = s + δ`, `δ ∈ [1, E−1]`; `>`: `d = s − δ`,
+//!   `δ ∈ [1, E−1]`; `*`: `d` free over the destination's bounds.
+//!
+//! The equation may have a solution when the GCD of the non-zero
+//! coefficients divides the constant and the interval of the left-hand side
+//! over the box contains zero; an unknown with a non-zero coefficient and an
+//! empty range refutes it, and so does `<` or `>` at a level with `E ≤ 1`.
+//! Interval arithmetic that leaves `i128` answers "may depend".
+//!
+//! # Refinement by relaxed prefixes
+//!
+//! [`crate::analyze`] needs every `=`/`<`/`>` vector over the `n` common
+//! loops of a pair that may carry a dependence. Instead of testing all `3ⁿ`
+//! it walks the levels outermost first and tests each *prefix* with the
+//! undetermined levels relaxed to `d = s + δ`, `δ ∈ [−(E−1), E−1]` (`None`
+//! in [`Pair::may_depend`]). A refuted prefix refutes every vector below it:
+//!
+//! * **Intervals are monotone.** `=` is `δ = 0`, `<` is `δ ∈ [1, E−1]` and
+//!   `>` is `δ ∈ [−(E−1), −1]`: each refinement's box lies inside the relaxed
+//!   one while `s` and every other unknown keep their ranges, so if the
+//!   relaxed interval misses zero every refined interval does. An empty
+//!   range on an unknown that matters is the same unknown in all of them.
+//! * **GCDs divide.** The relaxed level contributes the coefficients of `s`
+//!   and of `δ`; every refinement contributes a subset of them up to sign.
+//!   The relaxed GCD therefore divides each refined GCD, and a constant the
+//!   relaxed GCD does not divide is divided by none of them (with no
+//!   unknowns left the constant must be zero, which the same argument
+//!   covers).
+//!
+//! Dimensions are tested one by one in both, so the argument applies per
+//! dimension. Surviving leaves are tested exactly as before, and the walk
+//! visits them in the lexicographic `=, <, >` order of the flat enumeration,
+//! so the emitted vectors and their order are unchanged.
 
 use std::collections::BTreeMap;
 
 use loop_ir::array::ArrayRef;
-use loop_ir::expr::{AffineExpr, Var};
+use loop_ir::expr::{Expr, Var};
 
 use crate::types::Direction;
 
@@ -34,8 +92,13 @@ impl LoopBound {
         }
     }
 
-    fn extent(&self) -> i64 {
-        (self.upper - self.lower).max(0)
+    fn extent(&self) -> i128 {
+        (i128::from(self.upper) - i128::from(self.lower)).max(0)
+    }
+
+    /// The inclusive range of the iterator.
+    fn range(&self) -> (i128, i128) {
+        (i128::from(self.lower), i128::from(self.upper) - 1)
     }
 }
 
@@ -49,19 +112,374 @@ pub struct AccessContext<'a> {
     pub loops: &'a [LoopBound],
 }
 
-/// A symbolic variable of the dependence system with its inclusive range.
+/// Range of a symbol nothing is known about.
+const FREE_RANGE: (i128, i128) = (i64::MIN as i128 / 4, i64::MAX as i128 / 4);
+
+/// `coefficient · symbol` in dimension `dim` of a subscript, for a symbol
+/// that is neither a bound parameter nor an enclosing loop iterator.
 #[derive(Clone, Debug)]
-struct BoxVar {
-    name: Var,
-    min: i64,
-    max: i64,
+struct FreeTerm {
+    dim: usize,
+    symbol: Var,
+    coefficient: i64,
+}
+
+/// The subscripts of one access as dense integer rows (module docs).
+#[derive(Clone, Debug)]
+pub(crate) struct Subscripts {
+    rank: usize,
+    /// `rank` rows of `depth + 1` integers, or `None` when a subscript is
+    /// not affine or does not fit: the access may touch any element.
+    rows: Option<Vec<i64>>,
+    free: Vec<FreeTerm>,
+}
+
+impl Subscripts {
+    /// Lowers `array_ref` against its enclosing `loops` (outermost first).
+    pub(crate) fn lower(
+        array_ref: &ArrayRef,
+        loops: &[LoopBound],
+        params: &BTreeMap<Var, i64>,
+    ) -> Self {
+        let rank = array_ref.rank();
+        let width = loops.len() + 1;
+        let mut rows = vec![0i64; rank * width];
+        let mut free = Vec::new();
+        let affine = array_ref.indices.iter().enumerate().all(|(dim, index)| {
+            RowBuilder {
+                loops,
+                params,
+                dim,
+                row: &mut rows[dim * width..][..width],
+                free: &mut free,
+            }
+            .add(index, 1)
+            .is_some()
+        });
+        Subscripts {
+            rank,
+            rows: affine.then_some(rows),
+            free,
+        }
+    }
+
+    fn free_coefficient(&self, dim: usize, symbol: &Var) -> Option<i64> {
+        self.free
+            .iter()
+            .find(|t| t.dim == dim && &t.symbol == symbol)
+            .map(|t| t.coefficient)
+    }
+}
+
+/// Accumulates one subscript expression into its row.
+struct RowBuilder<'a> {
+    loops: &'a [LoopBound],
+    params: &'a BTreeMap<Var, i64>,
+    dim: usize,
+    row: &'a mut [i64],
+    free: &'a mut Vec<FreeTerm>,
+}
+
+impl RowBuilder<'_> {
+    /// Adds `factor · expr`; `None` when the result is not affine in the
+    /// iterators or leaves `i64`.
+    fn add(&mut self, expr: &Expr, factor: i64) -> Option<()> {
+        match expr {
+            Expr::Const(c) => self.bump(0, factor.checked_mul(*c)?),
+            Expr::Var(v) => {
+                // Parameters win over iterators, as in `Expr::fold_params`.
+                if let Some(value) = self.params.get(v) {
+                    self.bump(0, factor.checked_mul(*value)?)
+                } else if let Some(slot) = self.loops.iter().position(|l| &l.iter == v) {
+                    self.bump(1 + slot, factor)
+                } else {
+                    let dim = self.dim;
+                    match self
+                        .free
+                        .iter_mut()
+                        .find(|t| t.dim == dim && &t.symbol == v)
+                    {
+                        Some(term) => term.coefficient = term.coefficient.checked_add(factor)?,
+                        None => self.free.push(FreeTerm {
+                            dim,
+                            symbol: v.clone(),
+                            coefficient: factor,
+                        }),
+                    }
+                    Some(())
+                }
+            }
+            Expr::Add(a, b) => {
+                self.add(a, factor)?;
+                self.add(b, factor)
+            }
+            Expr::Sub(a, b) => {
+                self.add(a, factor)?;
+                self.add(b, factor.checked_neg()?)
+            }
+            Expr::Neg(a) => self.add(a, factor.checked_neg()?),
+            Expr::Mul(a, b) => {
+                if let Some(c) = a.eval(self.params) {
+                    self.add(b, factor.checked_mul(c)?)
+                } else {
+                    let c = b.eval(self.params)?;
+                    self.add(a, factor.checked_mul(c)?)
+                }
+            }
+            // Affine only when the parameters fold them to a constant.
+            Expr::Div(..) | Expr::Mod(..) | Expr::Min(..) | Expr::Max(..) => {
+                let c = expr.eval(self.params)?;
+                self.bump(0, factor.checked_mul(c)?)
+            }
+        }
+    }
+
+    fn bump(&mut self, column: usize, by: i64) -> Option<()> {
+        self.row[column] = self.row[column].checked_add(by)?;
+        Some(())
+    }
+}
+
+/// A loop common to both computations of a pair.
+#[derive(Clone, Copy, Debug)]
+struct CommonLoop {
+    /// Position in the source's loop stack.
+    src: usize,
+    /// Position in the destination's loop stack.
+    dst: usize,
+    /// `E`: the larger of the two extents.
+    extent: i128,
+}
+
+/// How the loop stacks of two computations line up: the common loops
+/// (matched by iterator name, in the order given) and the loops only one
+/// side has.
+#[derive(Clone, Debug)]
+pub(crate) struct LoopPairing {
+    common: Vec<CommonLoop>,
+    src_only: Vec<usize>,
+    dst_only: Vec<usize>,
+}
+
+impl LoopPairing {
+    /// Pairs the two stacks over `common`, whose iterators must enclose both
+    /// sides.
+    pub(crate) fn new(src: &[LoopBound], dst: &[LoopBound], common: &[Var]) -> Self {
+        let slot = |loops: &[LoopBound], iter: &Var| {
+            loops
+                .iter()
+                .position(|l| &l.iter == iter)
+                .expect("a common loop encloses both computations")
+        };
+        let rest = |loops: &[LoopBound]| {
+            (0..loops.len())
+                .filter(|&k| !common.contains(&loops[k].iter))
+                .collect()
+        };
+        LoopPairing {
+            common: common
+                .iter()
+                .map(|iter| {
+                    let (s, d) = (slot(src, iter), slot(dst, iter));
+                    CommonLoop {
+                        src: s,
+                        dst: d,
+                        extent: src[s].extent().max(dst[d].extent()),
+                    }
+                })
+                .collect(),
+            src_only: rest(src),
+            dst_only: rest(dst),
+        }
+    }
+}
+
+/// Two accesses to one array, ready for testing.
+pub(crate) struct Pair<'a> {
+    pub(crate) src: &'a Subscripts,
+    pub(crate) src_loops: &'a [LoopBound],
+    pub(crate) dst: &'a Subscripts,
+    pub(crate) dst_loops: &'a [LoopBound],
+    pub(crate) pairing: &'a LoopPairing,
+}
+
+impl Pair<'_> {
+    /// May the two accesses touch one element under `levels`, one entry per
+    /// common loop: `Some(direction)`, or `None` for a level relaxed to any
+    /// distance (module docs)?
+    pub(crate) fn may_depend(&self, levels: &[Option<Direction>]) -> bool {
+        debug_assert_eq!(levels.len(), self.pairing.common.len());
+        if self.src.rank != self.dst.rank {
+            return false;
+        }
+        let (Some(src_rows), Some(dst_rows)) = (&self.src.rows, &self.dst.rows) else {
+            return true;
+        };
+        let carried_by_a_single_trip = self
+            .pairing
+            .common
+            .iter()
+            .zip(levels)
+            .any(|(c, l)| matches!(l, Some(Direction::Lt | Direction::Gt)) && c.extent <= 1);
+        if carried_by_a_single_trip {
+            return false;
+        }
+        let (src_width, dst_width) = (self.src_loops.len() + 1, self.dst_loops.len() + 1);
+        (0..self.src.rank).all(|dim| {
+            self.dimension_may_meet(
+                dim,
+                &src_rows[dim * src_width..][..src_width],
+                &dst_rows[dim * dst_width..][..dst_width],
+                levels,
+            )
+        })
+    }
+
+    /// The test of one dimension: may `src − dst = 0` hold inside the box?
+    fn dimension_may_meet(
+        &self,
+        dim: usize,
+        src: &[i64],
+        dst: &[i64],
+        levels: &[Option<Direction>],
+    ) -> bool {
+        let Some(constant) = src[0].checked_sub(dst[0]) else {
+            return true;
+        };
+        let mut equation = Equation::new(constant);
+        for &k in &self.pairing.src_only {
+            if !equation.term(Some(src[1 + k]), self.src_loops[k].range()) {
+                return false;
+            }
+        }
+        for &k in &self.pairing.dst_only {
+            if !equation.term(dst[1 + k].checked_neg(), self.dst_loops[k].range()) {
+                return false;
+            }
+        }
+        for (common, level) in self.pairing.common.iter().zip(levels) {
+            let (cs, cd) = (src[1 + common.src], dst[1 + common.dst]);
+            let s_range = self.src_loops[common.src].range();
+            // `s` carries both coefficients whenever `d` is `s` plus a distance.
+            let tied = cs.checked_sub(cd);
+            let farthest = common.extent - 1;
+            let possible = match level {
+                Some(Direction::Eq) => equation.term(tied, s_range),
+                Some(Direction::Lt) => {
+                    equation.term(tied, s_range) && equation.term(cd.checked_neg(), (1, farthest))
+                }
+                Some(Direction::Gt) => {
+                    equation.term(tied, s_range) && equation.term(Some(cd), (1, farthest))
+                }
+                Some(Direction::Any) => {
+                    equation.term(Some(cs), s_range)
+                        && equation.term(cd.checked_neg(), self.dst_loops[common.dst].range())
+                }
+                None => {
+                    let farthest = farthest.max(0);
+                    equation.term(tied, s_range)
+                        && equation.term(cd.checked_neg(), (-farthest, farthest))
+                }
+            };
+            if !possible {
+                return false;
+            }
+        }
+        for term in self.src.free.iter().filter(|t| t.dim == dim) {
+            let other = self.dst.free_coefficient(dim, &term.symbol).unwrap_or(0);
+            equation.term(term.coefficient.checked_sub(other), FREE_RANGE);
+        }
+        for term in self.dst.free.iter().filter(|t| t.dim == dim) {
+            if self.src.free_coefficient(dim, &term.symbol).is_none() {
+                equation.term(term.coefficient.checked_neg(), FREE_RANGE);
+            }
+        }
+        equation.may_hold()
+    }
+}
+
+/// `constant + Σ coefficient · unknown = 0`, accumulated unknown by unknown
+/// into what the GCD and interval tests need.
+struct Equation {
+    constant: i64,
+    /// GCD of the non-zero coefficients; zero while there are none.
+    gcd: u64,
+    /// Bounds of the left-hand side over the box.
+    min: i128,
+    max: i128,
+    /// Some step left `i64` / `i128`: nothing can be concluded.
+    overflowed: bool,
+}
+
+impl Equation {
+    fn new(constant: i64) -> Self {
+        Equation {
+            constant,
+            gcd: 0,
+            min: i128::from(constant),
+            max: i128::from(constant),
+            overflowed: false,
+        }
+    }
+
+    /// Adds `coefficient · unknown` with the unknown in `[lo, hi]`; `None`
+    /// is a coefficient that does not fit. Returns `false` when the term
+    /// alone refutes the equation: the unknown matters and its range is
+    /// empty.
+    fn term(&mut self, coefficient: Option<i64>, (lo, hi): (i128, i128)) -> bool {
+        let Some(c) = coefficient else {
+            self.overflowed = true;
+            return true;
+        };
+        if c == 0 {
+            return true;
+        }
+        if lo > hi {
+            return false;
+        }
+        self.gcd = gcd(self.gcd, c.unsigned_abs());
+        let c = i128::from(c);
+        let (at_lo, at_hi) = (c.checked_mul(lo), c.checked_mul(hi));
+        let (least, most) = if c > 0 {
+            (at_lo, at_hi)
+        } else {
+            (at_hi, at_lo)
+        };
+        match (
+            least.and_then(|v| self.min.checked_add(v)),
+            most.and_then(|v| self.max.checked_add(v)),
+        ) {
+            (Some(min), Some(max)) => (self.min, self.max) = (min, max),
+            _ => self.overflowed = true,
+        }
+        true
+    }
+
+    fn may_hold(&self) -> bool {
+        if self.overflowed {
+            return true;
+        }
+        if self.gcd == 0 {
+            return self.constant == 0;
+        }
+        self.constant.unsigned_abs().is_multiple_of(self.gcd) && self.min <= 0 && 0 <= self.max
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Tests whether a dependence from `src` to `dst` may exist under the given
 /// direction vector over `common` loops (outermost first).
 ///
 /// `params` supplies values for symbolic parameters appearing in subscripts.
-/// Returns `true` (conservatively) if any subscript is not affine.
+/// Returns `true` (conservatively) if any subscript is not affine. An entry
+/// of `common` that does not enclose both sides constrains nothing: each
+/// side's loop of that name stays an independent unknown.
 pub fn may_depend(
     src: &AccessContext<'_>,
     dst: &AccessContext<'_>,
@@ -70,189 +488,24 @@ pub fn may_depend(
     params: &BTreeMap<Var, i64>,
 ) -> bool {
     debug_assert_eq!(common.len(), directions.len());
-    if src.array_ref.array != dst.array_ref.array || src.array_ref.rank() != dst.array_ref.rank() {
+    if src.array_ref.array != dst.array_ref.array {
         return false;
     }
-    let (Some(src_idx), Some(dst_idx)) = (
-        src.array_ref.affine_indices_with(params),
-        dst.array_ref.affine_indices_with(params),
-    ) else {
-        // Non-affine subscripts: assume the dependence exists.
-        return true;
-    };
-
-    // Build the variable space: source iterators `s$name`, destination
-    // iterators `d$name`, and per-direction distance variables `delta$name`.
-    let mut vars: Vec<BoxVar> = Vec::new();
-    // substitutions applied to source-side / destination-side subscripts.
-    let mut src_subst: BTreeMap<Var, AffineExpr> = BTreeMap::new();
-    let mut dst_subst: BTreeMap<Var, AffineExpr> = BTreeMap::new();
-
-    for bound in src.loops {
-        if !common.contains(&bound.iter) {
-            let name = Var::new(format!("s${}", bound.iter));
-            vars.push(BoxVar {
-                name: name.clone(),
-                min: bound.lower,
-                max: bound.upper - 1,
-            });
-            src_subst.insert(bound.iter.clone(), AffineExpr::var(name));
-        }
-    }
-    for bound in dst.loops {
-        if !common.contains(&bound.iter) {
-            let name = Var::new(format!("d${}", bound.iter));
-            vars.push(BoxVar {
-                name: name.clone(),
-                min: bound.lower,
-                max: bound.upper - 1,
-            });
-            dst_subst.insert(bound.iter.clone(), AffineExpr::var(name));
-        }
-    }
-
-    for (iter, dir) in common.iter().zip(directions) {
-        let src_bound = src.loops.iter().find(|b| &b.iter == iter);
-        let dst_bound = dst.loops.iter().find(|b| &b.iter == iter);
-        let (Some(sb), Some(db)) = (src_bound, dst_bound) else {
-            // A "common" loop not actually enclosing both sides: treat both
-            // sides as independent box variables.
-            continue;
-        };
-        let base = Var::new(format!("s${}", iter));
-        vars.push(BoxVar {
-            name: base.clone(),
-            min: sb.lower,
-            max: sb.upper - 1,
-        });
-        src_subst.insert(iter.clone(), AffineExpr::var(base.clone()));
-        match dir {
-            Direction::Eq => {
-                dst_subst.insert(iter.clone(), AffineExpr::var(base));
-            }
-            Direction::Lt => {
-                // dst iteration strictly later: d = s + delta, delta >= 1.
-                let extent = sb.extent().max(db.extent());
-                if extent <= 1 {
-                    return false;
-                }
-                let delta = Var::new(format!("delta${}", iter));
-                vars.push(BoxVar {
-                    name: delta.clone(),
-                    min: 1,
-                    max: extent - 1,
-                });
-                dst_subst.insert(iter.clone(), AffineExpr::var(base) + AffineExpr::var(delta));
-            }
-            Direction::Gt => {
-                // dst iteration strictly earlier: d = s - delta, delta >= 1.
-                let extent = sb.extent().max(db.extent());
-                if extent <= 1 {
-                    return false;
-                }
-                let delta = Var::new(format!("delta${}", iter));
-                vars.push(BoxVar {
-                    name: delta.clone(),
-                    min: 1,
-                    max: extent - 1,
-                });
-                dst_subst.insert(iter.clone(), AffineExpr::var(base) - AffineExpr::var(delta));
-            }
-            Direction::Any => {
-                let name = Var::new(format!("d${}", iter));
-                vars.push(BoxVar {
-                    name: name.clone(),
-                    min: db.lower,
-                    max: db.upper - 1,
-                });
-                dst_subst.insert(iter.clone(), AffineExpr::var(name));
-            }
-        }
-    }
-
-    // Per-dimension equation: rewrite(src subscript) - rewrite(dst subscript) = 0.
-    for (sdim, ddim) in src_idx.iter().zip(&dst_idx) {
-        let lhs = rewrite(sdim, &src_subst, params);
-        let rhs = rewrite(ddim, &dst_subst, params);
-        let diff = lhs - rhs;
-        if !equation_may_have_solution(&diff, &vars) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Rewrites an affine subscript: substitutes parameters with their numeric
-/// values and iterators with their renamed/shifted forms.
-fn rewrite(
-    subscript: &AffineExpr,
-    subst: &BTreeMap<Var, AffineExpr>,
-    params: &BTreeMap<Var, i64>,
-) -> AffineExpr {
-    let mut out = AffineExpr::constant(subscript.constant_part());
-    for (v, c) in subscript.terms() {
-        if let Some(replacement) = subst.get(v) {
-            out = out + replacement.scaled(c);
-        } else if let Some(value) = params.get(v) {
-            out = out + AffineExpr::constant(c * value);
-        } else {
-            // Unknown symbol: keep it as an unconstrained variable with a
-            // huge range, handled conservatively below.
-            out = out + AffineExpr::var(v.clone()).scaled(c);
-        }
-    }
-    out
-}
-
-/// GCD test plus interval (Banerjee) test: does `expr = 0` possibly have an
-/// integer solution with every variable inside its box?
-fn equation_may_have_solution(expr: &AffineExpr, vars: &[BoxVar]) -> bool {
-    let constant = expr.constant_part();
-    let coefficients: Vec<(Var, i64)> = expr.terms().map(|(v, c)| (v.clone(), c)).collect();
-    if coefficients.is_empty() {
-        return constant == 0;
-    }
-
-    // GCD test.
-    let gcd = coefficients
+    let encloses = |loops: &[LoopBound], iter: &Var| loops.iter().any(|l| &l.iter == iter);
+    let (shared, levels): (Vec<Var>, Vec<Option<Direction>>) = common
         .iter()
-        .map(|(_, c)| c.unsigned_abs())
-        .fold(0u64, gcd_u64);
-    if gcd != 0 && !constant.unsigned_abs().is_multiple_of(gcd) {
-        return false;
+        .zip(directions)
+        .filter(|(iter, _)| encloses(src.loops, iter) && encloses(dst.loops, iter))
+        .map(|(iter, direction)| (iter.clone(), Some(*direction)))
+        .unzip();
+    Pair {
+        src: &Subscripts::lower(src.array_ref, src.loops, params),
+        src_loops: src.loops,
+        dst: &Subscripts::lower(dst.array_ref, dst.loops, params),
+        dst_loops: dst.loops,
+        pairing: &LoopPairing::new(src.loops, dst.loops, &shared),
     }
-
-    // Interval test: min/max of the expression over the box must straddle 0.
-    let mut min = constant as i128;
-    let mut max = constant as i128;
-    for (v, c) in &coefficients {
-        let (lo, hi) = vars
-            .iter()
-            .find(|b| &b.name == v)
-            .map(|b| (b.min as i128, b.max as i128))
-            // Unknown symbols (unbound parameters) are unbounded.
-            .unwrap_or((i64::MIN as i128 / 4, i64::MAX as i128 / 4));
-        if lo > hi {
-            return false;
-        }
-        let c = *c as i128;
-        if c >= 0 {
-            min += c * lo;
-            max += c * hi;
-        } else {
-            min += c * hi;
-            max += c * lo;
-        }
-    }
-    min <= 0 && 0 <= max
-}
-
-fn gcd_u64(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd_u64(b, a % b)
-    }
+    .may_depend(&levels)
 }
 
 #[cfg(test)]
@@ -598,5 +851,90 @@ mod tests {
             &[Direction::Eq],
             &params()
         ));
+    }
+
+    #[test]
+    fn coefficients_whose_difference_leaves_i64_are_conservative() {
+        // (MAX - -2) does not fit: nothing is concluded, in any build mode.
+        let a = ArrayRef::new("A", vec![var("i") * cst(i64::MAX)]);
+        let b = ArrayRef::new("A", vec![var("i") * cst(-2) + cst(1)]);
+        let loops = bounds(&[("i", 0, 4)]);
+        let src = AccessContext {
+            array_ref: &a,
+            loops: &loops,
+        };
+        let dst = AccessContext {
+            array_ref: &b,
+            loops: &loops,
+        };
+        assert!(may_depend(
+            &src,
+            &dst,
+            &[Var::new("i")],
+            &[Direction::Eq],
+            &params()
+        ));
+    }
+
+    #[test]
+    fn a_common_entry_enclosing_one_side_only_constrains_nothing() {
+        // `k` encloses the source only: its `<` is dropped, and the source's
+        // `k` stays an unknown of its own over 20..30, away from j in 0..10.
+        let a = ArrayRef::new("A", vec![var("k")]);
+        let b = ArrayRef::new("A", vec![var("j")]);
+        let src_loops = bounds(&[("k", 20, 30)]);
+        let dst_loops = bounds(&[("j", 0, 10)]);
+        let src = AccessContext {
+            array_ref: &a,
+            loops: &src_loops,
+        };
+        let dst = AccessContext {
+            array_ref: &b,
+            loops: &dst_loops,
+        };
+        let common = [Var::new("k")];
+        assert!(!may_depend(
+            &src,
+            &dst,
+            &common,
+            &[Direction::Lt],
+            &params()
+        ));
+        let overlapping = bounds(&[("j", 0, 25)]);
+        let dst = AccessContext {
+            array_ref: &b,
+            loops: &overlapping,
+        };
+        assert!(may_depend(&src, &dst, &common, &[Direction::Lt], &params()));
+    }
+
+    #[test]
+    fn a_relaxed_level_contains_each_of_its_refinements() {
+        // A[2i] -> A[2i + 3]: odd distance, refuted by the GCD at every
+        // level choice and already by the relaxed prefix.
+        let a = ArrayRef::new("A", vec![var("i") * cst(2)]);
+        let b = ArrayRef::new("A", vec![var("i") * cst(2) + cst(3)]);
+        let loops = bounds(&[("i", 0, 10)]);
+        let no_params = params();
+        let (src, dst) = (
+            Subscripts::lower(&a, &loops, &no_params),
+            Subscripts::lower(&b, &loops, &no_params),
+        );
+        let pairing = LoopPairing::new(&loops, &loops, &[Var::new("i")]);
+        let pair = |dst| Pair {
+            src: &src,
+            src_loops: &loops,
+            dst,
+            dst_loops: &loops,
+            pairing: &pairing,
+        };
+        assert!(!pair(&dst).may_depend(&[None]));
+        // A[2i] -> A[2i + 4] survives relaxed and as `>` only.
+        let c = ArrayRef::new("A", vec![var("i") * cst(2) + cst(4)]);
+        let dst = Subscripts::lower(&c, &loops, &no_params);
+        assert!(pair(&dst).may_depend(&[None]));
+        assert!(!pair(&dst).may_depend(&[Some(Direction::Eq)]));
+        assert!(!pair(&dst).may_depend(&[Some(Direction::Lt)]));
+        assert!(pair(&dst).may_depend(&[Some(Direction::Gt)]));
     }
 }

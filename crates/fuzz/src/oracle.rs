@@ -20,6 +20,11 @@
 //!   versus the exact simulator: the estimated miss counts must stay within
 //!   the estimate's *own reported* error bound on both levels, and access
 //!   counts must match exactly.
+//! * **dependence** — the dependence analysis ([`dependence::analyze`]:
+//!   dense integer rows, direction vectors refined level by level) versus
+//!   the naive reference ([`dependence::reference::analyze`]: every `3ⁿ`
+//!   vector of every access pair on a freshly built symbolic system): the
+//!   same edges in the same order.
 //! * **normalize** — the normalization pipeline: the normalized program
 //!   validates, normalization is idempotent, the normalized program still
 //!   agrees with *its* references (exec + trace), and its results match
@@ -43,11 +48,12 @@ use machine::{
 use normalize::Normalizer;
 
 /// Names of all oracles, in the order [`check_all`] runs them.
-pub const ORACLES: [&str; 6] = [
+pub const ORACLES: [&str; 7] = [
     "exec",
     "trace",
     "cache",
     "analytic",
+    "dependence",
     "normalize",
     "schedule",
 ];
@@ -111,6 +117,8 @@ pub struct OracleSelection {
     /// Run the analytic-bracket oracle (estimates within their own error
     /// bound of the exact counters).
     pub analytic: bool,
+    /// Run the dependence-graph differential.
+    pub dependence: bool,
     /// Run the normalization oracle.
     pub normalize: bool,
     /// Run the schedule oracle on every `schedule_every`-th case (0 = never).
@@ -124,6 +132,7 @@ impl Default for OracleSelection {
             trace: true,
             cache: true,
             analytic: true,
+            dependence: true,
             normalize: true,
             schedule_every: 16,
         }
@@ -136,11 +145,12 @@ type OracleFn = fn(&Program) -> std::result::Result<(), String>;
 /// Runs every selected oracle on `program`, stopping at the first failure.
 /// `case_index` drives the schedule-oracle subsampling.
 pub fn check_all(program: &Program, oracles: &OracleSelection, case_index: u64) -> Verdict {
-    let battery: [(&'static str, bool, OracleFn); 6] = [
+    let battery: [(&'static str, bool, OracleFn); 7] = [
         ("exec", oracles.exec, exec_oracle),
         ("trace", oracles.trace, trace_oracle),
         ("cache", oracles.cache, cache_oracle),
         ("analytic", oracles.analytic, analytic_oracle),
+        ("dependence", oracles.dependence, dependence_oracle),
         ("normalize", oracles.normalize, normalize_oracle),
         (
             "schedule",
@@ -168,6 +178,7 @@ pub fn check_one(program: &Program, oracle: &str) -> Verdict {
         "trace" => trace_oracle,
         "cache" => cache_oracle,
         "analytic" => analytic_oracle,
+        "dependence" => dependence_oracle,
         "normalize" => normalize_oracle,
         "schedule" => schedule_oracle,
         other => {
@@ -447,6 +458,27 @@ fn analytic_oracle(program: &Program) -> std::result::Result<(), String> {
             exact.l1().misses,
             estimate.l2.misses,
             exact.l2().misses
+        ));
+    }
+    Ok(())
+}
+
+fn dependence_oracle(program: &Program) -> std::result::Result<(), String> {
+    let production = dependence::analyze(program);
+    let reference = dependence::reference::analyze(program);
+    if production.computation_order() != reference.computation_order() {
+        return Err("computation order differs from the reference graph".to_string());
+    }
+    let (fast, naive) = (production.all(), reference.all());
+    if let Some(at) = (0..fast.len().max(naive.len())).find(|&k| fast.get(k) != naive.get(k)) {
+        let show =
+            |d: Option<&dependence::Dependence>| d.map_or("nothing".into(), |d| d.to_string());
+        return Err(format!(
+            "edge {at} of {} (reference: {}): {} vs reference {}",
+            fast.len(),
+            naive.len(),
+            show(fast.get(at)),
+            show(naive.get(at)),
         ));
     }
     Ok(())

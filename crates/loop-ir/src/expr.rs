@@ -104,33 +104,21 @@ pub fn cst(value: i64) -> Expr {
 impl Expr {
     /// Evaluates the expression under the given variable bindings.
     ///
-    /// Returns `None` if a variable is unbound or a division by zero occurs.
+    /// Returns `None` if a variable is unbound, a division by zero occurs or
+    /// the value does not fit an `i64`.
     pub fn eval(&self, bindings: &BTreeMap<Var, i64>) -> Option<i64> {
         match self {
             Expr::Const(c) => Some(*c),
             Expr::Var(v) => bindings.get(v).copied(),
-            Expr::Add(a, b) => Some(a.eval(bindings)? + b.eval(bindings)?),
-            Expr::Sub(a, b) => Some(a.eval(bindings)? - b.eval(bindings)?),
-            Expr::Mul(a, b) => Some(a.eval(bindings)? * b.eval(bindings)?),
-            Expr::Div(a, b) => {
-                let d = b.eval(bindings)?;
-                if d == 0 {
-                    None
-                } else {
-                    Some(a.eval(bindings)?.div_euclid(d))
-                }
-            }
-            Expr::Mod(a, b) => {
-                let d = b.eval(bindings)?;
-                if d == 0 {
-                    None
-                } else {
-                    Some(a.eval(bindings)?.rem_euclid(d))
-                }
-            }
+            Expr::Add(a, b) => a.eval(bindings)?.checked_add(b.eval(bindings)?),
+            Expr::Sub(a, b) => a.eval(bindings)?.checked_sub(b.eval(bindings)?),
+            Expr::Mul(a, b) => a.eval(bindings)?.checked_mul(b.eval(bindings)?),
+            // The checked forms also refuse a zero divisor.
+            Expr::Div(a, b) => a.eval(bindings)?.checked_div_euclid(b.eval(bindings)?),
+            Expr::Mod(a, b) => a.eval(bindings)?.checked_rem_euclid(b.eval(bindings)?),
             Expr::Min(a, b) => Some(a.eval(bindings)?.min(b.eval(bindings)?)),
             Expr::Max(a, b) => Some(a.eval(bindings)?.max(b.eval(bindings)?)),
-            Expr::Neg(a) => Some(-a.eval(bindings)?),
+            Expr::Neg(a) => a.eval(bindings)?.checked_neg(),
         }
     }
 
@@ -571,6 +559,18 @@ mod tests {
     fn eval_division_by_zero_is_none() {
         let e = Expr::Div(Box::new(cst(4)), Box::new(cst(0)));
         assert_eq!(e.eval(&BTreeMap::new()), None);
+    }
+
+    #[test]
+    fn eval_overflow_is_none() {
+        let n = bind(&[("N", 1 << 62)]);
+        assert_eq!((var("N") * cst(4)).eval(&n), None);
+        assert_eq!((var("N") + var("N")).eval(&n), None);
+        assert_eq!((cst(i64::MIN) - cst(1)).eval(&n), None);
+        assert_eq!((-cst(i64::MIN)).eval(&n), None);
+        let e = Expr::Div(Box::new(cst(i64::MIN)), Box::new(cst(-1)));
+        assert_eq!(e.eval(&n), None);
+        assert_eq!((var("N") * cst(-2)).eval(&n), Some(i64::MIN));
     }
 
     #[test]

@@ -41,6 +41,20 @@ impl MaximalFission {
     /// Runs the pass on a program, returning the fissioned program and
     /// statistics. Computation identifiers are preserved.
     pub fn run(&self, program: &Program) -> (Program, FissionStats) {
+        self.run_with_graph(program, &mut analyze(program))
+    }
+
+    /// [`MaximalFission::run`] given the dependence graph of `program`; on
+    /// return `graph` is the graph of the fissioned program.
+    ///
+    /// A sweep that keeps the computations in their order leaves the graph
+    /// valid, so it is analyzed again only after a sweep that reordered
+    /// them (see the [`crate::pipeline`] module docs).
+    pub fn run_with_graph(
+        &self,
+        program: &Program,
+        graph: &mut DependenceGraph,
+    ) -> (Program, FissionStats) {
         let mut stats = FissionStats {
             nests_before: program.loop_nests().len(),
             ..FissionStats::default()
@@ -49,14 +63,10 @@ impl MaximalFission {
         let limit = self.max_iterations.max(1);
         for _ in 0..limit {
             stats.iterations += 1;
-            // Fission never changes any computation, so the dependence graph
-            // of the original program stays valid across iterations; it is
-            // recomputed per iteration only to keep the pass self-contained.
-            let graph = analyze(&current);
             let mut split_count = 0usize;
             let mut new_body = Vec::new();
             for node in &current.body {
-                new_body.extend(fission_node(node, &graph, &mut split_count));
+                new_body.extend(fission_node(node, graph, &mut split_count));
             }
             let changed = split_count > 0;
             stats.loops_split += split_count;
@@ -64,9 +74,28 @@ impl MaximalFission {
             if !changed {
                 break;
             }
+            refresh(graph, &current);
         }
         stats.nests_after = current.loop_nests().len();
         (current, stats)
+    }
+}
+
+/// Makes `graph`, the dependence graph of the program `fissioned` was split
+/// from, the graph of `fissioned`.
+///
+/// Fission changes no computation, no iterator name and no loop bound, and
+/// the analysis tests a pair of computations on nothing but their own
+/// accesses and enclosing loops, in the order it meets them: while the
+/// computations keep their order the graph of the split program is, edge
+/// for edge, the graph in hand. Once two of them have changed places the
+/// pair is tested with source and destination exchanged, which the tester's
+/// relaxation (the source's bounds hold, the destination's need not) can
+/// answer differently — then the program is analyzed again.
+fn refresh(graph: &mut DependenceGraph, fissioned: &Program) {
+    let ids = fissioned.computations().into_iter().map(|c| c.id);
+    if !ids.eq(graph.computation_order().iter().copied()) {
+        *graph = analyze(fissioned);
     }
 }
 

@@ -6,7 +6,7 @@ use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
 use transforms::interchange::{interchange, perfect_chain};
 
-use crate::stride::{iterator_stride_weights, sum_of_strides};
+use crate::stride::NestStrides;
 
 /// Nests whose perfect chain is deeper than this are not exhaustively
 /// enumerated; the grouped-sorting approximation is used instead, as proposed
@@ -52,7 +52,15 @@ impl StrideMinimization {
 
     /// Runs the pass, returning the permuted program and statistics.
     pub fn run(&self, program: &Program) -> (Program, PermutationStats) {
-        let graph = analyze(program);
+        self.run_with_graph(program, &analyze(program))
+    }
+
+    /// [`StrideMinimization::run`] given the dependence graph of `program`.
+    pub fn run_with_graph(
+        &self,
+        program: &Program,
+        graph: &DependenceGraph,
+    ) -> (Program, PermutationStats) {
         let mut stats = PermutationStats::default();
         let mut out = program.clone();
         out.body = program
@@ -60,7 +68,7 @@ impl StrideMinimization {
             .iter()
             .map(|node| match node {
                 Node::Loop(nest) => {
-                    Node::Loop(self.minimize_nest(program, &graph, nest, &mut stats))
+                    Node::Loop(self.minimize_nest(program, graph, nest, &mut stats))
                 }
                 other => other.clone(),
             })
@@ -81,40 +89,34 @@ impl StrideMinimization {
     ) -> Loop {
         stats.nests_examined += 1;
         let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
-        let original_cost = sum_of_strides(program, nest, &chain);
+        let strides = NestStrides::of(program, nest, &chain);
+        let original_cost = strides.cost(&chain);
         stats.cost_before += original_cost;
 
-        let mut result = if chain.len() < 2 {
-            stats.cost_after += original_cost;
-            nest.clone()
+        let best = if chain.len() < 2 {
+            None
         } else {
             let limit = if self.enumeration_limit == 0 {
                 ENUMERATION_LIMIT
             } else {
                 self.enumeration_limit
             };
-            let best_order = if chain.len() <= limit {
-                self.enumerate(program, graph, nest, &chain)
+            if chain.len() <= limit {
+                self.enumerate(graph, nest, &chain, &strides)
             } else {
                 stats.approximated += 1;
-                self.grouped_sort(program, graph, nest, &chain)
-            };
-            match best_order {
-                Some(order) if order != chain => match interchange(nest, &order) {
-                    Ok(permuted) => {
-                        stats.nests_permuted += 1;
-                        stats.cost_after += sum_of_strides(program, &permuted, &order);
-                        permuted
-                    }
-                    Err(_) => {
-                        stats.cost_after += original_cost;
-                        nest.clone()
-                    }
-                },
-                _ => {
-                    stats.cost_after += original_cost;
-                    nest.clone()
-                }
+                self.grouped_sort(graph, nest, &chain, &strides)
+            }
+        };
+        let mut result = match best {
+            Some((order, permuted)) if order != chain => {
+                stats.nests_permuted += 1;
+                stats.cost_after += strides.cost(&order);
+                permuted
+            }
+            _ => {
+                stats.cost_after += original_cost;
+                nest.clone()
             }
         };
 
@@ -156,35 +158,34 @@ impl StrideMinimization {
 
     /// Exhaustive enumeration of legal permutations (§2.2: "the minimum can
     /// simply be found by enumeration for many practically-relevant loop
-    /// nests").
+    /// nests"). Returns the best order with the nest permuted into it.
     fn enumerate(
         &self,
-        program: &Program,
         graph: &DependenceGraph,
         nest: &Loop,
         chain: &[Var],
-    ) -> Option<Vec<Var>> {
-        let mut best: Option<(f64, Vec<Var>, Vec<f64>)> = None;
+        strides: &NestStrides,
+    ) -> Option<(Vec<Var>, Loop)> {
+        let weights = strides.weights();
+        let weight = |iter: &Var| {
+            let column = chain.iter().position(|c| c == iter);
+            weights[column.expect("orders permute the chain")]
+        };
+        let mut best: Option<(f64, Vec<Var>, Vec<f64>, Loop)> = None;
         for order in permutations(chain) {
             if !is_permutation_legal(graph, nest, &order) {
                 continue;
             }
-            // Triangular bounds make some orders structurally impossible;
-            // interchange reports those, so probe it.
-            if interchange(nest, &order).is_err() {
-                continue;
-            }
-            let cost = sum_of_strides(program, nest, &order);
+            let cost = strides.cost(&order);
             // Deterministic tie-break independent of the incoming loop order:
             // prefer the order whose per-level stride weights decrease from
             // outermost to innermost, comparing the weight vectors
             // lexicographically (largest-stride iterators outermost), and
             // finally the iterator names.
-            let weights = iterator_stride_weights(program, nest);
-            let key: Vec<f64> = order.iter().map(|v| -weights[v]).collect();
+            let key: Vec<f64> = order.iter().map(|v| -weight(v)).collect();
             let better = match &best {
                 None => true,
-                Some((best_cost, best_order, best_key)) => {
+                Some((best_cost, best_order, best_key, _)) => {
                     cost < best_cost - 1e-9
                         || ((cost - best_cost).abs() <= 1e-9
                             && (compare_keys(&key, best_key) == std::cmp::Ordering::Less
@@ -192,11 +193,17 @@ impl StrideMinimization {
                                     && order < *best_order)))
                 }
             };
-            if better {
-                best = Some((cost, order, key));
+            if !better {
+                continue;
+            }
+            // Triangular bounds make some orders structurally impossible;
+            // interchange reports those. Only an order that would win pays
+            // for building its nest.
+            if let Ok(permuted) = interchange(nest, &order) {
+                best = Some((cost, order, key, permuted));
             }
         }
-        best.map(|(_, order, _)| order)
+        best.map(|(_, order, _, permuted)| (order, permuted))
     }
 
     /// Grouped-sorting approximation for deep nests: sort iterators by their
@@ -204,24 +211,24 @@ impl StrideMinimization {
     /// only if it is legal.
     fn grouped_sort(
         &self,
-        program: &Program,
         graph: &DependenceGraph,
         nest: &Loop,
         chain: &[Var],
-    ) -> Option<Vec<Var>> {
-        let weights = iterator_stride_weights(program, nest);
-        let mut order = chain.to_vec();
-        order.sort_by(|a, b| {
-            weights[b]
-                .partial_cmp(&weights[a])
+        strides: &NestStrides,
+    ) -> Option<(Vec<Var>, Loop)> {
+        let weights = strides.weights();
+        let mut by_weight: Vec<(&Var, f64)> = chain.iter().zip(weights).collect();
+        by_weight.sort_by(|(a, wa), (b, wb)| {
+            wb.partial_cmp(wa)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.cmp(b))
         });
-        if is_permutation_legal(graph, nest, &order) && interchange(nest, &order).is_ok() {
-            Some(order)
-        } else {
-            None
+        let order: Vec<Var> = by_weight.into_iter().map(|(v, _)| v.clone()).collect();
+        if !is_permutation_legal(graph, nest, &order) {
+            return None;
         }
+        let permuted = interchange(nest, &order).ok()?;
+        Some((order, permuted))
     }
 }
 

@@ -1,5 +1,33 @@
 //! The two-step normalization pipeline (paper Figure 5).
+//!
+//! # One dependence graph per run
+//!
+//! [`Normalizer::run`] analyzes the input program once and hands that graph
+//! to the sweeps of maximal fission and to stride minimization, although
+//! each of them works on a program the previous step already rewrote:
+//!
+//! * Fission only moves computations into loops of their own. It changes no
+//!   computation, no iterator name and no loop bound, so every computation
+//!   keeps its identifier, its accesses and its stack of enclosing loops
+//!   (names and bounds) — which is all the test of a pair of computations
+//!   reads, common loops being matched by name. Interchange, all stride
+//!   minimization does, runs after the last query of its nest.
+//! * [`dependence::analyze`] visits the pairs in the order of the
+//!   computations. While that order stands, analyzing the rewritten program
+//!   would test the same pairs on the same inputs in the same sequence: the
+//!   graph in hand *is* its graph, edge for edge.
+//!
+//! The order is what can break. Where fission has exchanged two computations
+//! a fresh analysis tests the pair with source and destination exchanged,
+//! and the tester's relaxation is not symmetric (the source iteration stays
+//! inside its loop bounds, the destination is the source plus a distance):
+//! accesses with different coefficients on a shared loop, `A[5 - i]` against
+//! `A[i]`, can get a spurious edge one way round and its mirror image the
+//! other. Fission therefore analyzes again after a sweep that reordered
+//! computations, and only then — `tests/single_graph.rs` pins that nothing
+//! is decided differently from every sweep and pass analyzing for itself.
 
+use dependence::analyze;
 use loop_ir::program::Program;
 
 use crate::fission::{FissionStats, MaximalFission};
@@ -82,17 +110,17 @@ impl Normalizer {
     /// program — this is a bug guard; a well-formed input always normalizes
     /// to a well-formed output.
     pub fn run(&self, program: &Program) -> loop_ir::Result<NormalizedProgram> {
+        let _span = telemetry::span("normalize.run");
         let mut stats = NormalizationStats::default();
         let mut current = program.clone();
-        if self.config.fission {
-            let (fissioned, fission_stats) = self.fission.run(&current);
-            current = fissioned;
-            stats.fission = fission_stats;
-        }
-        if self.config.stride_minimization {
-            let (permuted, permute_stats) = self.stride.run(&current);
-            current = permuted;
-            stats.permutation = permute_stats;
+        if self.config.fission || self.config.stride_minimization {
+            let mut graph = analyze(program);
+            if self.config.fission {
+                (current, stats.fission) = self.fission.run_with_graph(&current, &mut graph);
+            }
+            if self.config.stride_minimization {
+                (current, stats.permutation) = self.stride.run_with_graph(&current, &graph);
+            }
         }
         current.validate()?;
         Ok(NormalizedProgram {

@@ -38,27 +38,82 @@ pub type StrideCost = f64;
 /// be evaluated, contribute a large penalty rather than failing, so the cost
 /// is total over all nests.
 pub fn sum_of_strides(program: &Program, nest: &Loop, order: &[Var]) -> StrideCost {
-    let mut cost = 0.0;
-    let depth = order.len().max(1);
-    for comp in nest.computations() {
-        for access in comp.accesses() {
-            let Ok(array) = program.array(&access.array_ref.array) else {
-                cost += penalty(depth);
-                continue;
-            };
-            let Some(offset) = access.array_ref.linear_offset(array, &program.params) else {
-                cost += penalty(depth);
-                continue;
-            };
-            for (position, iter) in order.iter().enumerate() {
-                let stride = offset.coefficient(iter).unsigned_abs() as f64;
-                // position 0 = outermost (lowest weight), innermost loops
-                // advance most often and dominate the cost.
-                cost += stride * LEVEL_WEIGHT.powi(position as i32);
-            }
+    NestStrides::of(program, nest, order).cost(order)
+}
+
+/// The strides of every access of a nest along a fixed set of iterators:
+/// what [`sum_of_strides`] and [`iterator_stride_weights`] read off the
+/// linearized offsets, kept so that many loop orders can be priced without
+/// linearizing again.
+pub(crate) struct NestStrides {
+    iters: Vec<Var>,
+    /// Per access (computations in order, accesses in order) the stride
+    /// along each of `iters`; `None` for an access that cannot be analyzed.
+    accesses: Vec<Option<Vec<f64>>>,
+}
+
+impl NestStrides {
+    /// Linearizes every access of `nest` once.
+    pub(crate) fn of(program: &Program, nest: &Loop, iters: &[Var]) -> Self {
+        let accesses = nest
+            .computations()
+            .iter()
+            .flat_map(|comp| comp.accesses())
+            .map(|access| {
+                let array = program.array(&access.array_ref.array).ok()?;
+                let offset = access.array_ref.linear_offset(array, &program.params)?;
+                Some(
+                    iters
+                        .iter()
+                        .map(|iter| offset.coefficient(iter).unsigned_abs() as f64)
+                        .collect(),
+                )
+            })
+            .collect();
+        NestStrides {
+            iters: iters.to_vec(),
+            accesses,
         }
     }
-    cost
+
+    /// [`sum_of_strides`] of the nest with its loops in `order`, a selection
+    /// of the iterators the strides were taken along.
+    pub(crate) fn cost(&self, order: &[Var]) -> StrideCost {
+        let columns: Vec<usize> = order
+            .iter()
+            .map(|iter| {
+                self.iters
+                    .iter()
+                    .position(|known| known == iter)
+                    .expect("orders permute the iterators the strides were taken along")
+            })
+            .collect();
+        let depth = order.len().max(1);
+        let mut cost = 0.0;
+        for strides in &self.accesses {
+            let Some(strides) = strides else {
+                cost += penalty(depth);
+                continue;
+            };
+            for (position, &column) in columns.iter().enumerate() {
+                // position 0 = outermost (lowest weight), innermost loops
+                // advance most often and dominate the cost.
+                cost += strides[column] * LEVEL_WEIGHT.powi(position as i32);
+            }
+        }
+        cost
+    }
+
+    /// Per iterator, the total stride over the analyzable accesses.
+    pub(crate) fn weights(&self) -> Vec<f64> {
+        let mut weights = vec![0.0; self.iters.len()];
+        for strides in self.accesses.iter().flatten() {
+            for (weight, stride) in weights.iter_mut().zip(strides) {
+                *weight += stride;
+            }
+        }
+        weights
+    }
 }
 
 fn penalty(depth: usize) -> f64 {
@@ -112,24 +167,9 @@ pub fn out_of_order_cost(nest: &Loop, order: &[Var]) -> f64 {
 /// nest, used for the grouped-sorting approximation on deep nests and as a
 /// deterministic tie-breaker.
 pub fn iterator_stride_weights(program: &Program, nest: &Loop) -> BTreeMap<Var, f64> {
-    let mut weights: BTreeMap<Var, f64> = BTreeMap::new();
-    for iter in nest.nested_iterators() {
-        weights.entry(iter).or_insert(0.0);
-    }
-    for comp in nest.computations() {
-        for access in comp.accesses() {
-            let Ok(array) = program.array(&access.array_ref.array) else {
-                continue;
-            };
-            let Some(offset) = access.array_ref.linear_offset(array, &program.params) else {
-                continue;
-            };
-            for (iter, weight) in weights.iter_mut() {
-                *weight += offset.coefficient(iter).unsigned_abs() as f64;
-            }
-        }
-    }
-    weights
+    let iters = nest.nested_iterators();
+    let weights = NestStrides::of(program, nest, &iters).weights();
+    iters.into_iter().zip(weights).collect()
 }
 
 #[cfg(test)]
