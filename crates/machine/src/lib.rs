@@ -45,12 +45,16 @@
 //! lowering executes program semantics
 //! ([`exec::CompiledProgram::execute`]), which is what makes paper-sized
 //! semantic equivalence checks cheap. [`cache::CacheHierarchy`] consumes
-//! whole run groups in *line phases* — O(distinct cache lines touched)
-//! instead of O(accesses) — keeping each set's LRU order directly in one
-//! flat tag array; its counters are bit-identical to the retained
-//! per-access pipeline ([`trace::simulate_cache_per_access`]) and to the
-//! naive reference simulator ([`cache::reference`]), both kept for
-//! equivalence tests and as bench baselines.
+//! whole run groups and simulates an access only when its lane's line
+//! changed: sub-line lanes cut the group into *line phases*, each phase's
+//! first iteration is simulated in full, and after it only the lanes
+//! striding a line or more are probed while the others are credited as L1
+//! hits in closed form — O(distinct cache lines touched) for a unit-stride
+//! loop, one probe in four for a GEMM column walk. Each set's LRU order
+//! sits directly in one flat tag array; the counters are bit-identical to
+//! the retained per-access pipeline ([`trace::simulate_cache_per_access`])
+//! and to the naive reference simulator ([`cache::reference`]), both kept
+//! for equivalence tests and as bench baselines.
 //!
 //! [`cost::CostModel`] memoizes behind structural hashes at two levels:
 //! whole-nest costs, and per-computation *run summaries* (the per-iterator

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use loop_ir::parser::parse_program;
-use machine::{simulate_cache_sharded, CostMode, CostModel, MachineConfig};
+use machine::{simulate_cache, simulate_cache_sharded, CostMode, CostModel, MachineConfig};
 use telemetry::{with_recorder, CollectingRecorder};
 
 #[test]
@@ -62,4 +62,40 @@ fn analytic_pricings_memoize_and_count() {
     assert_eq!(sink.counter_total("machine.cost.exact_pricings"), 0);
     assert_eq!(sink.counter_total("machine.cost.analytic_memo_misses"), 1);
     assert_eq!(sink.counter_total("machine.cost.analytic_memo_hits"), 1);
+}
+
+#[test]
+fn mixed_stride_groups_count_credited_accesses_and_replayed_iterations() {
+    // GEMM in ijk order: the innermost loop's group is `C[i][j]` (stride
+    // 0), `A[i][k]` (8 B), `B[k][j]` (a 192 B row: three lines, a mover)
+    // and `C[i][j]` again. Only `B` is probed in a quiet iteration; the
+    // other three lanes are credited.
+    let program = parse_program(
+        "program gemm_ijk { param N = 24;
+           array A[N][N]; array B[N][N]; array C[N][N];
+           for i in 0..N { for j in 0..N { for k in 0..N {
+             C[i][j] += A[i][k] * B[k][j];
+           } } } }",
+    )
+    .unwrap();
+    let sink = Arc::new(CollectingRecorder::default());
+    let cache = with_recorder(sink.clone(), || {
+        simulate_cache(&program, &MachineConfig::tiny_for_tests()).unwrap()
+    });
+    let total = |name: &str| sink.counter_total(name);
+    assert_eq!(cache.accesses(), 4 * 24 * 24 * 24);
+    assert_eq!(total("machine.cache.group_accesses"), cache.accesses());
+    assert_eq!(total("machine.cache.group_superline_accesses"), 0);
+    // 24^3 iterations = 1728 phase heads (`A` crosses a line every eighth
+    // `k`) + 3360 quiet + 8736 replayed: with four L1 sets a mover lands in
+    // a stationary set more often than not, and no phase needs the conflict
+    // fallback.
+    assert_eq!(total("machine.cache.group_stationary_credited"), 3 * 3360);
+    assert_eq!(total("machine.cache.group_replayed_iterations"), 8736);
+    assert_eq!(total("machine.cache.group_conflict_accesses"), 0);
+    assert!(
+        total("machine.cache.group_stationary_credited") <= total("machine.cache.group_accesses")
+    );
+    // Credited accesses are L1 hits like any other: the books still close.
+    assert_eq!(cache.l1().hits + cache.l1().misses, cache.accesses());
 }
