@@ -78,7 +78,10 @@ impl DatabaseEntry {
     }
 
     /// Rebuilds an entry from its persisted form. Fails when the stored
-    /// embedding does not have this build's [`EMBEDDING_DIM`] features.
+    /// embedding does not have this build's [`EMBEDDING_DIM`] features, or
+    /// when a feature or the cost is not finite: no embedding or cost model
+    /// produces NaN or an infinity, and one such distance or cost would
+    /// leave neighbour order and duplicate-key ranking without a meaning.
     pub fn from_stored(stored: &StoredEntry) -> Result<Self, StoreError> {
         let embedding = PerformanceEmbedding::from_slice(&stored.embedding).ok_or_else(|| {
             StoreError::Corrupt(format!(
@@ -88,6 +91,12 @@ impl DatabaseEntry {
                 EMBEDDING_DIM
             ))
         })?;
+        if !stored.cost.is_finite() || stored.embedding.iter().any(|f| !f.is_finite()) {
+            return Err(StoreError::Corrupt(format!(
+                "entry {:016x} holds a non-finite cost or embedding feature",
+                stored.key
+            )));
+        }
         Ok(DatabaseEntry {
             key: stored.key,
             cost: stored.cost,
@@ -124,7 +133,7 @@ impl TuningDatabase {
     pub fn insert(&mut self, entry: DatabaseEntry) {
         match self.index.get(&entry.key) {
             Some(&pos) => {
-                if entry.cost < self.entries[pos].cost {
+                if entry.cost.total_cmp(&self.entries[pos].cost).is_lt() {
                     self.entries[pos] = entry;
                 }
             }
@@ -163,7 +172,8 @@ impl TuningDatabase {
 
     /// Rebuilds a database from recovered entries, *skipping* the ones
     /// this build cannot represent (wrong embedding dimension — e.g. a
-    /// store written by an older build) instead of failing the whole load.
+    /// store written by an older build — or non-finite values) instead of
+    /// failing the whole load.
     /// Returns the database and how many entries were skipped. The
     /// degraded-recovery counterpart of [`TuningDatabase::from_snapshot`]:
     /// losing an entry costs a warm-start seed, never correctness.
@@ -195,15 +205,32 @@ impl TuningDatabase {
     }
 
     /// The `k` entries whose embeddings are closest (Euclidean distance) to
-    /// the query, closest first.
+    /// the query, closest first; entries at equal distance come out in
+    /// insertion order (neighbour order decides which recipe is tried first,
+    /// so it is part of the cold/warm bit-identity guarantee).
+    ///
+    /// A selection, not a sort: one pass keeps the `k` best seen so far in
+    /// order, and an entry displaces a kept one only when it is *strictly*
+    /// closer — exactly the prefix a stable sort of all distances yields.
     pub fn nearest(&self, query: &PerformanceEmbedding, k: usize) -> Vec<&DatabaseEntry> {
-        let mut scored: Vec<(f64, &DatabaseEntry)> = self
-            .entries
-            .iter()
-            .map(|e| (e.embedding.distance(query), e))
-            .collect();
-        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        scored.into_iter().take(k).map(|(_, e)| e).collect()
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut kept: Vec<(f64, &DatabaseEntry)> = Vec::with_capacity(k.min(self.entries.len()));
+        for entry in &self.entries {
+            let distance = entry.embedding.distance(query);
+            if kept.len() == k {
+                if distance.total_cmp(&kept[k - 1].0).is_ge() {
+                    continue;
+                }
+                kept.pop();
+            }
+            // Behind every kept entry that is as close: ties keep
+            // insertion order.
+            let position = kept.partition_point(|(d, _)| d.total_cmp(&distance).is_le());
+            kept.insert(position, (distance, entry));
+        }
+        kept.into_iter().map(|(_, entry)| entry).collect()
     }
 
     /// Re-targets an entry's recipe to a nest whose perfect chain is
@@ -396,6 +423,108 @@ mod tests {
         let mut stored = entry("gemm", 64).to_stored();
         stored.embedding.pop();
         assert!(DatabaseEntry::from_stored(&stored).is_err());
+    }
+
+    #[test]
+    fn non_finite_store_values_are_corruption_on_both_load_paths() {
+        let good = entry("gemm", 64).to_stored();
+        let mut poisoned = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut cost = entry("bad-cost", 32).to_stored();
+            cost.cost = bad;
+            let mut feature = entry("bad-feature", 128).to_stored();
+            feature.embedding[3] = bad;
+            poisoned.extend([cost, feature]);
+        }
+        for stored in &poisoned {
+            assert!(matches!(
+                DatabaseEntry::from_stored(stored),
+                Err(StoreError::Corrupt(_))
+            ));
+            // Strict load: one such entry fails the whole snapshot.
+            let mut snapshot = Snapshot::new();
+            snapshot.entries = vec![good.clone(), stored.clone()];
+            assert!(matches!(
+                TuningDatabase::from_snapshot(&snapshot),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+        // Degrading load: they are skipped and counted, the rest survives.
+        let mut recovered = poisoned.clone();
+        recovered.insert(2, good);
+        let (db, skipped) = TuningDatabase::from_entries_lossy(&recovered);
+        assert_eq!(skipped, poisoned.len());
+        assert_eq!(db.len(), 1);
+        assert_eq!(db.entries()[0].source, "gemm");
+    }
+
+    #[test]
+    fn a_finite_cost_replaces_a_nan_inserted_directly() {
+        // `insert` is public and so are the fields: a NaN that never went
+        // through a store must still lose to any real cost.
+        let mut db = TuningDatabase::new();
+        let mut nan = entry("nan", 64);
+        nan.cost = f64::NAN;
+        db.insert(nan);
+        db.insert(entry("finite", 64));
+        assert_eq!(db.entries()[0].source, "finite");
+    }
+
+    /// The full stable sort `nearest` used to be.
+    fn nearest_by_sorting<'a>(
+        db: &'a TuningDatabase,
+        query: &PerformanceEmbedding,
+        k: usize,
+    ) -> Vec<&'a DatabaseEntry> {
+        let mut scored: Vec<(f64, &DatabaseEntry)> = db
+            .entries()
+            .iter()
+            .map(|e| (e.embedding.distance(query), e))
+            .collect();
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+        scored.into_iter().take(k).map(|(_, e)| e).collect()
+    }
+
+    #[test]
+    fn nearest_selects_what_a_stable_sort_would_on_duplicate_heavy_databases() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5E1EC7);
+        for case in 0..200 {
+            // Few distinct values per feature: many entries share an
+            // embedding exactly, so most distances tie.
+            let levels = rng.gen_range(1..4);
+            let embedding = |rng: &mut StdRng| {
+                let features: Vec<f64> = (0..EMBEDDING_DIM)
+                    .map(|_| rng.gen_range(0..levels) as f64 * 0.5)
+                    .collect();
+                PerformanceEmbedding::from_slice(&features).unwrap()
+            };
+            let mut db = TuningDatabase::new();
+            for key in 0..rng.gen_range(0..40u64) {
+                db.insert(DatabaseEntry {
+                    key,
+                    embedding: embedding(&mut rng),
+                    source: format!("entry-{key}"),
+                    ..entry("template", 32)
+                });
+            }
+            let query = embedding(&mut rng);
+            for k in [0, 1, 2, 3, 7, db.len(), db.len() + 5] {
+                let selected: Vec<&str> = db
+                    .nearest(&query, k)
+                    .iter()
+                    .map(|e| e.source.as_str())
+                    .collect();
+                let sorted: Vec<&str> = nearest_by_sorting(&db, &query, k)
+                    .iter()
+                    .map(|e| e.source.as_str())
+                    .collect();
+                assert_eq!(selected, sorted, "case {case}, k = {k}");
+                assert_eq!(selected.len(), k.min(db.len()));
+            }
+        }
     }
 
     #[test]

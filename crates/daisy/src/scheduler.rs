@@ -8,7 +8,8 @@ use std::sync::Arc;
 use loop_ir::expr::Var;
 use loop_ir::nest::Node;
 use loop_ir::program::Program;
-use machine::{CostMode, CostModel, CostReport, MachineConfig, PricedWith};
+use loop_ir::structural_hash_nodes;
+use machine::{CostMode, CostModel, CostReport, MachineConfig, NestCost, PricedWith};
 use normalize::{Normalizer, NormalizerConfig};
 use transforms::{perfect_chain, Recipe};
 use tunestore::{DurableStore, OsStorage, Snapshot, Storage, StoreError, StoreHealth};
@@ -16,10 +17,7 @@ use tunestore::{DurableStore, OsStorage, Snapshot, Storage, StoreError, StoreHea
 use crate::database::{nest_key, DatabaseEntry, TuningDatabase};
 use crate::embedding::PerformanceEmbedding;
 use crate::idiom::detect_blas_idiom;
-use crate::search::{
-    apply_recipe_to_program, nest_scoped_graph, recipe_is_semantically_legal, EvolutionarySearch,
-    SearchConfig,
-};
+use crate::search::{nest_scoped_graph, EvolutionarySearch, ScoreContext, SearchConfig};
 
 /// Configuration of the daisy scheduler. The ablation study (Fig. 7) toggles
 /// `normalize` and `transfer_tuning` independently.
@@ -40,13 +38,18 @@ pub struct DaisyConfig {
     pub machine: MachineConfig,
     /// How many nearest database entries to try per nest.
     pub neighbors: usize,
-    /// Worker threads used by the scheduler itself: database seeding fans
-    /// the per-nest searches out, and [`DaisyScheduler::schedule`] plans
-    /// independent top-level nests concurrently. `0` uses the machine's
-    /// available parallelism; `1` is fully sequential. Unlike
-    /// [`threads`](DaisyConfig::threads) this knob never changes results —
-    /// [`ScheduleOutcome`]s are bit-identical at any value — so it is *not*
-    /// part of the store fingerprint.
+    /// Worker threads the scheduler itself may use: database seeding has
+    /// one evolutionary search per nest to hand out, and
+    /// [`DaisyScheduler::schedule`] one plan per independent top-level
+    /// nest. `0` allows the machine's available parallelism; `1` is fully
+    /// sequential. This is a ceiling, not a demand: the calling thread
+    /// starts on the queue at once and helper threads are spawned only for
+    /// work that outlasts the cost of spawning them (the one fan-out rule,
+    /// see the "Evaluation pipeline" section of [`crate::search`]), so a
+    /// `schedule` call on a small program runs on its caller at any value.
+    /// Unlike [`threads`](DaisyConfig::threads) this knob never changes
+    /// results — [`ScheduleOutcome`]s are bit-identical at any value — so
+    /// it is *not* part of the store fingerprint.
     pub parallelism: usize,
     /// Worker threads used by the cache simulator when costing multi-block
     /// computations through the sharded trace driver
@@ -159,12 +162,15 @@ impl ScheduleOutcome {
 pub struct PhaseTimings {
     /// A-priori normalization of the input program.
     pub normalize_ns: u64,
-    /// Baseline whole-program pricing (pre-populates the shared cost memo).
+    /// Baseline pricing of the normalized program — the only whole-program
+    /// estimate of the call. It supplies the total candidates must beat and
+    /// the per-node costs every candidate and the merge are priced against.
     pub seed_ns: u64,
-    /// Per-nest planning fan-out: idiom detection, database lookup,
-    /// legality gates, candidate pricing.
+    /// Per-nest planning: idiom detection, database lookup, legality
+    /// gates, candidate rewriting and pricing.
     pub search_ns: u64,
-    /// Deterministic merge plus the final whole-program estimate.
+    /// Deterministic merge: winners spliced in, replacement nodes and idiom
+    /// calls priced, the report totalled from the per-node costs.
     pub cost_ns: u64,
 }
 
@@ -239,10 +245,11 @@ impl DaisyScheduler {
     /// from the normalized A variants): every non-BLAS loop nest contributes
     /// a `(embedding, recipe)` pair found by the evolutionary search.
     ///
-    /// The per-nest searches are independent, so they run on parallel worker
-    /// threads (each search evaluating its own candidates sequentially — the
-    /// outer fan-out already saturates the cores); entries are inserted in
-    /// deterministic program/nest order afterwards.
+    /// The per-nest searches are independent, so they are handed out over
+    /// up to [`DaisyConfig::parallelism`] threads (each search evaluating its
+    /// own candidates sequentially — the outer fan-out already saturates the
+    /// cores); entries are inserted in deterministic program/nest order
+    /// afterwards.
     pub fn seed_from_programs(&mut self, programs: &[Program]) {
         for entry in self.seed_entries(programs) {
             self.database.insert(entry);
@@ -529,36 +536,47 @@ impl DaisyScheduler {
     /// Schedules a program: normalization (if enabled), then per top-level
     /// nest idiom detection and transfer-tuned recipe application.
     ///
+    /// The normalized program is priced exactly once, in the `seed` phase,
+    /// and the per-node costs are kept: every transfer-tuning candidate is
+    /// then scored by the nest it rewrote (see
+    /// [`plan_node`](Self::plan_node)), and the merge splices the winners'
+    /// costs into that vector beside the nodes they replace, pricing only
+    /// replacement nodes and idiom calls. Decision-line estimates and the
+    /// final [`CostReport`] are sums over the vector in body order — the
+    /// order [`CostModel::estimate`] adds in — so nothing the outcome
+    /// carries depends on the program around a nest being re-priced.
+    ///
     /// After normalization the top-level nests are independent: idiom
     /// detection, database lookup, legality checks and candidate pricing for
     /// one nest never read another nest's scheduling decision. The per-nest
-    /// planning therefore fans out across
-    /// [`DaisyConfig::parallelism`] worker threads; the resulting plans are
-    /// merged back sequentially in nest order, so the returned
-    /// [`ScheduleOutcome`] is bit-identical at any parallelism level
-    /// (including warm-started runs against a persisted store).
+    /// planning therefore goes through the scheduler's one fan-out rule
+    /// (see [`DaisyConfig::parallelism`]); the resulting plans are merged
+    /// back sequentially in nest order, so the returned [`ScheduleOutcome`]
+    /// is bit-identical at any parallelism level (including warm-started
+    /// runs against a persisted store).
     pub fn schedule(&self, program: &Program) -> ScheduleOutcome {
         let _span = telemetry::span("schedule");
         let model = CostModel::new(self.config.machine.clone(), self.config.threads)
             .with_simulation_parallelism(self.config.simulation_parallelism)
             .with_cost_mode(self.config.cache_mode);
         let (normalized, normalize_ns) = telemetry::timed("normalize", || self.normalized(program));
-        // Whole-program baseline, priced once: candidates must beat it, and
-        // pricing it here also pre-populates the shared per-nest memo so the
-        // parallel planners do not redo it per worker.
-        let (baseline, seed_ns) = telemetry::timed("seed", || model.estimate(&normalized).seconds);
+        // The baseline, priced once: its total is what candidates must
+        // beat, its per-node costs are what they are scored against.
+        let (baseline, seed_ns) = telemetry::timed("seed", || model.estimate(&normalized));
 
-        // Phase 1: plan every top-level node independently, in parallel.
+        // Phase 1: plan every top-level node independently.
         let (plans, search_ns) = telemetry::timed("search", || {
             let indices: Vec<usize> = (0..normalized.body.len()).collect();
             crate::search::parallel_map_with(self.config.parallelism, &indices, |&i| {
-                self.plan_node(&normalized, i, &model, baseline)
+                self.plan_node(&normalized, i, &model, &baseline)
             })
         });
 
-        // Phase 2: deterministic merge in nest order. Recipes can change the
-        // number of top-level nodes, so track an explicit cursor.
+        // Phase 2: deterministic merge in nest order. `costs` stays aligned
+        // with `current.body`; recipes can change the number of top-level
+        // nodes, so track an explicit cursor.
         let mut current = normalized;
+        let mut costs = baseline.per_nest;
         let mut decisions = Vec::new();
         let (report, cost_ns) = telemetry::timed("cost", || {
             let mut index = 0usize;
@@ -567,7 +585,9 @@ impl DaisyScheduler {
                     NestPlan::Passthrough => index += 1,
                     NestPlan::Idiom(call) => {
                         decisions.push(format!("nest {index}: replaced with {call}"));
-                        current.body[index] = Node::Call(call);
+                        let node = Node::Call(call);
+                        costs[index] = model.node_cost(&current, &node);
+                        current.body[index] = node;
                         index += 1;
                     }
                     NestPlan::Recipe {
@@ -576,12 +596,15 @@ impl DaisyScheduler {
                         replacement,
                     } => {
                         let added = replacement.len();
+                        let priced: Vec<NestCost> = replacement
+                            .iter()
+                            .map(|node| model.node_cost(&current, node))
+                            .collect();
+                        costs.splice(index..=index, priced);
                         current.body.splice(index..=index, replacement);
-                        // Log the whole-program estimate *with earlier decisions
-                        // applied*, as the sequential walk always did. The merge
-                        // is sequential and the estimate memoized, so this stays
-                        // cheap and bit-identical at any parallelism.
-                        let seconds = model.estimate(&current).seconds;
+                        // The whole-program estimate *with earlier decisions
+                        // applied*, as a sequential walk would log it.
+                        let seconds = costs.iter().fold(0.0, |sum, cost| sum + cost.seconds);
                         decisions.push(format!(
                             "nest {index}: applied recipe from {source} ({recipe}), est. {seconds:.4}s"
                         ));
@@ -593,8 +616,11 @@ impl DaisyScheduler {
                     }
                 }
             }
-            model.estimate(&current)
+            CostReport::from_nests(costs)
         });
+        // Debug builds re-price the result whole (memo hits that release
+        // builds do not count): the spliced costs must total to exactly it.
+        debug_assert_eq!(report, model.estimate(&current));
         telemetry::counter("daisy.schedule.calls", 1);
         telemetry::counter("daisy.schedule.nests", current.body.len() as u64);
         ScheduleOutcome {
@@ -617,14 +643,23 @@ impl DaisyScheduler {
 
     /// Plans one top-level node of the normalized program. Pure per-nest
     /// work — everything it reads (`normalized`, the database, the memoized
-    /// cost model) is shared immutably — so plans can be computed on any
-    /// number of worker threads in any order without changing the result.
+    /// cost model, the baseline report) is shared immutably — so plans can
+    /// be computed on any number of worker threads in any order without
+    /// changing the result.
+    ///
+    /// What a candidate costs does not grow with the program around the
+    /// nest: the recipe rewrites *the nest alone*, candidates dedupe on the
+    /// rewrite's structural hash, and the search's [`ScoreContext`] scores
+    /// one as the baseline's prefix costs + the rewrite's nodes + the
+    /// suffix costs, in body order — bit-identical to pricing the
+    /// materialized candidate program. The winning rewrite travels in the
+    /// plan; nothing is applied twice.
     fn plan_node(
         &self,
         normalized: &Program,
         index: usize,
         model: &CostModel,
-        baseline: f64,
+        baseline: &CostReport,
     ) -> NestPlan {
         let Node::Loop(nest) = &normalized.body[index] else {
             return NestPlan::Passthrough;
@@ -644,49 +679,51 @@ impl DaisyScheduler {
         //    improves the cost wins. Neighbours whose retargeted
         //    recipes produce structurally identical candidates are
         //    priced once.
-        let mut best: Option<(f64, Recipe, String)> = None;
+        let mut best: Option<NestPlan> = None;
+        let mut best_seconds = baseline.seconds;
         if self.config.transfer_tuning && !self.database.is_empty() {
             let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
-            // Dependences of this nest, for the same semantic gate the
-            // seeding search applies (a recipe tuned on a structurally
-            // similar but differently-constrained nest must not smuggle
-            // in an illegal parallelization).
-            let graph = nest_scoped_graph(normalized, nest);
-            let consider = |entry: &DatabaseEntry,
-                            exact: bool,
-                            tried: &mut HashSet<u64>,
-                            best: &mut Option<(f64, Recipe, String)>| {
+            let context = ScoreContext {
+                program: normalized,
+                nest_index: index,
+                nest,
+                node_costs: &baseline.per_nest,
+                // Dependences of this nest, for the same semantic gate the
+                // seeding search applies (a recipe tuned on a structurally
+                // similar but differently-constrained nest must not smuggle
+                // in an illegal parallelization).
+                graph: &nest_scoped_graph(normalized, nest),
+            };
+            let mut tried: HashSet<u64> = HashSet::new();
+            let mut consider = |entry: &DatabaseEntry, exact: bool| {
                 let Some(recipe) = TuningDatabase::retarget(entry, &chain) else {
                     return;
                 };
-                if !recipe_is_semantically_legal(&graph, nest, &recipe) {
-                    return;
-                }
-                let Some(candidate) = apply_recipe_to_program(normalized, index, &recipe) else {
+                let Some(replacement) = context.rewrite(&recipe) else {
                     return;
                 };
-                if !tried.insert(candidate.structural_hash()) {
+                if !tried.insert(structural_hash_nodes(&replacement)) {
                     return;
                 }
-                let time = model.estimate(&candidate).seconds;
-                let better = match &*best {
-                    None => time < baseline,
-                    Some((t, _, _)) => time < *t,
-                };
-                if better {
+                let seconds = context.score_rewrite(&replacement, model);
+                if seconds < best_seconds {
                     let source = if exact {
                         format!("{} [exact]", entry.source)
                     } else {
                         entry.source.clone()
                     };
-                    *best = Some((time, recipe, source));
+                    best_seconds = seconds;
+                    best = Some(NestPlan::Recipe {
+                        recipe,
+                        source,
+                        replacement,
+                    });
                 }
             };
-            let mut tried: HashSet<u64> = HashSet::new();
             let key = nest_key(normalized, &normalized.body[index]);
             if let Some(entry) = self.database.lookup(key) {
                 telemetry::counter("daisy.plan.exact_hits", 1);
-                consider(entry, true, &mut tried, &mut best);
+                consider(entry, true);
             }
             // The exact match is a candidate, not a short-circuit: a
             // neighbour's recipe can still beat the recipe seeded on
@@ -696,23 +733,14 @@ impl DaisyScheduler {
             // from being priced twice.
             let embedding = PerformanceEmbedding::of_nest(normalized, nest);
             for entry in self.database.nearest(&embedding, self.config.neighbors) {
-                consider(entry, false, &mut tried, &mut best);
+                consider(entry, false);
             }
             telemetry::counter("daisy.plan.candidates_priced", tried.len() as u64);
         }
         match best {
-            Some((_, recipe, source)) => {
-                // The candidate applied during pricing, so it applies here.
-                let candidate = apply_recipe_to_program(normalized, index, &recipe)
-                    .expect("winning recipe applied during pricing");
-                let added = candidate.body.len() + 1 - normalized.body.len();
-                let replacement: Vec<Node> = candidate.body[index..index + added].to_vec();
+            Some(plan) => {
                 telemetry::counter("daisy.plan.recipes_applied", 1);
-                NestPlan::Recipe {
-                    recipe,
-                    source,
-                    replacement,
-                }
+                plan
             }
             None => {
                 telemetry::counter("daisy.plan.unoptimized", 1);

@@ -12,11 +12,22 @@
 //!
 //! Candidate evaluation — the dominant cost of the search — is incremental
 //! and staged so the expensive part runs as rarely and as concurrently as
-//! possible. The base program's per-node costs are priced once; a candidate
-//! then differs from the base only in the nest the recipe rewrote, so its
-//! score is the base costs with that one slot re-priced (summed in the same
-//! order as a full [`CostModel::estimate`], so scores are bit-identical to
-//! the naive path). Per candidate:
+//! possible.
+//!
+//! **One scorer.** The base program's per-node costs are priced once; a
+//! candidate then differs from the base only in the nest the recipe
+//! rewrote, so its score is the base costs with that one slot re-priced
+//! (summed in the same order as a full [`CostModel::estimate`], so scores
+//! are bit-identical to the naive path). That is `ScoreContext`: the
+//! semantic gate plus `Recipe::apply_to_nest` on *the nest alone*
+//! (`rewrite`), and prefix costs + the rewrite's nodes + suffix costs
+//! (`score_rewrite`). The search scores its generations through it, and so
+//! does the scheduler's transfer tuning (`DaisyScheduler::schedule` prices
+//! the normalized program once and hands every nest's database candidates
+//! to the same two methods) — what a candidate costs does not grow with the
+//! program around the nest, whoever asks.
+//!
+//! Per candidate of the search:
 //!
 //! 1. **Dedupe.** Recipes are fingerprinted; one identical to a recipe
 //!    already scored anywhere in this search reuses its score without even
@@ -35,11 +46,26 @@
 //! 3. **Batched costing.** The unique legal rewrites of a generation are
 //!    grouped by the rewrite's structural hash — distinct recipes that
 //!    converge on the same lowered rewrite share one pricing — and the
-//!    groups are priced on scoped worker threads (adaptively — tiny batches
-//!    stay on the calling thread), each worker sharing the model's memo
-//!    tables (per-nest costs and per-computation run summaries, so even
-//!    structurally distinct candidates that merely permute or re-annotate
-//!    outer loops re-price from cached run summaries).
+//!    groups are priced through `parallel_map_with`, each thread sharing
+//!    the model's memo tables (per-nest costs and per-computation run
+//!    summaries, so even structurally distinct candidates that merely
+//!    permute or re-annotate outer loops re-price from cached run
+//!    summaries).
+//!
+//! **One fan-out rule.** Every queue of independent work in this crate —
+//! the groups of a generation, the nests of a `schedule` call, the searches
+//! of a seeding — goes through `parallel_map_with`, and none of them decides
+//! for itself whether threads are worth it. The calling thread is worker 0:
+//! it drains the queue alone until a spawn-cost budget (a private constant,
+//! about 300 µs) has elapsed, and only if items remain does it spawn helpers
+//! and keep draining beside them. The rule has two bounds: never slower than
+//! the sequential loop by more than `workers - 1` spawns (paid only by a
+//! queue that already outlasted the budget), and never slower than spawning
+//! up front by more than the budget or one item, whichever is longer (the
+//! helpers' head start the caller worked through alone). Cheap queues — a
+//! generation of memoized rewrites, a `schedule` call on a program of a few
+//! small nests — never leave their caller; a seeding or a many-nest
+//! CLOUDSC plan fans out after its first item or two.
 //!
 //! Results are deterministic: mutation draws happen on the single-threaded
 //! RNG before evaluation, and scores are written back by candidate index.
@@ -52,16 +78,11 @@ use loop_ir::expr::Var;
 use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
-use machine::CostModel;
+use machine::{CostModel, NestCost};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use transforms::{perfect_chain, Recipe, Transform};
-
-/// Maps `f` over `items` on scoped worker threads, preserving order.
-pub(crate) fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    parallel_map_with(0, items, f)
-}
 
 /// The worker-thread count [`parallel_map_with`] actually uses for a
 /// request: `0` means "the machine decides"; any explicit request is clamped
@@ -70,9 +91,12 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + 
 /// machine made the PR 4 parallel scheduler ~0.84x of sequential, see
 /// `BENCH_PR4.json`) — and to the item count.
 pub(crate) fn effective_workers(requested: usize, items: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // Asked once per process: the answer costs a system call and a walk of
+    // the cgroup files (~10 µs), and this runs per queue — the rewrite
+    // groups of every generation, every `schedule` call.
+    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let available =
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let requested = if requested == 0 {
         available
     } else {
@@ -81,84 +105,107 @@ pub(crate) fn effective_workers(requested: usize, items: usize) -> usize {
     requested.min(items)
 }
 
-/// Maps `f` over `items` on `workers` scoped worker threads, preserving
-/// order. `workers == 0` uses the machine's available parallelism; `1` runs
-/// on the calling thread; larger requests are clamped by
-/// [`effective_workers`]. Results are written back by item index, so the
-/// output is independent of the worker count for any pure `f`.
+/// How long the calling thread drains a [`parallel_map_with`] queue alone
+/// before it pays for helper threads: about the cost of spawning and
+/// joining one scoped thread on the machines this runs on. A queue that
+/// empties within it — one `schedule` call on a small program, a generation
+/// of memoized rewrites — never spawns at all.
+const SPAWN_BUDGET: std::time::Duration = std::time::Duration::from_micros(300);
+
+/// Maps `f` over `items` on up to `workers` threads, preserving order.
+/// `workers == 0` uses the machine's available parallelism; `1` runs on the
+/// calling thread; larger requests are clamped by [`effective_workers`].
+/// Results are written back by item index, so the output is independent of
+/// the worker count for any pure `f`.
 ///
-/// A panic inside `f` is contained to the item that raised it: the worker
-/// catches it, leaves the slot empty, and keeps draining the queue, so one
-/// poisoned item can never take a whole seeding or scheduling fan-out down
-/// with it. Each poisoned item is then retried *sequentially* on the
-/// calling thread — a transient panic heals, and a deterministic one
-/// re-raises there with an intact single-threaded backtrace instead of a
-/// cross-thread join error.
+/// **The one fan-out rule.** The calling thread is worker 0: it starts
+/// draining the queue at once and, alone, until [`SPAWN_BUDGET`] has
+/// elapsed. Only if items remain then does it spawn helpers (at most
+/// `workers - 1`, and never more than there are items beyond its own next
+/// one) and keep draining beside them. Two bounds follow: a call is never
+/// slower than the sequential loop by more than `workers - 1` spawns, and
+/// never slower than spawning up front by more than the budget or one item,
+/// whichever is longer.
+///
+/// A panic inside `f` is contained to the item that raised it: whichever
+/// thread drained it catches it, leaves the slot empty, and keeps draining,
+/// so one poisoned item can never take a whole seeding or scheduling
+/// fan-out down with it. Each poisoned item is then retried once,
+/// *sequentially* on the calling thread — a transient panic heals, and a
+/// deterministic one re-raises there with an intact single-threaded
+/// backtrace instead of a cross-thread join error.
 pub(crate) fn parallel_map_with<T: Sync, R: Send>(
     workers: usize,
     items: &[T],
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
+    if items.is_empty() {
+        return Vec::new();
+    }
     let workers = effective_workers(workers, items.len());
-    if !items.is_empty() {
-        // Worker utilization: how many jobs a fan-out had, how many
-        // workers served it. The per-worker item distribution (histogram)
-        // is inherently racy — the counters are the deterministic part.
-        telemetry::counter("daisy.parallel.jobs", items.len() as u64);
-        telemetry::counter("daisy.parallel.workers", workers.max(1) as u64);
-    }
-    if workers <= 1 {
-        // Same containment contract as the threaded path: one caught
-        // attempt, then a bare retry that lets a persistent panic surface.
-        return items
-            .iter()
-            .map(|item| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)))
-                    .unwrap_or_else(|_| f(item))
-            })
-            .collect();
-    }
     let next = AtomicUsize::new(0);
+    // One contained attempt at the next queued item; `None` once the queue
+    // is empty, `Some((index, None))` when the item panicked.
+    let attempt_next = || {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let item = items.get(index)?;
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
+        Some((index, attempt.ok()))
+    };
     let mut results: Vec<Option<R>> = Vec::new();
     results.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= items.len() {
-                            return out;
-                        }
-                        let item = &items[index];
-                        let attempt =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
-                        if let Ok(value) = attempt {
-                            out.push((index, value));
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            // A worker body only exits by returning `out`; a join error
-            // would mean a panic escaped catch_unwind (an abort-on-unwind
-            // payload) — skip it and let the sequential retry decide.
-            let Ok(chunk) = handle.join() else { continue };
-            telemetry::histogram("daisy.parallel.worker_items", chunk.len() as u64);
-            for (index, value) in chunk {
-                results[index] = Some(value);
+
+    // Worker 0, alone: until the queue is empty or the budget is spent.
+    let start = std::time::Instant::now();
+    let mut own_items = 0u64;
+    while workers <= 1 || start.elapsed() < SPAWN_BUDGET {
+        let Some((index, value)) = attempt_next() else {
+            break;
+        };
+        results[index] = value;
+        own_items += 1;
+    }
+
+    let remaining = items.len().saturating_sub(next.load(Ordering::Relaxed));
+    let helpers = (workers - 1).min(remaining.saturating_sub(1));
+    let mut drained_by = 1u64;
+    if remaining > 0 {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..helpers)
+                .map(|_| scope.spawn(|| std::iter::from_fn(attempt_next).collect::<Vec<_>>()))
+                .collect();
+            while let Some((index, value)) = attempt_next() {
+                results[index] = value;
+                own_items += 1;
             }
-        }
-    });
+            for handle in handles {
+                // A helper only exits by returning its chunk; a join error
+                // would mean a panic escaped catch_unwind (an
+                // abort-on-unwind payload) — skip it and let the sequential
+                // retry decide.
+                let Ok(chunk) = handle.join() else { continue };
+                if chunk.is_empty() {
+                    continue;
+                }
+                drained_by += 1;
+                telemetry::histogram("daisy.parallel.worker_items", chunk.len() as u64);
+                for (index, value) in chunk {
+                    results[index] = value;
+                }
+            }
+        });
+    }
+    // Worker utilization. `jobs` is deterministic; whether a call fanned
+    // out, how many threads got to drain anything and how the items spread
+    // over them depend on timing.
+    telemetry::counter("daisy.parallel.jobs", items.len() as u64);
+    telemetry::counter("daisy.parallel.workers", drained_by);
+    telemetry::counter("daisy.parallel.fanouts", u64::from(helpers > 0));
+    telemetry::histogram("daisy.parallel.worker_items", own_items);
     items
         .iter()
         .zip(results)
-        .map(|(item, slot)| match slot {
-            Some(value) => value,
-            None => f(item),
-        })
+        .map(|(item, slot)| slot.unwrap_or_else(|| f(item)))
         .collect()
 }
 
@@ -263,15 +310,10 @@ impl EvolutionarySearch {
 
         // Per-node costs of the base program: candidates only ever rewrite
         // `nest_index`, so these are priced exactly once per search.
-        let node_costs: Vec<f64> = if self.reference_eval {
+        let node_costs = if self.reference_eval {
             Vec::new()
         } else {
-            model
-                .estimate(program)
-                .per_nest
-                .iter()
-                .map(|cost| cost.seconds)
-                .collect()
+            model.estimate(program).per_nest
         };
         let context = ScoreContext {
             program,
@@ -374,12 +416,7 @@ impl EvolutionarySearch {
         // score infinity without ever reaching the cost model.
         let rewrites: Vec<Option<Vec<Node>>> = jobs
             .iter()
-            .map(|(_, recipe)| {
-                if !recipe_is_semantically_legal(context.graph, context.nest, recipe) {
-                    return None;
-                }
-                recipe.apply_to_nest(context.nest).ok()
-            })
+            .map(|(_, recipe)| context.rewrite(recipe))
             .collect();
         telemetry::counter(
             "daisy.search.rejected_precost",
@@ -391,11 +428,9 @@ impl EvolutionarySearch {
         // generation routinely converge on the same rewrite (step
         // reorderings, annotation toggles that cancel), so group by the
         // rewrite's structural hash and price each group exactly once.
-        // Fan-out is adaptive: the first group is timed on the calling
-        // thread, and the rest go to worker threads only when the remaining
-        // work is long enough to amortize spawning them (cheap single-nest
-        // programs stay sequential; multi-nest programs like CLOUDSC fan
-        // out). Scores are identical at any fan-out.
+        // Whether the groups leave the calling thread is
+        // `parallel_map_with`'s one fan-out rule to decide. Scores are
+        // identical at any fan-out.
         let mut group_of: Vec<Option<usize>> = vec![None; jobs.len()];
         let mut groups: Vec<(u64, &Vec<Node>)> = Vec::new();
         for (index, rewrite) in rewrites.iter().enumerate() {
@@ -412,21 +447,8 @@ impl EvolutionarySearch {
         }
         telemetry::counter("daisy.search.rewrites_priced", groups.len() as u64);
         let price = |&(_, rewrite): &(u64, &Vec<Node>)| context.score_rewrite(rewrite, model);
-        let group_costs: Vec<f64> = if self.parallel && groups.len() > 1 {
-            let start = std::time::Instant::now();
-            let first = price(&groups[0]);
-            let elapsed = start.elapsed();
-            let remaining = &groups[1..];
-            let mut costs = vec![first];
-            if elapsed * remaining.len() as u32 > std::time::Duration::from_micros(500) {
-                costs.extend(parallel_map(remaining, price));
-            } else {
-                costs.extend(remaining.iter().map(price));
-            }
-            costs
-        } else {
-            groups.iter().map(price).collect()
-        };
+        let workers = if self.parallel { 0 } else { 1 };
+        let group_costs = parallel_map_with(workers, &groups, price);
         for ((key, _), group) in jobs.iter().zip(&group_of) {
             let cost = group.map_or(f64::INFINITY, |g| group_costs[g]);
             seen.insert(*key, cost);
@@ -706,33 +728,45 @@ fn recipe_fingerprint(recipe: &Recipe) -> u64 {
     hasher.finish()
 }
 
-/// Everything the incremental scorer needs about the program under search.
-struct ScoreContext<'a> {
-    program: &'a Program,
-    nest_index: usize,
+/// The one incremental scorer, shared by the evolutionary search and the
+/// scheduler's transfer tuning: a program whose per-node costs were priced
+/// once, and the one nest of it that candidates rewrite.
+pub(crate) struct ScoreContext<'a> {
+    pub(crate) program: &'a Program,
+    pub(crate) nest_index: usize,
     /// The nest being rewritten (`program.body[nest_index]`).
-    nest: &'a Loop,
-    /// Per-node seconds of the base program, aligned with `program.body`.
-    node_costs: &'a [f64],
+    pub(crate) nest: &'a Loop,
+    /// Per-node costs of the base program, aligned with `program.body`.
+    pub(crate) node_costs: &'a [NestCost],
     /// Dependences of `nest` in isolation, for the semantic legality gate.
-    graph: &'a DependenceGraph,
+    pub(crate) graph: &'a DependenceGraph,
 }
 
 impl ScoreContext<'_> {
+    /// The candidate that applies `recipe` to the nest, as the nodes that
+    /// replace it — `None` when the recipe fails the semantic legality gate
+    /// or does not apply. Structural only: no program clone, no pricing.
+    pub(crate) fn rewrite(&self, recipe: &Recipe) -> Option<Vec<Node>> {
+        if !recipe_is_semantically_legal(self.graph, self.nest, recipe) {
+            return None;
+        }
+        recipe.apply_to_nest(self.nest).ok()
+    }
+
     /// Whole-program seconds of the candidate that replaces the nest with
     /// `rewrite`. Summed node by node in body order — the exact order
     /// [`CostModel::estimate`] uses — so the result is bit-identical to
     /// pricing the materialized candidate program.
-    fn score_rewrite(&self, rewrite: &[Node], model: &CostModel) -> f64 {
+    pub(crate) fn score_rewrite(&self, rewrite: &[Node], model: &CostModel) -> f64 {
         let mut seconds = 0.0;
-        for &cost in &self.node_costs[..self.nest_index] {
-            seconds += cost;
+        for cost in &self.node_costs[..self.nest_index] {
+            seconds += cost.seconds;
         }
         for node in rewrite {
             seconds += model.node_cost(self.program, node).seconds;
         }
-        for &cost in &self.node_costs[self.nest_index + 1..] {
-            seconds += cost;
+        for cost in &self.node_costs[self.nest_index + 1..] {
+            seconds += cost.seconds;
         }
         seconds
     }
@@ -897,7 +931,7 @@ mod tests {
     /// Builds a scoring context over the program's only nest.
     fn context_of<'a>(
         p: &'a Program,
-        node_costs: &'a [f64],
+        node_costs: &'a [NestCost],
         graph: &'a DependenceGraph,
     ) -> ScoreContext<'a> {
         let Node::Loop(nest) = &p.body[0] else {
@@ -916,12 +950,7 @@ mod tests {
     fn illegal_recipes_are_rejected_without_costing() {
         let p = gemm(64);
         let model = CostModel::sequential();
-        let node_costs: Vec<f64> = model
-            .estimate(&p)
-            .per_nest
-            .iter()
-            .map(|c| c.seconds)
-            .collect();
+        let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
         let mut seen = HashMap::new();
         let graph = nest_scoped_graph(&p, p.loop_nests()[0]);
@@ -950,12 +979,7 @@ mod tests {
     fn duplicate_candidates_are_priced_once() {
         let p = gemm(64);
         let model = CostModel::sequential();
-        let node_costs: Vec<f64> = model
-            .estimate(&p)
-            .per_nest
-            .iter()
-            .map(|c| c.seconds)
-            .collect();
+        let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
         let mut seen = HashMap::new();
         let graph = nest_scoped_graph(&p, p.loop_nests()[0]);
@@ -1139,12 +1163,7 @@ mod tests {
         // The gate rejects before costing: the illegal candidate scores
         // infinity and leaves no memo entry.
         let model = CostModel::sequential();
-        let node_costs: Vec<f64> = model
-            .estimate(&p)
-            .per_nest
-            .iter()
-            .map(|c| c.seconds)
-            .collect();
+        let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
         let mut seen = HashMap::new();
         let batch = [par_i.clone()];
@@ -1198,46 +1217,110 @@ mod tests {
         assert!(recipe_is_semantically_legal(&graph, nest, &unknown));
     }
 
+    /// What the fan-out tests map over their items: `work` makes an item
+    /// outlast the spawn budget several times over, so the queue fans out
+    /// wherever there is more than one core; without it the whole queue
+    /// drains well inside the budget, on the calling thread.
+    fn item_cost(work: bool) {
+        if work {
+            std::thread::sleep(SPAWN_BUDGET * 4);
+        }
+    }
+
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..257).collect();
-        let doubled = parallel_map(&items, |&x| x * 2);
+        let doubled = parallel_map_with(0, &items, |&x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         let empty: Vec<usize> = Vec::new();
-        assert!(parallel_map(&empty, |&x: &usize| x).is_empty());
+        assert!(parallel_map_with(0, &empty, |&x: &usize| x).is_empty());
+        // And when the queue fans out.
+        let items: Vec<usize> = (0..24).collect();
+        let tripled = parallel_map_with(4, &items, |&x| {
+            item_cost(true);
+            x * 3
+        });
+        assert_eq!(tripled, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_queue_of_trivial_items_never_leaves_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..16).collect();
+        // The rule is a clock: a caller descheduled for the whole budget in
+        // the microsecond this queue takes would spawn. Not three times.
+        let stayed_home = (0..3).any(|_| {
+            parallel_map_with(4, &items, |_| std::thread::current().id())
+                .iter()
+                .all(|&id| id == caller)
+        });
+        assert!(stayed_home, "sub-budget queues must not fan out");
+    }
+
+    #[test]
+    fn a_queue_that_outlasts_the_budget_fans_out_beside_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..12).collect();
+        let ids = parallel_map_with(4, &items, |_| {
+            item_cost(true);
+            std::thread::current().id()
+        });
+        assert_eq!(ids[0], caller, "the caller is worker 0 and starts at once");
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let helped = ids.iter().any(|&id| id != caller);
+        assert_eq!(helped, available > 1, "helpers exactly when cores allow");
+        // One worker is one thread, whatever the items cost.
+        let ids = parallel_map_with(1, &items, |_| {
+            item_cost(true);
+            std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]
     fn parallel_map_contains_worker_panics_and_retries_sequentially() {
         use std::sync::atomic::AtomicUsize;
 
-        // Item 41 panics on its first (parallel) attempt only; the fan-out
-        // must survive, retry it on the calling thread, and still produce
-        // every result in order.
-        let attempts_on_41 = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..128).collect();
-        let results = parallel_map_with(4, &items, |&x| {
-            if x == 41 && attempts_on_41.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient failure on item {x}");
-            }
-            x * 3
-        });
-        assert_eq!(results, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        assert_eq!(attempts_on_41.load(Ordering::SeqCst), 2, "one retry");
+        // Item 41 panics on its first attempt only — drained by the caller
+        // (trivial items) or by whichever thread gets it (working items);
+        // the map must survive, retry it on the calling thread, and still
+        // produce every result in order.
+        let caller = std::thread::current().id();
+        for work in [false, true] {
+            let attempts_on_41 = AtomicUsize::new(0);
+            let retried_on = std::sync::Mutex::new(None);
+            let items: Vec<usize> = (0..if work { 48 } else { 128 }).collect();
+            let results = parallel_map_with(4, &items, |&x| {
+                item_cost(work);
+                if x == 41 {
+                    if attempts_on_41.fetch_add(1, Ordering::SeqCst) == 0 {
+                        panic!("transient failure on item {x}");
+                    }
+                    *retried_on.lock().unwrap() = Some(std::thread::current().id());
+                }
+                x * 3
+            });
+            assert_eq!(results, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+            assert_eq!(attempts_on_41.load(Ordering::SeqCst), 2, "one retry");
+            assert_eq!(*retried_on.lock().unwrap(), Some(caller));
+        }
     }
 
     #[test]
     fn parallel_map_repanics_deterministic_failures_on_the_caller() {
-        let items: Vec<usize> = (0..64).collect();
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map_with(4, &items, |&x| {
-                if x == 13 {
-                    panic!("deterministically poisoned item");
-                }
-                x
-            })
-        });
-        assert!(caught.is_err(), "a persistent panic must still surface");
+        for work in [false, true] {
+            let items: Vec<usize> = (0..32).collect();
+            let caught = std::panic::catch_unwind(|| {
+                parallel_map_with(4, &items, |&x| {
+                    item_cost(work);
+                    if x == 13 {
+                        panic!("deterministically poisoned item");
+                    }
+                    x
+                })
+            });
+            assert!(caught.is_err(), "a persistent panic must still surface");
+        }
     }
 
     #[test]
@@ -1271,12 +1354,7 @@ mod tests {
         // the base nest and the one rewritten nest.
         let p = gemm(64);
         let model = CostModel::sequential();
-        let node_costs: Vec<f64> = model
-            .estimate(&p)
-            .per_nest
-            .iter()
-            .map(|c| c.seconds)
-            .collect();
+        let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
         let mut seen = HashMap::new();
         let graph = nest_scoped_graph(&p, p.loop_nests()[0]);

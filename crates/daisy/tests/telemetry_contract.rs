@@ -155,3 +155,45 @@ fn counter_values_are_deterministic_across_identical_runs() {
         "decision counters must be stable across identical runs"
     );
 }
+
+#[test]
+fn fan_out_counters_tell_calls_that_spawned_from_calls_that_did_not() {
+    // One worker: every fan-out point is a sequential loop on the caller.
+    let sink = Arc::new(CollectingRecorder::default());
+    with_recorder(sink.clone(), || {
+        DaisyScheduler::new(config().with_parallelism(1)).schedule(&gemm(64));
+    });
+    assert_eq!(sink.counter_total("daisy.parallel.jobs"), 2, "two nests");
+    assert_eq!(sink.counter_total("daisy.parallel.workers"), 1);
+    assert_eq!(sink.counter_total("daisy.parallel.fanouts"), 0);
+
+    // Seeding runs one evolutionary search per nest, each of which outlasts
+    // the spawn budget many times over: with cores to spare the queue must
+    // fan out, and a helper must get to drain some of it. Every call counts
+    // its caller as a worker, so the helpers are what a seeding at the
+    // machine's parallelism reports beyond a sequential one.
+    let programs: Vec<Program> = (2..10).map(|n| gemm(32 * n)).collect();
+    let seed = |parallelism: usize| {
+        let sink = Arc::new(CollectingRecorder::default());
+        with_recorder(sink.clone(), || {
+            DaisyScheduler::new(config().with_parallelism(parallelism))
+                .seed_from_programs(&programs);
+        });
+        assert_eq!(sink.counter_total("daisy.seed.nests"), 16);
+        (
+            sink.counter_total("daisy.parallel.fanouts"),
+            sink.counter_total("daisy.parallel.workers"),
+        )
+    };
+    let (sequential_fanouts, callers) = seed(1);
+    assert_eq!(sequential_fanouts, 0);
+    let (fanouts, workers) = seed(0);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    if cores > 1 {
+        assert_eq!(fanouts, 1, "the seeding queue spawns, its searches do not");
+        let helpers = workers - callers;
+        assert!((1..cores).contains(&helpers), "{helpers} helpers");
+    } else {
+        assert_eq!((fanouts, workers), (0, callers));
+    }
+}

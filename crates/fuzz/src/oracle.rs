@@ -32,7 +32,10 @@
 //! * **schedule** — the daisy scheduler driven headlessly: outcomes are
 //!   bit-identical across scheduler parallelism levels and across a
 //!   cold-vs-warm (persist + warm-start) round trip, and the scheduled
-//!   program still validates and executes differentially.
+//!   program still validates and computes what the original computes — with
+//!   transfer tuning on, against a database seeded from a few generated
+//!   siblings (recipes transferred from other nests) and then from the case
+//!   itself too (recipes searched for these very nests).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,6 +49,8 @@ use machine::{
     Interpreter, MachineConfig, ShardPlan, TraceEntry,
 };
 use normalize::Normalizer;
+
+use crate::gen::{generate, GenConfig};
 
 /// Names of all oracles, in the order [`check_all`] runs them.
 pub const ORACLES: [&str; 7] = [
@@ -540,42 +545,77 @@ fn semantics_match(
     }
 }
 
-/// Headless scheduling config: tuning enabled against an in-memory database
-/// seeded from the case itself, on the tiny machine so cost-model cache
-/// simulations stay cheap.
+/// Headless scheduling config: transfer tuning enabled (the database is
+/// seeded per case, see [`schedule_oracle`]), on the tiny machine so
+/// cost-model cache simulations stay cheap.
 fn daisy_config() -> DaisyConfig {
     DaisyConfig {
         normalize: true,
-        transfer_tuning: false,
+        transfer_tuning: true,
         idiom_detection: true,
         threads: 4,
         machine: MachineConfig::tiny_for_tests(),
-        neighbors: 1,
+        neighbors: 3,
         parallelism: 1,
         simulation_parallelism: 1,
         cache_mode: machine::CostMode::Exact,
     }
 }
 
+/// Sibling programs the schedule oracle's database is seeded from before
+/// the case itself.
+const SIBLINGS: u64 = 3;
+
+/// A scheduler whose in-memory database is seeded from a few generated
+/// siblings of the case. An oracle sees only the program — a corpus replay
+/// or a shrunk candidate has no generator seed — so the siblings' seeds
+/// derive from its structural hash: deterministic per program, different
+/// across cases.
+fn sibling_seeded_scheduler(program: &Program) -> DaisyScheduler {
+    let seed = program.structural_hash();
+    let siblings: Vec<Program> = (1..=SIBLINGS)
+        .map(|k| generate(seed.wrapping_add(k), &GenConfig::default()))
+        .collect();
+    let mut scheduler = DaisyScheduler::new(daisy_config());
+    scheduler.seed_from_programs(&siblings);
+    scheduler
+}
+
+/// A scheduled program must validate and compute what the original does.
+fn check_scheduled(
+    program: &Program,
+    outcome: &daisy::ScheduleOutcome,
+    what: &str,
+) -> std::result::Result<(), String> {
+    outcome
+        .program
+        .validate()
+        .map_err(|e| format!("{what} produces an invalid program: {e}"))?;
+    semantics_match(program, &outcome.program, what)
+}
+
 fn schedule_oracle(program: &Program) -> std::result::Result<(), String> {
+    // Transferred: against the siblings alone every recipe that wins was
+    // tuned on *another* nest and retargeted by the k-NN scan.
+    let mut sequential = sibling_seeded_scheduler(program);
+    let transferred = sequential.schedule(program);
+    check_scheduled(program, &transferred, "transfer-tuned scheduling")?;
+    // Searched: with the case's own nests seeded too, every nest has an
+    // exact-match entry holding the recipe the evolutionary search found
+    // for it — which then wins or ties.
+    sequential.seed_from_programs(std::slice::from_ref(program));
     // Parallelism must never change the outcome (the documented contract of
     // DaisyConfig::parallelism).
-    let sequential = DaisyScheduler::new(daisy_config());
-    let cold = sequential.schedule(program);
-    let mut parallel = DaisyScheduler::new(daisy_config());
+    let mut parallel = sequential.clone();
     parallel.set_parallelism(4);
+    let cold = sequential.schedule(program);
     let wide = parallel.schedule(program);
     if cold != wide {
         return Err("ScheduleOutcome diverges between scheduler parallelism 1 and 4".to_string());
     }
-    cold.program
-        .validate()
-        .map_err(|e| format!("scheduled program is invalid: {e}"))?;
-    // Scheduling must not change what the program computes.
-    semantics_match(program, &cold.program, "scheduling")?;
-    // Cold-vs-warm: persisting the (possibly empty) database and warm
-    // starting a fresh scheduler from it must reproduce the outcome
-    // bit-identically.
+    check_scheduled(program, &cold, "scheduling")?;
+    // Cold-vs-warm: persisting the seeded database and warm starting a
+    // fresh scheduler from it must reproduce the outcome bit-identically.
     // The sequence number keeps concurrent checks of one program (parallel
     // tests replaying the same seed) out of each other's directory.
     static SEQUENCE: AtomicU64 = AtomicU64::new(0);
@@ -610,7 +650,6 @@ fn schedule_oracle(program: &Program) -> std::result::Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate, GenConfig};
 
     #[test]
     fn generated_programs_pass_every_oracle() {
@@ -628,6 +667,32 @@ mod tests {
                 loop_ir::printer::print_program(&p)
             );
         }
+    }
+
+    #[test]
+    fn the_schedule_oracle_schedules_through_transfer_tuning() {
+        // Both databases under the oracle must lead somewhere: siblings'
+        // recipes that win on the case's nests, and exact hits once the
+        // case's own nests are seeded.
+        let config = GenConfig::default();
+        let (mut transferred, mut exact) = (0, 0);
+        for seed in 0..16 {
+            let p = generate(seed, &config);
+            let applied = |scheduler: &DaisyScheduler, what: &str| {
+                let outcome = scheduler.schedule(&p);
+                outcome
+                    .decisions
+                    .iter()
+                    .filter(|d| d.contains(what))
+                    .count()
+            };
+            let mut scheduler = sibling_seeded_scheduler(&p);
+            transferred += applied(&scheduler, "applied recipe from");
+            scheduler.seed_from_programs(std::slice::from_ref(&p));
+            exact += applied(&scheduler, "[exact]");
+        }
+        assert!(transferred > 0, "no sibling recipe ever won");
+        assert!(exact > 0, "no exact match ever won");
     }
 
     #[test]

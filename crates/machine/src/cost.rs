@@ -164,6 +164,24 @@ pub struct CostReport {
 }
 
 impl CostReport {
+    /// The report of a program whose top-level nodes cost `per_nest`, in
+    /// body order. Totals are accumulated front to back from zero — *the*
+    /// summation order of a report: callers that keep per-node costs and
+    /// re-total them get bit-identical `f64`s to
+    /// [`CostModel::estimate`] on the materialized program.
+    pub fn from_nests(per_nest: Vec<NestCost>) -> Self {
+        let mut report = CostReport {
+            per_nest,
+            ..CostReport::default()
+        };
+        for cost in &report.per_nest {
+            report.seconds += cost.seconds;
+            report.flops += cost.flops;
+            report.dram_bytes += cost.dram_bytes;
+        }
+        report
+    }
+
     /// Achieved FLOP/s under the model.
     pub fn flops_per_second(&self) -> f64 {
         if self.seconds > 0.0 {
@@ -535,15 +553,12 @@ impl CostModel {
     /// Estimates the execution cost of a program.
     pub fn estimate(&self, program: &Program) -> CostReport {
         let env = self.memo.as_ref().map(|_| program.environment_hash());
-        let mut report = CostReport::default();
-        for node in &program.body {
-            let cost = self.node_cost_with_env(program, node, env);
-            report.seconds += cost.seconds;
-            report.flops += cost.flops;
-            report.dram_bytes += cost.dram_bytes;
-            report.per_nest.push(cost);
-        }
-        report
+        let per_nest = program
+            .body
+            .iter()
+            .map(|node| self.node_cost_with_env(program, node, env))
+            .collect();
+        CostReport::from_nests(per_nest)
     }
 
     /// Cost of a single top-level node under the program's environment
