@@ -5,7 +5,6 @@
 //! ```text
 //! reproduce [--smoke] [--store DIR] [--warm] [--verify] [--only LIST] [--list]
 //!           [--verbose] [--profile OUT.json] [--sim-workers N]
-//!           [--cache-mode exact|analytic|auto]
 //!
 //!   --smoke       tiny problem sizes (Dataset::Mini, CloudscSizes::mini());
 //!                 the CI configuration, finishes in seconds
@@ -14,15 +13,6 @@
 //!                 the trace figures (N >= 1; default: the machine's
 //!                 available parallelism); counters are bit-identical at
 //!                 any value, so this only changes wall clock
-//!   --cache-mode M
-//!                 which cache-costing tier backs the run (default: exact).
-//!                 `exact` simulates every trace-backed column; `analytic`
-//!                 replaces them with the bounded-error estimator (orders
-//!                 of magnitude faster, error bound reported by the
-//!                 machine crate); `auto` prices searches analytically but
-//!                 keeps every reported figure exact. Schedule choices are
-//!                 identical in all three modes (daisy ranks by the
-//!                 roofline model)
 //!   --verbose     print the per-phase wall clock (normalize / seed /
 //!                 search / cost) of every schedule the figures run
 //!   --profile F   record a telemetry profile of the whole run — spans,
@@ -49,12 +39,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use machine::CostMode;
-
 use bench::figures::{
     fig11_cloudsc_full, fig12_cloudsc_scaling, fig1_gemm_variants, fig6_autoschedulers,
     fig7_ablation, fig9_python_frameworks, table1_cloudsc_erosion, verify_cold_warm,
-    verify_scheduler_against_store, ReproContext, ReproOptions, ScalingMode,
+    verify_scheduler_against_store, ReproContext, ReproOptions,
 };
 
 /// The reproduction targets, in paper order.
@@ -86,14 +74,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--profile" => {
                 let path = args.next().ok_or("--profile needs an output path")?;
                 profile = Some(PathBuf::from(path));
-            }
-            "--cache-mode" => {
-                let mode = args
-                    .next()
-                    .ok_or("--cache-mode needs a mode (exact, analytic or auto)")?;
-                options.cache_mode = CostMode::parse(&mode).ok_or_else(|| {
-                    format!("--cache-mode needs one of exact, analytic or auto, got {mode:?}")
-                })?;
             }
             "--sim-workers" => {
                 let n = args.next().ok_or("--sim-workers needs a worker count")?;
@@ -185,7 +165,6 @@ fn run_figures(args: &Args) -> ExitCode {
     };
 
     let start = Instant::now();
-    println!("cache mode: {}", args.options.cache_mode.as_str());
     let mut ctx = ReproContext::new(args.options.clone());
     for name in FIGURES {
         if !selected(name) {
@@ -199,7 +178,7 @@ fn run_figures(args: &Args) -> ExitCode {
             "fig7" => fig7_ablation(&mut ctx),
             "fig9" => fig9_python_frameworks(&mut ctx),
             "fig11" => fig11_cloudsc_full(&ctx),
-            "fig12" => fig12_cloudsc_scaling(&ctx, ScalingMode::Both),
+            "fig12" => fig12_cloudsc_scaling(&ctx),
             _ => unreachable!("FIGURES and the dispatch table are in sync"),
         }
     }

@@ -1,5 +1,5 @@
-//! The figure/table harnesses as library functions, shared between the
-//! per-figure binaries and the unified `reproduce` driver.
+//! The figure/table harnesses as library functions, driven by the
+//! `reproduce` binary (`reproduce --only <figure>` for a single one).
 //!
 //! Every function regenerates one figure or table of the paper. The ones
 //! that need a transfer-tuning database pull their scheduler from a
@@ -11,6 +11,7 @@
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use baselines::{
@@ -19,7 +20,7 @@ use baselines::{
 use daisy::{DaisyConfig, DaisyScheduler, ScheduleOutcome};
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
-use machine::{effective_sim_workers, CacheAssessment, CostMode, CostModel, MachineConfig};
+use machine::{effective_sim_workers, CostModel, MachineConfig, ShardedCacheStats};
 use normalize::Normalizer;
 use polybench::cloudsc::{
     erosion_optimized, erosion_original, erosion_single_level, full_model, CloudscSizes,
@@ -88,12 +89,6 @@ pub struct ReproOptions {
     /// parallelism. Sharded counters are bit-identical at any value, so
     /// this only changes wall clock, never figures.
     pub sim_workers: usize,
-    /// Which cache-costing tier backs the run (`--cache-mode`): the exact
-    /// simulator, the bounded-error analytic estimator, or `Auto` (analytic
-    /// while searching, exact for every reported figure). Schedule choices
-    /// are identical in all three — daisy ranks by the roofline model — so
-    /// the knob only changes how trace-backed columns are produced.
-    pub cache_mode: CostMode,
 }
 
 /// Prints one schedule's per-phase wall clock when `--verbose` is on.
@@ -170,14 +165,13 @@ impl ReproContext {
     }
 
     /// The cost model behind every trace-backed column of the run: the
-    /// paper's machine at the run's `--cache-mode` and `--sim-workers`.
+    /// paper's machine at the run's `--sim-workers`.
     /// One model for the whole run, so a trace two figures both need
     /// (Fig. 11's daisy row and Fig. 12b's schedule point) is simulated
     /// once and answered from the model's simulation memo afterwards.
     pub fn trace_model(&self) -> &CostModel {
         self.trace_model.get_or_init(|| {
             CostModel::new(MachineConfig::xeon_e5_2680v3(), 1)
-                .with_cost_mode(self.options.cache_mode)
                 .with_simulation_parallelism(self.options.sim_workers)
         })
     }
@@ -227,20 +221,12 @@ impl ReproContext {
         &self.schedulers[&kind]
     }
 
-    /// The scheduler configuration for a kind under this run's options:
-    /// the kind's config with the run's cache-costing tier applied. The
-    /// tier is excluded from the store fingerprint (it cannot change
-    /// schedules), so stores stay interchangeable across modes.
-    fn config_for(&self, kind: SchedulerKind) -> daisy::DaisyConfig {
-        kind.config().with_cache_mode(self.options.cache_mode)
-    }
-
     fn build(&self, kind: SchedulerKind) -> (DaisyScheduler, SeedingEvent) {
         let store = self.store_path(kind);
         if self.options.warm {
             if let Some(path) = &store {
                 let start = Instant::now();
-                let mut scheduler = DaisyScheduler::new(self.config_for(kind));
+                let mut scheduler = DaisyScheduler::new(kind.config());
                 match scheduler.warm_start(path) {
                     Ok(entries) => {
                         let event = SeedingEvent {
@@ -260,7 +246,7 @@ impl ReproContext {
             }
         }
         let start = Instant::now();
-        let scheduler = daisy_seeded_from_a_variants(self.dataset(), self.config_for(kind));
+        let scheduler = daisy_seeded_from_a_variants(self.dataset(), kind.config());
         let seconds = start.elapsed().as_secs_f64();
         if let Some(path) = &store {
             if let Err(e) = scheduler.persist(path) {
@@ -590,16 +576,15 @@ pub fn fig9_python_frameworks(ctx: &mut ReproContext) {
 // --------------------------------------------------------------------------
 
 /// The daisy CLOUDSC version: the DaCe structure normalized and
-/// producer-consumer fused (§5.1) — the single definition shared by the
-/// figure harnesses and the bench snapshots.
-pub fn daisy_full_model(sizes: CloudscSizes) -> Program {
+/// producer-consumer fused (§5.1).
+fn daisy_full_model(sizes: CloudscSizes) -> Program {
     let dace = full_model(CloudscVariant::Dace, sizes);
     let normalized = Normalizer::new().run(&dace).expect("normalizes").program;
     fuse_producer_consumers(&normalized)
 }
 
 /// The four CLOUDSC proxy versions at the given sizes: Fortran, C, DaCe and
-/// daisy ([`daisy_full_model`]).
+/// daisy (`daisy_full_model`).
 pub fn cloudsc_versions(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
     vec![
         ("Fortran", full_model(CloudscVariant::Fortran, sizes)),
@@ -664,15 +649,15 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
         .trace_versions()
         .iter()
         .map(|(name, p)| {
-            let t = simulate_trace(name, p, ctx.trace_model());
-            sharding = (t.shards, t.classes);
+            let (stats, seconds) = simulate_trace(name, p, ctx.trace_model());
+            sharding = (stats.shards(), stats.classes());
             vec![
                 name.to_string(),
-                t.accesses.to_string(),
-                format!("{:.1}", t.seconds * 1e3),
-                format!("{:.0}", t.accesses as f64 / t.seconds / 1e6),
-                format!("{:.1}%", 100.0 * t.l1_hit_rate),
-                t.l1_loads.to_string(),
+                stats.accesses().to_string(),
+                format!("{:.1}", seconds * 1e3),
+                format!("{:.0}", stats.accesses() as f64 / seconds / 1e6),
+                format!("{:.1}%", 100.0 * stats.l1().hit_rate()),
+                stats.l1().loads.to_string(),
             ]
         })
         .collect();
@@ -699,40 +684,20 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
 /// NPROMA/KLEV) — sustained by the block-sharded parallel simulator.
 pub const FULL_TRACE_NBLOCKS: i64 = 4096;
 
-/// One trace simulation of a figure workload.
-struct TraceStats {
-    accesses: u64,
-    seconds: f64,
-    l1_hit_rate: f64,
-    l1_loads: u64,
-    shards: usize,
-    classes: usize,
-}
-
-/// Produces one figure workload's trace-backed counters through
-/// [`CostModel::assess_cache`] at the run's `--cache-mode`. Under the
-/// exact tier (and `Auto` — reported figures are final validation) this
-/// streams the access trace through the sharded cache driver, whose
-/// counters are bit-identical at any `sim_workers` value. Under
-/// `--cache-mode analytic` the counters come from the bounded-error
-/// estimator instead and `shards` / `classes` are 0 (nothing is simulated).
-fn simulate_trace(name: &str, program: &Program, model: &CostModel) -> TraceStats {
+/// One figure workload's trace-backed counters and the wall-clock seconds
+/// they took: its access trace streamed through the sharded cache driver
+/// ([`CostModel::simulated_cache`]), whose counters are bit-identical at
+/// any `sim_workers` value.
+fn simulate_trace(
+    name: &str,
+    program: &Program,
+    model: &CostModel,
+) -> (Arc<ShardedCacheStats>, f64) {
     let start = Instant::now();
-    let assessment = model
-        .assess_cache(program, true)
+    let stats = model
+        .simulated_cache(program)
         .unwrap_or_else(|e| panic!("{name}: trace fails: {e}"));
-    let (shards, classes) = match &assessment {
-        CacheAssessment::Exact(stats) => (stats.shards(), stats.classes()),
-        CacheAssessment::Analytic(_) => (0, 0),
-    };
-    TraceStats {
-        accesses: assessment.accesses(),
-        seconds: start.elapsed().as_secs_f64().max(1e-9),
-        l1_hit_rate: assessment.l1().hit_rate(),
-        l1_loads: assessment.l1().loads,
-        shards,
-        classes,
-    }
+    (stats, start.elapsed().as_secs_f64().max(1e-9))
 }
 
 /// Prints the sharding configuration of a trace-backed figure section:
@@ -752,105 +717,91 @@ fn print_trace_sharding(label: &str, ctx: &ReproContext, (shards, classes): (usi
 // Figure 12
 // --------------------------------------------------------------------------
 
-/// Which half of Figure 12 to produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalingMode {
-    /// Fixed workload, 1-12 threads (Fig. 12a).
-    Strong,
-    /// Workload grows with the thread count (Fig. 12b).
-    Weak,
-    /// Both halves.
-    Both,
-}
-
 /// Figure 12: strong scaling (fixed workload, 1-12 threads) and weak
 /// scaling (workload grows with the thread count) of the CLOUDSC proxy for
 /// the Fortran, C, DaCe and daisy versions.
-pub fn fig12_cloudsc_scaling(ctx: &ReproContext, mode: ScalingMode) {
-    if matches!(mode, ScalingMode::Strong | ScalingMode::Both) {
-        let programs = cloudsc_versions(ctx.sizes());
-        let mut rows = Vec::new();
-        for threads in [1usize, 2, 4, 6, 8, 10, 12] {
-            let model = paper_machine_model(threads);
-            let times: Vec<f64> = programs
-                .iter()
-                .map(|(_, p)| model.estimate(p).seconds)
-                .collect();
-            let gain = 100.0 * (times[0] - times[3]) / times[0];
-            rows.push(vec![
-                threads.to_string(),
-                format!("{:.3}", times[0]),
-                format!("{:.3}", times[1]),
-                format!("{:.3}", times[2]),
-                format!("{:.3}", times[3]),
-                format!("{gain:.2}%"),
-            ]);
-        }
-        print_table(
-            "Figure 12a: strong scaling (seconds per run)",
-            &[
-                "threads",
-                "Fortran",
-                "C",
-                "DaCe",
-                "daisy",
-                "daisy vs Fortran",
-            ],
-            &rows,
-        );
+pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
+    let programs = cloudsc_versions(ctx.sizes());
+    let mut rows = Vec::new();
+    for threads in [1usize, 2, 4, 6, 8, 10, 12] {
+        let model = paper_machine_model(threads);
+        let times: Vec<f64> = programs
+            .iter()
+            .map(|(_, p)| model.estimate(p).seconds)
+            .collect();
+        let gain = 100.0 * (times[0] - times[3]) / times[0];
+        rows.push(vec![
+            threads.to_string(),
+            format!("{:.3}", times[0]),
+            format!("{:.3}", times[1]),
+            format!("{:.3}", times[2]),
+            format!("{:.3}", times[3]),
+            format!("{gain:.2}%"),
+        ]);
     }
-    if matches!(mode, ScalingMode::Weak | ScalingMode::Both) {
-        // The weak-scaling workload list; a smoke run shrinks the column
-        // counts 64x so the whole figure stays CI-sized.
-        let scale = if ctx.options().smoke { 64 } else { 1 };
-        let mut rows = Vec::new();
-        for (columns, threads) in [(65536i64, 1usize), (131072, 2), (262144, 4), (524288, 8)] {
-            let sizes = CloudscSizes::with_columns(columns / scale);
-            let programs = cloudsc_versions(sizes);
-            let model = paper_machine_model(threads);
-            let times: Vec<f64> = programs
-                .iter()
-                .map(|(_, p)| model.estimate(p).seconds)
-                .collect();
-            let gain = 100.0 * (times[0] - times[3]) / times[0];
-            rows.push(vec![
-                format!("{} / {threads}", columns / scale),
-                format!("{:.3}", times[0]),
-                format!("{:.3}", times[1]),
-                format!("{:.3}", times[2]),
-                format!("{:.3}", times[3]),
-                format!("{gain:.2}%"),
-            ]);
-        }
-        print_table(
-            "Figure 12b: weak scaling (seconds per run)",
-            &[
-                "columns/threads",
-                "Fortran",
-                "C",
-                "DaCe",
-                "daisy",
-                "daisy vs Fortran",
-            ],
-            &rows,
-        );
-        // The weak-scaling points only grow the block count and blocks are
-        // independent, so one sharded simulation at the full schedule-point
-        // block count stands for every row's exact per-block access stream.
-        // Fig. 11 simulated this very trace on the same model, so after
-        // it this answers from the model's simulation memo.
-        let (name, daisy) = &ctx.trace_versions()[3];
-        let trace = simulate_trace(name, daisy, ctx.trace_model());
-        println!(
-            "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses simulated in {:.1} ms ({:.0} Macc/s), L1 hit rate {:.1}%",
-            ctx.trace_sizes().nblocks,
-            trace.accesses,
-            trace.seconds * 1e3,
-            trace.accesses as f64 / trace.seconds / 1e6,
-            100.0 * trace.l1_hit_rate
-        );
-        print_trace_sharding("trace sharding", ctx, (trace.shards, trace.classes));
+    print_table(
+        "Figure 12a: strong scaling (seconds per run)",
+        &[
+            "threads",
+            "Fortran",
+            "C",
+            "DaCe",
+            "daisy",
+            "daisy vs Fortran",
+        ],
+        &rows,
+    );
+
+    // The weak-scaling workload list; a smoke run shrinks the column
+    // counts 64x so the whole figure stays CI-sized.
+    let scale = if ctx.options().smoke { 64 } else { 1 };
+    let mut rows = Vec::new();
+    for (columns, threads) in [(65536i64, 1usize), (131072, 2), (262144, 4), (524288, 8)] {
+        let sizes = CloudscSizes::with_columns(columns / scale);
+        let programs = cloudsc_versions(sizes);
+        let model = paper_machine_model(threads);
+        let times: Vec<f64> = programs
+            .iter()
+            .map(|(_, p)| model.estimate(p).seconds)
+            .collect();
+        let gain = 100.0 * (times[0] - times[3]) / times[0];
+        rows.push(vec![
+            format!("{} / {threads}", columns / scale),
+            format!("{:.3}", times[0]),
+            format!("{:.3}", times[1]),
+            format!("{:.3}", times[2]),
+            format!("{:.3}", times[3]),
+            format!("{gain:.2}%"),
+        ]);
     }
+    print_table(
+        "Figure 12b: weak scaling (seconds per run)",
+        &[
+            "columns/threads",
+            "Fortran",
+            "C",
+            "DaCe",
+            "daisy",
+            "daisy vs Fortran",
+        ],
+        &rows,
+    );
+    // The weak-scaling points only grow the block count and blocks are
+    // independent, so one sharded simulation at the full schedule-point
+    // block count stands for every row's exact per-block access stream.
+    // Fig. 11 simulated this very trace on the same model, so after
+    // it this answers from the model's simulation memo.
+    let (name, daisy) = &ctx.trace_versions()[3];
+    let (trace, seconds) = simulate_trace(name, daisy, ctx.trace_model());
+    println!(
+        "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses simulated in {:.1} ms ({:.0} Macc/s), L1 hit rate {:.1}%",
+        ctx.trace_sizes().nblocks,
+        trace.accesses(),
+        seconds * 1e3,
+        trace.accesses() as f64 / seconds / 1e6,
+        100.0 * trace.l1().hit_rate()
+    );
+    print_trace_sharding("trace sharding", ctx, (trace.shards(), trace.classes()));
 }
 
 // --------------------------------------------------------------------------
@@ -890,12 +841,10 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
     // The single-level nests have a one-trip top-level loop, so the sharded
     // driver runs them as one covering shard: counters exactly match the
     // monolithic simulation at any worker count.
-    // `(l1_loads, l1_evicts, accesses)` per nest — exactly simulated under
-    // the exact tier and `Auto` (table rows are final validation), estimated
-    // with bounded error under `--cache-mode analytic`.
+    // `(l1_loads, l1_evicts, accesses)` per nest.
     let cache = |p: &Program| -> (u64, u64, u64) {
-        let a = ctx.trace_model().assess_cache(p, true).expect("trace runs");
-        (a.l1().loads, a.l1().evicts, a.accesses())
+        let stats = ctx.trace_model().simulated_cache(p).expect("trace runs");
+        (stats.l1().loads, stats.l1().evicts, stats.accesses())
     };
     let orig_cache = cache(&original_single);
     let opt_cache = cache(&optimized_single);
@@ -995,8 +944,8 @@ pub fn verify_cold_warm(
 }
 
 /// Like [`verify_cold_warm`], but against an already cold-seeded scheduler
-/// — for callers (such as `bench_pr3`) that just paid for seeding and must
-/// not pay again.
+/// — for callers (a cold `reproduce --verify` run) that just paid for
+/// seeding and must not pay again.
 ///
 /// # Errors
 /// A message when the store directory is missing from the options or the

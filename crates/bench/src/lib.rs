@@ -1,11 +1,11 @@
-//! Shared harness utilities for the figure/table binaries.
+//! The figure/table harnesses of the reproduction and their shared utilities.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the paper
-//! (see DESIGN.md for the index) by building the corresponding workloads from
-//! the `polybench` crate, scheduling them with daisy and the baselines, and
-//! printing the same rows/series the paper reports. Absolute numbers come
-//! from the analytical machine model, so only the *shape* (ratios, ordering,
-//! crossovers) is comparable with the paper.
+//! Every function in [`figures`] regenerates one figure or table of the
+//! paper (`reproduce --only <name>` runs one, `reproduce` all) by building
+//! the corresponding workloads from the `polybench` crate, scheduling them
+//! with daisy and the baselines, and printing the same rows/series the paper
+//! reports. Absolute numbers come from the analytical machine model, so only
+//! the *shape* (ratios, ordering, crossovers) is comparable with the paper.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

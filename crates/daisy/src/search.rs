@@ -88,8 +88,9 @@ use transforms::{perfect_chain, Recipe, Transform};
 /// request: `0` means "the machine decides"; any explicit request is clamped
 /// to [`std::thread::available_parallelism`] — oversubscribing cores only
 /// adds spawn and scheduling overhead (a 12-worker request on a 1-core
-/// machine made the PR 4 parallel scheduler ~0.84x of sequential, see
-/// `BENCH_PR4.json`) — and to the item count.
+/// machine made the PR 4 parallel scheduler ~0.84x of sequential; the
+/// benchmark tracks it as `daisy.scheduler.parallel_speedup`) — and to the
+/// item count.
 pub(crate) fn effective_workers(requested: usize, items: usize) -> usize {
     // Asked once per process: the answer costs a system call and a walk of
     // the cgroup files (~10 µs), and this runs per queue — the rewrite
@@ -272,8 +273,8 @@ impl EvolutionarySearch {
 
     /// Switches candidate scoring to the pre-refactor path: every candidate
     /// program is materialized and fully re-priced, sequentially, with no
-    /// dedupe. Kept as the baseline the benches measure the overhauled
-    /// pipeline against; finds identical recipes and scores.
+    /// dedupe. Kept as the reference the overhauled pipeline is tested
+    /// against; finds identical recipes and scores.
     pub fn reference_evaluation(mut self) -> Self {
         self.reference_eval = true;
         self
@@ -1325,9 +1326,9 @@ mod tests {
 
     #[test]
     fn requested_workers_clamp_to_available_parallelism() {
-        // Regression for the BENCH_PR4 observation: an explicit 12-worker
-        // request on a 1-core machine oversubscribed the scheduler to 0.84x
-        // of sequential. Requests must never exceed the machine.
+        // Regression for a PR 4 observation: an explicit 12-worker request
+        // on a 1-core machine oversubscribed the scheduler to 0.84x of
+        // sequential. Requests must never exceed the machine.
         let available = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);

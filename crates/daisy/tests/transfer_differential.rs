@@ -21,7 +21,7 @@ use fuzz::gen::{generate, GenConfig};
 use loop_ir::expr::Var;
 use loop_ir::nest::{BlasCall, Node};
 use loop_ir::program::Program;
-use machine::{CostModel, PricedWith};
+use machine::CostModel;
 use normalize::Normalizer;
 use polybench::cloudsc::{full_model, CloudscSizes, CloudscVariant};
 use polybench::{all_benchmarks, random_b_variant, Dataset};
@@ -143,7 +143,6 @@ fn oracle(scheduler: &DaisyScheduler, program: &Program) -> ScheduleOutcome {
         report: model.estimate(&current),
         program: current,
         decisions,
-        priced_with: PricedWith::Exact,
         phase_timings: PhaseTimings::default(),
     }
 }

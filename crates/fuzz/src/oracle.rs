@@ -558,7 +558,6 @@ fn daisy_config() -> DaisyConfig {
         neighbors: 3,
         parallelism: 1,
         simulation_parallelism: 1,
-        cache_mode: machine::CostMode::Exact,
     }
 }
 

@@ -1,9 +1,10 @@
 //! Analytic cache costing: bounded-error miss estimates without a trace walk.
 //!
-//! The exact tier ([`crate::simulate_cache`]) is run-compressed and sharded,
-//! but every call still pays O(distinct cache lines). For the evolutionary
-//! search — which prices thousands of candidates and only needs a ranking —
-//! this module derives a [`CacheEstimate`] in **O(run signatures)**: the
+//! Exact simulation ([`crate::simulate_cache`]) is run-compressed and
+//! sharded, but every call still pays O(distinct cache lines). This module
+//! derives a [`CacheEstimate`] in **O(run signatures)** instead — an
+//! estimator no product path prices with today (the search ranks by the
+//! roofline model, the figures print simulated counts): the
 //! compiled access plans stream through an [`AnalyticSink`] that never
 //! expands a run, folding each [`StrideRun`] into closed-form reuse
 //! summaries (line-interval coverage per array, per-run line visits, stagger
@@ -33,8 +34,9 @@
 //! `[lower, upper]`, and [`CacheEstimate::error_bound`] is
 //! `max(estimate − lower, upper − estimate)` — therefore the *exact* miss
 //! count of either level always lies within `error_bound` of the estimate.
-//! The fuzz farm's analytic oracle and `bench_pr10` hold every workload to
-//! exactly this contract.
+//! The fuzz farm's `analytic` oracle, the benchmark's `strided_trace`
+//! workload (`machine.analytic.bracket_share`) and the directed programs of
+//! this module's tests hold every program they see to exactly this contract.
 
 use loop_ir::program::Program;
 

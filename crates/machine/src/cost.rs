@@ -23,8 +23,8 @@
 //!
 //! The evolutionary search prices thousands of candidate programs that differ
 //! in a single nest; re-deriving the working-set analysis for the unchanged
-//! nests dominated its runtime. [`CostModel`] therefore memoizes at two
-//! levels, both behind structural hashes and both shared across clones of a
+//! nests dominated its runtime. [`CostModel`] therefore memoizes in three
+//! tables, all behind structural hashes and all shared across clones of a
 //! model (worker threads costing candidates in parallel populate one table):
 //!
 //! 1. **Per nest.** A nest's cost is a pure function of *(machine, thread
@@ -43,9 +43,14 @@
 //!    re-tile the outer loops miss layer 1 but re-price from cached run
 //!    summaries: the symbolic affine extraction is never repeated, only the
 //!    cheap per-stack arithmetic.
+//! 3. **Per simulated trace.** [`CostModel::simulated_cache`] — the exact
+//!    cache counters of a whole program, the one source of every cache
+//!    count the figures print — is keyed by `(environment, body structure,
+//!    shard-plan fingerprint)`.
 //!
-//! Both layers can be disabled with [`CostModel::without_memoization`] for
-//! baseline measurements; estimates are bit-identical either way.
+//! [`CostModel::without_memoization`] turns all three off; estimates and
+//! counters are bit-identical either way (the unit tests below hold the two
+//! against each other).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -192,128 +197,6 @@ impl CostReport {
     }
 }
 
-/// How the model's cache tier prices a program: exact simulation, the
-/// bounded-error analytic estimate, or the automatic split that spends
-/// exact simulation only on final winner validation.
-///
-/// The knob is **ranking-neutral by construction**: candidate ranking in
-/// the evolutionary search goes through the roofline estimate
-/// ([`CostModel::estimate`]), never through the cache tier, so the mode
-/// can never change which schedule wins — which is why it is excluded from
-/// store fingerprints (`daisy`'s scheduler records which mode priced the
-/// winner in its outcome instead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostMode {
-    /// Always run the exact sharded simulation (bit-identical counters).
-    #[default]
-    Exact,
-    /// Always answer from the analytic tier ([`crate::estimate_cache`]):
-    /// O(run signatures), counters within the reported error bound.
-    Analytic,
-    /// Analytic during search generations, exact for the final winner.
-    Auto,
-}
-
-impl CostMode {
-    /// Parses the CLI spelling (`exact` / `analytic` / `auto`).
-    pub fn parse(s: &str) -> Option<CostMode> {
-        match s {
-            "exact" => Some(CostMode::Exact),
-            "analytic" => Some(CostMode::Analytic),
-            "auto" => Some(CostMode::Auto),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CostMode::Exact => "exact",
-            CostMode::Analytic => "analytic",
-            CostMode::Auto => "auto",
-        }
-    }
-
-    /// Whether a pricing at this mode uses the exact tier.
-    /// `final_validation` marks the winner-validation call of a search (the
-    /// only exact pricing `Auto` pays for).
-    pub fn uses_exact(&self, final_validation: bool) -> bool {
-        match self {
-            CostMode::Exact => true,
-            CostMode::Analytic => false,
-            CostMode::Auto => final_validation,
-        }
-    }
-}
-
-/// Which tier actually priced a result — recorded by consumers (e.g. the
-/// scheduler's outcome) so a stored winner is auditable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PricedWith {
-    /// The exact sharded simulation.
-    Exact,
-    /// The analytic bounded-error estimate.
-    Analytic,
-}
-
-/// The answer of [`CostModel::assess_cache`]: exact counters or a
-/// bounded-error estimate, depending on the model's [`CostMode`].
-#[derive(Debug, Clone)]
-pub enum CacheAssessment {
-    /// Counters from the exact sharded simulation.
-    Exact(Arc<ShardedCacheStats>),
-    /// The analytic estimate with its error bound.
-    Analytic(Arc<crate::analytic::CacheEstimate>),
-}
-
-impl CacheAssessment {
-    /// L1 counters (exact or estimated).
-    pub fn l1(&self) -> crate::CacheStats {
-        match self {
-            CacheAssessment::Exact(stats) => stats.l1(),
-            CacheAssessment::Analytic(est) => est.l1,
-        }
-    }
-
-    /// L2 counters (exact or estimated).
-    pub fn l2(&self) -> crate::CacheStats {
-        match self {
-            CacheAssessment::Exact(stats) => stats.l2(),
-            CacheAssessment::Analytic(est) => est.l2,
-        }
-    }
-
-    /// Total accesses (exact in both tiers).
-    pub fn accesses(&self) -> u64 {
-        match self {
-            CacheAssessment::Exact(stats) => stats.accesses(),
-            CacheAssessment::Analytic(est) => est.accesses,
-        }
-    }
-
-    /// The tier that produced this assessment.
-    pub fn priced_with(&self) -> PricedWith {
-        match self {
-            CacheAssessment::Exact(_) => PricedWith::Exact,
-            CacheAssessment::Analytic(_) => PricedWith::Analytic,
-        }
-    }
-
-    /// The error bound on the miss counts: zero for the exact tier, the
-    /// estimate's reported bound otherwise.
-    pub fn error_bound(&self) -> u64 {
-        match self {
-            CacheAssessment::Exact(_) => 0,
-            CacheAssessment::Analytic(est) => est.error_bound,
-        }
-    }
-}
-
-/// Shared analytic-estimate table: estimates keyed by `(environment hash,
-/// body structural hash)` — the estimate depends on nothing else for a
-/// fixed machine.
-type AnalyticMemo = Arc<Mutex<HashMap<(u64, u64), Arc<crate::analytic::CacheEstimate>>>>;
-
 /// The analytical cost model.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -332,12 +215,6 @@ pub struct CostModel {
     /// any value — so unlike `threads` it is never part of memo keys or
     /// store fingerprints.
     simulation_parallelism: usize,
-    /// Analytic-estimate memo (layer 4), shared like `memo`.
-    analytic: Option<AnalyticMemo>,
-    /// Which cache tier [`CostModel::assess_cache`] answers from.
-    /// Ranking-neutral (see [`CostMode`]), so never part of memo keys or
-    /// store fingerprints.
-    cost_mode: CostMode,
 }
 
 #[derive(Debug, Clone)]
@@ -356,7 +233,7 @@ struct LoopInfo {
 
 impl CostModel {
     /// Creates a cost model for `threads` worker threads on `machine`,
-    /// with per-nest memoization enabled.
+    /// with memoization enabled.
     pub fn new(machine: MachineConfig, threads: usize) -> Self {
         CostModel {
             threads: threads.max(1),
@@ -365,8 +242,6 @@ impl CostModel {
             summaries: Some(Arc::new(Mutex::new(HashMap::new()))),
             sims: Some(Arc::new(Mutex::new(HashMap::new()))),
             simulation_parallelism: 0,
-            analytic: Some(Arc::new(Mutex::new(HashMap::new()))),
-            cost_mode: CostMode::default(),
         }
     }
 
@@ -376,27 +251,13 @@ impl CostModel {
     }
 
     /// Returns this model with memoization disabled — every nest is priced
-    /// from scratch. The pre-refactor behavior, kept for baseline benches.
+    /// and every trace simulated from scratch. What the memoized answers
+    /// are tested against.
     pub fn without_memoization(mut self) -> Self {
         self.memo = None;
         self.summaries = None;
         self.sims = None;
-        self.analytic = None;
         self
-    }
-
-    /// Returns this model answering [`CostModel::assess_cache`] at the
-    /// given [`CostMode`]. Ranking-neutral: candidate ranking never goes
-    /// through the cache tier, so the chosen schedule is identical at any
-    /// mode (the scheduler's tests pin this).
-    pub fn with_cost_mode(mut self, mode: CostMode) -> Self {
-        self.cost_mode = mode;
-        self
-    }
-
-    /// The mode [`CostModel::assess_cache`] answers at.
-    pub fn cost_mode(&self) -> CostMode {
-        self.cost_mode
     }
 
     /// Returns this model with the given sharded-simulation worker count
@@ -437,20 +298,20 @@ impl CostModel {
             .unwrap_or(0)
     }
 
-    /// The exact-simulation tier of the model: the program's merged cache
-    /// counters from the block-sharded driver
+    /// The program's exact cache counters: its access stream through the
+    /// block-sharded driver
     /// ([`simulate_cache_sharded`](crate::simulate_cache_sharded)), fanned
     /// out on [`simulation_parallelism`](CostModel::simulation_parallelism)
     /// workers. Multi-block computations cut at block granularity, anything
-    /// else at run-group windows, so the paper's full `NBLOCKS = 4096`
-    /// CLOUDSC traces stay cheap enough to sit inside a search loop.
+    /// else at run-group windows, which is what keeps the paper's full
+    /// `NBLOCKS = 4096` CLOUDSC traces cheap enough for the figures.
     ///
-    /// Memoized like the analytic tiers, but with a *shard-aware* key —
-    /// `(environment hash, body structural hash, plan fingerprint)` — since
-    /// the merged counters are defined per plan. The worker count is
-    /// deliberately **not** part of the key: by the shard layer's
-    /// determinism contract it cannot change the counters, so models that
-    /// differ only in parallelism share entries.
+    /// Memoized with a *shard-aware* key — `(environment hash, body
+    /// structural hash, plan fingerprint)` — since the merged counters are
+    /// defined per plan. The worker count is deliberately **not** part of
+    /// the key: by the shard layer's determinism contract it cannot change
+    /// the counters, so models that differ only in parallelism share
+    /// entries.
     ///
     /// # Errors
     /// Lowering and trace-generation errors.
@@ -484,60 +345,6 @@ impl CostModel {
                 .insert(key, stats.clone());
         }
         Ok(stats)
-    }
-
-    /// The analytic tier of the model: a bounded-error cache estimate in
-    /// O(run signatures), memoized keyed by `(environment hash, body
-    /// structural hash)` — the estimate is a pure function of those for a
-    /// fixed machine.
-    ///
-    /// # Errors
-    /// Lowering and streaming errors.
-    pub fn analytic_cache(
-        &self,
-        program: &Program,
-    ) -> Result<Arc<crate::analytic::CacheEstimate>, crate::MachineError> {
-        let key = (
-            program.environment_hash(),
-            structural_hash_nodes(&program.body),
-        );
-        if let Some(memo) = self.analytic.as_ref() {
-            if let Some(hit) = memo.lock().expect("analytic memo poisoned").get(&key) {
-                telemetry::counter("machine.cost.analytic_memo_hits", 1);
-                return Ok(hit.clone());
-            }
-            telemetry::counter("machine.cost.analytic_memo_misses", 1);
-        }
-        let estimate = Arc::new(crate::analytic::estimate_cache(program, &self.machine)?);
-        if let Some(memo) = self.analytic.as_ref() {
-            memo.lock()
-                .expect("analytic memo poisoned")
-                .insert(key, estimate.clone());
-        }
-        Ok(estimate)
-    }
-
-    /// Prices the program's cache behaviour at the model's [`CostMode`]:
-    /// the exact sharded simulation or the analytic bounded-error estimate.
-    /// `final_validation` marks the winner-validation pricing of a search —
-    /// the only call `Auto` answers exactly. Telemetry counts which tier
-    /// answered (`machine.cost.analytic_pricings` /
-    /// `machine.cost.exact_pricings`).
-    ///
-    /// # Errors
-    /// Lowering, trace-generation and streaming errors.
-    pub fn assess_cache(
-        &self,
-        program: &Program,
-        final_validation: bool,
-    ) -> Result<CacheAssessment, crate::MachineError> {
-        if self.cost_mode.uses_exact(final_validation) {
-            telemetry::counter("machine.cost.exact_pricings", 1);
-            Ok(CacheAssessment::Exact(self.simulated_cache(program)?))
-        } else {
-            telemetry::counter("machine.cost.analytic_pricings", 1);
-            Ok(CacheAssessment::Analytic(self.analytic_cache(program)?))
-        }
     }
 
     /// The machine description used by the model.
@@ -992,12 +799,6 @@ impl CostModel {
     }
 }
 
-/// Total floating-point operations of a program (loop trip counts evaluated
-/// under its concrete parameters).
-pub fn count_flops(program: &Program) -> f64 {
-    CostModel::sequential().estimate(program).flops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1169,11 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn count_flops_helper() {
-        assert!((count_flops(&gemm("ijk", 10)) - 2000.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn memoized_and_unmemoized_estimates_are_identical() {
         let memoized = CostModel::new(MachineConfig::xeon_e5_2680v3(), 12);
         let plain = memoized.clone().without_memoization();
@@ -1268,49 +1064,6 @@ mod tests {
                 "workers {workers}"
             );
         }
-    }
-
-    #[test]
-    fn assess_cache_dispatches_on_cost_mode_and_brackets_exact_counters() {
-        let p = gemm("ijk", 32);
-        let exact = CostModel::sequential().assess_cache(&p, false).unwrap();
-        assert_eq!(exact.priced_with(), PricedWith::Exact);
-        assert_eq!(exact.error_bound(), 0);
-
-        let analytic = CostModel::sequential()
-            .with_cost_mode(CostMode::Analytic)
-            .assess_cache(&p, true)
-            .unwrap();
-        assert_eq!(analytic.priced_with(), PricedWith::Analytic);
-        assert!(
-            exact.l1().misses.abs_diff(analytic.l1().misses) <= analytic.error_bound(),
-            "analytic L1 misses {} must bracket exact {} within {}",
-            analytic.l1().misses,
-            exact.l1().misses,
-            analytic.error_bound()
-        );
-        assert!(exact.l2().misses.abs_diff(analytic.l2().misses) <= analytic.error_bound());
-        assert_eq!(analytic.accesses(), exact.accesses());
-
-        // Auto: analytic during search, exact for the final winner.
-        let auto = CostModel::sequential().with_cost_mode(CostMode::Auto);
-        assert_eq!(
-            auto.assess_cache(&p, false).unwrap().priced_with(),
-            PricedWith::Analytic
-        );
-        assert_eq!(
-            auto.assess_cache(&p, true).unwrap().priced_with(),
-            PricedWith::Exact
-        );
-    }
-
-    #[test]
-    fn cost_mode_parses_its_cli_spellings_round_trip() {
-        for mode in [CostMode::Exact, CostMode::Analytic, CostMode::Auto] {
-            assert_eq!(CostMode::parse(mode.as_str()), Some(mode));
-        }
-        assert_eq!(CostMode::parse("fast"), None);
-        assert_eq!(CostMode::default(), CostMode::Exact);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! is retained as the ground truth for the compiled execution engine
 //! ([`crate::exec`]) — the differential test suite asserts bit-identical
 //! array state between the two on the whole PolyBench + CLOUDSC corpus, and
-//! `bench_pr4` reports the compiled engine's throughput against this
-//! baseline.
+//! the benchmark's `fuzz_frontend` workload checks every generated program's
+//! result against it.
 
 use loop_ir::array::ArrayRef;
 use loop_ir::nest::{BlasCall, BlasKind, Node};

@@ -54,15 +54,22 @@
 //! sits directly in one flat tag array; the counters are bit-identical to
 //! the retained per-access pipeline ([`trace::simulate_cache_per_access`])
 //! and to the naive reference simulator ([`cache::reference`]), both kept
-//! for equivalence tests and as bench baselines.
+//! as the references of the differential suites.
 //!
-//! [`cost::CostModel`] memoizes behind structural hashes at two levels:
-//! whole-nest costs, and per-computation *run summaries* (the per-iterator
-//! stride facts of each access). The contract: a nest's cost is a pure
+//! [`cost::CostModel`] memoizes behind structural hashes in three tables:
+//! whole-nest costs, per-computation *run summaries* (the per-iterator
+//! stride facts of each access), and whole-program simulated cache
+//! counters ([`cost::CostModel::simulated_cache`], the one source of every
+//! cache count the figures print). The contract: a nest's cost is a pure
 //! function of *(machine, thread count, program environment, nest
 //! structure)* — see the [`cost`] module docs — which is what lets the
 //! `daisy` evolutionary search re-price only the nest a candidate recipe
 //! rewrote, and re-price outer-loop permutations from cached summaries.
+//!
+//! [`analytic`] is a bounded-error closed-form *estimator* of the same
+//! counters. No product path prices with it: the fuzz farm's `analytic`
+//! oracle and the benchmark's `strided_trace` workload check that its
+//! brackets contain the exact counts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -78,12 +85,10 @@ pub mod interp;
 pub mod shard;
 pub mod trace;
 
-pub use analytic::{estimate_cache, estimate_cache_compiled, AnalyticSink, CacheEstimate};
+pub use analytic::{estimate_cache, CacheEstimate};
 pub use cache::{reference::ReferenceCacheHierarchy, CacheHierarchy, CacheStats};
 pub use config::MachineConfig;
-pub use cost::{
-    count_flops, CacheAssessment, CostMode, CostModel, CostReport, NestCost, PricedWith,
-};
+pub use cost::{CostModel, CostReport, NestCost};
 pub use error::{MachineError, Result};
 pub use exec::CompiledProgram;
 pub use interp::{run_seeded, Interpreter, ProgramData};
@@ -93,5 +98,5 @@ pub use shard::{
 };
 pub use trace::{
     simulate_cache, simulate_cache_per_access, simulate_cache_reference, stream_accesses,
-    walk_accesses, AccessSink, StrideRun, TraceEntry,
+    AccessSink, StrideRun, TraceEntry,
 };

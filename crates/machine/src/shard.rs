@@ -646,8 +646,7 @@ impl<S: AccessSink> AccessSink for UnitWindow<S> {
 /// spawn and scheduling overhead — and to `jobs`, the number of shard
 /// simulations fanned out ([`ShardedCacheStats::classes`], not the plan's
 /// shard count). Mirrors the scheduler-side clamp of `daisy`'s
-/// `parallel_map_with` (see `BENCH_PR4.json` for the regression that
-/// motivated it).
+/// `parallel_map_with`.
 pub fn effective_sim_workers(requested: usize, jobs: usize) -> usize {
     let available = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -19,7 +19,7 @@
 //! pre-refactor per-iteration symbolic walker is retained as
 //! [`walk_accesses_symbolic`], and the per-access simulation pipeline as
 //! [`simulate_cache_per_access`] — the ground truths of the equivalence
-//! tests and the bench baselines.
+//! tests.
 
 use loop_ir::array::AccessKind;
 use loop_ir::nest::Node;
@@ -128,23 +128,6 @@ pub trait AccessSink {
     fn end_repeat(&mut self) {}
 }
 
-/// Adapter turning a closure into an [`AccessSink`].
-struct FnSink<F: FnMut(TraceEntry)>(F);
-
-impl<F: FnMut(TraceEntry)> AccessSink for FnSink<F> {
-    fn access(&mut self, entry: TraceEntry) {
-        (self.0)(entry)
-    }
-}
-
-/// Walks the program's accesses in execution order, invoking `sink` for each.
-///
-/// # Errors
-/// Returns an error when bounds or subscripts cannot be evaluated.
-pub fn walk_accesses(program: &Program, sink: impl FnMut(TraceEntry)) -> Result<u64> {
-    stream_accesses(program, &mut FnSink(sink))
-}
-
 /// Streams the program's accesses in execution order into `sink`,
 /// constant-stride innermost loops as closed-form runs. Returns the total
 /// number of accesses streamed.
@@ -239,8 +222,8 @@ impl AccessSink for PerAccessCacheSink<'_> {
 
 /// The pre-run-compression simulation pipeline: every access of an
 /// interleaved innermost loop is simulated individually. Retained as the
-/// baseline [`simulate_cache`] is benchmarked and differentially tested
-/// against — both must report bit-identical counters on every program.
+/// baseline [`simulate_cache`] is differentially tested against — both
+/// must report bit-identical counters on every program.
 ///
 /// # Errors
 /// Propagates trace-generation errors.
@@ -256,7 +239,8 @@ pub fn simulate_cache_per_access(
 
 /// Simulates the trace on the naive [`reference`](crate::cache::reference)
 /// simulator through the pre-refactor per-access walk. This is the baseline
-/// the equivalence tests and benches compare [`simulate_cache`] against.
+/// the equivalence tests and the benchmark's `strided_trace` output check
+/// compare [`simulate_cache`] against.
 ///
 /// # Errors
 /// Propagates trace-generation errors.
@@ -358,6 +342,19 @@ pub fn walk_accesses_symbolic(program: &Program, mut sink: impl FnMut(TraceEntry
 mod tests {
     use super::*;
     use loop_ir::parser::parse_program;
+
+    /// A closure as a per-access sink (the default `run_group` expansion).
+    struct FnSink<F: FnMut(TraceEntry)>(F);
+
+    impl<F: FnMut(TraceEntry)> AccessSink for FnSink<F> {
+        fn access(&mut self, entry: TraceEntry) {
+            (self.0)(entry)
+        }
+    }
+
+    fn walk_accesses(program: &Program, sink: impl FnMut(TraceEntry)) -> Result<u64> {
+        stream_accesses(program, &mut FnSink(sink))
+    }
 
     #[test]
     fn trace_counts_match_iteration_space() {

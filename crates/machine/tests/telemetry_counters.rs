@@ -1,14 +1,14 @@
 //! Exact telemetry counter totals of the machine layer. The recorder is
 //! process-global, so totals are only stable in a test binary whose every
 //! instrumented call sits inside a `with_recorder` scope — hence a binary
-//! of its own rather than unit tests next to the code (where
-//! `analytic_pricings_memoize_and_count` failed about one run in four on
-//! two cores, counting the pricings of neighbouring tests).
+//! of its own rather than unit tests next to the code, where a
+//! neighbouring test's instrumented calls land in the totals (seen about
+//! one run in four on two cores).
 
 use std::sync::Arc;
 
 use loop_ir::parser::parse_program;
-use machine::{simulate_cache, simulate_cache_sharded, CostMode, CostModel, MachineConfig};
+use machine::{simulate_cache, simulate_cache_sharded, MachineConfig};
 use telemetry::{with_recorder, CollectingRecorder};
 
 #[test]
@@ -39,29 +39,6 @@ fn the_pool_counts_and_clamps_to_classes_while_plan_counters_keep_their_totals()
     ] {
         assert_eq!(sink.counter_total(counter), total, "{counter}");
     }
-}
-
-#[test]
-fn analytic_pricings_memoize_and_count() {
-    let program = parse_program(
-        "program gemm { param NI = 32; param NJ = 32; param NK = 32;
-           array A[NI][NK]; array B[NK][NJ]; array C[NI][NJ];
-           for i in 0..NI { for k in 0..NK { for j in 0..NJ {
-             C[i][j] += A[i][k] * B[k][j];
-           } } } }",
-    )
-    .unwrap();
-    let model = CostModel::sequential().with_cost_mode(CostMode::Analytic);
-    let sink = Arc::new(CollectingRecorder::default());
-    with_recorder(sink.clone(), || {
-        let first = model.assess_cache(&program, false).unwrap();
-        let second = model.assess_cache(&program, false).unwrap();
-        assert_eq!(first.l1(), second.l1());
-    });
-    assert_eq!(sink.counter_total("machine.cost.analytic_pricings"), 2);
-    assert_eq!(sink.counter_total("machine.cost.exact_pricings"), 0);
-    assert_eq!(sink.counter_total("machine.cost.analytic_memo_misses"), 1);
-    assert_eq!(sink.counter_total("machine.cost.analytic_memo_hits"), 1);
 }
 
 #[test]

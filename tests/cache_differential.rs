@@ -16,7 +16,7 @@
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
 use machine::{simulate_cache, simulate_cache_per_access, simulate_cache_reference, MachineConfig};
-use polybench::cloudsc::{erosion_optimized, erosion_original, CloudscSizes};
+use polybench::cloudsc::{erosion_optimized, erosion_original, erosion_single_level, CloudscSizes};
 use polybench::{all_benchmarks, Dataset};
 use proptest::{prop, prop_assert_eq, proptest, ProptestConfig, Strategy};
 
@@ -256,4 +256,9 @@ fn workload_suite_simulates_bit_identically() {
     let sizes = CloudscSizes::mini();
     assert_cache_equivalence(&erosion_original(sizes), &machine);
     assert_cache_equivalence(&erosion_optimized(sizes), &machine);
+    // Table 1's own inputs, at the sizes whose counters `reproduce` prints.
+    for optimized in [false, true] {
+        let nest = erosion_single_level(CloudscSizes::paper(), optimized);
+        assert_cache_equivalence(&nest, &machine);
+    }
 }
