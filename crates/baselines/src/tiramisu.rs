@@ -71,7 +71,7 @@ fn approximate_machine() -> MachineConfig {
 /// program (imperfectly nested or fully sequential loop nests).
 pub fn tiramisu_schedule(program: &Program, threads: usize) -> Result<Program, TiramisuError> {
     // The adapter applies maximal loop fission before conversion.
-    let (fissioned, _) = MaximalFission::new().run(program);
+    let (fissioned, _) = MaximalFission::new().run(program.clone());
     let graph = analyze(&fissioned);
 
     // Applicability: every nest must be perfectly nested and have at least

@@ -587,20 +587,10 @@ impl EvolutionarySearch {
 /// The whole-program graph would let an iterator name shared between
 /// unrelated top-level nests (ubiquitous in CLOUDSC, where every nest loops
 /// over `jl`/`jk`) leak dependences across nests and veto legal
-/// parallelizations; analyzing a single-nest copy of the program scopes
-/// every query to the nest under search.
+/// parallelizations; analyzing the nest alone, under the program's
+/// parameters, scopes every query to the nest under search.
 pub fn nest_scoped_graph(program: &Program, nest: &Loop) -> DependenceGraph {
-    // Clone only the environment and the nest under analysis — a whole
-    // program.clone() would deep-copy every other top-level nest just to
-    // throw it away, O(program) per query.
-    let sub = Program {
-        name: program.name.clone(),
-        params: program.params.clone(),
-        scalar_params: program.scalar_params.clone(),
-        arrays: program.arrays.clone(),
-        body: vec![Node::Loop(nest.clone())],
-    };
-    dependence::analyze(&sub)
+    dependence::analyze_nest(program, nest)
 }
 
 /// Semantic legality gate for a recipe against a nest's dependence graph:

@@ -4,9 +4,9 @@ use std::collections::BTreeMap;
 
 use loop_ir::array::{Access, AccessKind};
 use loop_ir::expr::Var;
-use loop_ir::nest::CompId;
+use loop_ir::nest::{CompId, Loop};
 use loop_ir::program::Program;
-use loop_ir::visit::CompContext;
+use loop_ir::visit::{walk_nest_computations, CompContext};
 
 use crate::tester::{LoopBound, LoopPairing, Pair, Subscripts};
 use crate::types::{DepKind, Dependence, Direction};
@@ -129,9 +129,21 @@ struct WalkStats {
 /// bounds that cannot be evaluated are replaced by a very large extent, which
 /// keeps the result conservative.
 pub fn analyze(program: &Program) -> DependenceGraph {
+    analyze_contexts(program, &program.computation_contexts())
+}
+
+/// [`analyze`] of one nest of `program` in isolation: the graph of a program
+/// with the same parameters whose whole body is `nest`, without building
+/// one. `nest` need not be a top-level nest, nor part of `program` at all.
+pub fn analyze_nest(program: &Program, nest: &Loop) -> DependenceGraph {
+    analyze_contexts(program, &walk_nest_computations(nest))
+}
+
+/// The dependences among `contexts`, in their order, under the parameter
+/// bindings of `program`.
+fn analyze_contexts(program: &Program, contexts: &[CompContext<'_>]) -> DependenceGraph {
     let mut array_ids: BTreeMap<Var, usize> = BTreeMap::new();
-    let comps: Vec<LoweredComp> = program
-        .computation_contexts()
+    let comps: Vec<LoweredComp> = contexts
         .iter()
         .map(|ctx| {
             let loops = loop_bounds(ctx, &program.params);

@@ -7,7 +7,7 @@ use loop_ir::expr::Var;
 use loop_ir::nest::{CompId, Loop, Node};
 
 use crate::graph::DependenceGraph;
-use crate::types::Direction;
+use crate::types::{Dependence, Direction};
 
 /// Returns the strongly connected components of the statements contained in
 /// the given body nodes, considering only dependences between statements of
@@ -143,40 +143,55 @@ pub fn is_parallel_loop(graph: &DependenceGraph, iter: &Var) -> bool {
 /// True if permuting the perfectly nested loops of `nest` into `new_order`
 /// (outermost first) preserves every dependence, i.e. no dependence direction
 /// vector becomes lexicographically negative after permutation.
+///
+/// A caller with many orders of one nest to test collects the nest's
+/// dependences once, with [`PermutationLegality::of`].
 pub fn is_permutation_legal(graph: &DependenceGraph, nest: &Loop, new_order: &[Var]) -> bool {
-    let original = nest.nested_iterators();
-    debug_assert!(
-        new_order.iter().all(|v| original.contains(v))
-            && new_order
-                .iter()
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-                == new_order.len(),
-        "new_order must be a duplicate-free selection of the nest's iterators"
-    );
-    let comp_ids: BTreeSet<CompId> = nest.computations().iter().map(|c| c.id).collect();
-    for dep in graph.all() {
-        if !comp_ids.contains(&dep.src) || !comp_ids.contains(&dep.dst) {
-            continue;
-        }
-        // Build the permuted direction vector over the loops of this nest.
-        let mut permuted = Vec::with_capacity(new_order.len());
-        for iter in new_order {
-            match dep.direction_of(iter) {
-                Some(d) => permuted.push(d),
-                // A loop that is not common to both endpoints does not
-                // constrain the permutation at this level.
-                None => permuted.push(Direction::Eq),
-            }
-        }
-        if lexicographically_negative(&permuted) {
-            return false;
-        }
-    }
-    true
+    PermutationLegality::of(graph, nest).allows(new_order)
 }
 
-fn lexicographically_negative(directions: &[Direction]) -> bool {
+/// What constrains the loop orders of one nest: the dependences between its
+/// own computations, picked out of the graph once.
+pub struct PermutationLegality<'g> {
+    iterators: Vec<Var>,
+    deps: Vec<&'g Dependence>,
+}
+
+impl<'g> PermutationLegality<'g> {
+    /// Collects the dependences of `graph` with both ends inside `nest`.
+    pub fn of(graph: &'g DependenceGraph, nest: &Loop) -> Self {
+        let comp_ids: BTreeSet<CompId> = nest.computations().iter().map(|c| c.id).collect();
+        PermutationLegality {
+            iterators: nest.nested_iterators(),
+            deps: graph
+                .all()
+                .iter()
+                .filter(|dep| comp_ids.contains(&dep.src) && comp_ids.contains(&dep.dst))
+                .collect(),
+        }
+    }
+
+    /// [`is_permutation_legal`] for the nest the dependences were taken from.
+    pub fn allows(&self, new_order: &[Var]) -> bool {
+        debug_assert!(
+            new_order.iter().all(|v| self.iterators.contains(v))
+                && new_order.iter().collect::<BTreeSet<_>>().len() == new_order.len(),
+            "new_order must be a duplicate-free selection of the nest's iterators"
+        );
+        // The permuted direction vector over the loops of this nest; a loop
+        // that is not common to both endpoints does not constrain the
+        // permutation at its level.
+        self.deps.iter().all(|dep| {
+            !lexicographically_negative(
+                new_order
+                    .iter()
+                    .map(|iter| dep.direction_of(iter).unwrap_or(Direction::Eq)),
+            )
+        })
+    }
+}
+
+fn lexicographically_negative(directions: impl IntoIterator<Item = Direction>) -> bool {
     for d in directions {
         match d {
             Direction::Eq => continue,

@@ -10,7 +10,8 @@
 //!   accesses to the same array (at least one being a write) is tested with a
 //!   GCD + Banerjee-style test per direction vector over the common loops
 //!   ([`tester`]: dense integer rows, direction vectors refined level by
-//!   level),
+//!   level); [`analyze_nest`] does the same for one nest in isolation,
+//!   under the program's parameters,
 //! * [`legality`] answers the scheduling questions downstream passes ask:
 //!   can these statements be distributed, is this loop permutation legal, can
 //!   this loop run in parallel, can these two nests be fused.
@@ -48,8 +49,9 @@ pub mod reference;
 pub mod tester;
 pub mod types;
 
-pub use graph::{analyze, DependenceGraph};
+pub use graph::{analyze, analyze_nest, DependenceGraph};
 pub use legality::{
     can_distribute, can_fuse_siblings, is_parallel_loop, is_permutation_legal, sccs_of_body,
+    PermutationLegality,
 };
 pub use types::{DepKind, Dependence, Direction};

@@ -123,6 +123,30 @@ fn replay_accepts_a_seed_and_a_corpus_file() {
     assert_eq!(output.status.code(), Some(0));
 }
 
+/// ROADMAP item 6 (iii): 200 000 nested parentheses used to overflow the
+/// recursive-descent parser's stack and abort the process.
+#[test]
+fn replaying_a_deeply_nested_case_is_a_parse_error_not_an_abort() {
+    let path =
+        std::env::temp_dir().join(format!("daisyfuzz-cli-nested-{}.loop", std::process::id()));
+    let source = format!(
+        "program deep {{ param N = 2; array A[N]; for i in 0..N {{ A[i] = {}1.0{}; }} }}",
+        "(".repeat(200_000),
+        ")".repeat(200_000)
+    );
+    std::fs::write(&path, source).expect("case file is writable");
+    let output = daisyfuzz(&["replay", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    // As for any other unparsable case file: one line, exit 2.
+    assert_eq!(output.status.code(), Some(2), "{}", stderr_line(&output));
+    let err = stderr_line(&output);
+    assert!(
+        err.contains("parse error at 1:") && err.contains("nesting deeper than 256 levels"),
+        "{err}"
+    );
+    assert!(!err.contains('\n'), "{err}");
+}
+
 #[test]
 fn help_lists_every_command() {
     let output = daisyfuzz(&["--help"]);

@@ -9,15 +9,22 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
+use std::sync::Arc;
 
-/// An interned-by-value variable name: a loop iterator or a symbolic
-/// parameter such as an array extent.
+/// A variable name: a loop iterator or a symbolic parameter such as an array
+/// extent.
+///
+/// The name is an immutable shared string: a clone bumps a reference count
+/// instead of copying bytes, and every node copy, loop bound, dependence and
+/// affine term clones names. Equality, order, hash and `Debug` are those of
+/// the *contents* — two `Var`s made from equal strings are interchangeable
+/// wherever they came from, and there is no intern table to consult or leak.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
-pub struct Var(String);
+pub struct Var(Arc<str>);
 
 impl Var {
     /// Creates a variable with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         Var(name.into())
     }
 
@@ -41,7 +48,7 @@ impl From<&str> for Var {
 
 impl From<String> for Var {
     fn from(value: String) -> Self {
-        Var(value)
+        Var::new(value)
     }
 }
 
@@ -542,6 +549,27 @@ mod tests {
 
     fn bind(pairs: &[(&str, i64)]) -> BTreeMap<Var, i64> {
         pairs.iter().map(|(k, v)| (Var::new(*k), *v)).collect()
+    }
+
+    #[test]
+    fn names_are_shared_and_compare_by_content() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Var>();
+
+        let a = Var::new("jk");
+        let shared = a.clone();
+        assert!(std::ptr::eq(a.as_str(), shared.as_str()), "a clone shares");
+        // A second allocation of the same name is the same variable...
+        let b = Var::from(String::from("jk"));
+        assert!(!std::ptr::eq(a.as_str(), b.as_str()));
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        let terms: BTreeMap<Var, i64> = [(a.clone(), 1), (b, 2)].into_iter().collect();
+        assert_eq!(terms.len(), 1);
+        // ...and order and rendering are those of the text.
+        assert!(Var::new("i") < Var::new("j") && Var::new("i1") < Var::new("i10"));
+        assert_eq!(format!("{a:?} {a}"), "Var(\"jk\") jk");
+        assert_eq!(Var::default().as_str(), "");
     }
 
     #[test]

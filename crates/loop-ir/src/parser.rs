@@ -40,44 +40,53 @@ pub fn parse_program(source: &str) -> Result<Program> {
         tokens,
         pos: 0,
         next_comp: 0,
+        depth: 0,
     };
     let program = parser.program()?;
     program.validate()?;
     Ok(program)
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum TokenKind {
-    Ident(String),
+/// How deep parentheses, unary minus, calls and `for` blocks may nest below
+/// a top-level statement, all counted together. The parser recurses once per
+/// level, as does every pass over the tree it builds; hostile input gets an
+/// error, not a stack overflow.
+const MAX_NESTING: usize = 256;
+
+/// Identifiers are slices of the source text.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum TokenKind<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f64),
     Symbol(&'static str),
     Eof,
 }
 
-#[derive(Clone, Debug)]
-struct Token {
-    kind: TokenKind,
+#[derive(Clone, Copy, Debug)]
+struct Token<'a> {
+    kind: TokenKind<'a>,
     line: usize,
     column: usize,
 }
 
+/// Walks the source by byte offset (`pos` is always a character boundary):
+/// the language is ASCII, so a character is decoded only to skip Unicode
+/// whitespace or to name a stray one in an error. Columns count characters.
 struct Lexer<'a> {
-    chars: Vec<char>,
+    source: &'a str,
     pos: usize,
     line: usize,
     column: usize,
-    source: &'a str,
 }
 
 impl<'a> Lexer<'a> {
     fn new(source: &'a str) -> Self {
         Lexer {
-            chars: source.chars().collect(),
+            source,
             pos: 0,
             line: 1,
             column: 1,
-            source,
         }
     }
 
@@ -90,12 +99,20 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        match *self.source.as_bytes().get(self.pos)? {
+            byte if byte.is_ascii() => Some(char::from(byte)),
+            _ => self.source[self.pos..].chars().next(),
+        }
+    }
+
+    /// True if `byte` follows the current, one-byte character.
+    fn next_is(&self, byte: u8) -> bool {
+        self.source.as_bytes().get(self.pos + 1) == Some(&byte)
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
-        self.pos += 1;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.column = 1;
@@ -105,12 +122,12 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn tokenize(mut self) -> Result<Vec<Token>> {
-        let _ = self.source;
+    fn tokenize(mut self) -> Result<Vec<Token<'a>>> {
         let mut tokens = Vec::new();
         loop {
             self.skip_whitespace_and_comments();
             let (line, column) = (self.line, self.column);
+            let start = self.pos;
             let Some(c) = self.peek() else {
                 tokens.push(Token {
                     kind: TokenKind::Eof,
@@ -120,38 +137,28 @@ impl<'a> Lexer<'a> {
                 return Ok(tokens);
             };
             let kind = if c.is_ascii_alphabetic() || c == '_' {
-                let mut ident = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        ident.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
+                    self.bump();
                 }
-                TokenKind::Ident(ident)
+                TokenKind::Ident(&self.source[start..self.pos])
             } else if c.is_ascii_digit() {
-                let mut text = String::new();
                 let mut is_float = false;
                 while let Some(c) = self.peek() {
                     if c.is_ascii_digit() {
-                        text.push(c);
                         self.bump();
-                    } else if c == '.' && !is_float && self.chars.get(self.pos + 1) != Some(&'.') {
+                    } else if c == '.' && !is_float && !self.next_is(b'.') {
                         is_float = true;
-                        text.push(c);
                         self.bump();
                     } else if (c == 'e' || c == 'E') && is_float {
-                        is_float = true;
-                        text.push(c);
                         self.bump();
                         if matches!(self.peek(), Some('+') | Some('-')) {
-                            text.push(self.bump().unwrap());
+                            self.bump();
                         }
                     } else {
                         break;
                     }
                 }
+                let text = &self.source[start..self.pos];
                 if is_float {
                     TokenKind::Float(
                         text.parse()
@@ -164,7 +171,7 @@ impl<'a> Lexer<'a> {
                     )
                 }
             } else {
-                self.symbol()?
+                self.symbol(c)?
             };
             tokens.push(Token { kind, line, column });
         }
@@ -175,11 +182,8 @@ impl<'a> Lexer<'a> {
             while matches!(self.peek(), Some(c) if c.is_whitespace()) {
                 self.bump();
             }
-            if self.peek() == Some('/') && self.chars.get(self.pos + 1) == Some(&'/') {
-                while let Some(c) = self.peek() {
-                    if c == '\n' {
-                        break;
-                    }
+            if self.peek() == Some('/') && self.next_is(b'/') {
+                while matches!(self.peek(), Some(c) if c != '\n') {
                     self.bump();
                 }
             } else {
@@ -188,29 +192,15 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn symbol(&mut self) -> Result<TokenKind> {
-        const TWO_CHAR: &[(&str, &str)] = &[
-            ("+=", "+="),
-            ("-=", "-="),
-            ("*=", "*="),
-            ("/=", "/="),
-            ("..", ".."),
-            ("<=", "<="),
-            (">=", ">="),
-            ("==", "=="),
-            ("!=", "!="),
-        ];
-        let rest: String = self.chars[self.pos..self.pos + 2.min(self.chars.len() - self.pos)]
-            .iter()
-            .collect();
-        for (pat, sym) in TWO_CHAR {
-            if rest == *pat {
-                self.bump();
-                self.bump();
-                return Ok(TokenKind::Symbol(sym));
-            }
+    /// The symbol starting at the current character `c`.
+    fn symbol(&mut self, c: char) -> Result<TokenKind<'a>> {
+        const TWO_CHAR: [&str; 9] = ["+=", "-=", "*=", "/=", "..", "<=", ">=", "==", "!="];
+        let rest = &self.source.as_bytes()[self.pos..];
+        if let Some(sym) = TWO_CHAR.iter().find(|sym| rest.starts_with(sym.as_bytes())) {
+            self.bump();
+            self.bump();
+            return Ok(TokenKind::Symbol(sym));
         }
-        let c = self.peek().unwrap();
         let sym = match c {
             '{' => "{",
             '}' => "}",
@@ -238,15 +228,17 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     next_comp: u32,
+    /// Open nesting levels, against [`MAX_NESTING`].
+    depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
     fn error(&self, message: impl Into<String>) -> IrError {
@@ -258,15 +250,25 @@ impl Parser {
         }
     }
 
-    fn bump(&mut self) -> Token {
-        let tok = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    fn bump(&mut self) {
         self.pos += 1;
-        tok
+    }
+
+    /// Parses one more nesting level with `parse`, refusing the level past
+    /// [`MAX_NESTING`] at the token that would open it.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn eat_symbol(&mut self, sym: &str) -> Result<()> {
-        match &self.peek().kind {
-            TokenKind::Symbol(s) if *s == sym => {
+        match self.peek().kind {
+            TokenKind::Symbol(s) if s == sym => {
                 self.bump();
                 Ok(())
             }
@@ -275,7 +277,7 @@ impl Parser {
     }
 
     fn eat_keyword(&mut self, kw: &str) -> Result<()> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Ident(s) if s == kw => {
                 self.bump();
                 Ok(())
@@ -285,15 +287,15 @@ impl Parser {
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw)
+        matches!(self.peek().kind, TokenKind::Ident(s) if s == kw)
     }
 
     fn peek_symbol(&self, sym: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Symbol(s) if *s == sym)
+        matches!(self.peek().kind, TokenKind::Symbol(s) if s == sym)
     }
 
-    fn ident(&mut self) -> Result<String> {
-        match self.peek().kind.clone() {
+    fn ident(&mut self) -> Result<&'a str> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
                 self.bump();
                 Ok(s)
@@ -303,7 +305,7 @@ impl Parser {
     }
 
     fn int(&mut self) -> Result<i64> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(v)
@@ -313,7 +315,7 @@ impl Parser {
     }
 
     fn number(&mut self) -> Result<f64> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(v as f64)
@@ -324,7 +326,7 @@ impl Parser {
             }
             TokenKind::Symbol("-") => {
                 self.bump();
-                Ok(-self.number()?)
+                Ok(-self.nested(Self::number)?)
             }
             other => Err(self.error(format!("expected number, found {other:?}"))),
         }
@@ -346,14 +348,14 @@ impl Parser {
                 self.eat_symbol("=")?;
                 let value = self.int()?;
                 self.eat_symbol(";")?;
-                builder = builder.param(&name, value);
+                builder = builder.param(name, value);
             } else if self.peek_keyword("scalar") {
                 self.bump();
                 let name = self.ident()?;
                 self.eat_symbol("=")?;
                 let value = self.number()?;
                 self.eat_symbol(";")?;
-                builder = builder.scalar(&name, value);
+                builder = builder.scalar(name, value);
             } else if self.peek_keyword("array") {
                 self.bump();
                 let name = self.ident()?;
@@ -364,13 +366,13 @@ impl Parser {
                     self.eat_symbol("]")?;
                 }
                 self.eat_symbol(";")?;
-                builder = builder.array_with_dims(&name, dims);
+                builder = builder.array_with_dims(name, dims);
             } else {
                 let node = self.statement()?;
                 builder = builder.node(node);
             }
         }
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Eof => {}
             other => return Err(self.error(format!("expected end of input, found {other:?}"))),
         }
@@ -387,8 +389,8 @@ impl Parser {
         if self.peek_symbol("#") {
             self.bump();
             self.eat_keyword("pragma")?;
-            while let TokenKind::Ident(word) = self.peek().kind.clone() {
-                match word.as_str() {
+            while let TokenKind::Ident(word) = self.peek().kind {
+                match word {
                     "parallel" => {
                         schedule.parallel = true;
                         self.bump();
@@ -424,7 +426,7 @@ impl Parser {
         self.eat_symbol("{")?;
         let mut body = Vec::new();
         while !self.peek_symbol("}") {
-            body.push(self.statement()?);
+            body.push(self.nested(Self::statement)?);
         }
         self.eat_symbol("}")?;
         let mut l = Loop::new(iter, lower, upper, body);
@@ -508,7 +510,7 @@ impl Parser {
     }
 
     fn factor(&mut self) -> Result<Expr> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(Expr::Const(v))
@@ -519,11 +521,11 @@ impl Parser {
             }
             TokenKind::Symbol("-") => {
                 self.bump();
-                Ok(-self.factor()?)
+                Ok(-self.nested(Self::factor)?)
             }
             TokenKind::Symbol("(") => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.eat_symbol(")")?;
                 Ok(e)
             }
@@ -563,7 +565,7 @@ impl Parser {
     }
 
     fn scalar_factor(&mut self) -> Result<ScalarExpr> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(ScalarExpr::Const(v as f64))
@@ -574,18 +576,18 @@ impl Parser {
             }
             TokenKind::Symbol("-") => {
                 self.bump();
-                Ok(-self.scalar_factor()?)
+                Ok(-self.nested(Self::scalar_factor)?)
             }
             TokenKind::Symbol("(") => {
                 self.bump();
-                let e = self.scalar_expr()?;
+                let e = self.nested(Self::scalar_expr)?;
                 self.eat_symbol(")")?;
                 Ok(e)
             }
             TokenKind::Ident(name) => {
                 self.bump();
                 if self.peek_symbol("(") {
-                    self.call(&name)
+                    self.nested(|parser| parser.call(name))
                 } else if self.peek_symbol("[") {
                     let mut indices = Vec::new();
                     while self.peek_symbol("[") {
@@ -767,6 +769,91 @@ mod tests {
             IrError::Parse { line, .. } => assert_eq!(line, 1),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        // A no-break space (two bytes, Unicode whitespace) before the error.
+        let err = parse_program("program p {\u{a0}param N 3; }").unwrap_err();
+        assert!(
+            matches!(&err, IrError::Parse { message, line: 1, column: 21 }
+                if message == "expected `=`, found Int(3)"),
+            "{err:?}"
+        );
+        // Non-ASCII text is fine inside a comment and an error outside one.
+        assert!(parse_program("program p { // naïve\n }").is_ok());
+        let err = parse_program("program p { é }").unwrap_err();
+        assert!(
+            matches!(&err, IrError::Parse { message, line: 1, column: 13 }
+                if message == "unexpected character `é`"),
+            "{err:?}"
+        );
+    }
+
+    fn parse_error_position(source: &str) -> (String, usize, usize) {
+        match parse_program(source) {
+            Err(IrError::Parse {
+                message,
+                line,
+                column,
+            }) => (message, line, column),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn expression_nesting_is_limited() {
+        let wrap = |open: &str, levels: usize, close: &str| {
+            format!(
+                "program p {{ param N = 2; array A[N];\n for i in 0..N {{ A[{}i{}] = {}1.0{}; }} }}",
+                open.repeat(levels),
+                close.repeat(levels),
+                open.repeat(levels),
+                close.repeat(levels),
+            )
+        };
+        assert!(parse_program(&wrap("(", 100, ")")).is_ok());
+        assert!(parse_program(&wrap("-", 100, "")).is_ok());
+        // One `for` level plus 256 parentheses: the index expression hits the
+        // limit first, behind its last `(` (they start at 2:20).
+        let (message, line, column) = parse_error_position(&wrap("(", 256, ")"));
+        assert_eq!(message, "nesting deeper than 256 levels");
+        assert_eq!((line, column), (2, 20 + 256));
+        // Far past any stack: an error, not an abort.
+        for (open, close) in [("(", ")"), ("-", ""), ("sqrt(", ")")] {
+            let source = format!(
+                "program p {{ param N = 2; array A[N]; for i in 0..N {{ A[i] = {}1.0{}; }} }}",
+                open.repeat(200_000),
+                close.repeat(200_000)
+            );
+            let (message, line, _) = parse_error_position(&source);
+            assert_eq!(message, "nesting deeper than 256 levels");
+            assert_eq!(line, 1);
+        }
+        let (message, ..) = parse_error_position(&format!(
+            "program p {{ scalar a = {}1.0; }}",
+            "-".repeat(200_000)
+        ));
+        assert_eq!(message, "nesting deeper than 256 levels");
+    }
+
+    #[test]
+    fn block_nesting_is_limited() {
+        let nest = |levels: usize| {
+            let mut source = String::from("program p { param N = 2; array A[N];\n");
+            for level in 0..levels {
+                source.push_str(&format!("for i{level} in 0..N {{\n"));
+            }
+            source.push_str("A[0] = 1.0;\n");
+            source.push_str(&"}".repeat(levels + 1));
+            source
+        };
+        assert!(parse_program(&nest(200)).is_ok());
+        let (message, line, column) = parse_error_position(&nest(100_000));
+        assert_eq!(message, "nesting deeper than 256 levels");
+        // The top-level `for` on line 2 is level 0: the first one refused
+        // sits 257 levels down, first token of its line.
+        assert_eq!((line, column), (2 + 257, 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Maximal loop fission (the first normalization criterion, §2.1).
 
 use dependence::{analyze, sccs_of_body, DependenceGraph};
-use loop_ir::nest::{Loop, Node};
+use loop_ir::nest::Node;
 use loop_ir::program::Program;
 use transforms::fission::distribute;
 
@@ -40,44 +40,40 @@ impl MaximalFission {
 
     /// Runs the pass on a program, returning the fissioned program and
     /// statistics. Computation identifiers are preserved.
-    pub fn run(&self, program: &Program) -> (Program, FissionStats) {
-        self.run_with_graph(program, &mut analyze(program))
+    pub fn run(&self, program: Program) -> (Program, FissionStats) {
+        let mut graph = analyze(&program);
+        self.run_with_graph(program, &mut graph)
     }
 
     /// [`MaximalFission::run`] given the dependence graph of `program`; on
     /// return `graph` is the graph of the fissioned program.
     ///
-    /// A sweep that keeps the computations in their order leaves the graph
-    /// valid, so it is analyzed again only after a sweep that reordered
-    /// them (see the [`crate::pipeline`] module docs).
+    /// The pass owns `program`: a sweep moves nodes, it copies none, and a
+    /// loop that does not split stays where it is. A sweep that keeps the
+    /// computations in their order leaves the graph valid, so it is analyzed
+    /// again only after a sweep that reordered them (see the
+    /// [`crate::pipeline`] module docs).
     pub fn run_with_graph(
         &self,
-        program: &Program,
+        mut program: Program,
         graph: &mut DependenceGraph,
     ) -> (Program, FissionStats) {
         let mut stats = FissionStats {
             nests_before: program.loop_nests().len(),
             ..FissionStats::default()
         };
-        let mut current = program.clone();
         let limit = self.max_iterations.max(1);
         for _ in 0..limit {
             stats.iterations += 1;
-            let mut split_count = 0usize;
-            let mut new_body = Vec::new();
-            for node in &current.body {
-                new_body.extend(fission_node(node, graph, &mut split_count));
-            }
-            let changed = split_count > 0;
+            let split_count = fission_body(&mut program.body, graph);
             stats.loops_split += split_count;
-            current.body = new_body;
-            if !changed {
+            if split_count == 0 {
                 break;
             }
-            refresh(graph, &current);
+            refresh(graph, &program);
         }
-        stats.nests_after = current.loop_nests().len();
-        (current, stats)
+        stats.nests_after = program.loop_nests().len();
+        (program, stats)
     }
 }
 
@@ -99,37 +95,39 @@ fn refresh(graph: &mut DependenceGraph, fissioned: &Program) {
     }
 }
 
-/// Recursively fissions a node bottom-up: inner loops first, then the node's
-/// own body is distributed by dependence SCCs.
-fn fission_node(node: &Node, graph: &DependenceGraph, split_count: &mut usize) -> Vec<Node> {
-    match node {
-        Node::Computation(_) | Node::Call(_) => vec![node.clone()],
-        Node::Loop(l) => {
-            // First, maximally fission every child.
-            let mut new_body = Vec::new();
-            for child in &l.body {
-                new_body.extend(fission_node(child, graph, split_count));
-            }
-            let mut rebuilt = Loop::new(l.iter.clone(), l.lower.clone(), l.upper.clone(), new_body);
-            rebuilt.step = l.step;
-            rebuilt.schedule = l.schedule;
-
-            if rebuilt.body.len() <= 1 {
-                return vec![Node::Loop(rebuilt)];
-            }
-            // Distribute the body by dependence SCCs, in topological order.
-            let groups = sccs_of_body(graph, &rebuilt.body);
-            if groups.len() <= 1 {
-                return vec![Node::Loop(rebuilt)];
-            }
-            *split_count += 1;
-            distribute(&rebuilt, &groups)
-                .expect("SCC indices are valid body indices")
-                .into_iter()
-                .map(Node::Loop)
-                .collect()
+/// Fissions the loops of `body` in place, bottom-up: inner loops first, then
+/// a loop's own body is distributed by dependence SCCs and the loop replaced
+/// by its parts. Returns the number of loops split.
+fn fission_body(body: &mut Vec<Node>, graph: &DependenceGraph) -> usize {
+    let mut split_count = 0;
+    let mut index = 0;
+    while index < body.len() {
+        let Node::Loop(l) = &mut body[index] else {
+            index += 1;
+            continue;
+        };
+        // First, maximally fission every child.
+        split_count += fission_body(&mut l.body, graph);
+        // Distribute the body by dependence SCCs, in topological order.
+        let groups = if l.body.len() > 1 {
+            sccs_of_body(graph, &l.body)
+        } else {
+            Vec::new()
+        };
+        if groups.len() <= 1 {
+            index += 1;
+            continue;
         }
+        split_count += 1;
+        let Node::Loop(l) = body.remove(index) else {
+            unreachable!("matched as a loop above");
+        };
+        let parts = distribute(l, &groups).expect("SCCs partition the body indices");
+        let count = parts.len();
+        body.splice(index..index, parts.into_iter().map(Node::Loop));
+        index += count;
     }
+    split_count
 }
 
 #[cfg(test)]
@@ -174,7 +172,7 @@ mod tests {
 
     #[test]
     fn figure3a_splits_into_two_nests() {
-        let (fissioned, stats) = MaximalFission::new().run(&figure3a());
+        let (fissioned, stats) = MaximalFission::new().run(figure3a());
         // The inner loop is split and then the outer loop is split around the
         // two inner loops, yielding two separate two-deep nests (Fig. 3b).
         assert_eq!(fissioned.loop_nests().len(), 2);
@@ -194,7 +192,7 @@ mod tests {
     fn fission_preserves_computation_ids() {
         let p = figure3a();
         let ids_before: Vec<_> = p.computations().iter().map(|c| c.id).collect();
-        let (fissioned, _) = MaximalFission::new().run(&p);
+        let (fissioned, _) = MaximalFission::new().run(p);
         let mut ids_after: Vec<_> = fissioned.computations().iter().map(|c| c.id).collect();
         ids_after.sort();
         let mut expected = ids_before.clone();
@@ -229,7 +227,7 @@ mod tests {
             ))
             .build()
             .unwrap();
-        let (fissioned, stats) = MaximalFission::new().run(&p);
+        let (fissioned, stats) = MaximalFission::new().run(p);
         // S2 writes A which S1 reads in a later iteration, and S1 writes T
         // which S2 reads in the same iteration: a dependence cycle, so the
         // statements must stay in one loop.
@@ -263,7 +261,7 @@ mod tests {
             ))
             .build()
             .unwrap();
-        let (fissioned, _) = MaximalFission::new().run(&p);
+        let (fissioned, _) = MaximalFission::new().run(p);
         assert_eq!(fissioned.loop_nests().len(), 2);
         // Producer loop must come first.
         assert_eq!(fissioned.loop_nests()[0].computations()[0].name, "S1");
@@ -309,7 +307,7 @@ mod tests {
             ))
             .build()
             .unwrap();
-        let (fissioned, _) = MaximalFission::new().run(&p);
+        let (fissioned, _) = MaximalFission::new().run(p);
         assert_eq!(fissioned.loop_nests().len(), 2);
         let first = fissioned.loop_nests()[0];
         let second = fissioned.loop_nests()[1];
@@ -323,8 +321,8 @@ mod tests {
     #[test]
     fn already_atomic_program_is_unchanged() {
         let p = figure3a();
-        let (once, _) = MaximalFission::new().run(&p);
-        let (twice, stats) = MaximalFission::new().run(&once);
+        let (once, _) = MaximalFission::new().run(p);
+        let (twice, stats) = MaximalFission::new().run(once.clone());
         assert_eq!(once, twice);
         assert_eq!(stats.loops_split, 0);
         assert_eq!(stats.iterations, 1);
@@ -333,7 +331,7 @@ mod tests {
     #[test]
     fn iteration_bound_is_respected() {
         let pass = MaximalFission { max_iterations: 1 };
-        let (fissioned, stats) = pass.run(&figure3a());
+        let (fissioned, stats) = pass.run(figure3a());
         assert_eq!(stats.iterations, 1);
         // One bottom-up sweep already reaches the fixed point.
         assert_eq!(fissioned.loop_nests().len(), 2);

@@ -1,6 +1,6 @@
 //! Stride minimization (the second normalization criterion, §2.2).
 
-use dependence::{analyze, is_permutation_legal, DependenceGraph};
+use dependence::{analyze, is_permutation_legal, DependenceGraph, PermutationLegality};
 use loop_ir::expr::Var;
 use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
@@ -51,42 +51,44 @@ impl StrideMinimization {
     }
 
     /// Runs the pass, returning the permuted program and statistics.
-    pub fn run(&self, program: &Program) -> (Program, PermutationStats) {
-        self.run_with_graph(program, &analyze(program))
+    pub fn run(&self, program: Program) -> (Program, PermutationStats) {
+        let graph = analyze(&program);
+        self.run_with_graph(program, &graph)
     }
 
     /// [`StrideMinimization::run`] given the dependence graph of `program`.
+    ///
+    /// The pass owns `program`: a nest that changes order is replaced, every
+    /// other node stays where it is, untouched.
     pub fn run_with_graph(
         &self,
-        program: &Program,
+        mut program: Program,
         graph: &DependenceGraph,
     ) -> (Program, PermutationStats) {
         let mut stats = PermutationStats::default();
-        let mut out = program.clone();
-        out.body = program
-            .body
-            .iter()
-            .map(|node| match node {
-                Node::Loop(nest) => {
-                    Node::Loop(self.minimize_nest(program, graph, nest, &mut stats))
-                }
-                other => other.clone(),
-            })
-            .collect();
-        (out, stats)
+        // The nests are rewritten against the declarations they sit beside.
+        let mut body = std::mem::take(&mut program.body);
+        for node in &mut body {
+            if let Node::Loop(nest) = node {
+                self.minimize_nest(&program, graph, nest, &mut stats);
+            }
+        }
+        program.body = body;
+        (program, stats)
     }
 
     /// Finds and applies the minimal-stride legal permutation for one nest,
     /// then recurses into loop nests below the perfect chain (imperfectly
     /// nested programs such as time-stepped stencils carry their permutable
-    /// spatial nests *inside* the sequential time loop).
+    /// spatial nests *inside* the sequential time loop). `program` supplies
+    /// the parameters and array declarations only.
     pub fn minimize_nest(
         &self,
         program: &Program,
         graph: &DependenceGraph,
-        nest: &Loop,
+        nest: &mut Loop,
         stats: &mut PermutationStats,
-    ) -> Loop {
+    ) {
         stats.nests_examined += 1;
         let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
         let strides = NestStrides::of(program, nest, &chain);
@@ -108,52 +110,32 @@ impl StrideMinimization {
                 self.grouped_sort(graph, nest, &chain, &strides)
             }
         };
-        let mut result = match best {
+        match best {
             Some((order, permuted)) if order != chain => {
                 stats.nests_permuted += 1;
                 stats.cost_after += strides.cost(&order);
-                permuted
+                *nest = permuted;
             }
-            _ => {
-                stats.cost_after += original_cost;
-                nest.clone()
-            }
-        };
+            _ => stats.cost_after += original_cost,
+        }
 
         // Recurse into the loops below the end of the perfect chain.
-        self.minimize_below_chain(program, graph, &mut result, stats);
-        result
-    }
-
-    fn minimize_below_chain(
-        &self,
-        program: &Program,
-        graph: &DependenceGraph,
-        nest: &mut Loop,
-        stats: &mut PermutationStats,
-    ) {
-        // Find the innermost loop of the perfect chain.
-        let chain_len = perfect_chain(nest).len();
-        let mut current: &mut Loop = nest;
-        for _ in 1..chain_len {
-            let Some(Node::Loop(inner)) = current.body.iter_mut().next() else {
-                return;
+        let mut innermost = nest;
+        for _ in 1..chain.len() {
+            let [Node::Loop(inner)] = innermost.body.as_mut_slice() else {
+                unreachable!("a perfect chain descends through sole loop children");
             };
-            current = inner;
+            innermost = inner;
         }
         // If the innermost chain loop has several children, each child loop
         // is itself a nest to minimize.
-        if current.body.len() <= 1 {
-            return;
+        if innermost.body.len() > 1 {
+            for node in &mut innermost.body {
+                if let Node::Loop(sub) = node {
+                    self.minimize_nest(program, graph, sub, stats);
+                }
+            }
         }
-        current.body = current
-            .body
-            .iter()
-            .map(|node| match node {
-                Node::Loop(sub) => Node::Loop(self.minimize_nest(program, graph, sub, stats)),
-                other => other.clone(),
-            })
-            .collect();
     }
 
     /// Exhaustive enumeration of legal permutations (§2.2: "the minimum can
@@ -171,9 +153,10 @@ impl StrideMinimization {
             let column = chain.iter().position(|c| c == iter);
             weights[column.expect("orders permute the chain")]
         };
+        let legality = PermutationLegality::of(graph, nest);
         let mut best: Option<(f64, Vec<Var>, Vec<f64>, Loop)> = None;
         for order in permutations(chain) {
-            if !is_permutation_legal(graph, nest, &order) {
+            if !legality.allows(&order) {
                 continue;
             }
             let cost = strides.cost(&order);
@@ -305,12 +288,12 @@ mod tests {
     fn all_gemm_orders_normalize_to_the_same_canonical_order() {
         let canonical = {
             let p = gemm_update("ikj");
-            let (n, _) = StrideMinimization::new().run(&p);
+            let (n, _) = StrideMinimization::new().run(p);
             order_of(&n, 0)
         };
         for variant in ["ijk", "ikj", "jik", "jki", "kij", "kji"] {
             let p = gemm_update(variant);
-            let (n, _) = StrideMinimization::new().run(&p);
+            let (n, _) = StrideMinimization::new().run(p);
             assert_eq!(
                 order_of(&n, 0),
                 canonical,
@@ -323,7 +306,7 @@ mod tests {
     #[test]
     fn permutation_is_semantically_valid_program() {
         let p = gemm_update("kji");
-        let (n, stats) = StrideMinimization::new().run(&p);
+        let (n, stats) = StrideMinimization::new().run(p);
         assert!(n.validate().is_ok());
         assert_eq!(stats.nests_examined, 1);
         assert_eq!(stats.nests_permuted, 1);
@@ -344,7 +327,7 @@ mod tests {
             }
         "#;
         let p = parse_program(src).unwrap();
-        let (n, _) = StrideMinimization::new().run(&p);
+        let (n, _) = StrideMinimization::new().run(p);
         assert_eq!(order_of(&n, 0), vec!["i", "j"]);
     }
 
@@ -360,7 +343,7 @@ mod tests {
             }
         "#;
         let p = parse_program(src).unwrap();
-        let (n, stats) = StrideMinimization::new().run(&p);
+        let (n, stats) = StrideMinimization::new().run(p);
         assert_eq!(order_of(&n, 0), vec!["j", "i"]);
         assert_eq!(stats.nests_permuted, 1);
         assert!(stats.cost_after < stats.cost_before);
@@ -376,7 +359,7 @@ mod tests {
             }
         "#;
         let p = parse_program(src).unwrap();
-        let (n, stats) = StrideMinimization::new().run(&p);
+        let (n, stats) = StrideMinimization::new().run(p.clone());
         assert_eq!(n, p);
         assert_eq!(stats.nests_permuted, 0);
     }
@@ -393,7 +376,7 @@ mod tests {
             }
         "#;
         let p = parse_program(src).unwrap();
-        let (n, _) = StrideMinimization::new().run(&p);
+        let (n, _) = StrideMinimization::new().run(p);
         // (j, i) would have better strides but is structurally impossible
         // because j's bound depends on i.
         assert_eq!(order_of(&n, 0), vec!["i", "j"]);
@@ -430,7 +413,7 @@ mod tests {
             .build()
             .unwrap();
         let pass = StrideMinimization::new();
-        let (n, stats) = pass.run(&p);
+        let (n, stats) = pass.run(p);
         assert_eq!(stats.approximated, 1);
         // Grouped sorting orders by descending stride weight: a, b, …, g.
         assert_eq!(order_of(&n, 0), vec!["a", "b", "c", "d", "e", "f", "g"]);
@@ -439,8 +422,8 @@ mod tests {
     #[test]
     fn pass_is_idempotent() {
         let p = gemm_update("jki");
-        let (once, _) = StrideMinimization::new().run(&p);
-        let (twice, stats) = StrideMinimization::new().run(&once);
+        let (once, _) = StrideMinimization::new().run(p);
+        let (twice, stats) = StrideMinimization::new().run(once.clone());
         assert_eq!(once, twice);
         assert_eq!(stats.nests_permuted, 0);
     }

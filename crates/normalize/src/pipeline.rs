@@ -26,6 +26,32 @@
 //! other. Fission therefore analyzes again after a sweep that reordered
 //! computations, and only then — `tests/single_graph.rs` pins that nothing
 //! is decided differently from every sweep and pass analyzing for itself.
+//!
+//! # One working copy
+//!
+//! [`Normalizer::run`] borrows its input and clones it once; that copy *is*
+//! the result, handed by value from step to step:
+//!
+//! * `run` owns it, lends it to nobody, and validates it last.
+//! * [`MaximalFission::run_with_graph`] takes and returns it. A sweep walks
+//!   the bodies in place; a loop that splits gives its body nodes to the new
+//!   loops (only the header — iterator, bounds — is copied per part), a loop
+//!   that does not split is not touched, and the confirming sweep that
+//!   changes nothing allocates nothing for the tree.
+//! * [`StrideMinimization::run_with_graph`] takes and returns it. Orders are
+//!   priced on strides alone; `interchange` builds a nest only for an order
+//!   that wins, and that nest replaces the old one. A nest that keeps its
+//!   order is never copied.
+//!
+//! Names make this cheap to hold together: a [`loop_ir::expr::Var`] is a
+//! shared immutable string, so the header copies above, the chain vectors
+//! and the dependence records bump reference counts. `Var` still compares,
+//! orders and hashes *by content* — the tie-break between equally cheap
+//! loop orders is the order of their iterator names, and every
+//! `BTreeMap<Var, _>` iterates by name — so which allocation a name lives in
+//! decides nothing. `tests/golden_forms.rs` pins the normal forms themselves
+//! (a node moved out of a body and not put back is the bug this design can
+//! have, and the passes would agree on it).
 
 use dependence::analyze;
 use loop_ir::program::Program;
@@ -116,10 +142,10 @@ impl Normalizer {
         if self.config.fission || self.config.stride_minimization {
             let mut graph = analyze(program);
             if self.config.fission {
-                (current, stats.fission) = self.fission.run_with_graph(&current, &mut graph);
+                (current, stats.fission) = self.fission.run_with_graph(current, &mut graph);
             }
             if self.config.stride_minimization {
-                (current, stats.permutation) = self.stride.run_with_graph(&current, &graph);
+                (current, stats.permutation) = self.stride.run_with_graph(current, &graph);
             }
         }
         current.validate()?;

@@ -27,7 +27,7 @@ fn each_pass_analyzing_for_itself(program: &Program) -> NormalizedProgram {
     };
     let mut current = program.clone();
     for _ in 0..MaximalFission::new().max_iterations {
-        let (next, sweep) = MaximalFission { max_iterations: 1 }.run(&current);
+        let (next, sweep) = MaximalFission { max_iterations: 1 }.run(current);
         fission.iterations += 1;
         fission.loops_split += sweep.loops_split;
         current = next;
@@ -36,7 +36,7 @@ fn each_pass_analyzing_for_itself(program: &Program) -> NormalizedProgram {
         }
     }
     fission.nests_after = current.loop_nests().len();
-    let (program, permutation) = StrideMinimization::new().run(&current);
+    let (program, permutation) = StrideMinimization::new().run(current);
     NormalizedProgram {
         program,
         stats: NormalizationStats {

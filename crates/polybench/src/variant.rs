@@ -36,7 +36,7 @@ pub fn random_b_variant(program: &Program, seed: u64) -> Program {
                     && rng.gen_bool(0.5)
                     && dependence::sccs_of_body(&graph, &nest.body).len() == nest.body.len()
                 {
-                    distribute_all(nest)
+                    distribute_all(nest.clone())
                 } else {
                     vec![nest.clone()]
                 };

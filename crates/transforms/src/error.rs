@@ -30,7 +30,8 @@ pub enum TransformError {
     },
     /// The two loops have different iteration domains and cannot be fused.
     DomainMismatch,
-    /// A statement group index is out of bounds for distribution.
+    /// A statement group index is out of bounds for distribution, or listed
+    /// twice.
     InvalidGroup(usize),
 }
 
@@ -52,7 +53,10 @@ impl fmt::Display for TransformError {
                 write!(f, "loops have different iteration domains")
             }
             TransformError::InvalidGroup(idx) => {
-                write!(f, "statement group index {idx} is out of bounds")
+                write!(
+                    f,
+                    "statement group index {idx} is out of bounds or listed twice"
+                )
             }
         }
     }

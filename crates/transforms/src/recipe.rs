@@ -228,7 +228,7 @@ impl Recipe {
             let iters = nest.nested_iterators();
             match step {
                 Transform::Fission => {
-                    out.extend(distribute_all(&nest));
+                    out.extend(distribute_all(nest));
                     applied = true;
                 }
                 Transform::Interchange { order } => {

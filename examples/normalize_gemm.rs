@@ -26,14 +26,14 @@ fn main() {
     let program = parse_program(source).expect("parses");
     println!("--- original (Figure 3a) ---\n{}", print_program(&program));
 
-    let (fissioned, fission_stats) = MaximalFission::new().run(&program);
+    let (fissioned, fission_stats) = MaximalFission::new().run(program.clone());
     println!(
         "--- after maximal loop fission (Figure 3b), {} loop(s) split ---\n{}",
         fission_stats.loops_split,
         print_program(&fissioned)
     );
 
-    let (permuted, permute_stats) = StrideMinimization::new().run(&fissioned);
+    let (permuted, permute_stats) = StrideMinimization::new().run(fissioned);
     println!(
         "--- after stride minimization (Figure 3c), {} nest(s) permuted ---\n{}",
         permute_stats.nests_permuted,
