@@ -101,14 +101,14 @@ pub(crate) fn loop_bounds(ctx: &CompContext<'_>, params: &BTreeMap<Var, i64>) ->
 
 /// One computation as the pair loop needs it: everything that depends on the
 /// computation alone, computed once.
-struct LoweredComp {
+struct LoweredComp<'a> {
     id: CompId,
     loops: Vec<LoopBound>,
-    accesses: Vec<LoweredAccess>,
+    accesses: Vec<LoweredAccess<'a>>,
 }
 
-struct LoweredAccess {
-    access: Access,
+struct LoweredAccess<'a> {
+    access: Access<'a>,
     /// Index of the accessed array among the arrays the program touches.
     array: usize,
     subscripts: Subscripts,
@@ -143,7 +143,7 @@ pub fn analyze_nest(program: &Program, nest: &Loop) -> DependenceGraph {
 /// bindings of `program`.
 fn analyze_contexts(program: &Program, contexts: &[CompContext<'_>]) -> DependenceGraph {
     let mut array_ids: BTreeMap<Var, usize> = BTreeMap::new();
-    let comps: Vec<LoweredComp> = contexts
+    let comps: Vec<LoweredComp<'_>> = contexts
         .iter()
         .map(|ctx| {
             let loops = loop_bounds(ctx, &program.params);
@@ -159,7 +159,7 @@ fn analyze_contexts(program: &Program, contexts: &[CompContext<'_>]) -> Dependen
                     });
                     LoweredAccess {
                         array,
-                        subscripts: Subscripts::lower(&access.array_ref, &loops, &program.params),
+                        subscripts: Subscripts::lower(access.array_ref, &loops, &program.params),
                         access,
                     }
                 })
@@ -232,8 +232,8 @@ pub(crate) fn common_loops(src: &[LoopBound], dst: &[LoopBound]) -> Vec<Var> {
 }
 
 fn analyze_pair(
-    src: &LoweredComp,
-    dst: &LoweredComp,
+    src: &LoweredComp<'_>,
+    dst: &LoweredComp<'_>,
     is_self: bool,
     out: &mut Vec<Dependence>,
     stats: &mut WalkStats,
@@ -259,8 +259,8 @@ fn analyze_pair(
             };
             walk.refine(&mut levels, 0, stats, &mut |directions| {
                 out.push(oriented_dep(
-                    (src.id, &sa.access),
-                    (dst.id, &da.access),
+                    (src.id, sa.access),
+                    (dst.id, da.access),
                     &common,
                     directions,
                 ));
@@ -329,8 +329,8 @@ impl Walk<'_> {
 /// lexicographically negative vector means the destination's access happens
 /// first: the dependence flows from it, with the reversed vector.
 fn oriented_dep(
-    (src, src_access): (CompId, &Access),
-    (dst, dst_access): (CompId, &Access),
+    (src, src_access): (CompId, Access<'_>),
+    (dst, dst_access): (CompId, Access<'_>),
     common: &[Var],
     directions: Vec<Direction>,
 ) -> Dependence {
@@ -346,8 +346,8 @@ fn oriented_dep(
 pub(crate) fn make_dep(
     src: CompId,
     dst: CompId,
-    src_access: &Access,
-    dst_access: &Access,
+    src_access: Access<'_>,
+    dst_access: Access<'_>,
     common: &[Var],
     directions: Vec<Direction>,
 ) -> Dependence {

@@ -257,11 +257,11 @@ fn analyze_pair(
                     continue;
                 }
                 let src_acc = AccessContext {
-                    array_ref: &sa.array_ref,
+                    array_ref: sa.array_ref,
                     loops: src_bounds,
                 };
                 let dst_acc = AccessContext {
-                    array_ref: &da.array_ref,
+                    array_ref: da.array_ref,
                     loops: dst_bounds,
                 };
                 if !may_depend(&src_acc, &dst_acc, &common, &directions, &program.params) {
@@ -271,9 +271,9 @@ fn analyze_pair(
                     // The dependence actually flows from dst to src with
                     // the reversed direction vector.
                     let reversed = directions.iter().map(|d| reverse(*d)).collect();
-                    make_dep(dst_id, src_id, da, sa, &common, reversed)
+                    make_dep(dst_id, src_id, *da, *sa, &common, reversed)
                 } else {
-                    make_dep(src_id, dst_id, sa, da, &common, directions)
+                    make_dep(src_id, dst_id, *sa, *da, &common, directions)
                 });
             }
         }

@@ -19,9 +19,14 @@
 //! with the program's parameters folded into `constant` and `c_k` the
 //! coefficient of the `k`-th enclosing loop's iterator. A symbol that is
 //! neither a bound parameter nor an enclosing iterator is kept as a
-//! [`FreeTerm`]: an unbounded unknown shared by both sides of a pair. All
-//! folding is checked; a subscript that is not affine, or whose row does not
-//! fit `i64`, has no rows and may depend on anything.
+//! [`FreeTerm`]: an unbounded unknown shared by both sides of a pair. The
+//! terms come from the one affine fold of the IR, [`AffineFold`], scattered
+//! as they are found; what it declines is scattered from the reference
+//! `fold_params(..).as_affine()`. So a row is exactly the subscript's
+//! [`Expr::affine_with`](loop_ir::expr::Expr::affine_with) form, as in
+//! [`crate::reference`] — degenerate subscripts (`0·(i·j)`, `(i·j)−(i·j)`,
+//! `x/1`) included — and a subscript without one (not affine, or leaving
+//! `i64`) has no rows and may depend on anything.
 //!
 //! A pair of accesses is tested through a [`LoopPairing`] of the two loop
 //! stacks. For one dimension the equation `src − dst = 0` has these
@@ -67,7 +72,7 @@
 use std::collections::BTreeMap;
 
 use loop_ir::array::ArrayRef;
-use loop_ir::expr::{Expr, Var};
+use loop_ir::expr::{AffineFold, Var};
 
 use crate::types::Direction;
 
@@ -146,15 +151,28 @@ impl Subscripts {
         let mut rows = vec![0i64; rank * width];
         let mut free = Vec::new();
         let affine = array_ref.indices.iter().enumerate().all(|(dim, index)| {
-            RowBuilder {
+            let mut row = RowBuilder {
                 loops,
-                params,
                 dim,
                 row: &mut rows[dim * width..][..width],
                 free: &mut free,
+            };
+            if AffineFold::new(params)
+                .add(index, 1, &mut |v, c| row.scatter(v, c))
+                .is_some()
+            {
+                return true;
             }
-            .add(index, 1)
-            .is_some()
+            // What the fold declines, the reference decides.
+            row.clear();
+            let Some(form) = index.fold_params(params).as_affine() else {
+                return false;
+            };
+            row.scatter(None, form.constant_part());
+            for (v, c) in form.terms() {
+                row.scatter(Some(v), c);
+            }
+            true
         });
         Subscripts {
             rank,
@@ -171,72 +189,49 @@ impl Subscripts {
     }
 }
 
-/// Accumulates one subscript expression into its row.
+/// Scatters the terms of one subscript's affine form into its row: the
+/// constant into column 0, an enclosing iterator into its slot's column,
+/// any other symbol into a [`FreeTerm`].
 struct RowBuilder<'a> {
     loops: &'a [LoopBound],
-    params: &'a BTreeMap<Var, i64>,
     dim: usize,
     row: &'a mut [i64],
     free: &'a mut Vec<FreeTerm>,
 }
 
 impl RowBuilder<'_> {
-    /// Adds `factor · expr`; `None` when the result is not affine in the
-    /// iterators or leaves `i64`.
-    fn add(&mut self, expr: &Expr, factor: i64) -> Option<()> {
-        match expr {
-            Expr::Const(c) => self.bump(0, factor.checked_mul(*c)?),
-            Expr::Var(v) => {
-                // Parameters win over iterators, as in `Expr::fold_params`.
-                if let Some(value) = self.params.get(v) {
-                    self.bump(0, factor.checked_mul(*value)?)
-                } else if let Some(slot) = self.loops.iter().position(|l| &l.iter == v) {
-                    self.bump(1 + slot, factor)
-                } else {
-                    let dim = self.dim;
-                    match self
-                        .free
-                        .iter_mut()
-                        .find(|t| t.dim == dim && &t.symbol == v)
-                    {
-                        Some(term) => term.coefficient = term.coefficient.checked_add(factor)?,
-                        None => self.free.push(FreeTerm {
-                            dim,
-                            symbol: v.clone(),
-                            coefficient: factor,
-                        }),
-                    }
-                    Some(())
-                }
-            }
-            Expr::Add(a, b) => {
-                self.add(a, factor)?;
-                self.add(b, factor)
-            }
-            Expr::Sub(a, b) => {
-                self.add(a, factor)?;
-                self.add(b, factor.checked_neg()?)
-            }
-            Expr::Neg(a) => self.add(a, factor.checked_neg()?),
-            Expr::Mul(a, b) => {
-                if let Some(c) = a.eval(self.params) {
-                    self.add(b, factor.checked_mul(c)?)
-                } else {
-                    let c = b.eval(self.params)?;
-                    self.add(a, factor.checked_mul(c)?)
-                }
-            }
-            // Affine only when the parameters fold them to a constant.
-            Expr::Div(..) | Expr::Mod(..) | Expr::Min(..) | Expr::Max(..) => {
-                let c = expr.eval(self.params)?;
-                self.bump(0, factor.checked_mul(c)?)
-            }
+    /// Adds `c · v` (`c` for `None`). The terms come from one
+    /// [`AffineFold`] or one [`AffineExpr`](loop_ir::expr::AffineExpr), so
+    /// every sum fits `i64`.
+    fn scatter(&mut self, v: Option<&Var>, c: i64) {
+        let Some(v) = v else {
+            self.row[0] += c;
+            return;
+        };
+        if let Some(slot) = self.loops.iter().position(|l| &l.iter == v) {
+            self.row[1 + slot] += c;
+            return;
+        }
+        let dim = self.dim;
+        match self
+            .free
+            .iter_mut()
+            .find(|t| t.dim == dim && &t.symbol == v)
+        {
+            Some(term) => term.coefficient += c,
+            None => self.free.push(FreeTerm {
+                dim,
+                symbol: v.clone(),
+                coefficient: c,
+            }),
         }
     }
 
-    fn bump(&mut self, column: usize, by: i64) -> Option<()> {
-        self.row[column] = self.row[column].checked_add(by)?;
-        Some(())
+    /// Forgets what a declined fold scattered.
+    fn clear(&mut self) {
+        self.row.fill(0);
+        let dim = self.dim;
+        self.free.retain(|t| t.dim != dim);
     }
 }
 
@@ -511,7 +506,7 @@ pub fn may_depend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loop_ir::expr::{cst, var};
+    use loop_ir::expr::{cst, var, Expr};
 
     fn params() -> BTreeMap<Var, i64> {
         BTreeMap::new()
@@ -823,6 +818,50 @@ mod tests {
             &[Direction::Lt],
             &params()
         ));
+    }
+
+    #[test]
+    fn degenerate_subscripts_are_tested_as_the_reference_tests_them() {
+        // PR 13's list: production called these non-affine ("may depend")
+        // while the reference simplified them.
+        let ij = || var("i") * var("j");
+        let loops = bounds(&[("i", 0, 10), ("j", 0, 10)]);
+        let common = [Var::new("i"), Var::new("j")];
+        let next = ArrayRef::new("A", vec![var("i") + cst(1)]);
+        let directions = [Direction::Eq, Direction::Lt, Direction::Gt, Direction::Any];
+        for degenerate in [
+            cst(0) * ij() + var("i"),
+            ij() - ij() + var("i"),
+            Expr::Div(Box::new(var("i")), Box::new(cst(1))),
+        ] {
+            let r = ArrayRef::new("A", vec![degenerate]);
+            let src = AccessContext {
+                array_ref: &r,
+                loops: &loops,
+            };
+            let dst = AccessContext {
+                array_ref: &next,
+                loops: &loops,
+            };
+            for outer in directions {
+                for inner in directions {
+                    assert_eq!(
+                        may_depend(&src, &dst, &common, &[outer, inner], &params()),
+                        crate::reference::may_depend(
+                            &src,
+                            &dst,
+                            &common,
+                            &[outer, inner],
+                            &params()
+                        ),
+                        "{r} vs {next} under ({outer:?}, {inner:?})"
+                    );
+                }
+            }
+            // A[i] and A[i + 1] never meet in one iteration of `i`.
+            let same_i = [Direction::Eq, Direction::Any];
+            assert!(!may_depend(&src, &dst, &common, &same_i, &params()), "{r}");
+        }
     }
 
     #[test]

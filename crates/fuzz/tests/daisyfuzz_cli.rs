@@ -147,6 +147,60 @@ fn replaying_a_deeply_nested_case_is_a_parse_error_not_an_abort() {
     assert!(!err.contains('\n'), "{err}");
 }
 
+/// ROADMAP item 6 (iii), the other half: a 200 000-term `1+1+…` chain nests
+/// no parenthesis, but builds a tree as deep as the one above, which every
+/// recursive walker used to follow into a stack overflow.
+#[test]
+fn replaying_a_long_operator_chain_is_a_parse_error_not_an_abort() {
+    for (label, subscript, value) in [
+        ("value", "i".to_string(), vec!["1.0"; 200_000].join("+")),
+        (
+            "subscript",
+            format!("{}i", "0+".repeat(200_000)),
+            "1.0".into(),
+        ),
+    ] {
+        let path = std::env::temp_dir().join(format!(
+            "daisyfuzz-cli-chain-{label}-{}.loop",
+            std::process::id()
+        ));
+        let source = format!(
+            "program chain {{ param N = 2; array A[N]; for i in 0..N {{ A[{subscript}] = {value}; }} }}"
+        );
+        std::fs::write(&path, source).expect("case file is writable");
+        let output = daisyfuzz(&["replay", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(output.status.code(), Some(2), "{}", stderr_line(&output));
+        let err = stderr_line(&output);
+        assert!(
+            err.contains("parse error at 1:") && err.contains("nesting deeper than 256 levels"),
+            "{label}: {err}"
+        );
+        assert!(!err.contains('\n'), "{label}: {err}");
+    }
+}
+
+/// ROADMAP item 6 (i): `N * N` elements wrap `i64` to 0, and the exec oracle
+/// used to index the empty storage — a panic. The size is now an error that
+/// names the array.
+#[test]
+fn replaying_an_extent_that_wraps_is_an_error_naming_the_array() {
+    let path = std::env::temp_dir().join(format!("daisyfuzz-cli-wrap-{}.loop", std::process::id()));
+    std::fs::write(
+        &path,
+        "program wrap { param N = 4611686018427387904; array A[N][N]; \
+         for i in 0..2 { A[i][0] = 1.0; } }",
+    )
+    .expect("case file is writable");
+    let output = daisyfuzz(&["replay", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(output.status.code(), Some(1), "{}", stderr_line(&output));
+    let out = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(out.lines().count(), 1, "{out}");
+    assert!(out.contains("array `A`"), "{out}");
+    assert!(!out.contains("PANICKED"), "{out}");
+}
+
 #[test]
 fn help_lists_every_command() {
     let output = daisyfuzz(&["--help"]);

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::expr::{AffineExpr, Expr, Var};
+use crate::expr::{AffineExpr, AffineFold, Expr, Var};
 
 /// A data container declaration: a multi-dimensional array of `f64` elements
 /// with symbolic extents, laid out in row-major order.
@@ -45,10 +45,12 @@ impl Array {
         self.dims.iter().map(|d| d.eval(bindings)).collect()
     }
 
-    /// Total number of elements under the given bindings.
+    /// Total number of elements under the given bindings; `None` when an
+    /// extent cannot be evaluated or the product leaves `i64`.
     pub fn len(&self, bindings: &BTreeMap<Var, i64>) -> Option<i64> {
-        self.concrete_dims(bindings)
-            .map(|dims| dims.iter().product())
+        self.concrete_dims(bindings)?
+            .iter()
+            .try_fold(1i64, |len, &dim| len.checked_mul(dim))
     }
 
     /// Returns true if the array has zero elements under the given bindings.
@@ -58,18 +60,21 @@ impl Array {
 
     /// Row-major linear strides (in elements) for each dimension, under the
     /// given parameter bindings. The innermost (last) dimension has stride 1.
+    /// `None` when an extent cannot be evaluated or a stride leaves `i64`.
     pub fn strides(&self, bindings: &BTreeMap<Var, i64>) -> Option<Vec<i64>> {
         let dims = self.concrete_dims(bindings)?;
         let mut strides = vec![1i64; dims.len()];
         for i in (0..dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * dims[i + 1];
+            strides[i] = strides[i + 1].checked_mul(dims[i + 1])?;
         }
         Some(strides)
     }
 
-    /// Total size in bytes under the given bindings.
+    /// Total size in bytes under the given bindings; `None` as for
+    /// [`len`](Self::len).
     pub fn size_bytes(&self, bindings: &BTreeMap<Var, i64>) -> Option<i64> {
-        Some(self.len(bindings)? * self.elem_size as i64)
+        self.len(bindings)?
+            .checked_mul(i64::try_from(self.elem_size).ok()?)
     }
 }
 
@@ -115,19 +120,13 @@ impl ArrayRef {
         self.indices.len()
     }
 
-    /// Affine normal form of every subscript, or `None` if any subscript is
-    /// not affine.
-    pub fn affine_indices(&self) -> Option<Vec<AffineExpr>> {
-        self.indices.iter().map(|e| e.as_affine()).collect()
-    }
-
     /// Affine normal form of every subscript after folding the given
     /// parameter bindings into the expressions (so `A[b * KLEV + k]` with a
     /// known `KLEV` is still affine in `b` and `k`).
     pub fn affine_indices_with(&self, bindings: &BTreeMap<Var, i64>) -> Option<Vec<AffineExpr>> {
         self.indices
             .iter()
-            .map(|e| e.fold_params(bindings).as_affine())
+            .map(|e| e.affine_with(bindings))
             .collect()
     }
 
@@ -137,6 +136,7 @@ impl ArrayRef {
     ///
     /// This is the quantity whose per-iterator coefficients are the access
     /// strides minimized by the stride-minimization normalization pass.
+    /// `None` when a subscript is not affine or a coefficient leaves `i64`.
     pub fn linear_offset(
         &self,
         array: &Array,
@@ -146,9 +146,20 @@ impl ArrayRef {
         if strides.len() != self.indices.len() {
             return None;
         }
+        let mut out = AffineExpr::default();
+        let mut fold = AffineFold::new(bindings);
+        let folded = self
+            .indices
+            .iter()
+            .zip(&strides)
+            .try_for_each(|(idx, &stride)| fold.add(idx, stride, &mut |v, c| out.add_folded(v, c)));
+        if folded.is_some() {
+            return Some(out.without_zero_terms());
+        }
+        // The reference: each subscript's form, scaled and summed, checked.
         let mut acc = AffineExpr::constant(0);
         for (idx, stride) in self.indices.iter().zip(strides) {
-            acc = acc + idx.fold_params(bindings).as_affine()?.scaled(stride);
+            acc = acc.checked_add(idx.affine_with(bindings)?.checked_scaled(stride)?, 1)?;
         }
         Some(acc)
     }
@@ -199,18 +210,19 @@ impl fmt::Display for AccessKind {
     }
 }
 
-/// A memory access: an [`ArrayRef`] together with its direction.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct Access {
+/// A memory access: an [`ArrayRef`] of a computation, borrowed, together
+/// with its direction.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct Access<'a> {
     /// The referenced element.
-    pub array_ref: ArrayRef,
+    pub array_ref: &'a ArrayRef,
     /// Whether the element is read or written.
     pub kind: AccessKind,
 }
 
-impl Access {
+impl<'a> Access<'a> {
     /// Creates a read access.
-    pub fn read(array_ref: ArrayRef) -> Self {
+    pub fn read(array_ref: &'a ArrayRef) -> Self {
         Access {
             array_ref,
             kind: AccessKind::Read,
@@ -218,7 +230,7 @@ impl Access {
     }
 
     /// Creates a write access.
-    pub fn write(array_ref: ArrayRef) -> Self {
+    pub fn write(array_ref: &'a ArrayRef) -> Self {
         Access {
             array_ref,
             kind: AccessKind::Write,
@@ -231,7 +243,7 @@ impl Access {
     }
 }
 
-impl fmt::Display for Access {
+impl fmt::Display for Access<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {}", self.kind, self.array_ref)
     }
@@ -319,8 +331,8 @@ mod tests {
     #[test]
     fn access_kinds() {
         let r = ArrayRef::new("A", vec![var("i")]);
-        assert!(Access::write(r.clone()).is_write());
-        assert!(!Access::read(r).is_write());
+        assert!(Access::write(&r).is_write());
+        assert!(!Access::read(&r).is_write());
     }
 
     #[test]

@@ -216,8 +216,11 @@ impl Expr {
     }
 
     /// Substitutes every variable that has a binding with its constant value
-    /// and simplifies the result. Used to fold symbolic size parameters away
-    /// before affine analysis.
+    /// and simplifies the result.
+    ///
+    /// `fold_params(..).as_affine()` is the reference semantics of
+    /// [`affine_with`](Self::affine_with), which computes the same form
+    /// without building either tree.
     pub fn fold_params(&self, bindings: &BTreeMap<Var, i64>) -> Expr {
         let mut out = self.clone();
         for v in self.vars() {
@@ -229,75 +232,140 @@ impl Expr {
     }
 
     /// Performs constant folding and identity simplifications.
+    ///
+    /// When folding some constant would leave `i64` the expression is
+    /// returned unsimplified, so [`as_affine`](Self::as_affine) meets the
+    /// same overflow and answers `None`.
     pub fn simplify(&self) -> Expr {
-        match self {
+        self.checked_simplify().unwrap_or_else(|| self.clone())
+    }
+
+    /// [`simplify`](Self::simplify), or `None` when any constant fold
+    /// overflows — also one in a subtree an identity (`0 * x`, `x - x`)
+    /// would drop.
+    fn checked_simplify(&self) -> Option<Expr> {
+        let pair = |a: &Expr, b: &Expr| Some((a.checked_simplify()?, b.checked_simplify()?));
+        Some(match self {
             Expr::Const(_) | Expr::Var(_) => self.clone(),
-            Expr::Add(a, b) => match (a.simplify(), b.simplify()) {
-                (Expr::Const(x), Expr::Const(y)) => Expr::Const(x + y),
+            Expr::Add(a, b) => match pair(a, b)? {
+                (Expr::Const(x), Expr::Const(y)) => Expr::Const(x.checked_add(y)?),
                 (Expr::Const(0), rhs) => rhs,
                 (lhs, Expr::Const(0)) => lhs,
                 (lhs, rhs) => Expr::Add(Box::new(lhs), Box::new(rhs)),
             },
-            Expr::Sub(a, b) => match (a.simplify(), b.simplify()) {
-                (Expr::Const(x), Expr::Const(y)) => Expr::Const(x - y),
+            Expr::Sub(a, b) => match pair(a, b)? {
+                (Expr::Const(x), Expr::Const(y)) => Expr::Const(x.checked_sub(y)?),
                 (lhs, Expr::Const(0)) => lhs,
                 (lhs, rhs) if lhs == rhs => Expr::Const(0),
                 (lhs, rhs) => Expr::Sub(Box::new(lhs), Box::new(rhs)),
             },
-            Expr::Mul(a, b) => match (a.simplify(), b.simplify()) {
-                (Expr::Const(x), Expr::Const(y)) => Expr::Const(x * y),
+            Expr::Mul(a, b) => match pair(a, b)? {
+                (Expr::Const(x), Expr::Const(y)) => Expr::Const(x.checked_mul(y)?),
                 (Expr::Const(0), _) | (_, Expr::Const(0)) => Expr::Const(0),
                 (Expr::Const(1), rhs) => rhs,
                 (lhs, Expr::Const(1)) => lhs,
                 (lhs, rhs) => Expr::Mul(Box::new(lhs), Box::new(rhs)),
             },
-            Expr::Div(a, b) => match (a.simplify(), b.simplify()) {
-                (Expr::Const(x), Expr::Const(y)) if y != 0 => Expr::Const(x.div_euclid(y)),
+            Expr::Div(a, b) => match pair(a, b)? {
+                (Expr::Const(x), Expr::Const(y)) if y != 0 => Expr::Const(x.checked_div_euclid(y)?),
                 (lhs, Expr::Const(1)) => lhs,
                 (lhs, rhs) => Expr::Div(Box::new(lhs), Box::new(rhs)),
             },
-            Expr::Mod(a, b) => match (a.simplify(), b.simplify()) {
-                (Expr::Const(x), Expr::Const(y)) if y != 0 => Expr::Const(x.rem_euclid(y)),
+            Expr::Mod(a, b) => match pair(a, b)? {
+                (Expr::Const(x), Expr::Const(y)) if y != 0 => Expr::Const(x.checked_rem_euclid(y)?),
                 (lhs, rhs) => Expr::Mod(Box::new(lhs), Box::new(rhs)),
             },
-            Expr::Min(a, b) => match (a.simplify(), b.simplify()) {
+            Expr::Min(a, b) => match pair(a, b)? {
                 (Expr::Const(x), Expr::Const(y)) => Expr::Const(x.min(y)),
                 (lhs, rhs) if lhs == rhs => lhs,
                 (lhs, rhs) => Expr::Min(Box::new(lhs), Box::new(rhs)),
             },
-            Expr::Max(a, b) => match (a.simplify(), b.simplify()) {
+            Expr::Max(a, b) => match pair(a, b)? {
                 (Expr::Const(x), Expr::Const(y)) => Expr::Const(x.max(y)),
                 (lhs, rhs) if lhs == rhs => lhs,
                 (lhs, rhs) => Expr::Max(Box::new(lhs), Box::new(rhs)),
             },
-            Expr::Neg(a) => match a.simplify() {
-                Expr::Const(x) => Expr::Const(-x),
+            Expr::Neg(a) => match a.checked_simplify()? {
+                Expr::Const(x) => Expr::Const(x.checked_neg()?),
                 Expr::Neg(inner) => *inner,
                 other => Expr::Neg(Box::new(other)),
             },
-        }
+        })
     }
 
     /// Attempts to convert the expression into its affine normal form.
     ///
-    /// Returns `None` for non-affine expressions such as `i * j` or `i / 2`.
+    /// Returns `None` for non-affine expressions such as `i * j` or `i / 2`,
+    /// and when a coefficient or the constant leaves `i64` on the way.
     pub fn as_affine(&self) -> Option<AffineExpr> {
         match self {
             Expr::Const(c) => Some(AffineExpr::constant(*c)),
             Expr::Var(v) => Some(AffineExpr::var(v.clone())),
-            Expr::Add(a, b) => Some(a.as_affine()? + b.as_affine()?),
-            Expr::Sub(a, b) => Some(a.as_affine()? - b.as_affine()?),
-            Expr::Neg(a) => Some(-a.as_affine()?),
+            Expr::Add(a, b) => a.as_affine()?.checked_add(b.as_affine()?, 1),
+            Expr::Sub(a, b) => a.as_affine()?.checked_add(b.as_affine()?, -1),
+            Expr::Neg(a) => a.as_affine()?.checked_scaled(-1),
             Expr::Mul(a, b) => {
                 let la = a.as_affine()?;
                 let lb = b.as_affine()?;
                 if let Some(c) = la.as_constant() {
-                    Some(lb.scaled(c))
+                    lb.checked_scaled(c)
                 } else {
-                    lb.as_constant().map(|c| la.scaled(c))
+                    la.checked_scaled(lb.as_constant()?)
                 }
             }
             Expr::Div(_, _) | Expr::Mod(_, _) | Expr::Min(_, _) | Expr::Max(_, _) => None,
+        }
+    }
+
+    /// The affine normal form of the expression with `bindings` folded in:
+    /// exactly `self.fold_params(bindings).as_affine()`, including `None`
+    /// wherever that overflows, but computed by an [`AffineFold`] that
+    /// builds no tree. Only what the fold declines — `/ % min max` that do
+    /// not fold to a constant, a product with no non-zero constant side, a
+    /// sum whose terms could leave `i64` — is handed to the reference.
+    pub fn affine_with(&self, bindings: &BTreeMap<Var, i64>) -> Option<AffineExpr> {
+        let mut out = AffineExpr::default();
+        match AffineFold::new(bindings).add(self, 1, &mut |v, c| out.add_folded(v, c)) {
+            Some(()) => Some(out.without_zero_terms()),
+            None => self.fold_params(bindings).as_affine(),
+        }
+    }
+
+    /// Adds `factor · self` to `fold` term by term; `factor` is never zero.
+    fn fold_into(
+        &self,
+        factor: i64,
+        fold: &mut AffineFold<'_>,
+        emit: &mut impl FnMut(Option<&Var>, i64),
+    ) -> Option<()> {
+        match self {
+            Expr::Const(c) => fold.emit(None, factor, *c, emit),
+            // Parameters win over iterators, as in `fold_params`.
+            Expr::Var(v) => match fold.bindings.get(v) {
+                Some(value) => fold.emit(None, factor, *value, emit),
+                None => fold.emit(Some(v), factor, 1, emit),
+            },
+            Expr::Add(a, b) => {
+                a.fold_into(factor, fold, emit)?;
+                b.fold_into(factor, fold, emit)
+            }
+            Expr::Sub(a, b) => {
+                a.fold_into(factor, fold, emit)?;
+                b.fold_into(factor.checked_neg()?, fold, emit)
+            }
+            Expr::Neg(a) => a.fold_into(factor.checked_neg()?, fold, emit),
+            // A side that evaluates is the constant `simplify` folds it to;
+            // a zero side drops the other one unseen, which only the
+            // reference knows how to treat.
+            Expr::Mul(a, b) => match (a.eval(fold.bindings), b.eval(fold.bindings)) {
+                (Some(0), _) | (_, Some(0)) | (None, None) => None,
+                (Some(x), Some(y)) => fold.emit(None, factor, x.checked_mul(y)?, emit),
+                (Some(c), None) => b.fold_into(factor.checked_mul(c)?, fold, emit),
+                (None, Some(c)) => a.fold_into(factor.checked_mul(c)?, fold, emit),
+            },
+            Expr::Div(..) | Expr::Mod(..) | Expr::Min(..) | Expr::Max(..) => {
+                fold.emit(None, factor, self.eval(fold.bindings)?, emit)
+            }
         }
     }
 
@@ -365,6 +433,69 @@ impl Neg for Expr {
     type Output = Expr;
     fn neg(self) -> Expr {
         Expr::Neg(Box::new(self))
+    }
+}
+
+/// The one place a subscript becomes affine: a running sum of
+/// `scale · expr` terms with parameters folded in, built without a tree.
+/// [`Expr::affine_with`], [`ArrayRef::linear_offset`], the dependence
+/// tester's rows and `exec` lowering all add through it.
+///
+/// [`add`](Self::add) hands each term to a sink as it is found — `(Some(v),
+/// c)` for `c·v`, `(None, c)` for a constant — and sums the absolute values
+/// of all terms (each taken unscaled too) into a magnitude it keeps within
+/// `i64::MAX`. So every partial sum a sink forms fits `i64`, and so does
+/// every intermediate value of the reference `fold_params(..).as_affine()`:
+/// whenever the fold succeeds, the two agree.
+///
+/// [`ArrayRef::linear_offset`]: crate::array::ArrayRef::linear_offset
+pub struct AffineFold<'b> {
+    bindings: &'b BTreeMap<Var, i64>,
+    /// Multiplies every term of the current [`add`](Self::add).
+    scale: i64,
+    magnitude: u64,
+}
+
+impl<'b> AffineFold<'b> {
+    /// An empty sum; `bindings` are folded in as constants.
+    pub fn new(bindings: &'b BTreeMap<Var, i64>) -> Self {
+        AffineFold {
+            bindings,
+            scale: 1,
+            magnitude: 0,
+        }
+    }
+
+    /// Adds `scale · expr`. `None` when the fold declines `expr` (see
+    /// [`Expr::affine_with`]) or the magnitude would leave `i64`: the terms
+    /// emitted so far are then meaningless, and the caller asks the
+    /// reference instead.
+    pub fn add(
+        &mut self,
+        expr: &Expr,
+        scale: i64,
+        emit: &mut impl FnMut(Option<&Var>, i64),
+    ) -> Option<()> {
+        self.scale = scale;
+        expr.fold_into(1, self, emit)
+    }
+
+    /// Emits `scale · factor · c`.
+    fn emit(
+        &mut self,
+        var: Option<&Var>,
+        factor: i64,
+        c: i64,
+        emit: &mut impl FnMut(Option<&Var>, i64),
+    ) -> Option<()> {
+        let unscaled = factor.checked_mul(c)?;
+        let term = unscaled.checked_mul(self.scale)?;
+        self.magnitude = self
+            .magnitude
+            .checked_add(unscaled.unsigned_abs().max(term.unsigned_abs()))
+            .filter(|&m| m <= i64::MAX.unsigned_abs())?;
+        emit(var, term);
+        Some(())
     }
 }
 
@@ -463,6 +594,47 @@ impl AffineExpr {
                 .collect(),
             constant: self.constant * factor,
         }
+    }
+
+    /// `self + sign · rhs` with every step checked; `sign` is 1 or -1.
+    pub(crate) fn checked_add(mut self, rhs: AffineExpr, sign: i64) -> Option<AffineExpr> {
+        self.constant = self.constant.checked_add(rhs.constant.checked_mul(sign)?)?;
+        for (v, c) in rhs.terms {
+            let entry = self.terms.entry(v).or_insert(0);
+            *entry = entry.checked_add(c.checked_mul(sign)?)?;
+        }
+        Some(self.without_zero_terms())
+    }
+
+    /// [`scaled`](Self::scaled) with every product checked.
+    pub(crate) fn checked_scaled(&self, factor: i64) -> Option<AffineExpr> {
+        if factor == 0 {
+            return Some(AffineExpr::constant(0));
+        }
+        Some(AffineExpr {
+            terms: self
+                .terms
+                .iter()
+                .map(|(v, c)| Some((v.clone(), c.checked_mul(factor)?)))
+                .collect::<Option<_>>()?,
+            constant: self.constant.checked_mul(factor)?,
+        })
+    }
+
+    /// Adds one term an [`AffineFold`] emitted: the fold keeps every
+    /// partial sum inside `i64`, and zero coefficients are dropped at the
+    /// end by [`without_zero_terms`](Self::without_zero_terms).
+    pub(crate) fn add_folded(&mut self, var: Option<&Var>, c: i64) {
+        match var {
+            Some(v) => *self.terms.entry(v.clone()).or_insert(0) += c,
+            None => self.constant += c,
+        }
+    }
+
+    /// Drops zero coefficients, so that equality is canonical.
+    pub(crate) fn without_zero_terms(mut self) -> AffineExpr {
+        self.terms.retain(|_, c| *c != 0);
+        self
     }
 
     /// Evaluates the affine expression under the given bindings.

@@ -198,20 +198,20 @@ impl Computation {
     /// Every memory access performed by the computation: all loads of the
     /// value expression, plus a read of the target when the statement is a
     /// reduction, plus the write of the target.
-    pub fn accesses(&self) -> Vec<Access> {
-        let mut out: Vec<Access> = self.value.loads().into_iter().map(Access::read).collect();
+    pub fn accesses(&self) -> Vec<Access<'_>> {
+        let mut out: Vec<Access<'_>> = self.value.loads().into_iter().map(Access::read).collect();
         if self.reduction.is_some() {
-            out.push(Access::read(self.target.clone()));
+            out.push(Access::read(&self.target));
         }
-        out.push(Access::write(self.target.clone()));
+        out.push(Access::write(&self.target));
         out
     }
 
     /// The read accesses of the computation.
-    pub fn reads(&self) -> Vec<ArrayRef> {
+    pub fn reads(&self) -> Vec<&ArrayRef> {
         let mut out = self.value.loads();
         if self.reduction.is_some() {
-            out.push(self.target.clone());
+            out.push(&self.target);
         }
         out
     }
@@ -223,7 +223,7 @@ impl Computation {
 
     /// Names of all arrays touched by the computation.
     pub fn arrays(&self) -> BTreeSet<Var> {
-        let mut out: BTreeSet<Var> = self.reads().into_iter().map(|r| r.array).collect();
+        let mut out: BTreeSet<Var> = self.reads().into_iter().map(|r| r.array.clone()).collect();
         out.insert(self.target.array.clone());
         out
     }

@@ -47,10 +47,11 @@ pub fn parse_program(source: &str) -> Result<Program> {
     Ok(program)
 }
 
-/// How deep parentheses, unary minus, calls and `for` blocks may nest below
-/// a top-level statement, all counted together. The parser recurses once per
-/// level, as does every pass over the tree it builds; hostile input gets an
-/// error, not a stack overflow.
+/// How deep parentheses, unary minus, calls, `for` blocks and the operators
+/// of a left-deep chain (`1 + 1 + …`) may nest below a top-level statement,
+/// all counted together. The parser recurses once per level, as does every
+/// pass over the tree it builds; hostile input gets an error, not a stack
+/// overflow.
 const MAX_NESTING: usize = 256;
 
 /// Identifiers are slices of the source text.
@@ -254,13 +255,19 @@ impl<'a> Parser<'a> {
         self.pos += 1;
     }
 
-    /// Parses one more nesting level with `parse`, refusing the level past
-    /// [`MAX_NESTING`] at the token that would open it.
-    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+    /// Opens one more nesting level, refusing the level past [`MAX_NESTING`]
+    /// at the token that would open it.
+    fn open_level(&mut self) -> Result<()> {
         if self.depth == MAX_NESTING {
             return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
         }
         self.depth += 1;
+        Ok(())
+    }
+
+    /// Parses one more nesting level with `parse`.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.open_level()?;
         let parsed = parse(self);
         self.depth -= 1;
         parsed
@@ -475,38 +482,45 @@ impl<'a> Parser<'a> {
         Ok(ArrayRef::new(name, indices))
     }
 
+    /// Parses `operand (op operand)*` over the operators `ops` into a
+    /// left-deep tree. Each operator puts everything before it one level
+    /// deeper, so it counts against [`MAX_NESTING`] like a parenthesis until
+    /// the chain ends.
+    fn chain<T>(
+        &mut self,
+        ops: &[&'static str],
+        operand: fn(&mut Self) -> Result<T>,
+        combine: fn(&str, T, T) -> T,
+    ) -> Result<T> {
+        let outer = self.depth;
+        let mut parse = || {
+            let mut lhs = operand(self)?;
+            while let Some(&op) = ops.iter().find(|op| self.peek_symbol(op)) {
+                self.open_level()?;
+                self.bump();
+                lhs = combine(op, lhs, operand(self)?);
+            }
+            Ok(lhs)
+        };
+        let parsed = parse();
+        self.depth = outer;
+        parsed
+    }
+
     // Integer (index) expressions: + - * / % with standard precedence.
     fn expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.term()?;
-        loop {
-            if self.peek_symbol("+") {
-                self.bump();
-                lhs = lhs + self.term()?;
-            } else if self.peek_symbol("-") {
-                self.bump();
-                lhs = lhs - self.term()?;
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.chain(&["+", "-"], Self::term, |op, a, b| match op {
+            "+" => a + b,
+            _ => a - b,
+        })
     }
 
     fn term(&mut self) -> Result<Expr> {
-        let mut lhs = self.factor()?;
-        loop {
-            if self.peek_symbol("*") {
-                self.bump();
-                lhs = lhs * self.factor()?;
-            } else if self.peek_symbol("/") {
-                self.bump();
-                lhs = Expr::Div(Box::new(lhs), Box::new(self.factor()?));
-            } else if self.peek_symbol("%") {
-                self.bump();
-                lhs = Expr::Mod(Box::new(lhs), Box::new(self.factor()?));
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.chain(&["*", "/", "%"], Self::factor, |op, a, b| match op {
+            "*" => a * b,
+            "/" => Expr::Div(Box::new(a), Box::new(b)),
+            _ => Expr::Mod(Box::new(a), Box::new(b)),
+        })
     }
 
     fn factor(&mut self) -> Result<Expr> {
@@ -535,33 +549,17 @@ impl<'a> Parser<'a> {
 
     // Scalar expressions: + - * / with precedence, unary minus, calls.
     fn scalar_expr(&mut self) -> Result<ScalarExpr> {
-        let mut lhs = self.scalar_term()?;
-        loop {
-            if self.peek_symbol("+") {
-                self.bump();
-                lhs = lhs + self.scalar_term()?;
-            } else if self.peek_symbol("-") {
-                self.bump();
-                lhs = lhs - self.scalar_term()?;
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.chain(&["+", "-"], Self::scalar_term, |op, a, b| match op {
+            "+" => a + b,
+            _ => a - b,
+        })
     }
 
     fn scalar_term(&mut self) -> Result<ScalarExpr> {
-        let mut lhs = self.scalar_factor()?;
-        loop {
-            if self.peek_symbol("*") {
-                self.bump();
-                lhs = lhs * self.scalar_factor()?;
-            } else if self.peek_symbol("/") {
-                self.bump();
-                lhs = lhs / self.scalar_factor()?;
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.chain(&["*", "/"], Self::scalar_factor, |op, a, b| match op {
+            "*" => a * b,
+            _ => a / b,
+        })
     }
 
     fn scalar_factor(&mut self) -> Result<ScalarExpr> {
@@ -835,6 +833,30 @@ mod tests {
             "-".repeat(200_000)
         ));
         assert_eq!(message, "nesting deeper than 256 levels");
+    }
+
+    #[test]
+    fn left_deep_chains_count_as_nesting() {
+        let chain = |subscript: &str, value: &str, terms: usize| {
+            format!(
+                "program p {{ param N = 2; array A[N];\n for i in 0..N {{ A[{}i] = {}; }} }}",
+                subscript.repeat(terms - 1),
+                vec![value; terms].join("+"),
+            )
+        };
+        assert!(parse_program(&chain("0+", "1.0", 200)).is_ok());
+        assert!(parse_program(&chain("1*", "2.0*1.0", 100)).is_ok());
+        // Inside the `for` body the 256th `+` of the value is one level too
+        // many; `1.0+` is four columns wide and the value starts at 2:25.
+        let (message, line, column) = parse_error_position(&chain("", "1.0", 300));
+        assert_eq!(message, "nesting deeper than 256 levels");
+        assert_eq!((line, column), (2, 24 + 4 * 256));
+        // A 200 000-term chain in either position: an error, not an abort.
+        for source in [chain("1+", "1.0", 200_000), chain("", "1.0", 200_000)] {
+            let (message, line, _) = parse_error_position(&source);
+            assert_eq!(message, "nesting deeper than 256 levels");
+            assert_eq!(line, 2);
+        }
     }
 
     #[test]

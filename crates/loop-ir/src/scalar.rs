@@ -256,15 +256,15 @@ impl ScalarExpr {
     }
 
     /// Collects every array load in evaluation order (left to right).
-    pub fn loads(&self) -> Vec<ArrayRef> {
+    pub fn loads(&self) -> Vec<&ArrayRef> {
         let mut out = Vec::new();
         self.collect_loads(&mut out);
         out
     }
 
-    fn collect_loads(&self, out: &mut Vec<ArrayRef>) {
+    fn collect_loads<'a>(&'a self, out: &mut Vec<&'a ArrayRef>) {
         match self {
-            ScalarExpr::Load(r) => out.push(r.clone()),
+            ScalarExpr::Load(r) => out.push(r),
             ScalarExpr::Const(_) | ScalarExpr::Param(_) | ScalarExpr::Index(_) => {}
             ScalarExpr::Unary(_, a) => a.collect_loads(out),
             ScalarExpr::Binary(_, a, b) => {

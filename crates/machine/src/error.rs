@@ -10,7 +10,8 @@ pub type Result<T> = std::result::Result<T, MachineError>;
 pub enum MachineError {
     /// An array referenced by the program has no storage.
     UnknownArray(String),
-    /// An array extent could not be evaluated under the program parameters.
+    /// An array extent could not be evaluated under the program parameters,
+    /// or the array's size does not fit `i64` (or memory).
     UnboundSize(String),
     /// An expression referenced a variable with no binding.
     UnboundVariable(String),
@@ -33,7 +34,10 @@ impl fmt::Display for MachineError {
         match self {
             MachineError::UnknownArray(name) => write!(f, "no storage for array `{name}`"),
             MachineError::UnboundSize(name) => {
-                write!(f, "extent of array `{name}` cannot be evaluated")
+                write!(
+                    f,
+                    "size of array `{name}` cannot be evaluated or does not fit"
+                )
             }
             MachineError::UnboundVariable(name) => write!(f, "unbound variable in `{name}`"),
             MachineError::OutOfBounds { array, index } => {

@@ -90,6 +90,26 @@ impl CAffine {
     }
 }
 
+/// The row-major flat element offset `Σ stride · subscript` of compiled
+/// affine subscripts, or `None` when a coefficient leaves `i64`.
+fn flat_offset(dims: &[(CAffine, i64)], strides: &[i64]) -> Option<CAffine> {
+    let mut flat = CAffine::default();
+    for ((subscript, _), &stride) in dims.iter().zip(strides) {
+        flat.constant = flat
+            .constant
+            .checked_add(subscript.constant.checked_mul(stride)?)?;
+        for &(slot, coeff) in &subscript.terms {
+            let scaled = coeff.checked_mul(stride)?;
+            match flat.terms.iter_mut().find(|(s, _)| *s == slot) {
+                Some(term) => term.1 = term.1.checked_add(scaled)?,
+                None => flat.terms.push((slot, scaled)),
+            }
+        }
+    }
+    flat.terms.retain(|(_, c)| *c != 0);
+    Some(flat)
+}
+
 /// A compiled integer expression. Affine expressions (the common case for
 /// bounds and subscripts) evaluate without tree-walking; the general variants
 /// mirror [`Expr`] with variables resolved to frame slots.
@@ -640,7 +660,7 @@ impl<'p> Lowerer<'p> {
     }
 
     fn lower_expr(&mut self, e: &Expr) -> Result<CExpr> {
-        if let Some(affine) = e.fold_params(&self.fold_bindings).as_affine() {
+        if let Some(affine) = e.affine_with(&self.fold_bindings) {
             return Ok(match affine.as_constant() {
                 Some(c) => CExpr::Const(c),
                 None => CExpr::Affine(self.lower_affine(&affine)?),
@@ -717,43 +737,32 @@ impl<'p> Lowerer<'p> {
         let affine: Option<Vec<AffineExpr>> = array_ref
             .indices
             .iter()
-            .map(|e| e.fold_params(&self.fold_bindings).as_affine())
+            .map(|e| e.affine_with(&self.fold_bindings))
             .collect();
-        match affine {
-            Some(indices) => {
-                let mut dims = Vec::with_capacity(indices.len());
-                let mut flat = CAffine::default();
-                for ((affine, extent), stride) in
-                    indices.iter().zip(&layout.dims).zip(&layout.strides)
-                {
-                    let compiled = self.lower_affine(affine)?;
-                    flat.constant += compiled.constant * stride;
-                    for &(slot, coeff) in &compiled.terms {
-                        match flat.terms.iter_mut().find(|(s, _)| *s == slot) {
-                            Some(term) => term.1 += coeff * stride,
-                            None => flat.terms.push((slot, coeff * stride)),
-                        }
-                    }
-                    dims.push((compiled, *extent));
-                }
-                flat.terms.retain(|(_, c)| *c != 0);
-                Ok(CAccess::Affine {
+        if let Some(indices) = affine {
+            let mut dims = Vec::with_capacity(indices.len());
+            for (affine, extent) in indices.iter().zip(&layout.dims) {
+                dims.push((self.lower_affine(affine)?, *extent));
+            }
+            // A flat offset that leaves `i64` is evaluated per access.
+            if let Some(flat) = flat_offset(&dims, &layout.strides) {
+                return Ok(CAccess::Affine {
                     array,
                     is_write,
                     dims,
                     flat,
-                })
+                });
             }
-            None => Ok(CAccess::Symbolic {
-                array,
-                is_write,
-                indices: array_ref
-                    .indices
-                    .iter()
-                    .map(|e| self.lower_bound(e))
-                    .collect::<Result<Vec<_>>>()?,
-            }),
         }
+        Ok(CAccess::Symbolic {
+            array,
+            is_write,
+            indices: array_ref
+                .indices
+                .iter()
+                .map(|e| self.lower_bound(e))
+                .collect::<Result<Vec<_>>>()?,
+        })
     }
 
     /// Lowers a scalar expression; loads are numbered in
@@ -802,9 +811,10 @@ impl<'p> Lowerer<'p> {
         let accesses = comp
             .accesses()
             .iter()
-            .map(|a| self.lower_access(&a.array_ref, a.kind == AccessKind::Write))
+            .map(|a| self.lower_access(a.array_ref, a.kind == AccessKind::Write))
             .collect::<Result<Vec<_>>>()?;
-        let n_loads = comp.value.loads().len();
+        // The loads, then the reduction's read of the target, then the write.
+        let n_loads = accesses.len() - 1 - usize::from(comp.reduction.is_some());
         let mut next_load = 0usize;
         let value = self.lower_scalar(&comp.value, &mut next_load)?;
         debug_assert_eq!(next_load, n_loads);

@@ -48,7 +48,8 @@ impl ProgramData {
     ///
     /// # Errors
     /// Returns an error if an array extent cannot be evaluated under the
-    /// program's parameters.
+    /// program's parameters, or the array's length leaves `i64` or cannot be
+    /// allocated.
     pub fn new_with(
         program: &Program,
         mut init: impl FnMut(&str, usize) -> f64,
@@ -65,8 +66,15 @@ impl ProgramData {
             let strides = array
                 .strides(&program.params)
                 .ok_or_else(|| MachineError::UnboundSize(name.to_string()))?;
-            let len: i64 = dims.iter().product();
-            let data = (0..len as usize).map(|i| init(name.as_str(), i)).collect();
+            let len = array
+                .len(&program.params)
+                .and_then(|len| usize::try_from(len).ok())
+                .ok_or_else(|| MachineError::UnboundSize(name.to_string()))?;
+            // A length no allocation can hold is an error, not a panic.
+            let mut data = Vec::new();
+            data.try_reserve_exact(len)
+                .map_err(|_| MachineError::UnboundSize(name.to_string()))?;
+            data.extend((0..len).map(|i| init(name.as_str(), i)));
             names.push(name.clone());
             arrays.push(ArrayStorage {
                 dims,
