@@ -172,6 +172,13 @@ fn fig12_answers_its_trace_from_the_simulation_fig11_ran() {
     ]);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    // A memo hit simulated nothing: its line reports no time or throughput.
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let point = schedule_point_line(&stdout);
+    assert!(
+        point.contains(" accesses memo hit, ") && !point.contains("Macc/s"),
+        "{point}"
+    );
 
     let contents = std::fs::read_to_string(&path).expect("profile file exists");
     let profile = telemetry::Profile::from_json_lines(&contents).expect("profile parses");
@@ -186,4 +193,25 @@ fn fig12_answers_its_trace_from_the_simulation_fig11_ran() {
     assert_eq!(counter("machine.shard.simulations"), 4);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fig12_alone_measures_its_trace_simulation() {
+    let output = reproduce(&["--smoke", "--only", "fig12"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let point = schedule_point_line(&stdout);
+    assert!(
+        point.contains(" accesses simulated in ") && point.contains(" Macc/s), "),
+        "{point}"
+    );
+}
+
+/// Fig. 12b's line about the daisy trace per schedule point.
+fn schedule_point_line(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find(|line| line.starts_with("daisy trace per schedule point"))
+        .unwrap_or_else(|| panic!("no schedule-point line in {stdout}"))
 }

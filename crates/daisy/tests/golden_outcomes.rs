@@ -9,7 +9,13 @@
 //! programs against a 64-sibling database — computed at commit `ce82fa1`,
 //! before the normalize → schedule path stopped copying the program it
 //! rewrites. The digest is the same at parallelism 1 and 4; re-pin it in the
-//! PR that means to change a schedule, and say which.
+//! change that means to move a schedule, and say which.
+//!
+//! Re-pinned once since: the generated digest, when the dependence tester
+//! began to bound the destination iteration as it bounds the source. 96 of
+//! the 500 generated outcomes moved — 59 with their normal form, 37 through
+//! the smaller nest-scoped graphs or the sibling database (6 of its 64
+//! normal forms moved). No PolyBench outcome did.
 
 use std::hash::Hasher;
 
@@ -83,5 +89,5 @@ fn generated_programs_against_a_sibling_seeded_database() {
     let siblings: Vec<Program> = (500..564).map(|seed| generate(seed, &gen)).collect();
     let mut scheduler = DaisyScheduler::new(DaisyConfig::default());
     scheduler.seed_from_programs(&siblings);
-    assert_digest_at_parallelism_1_and_4(&mut scheduler, &inputs, 0x1019_2529_9b89_63a5);
+    assert_digest_at_parallelism_1_and_4(&mut scheduler, &inputs, 0xd3de_657a_9730_aaa5);
 }

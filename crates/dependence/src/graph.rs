@@ -24,18 +24,12 @@ const UNKNOWN_EXTENT: i64 = 1 << 20;
 #[derive(Clone, Debug, Default)]
 pub struct DependenceGraph {
     pub(crate) deps: Vec<Dependence>,
-    pub(crate) order: Vec<CompId>,
 }
 
 impl DependenceGraph {
     /// All dependences.
     pub fn all(&self) -> &[Dependence] {
         &self.deps
-    }
-
-    /// The computations of the analyzed program in execution order.
-    pub fn computation_order(&self) -> &[CompId] {
-        &self.order
     }
 
     /// Dependences from `src` to `dst`.
@@ -190,10 +184,7 @@ fn analyze_contexts(program: &Program, contexts: &[CompContext<'_>]) -> Dependen
         }
     }
 
-    let mut graph = DependenceGraph {
-        deps: Vec::new(),
-        order: comps.iter().map(|c| c.id).collect(),
-    };
+    let mut graph = DependenceGraph::default();
     let mut stats = WalkStats::default();
     let mut partners: Vec<usize> = Vec::new();
     for (i, src) in comps.iter().enumerate() {
@@ -240,7 +231,7 @@ fn analyze_pair(
 ) {
     let common = common_loops(&src.loops, &dst.loops);
     let pairing = LoopPairing::new(&src.loops, &dst.loops, &common);
-    let mut levels: Vec<Option<Direction>> = vec![None; common.len()];
+    let mut levels = vec![Direction::Any; common.len()];
     for sa in &src.accesses {
         for da in &dst.accesses {
             if sa.array != da.array || !(sa.access.is_write() || da.access.is_write()) {
@@ -279,16 +270,16 @@ struct Walk<'a> {
 
 impl Walk<'_> {
     /// Visits the vectors extending `levels[..depth]` in `=, <, >` order and
-    /// passes those that may depend to `emit`; `levels[depth..]` is `None`
-    /// on entry and on return.
+    /// passes those that may depend to `emit`; `levels[depth..]` is `*` on
+    /// entry and on return.
     fn refine(
         &self,
-        levels: &mut [Option<Direction>],
+        levels: &mut [Direction],
         depth: usize,
         stats: &mut WalkStats,
         emit: &mut impl FnMut(Vec<Direction>),
     ) {
-        let leading_eq = levels[..depth].iter().all(|l| *l == Some(Direction::Eq));
+        let leading_eq = levels[..depth].iter().all(|l| *l == Direction::Eq);
         let leaf = depth == levels.len();
         // A statement's accesses within one iteration are its own
         // read-modify-write, not an ordering constraint.
@@ -303,24 +294,20 @@ impl Walk<'_> {
             return;
         }
         if leaf {
-            emit(
-                levels
-                    .iter()
-                    .map(|l| l.expect("a leaf fixes every level"))
-                    .collect(),
-            );
+            emit(levels.to_vec());
             return;
         }
         for direction in [Direction::Eq, Direction::Lt, Direction::Gt] {
             // A lexicographically negative vector of a self pair is the
-            // mirror image of one visited under `<`.
+            // mirror image of one visited under `<` (exactly so: the tester
+            // is symmetric, `crate::tester` module docs).
             if self.is_self && leading_eq && direction == Direction::Gt {
                 continue;
             }
-            levels[depth] = Some(direction);
+            levels[depth] = direction;
             self.refine(levels, depth + 1, stats, &mut *emit);
         }
-        levels[depth] = None;
+        levels[depth] = Direction::Any;
     }
 }
 
@@ -536,7 +523,6 @@ mod tests {
         let comps = p.computations();
         assert!(!g.connected(comps[0].id, comps[1].id));
         assert!(g.is_empty());
-        assert_eq!(g.computation_order().len(), 2);
     }
 
     #[test]

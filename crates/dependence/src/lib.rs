@@ -9,8 +9,10 @@
 //! * [`analyze`] builds a [`DependenceGraph`] for a program: every pair of
 //!   accesses to the same array (at least one being a write) is tested with a
 //!   GCD + Banerjee-style test per direction vector over the common loops
-//!   ([`tester`]: dense integer rows, direction vectors refined level by
-//!   level); [`analyze_nest`] does the same for one nest in isolation,
+//!   ([`tester`]: dense integer rows, both iterations of a common loop inside
+//!   their own loop's bounds so that the test is symmetric, direction
+//!   vectors refined level by level); [`analyze_nest`] does the same for one
+//!   nest in isolation,
 //!   under the program's parameters,
 //! * [`legality`] answers the scheduling questions downstream passes ask:
 //!   can these statements be distributed, is this loop permutation legal, can

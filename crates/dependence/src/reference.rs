@@ -1,7 +1,11 @@
 //! The naive dependence analysis the production path is checked against:
 //! every access pair of every computation pair, all `3ⁿ` direction vectors
 //! materialised, each tested on a freshly built system of string-named
-//! variables and [`AffineExpr`] arithmetic.
+//! variables and [`AffineExpr`] arithmetic. A common loop under `=` is one
+//! variable inside both loops' bounds; under `<`, `>` or `*` it is a source
+//! and a destination variable tied by their distance, each inside its own
+//! loop's bounds, and the extremes of a tie are found along the destination
+//! iteration — not at the production tester's polygon vertices.
 //!
 //! Compiled for this crate's tests and behind the `test-support` feature
 //! (the `fuzz` oracle); nothing on a production call path names it. It is
@@ -25,11 +29,82 @@ struct BoxVar {
     max: i64,
 }
 
-fn extent(bound: &LoopBound) -> i64 {
-    (bound.upper - bound.lower).max(0)
+/// A common loop under `<`, `>` or `*`: the source iteration `s` and the
+/// destination iteration `d` are variables of their own, each inside its
+/// own loop's bounds, tied by `d − s ∈ [min_distance, max_distance]`
+/// (`None`: unbounded on that side).
+#[derive(Clone, Debug)]
+struct Tie {
+    s: BoxVar,
+    d: BoxVar,
+    min_distance: Option<i64>,
+    max_distance: Option<i64>,
 }
 
-/// [`crate::tester::may_depend`] as it was before the dense-row kernel.
+impl Tie {
+    /// The source partners of destination iteration `d`:
+    /// `s ∈ [max(sl, d − max_distance), min(sh, d − min_distance)]`.
+    fn partners(&self, d: i128) -> (i128, i128) {
+        let (sl, sh) = (i128::from(self.s.min), i128::from(self.s.max));
+        let lo = self.max_distance.map_or(sl, |m| sl.max(d - i128::from(m)));
+        let hi = self.min_distance.map_or(sh, |m| sh.min(d - i128::from(m)));
+        (lo, hi)
+    }
+
+    /// The destination iterations that have a partner: `d ∈ D` with
+    /// `sl + min_distance ≤ d ≤ sh + max_distance`.
+    fn destinations(&self) -> (i128, i128) {
+        let (sl, sh) = (i128::from(self.s.min), i128::from(self.s.max));
+        if sl > sh {
+            return (1, 0);
+        }
+        let (dl, dh) = (i128::from(self.d.min), i128::from(self.d.max));
+        let lo = self.min_distance.map_or(dl, |m| dl.max(sl + i128::from(m)));
+        let hi = self.max_distance.map_or(dh, |m| dh.min(sh + i128::from(m)));
+        (lo, hi)
+    }
+
+    /// The least and greatest value of `a·s + b·d` over the tied pairs,
+    /// walking `d` through its range. For one `d`, `a·s` is extreme at an
+    /// end of the partners; as `d` moves those ends move with it, until a
+    /// bound of `s` stops them — at `d = sl + max_distance` or
+    /// `d = sh + min_distance`. Between those points the extremes are linear
+    /// in `d`, so the ends of the range and those points are the only
+    /// candidates.
+    fn range(&self, a: i128, b: i128) -> (i128, i128) {
+        let (first, last) = self.destinations();
+        let (sl, sh) = (i128::from(self.s.min), i128::from(self.s.max));
+        let turns = [
+            self.max_distance.map(|m| sl + i128::from(m)),
+            self.min_distance.map(|m| sh + i128::from(m)),
+        ];
+        let values: Vec<i128> = [first, last]
+            .into_iter()
+            .chain(turns.into_iter().flatten())
+            .filter(|d| (first..=last).contains(d))
+            .flat_map(|d| {
+                let (lo, hi) = self.partners(d);
+                [a * lo + b * d, a * hi + b * d]
+            })
+            .collect();
+        (
+            *values.iter().min().expect("a tie has destinations"),
+            *values.iter().max().expect("a tie has destinations"),
+        )
+    }
+}
+
+/// The unknowns of one test: loops of one side and common loops under `=`
+/// as boxes, the other common loops as ties.
+#[derive(Default)]
+struct System {
+    boxes: Vec<BoxVar>,
+    ties: Vec<Tie>,
+}
+
+/// [`crate::tester::may_depend`] without its dense rows, its polygon
+/// vertices or its closed form: the same question asked of a symbolic
+/// system, each tie parametrised by its destination iteration.
 pub fn may_depend(
     src: &AccessContext<'_>,
     dst: &AccessContext<'_>,
@@ -41,6 +116,70 @@ pub fn may_depend(
     if src.array_ref.array != dst.array_ref.array || src.array_ref.rank() != dst.array_ref.rank() {
         return false;
     }
+    let inclusive = |side: &str, bound: &LoopBound| BoxVar {
+        name: Var::new(format!("{side}${}", bound.iter)),
+        min: bound.lower,
+        max: bound.upper - 1,
+    };
+    let find = |loops: &[LoopBound], iter: &Var| loops.iter().find(|b| &b.iter == iter).cloned();
+
+    // Build the variable space and the substitutions applied to the
+    // source-side / destination-side subscripts.
+    let mut system = System::default();
+    let mut src_subst: BTreeMap<Var, AffineExpr> = BTreeMap::new();
+    let mut dst_subst: BTreeMap<Var, AffineExpr> = BTreeMap::new();
+    let mut shared = Vec::new();
+    for (iter, dir) in common.iter().zip(directions) {
+        let (Some(sb), Some(db)) = (find(src.loops, iter), find(dst.loops, iter)) else {
+            continue;
+        };
+        shared.push(iter.clone());
+        let (s, d) = (inclusive("s", &sb), inclusive("d", &db));
+        let (min_distance, max_distance) = match dir {
+            // The same iteration, inside both loops' bounds: one variable.
+            Direction::Eq => {
+                let same = BoxVar {
+                    min: s.min.max(d.min),
+                    max: s.max.min(d.max),
+                    ..d
+                };
+                if same.min > same.max {
+                    return false;
+                }
+                src_subst.insert(iter.clone(), AffineExpr::var(same.name.clone()));
+                dst_subst.insert(iter.clone(), AffineExpr::var(same.name.clone()));
+                system.boxes.push(same);
+                continue;
+            }
+            Direction::Lt => (Some(1), None),
+            Direction::Gt => (None, Some(-1)),
+            Direction::Any => (None, None),
+        };
+        src_subst.insert(iter.clone(), AffineExpr::var(s.name.clone()));
+        dst_subst.insert(iter.clone(), AffineExpr::var(d.name.clone()));
+        let tie = Tie {
+            s,
+            d,
+            min_distance,
+            max_distance,
+        };
+        let (first, last) = tie.destinations();
+        if first > last {
+            return false;
+        }
+        system.ties.push(tie);
+    }
+    for (side, loops, subst) in [
+        ("s", src.loops, &mut src_subst),
+        ("d", dst.loops, &mut dst_subst),
+    ] {
+        for bound in loops.iter().filter(|b| !shared.contains(&b.iter)) {
+            let v = inclusive(side, bound);
+            subst.insert(bound.iter.clone(), AffineExpr::var(v.name.clone()));
+            system.boxes.push(v);
+        }
+    }
+
     let (Some(src_idx), Some(dst_idx)) = (
         src.array_ref.affine_indices_with(params),
         dst.array_ref.affine_indices_with(params),
@@ -48,91 +187,10 @@ pub fn may_depend(
         // Non-affine subscripts: assume the dependence exists.
         return true;
     };
-
-    // Build the variable space: source iterators `s$name`, destination
-    // iterators `d$name`, and per-direction distance variables `delta$name`.
-    let mut vars: Vec<BoxVar> = Vec::new();
-    // substitutions applied to source-side / destination-side subscripts.
-    let mut src_subst: BTreeMap<Var, AffineExpr> = BTreeMap::new();
-    let mut dst_subst: BTreeMap<Var, AffineExpr> = BTreeMap::new();
-
-    for bound in src.loops {
-        if !common.contains(&bound.iter) {
-            let name = Var::new(format!("s${}", bound.iter));
-            vars.push(BoxVar {
-                name: name.clone(),
-                min: bound.lower,
-                max: bound.upper - 1,
-            });
-            src_subst.insert(bound.iter.clone(), AffineExpr::var(name));
-        }
-    }
-    for bound in dst.loops {
-        if !common.contains(&bound.iter) {
-            let name = Var::new(format!("d${}", bound.iter));
-            vars.push(BoxVar {
-                name: name.clone(),
-                min: bound.lower,
-                max: bound.upper - 1,
-            });
-            dst_subst.insert(bound.iter.clone(), AffineExpr::var(name));
-        }
-    }
-
-    for (iter, dir) in common.iter().zip(directions) {
-        let src_bound = src.loops.iter().find(|b| &b.iter == iter);
-        let dst_bound = dst.loops.iter().find(|b| &b.iter == iter);
-        let (Some(sb), Some(db)) = (src_bound, dst_bound) else {
-            continue;
-        };
-        let base = Var::new(format!("s${}", iter));
-        vars.push(BoxVar {
-            name: base.clone(),
-            min: sb.lower,
-            max: sb.upper - 1,
-        });
-        src_subst.insert(iter.clone(), AffineExpr::var(base.clone()));
-        match dir {
-            Direction::Eq => {
-                dst_subst.insert(iter.clone(), AffineExpr::var(base));
-            }
-            Direction::Lt | Direction::Gt => {
-                // dst iteration strictly later (earlier): d = s ± delta,
-                // delta >= 1.
-                let extent = extent(sb).max(extent(db));
-                if extent <= 1 {
-                    return false;
-                }
-                let delta = Var::new(format!("delta${}", iter));
-                vars.push(BoxVar {
-                    name: delta.clone(),
-                    min: 1,
-                    max: extent - 1,
-                });
-                let (base, delta) = (AffineExpr::var(base), AffineExpr::var(delta));
-                let shifted = if *dir == Direction::Lt {
-                    base + delta
-                } else {
-                    base - delta
-                };
-                dst_subst.insert(iter.clone(), shifted);
-            }
-            Direction::Any => {
-                let name = Var::new(format!("d${}", iter));
-                vars.push(BoxVar {
-                    name: name.clone(),
-                    min: db.lower,
-                    max: db.upper - 1,
-                });
-                dst_subst.insert(iter.clone(), AffineExpr::var(name));
-            }
-        }
-    }
-
     // Per-dimension equation: rewrite(src subscript) - rewrite(dst subscript) = 0.
     for (sdim, ddim) in src_idx.iter().zip(&dst_idx) {
         let diff = rewrite(sdim, &src_subst) - rewrite(ddim, &dst_subst);
-        if !equation_may_have_solution(&diff, &vars) {
+        if !equation_may_have_solution(&diff, &system) {
             return false;
         }
     }
@@ -140,7 +198,7 @@ pub fn may_depend(
 }
 
 /// Substitutes the iterators of a parameter-folded subscript with their
-/// renamed/shifted forms; any other symbol stays, an unbounded unknown.
+/// renamed forms; any other symbol stays, an unbounded unknown.
 fn rewrite(subscript: &AffineExpr, subst: &BTreeMap<Var, AffineExpr>) -> AffineExpr {
     let mut out = AffineExpr::constant(subscript.constant_part());
     for (v, c) in subscript.terms() {
@@ -154,27 +212,36 @@ fn rewrite(subscript: &AffineExpr, subst: &BTreeMap<Var, AffineExpr>) -> AffineE
 }
 
 /// GCD test plus interval (Banerjee) test: does `expr = 0` possibly have an
-/// integer solution with every variable inside its box?
-fn equation_may_have_solution(expr: &AffineExpr, vars: &[BoxVar]) -> bool {
+/// integer solution with every variable inside its box or tie?
+fn equation_may_have_solution(expr: &AffineExpr, system: &System) -> bool {
     let constant = expr.constant_part();
-    let coefficients: Vec<(Var, i64)> = expr.terms().map(|(v, c)| (v.clone(), c)).collect();
+    let coefficients: BTreeMap<Var, i64> = expr.terms().map(|(v, c)| (v.clone(), c)).collect();
     if coefficients.is_empty() {
         return constant == 0;
     }
 
     let gcd = coefficients
-        .iter()
-        .map(|(_, c)| c.unsigned_abs())
+        .values()
+        .map(|c| c.unsigned_abs())
         .fold(0u64, gcd_u64);
     if gcd != 0 && !constant.unsigned_abs().is_multiple_of(gcd) {
         return false;
     }
 
-    // Interval test: min/max of the expression over the box must straddle 0.
+    // Interval test: min/max of the expression over the system must
+    // straddle 0.
     let mut min = constant as i128;
     let mut max = constant as i128;
-    for (v, c) in &coefficients {
-        let (lo, hi) = vars
+    let coefficient = |v: &Var| coefficients.get(v).copied().unwrap_or(0) as i128;
+    for tie in &system.ties {
+        let (lo, hi) = tie.range(coefficient(&tie.s.name), coefficient(&tie.d.name));
+        min += lo;
+        max += hi;
+    }
+    let tied = |v: &Var| system.ties.iter().any(|t| &t.s.name == v || &t.d.name == v);
+    for (v, c) in coefficients.iter().filter(|(v, _)| !tied(v)) {
+        let (lo, hi) = system
+            .boxes
             .iter()
             .find(|b| &b.name == v)
             .map(|b| (b.min as i128, b.max as i128))
@@ -210,10 +277,7 @@ pub fn analyze(program: &Program) -> DependenceGraph {
         .iter()
         .map(|ctx| loop_bounds(ctx, &program.params))
         .collect();
-    let mut graph = DependenceGraph {
-        deps: Vec::new(),
-        order: contexts.iter().map(|c| c.computation.id).collect(),
-    };
+    let mut graph = DependenceGraph::default();
     for (i, src_ctx) in contexts.iter().enumerate() {
         for (j, dst_ctx) in contexts.iter().enumerate().skip(i) {
             analyze_pair(

@@ -4,7 +4,9 @@
 //! checking, applied dimension by dimension under the constraints implied by
 //! a candidate direction vector over the common loops. It is conservative:
 //! it answers "no dependence" only when a dimension's equation provably has
-//! no solution inside the iteration box.
+//! no solution over the iterations the vector allows. It is also symmetric:
+//! exchanging source and destination and reversing the vector gives the
+//! same answer.
 //!
 //! # Dense rows
 //!
@@ -28,46 +30,72 @@
 //! `x/1`) included — and a subscript without one (not affine, or leaving
 //! `i64`) has no rows and may depend on anything.
 //!
+//! # The unknowns and the polygon
+//!
 //! A pair of accesses is tested through a [`LoopPairing`] of the two loop
 //! stacks. For one dimension the equation `src − dst = 0` has these
-//! unknowns, each with an inclusive range:
+//! unknowns:
 //!
 //! * a loop of only one side: its iterator over that loop's bounds;
-//! * a common loop, source iteration `s` over the *source's* bounds and,
-//!   with `E` the larger of the two extents, destination iteration
-//!   `=`: `d = s`; `<`: `d = s + δ`, `δ ∈ [1, E−1]`; `>`: `d = s − δ`,
-//!   `δ ∈ [1, E−1]`; `*`: `d` free over the destination's bounds.
+//! * a common loop with source bounds `S = [sl, sh]` and destination bounds
+//!   `D = [dl, dh]`: the source iteration `s` and the destination iteration
+//!   `d`, a point of the level's *polygon*
+//!
+//!   ```text
+//!   s ∈ S,  d ∈ D,  d − s ∈ band    with band  `=`: {0}   `<`: [1, ∞)
+//!                                              `>`: (−∞, −1]   `*`: ℤ
+//!   ```
+//!
+//! * a symbol that is neither (a [`FreeTerm`]): unbounded.
 //!
 //! The equation may have a solution when the GCD of the non-zero
 //! coefficients divides the constant and the interval of the left-hand side
-//! over the box contains zero; an unknown with a non-zero coefficient and an
-//! empty range refutes it, and so does `<` or `>` at a level with `E ≤ 1`.
-//! Interval arithmetic that leaves `i128` answers "may depend".
+//! contains zero. A common loop whose subscripts carry `cs · s` and
+//! `cd · d` adds `cs − cd` to the GCD under `=` and `cs`, `cd` otherwise,
+//! and the interval of `cs·s − cd·d` over its polygon. That interval is
+//! exact: the polygon's vertices are integer points, where a linear function
+//! takes its extremes. When `cs = cd` only the distance matters, and the
+//! interval is `−cs · (band ∩ [dl − sh, dh − sl])` in closed form — nearly
+//! every pair of a real program. An empty polygon refutes the vector
+//! whatever the subscripts: it names no pair of iterations. So does an
+//! empty range on a one-sided loop whose iterator has a non-zero
+//! coefficient. Arithmetic that leaves `i128` answers "may depend".
+//!
+//! Exchanging source and destination and reversing the vector mirrors each
+//! polygon (`(s, d) ↦ (d, s)`) and negates the equation with the same
+//! unknowns: the GCD is the same and the exact interval is negated, so the
+//! answer is too — unless a coefficient leaves `i64` one way round only,
+//! where that way answers "may depend". The graph of a program therefore
+//! does not hang on the order its statements are written in.
 //!
 //! # Refinement by relaxed prefixes
 //!
 //! [`crate::analyze`] needs every `=`/`<`/`>` vector over the `n` common
 //! loops of a pair that may carry a dependence. Instead of testing all `3ⁿ`
 //! it walks the levels outermost first and tests each *prefix* with the
-//! undetermined levels relaxed to `d = s + δ`, `δ ∈ [−(E−1), E−1]` (`None`
-//! in [`Pair::may_depend`]). A refuted prefix refutes every vector below it:
+//! undetermined levels relaxed to `*`. A refuted prefix refutes every
+//! vector below it:
 //!
-//! * **Intervals are monotone.** `=` is `δ = 0`, `<` is `δ ∈ [1, E−1]` and
-//!   `>` is `δ ∈ [−(E−1), −1]`: each refinement's box lies inside the relaxed
-//!   one while `s` and every other unknown keep their ranges, so if the
-//!   relaxed interval misses zero every refined interval does. An empty
-//!   range on an unknown that matters is the same unknown in all of them.
-//! * **GCDs divide.** The relaxed level contributes the coefficients of `s`
-//!   and of `δ`; every refinement contributes a subset of them up to sign.
-//!   The relaxed GCD therefore divides each refined GCD, and a constant the
-//!   relaxed GCD does not divide is divided by none of them (with no
-//!   unknowns left the constant must be zero, which the same argument
-//!   covers).
+//! * **Polygons nest.** The band of `*` contains those of `=`, `<` and `>`,
+//!   while every other unknown keeps its range: each refined polygon lies
+//!   inside the relaxed one. An empty relaxed polygon has empty refinements,
+//!   and an interval over a polygon contains the interval over any part of
+//!   it, so if the relaxed interval misses zero every refined interval does.
+//! * **GCDs divide.** The relaxed level contributes `gcd(cs, cd)`, which is
+//!   what `<` and `>` contribute and divides `cs − cd`, the contribution of
+//!   `=`. A constant the relaxed GCD does not divide is divided by none of
+//!   the refined ones (with no unknowns left the constant must be zero,
+//!   which the same argument covers).
 //!
 //! Dimensions are tested one by one in both, so the argument applies per
 //! dimension. Surviving leaves are tested exactly as before, and the walk
 //! visits them in the lexicographic `=, <, >` order of the flat enumeration,
 //! so the emitted vectors and their order are unchanged.
+//!
+//! The walk also skips, for a self pair, the vectors whose first non-`=`
+//! level is `>`. Each is the mirror image of a `<` vector of the same two
+//! accesses exchanged, which the pair loop visits too; by symmetry the two
+//! get one answer and describe one edge, so the skip is exact.
 
 use std::collections::BTreeMap;
 
@@ -95,10 +123,6 @@ impl LoopBound {
             lower,
             upper,
         }
-    }
-
-    fn extent(&self) -> i128 {
-        (i128::from(self.upper) - i128::from(self.lower)).max(0)
     }
 
     /// The inclusive range of the iterator.
@@ -242,8 +266,6 @@ struct CommonLoop {
     src: usize,
     /// Position in the destination's loop stack.
     dst: usize,
-    /// `E`: the larger of the two extents.
-    extent: i128,
 }
 
 /// How the loop stacks of two computations line up: the common loops
@@ -274,13 +296,9 @@ impl LoopPairing {
         LoopPairing {
             common: common
                 .iter()
-                .map(|iter| {
-                    let (s, d) = (slot(src, iter), slot(dst, iter));
-                    CommonLoop {
-                        src: s,
-                        dst: d,
-                        extent: src[s].extent().max(dst[d].extent()),
-                    }
+                .map(|iter| CommonLoop {
+                    src: slot(src, iter),
+                    dst: slot(dst, iter),
                 })
                 .collect(),
             src_only: rest(src),
@@ -299,49 +317,54 @@ pub(crate) struct Pair<'a> {
 }
 
 impl Pair<'_> {
-    /// May the two accesses touch one element under `levels`, one entry per
-    /// common loop: `Some(direction)`, or `None` for a level relaxed to any
-    /// distance (module docs)?
-    pub(crate) fn may_depend(&self, levels: &[Option<Direction>]) -> bool {
+    /// May the two accesses touch one element under `levels`, one direction
+    /// per common loop (`*` for a level left open; module docs)?
+    pub(crate) fn may_depend(&self, levels: &[Direction]) -> bool {
         debug_assert_eq!(levels.len(), self.pairing.common.len());
         if self.src.rank != self.dst.rank {
             return false;
         }
-        let (Some(src_rows), Some(dst_rows)) = (&self.src.rows, &self.dst.rows) else {
-            return true;
-        };
-        let carried_by_a_single_trip = self
-            .pairing
-            .common
-            .iter()
-            .zip(levels)
-            .any(|(c, l)| matches!(l, Some(Direction::Lt | Direction::Gt)) && c.extent <= 1);
-        if carried_by_a_single_trip {
-            return false;
+        match (&self.src.rows, &self.dst.rows) {
+            // Each dimension refutes an empty polygon itself.
+            (Some(src_rows), Some(dst_rows)) if self.src.rank > 0 => {
+                let (src_width, dst_width) = (self.src_loops.len() + 1, self.dst_loops.len() + 1);
+                (0..self.src.rank).all(|dim| {
+                    self.dimension_may_meet(
+                        dim,
+                        &src_rows[dim * src_width..][..src_width],
+                        &dst_rows[dim * dst_width..][..dst_width],
+                        levels,
+                    )
+                })
+            }
+            // Without rows to test, only an empty polygon refutes.
+            _ => {
+                let mut common = self.pairing.common.iter().zip(levels);
+                common.all(|(c, &level)| self.polygon(c, level).is_some())
+            }
         }
-        let (src_width, dst_width) = (self.src_loops.len() + 1, self.dst_loops.len() + 1);
-        (0..self.src.rank).all(|dim| {
-            self.dimension_may_meet(
-                dim,
-                &src_rows[dim * src_width..][..src_width],
-                &dst_rows[dim * dst_width..][..dst_width],
-                levels,
-            )
-        })
     }
 
-    /// The test of one dimension: may `src − dst = 0` hold inside the box?
+    /// The iteration pairs of `common` under `level`; `None` when there are
+    /// none.
+    fn polygon(&self, common: &CommonLoop, level: Direction) -> Option<Polygon> {
+        Polygon::new(
+            self.src_loops[common.src].range(),
+            self.dst_loops[common.dst].range(),
+            level,
+        )
+    }
+
+    /// The test of one dimension: may `src − dst = 0` hold over the
+    /// iterations `levels` allow?
     fn dimension_may_meet(
         &self,
         dim: usize,
         src: &[i64],
         dst: &[i64],
-        levels: &[Option<Direction>],
+        levels: &[Direction],
     ) -> bool {
-        let Some(constant) = src[0].checked_sub(dst[0]) else {
-            return true;
-        };
-        let mut equation = Equation::new(constant);
+        let mut equation = Equation::new(src[0].checked_sub(dst[0]));
         for &k in &self.pairing.src_only {
             if !equation.term(Some(src[1 + k]), self.src_loops[k].range()) {
                 return false;
@@ -352,33 +375,21 @@ impl Pair<'_> {
                 return false;
             }
         }
-        for (common, level) in self.pairing.common.iter().zip(levels) {
-            let (cs, cd) = (src[1 + common.src], dst[1 + common.dst]);
-            let s_range = self.src_loops[common.src].range();
-            // `s` carries both coefficients whenever `d` is `s` plus a distance.
-            let tied = cs.checked_sub(cd);
-            let farthest = common.extent - 1;
-            let possible = match level {
-                Some(Direction::Eq) => equation.term(tied, s_range),
-                Some(Direction::Lt) => {
-                    equation.term(tied, s_range) && equation.term(cd.checked_neg(), (1, farthest))
-                }
-                Some(Direction::Gt) => {
-                    equation.term(tied, s_range) && equation.term(Some(cd), (1, farthest))
-                }
-                Some(Direction::Any) => {
-                    equation.term(Some(cs), s_range)
-                        && equation.term(cd.checked_neg(), self.dst_loops[common.dst].range())
-                }
-                None => {
-                    let farthest = farthest.max(0);
-                    equation.term(tied, s_range)
-                        && equation.term(cd.checked_neg(), (-farthest, farthest))
-                }
-            };
-            if !possible {
+        for (common, &level) in self.pairing.common.iter().zip(levels) {
+            let Some(polygon) = self.polygon(common, level) else {
                 return false;
+            };
+            let (cs, cd) = (src[1 + common.src], dst[1 + common.dst]);
+            if (cs, cd) == (0, 0) {
+                continue;
             }
+            if level == Direction::Eq {
+                equation.divisor(cs.checked_sub(cd));
+            } else {
+                equation.divisor(Some(cs));
+                equation.divisor(Some(cd));
+            }
+            equation.span(polygon.range(cs, cd));
         }
         for term in self.src.free.iter().filter(|t| t.dim == dim) {
             let other = self.dst.free_coefficient(dim, &term.symbol).unwrap_or(0);
@@ -399,7 +410,7 @@ struct Equation {
     constant: i64,
     /// GCD of the non-zero coefficients; zero while there are none.
     gcd: u64,
-    /// Bounds of the left-hand side over the box.
+    /// Bounds of the left-hand side over the unknowns.
     min: i128,
     max: i128,
     /// Some step left `i64` / `i128`: nothing can be concluded.
@@ -407,21 +418,23 @@ struct Equation {
 }
 
 impl Equation {
-    fn new(constant: i64) -> Self {
+    /// The equation with no unknowns yet; `None` is a constant that does
+    /// not fit.
+    fn new(constant: Option<i64>) -> Self {
+        let c = constant.unwrap_or(0);
         Equation {
-            constant,
+            constant: c,
             gcd: 0,
-            min: i128::from(constant),
-            max: i128::from(constant),
-            overflowed: false,
+            min: i128::from(c),
+            max: i128::from(c),
+            overflowed: constant.is_none(),
         }
     }
 
-    /// Adds `coefficient · unknown` with the unknown in `[lo, hi]`; `None`
-    /// is a coefficient that does not fit. Returns `false` when the term
-    /// alone refutes the equation: the unknown matters and its range is
-    /// empty.
-    fn term(&mut self, coefficient: Option<i64>, (lo, hi): (i128, i128)) -> bool {
+    /// Adds `coefficient · unknown` with the unknown in `range`; `None` is a
+    /// coefficient that does not fit. Returns `false` when the term alone
+    /// refutes the equation: the unknown matters and its range is empty.
+    fn term(&mut self, coefficient: Option<i64>, range: (i128, i128)) -> bool {
         let Some(c) = coefficient else {
             self.overflowed = true;
             return true;
@@ -429,25 +442,32 @@ impl Equation {
         if c == 0 {
             return true;
         }
-        if lo > hi {
+        if range.0 > range.1 {
             return false;
         }
-        self.gcd = gcd(self.gcd, c.unsigned_abs());
-        let c = i128::from(c);
-        let (at_lo, at_hi) = (c.checked_mul(lo), c.checked_mul(hi));
-        let (least, most) = if c > 0 {
-            (at_lo, at_hi)
-        } else {
-            (at_hi, at_lo)
-        };
-        match (
-            least.and_then(|v| self.min.checked_add(v)),
-            most.and_then(|v| self.max.checked_add(v)),
-        ) {
-            (Some(min), Some(max)) => (self.min, self.max) = (min, max),
-            _ => self.overflowed = true,
-        }
+        self.divisor(Some(c));
+        self.span(scaled(i128::from(c), range));
         true
+    }
+
+    /// Folds a coefficient into the GCD; `None` is one that does not fit.
+    fn divisor(&mut self, coefficient: Option<i64>) {
+        match coefficient {
+            Some(c) => self.gcd = gcd(self.gcd, c.unsigned_abs()),
+            None => self.overflowed = true,
+        }
+    }
+
+    /// Adds a term whose least and greatest value over the unknowns are
+    /// `range`; `None` is a range that does not fit.
+    fn span(&mut self, range: Option<(i128, i128)>) {
+        let sum = range.and_then(|(least, most)| {
+            Some((self.min.checked_add(least)?, self.max.checked_add(most)?))
+        });
+        match sum {
+            Some((min, max)) => (self.min, self.max) = (min, max),
+            None => self.overflowed = true,
+        }
     }
 
     fn may_hold(&self) -> bool {
@@ -466,6 +486,80 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
         (a, b) = (b, a % b);
     }
     a
+}
+
+/// The least and greatest value of `c · x` for `x` in `[lo, hi]`, or `None`
+/// if one leaves `i128`.
+fn scaled(c: i128, (lo, hi): (i128, i128)) -> Option<(i128, i128)> {
+    let (at_lo, at_hi) = (c.checked_mul(lo)?, c.checked_mul(hi)?);
+    Some(if c > 0 {
+        (at_lo, at_hi)
+    } else {
+        (at_hi, at_lo)
+    })
+}
+
+/// The polygon of one common loop under one level (module docs): `s` in
+/// the source's inclusive bounds, `d` in the destination's, and `d − s` in
+/// `distance`, the level's band clipped to the distances the bounds allow.
+#[derive(Clone, Debug)]
+struct Polygon {
+    s: (i128, i128),
+    d: (i128, i128),
+    distance: (i128, i128),
+}
+
+impl Polygon {
+    /// `None` when no pair of iterations lies in the polygon.
+    fn new(s: (i128, i128), d: (i128, i128), level: Direction) -> Option<Self> {
+        let (mut lo, mut hi) = (d.0 - s.1, d.1 - s.0);
+        match level {
+            Direction::Eq => (lo, hi) = (lo.max(0), hi.min(0)),
+            Direction::Lt => lo = lo.max(1),
+            Direction::Gt => hi = hi.min(-1),
+            Direction::Any => {}
+        }
+        let nonempty = s.0 <= s.1 && d.0 <= d.1 && lo <= hi;
+        nonempty.then_some(Polygon {
+            s,
+            d,
+            distance: (lo, hi),
+        })
+    }
+
+    /// The least and greatest value of `cs·s − cd·d` over the polygon, or
+    /// `None` if one leaves `i128`.
+    fn range(&self, cs: i64, cd: i64) -> Option<(i128, i128)> {
+        let (cs, cd) = (i128::from(cs), i128::from(cd));
+        if cs == cd {
+            // `cs·s − cs·d = −cs·(d − s)`: only the distance matters.
+            return scaled(-cs, self.distance);
+        }
+        // A vertex ends one of the sides `s = sl`, `s = sh`, `d = dl`,
+        // `d = dh`: the other two, `d − s` constant, are parallel.
+        let (lo, hi) = self.distance;
+        let mut range: Option<(i128, i128)> = None;
+        let mut vertex = |s: i128, d: i128| {
+            let v = cs.checked_mul(s)?.checked_sub(cd.checked_mul(d)?)?;
+            range = Some(range.map_or((v, v), |(least, most)| (least.min(v), most.max(v))));
+            Some(())
+        };
+        for s in [self.s.0, self.s.1] {
+            let (first, last) = (self.d.0.max(s + lo), self.d.1.min(s + hi));
+            if first <= last {
+                vertex(s, first)?;
+                vertex(s, last)?;
+            }
+        }
+        for d in [self.d.0, self.d.1] {
+            let (first, last) = (self.s.0.max(d - hi), self.s.1.min(d - lo));
+            if first <= last {
+                vertex(first, d)?;
+                vertex(last, d)?;
+            }
+        }
+        range
+    }
 }
 
 /// Tests whether a dependence from `src` to `dst` may exist under the given
@@ -487,11 +581,11 @@ pub fn may_depend(
         return false;
     }
     let encloses = |loops: &[LoopBound], iter: &Var| loops.iter().any(|l| &l.iter == iter);
-    let (shared, levels): (Vec<Var>, Vec<Option<Direction>>) = common
+    let (shared, levels): (Vec<Var>, Vec<Direction>) = common
         .iter()
         .zip(directions)
         .filter(|(iter, _)| encloses(src.loops, iter) && encloses(dst.loops, iter))
-        .map(|(iter, direction)| (iter.clone(), Some(*direction)))
+        .map(|(iter, direction)| (iter.clone(), *direction))
         .unzip();
     Pair {
         src: &Subscripts::lower(src.array_ref, src.loops, params),
@@ -967,13 +1061,92 @@ mod tests {
             dst_loops: &loops,
             pairing: &pairing,
         };
-        assert!(!pair(&dst).may_depend(&[None]));
+        assert!(!pair(&dst).may_depend(&[Direction::Any]));
         // A[2i] -> A[2i + 4] survives relaxed and as `>` only.
         let c = ArrayRef::new("A", vec![var("i") * cst(2) + cst(4)]);
         let dst = Subscripts::lower(&c, &loops, &no_params);
-        assert!(pair(&dst).may_depend(&[None]));
-        assert!(!pair(&dst).may_depend(&[Some(Direction::Eq)]));
-        assert!(!pair(&dst).may_depend(&[Some(Direction::Lt)]));
-        assert!(pair(&dst).may_depend(&[Some(Direction::Gt)]));
+        assert!(pair(&dst).may_depend(&[Direction::Any]));
+        assert!(!pair(&dst).may_depend(&[Direction::Eq]));
+        assert!(!pair(&dst).may_depend(&[Direction::Lt]));
+        assert!(pair(&dst).may_depend(&[Direction::Gt]));
+    }
+
+    #[test]
+    fn both_iterations_stay_inside_their_own_bounds() {
+        // A[5 - i] against A[i], i in 3..6: the source touches A[0..=2], the
+        // destination A[3..=5]. A destination iteration left free of its
+        // bounds (d = s ± δ) met the source one way round, not the other.
+        let reversed = ArrayRef::new("A", vec![cst(5) - var("i")]);
+        let plain = ArrayRef::new("A", vec![var("i")]);
+        // Both ways round under `direction`: reversed -> plain, then
+        // plain -> reversed with the vector reversed.
+        let both_ways = |loops: &[LoopBound], direction| {
+            let (r, p) = (
+                AccessContext {
+                    array_ref: &reversed,
+                    loops,
+                },
+                AccessContext {
+                    array_ref: &plain,
+                    loops,
+                },
+            );
+            let i = [Var::new("i")];
+            let backwards = [crate::graph::reverse(direction)];
+            (
+                may_depend(&r, &p, &i, &[direction], &params()),
+                may_depend(&p, &r, &i, &backwards, &params()),
+            )
+        };
+        let loops = bounds(&[("i", 3, 6)]);
+        for direction in [Direction::Eq, Direction::Lt, Direction::Gt, Direction::Any] {
+            assert_eq!(
+                both_ways(&loops, direction),
+                (false, false),
+                "{direction:?}"
+            );
+        }
+        // With i in 2..6 they meet at A[3] (s = 2, d = 3) and A[2] (s = 3,
+        // d = 2): `<` and `>` one way, `>` and `<` the other, never `=`.
+        let wider = bounds(&[("i", 2, 6)]);
+        for (direction, meets) in [
+            (Direction::Eq, false),
+            (Direction::Lt, true),
+            (Direction::Gt, true),
+        ] {
+            assert_eq!(
+                both_ways(&wider, direction),
+                (meets, meets),
+                "{direction:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_polygon_with_no_pair_of_iterations_refutes_whatever_the_subscripts() {
+        // One subscript not affine, the other constant: nothing else refutes.
+        let square = ArrayRef::new("A", vec![var("i") * var("i")]);
+        let zero = ArrayRef::new("A", vec![cst(0)]);
+        let (src_loops, dst_loops) = (bounds(&[("i", 0, 4)]), bounds(&[("i", 6, 9)]));
+        let src = AccessContext {
+            array_ref: &square,
+            loops: &src_loops,
+        };
+        let dst = AccessContext {
+            array_ref: &zero,
+            loops: &dst_loops,
+        };
+        let i = [Var::new("i")];
+        // d − s is at least 3: never equal, never backwards.
+        assert!(!may_depend(&src, &dst, &i, &[Direction::Eq], &params()));
+        assert!(!may_depend(&src, &dst, &i, &[Direction::Gt], &params()));
+        assert!(may_depend(&src, &dst, &i, &[Direction::Lt], &params()));
+        // A zero-trip loop on one side has no iterations at all.
+        let empty = bounds(&[("i", 4, 4)]);
+        let dst = AccessContext {
+            array_ref: &zero,
+            loops: &empty,
+        };
+        assert!(!may_depend(&src, &dst, &i, &[Direction::Any], &params()));
     }
 }

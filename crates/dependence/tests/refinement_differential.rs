@@ -8,6 +8,11 @@
 //! argument rests on: 1–5 common loops, loops of one name with different
 //! bounds on the two sides, zero and negative coefficients, and extents of
 //! zero and one (where `<`/`>` are impossible but `=` is not).
+//!
+//! Both testers are also held to symmetry: exchanging source and
+//! destination and reversing the vector keeps the answer. The committed
+//! seeds in `proptest-regressions/` each break it for a tester that bounds
+//! the source iteration only.
 
 use std::collections::BTreeMap;
 
@@ -103,26 +108,16 @@ fn program(seed: u64) -> Program {
     builder.nodes(body).build_unchecked()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(768))]
+/// Two accesses to `X`, each inside the loops of `common` (bounds of their
+/// own on each side) and maybe one private loop.
+struct AccessPair {
+    common: Vec<Var>,
+    src: (ArrayRef, Vec<LoopBound>),
+    dst: (ArrayRef, Vec<LoopBound>),
+}
 
-    #[test]
-    fn the_pruned_walk_emits_what_flat_enumeration_emits(seed in 0..u64::MAX) {
-        let program = program(seed);
-        let (production, naive) = (dependence::analyze(&program), reference::analyze(&program));
-        prop_assert_eq!(production.computation_order(), naive.computation_order());
-        prop_assert_eq!(
-            production.all(),
-            naive.all(),
-            "{}",
-            loop_ir::printer::print_program(&program)
-        );
-    }
-
-    #[test]
-    fn one_vector_tests_as_in_the_reference_whatever_its_directions(seed in 0..u64::MAX) {
-        // `*` never comes out of `analyze`; `may_depend` still accepts it.
-        let rng = &mut StdRng::seed_from_u64(seed);
+impl AccessPair {
+    fn new(rng: &mut StdRng) -> Self {
         let common = &ITERATORS[..rng.gen_range(1..6)];
         let rank = rng.gen_range(1..3);
         let side = |rng: &mut StdRng, private: &'static str| {
@@ -139,26 +134,111 @@ proptest! {
                 .collect();
             (ArrayRef::new("X", subscripts(rng, rank, &iters)), loops)
         };
-        let ((src_ref, src_loops), (dst_ref, dst_loops)) = (side(rng, "p"), side(rng, "q"));
-        let src = AccessContext { array_ref: &src_ref, loops: &src_loops };
-        let dst = AccessContext { array_ref: &dst_ref, loops: &dst_loops };
-        let names: Vec<Var> = common.iter().map(|&iter| Var::new(iter)).collect();
+        let (src, dst) = (side(rng, "p"), side(rng, "q"));
+        AccessPair {
+            common: common.iter().map(|&iter| Var::new(iter)).collect(),
+            src,
+            dst,
+        }
+    }
+
+    /// `tester`'s answer for the source and destination under `directions`,
+    /// or, `exchanged`, for the destination and source under the reversed
+    /// vector.
+    fn test(&self, tester: Tester, directions: &[Direction], exchanged: bool) -> bool {
+        let (src, dst) = (context(&self.src), context(&self.dst));
         let params = BTreeMap::from([(Var::new("N"), 3)]);
+        if exchanged {
+            let reversed: Vec<Direction> = directions.iter().map(|&d| reverse(d)).collect();
+            tester(&dst, &src, &self.common, &reversed, &params)
+        } else {
+            tester(&src, &dst, &self.common, directions, &params)
+        }
+    }
+
+    /// One direction per common loop, `*` included.
+    fn directions(&self, rng: &mut StdRng) -> Vec<Direction> {
+        self.common
+            .iter()
+            .map(|_| {
+                *[Direction::Eq, Direction::Lt, Direction::Gt, Direction::Any]
+                    .choose(rng)
+                    .unwrap()
+            })
+            .collect()
+    }
+}
+
+fn context((array_ref, loops): &(ArrayRef, Vec<LoopBound>)) -> AccessContext<'_> {
+    AccessContext { array_ref, loops }
+}
+
+type Tester =
+    fn(&AccessContext<'_>, &AccessContext<'_>, &[Var], &[Direction], &BTreeMap<Var, i64>) -> bool;
+
+const TESTERS: [(&str, Tester); 2] = [
+    ("production", dependence::tester::may_depend),
+    ("reference", reference::may_depend),
+];
+
+fn reverse(direction: Direction) -> Direction {
+    match direction {
+        Direction::Lt => Direction::Gt,
+        Direction::Gt => Direction::Lt,
+        same => same,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    #[test]
+    fn the_pruned_walk_emits_what_flat_enumeration_emits(seed in 0..u64::MAX) {
+        let program = program(seed);
+        let (production, naive) = (dependence::analyze(&program), reference::analyze(&program));
+        prop_assert_eq!(
+            production.all(),
+            naive.all(),
+            "{}",
+            loop_ir::printer::print_program(&program)
+        );
+    }
+
+    #[test]
+    fn one_vector_tests_as_in_the_reference_whatever_its_directions(seed in 0..u64::MAX) {
+        // `*` never comes out of `analyze`; `may_depend` still accepts it.
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let pair = AccessPair::new(rng);
         for _ in 0..16 {
-            let directions: Vec<Direction> = common
-                .iter()
-                .map(|_| {
-                    *[Direction::Eq, Direction::Lt, Direction::Gt, Direction::Any]
-                        .choose(rng)
-                        .unwrap()
-                })
-                .collect();
+            let directions = pair.directions(rng);
             prop_assert_eq!(
-                dependence::tester::may_depend(&src, &dst, &names, &directions, &params),
-                reference::may_depend(&src, &dst, &names, &directions, &params),
-                "{:?} -> {:?} over {:?} / {:?} under {:?}",
-                src_ref, dst_ref, src_loops, dst_loops, directions
+                pair.test(TESTERS[0].1, &directions, false),
+                pair.test(TESTERS[1].1, &directions, false),
+                "{:?} -> {:?} under {:?}",
+                pair.src, pair.dst, directions
             );
+        }
+    }
+
+    #[test]
+    fn exchanging_the_accesses_and_reversing_the_vector_keeps_the_answer(seed in 0..u64::MAX) {
+        // Both iterations stay inside their own loop's bounds, so the test of
+        // a mirrored question must give the same answer — in production and
+        // in the reference alike. The generator mixes coefficient signs
+        // (`5 − i` against `i`), gives each side its own bounds (zero and
+        // one trip included) and now and then a free symbol.
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let pair = AccessPair::new(rng);
+        for _ in 0..16 {
+            let directions = pair.directions(rng);
+            for (name, tester) in TESTERS {
+                prop_assert_eq!(
+                    pair.test(tester, &directions, false),
+                    pair.test(tester, &directions, true),
+                    "{}: {:?} -> {:?} under {:?}",
+                    name, pair.src, pair.dst, directions
+                );
+            }
         }
     }
 }

@@ -471,9 +471,6 @@ fn analytic_oracle(program: &Program) -> std::result::Result<(), String> {
 fn dependence_oracle(program: &Program) -> std::result::Result<(), String> {
     let production = dependence::analyze(program);
     let reference = dependence::reference::analyze(program);
-    if production.computation_order() != reference.computation_order() {
-        return Err("computation order differs from the reference graph".to_string());
-    }
     let (fast, naive) = (production.all(), reference.all());
     if let Some(at) = (0..fast.len().max(naive.len())).find(|&k| fast.get(k) != naive.get(k)) {
         let show =

@@ -41,22 +41,20 @@ impl MaximalFission {
     /// Runs the pass on a program, returning the fissioned program and
     /// statistics. Computation identifiers are preserved.
     pub fn run(&self, program: Program) -> (Program, FissionStats) {
-        let mut graph = analyze(&program);
-        self.run_with_graph(program, &mut graph)
+        let graph = analyze(&program);
+        self.run_with_graph(program, &graph)
     }
 
-    /// [`MaximalFission::run`] given the dependence graph of `program`; on
-    /// return `graph` is the graph of the fissioned program.
+    /// [`MaximalFission::run`] given the dependence graph of `program`,
+    /// which is also the graph of every program a sweep makes of it (see
+    /// the [`crate::pipeline`] module docs).
     ///
     /// The pass owns `program`: a sweep moves nodes, it copies none, and a
-    /// loop that does not split stays where it is. A sweep that keeps the
-    /// computations in their order leaves the graph valid, so it is analyzed
-    /// again only after a sweep that reordered them (see the
-    /// [`crate::pipeline`] module docs).
+    /// loop that does not split stays where it is.
     pub fn run_with_graph(
         &self,
         mut program: Program,
-        graph: &mut DependenceGraph,
+        graph: &DependenceGraph,
     ) -> (Program, FissionStats) {
         let mut stats = FissionStats {
             nests_before: program.loop_nests().len(),
@@ -70,28 +68,9 @@ impl MaximalFission {
             if split_count == 0 {
                 break;
             }
-            refresh(graph, &program);
         }
         stats.nests_after = program.loop_nests().len();
         (program, stats)
-    }
-}
-
-/// Makes `graph`, the dependence graph of the program `fissioned` was split
-/// from, the graph of `fissioned`.
-///
-/// Fission changes no computation, no iterator name and no loop bound, and
-/// the analysis tests a pair of computations on nothing but their own
-/// accesses and enclosing loops, in the order it meets them: while the
-/// computations keep their order the graph of the split program is, edge
-/// for edge, the graph in hand. Once two of them have changed places the
-/// pair is tested with source and destination exchanged, which the tester's
-/// relaxation (the source's bounds hold, the destination's need not) can
-/// answer differently — then the program is analyzed again.
-fn refresh(graph: &mut DependenceGraph, fissioned: &Program) {
-    let ids = fissioned.computations().into_iter().map(|c| c.id);
-    if !ids.eq(graph.computation_order().iter().copied()) {
-        *graph = analyze(fissioned);
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! # One dependence graph per run
 //!
-//! [`Normalizer::run`] analyzes the input program once and hands that graph
-//! to the sweeps of maximal fission and to stride minimization, although
-//! each of them works on a program the previous step already rewrote:
+//! [`Normalizer::run`] analyzes the input program exactly once and hands
+//! that graph to the sweeps of maximal fission and to stride minimization,
+//! although each of them works on a program the previous step already
+//! rewrote. The graph in hand is the graph of each of those programs:
 //!
 //! * Fission only moves computations into loops of their own. It changes no
 //!   computation, no iterator name and no loop bound, so every computation
@@ -12,20 +13,20 @@
 //!   (names and bounds) — which is all the test of a pair of computations
 //!   reads, common loops being matched by name. Interchange, all stride
 //!   minimization does, runs after the last query of its nest.
-//! * [`dependence::analyze`] visits the pairs in the order of the
-//!   computations. While that order stands, analyzing the rewritten program
-//!   would test the same pairs on the same inputs in the same sequence: the
-//!   graph in hand *is* its graph, edge for edge.
+//! * Fission may exchange two computations, and [`dependence::analyze`]
+//!   then meets their pair the other way round: source and destination
+//!   exchanged, every vector reversed. The tester is symmetric — both
+//!   iterations stay inside their own loop's bounds and the interval it
+//!   checks is exact, so the mirrored question gets the mirrored answer
+//!   (`dependence::tester` module docs). A carried dependence is oriented by
+//!   its vector, not by which computation comes first, and two computations
+//!   with a loop-independent one are never exchanged (it orders their
+//!   SCCs). So the pair yields the same edges; only their position in the
+//!   list can move, and the legality queries read the list as a set.
 //!
-//! The order is what can break. Where fission has exchanged two computations
-//! a fresh analysis tests the pair with source and destination exchanged,
-//! and the tester's relaxation is not symmetric (the source iteration stays
-//! inside its loop bounds, the destination is the source plus a distance):
-//! accesses with different coefficients on a shared loop, `A[5 - i]` against
-//! `A[i]`, can get a spurious edge one way round and its mirror image the
-//! other. Fission therefore analyzes again after a sweep that reordered
-//! computations, and only then — `tests/single_graph.rs` pins that nothing
-//! is decided differently from every sweep and pass analyzing for itself.
+//! `tests/single_graph.rs` pins that nothing is decided differently from
+//! every sweep and pass analyzing for itself, and `daisy`'s
+//! `tests/analysis_budget.rs` counts the one analysis.
 //!
 //! # One working copy
 //!
@@ -140,9 +141,9 @@ impl Normalizer {
         let mut stats = NormalizationStats::default();
         let mut current = program.clone();
         if self.config.fission || self.config.stride_minimization {
-            let mut graph = analyze(program);
+            let graph = analyze(program);
             if self.config.fission {
-                (current, stats.fission) = self.fission.run_with_graph(current, &mut graph);
+                (current, stats.fission) = self.fission.run_with_graph(current, &graph);
             }
             if self.config.stride_minimization {
                 (current, stats.permutation) = self.stride.run_with_graph(current, &graph);

@@ -7,7 +7,12 @@
 //! (program *and* statistics) over PolyBench, CLOUDSC and 2000 generated
 //! programs, computed at commit `ce82fa1`, before the passes took ownership
 //! of the tree they rewrite. A digest changes only when a normal form does;
-//! re-pin it in the PR that means to change one, and say which.
+//! re-pin it in the change that means to move one, and say which.
+//!
+//! Re-pinned once since: the generated digest, when the dependence tester
+//! began to bound the destination iteration as it bounds the source. Its
+//! graphs only lost edges; 248 of the 2000 generated normal forms moved (no
+//! PolyBench or CLOUDSC one did).
 
 use std::hash::Hasher;
 
@@ -72,5 +77,5 @@ fn cloudsc_models_and_erosion_proxies_at_mini_and_paper() {
 fn generated_programs_0_to_2000() {
     let gen = GenConfig::default();
     let programs = (0..2000).map(|seed| generate(seed, &gen));
-    assert_digest_of_normal_forms(programs, 0x70de_6594_7c85_68a4);
+    assert_digest_of_normal_forms(programs, 0x3221_fb3f_46c4_8b17);
 }
