@@ -644,18 +644,22 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
     // Since PR 5 the run-compressed simulator sustains multi-block
     // full-model traces, so every Fig. 11 schedule point is backed by the
     // exact simulated access stream, not only the analytical model.
-    let mut sharding = (0, 0);
+    // Throughput divides what the replicas streamed, not the logical
+    // accesses their classes stand for.
+    let mut shards = 0;
+    let mut classes = Vec::new();
     let rows: Vec<Vec<String>> = ctx
         .trace_versions()
         .iter()
         .map(|(name, p)| {
             let (stats, seconds) = simulate_trace(name, p, ctx.trace_model());
-            sharding = (stats.shards(), stats.classes());
+            shards = stats.shards();
+            classes.push((*name, stats.classes()));
             vec![
                 name.to_string(),
                 stats.accesses().to_string(),
                 format!("{:.1}", seconds * 1e3),
-                format!("{:.0}", stats.accesses() as f64 / seconds / 1e6),
+                format!("{:.0}", stats.streamed_accesses() as f64 / seconds / 1e6),
                 format!("{:.1}%", 100.0 * stats.l1().hit_rate()),
                 stats.l1().loads.to_string(),
             ]
@@ -676,7 +680,7 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
         ],
         &rows,
     );
-    print_trace_sharding("\ntrace sharding", ctx, sharding);
+    print_trace_sharding("\ntrace sharding", ctx, shards, &classes);
 }
 
 /// The block count the paper's full CLOUDSC experiments sweep
@@ -701,15 +705,22 @@ fn simulate_trace(
 }
 
 /// Prints the sharding configuration of a trace-backed figure section:
-/// block count, `(shards, classes)` — the shard plan and how many of its
-/// shards were actually simulated — and the requested/effective simulation
-/// worker counts (the pool fans out classes, so it clamps to them).
-fn print_trace_sharding(label: &str, ctx: &ReproContext, (shards, classes): (usize, usize)) {
+/// block count, the shards of each trace's plan, how many of them each
+/// version actually simulated (its classes), and the requested/effective
+/// simulation worker counts (the pool fans out classes, so it clamps to
+/// the most any version had).
+fn print_trace_sharding(label: &str, ctx: &ReproContext, shards: usize, classes: &[(&str, usize)]) {
     let sim_workers = ctx.options().sim_workers;
+    let per_version: Vec<String> = classes
+        .iter()
+        .map(|(name, count)| format!("{name} {count}"))
+        .collect();
+    let most = classes.iter().map(|&(_, count)| count).max().unwrap_or(0);
     println!(
-        "{label}: NBLOCKS={}, {shards} shards in {classes} classes, sim-workers={sim_workers} (effective {})",
+        "{label}: NBLOCKS={}, {shards} shards, classes {}, sim-workers={sim_workers} (effective {})",
         ctx.trace_sizes().nblocks,
-        effective_sim_workers(sim_workers, classes),
+        per_version.join(", "),
+        effective_sim_workers(sim_workers, most),
     );
 }
 
@@ -801,7 +812,7 @@ pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
         format!(
             "simulated in {:.1} ms ({:.0} Macc/s)",
             seconds * 1e3,
-            trace.accesses() as f64 / seconds / 1e6
+            trace.streamed_accesses() as f64 / seconds / 1e6
         )
     };
     println!(
@@ -810,7 +821,12 @@ pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
         trace.accesses(),
         100.0 * trace.l1().hit_rate()
     );
-    print_trace_sharding("trace sharding", ctx, (trace.shards(), trace.classes()));
+    print_trace_sharding(
+        "trace sharding",
+        ctx,
+        trace.shards(),
+        &[(*name, trace.classes())],
+    );
 }
 
 // --------------------------------------------------------------------------

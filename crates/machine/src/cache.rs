@@ -380,17 +380,19 @@ impl CacheHierarchy {
         hierarchy
     }
 
-    /// The byte distance after which the set mapping of both levels
-    /// repeats: `line_bytes × max(L1 sets, L2 sets)`. Moving a whole array
-    /// by a multiple of it keeps every address on the same line offset and
-    /// in the same set at both levels. `None` when a line is wider than the
-    /// [`AddressMap`] alignment, so that two arrays could share one.
-    pub(crate) fn set_period_bytes(machine: &MachineConfig) -> Option<u64> {
+    /// The rounded line size and the byte distance after which the set
+    /// mapping of both levels repeats, `line_bytes × max(L1 sets, L2 sets)`
+    /// (the *set period*). Moving every address by the same whole number of
+    /// lines shifts each level's set index by one constant modulo that
+    /// level's set count, and moving one address by a whole set period
+    /// keeps it in the same set at both levels. `None` when a line is wider
+    /// than the [`AddressMap`] alignment, so that two arrays could share one.
+    pub(crate) fn line_and_set_period_bytes(machine: &MachineConfig) -> Option<(u64, u64)> {
         let (line_bytes, l1_sets) =
             CacheLevel::geometry(machine.l1_bytes, machine.l1_assoc, machine.line_bytes);
         let (_, l2_sets) =
             CacheLevel::geometry(machine.l2_bytes, machine.l2_assoc, machine.line_bytes);
-        (line_bytes <= AddressMap::ALIGN).then(|| line_bytes * l1_sets.max(l2_sets))
+        (line_bytes <= AddressMap::ALIGN).then(|| (line_bytes, line_bytes * l1_sets.max(l2_sets)))
     }
 
     /// Simulates one access to the given byte address (reads and writes are

@@ -17,10 +17,12 @@
 //!   CLOUDSC case study (Table 1),
 //! * [`shard`] — block-sharded parallel cache simulation: the trace cut at
 //!   block (outermost independent iterator) granularity, one hierarchy
-//!   replica per class of shards that are whole-set-period translations of
-//!   each other on a worker pool, counters merged order-independently —
-//!   bit-identical at any worker count, and the engine behind the full
-//!   `NBLOCKS = 4096` CLOUDSC trace figures (32 simulations per trace),
+//!   replica per class of shards that move every array by one whole number
+//!   of lines against each other (a relabeling of the cache sets) on a
+//!   worker pool, counters merged order-independently — bit-identical at
+//!   any worker count, and the engine behind the full `NBLOCKS = 4096`
+//!   CLOUDSC trace figures (one simulation per Fortran or C trace, 32 per
+//!   DaCe or daisy trace),
 //! * [`cost`] — a cache-aware analytical roofline that converts a scheduled
 //!   program into an estimated runtime on the configured machine
 //!   ([`config::MachineConfig`]), the quantity all figures compare,

@@ -44,32 +44,53 @@
 //!
 //! CLOUDSC's blocks are independent and identically shaped: block `b`'s
 //! trace is block 0's with every array moved by `b` slabs. A cold LRU
-//! replica cannot tell two such shards apart once their moves agree modulo
-//! the *set period* `line_bytes × max(L1 sets, L2 sets)`, so the driver
-//! groups the shards of a block plan into *translation classes*, simulates
-//! one representative per class and adds its counters once per member —
-//! 4096 CLOUDSC blocks are 32 simulations. [`ShardedCacheStats`] still
-//! reports the logical totals of the whole plan and is bit-identical to
-//! simulating every shard (the per-access oracle,
-//! [`simulate_cache_sharded_per_access`], does exactly that and the
-//! differential suite holds the two equal);
-//! [`ShardedCacheStats::classes`] says how many shards were streamed.
+//! replica cannot tell two such shards apart once all their moves agree on
+//! one whole number of lines modulo the *set period*
+//! `line_bytes × max(L1 sets, L2 sets)`, so the driver groups the shards of
+//! a block plan into *translation classes*, simulates one representative
+//! per class and adds its counters once per member — the 4096 blocks of
+//! the Fortran and C versions, which move every array alike modulo the
+//! set period, are one simulation, and those of DaCe and daisy, whose temporaries stay
+//! put, are 32. [`ShardedCacheStats`] still reports the logical totals of
+//! the whole plan and is bit-identical to simulating every shard (the
+//! per-access oracle, [`simulate_cache_sharded_per_access`], does exactly
+//! that and the differential suite holds the two equal);
+//! [`ShardedCacheStats::classes`] says how many shards were streamed and
+//! [`ShardedCacheStats::streamed_accesses`] how many accesses they held.
 //!
 //! The class key of a shard `[lo, hi)` (clamped to the trip count) is its
-//! length and, per array the block body touches, `lo × shift mod period`,
-//! where `shift` is the array's byte move per block trip
-//! (`CompiledProgram::block_shifts`). **Why equal keys mean equal
-//! counters:** the two streams have the same length and shape, and each
-//! array's addresses differ by a whole number of set periods. That keeps
-//! every address at the same offset inside its line and in the same set at
-//! both levels, and — arrays being page-aligned, so that in-bounds accesses
-//! to different arrays never share a line — maps the lines one stream
-//! touches one-to-one onto the other's, preserving which accesses share a
-//! line. Hits, misses, evictions and the LRU order of every set depend on
-//! nothing else, and neither do the decisions of the run-group fast path
-//! (phase cuts, stagger merging, super-line stepping, the conflict
-//! fallback), so `probes` agree as well. Singleton classes are simulated
-//! exactly as before.
+//! length, then `lo × shift_ref mod line_bytes` for the first array the
+//! block body touches (the reference), then, for every other array,
+//! `(lo × shift − lo × shift_ref) mod period` — where `shift` is an array's
+//! byte move per block trip (`CompiledProgram::block_shifts`) and
+//! `line_bytes` the simulator's rounded line size.
+//!
+//! **Why equal keys mean equal counters.** Take two shards with equal keys
+//! and let `D` be how far the second moves the reference against the
+//! first. The first term makes `D` a whole number of lines, and the
+//! relative terms make every other array move by `D` too, up to whole set
+//! periods. The streams have the same length and shape, so the second is
+//! the first with every address raised by `D` plus a per-array multiple of
+//! the period:
+//!
+//! * every address keeps its offset inside its line, and — arrays being
+//!   page-aligned, so that in-bounds accesses to different arrays never
+//!   share a line — the lines one stream touches map one-to-one onto the
+//!   other's, preserving which accesses share a line and which lines are
+//!   adjacent;
+//! * at each level, every line's set index moves by the same constant
+//!   `D / line_bytes` modulo the level's set count (the period is a whole
+//!   number of sets at both levels). That relabels the sets — a bijection
+//!   that keeps which lines share a set.
+//!
+//! LRU sets are independent of one another, so hits, misses, loads,
+//! evictions and every set's recency order carry over set by set. The
+//! run-group fast path decides on nothing else — phase cuts and in-line
+//! offsets, stagger clusters (same-array bases within a line span, the
+//! `set_mask > 0` gate), super-line stepping, and the conflict fallback,
+//! which asks whether a mover shares a set with a stationary lane — so
+//! `probes` agree as well. Singleton classes are simulated exactly as
+//! before.
 //!
 //! Three conditions refuse a class, each falling back to simulating the
 //! shards one by one:
@@ -261,6 +282,7 @@ fn partition(total: u64, shards: usize) -> Vec<(u64, u64)> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedCacheStats {
     accesses: u64,
+    streamed: u64,
     probes: u64,
     l1: CacheStats,
     l2: CacheStats,
@@ -273,6 +295,7 @@ impl ShardedCacheStats {
     fn empty(plan: &ShardPlan, classes: usize) -> Self {
         ShardedCacheStats {
             accesses: 0,
+            streamed: 0,
             probes: 0,
             l1: CacheStats::default(),
             l2: CacheStats::default(),
@@ -290,15 +313,25 @@ impl ShardedCacheStats {
             hits: stats.hits * times,
             misses: stats.misses * times,
         };
+        self.streamed += replica.accesses;
         self.accesses += replica.accesses * times;
         self.probes += replica.probes * times;
         self.l1.merge(&scaled(replica.l1));
         self.l2.merge(&scaled(replica.l2));
     }
 
-    /// Total accesses simulated across all shards.
+    /// Total accesses of all shards — the logical count of the whole plan,
+    /// each class counted once per member.
     pub fn accesses(&self) -> u64 {
         self.accesses
+    }
+
+    /// Accesses actually streamed through a replica: those of the
+    /// [`classes`](Self::classes) shards that were simulated. Equal to
+    /// [`accesses`](Self::accesses) when nothing was deduplicated; the
+    /// count a simulation throughput divides by.
+    pub fn streamed_accesses(&self) -> u64 {
+        self.streamed
     }
 
     /// Total cache lookups across all shards and both levels.
@@ -499,20 +532,27 @@ fn shard_classes(
         (lo.min(trips), hi.min(trips))
     };
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    match shifts.zip(CacheHierarchy::set_period_bytes(machine)) {
+    match shifts.zip(CacheHierarchy::line_and_set_period_bytes(machine)) {
         None => groups.extend((0..plan.len()).map(|shard| vec![shard])),
-        Some((shifts, period)) => {
+        Some((shifts, (line_bytes, period))) => {
+            let (line_bytes, period) = (u128::from(line_bytes), u128::from(period));
             let mut by_key: HashMap<Vec<u64>, usize> = HashMap::new();
             for shard in 0..plan.len() {
                 let (lo, hi) = clamped(shard);
-                // Shard length, then every array's start shift modulo the
-                // set period; `u128` keeps `lo × shift` exact.
+                // Shard length, the reference array's start shift inside
+                // its line, then every other array's start shift relative
+                // to the reference's modulo the set period; `u128` keeps
+                // `lo × shift` exact.
                 let mut key = vec![hi.saturating_sub(lo)];
-                if lo < hi {
-                    let residue = |s: &ArrayShift| {
-                        (u128::from(lo) * u128::from(s.bytes) % u128::from(period)) as u64
-                    };
-                    key.extend(shifts.iter().map(residue));
+                if let (true, Some((reference, others))) = (lo < hi, shifts.split_first()) {
+                    let start = |s: &ArrayShift| u128::from(lo) * u128::from(s.bytes) % period;
+                    let origin = start(reference);
+                    key.push((origin % line_bytes) as u64);
+                    key.extend(
+                        others
+                            .iter()
+                            .map(|s| ((start(s) + period - origin) % period) as u64),
+                    );
                 }
                 let group = *by_key.entry(key).or_insert(groups.len());
                 if group == groups.len() {
@@ -915,30 +955,48 @@ mod tests {
     #[test]
     fn classes_group_shards_by_length_and_shift_residue() {
         let machine = MachineConfig::tiny_for_tests();
-        // Half-period rows: even and odd blocks alternate between two
-        // residues. Cuts out of order, one of length 2, one past the end.
-        let compiled = CompiledProgram::lower(&rows_program(7, 64)).unwrap();
+        // Half-period rows: every array moves by 8 whole lines per block.
+        // Cuts out of order, one of length 2, one past the end.
         let plan = ShardPlan::blocks(vec![(5, 6), (1, 2), (2, 3), (3, 5), (0, 1), (6, 9), (7, 9)]);
-        let shifts = compiled.block_shifts().expect("rows translate");
-        let classes = shard_classes(&compiled, &plan, &machine, Some(&shifts));
-        let summary: Vec<_> = classes
-            .iter()
-            .map(|c| (c.representative, c.others.clone(), c.span))
-            .collect();
+        let summary = |program: &Program| {
+            let compiled = CompiledProgram::lower(program).unwrap();
+            let shifts = compiled.block_shifts().expect("rows translate");
+            // Without shifts every shard stands alone.
+            assert_eq!(shard_classes(&compiled, &plan, &machine, None).len(), 7);
+            shard_classes(&compiled, &plan, &machine, Some(&shifts))
+                .iter()
+                .map(|c| (c.representative, c.others.clone(), c.span))
+                .collect::<Vec<_>>()
+        };
+        // A and B move together, so every single block relabels the sets
+        // of block 0 (represented by block 0, spanning to (6, 9) clamped
+        // to (6, 7)); the only shard of length 2 and the only empty one
+        // stand alone.
         assert_eq!(
-            summary,
+            summary(&rows_program(7, 64)),
+            vec![(4, vec![0, 1, 2, 5], 6), (3, vec![], 0), (6, vec![], 0)]
+        );
+        // A stationary vector pins the set labels: even and odd blocks
+        // fall back to their two residues modulo the set period.
+        let pinned = parse_program(
+            "program pinned { param NB = 7; param N = 64;
+               array A[NB * N]; array B[NB * N]; array C[N];
+               for b in 0..NB {
+                 for i in 0..N { B[b * N + i] = A[b * N + i] * C[i]; }
+               } }",
+        )
+        .unwrap();
+        assert_eq!(
+            summary(&pinned),
             vec![
                 // Odd single blocks: 5, 1 -> represented by block 1.
                 (1, vec![0], 4),
                 // Even single blocks: 2, 0, and (6, 9) clamped to (6, 7).
                 (4, vec![2, 5], 6),
-                // The only shard of length 2, and the only empty one.
                 (3, vec![], 0),
                 (6, vec![], 0),
             ]
         );
-        // Without shifts every shard stands alone.
-        assert_eq!(shard_classes(&compiled, &plan, &machine, None).len(), 7);
     }
 
     #[test]
@@ -948,6 +1006,7 @@ mod tests {
         let plan = ShardPlan::for_program(&compiled).unwrap();
         let stats = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 4).unwrap();
         assert_eq!((stats.shards(), stats.classes()), (9, 1));
+        assert_eq!(9 * stats.streamed_accesses(), stats.accesses());
 
         let mut alone = ShardedCacheStats::empty(&plan, plan.len());
         for &(lo, hi) in plan.shards() {

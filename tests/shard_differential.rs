@@ -18,13 +18,14 @@
 //!   access (the same exclusion `cache_differential` makes).
 //!
 //! * **translation classes** — the driver simulates one representative per
-//!   class of block shards that are whole-set-period translations of each
-//!   other and weights its counters by the class size; the oracle never
-//!   deduplicates, so oracle equality on nests built to form classes (and
-//!   to break every precondition: two coefficients on one array,
-//!   block-dependent bounds, symbolic subscripts, sub-line shifts, clamped
-//!   and spilling offsets) *is* the equivalence check. `probes` is pinned
-//!   separately against every shard simulated alone.
+//!   class of block shards that move every array by one whole number of
+//!   lines (up to whole set periods) against each other — a relabeling of
+//!   the cache sets — and weights its counters by the class size; the
+//!   oracle never deduplicates, so oracle equality on nests built to form
+//!   classes (and to break every precondition: two coefficients on one
+//!   array, block-dependent bounds, symbolic subscripts, sub-line shifts,
+//!   clamped and spilling offsets) *is* the equivalence check. `probes` is
+//!   pinned separately against every shard simulated alone.
 //!
 //! A single all-covering shard must degenerate to exactly the monolithic
 //! [`machine::simulate_cache`], and zero-trip block loops to an empty plan
@@ -156,13 +157,16 @@ proptest! {
 /// | 7 | a block-dependent (triangular) inner bound |
 /// | 8 | the sub-line-shift array `S` |
 /// | 9 | a second inner loop walking the columns of `D[N][NB]` (super-line stride, 8-byte shift) |
+/// | 10 | drops `AT` from the first statement: without bits 0 and 6 nothing stays put |
 fn translated_program(nb: i64, l: i64, n: i64, k: i64, body: u16) -> Program {
     let bit = |i: u16| body & (1 << i) != 0;
+    let first = if bit(10) {
+        "A[(b * L + l) * N + i] = B[(b * L + l) * N + i] * 0.5;"
+    } else {
+        "A[(b * L + l) * N + i] = B[(b * L + l) * N + i] * 0.5 + AT[i];"
+    };
     let statements = [
-        (
-            true,
-            "A[(b * L + l) * N + i] = B[(b * L + l) * N + i] * 0.5 + AT[i];",
-        ),
+        (true, first),
         (bit(0), "AT[i] = A[(b * L + l) * N + i] + 1.0;"),
         (
             bit(1),
@@ -224,20 +228,40 @@ fn translated_program(nb: i64, l: i64, n: i64, k: i64, body: u16) -> Program {
 /// translations of each other, so no class may form.
 const BREAKS_TRANSLATION: u16 = 1 << 5 | 1 << 6 | 1 << 7;
 
-/// Every statement of [`translated_program`] is common; the bits that keep
-/// classes from forming (5 and up) are drawn at one in eight each, so that
-/// a good third of the cases does deduplicate.
+/// Draws the `body` bits of [`translated_program`]: 1, 3 and 4 at one in
+/// two; 0 and 2, which pin the sets with `AT` or clamp every class back
+/// into its members, at one in four; 10, which unpins them, at three in
+/// four; 5–9, which keep classes from forming or add an array moving at a
+/// rate of its own, at one in eight each. At least
+/// [`MERGED_BELOW_PER_ARRAY_KEY`] of the cases merge blocks that a key on
+/// each array's own residue would keep apart.
 fn arbitrary_translated_nest() -> impl Strategy<Value = (i64, i64, i64, i64, u16, u64)> {
     let sizes = (1i64..10, 1i64..8, 0usize..6, 0i64..16);
-    let body = (0u16..1024, 0u16..1024, 0u16..1024);
+    let body = (0u16..2048, 0u16..2048, 0u16..2048);
     (sizes, body, 1u64..4).prop_map(|((nb, l, n, k), (body, rare, rarer), chunk)| {
-        let body = body & (rare & rarer | 0b1_1111);
+        let body = body & 0b1_1010
+            | body & rare & 0b101
+            | (body | rare) & 1 << 10
+            | body & rare & rarer & 0b11_1110_0000;
         (nb, l, [4, 24, 64, 64, 128, 128][n], k, body, chunk)
     })
 }
 
+/// The least share of [`arbitrary_translated_nest`]'s property cases whose
+/// canonical plan forms fewer classes than the same nest reading the
+/// stationary `AT` — which makes the class key equivalent to keying every
+/// array on its own residue modulo the set period. The drawn cases reach
+/// 14 of 192.
+const MERGED_BELOW_PER_ARRAY_KEY: f64 = 0.06;
+
+/// The random cases of [`translation_classes_match_the_undeduplicated_oracle`]
+/// and the property name their seeds derive from.
+const TRANSLATED_CASES: u32 = 192;
+const TRANSLATED_PROPERTY: &str =
+    "shard_differential::translation_classes_match_the_undeduplicated_oracle";
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(TRANSLATED_CASES))]
 
     #[test]
     fn translation_classes_match_the_undeduplicated_oracle(
@@ -298,6 +322,39 @@ proptest! {
     }
 }
 
+#[test]
+fn a_stated_share_of_translated_nests_merges_below_the_per_array_key() {
+    // The property's own cases, drawn again: without the share, the
+    // oracle equality above would not exercise whole-line relabeling.
+    let machine = MachineConfig::tiny_for_tests();
+    let classes = |program: &Program| {
+        let compiled = CompiledProgram::lower(program).unwrap();
+        let plan = ShardPlan::for_program(&compiled).unwrap();
+        simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 1)
+            .unwrap()
+            .classes()
+    };
+    let mut merged = 0;
+    for index in 0..TRANSLATED_CASES {
+        let seed = proptest::case_seed(TRANSLATED_PROPERTY, index);
+        proptest::run_case(file!(), "share", seed, |rng| {
+            let (nb, l, n, k, body, _) = arbitrary_translated_nest().new_value(rng);
+            // Clearing bit 10 reads the stationary `AT` again.
+            let pinned = body & !(1 << 10);
+            if classes(&translated_program(nb, l, n, k, body))
+                < classes(&translated_program(nb, l, n, k, pinned))
+            {
+                merged += 1;
+            }
+        });
+    }
+    let share = f64::from(merged) / f64::from(TRANSLATED_CASES);
+    assert!(
+        share >= MERGED_BELOW_PER_ARRAY_KEY,
+        "only {merged} of {TRANSLATED_CASES} cases merge below the per-array key"
+    );
+}
+
 /// The merged stats under the canonical plan next to its per-access oracle.
 fn canonical_and_oracle(
     program: &Program,
@@ -353,10 +410,14 @@ fn daisy_full_model(sizes: CloudscSizes) -> Program {
 }
 
 #[test]
-fn cloudsc_blocks_form_32_classes_with_oracle_equal_counters() {
+fn cloudsc_uniform_blocks_form_one_class_and_stationary_temporaries_keep_32() {
     // Paper NPROMA/KLEV: a 3-D slab is 128 x 137 x 8 B = 137 KiB, which is
     // 9 KiB modulo the Xeon's 32 KiB set period (64 B x 512 L2 sets), and a
-    // 2-D row 1 KiB: both repeat every 32 blocks.
+    // 2-D row 1 KiB: both repeat every 32 blocks. Fortran and C move every
+    // array by the same whole number of lines per block modulo the set
+    // period, so all blocks relabel block 0's sets; DaCe's (and daisy's)
+    // `ZCOND_0`/`ZLUDE_0` temporaries stay put and keep the 32 residues
+    // apart.
     let sizes = CloudscSizes {
         nproma: 128,
         klev: 137,
@@ -364,16 +425,76 @@ fn cloudsc_blocks_form_32_classes_with_oracle_equal_counters() {
     };
     let machine = MachineConfig::xeon_e5_2680v3();
     let versions = [
-        ("Fortran", full_model(CloudscVariant::Fortran, sizes)),
-        ("C", full_model(CloudscVariant::C, sizes)),
-        ("DaCe", full_model(CloudscVariant::Dace, sizes)),
-        ("daisy", daisy_full_model(sizes)),
+        ("Fortran", full_model(CloudscVariant::Fortran, sizes), 1),
+        ("C", full_model(CloudscVariant::C, sizes), 1),
+        ("DaCe", full_model(CloudscVariant::Dace, sizes), 32),
+        ("daisy", daisy_full_model(sizes), 32),
     ];
-    for (name, program) in &versions {
+    for (name, program, classes) in &versions {
         let (stats, oracle) = canonical_and_oracle(program, &machine);
         assert_eq!(stats.shards(), 64, "{name}");
-        assert_eq!(stats.classes(), 32, "{name}");
+        assert_eq!(stats.classes(), *classes, "{name}");
         assert_counters_match(name, &stats, &oracle);
+        assert_eq!(
+            stats.streamed_accesses() * 64,
+            stats.accesses() * *classes as u64,
+            "{name}: every class streams one block"
+        );
+    }
+}
+
+/// A `col_major`-shaped walk: block `j` reads and writes column `j` of a
+/// row-major `A[M][NB]`, so every access strides a whole row and each block
+/// moves the one array by a single element — `line_bytes / 8` blocks to a
+/// line. `pinned` adds a vector every block reads in full, which does not
+/// move.
+fn column_walk(nb: i64, m: i64, pinned: bool) -> Program {
+    let (declare, read) = if pinned {
+        ("array X[M];", " + X[i]")
+    } else {
+        ("", "")
+    };
+    parse_program(&format!(
+        "program column_walk {{ param NB = {nb}; param M = {m};
+           array A[M][NB]; {declare}
+           for j in 0..NB {{
+             for i in 0..M {{ A[i][j] = A[i][j] * 0.5{read}; }}
+           }} }}"
+    ))
+    .expect("column walk parses")
+}
+
+#[test]
+fn whole_line_moves_of_a_lone_array_form_one_class_per_line_offset() {
+    // 64 B lines: eight doubles to a line, so blocks j and j + 8 touch the
+    // same line offsets one line further on, in the next set at each level.
+    // Per-array residues modulo the set period (1 KiB tiny, 32 KiB Xeon)
+    // would keep all 64 blocks apart.
+    for machine in [
+        MachineConfig::tiny_for_tests(),
+        MachineConfig::xeon_e5_2680v3(),
+    ] {
+        for (m, pinned, classes) in [(48, false, 8), (48, true, 64), (300, false, 8)] {
+            let program = column_walk(64, m, pinned);
+            let label = format!("M = {m}, pinned = {pinned}");
+            let compiled = CompiledProgram::lower(&program).unwrap();
+            let plan = ShardPlan::for_program(&compiled).unwrap();
+            let stats = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 2).unwrap();
+            assert_eq!((stats.shards(), stats.classes()), (64, classes), "{label}");
+            let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+            assert_counters_match(&label, &stats, &oracle);
+            let alone: u64 = plan
+                .shards()
+                .iter()
+                .map(|&cut| {
+                    let single = ShardPlan::blocks(vec![cut]);
+                    simulate_cache_sharded_with_plan(&compiled, &single, &machine, 1)
+                        .unwrap()
+                        .probes()
+                })
+                .sum();
+            assert_eq!(stats.probes(), alone, "{label}: probes");
+        }
     }
 }
 
