@@ -2,6 +2,18 @@
 //! the paper behind one entry point, with shared warm-start flags for the
 //! persistent tuning store.
 //!
+//! The figures run on two lanes that share nothing but the options. The
+//! schedule lane (`fig1`, `table1`, `fig6`, `fig7`, `fig9`) runs on the
+//! main thread and shares the lazily seeded schedulers; the trace lane
+//! (`fig11`, `fig12`) runs on a scoped thread beside it and shares the
+//! CLOUDSC trace model, so Fig. 12b's schedule point stays a
+//! simulation-memo hit after Fig. 11. `--sim-workers` sizes the trace
+//! lane's shard pool; the schedule lane keeps running next to that pool.
+//! Each figure renders into its own buffer, and the buffers print in paper
+//! order once both lanes finished, so stdout is the same as a
+//! one-after-another run apart from host timings. `--only` leaves a lane
+//! empty when it selects none of its figures.
+//!
 //! ```text
 //! reproduce [--smoke] [--store DIR] [--warm] [--verify] [--only LIST] [--list]
 //!           [--verbose] [--profile OUT.json] [--sim-workers N]
@@ -12,14 +24,16 @@
 //!                 worker threads for the sharded cache simulation behind
 //!                 the trace figures (N >= 1; default: the machine's
 //!                 available parallelism); counters are bit-identical at
-//!                 any value, so this only changes wall clock
+//!                 any value, so this only changes wall clock. The pool
+//!                 runs beside the schedule lane, not instead of it
 //!   --verbose     print the per-phase wall clock (normalize / seed /
 //!                 search / cost) of every schedule the figures run
 //!   --profile F   record a telemetry profile of the whole run — spans,
 //!                 counters and latency histograms across the scheduler,
 //!                 the cache simulator and the tuning store — to F as
-//!                 JSON lines, and print the aggregate span tree;
-//!                 inspect or diff the file with daisyprof
+//!                 JSON lines, and print the aggregate span tree (one
+//!                 `figure.<name>` root per figure, opened on the lane
+//!                 that runs it); inspect or diff the file with daisyprof
 //!   --store DIR   persist cold-seeded tuning databases under DIR
 //!                 (<DIR>/daisy-<config>-<dataset>.tunedb)
 //!   --warm        warm-start schedulers from the store instead of seeding
@@ -42,11 +56,16 @@ use std::time::Instant;
 use bench::figures::{
     fig11_cloudsc_full, fig12_cloudsc_scaling, fig1_gemm_variants, fig6_autoschedulers,
     fig7_ablation, fig9_python_frameworks, table1_cloudsc_erosion, verify_cold_warm,
-    verify_scheduler_against_store, ReproContext, ReproOptions,
+    verify_scheduler_against_store, ReproContext, ReproOptions, TraceContext,
 };
 
 /// The reproduction targets, in paper order.
 const FIGURES: [&str; 7] = ["fig1", "table1", "fig6", "fig7", "fig9", "fig11", "fig12"];
+
+/// How many of [`FIGURES`] run on the schedule lane; the rest, the CLOUDSC
+/// case study that closes the paper, run on the trace lane. So the schedule
+/// lane's sections followed by the trace lane's are in paper order.
+const SCHEDULE_LANE: usize = 5;
 
 struct Args {
     options: ReproOptions,
@@ -164,23 +183,35 @@ fn run_figures(args: &Args) -> ExitCode {
             .unwrap_or(true)
     };
 
+    let (schedule_lane, trace_lane) = FIGURES.split_at(SCHEDULE_LANE);
     let start = Instant::now();
     let mut ctx = ReproContext::new(args.options.clone());
-    for name in FIGURES {
-        if !selected(name) {
-            continue;
-        }
+    let sections = std::thread::scope(|scope| {
+        let trace = scope.spawn(|| {
+            let trace_ctx = TraceContext::new(args.options.clone());
+            run_lane(trace_lane, selected, |name, out| match name {
+                "fig11" => fig11_cloudsc_full(&trace_ctx, out),
+                "fig12" => fig12_cloudsc_scaling(&trace_ctx, out),
+                _ => unreachable!("FIGURES and the trace dispatch table are in sync"),
+            })
+        });
+        let mut sections = run_lane(schedule_lane, selected, |name, out| match name {
+            "fig1" => fig1_gemm_variants(&ctx, out),
+            "table1" => table1_cloudsc_erosion(&ctx, out),
+            "fig6" => fig6_autoschedulers(&mut ctx, out),
+            "fig7" => fig7_ablation(&mut ctx, out),
+            "fig9" => fig9_python_frameworks(&mut ctx, out),
+            _ => unreachable!("FIGURES and the schedule dispatch table are in sync"),
+        });
+        let trace = trace
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        sections.extend(trace);
+        sections
+    });
+    for (name, text) in sections {
         println!("\n================ {name} ================");
-        match name {
-            "fig1" => fig1_gemm_variants(&ctx),
-            "table1" => table1_cloudsc_erosion(&ctx),
-            "fig6" => fig6_autoschedulers(&mut ctx),
-            "fig7" => fig7_ablation(&mut ctx),
-            "fig9" => fig9_python_frameworks(&mut ctx),
-            "fig11" => fig11_cloudsc_full(&ctx),
-            "fig12" => fig12_cloudsc_scaling(&ctx),
-            _ => unreachable!("FIGURES and the dispatch table are in sync"),
-        }
+        print!("{text}");
     }
 
     println!("\n================ summary ================");
@@ -247,4 +278,38 @@ fn run_figures(args: &Args) -> ExitCode {
         println!("cold/warm equivalence holds");
     }
     ExitCode::SUCCESS
+}
+
+/// Runs the selected figures of one lane in order, each under a
+/// `figure.<name>` span and into a buffer of its own; returns every figure's
+/// name with its text.
+fn run_lane(
+    names: &[&'static str],
+    selected: impl Fn(&str) -> bool,
+    mut figure: impl FnMut(&str, &mut String),
+) -> Vec<(&'static str, String)> {
+    names
+        .iter()
+        .filter(|name| selected(name))
+        .map(|&name| {
+            let _span = telemetry::span(figure_span(name));
+            let mut out = String::new();
+            figure(name, &mut out);
+            (name, out)
+        })
+        .collect()
+}
+
+/// The telemetry span a figure runs under.
+fn figure_span(name: &str) -> &'static str {
+    match name {
+        "fig1" => "figure.fig1",
+        "table1" => "figure.table1",
+        "fig6" => "figure.fig6",
+        "fig7" => "figure.fig7",
+        "fig9" => "figure.fig9",
+        "fig11" => "figure.fig11",
+        "fig12" => "figure.fig12",
+        _ => unreachable!("FIGURES and the span table are in sync"),
+    }
 }

@@ -1,15 +1,19 @@
 //! The figure/table harnesses as library functions, driven by the
 //! `reproduce` binary (`reproduce --only <figure>` for a single one).
 //!
-//! Every function regenerates one figure or table of the paper. The ones
-//! that need a transfer-tuning database pull their scheduler from a
-//! [`ReproContext`], which seeds it once per configuration and — when a
-//! store directory is given — warm-starts it from a persisted
-//! `tunestore` snapshot instead, so a whole reproduction run pays the
-//! seeding cost at most once ever per machine.
+//! Every function regenerates one figure or table of the paper and renders
+//! it into a `&mut String`, so `reproduce` decides when and in which order
+//! the text reaches stdout. The ones that need a transfer-tuning database
+//! pull their scheduler from a [`ReproContext`], which seeds it once per
+//! configuration and — when a store directory is given — warm-starts it
+//! from a persisted `tunestore` snapshot instead, so a whole reproduction
+//! run pays the seeding cost at most once ever per machine. The
+//! trace-backed CLOUDSC figures (Fig. 11, Fig. 12) share a [`TraceContext`]
+//! instead, which owns nothing a scheduling figure touches.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,7 +34,7 @@ use polybench::{all_benchmarks, Dataset};
 use transforms::fuse_producer_consumers;
 
 use crate::{
-    daisy_seeded_from_a_variants, geometric_mean, paper_machine_model, print_table, ratio, THREADS,
+    daisy_seeded_from_a_variants, geometric_mean, paper_machine_model, ratio, render_table, THREADS,
 };
 
 /// The scheduler configurations the figure harnesses use. `Full` is the
@@ -91,12 +95,23 @@ pub struct ReproOptions {
     pub sim_workers: usize,
 }
 
-/// Prints one schedule's per-phase wall clock when `--verbose` is on.
-/// A free function (not a [`ReproContext`] method) so figures can call it
-/// while a scheduler borrow of the context is live.
-pub fn print_phases(verbose: bool, label: &str, outcome: &ScheduleOutcome) {
+impl ReproOptions {
+    /// The CLOUDSC sizes of a run with these options.
+    pub fn sizes(&self) -> CloudscSizes {
+        if self.smoke {
+            CloudscSizes::mini()
+        } else {
+            CloudscSizes::paper()
+        }
+    }
+}
+
+/// Renders one schedule's per-phase wall clock into `out` when
+/// `--verbose` is on. A free function (not a [`ReproContext`] method) so
+/// figures can call it while a scheduler borrow of the context is live.
+pub fn render_phases(out: &mut String, verbose: bool, label: &str, outcome: &ScheduleOutcome) {
     if verbose {
-        println!("  phases [{label}]: {}", outcome.phase_timings);
+        let _ = writeln!(out, "  phases [{label}]: {}", outcome.phase_timings);
     }
 }
 
@@ -115,16 +130,14 @@ pub struct SeedingEvent {
     pub store: Option<PathBuf>,
 }
 
-/// Shared state of one reproduction run: the options plus the lazily built
-/// (and possibly warm-started) schedulers, one per [`SchedulerKind`], and
-/// what the trace-backed figure columns share.
+/// Shared state of the scheduling figures of one reproduction run: the
+/// options plus the lazily built (and possibly warm-started) schedulers,
+/// one per [`SchedulerKind`].
 #[derive(Debug, Default)]
 pub struct ReproContext {
     options: ReproOptions,
     schedulers: HashMap<SchedulerKind, DaisyScheduler>,
     events: Vec<SeedingEvent>,
-    trace_model: OnceCell<CostModel>,
-    trace_versions: OnceCell<Vec<(&'static str, Program)>>,
 }
 
 impl ReproContext {
@@ -152,51 +165,6 @@ impl ReproContext {
             Dataset::Mini
         } else {
             Dataset::Large
-        }
-    }
-
-    /// The CLOUDSC sizes of this run.
-    pub fn sizes(&self) -> CloudscSizes {
-        if self.options.smoke {
-            CloudscSizes::mini()
-        } else {
-            CloudscSizes::paper()
-        }
-    }
-
-    /// The cost model behind every trace-backed column of the run: the
-    /// paper's machine at the run's `--sim-workers`.
-    /// One model for the whole run, so a trace two figures both need
-    /// (Fig. 11's daisy row and Fig. 12b's schedule point) is simulated
-    /// once and answered from the model's simulation memo afterwards.
-    pub fn trace_model(&self) -> &CostModel {
-        self.trace_model.get_or_init(|| {
-            CostModel::new(MachineConfig::xeon_e5_2680v3(), 1)
-                .with_simulation_parallelism(self.options.sim_workers)
-        })
-    }
-
-    /// [`cloudsc_versions`] at the sizes the trace-backed columns simulate
-    /// (the run's sizes, lifted to [`FULL_TRACE_NBLOCKS`] outside smoke
-    /// runs), built on first use.
-    pub fn trace_versions(&self) -> &[(&'static str, Program)] {
-        self.trace_versions
-            .get_or_init(|| cloudsc_versions(self.trace_sizes()))
-    }
-
-    /// The CLOUDSC sizes the trace-backed figure columns simulate: the
-    /// run's sizes, lifted to the paper's full `NBLOCKS = 4096` outside
-    /// smoke runs. Earlier PRs capped this at 64 blocks to keep the
-    /// sequential simulation tractable; the sharded driver removed the cap.
-    pub fn trace_sizes(&self) -> CloudscSizes {
-        let sizes = self.sizes();
-        if self.options.smoke {
-            sizes
-        } else {
-            CloudscSizes {
-                nblocks: FULL_TRACE_NBLOCKS,
-                ..sizes
-            }
         }
     }
 
@@ -264,6 +232,67 @@ impl ReproContext {
     }
 }
 
+/// What the trace-backed figures (Fig. 11, Fig. 12) of one reproduction run
+/// share: the options, one cost model and the CLOUDSC versions at trace
+/// sizes. Separate from [`ReproContext`] so those figures can run on their
+/// own thread beside the scheduling figures.
+#[derive(Debug)]
+pub struct TraceContext {
+    options: ReproOptions,
+    trace_model: CostModel,
+    trace_versions: OnceCell<Vec<(&'static str, Program)>>,
+}
+
+impl TraceContext {
+    /// Creates a context for one run.
+    pub fn new(options: ReproOptions) -> Self {
+        let trace_model = CostModel::new(MachineConfig::xeon_e5_2680v3(), 1)
+            .with_simulation_parallelism(options.sim_workers);
+        TraceContext {
+            options,
+            trace_model,
+            trace_versions: OnceCell::new(),
+        }
+    }
+
+    /// The options this run was started with.
+    pub fn options(&self) -> &ReproOptions {
+        &self.options
+    }
+
+    /// The cost model behind every trace-backed column of the run: the
+    /// paper's machine at the run's `--sim-workers`.
+    /// One model for both figures, so a trace they both need (Fig. 11's
+    /// daisy row and Fig. 12b's schedule point) is simulated once and
+    /// answered from the model's simulation memo afterwards.
+    pub fn trace_model(&self) -> &CostModel {
+        &self.trace_model
+    }
+
+    /// [`cloudsc_versions`] at the sizes the trace-backed columns simulate
+    /// (the run's sizes, lifted to [`FULL_TRACE_NBLOCKS`] outside smoke
+    /// runs), built on first use.
+    pub fn trace_versions(&self) -> &[(&'static str, Program)] {
+        self.trace_versions
+            .get_or_init(|| cloudsc_versions(self.trace_sizes()))
+    }
+
+    /// The CLOUDSC sizes the trace-backed figure columns simulate: the
+    /// run's sizes, lifted to the paper's full `NBLOCKS = 4096` outside
+    /// smoke runs; the block-sharded simulator keeps that affordable.
+    pub fn trace_sizes(&self) -> CloudscSizes {
+        let sizes = self.options.sizes();
+        if self.options.smoke {
+            sizes
+        } else {
+            CloudscSizes {
+                nblocks: FULL_TRACE_NBLOCKS,
+                ..sizes
+            }
+        }
+    }
+}
+
 // --------------------------------------------------------------------------
 // Figure 1
 // --------------------------------------------------------------------------
@@ -303,7 +332,7 @@ pub fn gemm_with_order(order: &str, shrink: i64) -> Program {
 /// Figure 1: structurally different GEMM kernels yield significantly
 /// different performance under a baseline compiler and under Polly, while
 /// the normalized pipeline maps them all to the same canonical form.
-pub fn fig1_gemm_variants(ctx: &ReproContext) {
+pub fn fig1_gemm_variants(ctx: &ReproContext, out: &mut String) {
     let shrink = if ctx.options().smoke { 25 } else { 1 };
     let model = paper_machine_model(THREADS);
     let sequential = paper_machine_model(1);
@@ -329,7 +358,8 @@ pub fn fig1_gemm_variants(ctx: &ReproContext) {
             canonical.join(""),
         ]);
     }
-    print_table(
+    render_table(
+        out,
         &format!(
             "Figure 1: GEMM loop-order variants (estimated seconds, NI={})",
             1000 / shrink
@@ -341,12 +371,16 @@ pub fn fig1_gemm_variants(ctx: &ReproContext) {
         times.iter().cloned().fold(f64::MIN, f64::max)
             / times.iter().cloned().fold(f64::MAX, f64::min)
     };
-    println!(
+    let _ = writeln!(
+        out,
         "\nclang worst/best ratio: {:.1}x   Polly worst/best ratio: {:.1}x",
         spread(&clang_times),
         spread(&polly_times)
     );
-    println!("after normalization every variant maps to the same canonical loop order");
+    let _ = writeln!(
+        out,
+        "after normalization every variant maps to the same canonical loop order"
+    );
 }
 
 // --------------------------------------------------------------------------
@@ -357,7 +391,7 @@ pub fn fig1_gemm_variants(ctx: &ReproContext) {
 /// and B variants of the 15 PolyBench benchmarks. Runtimes are normalized
 /// to the daisy A variant; `X` marks benchmarks the Tiramisu adapter cannot
 /// convert.
-pub fn fig6_autoschedulers(ctx: &mut ReproContext) {
+pub fn fig6_autoschedulers(ctx: &mut ReproContext, out: &mut String) {
     let dataset = ctx.dataset();
     let verbose = ctx.options().verbose;
     let model = paper_machine_model(THREADS);
@@ -377,8 +411,8 @@ pub fn fig6_autoschedulers(ctx: &mut ReproContext) {
         let b_prog = (b.b)(dataset);
         let outcome_a = scheduler.schedule(&a_prog);
         let outcome_b = scheduler.schedule(&b_prog);
-        print_phases(verbose, &format!("{}/A", b.name), &outcome_a);
-        print_phases(verbose, &format!("{}/B", b.name), &outcome_b);
+        render_phases(out, verbose, &format!("{}/A", b.name), &outcome_a);
+        render_phases(out, verbose, &format!("{}/B", b.name), &outcome_b);
         let daisy_a = outcome_a.seconds();
         let daisy_b = outcome_b.seconds();
         let polly_a = model.estimate(&polly_schedule(&a_prog)).seconds;
@@ -417,7 +451,8 @@ pub fn fig6_autoschedulers(ctx: &mut ReproContext) {
             ratio(tira_b, daisy_a),
         ]);
     }
-    print_table(
+    render_table(
+        out,
         "Figure 6: normalized runtime (baseline = daisy A, lower is better)",
         &[
             "benchmark",
@@ -433,18 +468,21 @@ pub fn fig6_autoschedulers(ctx: &mut ReproContext) {
         ],
         &rows,
     );
-    println!(
+    let _ = writeln!(
+        out,
         "\ndaisy A/B robustness: mean gap {:.1}%  max gap {:.1}%",
         100.0 * ab_gaps.iter().sum::<f64>() / ab_gaps.len() as f64,
         100.0 * ab_gaps.iter().cloned().fold(0.0, f64::max)
     );
-    println!(
+    let _ = writeln!(
+        out,
         "geo-mean speedup of daisy on A variants: {:.2}x vs Polly, {:.2}x vs icc, {:.2}x vs Tiramisu",
         geometric_mean(&speedup_polly_a),
         geometric_mean(&speedup_icc_a),
         geometric_mean(&speedup_tiramisu_a)
     );
-    println!(
+    let _ = writeln!(
+        out,
         "geo-mean speedup of daisy on B variants: {:.2}x vs Polly, {:.2}x vs icc, {:.2}x vs Tiramisu",
         geometric_mean(&speedup_polly_b),
         geometric_mean(&speedup_icc_b),
@@ -460,8 +498,9 @@ pub fn fig6_autoschedulers(ctx: &mut ReproContext) {
 /// normalization (Opt), normalization without transfer tuning (Norm), and
 /// the full pipeline (Norm + Opt), on the A and B variants of every
 /// benchmark. Runtimes are normalized to clang on the A variant.
-pub fn fig7_ablation(ctx: &mut ReproContext) {
+pub fn fig7_ablation(ctx: &mut ReproContext, out: &mut String) {
     let dataset = ctx.dataset();
+    let verbose = ctx.options().verbose;
     let sequential = paper_machine_model(1);
 
     // Build (or warm-start) both schedulers up front; the borrow of one
@@ -483,8 +522,8 @@ pub fn fig7_ablation(ctx: &mut ReproContext) {
         let opt_b = ctx.scheduler(SchedulerKind::NoNormalize).schedule(&b_prog);
         let full_a = ctx.scheduler(SchedulerKind::Full).schedule(&a_prog);
         let full_b = ctx.scheduler(SchedulerKind::Full).schedule(&b_prog);
-        print_phases(ctx.options().verbose, &format!("{}/A", b.name), &full_a);
-        print_phases(ctx.options().verbose, &format!("{}/B", b.name), &full_b);
+        render_phases(out, verbose, &format!("{}/A", b.name), &full_a);
+        render_phases(out, verbose, &format!("{}/B", b.name), &full_b);
         let row = vec![
             b.name.to_string(),
             format!("{clang_a:.4}"),
@@ -499,7 +538,8 @@ pub fn fig7_ablation(ctx: &mut ReproContext) {
         ];
         rows.push(row);
     }
-    print_table(
+    render_table(
+        out,
         "Figure 7: ablation (baseline = clang A, lower is better)",
         &[
             "benchmark",
@@ -515,10 +555,14 @@ pub fn fig7_ablation(ctx: &mut ReproContext) {
         ],
         &rows,
     );
-    println!(
+    let _ = writeln!(
+        out,
         "\nBoth normalization and transfer tuning are required for consistently low runtimes;"
     );
-    println!("without normalization the database recipes fail to apply to the B variants.");
+    let _ = writeln!(
+        out,
+        "without normalization the database recipes fail to apply to the B variants."
+    );
 }
 
 // --------------------------------------------------------------------------
@@ -528,7 +572,7 @@ pub fn fig7_ablation(ctx: &mut ReproContext) {
 /// Figure 9: the NPBench (Python) variants optimized by daisy (with and
 /// without normalization) compared against the NumPy, Numba and DaCe
 /// framework models. Runtimes are normalized to daisy (lower is better).
-pub fn fig9_python_frameworks(ctx: &mut ReproContext) {
+pub fn fig9_python_frameworks(ctx: &mut ReproContext, out: &mut String) {
     let dataset = ctx.dataset();
     let machine = MachineConfig::xeon_e5_2680v3();
     ctx.scheduler(SchedulerKind::Full);
@@ -556,7 +600,8 @@ pub fn fig9_python_frameworks(ctx: &mut ReproContext) {
             ratio(Some(frameworks.dace), daisy_t),
         ]);
     }
-    print_table(
+    render_table(
+        out,
         "Figure 9: Python-frontend variants (baseline = daisy, lower is better)",
         &[
             "benchmark",
@@ -597,8 +642,8 @@ pub fn cloudsc_versions(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
 /// Figure 11: sequential runtime of the full CLOUDSC proxy for the Fortran,
 /// C, DaCe and daisy versions (normalized to Fortran), plus the achieved
 /// FLOP/s of Fortran and daisy against the machine peak (§5.2).
-pub fn fig11_cloudsc_full(ctx: &ReproContext) {
-    let sizes = ctx.sizes();
+pub fn fig11_cloudsc_full(ctx: &TraceContext, out: &mut String) {
+    let sizes = ctx.options().sizes();
     let trace_sizes = ctx.trace_sizes();
     let sequential = paper_machine_model(1);
     let at_run_sizes = (trace_sizes.nblocks != sizes.nblocks).then(|| cloudsc_versions(sizes));
@@ -620,7 +665,8 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
             ]
         })
         .collect();
-    print_table(
+    render_table(
+        out,
         &format!(
             "Figure 11: CLOUDSC sequential execution, roofline at run sizes (NPROMA={}, NBLOCKS={})",
             sizes.nproma, sizes.nblocks
@@ -629,12 +675,14 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
         &rows,
     );
     let daisy_seconds = reports[3].1.seconds;
-    println!(
+    let _ = writeln!(
+        out,
         "\ndaisy vs hand-tuned Fortran: {:.1}% faster",
         100.0 * (baseline - daisy_seconds) / baseline
     );
     let peak = sequential.machine().peak_flops_per_core() / 1e9;
-    println!(
+    let _ = writeln!(
+        out,
         "peak (1 core, FMA+AVX): {:.1} GFLOP/s; Fortran reaches {:.1}%, daisy {:.1}% of peak",
         peak,
         100.0 * reports[0].1.flops_per_second() / 1e9 / peak,
@@ -665,7 +713,8 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
             ]
         })
         .collect();
-    print_table(
+    render_table(
+        out,
         &format!(
             "Figure 11 (exact trace): block-sharded cache simulation, NBLOCKS={}",
             trace_sizes.nblocks
@@ -680,7 +729,7 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
         ],
         &rows,
     );
-    print_trace_sharding("\ntrace sharding", ctx, shards, &classes);
+    render_trace_sharding(out, "\ntrace sharding", ctx, shards, &classes);
 }
 
 /// The block count the paper's full CLOUDSC experiments sweep
@@ -704,19 +753,26 @@ fn simulate_trace(
     (stats, start.elapsed().as_secs_f64().max(1e-9))
 }
 
-/// Prints the sharding configuration of a trace-backed figure section:
+/// Renders the sharding configuration of a trace-backed figure section:
 /// block count, the shards of each trace's plan, how many of them each
 /// version actually simulated (its classes), and the requested/effective
 /// simulation worker counts (the pool fans out classes, so it clamps to
 /// the most any version had).
-fn print_trace_sharding(label: &str, ctx: &ReproContext, shards: usize, classes: &[(&str, usize)]) {
+fn render_trace_sharding(
+    out: &mut String,
+    label: &str,
+    ctx: &TraceContext,
+    shards: usize,
+    classes: &[(&str, usize)],
+) {
     let sim_workers = ctx.options().sim_workers;
     let per_version: Vec<String> = classes
         .iter()
         .map(|(name, count)| format!("{name} {count}"))
         .collect();
     let most = classes.iter().map(|&(_, count)| count).max().unwrap_or(0);
-    println!(
+    let _ = writeln!(
+        out,
         "{label}: NBLOCKS={}, {shards} shards, classes {}, sim-workers={sim_workers} (effective {})",
         ctx.trace_sizes().nblocks,
         per_version.join(", "),
@@ -731,8 +787,8 @@ fn print_trace_sharding(label: &str, ctx: &ReproContext, shards: usize, classes:
 /// Figure 12: strong scaling (fixed workload, 1-12 threads) and weak
 /// scaling (workload grows with the thread count) of the CLOUDSC proxy for
 /// the Fortran, C, DaCe and daisy versions.
-pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
-    let programs = cloudsc_versions(ctx.sizes());
+pub fn fig12_cloudsc_scaling(ctx: &TraceContext, out: &mut String) {
+    let programs = cloudsc_versions(ctx.options().sizes());
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 6, 8, 10, 12] {
         let model = paper_machine_model(threads);
@@ -750,7 +806,8 @@ pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
             format!("{gain:.2}%"),
         ]);
     }
-    print_table(
+    render_table(
+        out,
         "Figure 12a: strong scaling (seconds per run)",
         &[
             "threads",
@@ -785,7 +842,8 @@ pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
             format!("{gain:.2}%"),
         ]);
     }
-    print_table(
+    render_table(
+        out,
         "Figure 12b: weak scaling (seconds per run)",
         &[
             "columns/threads",
@@ -815,13 +873,15 @@ pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
             trace.streamed_accesses() as f64 / seconds / 1e6
         )
     };
-    println!(
+    let _ = writeln!(
+        out,
         "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses {source}, L1 hit rate {:.1}%",
         ctx.trace_sizes().nblocks,
         trace.accesses(),
         100.0 * trace.l1().hit_rate()
     );
-    print_trace_sharding(
+    render_trace_sharding(
+        out,
         "trace sharding",
         ctx,
         trace.shards(),
@@ -853,8 +913,8 @@ pub fn table1_workloads(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
 /// Table 1: the erosion-of-clouds loop nest before and after normalization +
 /// producer-consumer fusion — runtime for a single vertical iteration and
 /// for all KLEV iterations, plus the absolute number of L1 loads and evicts.
-pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
-    let sizes = ctx.sizes();
+pub fn table1_cloudsc_erosion(ctx: &ReproContext, out: &mut String) {
+    let sizes = ctx.options().sizes();
     let model = paper_machine_model(1);
 
     let original_single = erosion_single_level(sizes, false);
@@ -868,7 +928,7 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
     // monolithic simulation at any worker count.
     // `(l1_loads, l1_evicts, accesses)` per nest.
     let cache = |p: &Program| -> (u64, u64, u64) {
-        let stats = ctx.trace_model().simulated_cache(p).expect("trace runs");
+        let stats = model.simulated_cache(p).expect("trace runs");
         (stats.l1().loads, stats.l1().evicts, stats.accesses())
     };
     let orig_cache = cache(&original_single);
@@ -901,7 +961,8 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
             format!("{}", opt_cache.2),
         ],
     ];
-    print_table(
+    render_table(
+        out,
         &format!(
             "Table 1: erosion of clouds, NPROMA={}, KLEV={}",
             sizes.nproma, sizes.klev
@@ -909,13 +970,20 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
         &["metric", "Original", "Optimized"],
         &rows,
     );
-    println!(
+    let _ = writeln!(
+        out,
         "\nruntime speedup: single iteration {:.2}x, KLEV iterations {:.2}x",
         t(&original_single) / t(&optimized_single),
         t(&original_full) / t(&optimized_full)
     );
-    println!("note: the paper's lower L1 load/evict counts stem from removed register spills,");
-    println!("which the IR-level cache simulation cannot observe (see EXPERIMENTS.md).");
+    let _ = writeln!(
+        out,
+        "note: the paper's lower L1 load/evict counts stem from removed register spills,"
+    );
+    let _ = writeln!(
+        out,
+        "which the IR-level cache simulation cannot observe (see EXPERIMENTS.md)."
+    );
 }
 
 // --------------------------------------------------------------------------
@@ -998,7 +1066,7 @@ pub fn verify_scheduler_against_store(
             warm.database().len()
         );
     }
-    let workloads = equivalence_workloads(ctx.dataset(), ctx.sizes());
+    let workloads = equivalence_workloads(ctx.dataset(), options.sizes());
     let mut outcomes_identical = 0;
     for (name, program) in &workloads {
         let cold_outcome: ScheduleOutcome = cold.schedule(program);

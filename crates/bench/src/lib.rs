@@ -3,14 +3,17 @@
 //! Every function in [`figures`] regenerates one figure or table of the
 //! paper (`reproduce --only <name>` runs one, `reproduce` all) by building
 //! the corresponding workloads from the `polybench` crate, scheduling them
-//! with daisy and the baselines, and printing the same rows/series the paper
-//! reports. Absolute numbers come from the analytical machine model, so only
-//! the *shape* (ratios, ordering, crossovers) is comparable with the paper.
+//! with daisy and the baselines, and rendering the same rows/series the
+//! paper reports into a text buffer. Absolute numbers come from the
+//! analytical machine model, so only the *shape* (ratios, ordering,
+//! crossovers) is comparable with the paper.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod figures;
+
+use std::fmt::Write;
 
 use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::program::Program;
@@ -30,9 +33,12 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Prints a simple aligned table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// Renders a simple aligned table into `out`: a blank line, the
+/// `=== title ===` header, the header row and one line per row, each cell
+/// right-aligned to its column's widest cell and cells joined by two
+/// spaces. Cells beyond the header count are right-aligned to width 8.
+pub fn render_table(out: &mut String, title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    let _ = writeln!(out, "\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -41,20 +47,18 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let fmt_row = |cells: &[String]| {
-        cells
+    let mut render_row = |cells: &[String]| {
+        let line = cells
             .iter()
             .enumerate()
             .map(|(i, c)| format!("{:>width$}", c, width = widths.get(i).copied().unwrap_or(8)))
             .collect::<Vec<_>>()
-            .join("  ")
+            .join("  ");
+        let _ = writeln!(out, "{line}");
     };
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>())
-    );
+    render_row(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
     for row in rows {
-        println!("{}", fmt_row(row));
+        render_row(row);
     }
 }
 
@@ -106,11 +110,24 @@ mod tests {
     }
 
     #[test]
-    fn table_printer_does_not_panic() {
-        print_table(
+    fn table_renderer_right_aligns_to_the_widest_cell() {
+        let mut out = String::new();
+        render_table(
+            &mut out,
             "test",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
+            &["a", "bb"],
+            &[
+                vec!["1".into(), "2".into()],
+                vec!["333".into(), "4".into(), "x".into()],
+            ],
         );
+        let expected = concat!(
+            "\n",
+            "=== test ===\n",
+            "  a  bb\n",
+            "  1   2\n",
+            "333   4         x\n",
+        );
+        assert_eq!(out, expected);
     }
 }

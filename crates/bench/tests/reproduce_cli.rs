@@ -1,7 +1,9 @@
 //! CLI contract of the `reproduce` driver, mirroring the `tunedb` CLI suite
 //! (`crates/tunestore/tests/tunedb_cli.rs`): `--list` enumerates the figure
 //! harnesses and exits 0 without running anything; usage errors exit 2 with
-//! a one-line diagnostic, never a panic.
+//! a one-line diagnostic, never a panic; the two figure lanes print in
+//! paper order, and stdout apart from host timings does not depend on the
+//! lanes, the worker count or the run.
 
 use std::process::{Command, Output};
 
@@ -210,10 +212,121 @@ fn fig12_alone_measures_its_trace_simulation() {
     );
 }
 
+#[test]
+fn a_full_run_prints_both_lanes_in_paper_order() {
+    let stdout = reproduce_ok(&["--smoke", "--sim-workers", "2"]);
+    // Every section in paper order, each holding its own tables and no
+    // other figure's.
+    let sections = [
+        ("fig1", &["Figure 1:"][..]),
+        ("table1", &["Table 1:"]),
+        ("fig6", &["Figure 6:"]),
+        ("fig7", &["Figure 7:"]),
+        ("fig9", &["Figure 9:"]),
+        ("fig11", &["Figure 11:", "Figure 11 (exact trace):"]),
+        ("fig12", &["Figure 12a:", "Figure 12b:"]),
+        ("summary", &[]),
+    ];
+    let mut rest = stdout.as_str();
+    for (i, (name, titles)) in sections.iter().enumerate() {
+        let start = rest
+            .find(&header(name))
+            .unwrap_or_else(|| panic!("no {name} section after the previous one: {stdout}"));
+        rest = &rest[start..];
+        let end = sections
+            .get(i + 1)
+            .and_then(|(next, _)| rest.find(&header(next)))
+            .unwrap_or(rest.len());
+        let found: Vec<&str> = rest[..end]
+            .lines()
+            .filter_map(|line| line.strip_prefix("=== "))
+            .collect();
+        assert_eq!(found.len(), titles.len(), "{name} section: {found:?}");
+        for (title, prefix) in found.iter().zip(titles.iter()) {
+            assert!(title.starts_with(prefix), "{name} section: {title}");
+        }
+    }
+    // Fig. 12 still follows Fig. 11 on one lane: its schedule point is the
+    // simulation Fig. 11 ran.
+    assert!(
+        schedule_point_line(&stdout).contains(" accesses memo hit, "),
+        "{stdout}"
+    );
+    // The trace lane prints the same beside the schedule lane as alone.
+    let trace_lane = |stdout: &str| {
+        let from = stdout.find(&header("fig11")).expect("fig11 section");
+        let to = stdout.find(&header("summary")).expect("summary section");
+        strip_timings(&stdout[from..to])
+    };
+    let alone = reproduce_ok(&["--smoke", "--sim-workers", "2", "--only", "fig11,fig12"]);
+    assert_eq!(trace_lane(&stdout), trace_lane(&alone));
+}
+
+#[test]
+fn smoke_stdout_does_not_depend_on_workers_or_the_run() {
+    let mut first = None;
+    for round in 0..3 {
+        for workers in ["1", "4"] {
+            let run = strip_timings(&reproduce_ok(&["--smoke", "--sim-workers", workers]));
+            let first = first.get_or_insert_with(|| run.clone());
+            assert_eq!(*first, run, "round {round}, --sim-workers {workers}");
+        }
+    }
+}
+
 /// Fig. 12b's line about the daisy trace per schedule point.
 fn schedule_point_line(stdout: &str) -> &str {
     stdout
         .lines()
         .find(|line| line.starts_with("daisy trace per schedule point"))
         .unwrap_or_else(|| panic!("no schedule-point line in {stdout}"))
+}
+
+/// `reproduce`'s stdout after a successful run.
+fn reproduce_ok(args: &[&str]) -> String {
+    let output = reproduce(args);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "args {args:?}: {stderr}");
+    String::from_utf8(output.stdout).expect("stdout is UTF-8")
+}
+
+/// The section header `reproduce` prints before a figure or the summary.
+fn header(name: &str) -> String {
+    format!("================ {name} ================")
+}
+
+/// `reproduce` stdout without host timings: the trace table's `sim [ms]`
+/// and `Macc/s` columns, the "simulated in … Macc/s)" clause, the seeding
+/// seconds, the total wall clock and the `sim-workers=N (effective M)` of
+/// the trace sharding lines.
+fn strip_timings(stdout: &str) -> String {
+    let mut lines = Vec::new();
+    let mut in_trace_table = false;
+    for line in stdout.lines() {
+        in_trace_table &= !line.trim().is_empty();
+        if in_trace_table {
+            let columns: Vec<&str> = line.split_whitespace().collect();
+            let exact = columns.iter().take(2).chain(columns.iter().skip(4));
+            lines.push(exact.copied().collect::<Vec<_>>().join(" "));
+            continue;
+        }
+        in_trace_table = line.contains("sim [ms]");
+        let line = without(line, " simulated in ", " Macc/s)");
+        let line = without(&line, " entries in ", "s");
+        let line = without(&line, "total wall clock: ", "s");
+        lines.push(without(&line, "sim-workers=", ")"));
+    }
+    lines.join("\n")
+}
+
+/// `line` without the text from `start` through the first `end` after it.
+fn without(line: &str, start: &str, end: &str) -> String {
+    let Some(from) = line.find(start) else {
+        return line.to_string();
+    };
+    let rest = from + start.len();
+    match line[rest..].find(end) {
+        Some(to) => format!("{}{}", &line[..from], &line[rest + to + end.len()..]),
+        None => line.to_string(),
+    }
 }
