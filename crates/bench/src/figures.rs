@@ -24,7 +24,7 @@ use baselines::{
 use daisy::{DaisyConfig, DaisyScheduler, ScheduleOutcome};
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
-use machine::{effective_sim_workers, CostModel, MachineConfig, ShardedCacheStats};
+use machine::{effective_workers, CostModel, MachineConfig, ShardedCacheStats};
 use normalize::Normalizer;
 use polybench::cloudsc::{
     erosion_optimized, erosion_original, erosion_single_level, full_model, CloudscSizes,
@@ -776,7 +776,7 @@ fn render_trace_sharding(
         "{label}: NBLOCKS={}, {shards} shards, classes {}, sim-workers={sim_workers} (effective {})",
         ctx.trace_sizes().nblocks,
         per_version.join(", "),
-        effective_sim_workers(sim_workers, most),
+        effective_workers(sim_workers, most),
     );
 }
 

@@ -9,6 +9,7 @@ use loop_ir::expr::Var;
 use loop_ir::nest::Node;
 use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
+use machine::pool::parallel_map;
 use machine::{CostModel, CostReport, MachineConfig, NestCost};
 use normalize::{Normalizer, NormalizerConfig};
 use transforms::{perfect_chain, Recipe};
@@ -17,7 +18,7 @@ use tunestore::{DurableStore, OsStorage, Snapshot, Storage, StoreError, StoreHea
 use crate::database::{nest_key, DatabaseEntry, TuningDatabase};
 use crate::embedding::PerformanceEmbedding;
 use crate::idiom::detect_blas_idiom;
-use crate::search::{nest_scoped_graph, EvolutionarySearch, ScoreContext, SearchConfig};
+use crate::search::{nest_scoped_graph, EvolutionarySearch, ScoreContext, SearchConfig, PARALLEL};
 
 /// Configuration of the daisy scheduler. The ablation study (Fig. 7) toggles
 /// `normalize` and `transfer_tuning` independently.
@@ -271,7 +272,8 @@ impl DaisyScheduler {
         }
         telemetry::counter("daisy.seed.nests", jobs.len() as u64);
         let search = self.search.clone().with_parallel(false);
-        crate::search::parallel_map_with(self.config.parallelism, &jobs, |&(program, index)| {
+        let workers = self.config.parallelism;
+        parallel_map(workers, &jobs, &PARALLEL, |&(program, index)| {
             // Keep the winning recipe's *nest-scoped* cost: the search
             // returns whole-program seconds (a sum over node costs), so
             // subtracting the other nodes' baseline isolates what the
@@ -531,7 +533,7 @@ impl DaisyScheduler {
         // Phase 1: plan every top-level node independently.
         let (plans, search_ns) = telemetry::timed("search", || {
             let indices: Vec<usize> = (0..normalized.body.len()).collect();
-            crate::search::parallel_map_with(self.config.parallelism, &indices, |&i| {
+            parallel_map(self.config.parallelism, &indices, &PARALLEL, |&i| {
                 self.plan_node(&normalized, i, &model, &baseline)
             })
         });

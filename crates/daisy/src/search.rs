@@ -46,169 +46,40 @@
 //! 3. **Batched costing.** The unique legal rewrites of a generation are
 //!    grouped by the rewrite's structural hash — distinct recipes that
 //!    converge on the same lowered rewrite share one pricing — and the
-//!    groups are priced through `parallel_map_with`, each thread sharing
+//!    groups are priced through the one worker pool, each thread sharing
 //!    the model's memo tables (per-nest costs and per-computation run
 //!    summaries, so even structurally distinct candidates that merely
 //!    permute or re-annotate outer loops re-price from cached run
 //!    summaries).
 //!
-//! **One fan-out rule.** Every queue of independent work in this crate —
-//! the groups of a generation, the nests of a `schedule` call, the searches
-//! of a seeding — goes through `parallel_map_with`, and none of them decides
-//! for itself whether threads are worth it. The calling thread is worker 0:
-//! it drains the queue alone until a spawn-cost budget (a private constant,
-//! about 300 µs) has elapsed, and only if items remain does it spawn helpers
-//! and keep draining beside them. The rule has two bounds: never slower than
-//! the sequential loop by more than `workers - 1` spawns (paid only by a
-//! queue that already outlasted the budget), and never slower than spawning
-//! up front by more than the budget or one item, whichever is longer (the
-//! helpers' head start the caller worked through alone). Cheap queues — a
-//! generation of memoized rewrites, a `schedule` call on a program of a few
-//! small nests — never leave their caller; a seeding or a many-nest
-//! CLOUDSC plan fans out after its first item or two.
+//! **One fan-out rule.** Every queue of independent work in this crate goes
+//! through [`machine::pool::parallel_map`] (see its module docs).
 //!
 //! Results are deterministic: mutation draws happen on the single-threaded
 //! RNG before evaluation, and scores are written back by candidate index.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dependence::{is_permutation_legal, DependenceGraph};
 use loop_ir::expr::Var;
 use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
+use machine::pool::{parallel_map, Counters};
 use machine::{CostModel, NestCost};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use transforms::{perfect_chain, Recipe, Transform};
 
-/// The worker-thread count [`parallel_map_with`] actually uses for a
-/// request: `0` means "the machine decides"; any explicit request is clamped
-/// to [`std::thread::available_parallelism`] — oversubscribing cores only
-/// adds spawn and scheduling overhead (a 12-worker request on a 1-core
-/// machine made the PR 4 parallel scheduler ~0.84x of sequential; the
-/// benchmark tracks it as `daisy.scheduler.parallel_speedup`) — and to the
-/// item count.
-pub(crate) fn effective_workers(requested: usize, items: usize) -> usize {
-    // Asked once per process: the answer costs a system call and a walk of
-    // the cgroup files (~10 µs), and this runs per queue — the rewrite
-    // groups of every generation, every `schedule` call.
-    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let available =
-        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let requested = if requested == 0 {
-        available
-    } else {
-        requested.min(available)
-    };
-    requested.min(items)
-}
-
-/// How long the calling thread drains a [`parallel_map_with`] queue alone
-/// before it pays for helper threads: about the cost of spawning and
-/// joining one scoped thread on the machines this runs on. A queue that
-/// empties within it — one `schedule` call on a small program, a generation
-/// of memoized rewrites — never spawns at all.
-const SPAWN_BUDGET: std::time::Duration = std::time::Duration::from_micros(300);
-
-/// Maps `f` over `items` on up to `workers` threads, preserving order.
-/// `workers == 0` uses the machine's available parallelism; `1` runs on the
-/// calling thread; larger requests are clamped by [`effective_workers`].
-/// Results are written back by item index, so the output is independent of
-/// the worker count for any pure `f`.
-///
-/// **The one fan-out rule.** The calling thread is worker 0: it starts
-/// draining the queue at once and, alone, until [`SPAWN_BUDGET`] has
-/// elapsed. Only if items remain then does it spawn helpers (at most
-/// `workers - 1`, and never more than there are items beyond its own next
-/// one) and keep draining beside them. Two bounds follow: a call is never
-/// slower than the sequential loop by more than `workers - 1` spawns, and
-/// never slower than spawning up front by more than the budget or one item,
-/// whichever is longer.
-///
-/// A panic inside `f` is contained to the item that raised it: whichever
-/// thread drained it catches it, leaves the slot empty, and keeps draining,
-/// so one poisoned item can never take a whole seeding or scheduling
-/// fan-out down with it. Each poisoned item is then retried once,
-/// *sequentially* on the calling thread — a transient panic heals, and a
-/// deterministic one re-raises there with an intact single-threaded
-/// backtrace instead of a cross-thread join error.
-pub(crate) fn parallel_map_with<T: Sync, R: Send>(
-    workers: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = effective_workers(workers, items.len());
-    let next = AtomicUsize::new(0);
-    // One contained attempt at the next queued item; `None` once the queue
-    // is empty, `Some((index, None))` when the item panicked.
-    let attempt_next = || {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let item = items.get(index)?;
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
-        Some((index, attempt.ok()))
-    };
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(items.len(), || None);
-
-    // Worker 0, alone: until the queue is empty or the budget is spent.
-    let start = std::time::Instant::now();
-    let mut own_items = 0u64;
-    while workers <= 1 || start.elapsed() < SPAWN_BUDGET {
-        let Some((index, value)) = attempt_next() else {
-            break;
-        };
-        results[index] = value;
-        own_items += 1;
-    }
-
-    let remaining = items.len().saturating_sub(next.load(Ordering::Relaxed));
-    let helpers = (workers - 1).min(remaining.saturating_sub(1));
-    let mut drained_by = 1u64;
-    if remaining > 0 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..helpers)
-                .map(|_| scope.spawn(|| std::iter::from_fn(attempt_next).collect::<Vec<_>>()))
-                .collect();
-            while let Some((index, value)) = attempt_next() {
-                results[index] = value;
-                own_items += 1;
-            }
-            for handle in handles {
-                // A helper only exits by returning its chunk; a join error
-                // would mean a panic escaped catch_unwind (an
-                // abort-on-unwind payload) — skip it and let the sequential
-                // retry decide.
-                let Ok(chunk) = handle.join() else { continue };
-                if chunk.is_empty() {
-                    continue;
-                }
-                drained_by += 1;
-                telemetry::histogram("daisy.parallel.worker_items", chunk.len() as u64);
-                for (index, value) in chunk {
-                    results[index] = value;
-                }
-            }
-        });
-    }
-    // Worker utilization. `jobs` is deterministic; whether a call fanned
-    // out, how many threads got to drain anything and how the items spread
-    // over them depend on timing.
-    telemetry::counter("daisy.parallel.jobs", items.len() as u64);
-    telemetry::counter("daisy.parallel.workers", drained_by);
-    telemetry::counter("daisy.parallel.fanouts", u64::from(helpers > 0));
-    telemetry::histogram("daisy.parallel.worker_items", own_items);
-    items
-        .iter()
-        .zip(results)
-        .map(|(item, slot)| slot.unwrap_or_else(|| f(item)))
-        .collect()
-}
+/// The telemetry names of the crate's fan-outs: the seeding searches,
+/// `schedule`'s nests and a generation's rewrite groups.
+pub(crate) const PARALLEL: Counters = Counters {
+    jobs: "daisy.parallel.jobs",
+    workers: "daisy.parallel.workers",
+    fanouts: "daisy.parallel.fanouts",
+    worker_items: "daisy.parallel.worker_items",
+};
 
 /// Configuration of the evolutionary search.
 #[derive(Debug, Clone, PartialEq)]
@@ -429,9 +300,8 @@ impl EvolutionarySearch {
         // generation routinely converge on the same rewrite (step
         // reorderings, annotation toggles that cancel), so group by the
         // rewrite's structural hash and price each group exactly once.
-        // Whether the groups leave the calling thread is
-        // `parallel_map_with`'s one fan-out rule to decide. Scores are
-        // identical at any fan-out.
+        // Whether the groups leave the calling thread is the pool's one
+        // fan-out rule to decide. Scores are identical at any fan-out.
         let mut group_of: Vec<Option<usize>> = vec![None; jobs.len()];
         let mut groups: Vec<(u64, &Vec<Node>)> = Vec::new();
         for (index, rewrite) in rewrites.iter().enumerate() {
@@ -449,7 +319,7 @@ impl EvolutionarySearch {
         telemetry::counter("daisy.search.rewrites_priced", groups.len() as u64);
         let price = |&(_, rewrite): &(u64, &Vec<Node>)| context.score_rewrite(rewrite, model);
         let workers = if self.parallel { 0 } else { 1 };
-        let group_costs = parallel_map_with(workers, &groups, price);
+        let group_costs = parallel_map(workers, &groups, &PARALLEL, price);
         for ((key, _), group) in jobs.iter().zip(&group_of) {
             let cost = group.map_or(f64::INFINITY, |g| group_costs[g]);
             seen.insert(*key, cost);
@@ -1206,134 +1076,6 @@ mod tests {
             order: vec![Var::new("x"), Var::new("y")],
         }]);
         assert!(recipe_is_semantically_legal(&graph, nest, &unknown));
-    }
-
-    /// What the fan-out tests map over their items: `work` makes an item
-    /// outlast the spawn budget several times over, so the queue fans out
-    /// wherever there is more than one core; without it the whole queue
-    /// drains well inside the budget, on the calling thread.
-    fn item_cost(work: bool) {
-        if work {
-            std::thread::sleep(SPAWN_BUDGET * 4);
-        }
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let doubled = parallel_map_with(0, &items, |&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let empty: Vec<usize> = Vec::new();
-        assert!(parallel_map_with(0, &empty, |&x: &usize| x).is_empty());
-        // And when the queue fans out.
-        let items: Vec<usize> = (0..24).collect();
-        let tripled = parallel_map_with(4, &items, |&x| {
-            item_cost(true);
-            x * 3
-        });
-        assert_eq!(tripled, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn a_queue_of_trivial_items_never_leaves_the_calling_thread() {
-        let caller = std::thread::current().id();
-        let items: Vec<usize> = (0..16).collect();
-        // The rule is a clock: a caller descheduled for the whole budget in
-        // the microsecond this queue takes would spawn. Not three times.
-        let stayed_home = (0..3).any(|_| {
-            parallel_map_with(4, &items, |_| std::thread::current().id())
-                .iter()
-                .all(|&id| id == caller)
-        });
-        assert!(stayed_home, "sub-budget queues must not fan out");
-    }
-
-    #[test]
-    fn a_queue_that_outlasts_the_budget_fans_out_beside_the_caller() {
-        let caller = std::thread::current().id();
-        let items: Vec<usize> = (0..12).collect();
-        let ids = parallel_map_with(4, &items, |_| {
-            item_cost(true);
-            std::thread::current().id()
-        });
-        assert_eq!(ids[0], caller, "the caller is worker 0 and starts at once");
-        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let helped = ids.iter().any(|&id| id != caller);
-        assert_eq!(helped, available > 1, "helpers exactly when cores allow");
-        // One worker is one thread, whatever the items cost.
-        let ids = parallel_map_with(1, &items, |_| {
-            item_cost(true);
-            std::thread::current().id()
-        });
-        assert!(ids.iter().all(|&id| id == caller));
-    }
-
-    #[test]
-    fn parallel_map_contains_worker_panics_and_retries_sequentially() {
-        use std::sync::atomic::AtomicUsize;
-
-        // Item 41 panics on its first attempt only — drained by the caller
-        // (trivial items) or by whichever thread gets it (working items);
-        // the map must survive, retry it on the calling thread, and still
-        // produce every result in order.
-        let caller = std::thread::current().id();
-        for work in [false, true] {
-            let attempts_on_41 = AtomicUsize::new(0);
-            let retried_on = std::sync::Mutex::new(None);
-            let items: Vec<usize> = (0..if work { 48 } else { 128 }).collect();
-            let results = parallel_map_with(4, &items, |&x| {
-                item_cost(work);
-                if x == 41 {
-                    if attempts_on_41.fetch_add(1, Ordering::SeqCst) == 0 {
-                        panic!("transient failure on item {x}");
-                    }
-                    *retried_on.lock().unwrap() = Some(std::thread::current().id());
-                }
-                x * 3
-            });
-            assert_eq!(results, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-            assert_eq!(attempts_on_41.load(Ordering::SeqCst), 2, "one retry");
-            assert_eq!(*retried_on.lock().unwrap(), Some(caller));
-        }
-    }
-
-    #[test]
-    fn parallel_map_repanics_deterministic_failures_on_the_caller() {
-        for work in [false, true] {
-            let items: Vec<usize> = (0..32).collect();
-            let caught = std::panic::catch_unwind(|| {
-                parallel_map_with(4, &items, |&x| {
-                    item_cost(work);
-                    if x == 13 {
-                        panic!("deterministically poisoned item");
-                    }
-                    x
-                })
-            });
-            assert!(caught.is_err(), "a persistent panic must still surface");
-        }
-    }
-
-    #[test]
-    fn requested_workers_clamp_to_available_parallelism() {
-        // Regression for a PR 4 observation: an explicit 12-worker request
-        // on a 1-core machine oversubscribed the scheduler to 0.84x of
-        // sequential. Requests must never exceed the machine.
-        let available = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(effective_workers(0, 64), available.min(64));
-        assert!(effective_workers(12, 1024) <= available);
-        assert!(effective_workers(usize::MAX, 1024) <= available);
-        assert_eq!(effective_workers(1, 8), 1);
-        assert_eq!(effective_workers(8, 3), available.min(8).min(3));
-        assert_eq!(effective_workers(4, 0), 0);
-        // An oversubscribed request still maps correctly after clamping.
-        let items: Vec<usize> = (0..100).collect();
-        assert_eq!(
-            parallel_map_with(1024, &items, |&x| x + 1),
-            (1..101).collect::<Vec<_>>()
-        );
     }
 
     #[test]

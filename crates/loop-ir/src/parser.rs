@@ -2,9 +2,9 @@
 //!
 //! The paper lifts its symbolic representation from LLVM IR through Polly;
 //! this crate instead accepts a small, explicit source language whose
-//! constructs map one-to-one onto the IR. The printer
-//! ([`crate::printer::print_program`]) emits a superset of this language, so
-//! programs round-trip.
+//! constructs map one-to-one onto the IR. [`crate::source::to_source`] is
+//! its inverse, so programs round-trip through text (the pretty printer in
+//! [`crate::printer`] does not).
 //!
 //! ```text
 //! program gemm {

@@ -1,7 +1,9 @@
 //! A C-like pretty printer for programs and loop nests.
 //!
-//! The output mirrors the pseudocode style the paper uses in its figures and
-//! round-trips through the textual frontend in [`crate::parser`].
+//! The output mirrors the pseudocode style the paper uses in its figures. It
+//! does not round-trip: `for (i = 0; …)` headers and `#pragma` lines are not
+//! part of the frontend grammar. [`crate::source::to_source`] emits text
+//! that [`crate::parser`] accepts.
 
 use std::fmt::Write as _;
 

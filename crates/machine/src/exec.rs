@@ -80,6 +80,16 @@ impl CAffine {
         acc
     }
 
+    /// [`CAffine::eval`] with checked arithmetic: `None` when a product or
+    /// sum leaves `i64`.
+    fn checked_eval(&self, frame: &[i64]) -> Option<i64> {
+        self.terms
+            .iter()
+            .try_fold(self.constant, |acc, &(slot, coeff)| {
+                acc.checked_add(coeff.checked_mul(frame[slot])?)
+            })
+    }
+
     /// Coefficient of the given slot (zero if absent).
     fn coeff(&self, slot: usize) -> i64 {
         self.terms
@@ -128,34 +138,21 @@ enum CExpr {
 }
 
 impl CExpr {
-    /// Evaluates against the frame; `None` on division by zero (mirroring
-    /// [`Expr::eval`]).
+    /// Evaluates against the frame; `None` on division by zero or when the
+    /// value does not fit an `i64` (mirroring [`Expr::eval`]).
     fn eval(&self, frame: &[i64]) -> Option<i64> {
         match self {
             CExpr::Const(c) => Some(*c),
-            CExpr::Affine(a) => Some(a.eval(frame)),
-            CExpr::Add(a, b) => Some(a.eval(frame)? + b.eval(frame)?),
-            CExpr::Sub(a, b) => Some(a.eval(frame)? - b.eval(frame)?),
-            CExpr::Mul(a, b) => Some(a.eval(frame)? * b.eval(frame)?),
-            CExpr::Div(a, b) => {
-                let d = b.eval(frame)?;
-                if d == 0 {
-                    None
-                } else {
-                    Some(a.eval(frame)?.div_euclid(d))
-                }
-            }
-            CExpr::Mod(a, b) => {
-                let d = b.eval(frame)?;
-                if d == 0 {
-                    None
-                } else {
-                    Some(a.eval(frame)?.rem_euclid(d))
-                }
-            }
+            CExpr::Affine(a) => a.checked_eval(frame),
+            CExpr::Add(a, b) => a.eval(frame)?.checked_add(b.eval(frame)?),
+            CExpr::Sub(a, b) => a.eval(frame)?.checked_sub(b.eval(frame)?),
+            CExpr::Mul(a, b) => a.eval(frame)?.checked_mul(b.eval(frame)?),
+            // The checked forms also refuse a zero divisor.
+            CExpr::Div(a, b) => a.eval(frame)?.checked_div_euclid(b.eval(frame)?),
+            CExpr::Mod(a, b) => a.eval(frame)?.checked_rem_euclid(b.eval(frame)?),
             CExpr::Min(a, b) => Some(a.eval(frame)?.min(b.eval(frame)?)),
             CExpr::Max(a, b) => Some(a.eval(frame)?.max(b.eval(frame)?)),
-            CExpr::Neg(a) => Some(-a.eval(frame)?),
+            CExpr::Neg(a) => a.eval(frame)?.checked_neg(),
         }
     }
 }

@@ -18,11 +18,14 @@
 //! * [`shard`] — block-sharded parallel cache simulation: the trace cut at
 //!   block (outermost independent iterator) granularity, one hierarchy
 //!   replica per class of shards that move every array by one whole number
-//!   of lines against each other (a relabeling of the cache sets) on a
+//!   of lines against each other (a relabeling of the cache sets) on the
 //!   worker pool, counters merged order-independently — bit-identical at
 //!   any worker count, and the engine behind the full `NBLOCKS = 4096`
 //!   CLOUDSC trace figures (one simulation per Fortran or C trace, 32 per
 //!   DaCe or daisy trace),
+//! * [`pool`] — the one worker pool: [`pool::parallel_map`] fans out the
+//!   shard simulations here and the scheduler's queues in `daisy` under
+//!   one rule (the caller works first, helpers only past a spawn budget),
 //! * [`cost`] — a cache-aware analytical roofline that converts a scheduled
 //!   program into an estimated runtime on the configured machine
 //!   ([`config::MachineConfig`]), the quantity all figures compare,
@@ -84,6 +87,7 @@ pub mod cost;
 pub mod error;
 pub mod exec;
 pub mod interp;
+pub mod pool;
 pub mod shard;
 pub mod trace;
 
@@ -94,9 +98,10 @@ pub use cost::{CostModel, CostReport, NestCost};
 pub use error::{MachineError, Result};
 pub use exec::CompiledProgram;
 pub use interp::{run_seeded, Interpreter, ProgramData};
+pub use pool::effective_workers;
 pub use shard::{
-    effective_sim_workers, simulate_cache_sharded, simulate_cache_sharded_per_access,
-    simulate_cache_sharded_with_plan, ShardGranularity, ShardPlan, ShardedCacheStats,
+    simulate_cache_sharded, simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan,
+    ShardGranularity, ShardPlan, ShardedCacheStats,
 };
 pub use trace::{
     simulate_cache, simulate_cache_per_access, simulate_cache_reference, stream_accesses,

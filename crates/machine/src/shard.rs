@@ -111,15 +111,9 @@
 //!    of the class are simulated. (All-zero shifts replay the identical
 //!    stream and need no check.)
 //!
-//! The worker pool mirrors the clamping and panic containment of `daisy`'s
-//! `parallel_map_with` (which lives above this crate and cannot be reused
-//! directly): explicit worker requests clamp to the machine's available
-//! parallelism and the number of simulations, a panicking shard is retried
-//! sequentially on the caller, and results are merged by index.
+//! Simulations fan out through the one worker pool, [`crate::pool`].
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use loop_ir::program::Program;
 
@@ -127,6 +121,7 @@ use crate::cache::{CacheHierarchy, CacheStats};
 use crate::config::MachineConfig;
 use crate::error::Result;
 use crate::exec::{ArrayShift, BlockFootprint, CompiledProgram};
+use crate::pool::{parallel_map, Counters};
 use crate::trace::{AccessSink, CacheSink, PerAccessCacheSink, StrideRun, TraceEntry};
 
 /// Maximum shard count of the run-group fallback. Each fallback shard
@@ -404,6 +399,14 @@ pub fn simulate_cache_sharded(
     simulate_cache_sharded_with_plan(&compiled, &plan, machine, workers)
 }
 
+/// The telemetry names of the shard simulator's fan-outs.
+const SHARD_POOL: Counters = Counters {
+    jobs: "machine.shard.jobs",
+    workers: "machine.shard.workers",
+    fanouts: "machine.shard.fanouts",
+    worker_items: "machine.shard.worker_items",
+};
+
 /// [`simulate_cache_sharded`] with an explicit plan: streams one
 /// representative shard per translation class (see the module docs)
 /// through its own cold [`CacheHierarchy`] replica on the worker pool and
@@ -429,7 +432,7 @@ pub fn simulate_cache_sharded_with_plan(
         let _shard_span = telemetry::span("simulate_cache_sharded.shard");
         simulate_shard(compiled, plan.granularity(), lo, hi, machine)
     };
-    let representatives = parallel_map_shards(workers, &classes, |class| {
+    let representatives = parallel_map(workers, &classes, &SHARD_POOL, |class| {
         let (replica, footprint) = simulate(&plan.shards()[class.representative])?;
         // A class of one translates nothing; a larger one stands for its
         // members only if the highest of them still stays inside every
@@ -454,7 +457,7 @@ pub fn simulate_cache_sharded_with_plan(
     // Members a representative could not stand for are simulated one by
     // one, exactly as if each had been its own class.
     merged.classes += stragglers.len();
-    for result in parallel_map_shards(workers, &stragglers, simulate) {
+    for result in parallel_map(workers, &stragglers, &SHARD_POOL, simulate) {
         merged.add(&result?.0, 1);
     }
     record_sharded_counters(&merged);
@@ -678,92 +681,6 @@ impl<S: AccessSink> AccessSink for UnitWindow<S> {
             self.inner.run_group(runs);
         }
     }
-}
-
-/// The worker-thread count the shard pool actually uses for a request:
-/// `0` means "the machine decides"; any explicit request is clamped to
-/// [`std::thread::available_parallelism`] — oversubscribing cores only adds
-/// spawn and scheduling overhead — and to `jobs`, the number of shard
-/// simulations fanned out ([`ShardedCacheStats::classes`], not the plan's
-/// shard count). Mirrors the scheduler-side clamp of `daisy`'s
-/// `parallel_map_with`.
-pub fn effective_sim_workers(requested: usize, jobs: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let requested = if requested == 0 {
-        available
-    } else {
-        requested.min(available)
-    };
-    requested.min(jobs)
-}
-
-/// Maps `f` over shards on scoped worker threads, preserving order —
-/// `daisy::search::parallel_map_with`'s contract rebuilt below that crate:
-/// a panic inside `f` is contained to the shard that raised it (the worker
-/// keeps draining the queue) and the poisoned shard is retried sequentially
-/// on the caller, where a deterministic panic re-raises with an intact
-/// backtrace. Results are written back by shard index, so the output is
-/// independent of the worker count for any pure `f`.
-fn parallel_map_shards<T: Sync, R: Send>(
-    workers: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let workers = effective_sim_workers(workers, items.len());
-    if !items.is_empty() {
-        telemetry::counter("machine.shard.jobs", items.len() as u64);
-        telemetry::counter("machine.shard.pool_workers", workers.max(1) as u64);
-    }
-    if workers <= 1 {
-        return items
-            .iter()
-            .map(|item| catch_unwind(AssertUnwindSafe(|| f(item))).unwrap_or_else(|_| f(item)))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= items.len() {
-                            return out;
-                        }
-                        let attempt = catch_unwind(AssertUnwindSafe(|| f(&items[index])));
-                        if let Ok(value) = attempt {
-                            out.push((index, value));
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            // A worker body only exits by returning `out`; a join error
-            // would mean a panic escaped catch_unwind — skip it and let
-            // the sequential retry decide.
-            let Ok(chunk) = handle.join() else { continue };
-            // The worker-utilization histogram: how many shards each
-            // worker ended up serving under work stealing.
-            telemetry::histogram("machine.shard.worker_items", chunk.len() as u64);
-            for (index, value) in chunk {
-                results[index] = Some(value);
-            }
-        }
-    });
-    items
-        .iter()
-        .zip(results)
-        .map(|(item, slot)| match slot {
-            Some(value) => value,
-            None => f(item),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1053,18 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_sim_workers_clamps_requests() {
-        let available = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(effective_sim_workers(0, 100), available.min(100));
-        assert_eq!(effective_sim_workers(3, 2), 2.min(available));
-        assert_eq!(effective_sim_workers(1, 100), 1);
-        assert_eq!(effective_sim_workers(usize::MAX, 4), available.min(4));
-        assert_eq!(effective_sim_workers(4, 0), 0);
-    }
-
-    #[test]
     fn plan_fingerprints_separate_granularity_and_cuts() {
         let a = ShardPlan::blocks(vec![(0, 4)]);
         let b = ShardPlan::run_groups(vec![(0, 4)]);
@@ -1075,20 +980,5 @@ mod tests {
             a.fingerprint(),
             ShardPlan::blocks(vec![(0, 4)]).fingerprint()
         );
-    }
-
-    #[test]
-    fn worker_panics_are_contained_and_retried() {
-        // One poisoned item must not take the fan-out down; the transient
-        // panic heals on the sequential retry.
-        let flaky = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..16).collect();
-        let results = parallel_map_shards(4, &items, |&x| {
-            if x == 7 && flaky.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            x * 2
-        });
-        assert_eq!(results, (0..16).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -35,7 +35,8 @@ fn the_pool_counts_and_clamps_to_classes_while_plan_counters_keep_their_totals()
         ("machine.shard.classes", 1),
         ("machine.shard.accesses", stats.accesses()),
         ("machine.shard.jobs", 1),
-        ("machine.shard.pool_workers", 1),
+        ("machine.shard.workers", 1),
+        ("machine.shard.fanouts", 0),
     ] {
         assert_eq!(sink.counter_total(counter), total, "{counter}");
     }

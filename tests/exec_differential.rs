@@ -164,6 +164,35 @@ fn compiled_engine_reports_oob_like_the_reference() {
     assert!(matches!(fast, MachineError::OutOfBounds { .. }));
 }
 
+#[test]
+fn overflowing_bounds_fail_like_the_reference() {
+    use loop_ir::parser::parse_program;
+    // The inner bound leaves `i64` at `i = 2`: through the affine arm
+    // (`i * 2^62 - (2^63 - 1)`) and through a general product (`i * i * 2^61`).
+    for bound in [
+        "i * 4611686018427387904 - 9223372036854775807",
+        "i * i * 2305843009213693952",
+    ] {
+        let p = parse_program(&format!(
+            "program p {{ param N = 3; array A[N];
+               for i in 2..N {{ for j in 0..({bound}) {{ A[0] = 1.0; }} }} }}"
+        ))
+        .unwrap();
+        let mut data = ProgramData::zeroed(&p).unwrap();
+        let slow = reference::Interpreter::new().run(&p, &mut data);
+        assert!(
+            matches!(slow, Err(MachineError::UnboundVariable(_))),
+            "{bound}: {slow:?}"
+        );
+        let mut data = ProgramData::zeroed(&p).unwrap();
+        let fast = CompiledProgram::lower(&p).unwrap().execute(&mut data);
+        assert!(
+            matches!(fast, Err(MachineError::UnboundVariable(_))),
+            "{bound}: {fast:?}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: lowering edge cases
 // ---------------------------------------------------------------------------
