@@ -6,8 +6,8 @@
 //! schedule lane (`fig1`, `table1`, `fig6`, `fig7`, `fig9`) runs on the
 //! main thread and shares the lazily seeded schedulers; the trace lane
 //! (`fig11`, `fig12`) runs on a scoped thread beside it and shares the
-//! CLOUDSC trace model, so Fig. 12b's schedule point stays a
-//! simulation-memo hit after Fig. 11. `--sim-workers` sizes the trace
+//! simulated CLOUDSC traces, so Fig. 12b's schedule point reuses the daisy
+//! trace Fig. 11 simulated. `--sim-workers` sizes the trace
 //! lane's shard pool; the schedule lane keeps running next to that pool.
 //! Each figure renders into its own buffer, and the buffers print in paper
 //! order once both lanes finished, so stdout is the same as a

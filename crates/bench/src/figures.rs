@@ -15,7 +15,6 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use baselines::{
@@ -24,7 +23,7 @@ use baselines::{
 use daisy::{DaisyConfig, DaisyScheduler, ScheduleOutcome};
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
-use machine::{effective_workers, CostModel, MachineConfig, ShardedCacheStats};
+use machine::{effective_workers, simulate_cache_sharded, MachineConfig, ShardedCacheStats};
 use normalize::Normalizer;
 use polybench::cloudsc::{
     erosion_optimized, erosion_original, erosion_single_level, full_model, CloudscSizes,
@@ -233,25 +232,25 @@ impl ReproContext {
 }
 
 /// What the trace-backed figures (Fig. 11, Fig. 12) of one reproduction run
-/// share: the options, one cost model and the CLOUDSC versions at trace
-/// sizes. Separate from [`ReproContext`] so those figures can run on their
-/// own thread beside the scheduling figures.
+/// share: the options, the CLOUDSC versions at trace sizes and their
+/// simulated cache counters. Separate from [`ReproContext`] so those
+/// figures can run on their own thread beside the scheduling figures.
 #[derive(Debug)]
 pub struct TraceContext {
     options: ReproOptions,
-    trace_model: CostModel,
     trace_versions: OnceCell<Vec<(&'static str, Program)>>,
+    /// The exact counters of each [`cloudsc_versions`] entry, simulated
+    /// on first use.
+    traces: [OnceCell<ShardedCacheStats>; 4],
 }
 
 impl TraceContext {
     /// Creates a context for one run.
     pub fn new(options: ReproOptions) -> Self {
-        let trace_model = CostModel::new(MachineConfig::xeon_e5_2680v3(), 1)
-            .with_simulation_parallelism(options.sim_workers);
         TraceContext {
             options,
-            trace_model,
             trace_versions: OnceCell::new(),
+            traces: Default::default(),
         }
     }
 
@@ -260,13 +259,28 @@ impl TraceContext {
         &self.options
     }
 
-    /// The cost model behind every trace-backed column of the run: the
-    /// paper's machine at the run's `--sim-workers`.
-    /// One model for both figures, so a trace they both need (Fig. 11's
-    /// daisy row and Fig. 12b's schedule point) is simulated once and
-    /// answered from the model's simulation memo afterwards.
-    pub fn trace_model(&self) -> &CostModel {
-        &self.trace_model
+    /// The exact cache counters of trace version `index` (an index into
+    /// [`trace_versions`](Self::trace_versions)) on the paper's machine:
+    /// its access trace through the block-sharded simulator at the run's
+    /// `--sim-workers`, which leaves the counters bit-identical. Simulated
+    /// once per run, so a trace both figures need (Fig. 11's daisy row and
+    /// Fig. 12b's schedule point) is reused. The wall-clock seconds come
+    /// back only from the call that ran the simulation.
+    pub fn trace(&self, index: usize) -> (&ShardedCacheStats, Option<f64>) {
+        let mut seconds = None;
+        let stats = self.traces[index].get_or_init(|| {
+            let (name, program) = &self.trace_versions()[index];
+            let start = Instant::now();
+            let stats = simulate_cache_sharded(
+                program,
+                &MachineConfig::xeon_e5_2680v3(),
+                self.options.sim_workers,
+            )
+            .unwrap_or_else(|e| panic!("{name}: trace fails: {e}"));
+            seconds = Some(start.elapsed().as_secs_f64().max(1e-9));
+            stats
+        });
+        (stats, seconds)
     }
 
     /// [`cloudsc_versions`] at the sizes the trace-backed columns simulate
@@ -699,15 +713,25 @@ pub fn fig11_cloudsc_full(ctx: &TraceContext, out: &mut String) {
     let rows: Vec<Vec<String>> = ctx
         .trace_versions()
         .iter()
-        .map(|(name, p)| {
-            let (stats, seconds) = simulate_trace(name, p, ctx.trace_model());
+        .enumerate()
+        .map(|(index, (name, _))| {
+            let (stats, seconds) = ctx.trace(index);
             shards = stats.shards();
             classes.push((*name, stats.classes()));
+            // Fig. 11 runs first in its lane and so times every trace; one
+            // an earlier call simulated has no time to show.
+            let (sim_ms, macc) = match seconds {
+                Some(s) => (
+                    format!("{:.1}", s * 1e3),
+                    format!("{:.0}", stats.streamed_accesses() as f64 / s / 1e6),
+                ),
+                None => ("-".to_string(), "-".to_string()),
+            };
             vec![
                 name.to_string(),
                 stats.accesses().to_string(),
-                format!("{:.1}", seconds * 1e3),
-                format!("{:.0}", stats.streamed_accesses() as f64 / seconds / 1e6),
+                sim_ms,
+                macc,
                 format!("{:.1}%", 100.0 * stats.l1().hit_rate()),
                 stats.l1().loads.to_string(),
             ]
@@ -736,22 +760,6 @@ pub fn fig11_cloudsc_full(ctx: &TraceContext, out: &mut String) {
 /// (`NBLOCKS = 4096`, ~1.6B accesses per schedule point at paper
 /// NPROMA/KLEV) — sustained by the block-sharded parallel simulator.
 pub const FULL_TRACE_NBLOCKS: i64 = 4096;
-
-/// One figure workload's trace-backed counters and the wall-clock seconds
-/// they took: its access trace streamed through the sharded cache driver
-/// ([`CostModel::simulated_cache`]), whose counters are bit-identical at
-/// any `sim_workers` value.
-fn simulate_trace(
-    name: &str,
-    program: &Program,
-    model: &CostModel,
-) -> (Arc<ShardedCacheStats>, f64) {
-    let start = Instant::now();
-    let stats = model
-        .simulated_cache(program)
-        .unwrap_or_else(|e| panic!("{name}: trace fails: {e}"));
-    (stats, start.elapsed().as_secs_f64().max(1e-9))
-}
 
 /// Renders the sharding configuration of a trace-backed figure section:
 /// block count, the shards of each trace's plan, how many of them each
@@ -858,20 +866,17 @@ pub fn fig12_cloudsc_scaling(ctx: &TraceContext, out: &mut String) {
     // The weak-scaling points only grow the block count and blocks are
     // independent, so one sharded simulation at the full schedule-point
     // block count stands for every row's exact per-block access stream.
-    // Fig. 11 simulated this very trace on the same model, so after
-    // it this answers from the model's simulation memo — which simulates
-    // nothing, so the line then reports no time and no throughput.
-    let (name, daisy) = &ctx.trace_versions()[3];
-    let memoized = ctx.trace_model().simulation_entries();
-    let (trace, seconds) = simulate_trace(name, daisy, ctx.trace_model());
-    let source = if ctx.trace_model().simulation_entries() == memoized {
-        "memo hit".to_string()
-    } else {
-        format!(
+    // After Fig. 11 this is the daisy trace it already simulated, so the
+    // line then reports no time and no throughput.
+    let name = ctx.trace_versions()[3].0;
+    let (trace, seconds) = ctx.trace(3);
+    let source = match seconds {
+        Some(seconds) => format!(
             "simulated in {:.1} ms ({:.0} Macc/s)",
             seconds * 1e3,
             trace.streamed_accesses() as f64 / seconds / 1e6
-        )
+        ),
+        None => "memo hit".to_string(),
     };
     let _ = writeln!(
         out,
@@ -885,7 +890,7 @@ pub fn fig12_cloudsc_scaling(ctx: &TraceContext, out: &mut String) {
         "trace sharding",
         ctx,
         trace.shards(),
-        &[(*name, trace.classes())],
+        &[(name, trace.classes())],
     );
 }
 
@@ -928,7 +933,7 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext, out: &mut String) {
     // monolithic simulation at any worker count.
     // `(l1_loads, l1_evicts, accesses)` per nest.
     let cache = |p: &Program| -> (u64, u64, u64) {
-        let stats = model.simulated_cache(p).expect("trace runs");
+        let stats = simulate_cache_sharded(p, model.machine(), 0).expect("trace runs");
         (stats.l1().loads, stats.l1().evicts, stats.accesses())
     };
     let orig_cache = cache(&original_single);

@@ -52,13 +52,10 @@ pub struct DaisyConfig {
     /// results — [`ScheduleOutcome`]s are bit-identical at any value — so
     /// it is *not* part of the store fingerprint.
     pub parallelism: usize,
-    /// Forwarded to the scheduler's [`CostModel`] as the worker count of
-    /// [`CostModel::simulated_cache`]'s sharded driver (`0` uses the
-    /// machine's available parallelism; `1` is fully sequential). No
-    /// scheduler path simulates today — seeding and
-    /// [`DaisyScheduler::schedule`] price with the roofline estimate alone —
-    /// so this has no effect on either. Sharded counters are bit-identical
-    /// at any worker count, so it is *not* part of the store fingerprint.
+    /// Read by nothing. The scheduler prices with the roofline alone and
+    /// never simulates a cache, so this field has no effect and is *not*
+    /// part of the store fingerprint. It stays only until the benchmark
+    /// harness stops setting it.
     pub simulation_parallelism: usize,
 }
 
@@ -84,8 +81,9 @@ impl DaisyConfig {
         self
     }
 
-    /// Returns this configuration with the given cache-simulation
-    /// parallelism.
+    /// Returns this configuration with the given
+    /// [`simulation_parallelism`](DaisyConfig::simulation_parallelism),
+    /// which nothing reads.
     pub fn with_simulation_parallelism(mut self, workers: usize) -> Self {
         self.simulation_parallelism = workers;
         self
@@ -255,8 +253,7 @@ impl DaisyScheduler {
     /// order.
     fn seed_entries(&self, programs: &[Program]) -> Vec<DatabaseEntry> {
         let _span = telemetry::span("seeding");
-        let model = CostModel::new(self.config.machine.clone(), self.config.threads)
-            .with_simulation_parallelism(self.config.simulation_parallelism);
+        let model = CostModel::new(self.config.machine.clone(), self.config.threads);
         let normalized: Vec<Program> = programs.iter().map(|p| self.normalized(p)).collect();
         let mut jobs: Vec<(&Program, usize)> = Vec::new();
         for program in &normalized {
@@ -523,8 +520,7 @@ impl DaisyScheduler {
     /// runs against a persisted store).
     pub fn schedule(&self, program: &Program) -> ScheduleOutcome {
         let _span = telemetry::span("schedule");
-        let model = CostModel::new(self.config.machine.clone(), self.config.threads)
-            .with_simulation_parallelism(self.config.simulation_parallelism);
+        let model = CostModel::new(self.config.machine.clone(), self.config.threads);
         let (normalized, normalize_ns) = telemetry::timed("normalize", || self.normalized(program));
         // The baseline, priced once: its total is what candidates must
         // beat, its per-node costs are what they are scored against.

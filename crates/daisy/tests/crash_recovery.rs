@@ -89,8 +89,8 @@ fn sampled_crash_points_recover_a_bit_identical_prefix() {
     let reference_b = reference.schedule(&b);
 
     // Sample crash points across the whole op range (the per-op exhaustive
-    // matrix lives in tunestore's crash_matrix; here each trial re-runs
-    // the evolutionary search, so we sample).
+    // matrix is `fuzz::run_crash_matrix`, fuzz/tests/crash_matrix.rs;
+    // here each trial re-runs the evolutionary search, so we sample).
     let step = (total / 7).max(1) as usize;
     for cut in (0..total).step_by(step) {
         let storage = Arc::new(FaultStorage::new(FaultPlan {

@@ -41,4 +41,6 @@ pub use corpus::{features_of, load_corpus, promote, Promotion};
 pub use gen::{generate, GenConfig};
 pub use oracle::{check_all, check_one, OracleSelection, Verdict, ORACLES};
 pub use shrink::{shrink, Shrunk};
-pub use storage::{run_store_sweep, StoreFailure, StoreInject, StoreReport, StoreSweepConfig};
+pub use storage::{
+    run_crash_matrix, run_store_sweep, StoreFailure, StoreInject, StoreReport, StoreSweepConfig,
+};

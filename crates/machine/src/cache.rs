@@ -440,15 +440,6 @@ impl CacheHierarchy {
         evicted
     }
 
-    /// Simulates a batch of accesses; equivalent to calling
-    /// [`access`](Self::access) on every element in order.
-    pub fn access_batch(&mut self, addresses: &[u64]) {
-        self.accesses += addresses.len() as u64;
-        for &address in addresses {
-            self.access_counted(address);
-        }
-    }
-
     /// Simulates `count` accesses at `start, start + stride, …` — the access
     /// stream of one array reference inside a constant-stride innermost loop.
     ///
@@ -1038,7 +1029,14 @@ impl AddressMap {
     pub fn address(&self, array: &str, offset: i64, elem_size: usize) -> Option<u64> {
         self.bases
             .get(array)
-            .map(|base| base + (offset.max(0) as u64) * elem_size as u64)
+            .map(|&base| Self::element(base, offset, elem_size))
+    }
+
+    /// The byte address of element `offset` of an array based at `base`.
+    /// Negative offsets clamp to the base; an offset past the end of the
+    /// address space wraps, the same way in every trace walker.
+    pub(crate) fn element(base: u64, offset: i64, elem_size: usize) -> u64 {
+        base.wrapping_add((offset.max(0) as u64).wrapping_mul(elem_size as u64))
     }
 
     /// The base byte address of an array, if it is laid out.
@@ -1188,20 +1186,6 @@ mod tests {
             }
             assert_same_stats(&fast, &slow, &format!("random round {round}"));
         }
-    }
-
-    #[test]
-    fn batch_matches_reference() {
-        let machine = MachineConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(7);
-        let addresses: Vec<u64> = (0..50_000).map(|_| rng.gen_range(0..1 << 18)).collect();
-        let mut fast = CacheHierarchy::from_machine(&machine);
-        let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
-        fast.access_batch(&addresses);
-        for &a in &addresses {
-            slow.access(a);
-        }
-        assert_same_stats(&fast, &slow, "batch");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!
 //! The evolutionary search prices thousands of candidate programs that differ
 //! in a single nest; re-deriving the working-set analysis for the unchanged
-//! nests dominated its runtime. [`CostModel`] therefore memoizes in three
-//! tables, all behind structural hashes and all shared across clones of a
+//! nests dominated its runtime. [`CostModel`] therefore memoizes in two
+//! tables, both behind structural hashes and both shared across clones of a
 //! model (worker threads costing candidates in parallel populate one table):
 //!
 //! 1. **Per nest.** A nest's cost is a pure function of *(machine, thread
@@ -43,14 +43,10 @@
 //!    re-tile the outer loops miss layer 1 but re-price from cached run
 //!    summaries: the symbolic affine extraction is never repeated, only the
 //!    cheap per-stack arithmetic.
-//! 3. **Per simulated trace.** [`CostModel::simulated_cache`] — the exact
-//!    cache counters of a whole program, the one source of every cache
-//!    count the figures print — is keyed by `(environment, body structure,
-//!    shard-plan fingerprint)`.
 //!
-//! [`CostModel::without_memoization`] turns all three off; estimates and
-//! counters are bit-identical either way (the unit tests below hold the two
-//! against each other).
+//! [`CostModel::without_memoization`] turns both off; estimates are
+//! bit-identical either way (the unit tests below hold the two against each
+//! other).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -59,11 +55,9 @@ use loop_ir::expr::Var;
 use loop_ir::nest::{BlasCall, Computation, Loop, Node};
 use loop_ir::program::Program;
 use loop_ir::structural_hash_node;
-use loop_ir::visit::structural_hash_nodes;
 
 use crate::blas::blas_call_time;
 use crate::config::MachineConfig;
-use crate::shard::{simulate_cache_sharded_with_plan, ShardPlan, ShardedCacheStats};
 
 /// Shared memo table of a [`CostModel`]: per-nest costs keyed by
 /// `(environment hash, nest structural hash)`.
@@ -72,12 +66,6 @@ type CostMemo = Arc<Mutex<HashMap<(u64, u64), NestCost>>>;
 /// Shared run-summary table: per-computation summaries keyed by
 /// `(environment hash, computation structural hash)`.
 type SummaryMemo = Arc<Mutex<HashMap<(u64, u64), Arc<CompSummary>>>>;
-
-/// Shared sharded-simulation table: merged cache counters keyed by
-/// `(environment hash, body structural hash, shard-plan fingerprint)` —
-/// shard-aware, so a plan change (different block count, different
-/// fallback windows) can never alias a stale simulation.
-type SimMemo = Arc<Mutex<HashMap<(u64, u64, u64), Arc<ShardedCacheStats>>>>;
 
 /// The run summary of one computation: every IR-derived fact the pricing
 /// arithmetic needs, independent of the enclosing loop order. Deriving it
@@ -207,14 +195,6 @@ pub struct CostModel {
     memo: Option<CostMemo>,
     /// Per-computation run-summary memo (layer 2), shared like `memo`.
     summaries: Option<SummaryMemo>,
-    /// Sharded-simulation memo (layer 3), shared like `memo`.
-    sims: Option<SimMemo>,
-    /// Worker threads of [`CostModel::simulated_cache`]'s sharded driver.
-    /// `0` lets the machine decide. Result-neutral by the shard layer's
-    /// determinism contract — the simulated counters are bit-identical at
-    /// any value — so unlike `threads` it is never part of memo keys or
-    /// store fingerprints.
-    simulation_parallelism: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -240,8 +220,6 @@ impl CostModel {
             machine,
             memo: Some(Arc::new(Mutex::new(HashMap::new()))),
             summaries: Some(Arc::new(Mutex::new(HashMap::new()))),
-            sims: Some(Arc::new(Mutex::new(HashMap::new()))),
-            simulation_parallelism: 0,
         }
     }
 
@@ -251,27 +229,11 @@ impl CostModel {
     }
 
     /// Returns this model with memoization disabled — every nest is priced
-    /// and every trace simulated from scratch. What the memoized answers
-    /// are tested against.
+    /// from scratch. What the memoized answers are tested against.
     pub fn without_memoization(mut self) -> Self {
         self.memo = None;
         self.summaries = None;
-        self.sims = None;
         self
-    }
-
-    /// Returns this model with the given sharded-simulation worker count
-    /// (`0` lets the machine decide). Exclusively a wall-clock knob: the
-    /// counters [`CostModel::simulated_cache`] returns are bit-identical at
-    /// any value.
-    pub fn with_simulation_parallelism(mut self, workers: usize) -> Self {
-        self.simulation_parallelism = workers;
-        self
-    }
-
-    /// The worker count [`CostModel::simulated_cache`] fans shards out on.
-    pub fn simulation_parallelism(&self) -> usize {
-        self.simulation_parallelism
     }
 
     /// Number of distinct nests currently memoized.
@@ -288,63 +250,6 @@ impl CostModel {
             .as_ref()
             .map(|memo| memo.lock().expect("summary memo poisoned").len())
             .unwrap_or(0)
-    }
-
-    /// Number of distinct sharded simulations currently memoized.
-    pub fn simulation_entries(&self) -> usize {
-        self.sims
-            .as_ref()
-            .map(|memo| memo.lock().expect("simulation memo poisoned").len())
-            .unwrap_or(0)
-    }
-
-    /// The program's exact cache counters: its access stream through the
-    /// block-sharded driver
-    /// ([`simulate_cache_sharded`](crate::simulate_cache_sharded)), fanned
-    /// out on [`simulation_parallelism`](CostModel::simulation_parallelism)
-    /// workers. Multi-block computations cut at block granularity, anything
-    /// else at run-group windows, which is what keeps the paper's full
-    /// `NBLOCKS = 4096` CLOUDSC traces cheap enough for the figures.
-    ///
-    /// Memoized with a *shard-aware* key — `(environment hash, body
-    /// structural hash, plan fingerprint)` — since the merged counters are
-    /// defined per plan. The worker count is deliberately **not** part of
-    /// the key: by the shard layer's determinism contract it cannot change
-    /// the counters, so models that differ only in parallelism share
-    /// entries.
-    ///
-    /// # Errors
-    /// Lowering and trace-generation errors.
-    pub fn simulated_cache(
-        &self,
-        program: &Program,
-    ) -> Result<Arc<ShardedCacheStats>, crate::MachineError> {
-        let compiled = crate::CompiledProgram::lower(program)?;
-        let plan = ShardPlan::for_program(&compiled)?;
-        let key = (
-            program.environment_hash(),
-            structural_hash_nodes(&program.body),
-            plan.fingerprint(),
-        );
-        if let Some(memo) = self.sims.as_ref() {
-            if let Some(hit) = memo.lock().expect("simulation memo poisoned").get(&key) {
-                telemetry::counter("machine.cost.sim_memo_hits", 1);
-                return Ok(hit.clone());
-            }
-            telemetry::counter("machine.cost.sim_memo_misses", 1);
-        }
-        let stats = Arc::new(simulate_cache_sharded_with_plan(
-            &compiled,
-            &plan,
-            &self.machine,
-            self.simulation_parallelism,
-        )?);
-        if let Some(memo) = self.sims.as_ref() {
-            memo.lock()
-                .expect("simulation memo poisoned")
-                .insert(key, stats.clone());
-        }
-        Ok(stats)
     }
 
     /// The machine description used by the model.
@@ -1029,38 +934,18 @@ mod tests {
     }
 
     #[test]
-    fn simulated_cache_memoizes_with_shard_aware_keys() {
-        let model = CostModel::sequential();
-        let p = gemm("ijk", 24);
-        let cold = model.simulated_cache(&p).unwrap();
-        assert_eq!(model.simulation_entries(), 1);
-        // A warm lookup returns the same shared entry, not a re-simulation.
-        let warm = model.simulated_cache(&p).unwrap();
-        assert!(Arc::ptr_eq(&cold, &warm));
-        // A different problem size changes the environment hash and the
-        // plan, so it can never alias the first entry.
-        model.simulated_cache(&gemm("ijk", 32)).unwrap();
-        assert_eq!(model.simulation_entries(), 2);
-        // Disabling memoization still simulates, bit-identically.
-        let plain = model.clone().without_memoization();
-        assert_eq!(*plain.simulated_cache(&p).unwrap(), *cold);
-        assert_eq!(plain.simulation_entries(), 0);
-    }
-
-    #[test]
     fn simulated_cache_counters_are_parallelism_invariant() {
-        // The knob is wall-clock only: models differing in simulation
-        // parallelism must produce bit-identical counters (the shard
-        // layer's determinism contract, observed through the cost model).
+        // The model only prices; exact counters for the machine it prices
+        // on come from the sharded simulator, whose worker count is
+        // wall-clock only: every count must give bit-identical counters.
         let p = gemm("ikj", 48);
-        let sequential = CostModel::sequential();
-        let baseline = sequential.simulated_cache(&p).unwrap();
+        let model = CostModel::sequential();
+        let baseline = crate::simulate_cache_sharded(&p, model.machine(), 1).unwrap();
+        assert!(baseline.accesses() > 0);
         for workers in [2usize, 8] {
-            let model = CostModel::sequential().with_simulation_parallelism(workers);
-            assert_eq!(model.simulation_parallelism(), workers);
             assert_eq!(
-                *model.simulated_cache(&p).unwrap(),
-                *baseline,
+                crate::simulate_cache_sharded(&p, model.machine(), workers).unwrap(),
+                baseline,
                 "workers {workers}"
             );
         }

@@ -72,22 +72,32 @@ struct CAffine {
 }
 
 impl CAffine {
-    fn eval(&self, frame: &[i64]) -> i64 {
-        let mut acc = self.constant;
-        for &(slot, coeff) in &self.terms {
-            acc += coeff * frame[slot];
-        }
-        acc
-    }
-
-    /// [`CAffine::eval`] with checked arithmetic: `None` when a product or
-    /// sum leaves `i64`.
+    /// The value against the frame, or `None` when a product or sum leaves
+    /// `i64`.
     fn checked_eval(&self, frame: &[i64]) -> Option<i64> {
         self.terms
             .iter()
             .try_fold(self.constant, |acc, &(slot, coeff)| {
                 acc.checked_add(coeff.checked_mul(frame[slot])?)
             })
+    }
+
+    /// `(first, last, stride)`: the value at the first and the last of
+    /// `trips` iterations of `slot` stepping by `step` from its frame value,
+    /// and the change per iteration; `None` when any of them leaves `i64`.
+    /// The value is monotonic in the one varying slot, so every iteration's
+    /// value lies between the two endpoints.
+    fn checked_run(
+        &self,
+        frame: &[i64],
+        slot: usize,
+        step: i64,
+        trips: i64,
+    ) -> Option<(i64, i64, i64)> {
+        let first = self.checked_eval(frame)?;
+        let stride = self.coeff(slot).checked_mul(step)?;
+        let last = first.checked_add(stride.checked_mul(trips - 1)?)?;
+        Some((first, last, stride))
     }
 
     /// Coefficient of the given slot (zero if absent).
@@ -610,6 +620,12 @@ impl CompiledProgram {
         })
     }
 
+    /// The error of a subscript of `array` whose value leaves `i64`: the
+    /// kind the reference interpreter and walker report for it.
+    fn subscript_overflow(&self, array: usize) -> MachineError {
+        MachineError::UnboundVariable(format!("subscript of {}", self.arrays[array].name))
+    }
+
     /// Names of the arrays in slot order, for storage-compatibility checks.
     fn check_data(&self, data: &ProgramData) -> Result<()> {
         let names = data.array_names();
@@ -992,14 +1008,14 @@ impl Executor<'_, '_> {
             return Ok(());
         }
         let saved = self.frame[l.slot];
-        let result = if l.inner_exec {
+        let result = if l.inner_exec && self.exec_inner(l, lower, upper)? {
             telemetry::counter("machine.exec.compiled_inner_loops", 1);
-            let trips = (upper - lower + l.step - 1) / l.step;
-            self.exec_inner(l, lower, trips)
+            Ok(())
         } else {
             if l.inner {
-                // Trace-innermost but not exec-compilable: the interpreter
-                // walks it one iteration at a time.
+                // Trace-innermost but not exec-compilable, or a subscript
+                // leaves `i64` inside the domain: the interpreter walks it
+                // one iteration at a time.
                 telemetry::counter("machine.exec.interp_fallback_loops", 1);
             }
             let mut v = lower;
@@ -1021,7 +1037,11 @@ impl Executor<'_, '_> {
     /// The innermost fast path: flat offsets advance by constant strides,
     /// per-dimension bounds are verified once at the domain endpoints
     /// (affine indices of a single varying iterator are monotonic).
-    fn exec_inner(&mut self, l: &CLoop, lower: i64, trips: i64) -> Result<()> {
+    /// Returns `false`, having executed nothing, when an endpoint leaves
+    /// `i64`: the caller then walks the loop per iteration, which reports
+    /// the first failing access exactly as the reference does.
+    fn exec_inner(&mut self, l: &CLoop, lower: i64, upper: i64) -> Result<bool> {
+        let trips = (upper - lower + l.step - 1) / l.step;
         self.frame[l.slot] = lower;
         self.cursors.clear();
         for node in &l.body {
@@ -1036,8 +1056,11 @@ impl Executor<'_, '_> {
                     unreachable!("inner accesses are affine")
                 };
                 for (affine, extent) in dims {
-                    let start = affine.eval(&self.frame);
-                    let last = start + affine.coeff(l.slot) * l.step * (trips - 1);
+                    let Some((start, last, _)) =
+                        affine.checked_run(&self.frame, l.slot, l.step, trips)
+                    else {
+                        return Ok(false);
+                    };
                     for endpoint in [start, last] {
                         if endpoint < 0 || endpoint >= *extent {
                             return Err(MachineError::OutOfBounds {
@@ -1047,10 +1070,15 @@ impl Executor<'_, '_> {
                         }
                     }
                 }
+                let Some((offset, _, stride)) =
+                    flat.checked_run(&self.frame, l.slot, l.step, trips)
+                else {
+                    return Ok(false);
+                };
                 self.cursors.push(Cursor {
                     array: *array,
-                    offset: flat.eval(&self.frame),
-                    stride: flat.coeff(l.slot) * l.step,
+                    offset,
+                    stride,
                 });
             }
         }
@@ -1078,9 +1106,11 @@ impl Executor<'_, '_> {
                 let span = base..base + comp.accesses.len();
                 let cursors = &mut self.cursors[span];
                 let (load_cursors, rest) = cursors.split_at_mut(comp.n_loads);
+                // Cursors advance wrapping: the advance past the last
+                // iteration is never read and may leave `i64`.
                 for (slot, cursor) in self.loads.iter_mut().zip(load_cursors.iter_mut()) {
                     *slot = self.data.storage(cursor.array).data[cursor.offset as usize];
-                    cursor.offset += cursor.stride;
+                    cursor.offset = cursor.offset.wrapping_add(cursor.stride);
                 }
                 let value = match &comp.postfix {
                     Some(postfix) => postfix.eval(&self.loads, &mut self.stack),
@@ -1088,7 +1118,7 @@ impl Executor<'_, '_> {
                 };
                 let target = *rest.last().expect("accesses end with the write");
                 for cursor in rest {
-                    cursor.offset += cursor.stride;
+                    cursor.offset = cursor.offset.wrapping_add(cursor.stride);
                 }
                 let slot = &mut self.data.storage_mut(target.array).data[target.offset as usize];
                 *slot = match comp.reduction {
@@ -1099,7 +1129,7 @@ impl Executor<'_, '_> {
             v += l.step;
         }
         self.statements += trips as u64 * l.body.len() as u64;
-        Ok(())
+        Ok(true)
     }
 
     /// Resolves an access to `(array, flat index)` with per-dimension bounds
@@ -1110,7 +1140,9 @@ impl Executor<'_, '_> {
                 array, dims, flat, ..
             } => {
                 for (affine, extent) in dims {
-                    let idx = affine.eval(&self.frame);
+                    let idx = affine
+                        .checked_eval(&self.frame)
+                        .ok_or_else(|| self.compiled.subscript_overflow(*array))?;
                     if idx < 0 || idx >= *extent {
                         return Err(MachineError::OutOfBounds {
                             array: self.compiled.arrays[*array].name.to_string(),
@@ -1118,7 +1150,10 @@ impl Executor<'_, '_> {
                         });
                     }
                 }
-                Ok((*array, flat.eval(&self.frame) as usize))
+                let flat = flat
+                    .checked_eval(&self.frame)
+                    .ok_or_else(|| self.compiled.subscript_overflow(*array))?;
+                Ok((*array, flat as usize))
             }
             CAccess::Symbolic { array, indices, .. } => {
                 let layout = self.compiled.arrays[*array]
@@ -1136,7 +1171,10 @@ impl Executor<'_, '_> {
                             index: idx,
                         });
                     }
-                    flat += idx * stride;
+                    flat = idx
+                        .checked_mul(*stride)
+                        .and_then(|term| flat.checked_add(term))
+                        .ok_or_else(|| self.compiled.subscript_overflow(*array))?;
                 }
                 Ok((*array, flat as usize))
             }
@@ -1507,21 +1545,31 @@ impl<'c> Streamer<'c> {
                 else {
                     unreachable!("inner accesses are affine")
                 };
-                let first = flat.eval(&self.frame);
-                let stride_el = flat.coeff(l.slot);
-                let last = first + stride_el * l.step * (trips - 1);
-                if first < 0 || last < 0 {
-                    // The AddressMap clamps negative offsets; replicate by
-                    // falling back to the per-iteration path.
-                    return false;
-                }
-                self.touch(*array, first);
-                self.touch(*array, last);
                 let carray = &self.compiled.arrays[*array];
                 let elem = carray.elem_size as i64;
+                let address = |offset: i64| {
+                    let bytes = u64::try_from(offset).ok()?.checked_mul(elem as u64)?;
+                    carray.base.checked_add(bytes)
+                };
+                // Negative offsets (the AddressMap clamps them) and
+                // offsets or addresses that leave their integer type (an
+                // error or a wrapped address per access) take the
+                // per-iteration path.
+                let Some((first, last, stride_el)) =
+                    flat.checked_run(&self.frame, l.slot, l.step, trips)
+                else {
+                    return false;
+                };
+                let (Some(base), Some(_), Some(stride)) =
+                    (address(first), address(last), stride_el.checked_mul(elem))
+                else {
+                    return false;
+                };
+                self.touch(*array, first);
+                self.touch(*array, last);
                 self.runs.push(StrideRun {
-                    base: carray.base + first as u64 * carray.elem_size as u64,
-                    stride: stride_el * l.step * elem,
+                    base,
+                    stride,
                     count: trips as u64,
                     array: *array as u32,
                     is_write: *is_write,
@@ -1535,24 +1583,33 @@ impl<'c> Streamer<'c> {
 
     /// Generic per-access emission (outside compiled innermost loops).
     fn stream_comp(&mut self, comp: &CComp, sink: &mut impl AccessSink) -> Result<()> {
+        let compiled = self.compiled;
         for access in &comp.accesses {
             let (array, offset) = match access {
-                CAccess::Affine { array, flat, .. } => (*array, flat.eval(&self.frame)),
+                CAccess::Affine { array, flat, .. } => (
+                    *array,
+                    flat.checked_eval(&self.frame)
+                        .ok_or_else(|| compiled.subscript_overflow(*array))?,
+                ),
                 CAccess::Symbolic { array, indices, .. } => {
-                    let layout = self.compiled.arrays[*array]
+                    let layout = compiled.arrays[*array]
                         .layout
                         .as_ref()
                         .expect("symbolic accesses lower only with a layout");
                     let mut offset = 0i64;
                     for (bound, stride) in indices.iter().zip(&layout.strides) {
-                        offset += bound.eval(&self.frame)? * stride;
+                        offset = bound
+                            .eval(&self.frame)?
+                            .checked_mul(*stride)
+                            .and_then(|term| offset.checked_add(term))
+                            .ok_or_else(|| compiled.subscript_overflow(*array))?;
                     }
                     (*array, offset)
                 }
             };
             self.touch(array, offset);
-            let carray = &self.compiled.arrays[array];
-            let address = carray.base + (offset.max(0) as u64) * carray.elem_size as u64;
+            let carray = &compiled.arrays[array];
+            let address = AddressMap::element(carray.base, offset, carray.elem_size);
             self.count += 1;
             sink.access(TraceEntry {
                 address,

@@ -34,17 +34,19 @@
 //!
 //! # The evaluation stack
 //!
-//! Every experiment funnels through one hot path:
+//! Schedules are ranked on one path and cache counters measured on another:
 //!
 //! ```text
-//! program ─▶ access stream ─▶ cache simulator ─▶ cost model ─▶ search
-//!           (trace, streamed)  (cache, flat LRU)   (cost, memoized)  (daisy)
+//! program ─▶ cost model ─────────────────────────▶ search
+//!            (cost, memoized roofline)              (daisy)
+//! program ─▶ access stream ─▶ cache simulator ───▶ exact counters (Table 1,
+//!            (exec, streamed)  (cache + shard)      Fig. 11, Fig. 12b)
 //! ```
 //!
-//! The stack is streaming *and run-level* end to end.
-//! [`trace::stream_accesses`] lowers the program through
-//! [`exec::CompiledProgram`] and emits every compiled innermost loop as one
-//! lockstep group of [`trace::StrideRun`] segments built straight from the
+//! The simulation path is streaming *and run-level* end to end.
+//! [`exec::CompiledProgram::lower`] lowers the program once and
+//! [`exec::CompiledProgram::stream`] emits every compiled innermost loop as
+//! one lockstep group of [`trace::StrideRun`] segments built straight from the
 //! affine offset/stride plans — no trace is ever materialized, and
 //! individual addresses exist only for sinks that ask for them. The same
 //! lowering executes program semantics
@@ -61,11 +63,11 @@
 //! and to the naive reference simulator ([`cache::reference`]), both kept
 //! as the references of the differential suites.
 //!
-//! [`cost::CostModel`] memoizes behind structural hashes in three tables:
-//! whole-nest costs, per-computation *run summaries* (the per-iterator
-//! stride facts of each access), and whole-program simulated cache
-//! counters ([`cost::CostModel::simulated_cache`], the one source of every
-//! cache count the figures print). The contract: a nest's cost is a pure
+//! [`cost::CostModel`] memoizes behind structural hashes in two tables:
+//! whole-nest costs and per-computation *run summaries* (the per-iterator
+//! stride facts of each access). It only prices; the exact cache counters
+//! the figures print come from the block-sharded simulator
+//! ([`shard::simulate_cache_sharded`]). The contract: a nest's cost is a pure
 //! function of *(machine, thread count, program environment, nest
 //! structure)* — see the [`cost`] module docs — which is what lets the
 //! `daisy` evolutionary search re-price only the nest a candidate recipe
@@ -104,6 +106,6 @@ pub use shard::{
     ShardGranularity, ShardPlan, ShardedCacheStats,
 };
 pub use trace::{
-    simulate_cache, simulate_cache_per_access, simulate_cache_reference, stream_accesses,
-    AccessSink, StrideRun, TraceEntry,
+    simulate_cache, simulate_cache_per_access, simulate_cache_reference, AccessSink, StrideRun,
+    TraceEntry,
 };

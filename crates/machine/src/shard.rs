@@ -232,25 +232,6 @@ impl ShardPlan {
     pub fn is_empty(&self) -> bool {
         self.cuts.is_empty()
     }
-
-    /// A stable 64-bit digest of the plan (granularity and every cut) —
-    /// the shard-aware component of the cost model's simulation memo keys.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        mix(match self.granularity {
-            ShardGranularity::Blocks => 1,
-            ShardGranularity::RunGroups => 2,
-        });
-        for &(lo, hi) in &self.cuts {
-            mix(lo);
-            mix(hi);
-        }
-        h
-    }
 }
 
 /// Splits `[0, total)` into at most `shards` near-equal contiguous ranges,
@@ -966,19 +947,6 @@ mod tests {
             .l1()
             .loads,
             "block 0 alone does not stand for the others"
-        );
-    }
-
-    #[test]
-    fn plan_fingerprints_separate_granularity_and_cuts() {
-        let a = ShardPlan::blocks(vec![(0, 4)]);
-        let b = ShardPlan::run_groups(vec![(0, 4)]);
-        let c = ShardPlan::blocks(vec![(0, 2), (2, 4)]);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        assert_eq!(
-            a.fingerprint(),
-            ShardPlan::blocks(vec![(0, 4)]).fingerprint()
         );
     }
 }

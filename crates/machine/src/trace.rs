@@ -128,20 +128,6 @@ pub trait AccessSink {
     fn end_repeat(&mut self) {}
 }
 
-/// Streams the program's accesses in execution order into `sink`,
-/// constant-stride innermost loops as closed-form runs. Returns the total
-/// number of accesses streamed.
-///
-/// The program is lowered through the compiled execution engine once per
-/// call; callers streaming the same program repeatedly should lower once
-/// with [`CompiledProgram::lower`] and call [`CompiledProgram::stream`].
-///
-/// # Errors
-/// Returns an error when bounds or subscripts cannot be evaluated.
-pub fn stream_accesses(program: &Program, sink: &mut impl AccessSink) -> Result<u64> {
-    CompiledProgram::lower(program)?.stream(sink)
-}
-
 /// Sink feeding a [`CacheHierarchy`], forwarding runs and whole run groups
 /// to the closed-form fast paths. Shared with the sharded driver
 /// (`shard::simulate_cache_sharded`), which feeds one replica per shard
@@ -178,7 +164,7 @@ impl AccessSink for CacheSink<'_> {
 pub fn simulate_cache(program: &Program, machine: &MachineConfig) -> Result<CacheHierarchy> {
     let _span = telemetry::span("simulate_cache");
     let mut cache = CacheHierarchy::from_machine(machine);
-    stream_accesses(program, &mut CacheSink { cache: &mut cache })?;
+    CompiledProgram::lower(program)?.stream(&mut CacheSink { cache: &mut cache })?;
     record_cache_counters(&cache);
     Ok(cache)
 }
@@ -232,7 +218,7 @@ pub fn simulate_cache_per_access(
     machine: &MachineConfig,
 ) -> Result<CacheHierarchy> {
     let mut cache = CacheHierarchy::from_machine(machine);
-    stream_accesses(program, &mut PerAccessCacheSink { cache: &mut cache })?;
+    CompiledProgram::lower(program)?.stream(&mut PerAccessCacheSink { cache: &mut cache })?;
     record_cache_counters(&cache);
     Ok(cache)
 }
@@ -307,10 +293,11 @@ pub fn walk_accesses_symbolic(program: &Program, mut sink: impl FnMut(TraceEntry
                         .ok_or_else(|| MachineError::UnboundSize(array.name.to_string()))?;
                     let mut offset = 0i64;
                     for (idx, stride) in access.array_ref.indices.iter().zip(&strides) {
-                        let value = idx
+                        offset = idx
                             .eval(bindings)
+                            .and_then(|value| value.checked_mul(*stride))
+                            .and_then(|term| offset.checked_add(term))
                             .ok_or_else(|| MachineError::UnboundVariable(idx.to_string()))?;
-                        offset += value * stride;
                     }
                     let address = map
                         .address(access.array_ref.array.as_str(), offset, array.elem_size)
@@ -353,7 +340,7 @@ mod tests {
     }
 
     fn walk_accesses(program: &Program, sink: impl FnMut(TraceEntry)) -> Result<u64> {
-        stream_accesses(program, &mut FnSink(sink))
+        CompiledProgram::lower(program)?.stream(&mut FnSink(sink))
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! runs against the real filesystem ([`OsStorage`]) and against the
 //! deterministic in-memory [`FaultStorage`], which can inject torn writes,
 //! partial appends, rename failures, `ENOSPC`, bit corruption, and a
-//! simulated power cut after the Nth I/O operation. The crash-matrix
-//! harness (`tests/crash_matrix.rs`) enumerates every operation index,
-//! crashes there, reopens, and asserts the recovery invariant.
+//! simulated power cut after the Nth I/O operation. The crash matrix of
+//! the fuzz farm's store sweep (`fuzz::run_crash_matrix`, run by
+//! `daisyfuzz store` and by `crates/fuzz/tests/crash_matrix.rs`)
+//! enumerates every operation index, crashes there, reopens, and asserts
+//! the recovery invariant.
 //!
 //! # The crash model
 //!

@@ -191,6 +191,46 @@ fn overflowing_bounds_fail_like_the_reference() {
             "{bound}: {fast:?}"
         );
     }
+    // Subscripts that leave `i64`: at the only iteration, as a store and
+    // as a load, and at `i = 2` after `i = 1` has left the array. There the
+    // executors fault out of bounds first; the trace walkers check no
+    // bounds and stream up to the overflow.
+    let max = i64::MAX;
+    for body in [
+        format!("for i in 2..N {{ A[(i * {max} + 3)] = 1.0; }}"),
+        format!("for i in 2..N {{ B[0] = A[(i * {max} + 3)]; }}"),
+        format!("for i in 0..N {{ A[(i * {max})] = 1.0; }}"),
+    ] {
+        let p = parse_program(&format!(
+            "program p {{ param N = 3; array A[N]; array B[N]; {body} }}"
+        ))
+        .unwrap();
+        let compiled = CompiledProgram::lower(&p).unwrap();
+        let mut data = ProgramData::zeroed(&p).unwrap();
+        let slow = reference::Interpreter::new()
+            .run(&p, &mut data)
+            .unwrap_err();
+        let mut data = ProgramData::zeroed(&p).unwrap();
+        let fast = compiled.execute(&mut data).unwrap_err();
+        assert_eq!(
+            std::mem::discriminant(&slow),
+            std::mem::discriminant(&fast),
+            "{body}: execute {slow:?} vs {fast:?}"
+        );
+        let mut slow_trace = Vec::new();
+        let slow = machine::trace::walk_accesses_symbolic(&p, |e| slow_trace.push(e));
+        let mut fast_trace = Vec::new();
+        let fast = compiled.stream(&mut CollectSink(&mut fast_trace));
+        assert!(
+            matches!(slow, Err(MachineError::UnboundVariable(_))),
+            "{body}: {slow:?}"
+        );
+        assert!(
+            matches!(fast, Err(MachineError::UnboundVariable(_))),
+            "{body}: {fast:?}"
+        );
+        assert_eq!(fast_trace, slow_trace, "{body}: streamed before the fault");
+    }
 }
 
 // ---------------------------------------------------------------------------
