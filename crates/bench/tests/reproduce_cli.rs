@@ -3,7 +3,8 @@
 //! harnesses and exits 0 without running anything; usage errors exit 2 with
 //! a one-line diagnostic, never a panic; the two figure lanes print in
 //! paper order, and stdout apart from host timings does not depend on the
-//! lanes, the worker count or the run.
+//! lanes, the worker count or the run. A warm run loads its store and
+//! searches nothing; a damaged store falls back to cold seeding.
 
 use std::process::{Command, Output};
 
@@ -272,6 +273,90 @@ fn smoke_stdout_does_not_depend_on_workers_or_the_run() {
             assert_eq!(*first, run, "round {round}, --sim-workers {workers}");
         }
     }
+}
+
+/// `--warm` loads the store a cold run wrote and runs no search at all. A
+/// corrupt, truncated or mismatched store is not an error: the run prints
+/// why the warm start failed, seeds cold and rewrites the store, which the
+/// next warm run loads again.
+#[test]
+fn warm_runs_skip_seeding_and_damaged_stores_fall_back_to_cold_seeding() {
+    let dir = std::env::temp_dir().join(format!("reproduce-cli-warm-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = dir.join("store");
+    let store_arg = store.to_str().expect("utf8 path");
+    let file = store.join("daisy-full-mini.tunedb");
+    let fig6 = |extra: &[&str]| -> Output {
+        let mut args = vec!["--smoke", "--store", store_arg, "--only", "fig6"];
+        args.extend_from_slice(extra);
+        reproduce(&args)
+    };
+    let profiled = |extra: &[&str], name: &str| -> (String, telemetry::Profile) {
+        let path = dir.join(name);
+        let mut args = extra.to_vec();
+        args.extend_from_slice(&["--profile", path.to_str().expect("utf8 path")]);
+        let output = fig6(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        let contents = std::fs::read_to_string(&path).expect("profile file exists");
+        let profile = telemetry::Profile::from_json_lines(&contents).expect("profile parses");
+        (
+            String::from_utf8_lossy(&output.stdout).into_owned(),
+            profile,
+        )
+    };
+    let seeded = |profile: &telemetry::Profile| {
+        let spans = profile
+            .spans
+            .keys()
+            .any(|path| path.split('.').any(|name| name == "seeding"));
+        spans || profile.counters.contains_key("daisy.seed.nests")
+    };
+
+    let (stdout, profile) = profiled(&[], "cold.json");
+    assert!(stdout.contains("full: cold database"), "{stdout}");
+    assert!(seeded(&profile), "a cold run seeds: {:?}", profile.counters);
+    let cold_bytes = std::fs::read(&file).expect("the cold run wrote its store");
+
+    let (stdout, profile) = profiled(&["--warm"], "warm.json");
+    assert!(stdout.contains("full: warm database"), "{stdout}");
+    assert!(
+        !seeded(&profile),
+        "a warm run runs no search: {:?}",
+        profile.spans.keys().collect::<Vec<_>>()
+    );
+
+    let mut flipped = cold_bytes.clone();
+    flipped[cold_bytes.len() / 2] ^= 0x40;
+    let mut foreign = tunestore::Snapshot::decode(&cold_bytes).expect("the store decodes");
+    foreign.fingerprint = "another-machine".to_string();
+    for (damage, bytes) in [
+        ("flipped byte", flipped),
+        ("truncated", cold_bytes[..40].to_vec()),
+        ("foreign fingerprint", foreign.encode()),
+    ] {
+        std::fs::write(&file, &bytes).expect("damage the store");
+        let output = fig6(&["--warm"]);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{damage}: {stderr}");
+        let reason = format!("warm start from {} failed (", file.display());
+        assert!(
+            stderr.contains(&reason) && stderr.contains("); seeding cold"),
+            "{damage}: stderr names the failure: {stderr}"
+        );
+        assert!(stdout.contains("full: cold database"), "{damage}: {stdout}");
+        assert_eq!(
+            std::fs::read(&file).expect("store rewritten"),
+            cold_bytes,
+            "{damage}: the cold fallback rewrites the store"
+        );
+    }
+    let output = fig6(&["--warm"]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("full: warm database"), "{stdout}");
+    assert!(output.stderr.is_empty(), "{:?}", output.stderr);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Fig. 12b's line about the daisy trace per schedule point.

@@ -170,25 +170,6 @@ impl TuningDatabase {
         Ok(db)
     }
 
-    /// Rebuilds a database from recovered entries, *skipping* the ones
-    /// this build cannot represent (wrong embedding dimension — e.g. a
-    /// store written by an older build — or non-finite values) instead of
-    /// failing the whole load.
-    /// Returns the database and how many entries were skipped. The
-    /// degraded-recovery counterpart of [`TuningDatabase::from_snapshot`]:
-    /// losing an entry costs a warm-start seed, never correctness.
-    pub fn from_entries_lossy(entries: &[StoredEntry]) -> (Self, usize) {
-        let mut db = TuningDatabase::new();
-        let mut skipped = 0usize;
-        for stored in entries {
-            match DatabaseEntry::from_stored(stored) {
-                Ok(entry) => db.insert(entry),
-                Err(_) => skipped += 1,
-            }
-        }
-        (db, skipped)
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -449,13 +430,17 @@ mod tests {
                 Err(StoreError::Corrupt(_))
             ));
         }
-        // Degrading load: they are skipped and counted, the rest survives.
-        let mut recovered = poisoned.clone();
-        recovered.insert(2, good);
-        let (db, skipped) = TuningDatabase::from_entries_lossy(&recovered);
-        assert_eq!(skipped, poisoned.len());
-        assert_eq!(db.len(), 1);
-        assert_eq!(db.entries()[0].source, "gemm");
+        // Through the file format: encoding keeps the non-finite bits, and
+        // the decoded snapshot is rejected just the same.
+        for stored in &poisoned {
+            let mut snapshot = Snapshot::new();
+            snapshot.entries = vec![good.clone(), stored.clone()];
+            let decoded = Snapshot::decode(&snapshot.encode()).unwrap();
+            assert!(matches!(
+                TuningDatabase::from_snapshot(&decoded),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod search;
 pub use database::{nest_key, DatabaseEntry, TuningDatabase};
 pub use embedding::PerformanceEmbedding;
 pub use idiom::detect_blas_idiom;
-pub use scheduler::{DaisyConfig, DaisyScheduler, ScheduleOutcome, WarmStart};
+pub use scheduler::{DaisyConfig, DaisyScheduler, ScheduleOutcome};
 pub use search::{
     nest_scoped_graph, recipe_is_semantically_legal, EvolutionarySearch, SearchConfig,
 };

@@ -2,8 +2,7 @@
 //! tuning (§4, "Optimization Algorithm").
 
 use std::collections::HashSet;
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 
 use loop_ir::expr::Var;
 use loop_ir::nest::Node;
@@ -13,7 +12,7 @@ use machine::pool::parallel_map;
 use machine::{CostModel, CostReport, MachineConfig, NestCost};
 use normalize::{Normalizer, NormalizerConfig};
 use transforms::{perfect_chain, Recipe};
-use tunestore::{DurableStore, OsStorage, Snapshot, Storage, StoreError, StoreHealth};
+use tunestore::{Snapshot, StoreError, StoredEntry};
 
 use crate::database::{nest_key, DatabaseEntry, TuningDatabase};
 use crate::embedding::PerformanceEmbedding;
@@ -21,7 +20,7 @@ use crate::idiom::detect_blas_idiom;
 use crate::search::{nest_scoped_graph, EvolutionarySearch, ScoreContext, SearchConfig, PARALLEL};
 
 /// Configuration of the daisy scheduler. The ablation study (Fig. 7) toggles
-/// `normalize` and `transfer_tuning` independently.
+/// `normalize`; every figure keeps `transfer_tuning` on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaisyConfig {
     /// Run a priori loop nest normalization before optimizing.
@@ -222,35 +221,9 @@ impl DaisyScheduler {
         }
     }
 
-    /// [`DaisyScheduler::seed_from_programs`] with incremental durability:
-    /// every entry the database accepts is also journaled into `store`
-    /// (fsynced before the insert is acknowledged), so a crash mid-seeding
-    /// loses at most the entry being written — earlier entries warm-start
-    /// the next run. Returns the number of entries the store accepted.
-    ///
-    /// # Errors
-    /// The first [`StoreError`] from journaling; entries seeded before the
-    /// failure are already durable, and the in-memory database keeps only
-    /// what the store acknowledged, so the two never diverge.
-    pub fn seed_into_store(
-        &mut self,
-        programs: &[Program],
-        store: &mut DurableStore,
-    ) -> Result<usize, StoreError> {
-        let mut accepted = 0usize;
-        for entry in self.seed_entries(programs) {
-            if store.insert(entry.to_stored())? {
-                accepted += 1;
-            }
-            self.database.insert(entry);
-        }
-        Ok(accepted)
-    }
-
     /// Computes the database entries seeding these programs produces (the
-    /// shared heart of [`DaisyScheduler::seed_from_programs`] and
-    /// [`DaisyScheduler::seed_into_store`]), in deterministic program/nest
-    /// order.
+    /// heart of [`DaisyScheduler::seed_from_programs`]), in deterministic
+    /// program/nest order.
     fn seed_entries(&self, programs: &[Program]) -> Vec<DatabaseEntry> {
         let _span = telemetry::span("seeding");
         let model = CostModel::new(self.config.machine.clone(), self.config.threads);
@@ -388,6 +361,14 @@ impl DaisyScheduler {
     /// # Errors
     /// Any [`StoreError`] from reading or decoding the snapshot.
     pub fn warm_start(&mut self, path: impl AsRef<Path>) -> Result<usize, StoreError> {
+        let snapshot = self.load_own(path.as_ref())?;
+        self.database = TuningDatabase::from_snapshot(&snapshot)?;
+        Ok(self.database.len())
+    }
+
+    /// Loads the snapshot at `path`, rejecting one stamped with another
+    /// [`store_fingerprint`](DaisyScheduler::store_fingerprint).
+    fn load_own(&self, path: &Path) -> Result<Snapshot, StoreError> {
         let snapshot = Snapshot::load(path)?;
         let expected = self.store_fingerprint();
         if snapshot.fingerprint != expected {
@@ -396,8 +377,7 @@ impl DaisyScheduler {
                 expected,
             });
         }
-        self.database = TuningDatabase::from_snapshot(&snapshot)?;
-        Ok(self.database.len())
+        Ok(snapshot)
     }
 
     /// Persists the current database to a store file (atomically), stamped
@@ -414,70 +394,26 @@ impl DaisyScheduler {
         snapshot.save(path)
     }
 
-    /// Opens the crash-safe [`DurableStore`] at `path` under this
-    /// scheduler's [`store_fingerprint`], for incremental seeding via
-    /// [`DaisyScheduler::seed_into_store`].
+    /// Opens the snapshot at `path` for write-through inserts: the file's
+    /// snapshot when it exists (one under another fingerprint is
+    /// [`StoreError::FingerprintMismatch`]), an empty one stamped with this
+    /// scheduler's [`store_fingerprint`] otherwise.
     ///
     /// [`store_fingerprint`]: DaisyScheduler::store_fingerprint
     ///
     /// # Errors
-    /// Only real I/O failures; damaged files degrade (see
-    /// [`DurableStore::open`]).
-    pub fn open_store(&self, path: impl AsRef<Path>) -> Result<DurableStore, StoreError> {
-        self.open_store_with(Arc::new(OsStorage), path)
-    }
-
-    /// [`DaisyScheduler::open_store`] through an explicit [`Storage`] (the
-    /// fault harness).
-    pub fn open_store_with(
-        &self,
-        storage: Arc<dyn Storage>,
-        path: impl AsRef<Path>,
-    ) -> Result<DurableStore, StoreError> {
-        DurableStore::open(storage, path, &self.store_fingerprint())
-    }
-
-    /// Degrading warm start: recovers whatever the store at `path` (its
-    /// snapshot *and* journal) durably holds and seeds the database from
-    /// it. Where the strict [`DaisyScheduler::warm_start`] errors, this
-    /// degrades toward cold seeding instead:
-    ///
-    /// * a missing store warm-starts empty;
-    /// * corrupt files are quarantined to `<name>.corrupt` and skipped;
-    /// * files from a different fingerprint are moved to `<name>.foreign`;
-    /// * a torn journal tail is dropped (everything acknowledged survives);
-    /// * recovered entries this build cannot represent are skipped.
-    ///
-    /// The surviving entries still carry the full bit-identity guarantee:
-    /// scheduling with them equals scheduling with a cold database built
-    /// from the same entries. What happened is reported in the returned
-    /// [`WarmStart`] — callers log it and proceed.
-    ///
-    /// # Errors
-    /// Only real I/O failures while reading or repairing the store files.
-    pub fn warm_start_resilient(
-        &mut self,
-        path: impl AsRef<Path>,
-    ) -> Result<WarmStart, StoreError> {
-        self.warm_start_resilient_with(Arc::new(OsStorage), path)
-    }
-
-    /// [`DaisyScheduler::warm_start_resilient`] through an explicit
-    /// [`Storage`] (the fault harness).
-    pub fn warm_start_resilient_with(
-        &mut self,
-        storage: Arc<dyn Storage>,
-        path: impl AsRef<Path>,
-    ) -> Result<WarmStart, StoreError> {
-        let store = self.open_store_with(storage, path)?;
-        let (database, skipped) = TuningDatabase::from_entries_lossy(store.entries());
-        let loaded = database.len();
-        self.database = database;
-        Ok(WarmStart {
-            health: store.health().clone(),
-            loaded,
-            skipped,
-        })
+    /// Any [`StoreError`] from reading or decoding an existing snapshot.
+    pub fn open_store(&self, path: impl AsRef<Path>) -> Result<WriteThroughStore, StoreError> {
+        let path = path.as_ref().to_path_buf();
+        let snapshot = if path.exists() {
+            self.load_own(&path)?
+        } else {
+            Snapshot {
+                fingerprint: self.store_fingerprint(),
+                entries: Vec::new(),
+            }
+        };
+        Ok(WriteThroughStore { path, snapshot })
     }
 
     fn normalized(&self, program: &Program) -> Program {
@@ -707,23 +643,30 @@ impl DaisyScheduler {
     }
 }
 
-/// What a [`DaisyScheduler::warm_start_resilient`] recovered: the store
-/// health report plus how many entries made it into the database.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmStart {
-    /// What recovery found on disk and what it had to do about it.
-    pub health: StoreHealth,
-    /// Entries loaded into the database.
-    pub loaded: usize,
-    /// Recovered entries skipped because this build cannot represent them
-    /// (e.g. a different embedding dimension).
-    pub skipped: usize,
+/// A snapshot file saved whole after every accepted insert, so an
+/// acknowledged insert is durable. It exists only for the benchmark's store
+/// probe, which times inserts through [`DaisyScheduler::open_store`], and
+/// goes with that probe; `reproduce` persists through
+/// [`DaisyScheduler::persist`].
+#[derive(Debug)]
+pub struct WriteThroughStore {
+    path: PathBuf,
+    snapshot: Snapshot,
 }
 
-impl WarmStart {
-    /// True when the store was fully intact and nothing was skipped.
-    pub fn is_clean(&self) -> bool {
-        self.health.is_clean() && self.skipped == 0
+impl WriteThroughStore {
+    /// Inserts `entry` under best-cost-per-key dedupe ([`Snapshot::insert`])
+    /// and, when it is accepted, saves the snapshot atomically
+    /// ([`Snapshot::save`]). Returns whether the entry was accepted.
+    ///
+    /// # Errors
+    /// Any [`StoreError`] from saving the snapshot.
+    pub fn insert(&mut self, entry: StoredEntry) -> Result<bool, StoreError> {
+        let accepted = self.snapshot.insert(entry);
+        if accepted {
+            self.snapshot.save(&self.path)?;
+        }
+        Ok(accepted)
     }
 }
 
@@ -1087,79 +1030,51 @@ mod tests {
     }
 
     #[test]
-    fn resilient_warm_start_matches_strict_and_survives_crash_mid_seeding() {
-        use tunestore::{FaultStorage, Storage};
+    fn open_store_saves_every_accepted_insert() {
+        let dir = std::env::temp_dir().join(format!("daisy-open-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("probe.tunedb");
+        let mut seeder = DaisyScheduler::new(DaisyConfig::default());
+        seeder.seed_from_programs(std::slice::from_ref(&gemm_a(64)));
+        let entries: Vec<StoredEntry> = seeder
+            .database()
+            .entries()
+            .iter()
+            .map(DatabaseEntry::to_stored)
+            .collect();
+        assert!(!entries.is_empty());
 
-        let storage = Arc::new(FaultStorage::default());
-        let path = Path::new("dir/warm.tunedb");
-        let config = DaisyConfig {
-            idiom_detection: false,
-            ..DaisyConfig::default()
+        let mut store = seeder.open_store(&path).unwrap();
+        for entry in &entries {
+            assert!(store.insert(entry.clone()).unwrap());
+        }
+        let worse = StoredEntry {
+            cost: entries[0].cost * 2.0,
+            ..entries[0].clone()
         };
-        let a = gemm_a(128);
-
-        let mut seeder = DaisyScheduler::new(config.clone());
-        let mut store = seeder
-            .open_store_with(Arc::clone(&storage) as Arc<dyn Storage>, path)
-            .unwrap();
-        let accepted = seeder
-            .seed_into_store(std::slice::from_ref(&a), &mut store)
-            .unwrap();
-        assert!(accepted > 0);
-        assert_eq!(accepted, seeder.database().len());
-        drop(store);
-
-        // No compact ran: everything lives in the journal. Power-cut the
-        // storage; every acknowledged insert must still warm-start.
-        storage.crash();
-        let mut warm = DaisyScheduler::new(config.clone());
-        let report = warm
-            .warm_start_resilient_with(Arc::clone(&storage) as Arc<dyn Storage>, path)
-            .unwrap();
-        assert!(report.is_clean(), "clean store: {}", report.health);
-        assert_eq!(report.loaded, seeder.database().len());
-        assert_eq!(report.skipped, 0);
-        assert_eq!(warm.database().entries(), seeder.database().entries());
-        assert_eq!(
-            warm.schedule(&a),
-            seeder.schedule(&a),
-            "resilient warm start must stay bit-identical"
+        assert!(
+            !store.insert(worse).unwrap(),
+            "a worse duplicate is rejected"
         );
-    }
-
-    #[test]
-    fn resilient_warm_start_quarantines_damage_and_degrades_to_cold() {
-        use tunestore::{FaultStorage, SourceState, Storage};
-
-        let storage = Arc::new(FaultStorage::default());
-        let path = Path::new("dir/warm.tunedb");
-        let config = DaisyConfig {
-            idiom_detection: false,
-            ..DaisyConfig::default()
-        };
-        let mut seeder = DaisyScheduler::new(config.clone());
-        let mut store = seeder
-            .open_store_with(Arc::clone(&storage) as Arc<dyn Storage>, path)
-            .unwrap();
-        seeder.seed_into_store(&[gemm_a(128)], &mut store).unwrap();
-        store.compact().unwrap();
         drop(store);
 
-        // Flip a bit in the snapshot: where strict warm_start would error,
-        // the resilient one quarantines and proceeds empty (the journal
-        // was just reset by the compact).
-        storage.corrupt_byte(path, 40, 0x08);
-        let mut hurt = DaisyScheduler::new(config);
-        let report = hurt
-            .warm_start_resilient_with(Arc::clone(&storage) as Arc<dyn Storage>, path)
-            .unwrap();
+        // Every acknowledged insert is on disk, under the scheduler's own
+        // fingerprint, and a reopened handle starts from it.
+        let mut warm = DaisyScheduler::new(DaisyConfig::default());
+        assert_eq!(warm.warm_start(&path).unwrap(), entries.len());
+        assert_eq!(warm.database().entries(), seeder.database().entries());
+        let mut reopened = seeder.open_store(&path).unwrap();
+        assert!(!reopened.insert(entries[0].clone()).unwrap());
+
+        let other = DaisyScheduler::new(DaisyConfig {
+            threads: 1,
+            ..DaisyConfig::default()
+        });
         assert!(matches!(
-            report.health.snapshot,
-            SourceState::Quarantined { .. }
+            other.open_store(&path),
+            Err(StoreError::FingerprintMismatch { .. })
         ));
-        assert_eq!(report.loaded, 0);
-        assert!(hurt.database().is_empty(), "degraded to cold seeding");
-        assert!(storage.exists(Path::new("dir/warm.tunedb.corrupt")));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! with the full oracle battery. `corpus promote` runs the generator and
 //! graduates programs whose structural feature set the corpus does not
 //! cover yet. `store` runs the storage fault sweep: an exhaustive
-//! power-cut matrix over a scripted tunestore workload, then randomized
-//! fault cases; its `--inject` weakens the store's durability on purpose
-//! and expects the sweep to catch it.
+//! power-cut matrix over a scripted run of tunestore snapshot saves, then
+//! randomized fault cases; its `--inject` weakens the save's durability
+//! on purpose and expects the sweep to catch it.
 
 use std::process::ExitCode;
 
@@ -61,8 +61,9 @@ commands:
                --budget <n>   programs to consider (default 500)
                --dir <path>   corpus directory (default fuzz/corpus)
                --cap <n>      max corpus files (default 24)
-  store    fault-sweep the crash-safe tunestore (exhaustive power-cut
-           matrix, then randomized torn-write/clean-failure/ENOSPC cases)
+  store    fault-sweep the tunestore's atomic snapshot save (exhaustive
+           power-cut matrix, then randomized torn-write/clean-failure/
+           ENOSPC cases)
              --seed <u64>     sweep seed (default 53596, 0xD15C)
              --budget <n>     randomized cases (default 1000)
              --json <path>    write the JSON report here

@@ -21,9 +21,9 @@
 //!   failure is replayable in isolation, and renders a JSON report.
 //! - [`corpus`] graduates programs with novel structural feature sets into
 //!   a committed `.loop` corpus that CI replays as a regression test.
-//! - [`storage`] points the same farm discipline at the crash-safe
-//!   tunestore: an exhaustive power-cut matrix plus a randomized sweep of
-//!   torn writes, clean I/O failures and `ENOSPC`, with durability
+//! - [`storage`] points the same farm discipline at the tunestore's atomic
+//!   snapshot save: an exhaustive power-cut matrix plus a randomized sweep
+//!   of torn writes, clean I/O failures and `ENOSPC`, with durability
 //!   weakenings as the self-test injections.
 //!
 //! The `daisyfuzz` binary exposes `run`, `replay`, `corpus promote` and

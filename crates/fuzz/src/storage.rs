@@ -1,43 +1,43 @@
-//! Storage fault sweep: the fuzz-farm face of the crash-safe tunestore.
+//! Storage fault sweep: the fuzz-farm face of the tunestore's one crash
+//! contract, the atomic snapshot save.
 //!
-//! Two phases, both running entirely against the deterministic in-memory
-//! [`FaultStorage`]:
+//! A store workload is a script of inserts ([`Snapshot::insert`], then a
+//! whole-file [`Snapshot::save_with`] when the entry is accepted) and
+//! reopens ([`Snapshot::load_with`]). Two phases, both running entirely
+//! against the deterministic in-memory [`FaultStorage`]:
 //!
-//! 1. **Matrix** — a fixed scripted workload is dry-run once to count its
-//!    I/O operations, then re-run with a simulated power cut at every
-//!    single operation index (with and without bit corruption of the torn
-//!    tail), reopening after each cut.
-//! 2. **Sweep** — `budget` randomized cases, each drawing a fresh workload
-//!    (inserts, compactions, mid-script reopens) and one fault from the
-//!    menu: a power cut at a random op, a clean injected failure of a
-//!    random operation kind, or an `ENOSPC` disk budget.
+//! 1. **Matrix** — a fixed script is dry-run once to count its I/O
+//!    operations, then re-run with a simulated power cut at every single
+//!    operation index (with and without bit corruption of torn data),
+//!    reloading after each cut.
+//! 2. **Sweep** — `budget` randomized cases, each drawing a fresh script
+//!    and one fault from the menu: a power cut at a random op, a clean
+//!    injected failure of a random operation kind, or an `ENOSPC` disk
+//!    budget.
 //!
-//! Every case checks one recovery invariant: only the injected fault may
-//! stop the workload, and the reopened store must hold exactly the model
-//! state after `k` completed steps, where `k` is the number of
-//! acknowledged steps or one more (an in-flight insert whose record
-//! reached the disk whole); a second reopen must be byte-stable and —
-//! under full durability — report a clean
-//! [`StoreHealth`](tunestore::StoreHealth) with nothing quarantined by a
-//! power cut. The matrix phase is the tunestore's one exhaustive crash
-//! test.
+//! Every case checks one invariant: only the injected fault may stop the
+//! script; the reloaded file (a missing one reads as empty) decodes to the
+//! model state after `k` completed steps, where `k` is the number of
+//! acknowledged steps or one more (an in-flight save whose rename
+//! landed); and a second reload reads the same bytes. So once a save is
+//! acknowledged, a crash leaves a complete acknowledged snapshot. The
+//! matrix phase is the tunestore's one exhaustive crash test.
 //!
 //! [`StoreInject`] maps to deliberate [`Durability`] weakenings (skip the
 //! data fsync, skip directory fsyncs, write snapshots in place), used to
-//! test the farm itself: a weakened store MUST fail the sweep, proving the
+//! test the farm itself: a weakened save MUST fail the sweep, proving the
 //! harness can see real durability holes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use loop_ir::expr::Var;
 use telemetry::json::json_string;
 use transforms::{Recipe, Transform};
 use tunestore::{
-    is_power_cut, Durability, DurableStore, FaultPlan, FaultStorage, OpKind, Snapshot, SourceState,
-    Storage, StoreError, StoredEntry,
+    is_power_cut, Durability, FaultPlan, FaultStorage, OpKind, Snapshot, Storage, StoreError,
+    StoredEntry,
 };
 
 /// Fingerprint all sweep stores carry.
@@ -116,7 +116,7 @@ impl Default for StoreSweepConfig {
     }
 }
 
-/// One recovery-invariant violation (or contained panic), replayable from
+/// One crash-invariant violation (or contained panic), replayable from
 /// its case seed.
 #[derive(Debug, Clone)]
 pub struct StoreFailure {
@@ -146,7 +146,7 @@ pub struct StoreReport {
 }
 
 impl StoreReport {
-    /// `true` when every crash point and every sweep case recovered.
+    /// `true` when every crash point and every sweep case held the invariant.
     pub fn clean(&self) -> bool {
         self.failures.is_empty()
     }
@@ -196,11 +196,10 @@ fn splitmix(state: &mut u64) -> u64 {
 /// One step of a store workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
-    /// Insert `key` at `cost_millis / 1000.0` seconds.
+    /// Insert `key` at `cost_millis / 1000.0` seconds, saving the snapshot
+    /// when the insert is accepted.
     Insert(u64, u64),
-    /// Fold the journal into the snapshot.
-    Compact,
-    /// Drop the handle and recover mid-script.
+    /// Drop the in-memory snapshot and reload it from the file.
     Reopen,
 }
 
@@ -214,6 +213,14 @@ enum Fault {
     CleanFail { kind: OpKind, nth: u64 },
     /// `ENOSPC` after this many payload bytes.
     DiskBudget { bytes: u64 },
+}
+
+/// The snapshot a script starts from.
+fn empty() -> Snapshot {
+    Snapshot {
+        fingerprint: FP.to_string(),
+        entries: Vec::new(),
+    }
 }
 
 fn store_path() -> PathBuf {
@@ -235,20 +242,18 @@ fn entry(key: u64, cost_millis: u64) -> StoredEntry {
 }
 
 /// The fixed workload the exhaustive matrix phase enumerates: inserts
-/// (with a best-cost improvement and a rejected duplicate), compactions
-/// and a mid-script recovery.
+/// (with a best-cost improvement and a rejected duplicate) and a
+/// mid-script reload.
 fn matrix_script() -> Vec<Step> {
     use Step::*;
     vec![
         Insert(1, 900),
         Insert(2, 800),
         Insert(1, 500),
-        Compact,
         Insert(3, 700),
         Insert(2, 950), // rejected: worse cost, no I/O
         Reopen,
         Insert(4, 600),
-        Compact,
         Insert(5, 450),
     ]
 }
@@ -258,8 +263,7 @@ fn random_script(state: &mut u64) -> Vec<Step> {
     let len = 4 + splitmix(state) % 9;
     (0..len)
         .map(|_| match splitmix(state) % 10 {
-            0..=6 => Step::Insert(splitmix(state) % 6, 50 + splitmix(state) % 1000),
-            7 | 8 => Step::Compact,
+            0..=7 => Step::Insert(splitmix(state) % 6, 50 + splitmix(state) % 1000),
             _ => Step::Reopen,
         })
         .collect()
@@ -271,12 +275,12 @@ fn random_fault(state: &mut u64, total_ops: u64) -> Fault {
     const KINDS: [OpKind; 8] = [
         OpKind::Read,
         OpKind::Write,
-        OpKind::Append,
-        OpKind::Truncate,
         OpKind::SyncFile,
         OpKind::SyncDir,
         OpKind::Rename,
         OpKind::RemoveFile,
+        OpKind::CreateDir,
+        OpKind::ListDir,
     ];
     match splitmix(state) % 4 {
         0 | 1 => Fault::PowerCut {
@@ -305,10 +309,7 @@ fn canon(entries: &[StoredEntry]) -> Vec<(u64, u64, String)> {
 
 /// `models(steps)[k]` is the expected content after `k` completed steps.
 fn models(steps: &[Step]) -> Vec<Vec<(u64, u64, String)>> {
-    let mut view = Snapshot {
-        fingerprint: FP.to_string(),
-        entries: Vec::new(),
-    };
+    let mut view = empty();
     let mut out = vec![canon(&view.entries)];
     for step in steps {
         if let Step::Insert(key, cost) = step {
@@ -319,46 +320,42 @@ fn models(steps: &[Step]) -> Vec<Vec<(u64, u64, String)>> {
     out
 }
 
+/// Loads the store file; a file that was never written reads as an empty
+/// snapshot.
+fn reopen(storage: &FaultStorage) -> Result<Snapshot, StoreError> {
+    let path = store_path();
+    if !storage.exists(&path) {
+        return Ok(empty());
+    }
+    Snapshot::load_with(storage, &path)
+}
+
 /// Runs a workload, returning completed steps and the stopping error.
 fn drive(
-    storage: &Arc<FaultStorage>,
+    storage: &FaultStorage,
     durability: Durability,
     steps: &[Step],
 ) -> (usize, Option<StoreError>) {
-    let open = || {
-        DurableStore::open_with(
-            Arc::clone(storage) as Arc<dyn Storage>,
-            store_path(),
-            FP,
-            durability,
-        )
-    };
-    let mut store = match open() {
-        Ok(store) => store,
-        Err(error) => return (0, Some(error)),
-    };
-    let mut completed = 0;
-    for step in steps {
+    let mut snapshot = empty();
+    for (completed, step) in steps.iter().enumerate() {
         let result = match step {
-            Step::Insert(key, cost) => store.insert(entry(*key, *cost)).map(|_| ()),
-            Step::Compact => store.compact(),
-            Step::Reopen => match open() {
-                Ok(reopened) => {
-                    store = reopened;
+            Step::Insert(key, cost) => {
+                if snapshot.insert(entry(*key, *cost)) {
+                    snapshot.save_with(storage, &store_path(), durability)
+                } else {
                     Ok(())
                 }
-                Err(error) => Err(error),
-            },
+            }
+            Step::Reopen => reopen(storage).map(|reloaded| snapshot = reloaded),
         };
-        match result {
-            Ok(()) => completed += 1,
-            Err(error) => return (completed, Some(error)),
+        if let Err(error) = result {
+            return (completed, Some(error));
         }
     }
-    (completed, None)
+    (steps.len(), None)
 }
 
-/// Runs one faulted case and checks the recovery invariant, returning the
+/// Runs one faulted case and checks the crash invariant, returning the
 /// violation description if any.
 fn check_case(durability: Durability, steps: &[Step], fault: Fault) -> Result<(), String> {
     let models = models(steps);
@@ -378,7 +375,7 @@ fn check_case(durability: Durability, steps: &[Step], fault: Fault) -> Result<()
             ..FaultPlan::default()
         },
     };
-    let storage = Arc::new(FaultStorage::new(plan));
+    let storage = FaultStorage::new(plan);
     let (acked, error) = drive(&storage, durability, steps);
     if let Fault::PowerCut { cut, .. } = fault {
         match &error {
@@ -394,40 +391,19 @@ fn check_case(durability: Durability, steps: &[Step], fault: Fault) -> Result<()
     }
     storage.set_plan(FaultPlan::default());
 
-    let reopen = || {
-        DurableStore::open(Arc::clone(&storage) as Arc<dyn Storage>, store_path(), FP)
-            .map_err(|e| format!("recovery open failed: {e}"))
-    };
-    let store = reopen()?;
-    let got = canon(store.entries());
+    let reload = || reopen(&storage).map_err(|e| format!("reload failed: {e}"));
+    let first = reload()?;
+    let got = canon(&first.entries);
     let in_flight = (acked + 1).min(models.len() - 1);
     if got != models[acked] && got != models[in_flight] {
         return Err(format!(
-            "recovered {got:?} is neither the state after {acked} acked steps \
+            "reloaded {got:?} is neither the state after {acked} acked steps \
              ({:?}) nor with the in-flight step ({:?})",
             models[acked], models[in_flight]
         ));
     }
-    if durability == Durability::FULL && matches!(fault, Fault::PowerCut { .. }) {
-        for source in [&store.health().snapshot, &store.health().journal] {
-            if matches!(
-                source,
-                SourceState::Quarantined { .. } | SourceState::Foreign { .. }
-            ) {
-                return Err(format!("a pure power cut must never quarantine: {source}"));
-            }
-        }
-    }
-    drop(store);
-    let again = reopen()?;
-    if canon(again.entries()) != got {
-        return Err("second reopen changed the recovered state".to_string());
-    }
-    if durability == Durability::FULL && !again.health().is_clean() {
-        return Err(format!(
-            "second open must be fully clean, got: {}",
-            again.health()
-        ));
+    if reload()?.encode() != first.encode() {
+        return Err("a second reload decoded to different bytes".to_string());
     }
     Ok(())
 }
@@ -456,7 +432,7 @@ fn contained_check(durability: Durability, steps: &[Step], fault: Fault) -> Resu
 pub fn run_crash_matrix(durability: Durability, flips: &[bool]) -> (u64, Vec<StoreFailure>) {
     let mut failures = Vec::new();
     let script = matrix_script();
-    let dry = Arc::new(FaultStorage::default());
+    let dry = FaultStorage::default();
     let (completed, error) = drive(&dry, durability, &script);
     let total = dry.ops();
     if let Some(error) = error {
@@ -502,7 +478,7 @@ pub fn run_store_sweep(config: &StoreSweepConfig) -> StoreReport {
         let case_seed = crate::campaign::case_seed(config.seed, index);
         let mut state = case_seed;
         let steps = random_script(&mut state);
-        let dry = Arc::new(FaultStorage::default());
+        let dry = FaultStorage::default();
         let (completed, error) = drive(&dry, durability, &steps);
         if let Some(error) = error {
             failures.push(StoreFailure {

@@ -1,9 +1,9 @@
 //! The exhaustive crash matrix of `fuzz::storage`, run on its own: the
-//! fixed store workload is dry-run once to count its I/O operations, then
-//! re-run with a simulated power cut at every operation index. After each
-//! cut the recovered view must equal the model state after the
-//! acknowledged steps (or one more, when the interrupted insert reached the
-//! disk whole), and a second reopen must be byte-stable and clean.
+//! fixed script of snapshot saves is dry-run once to count its I/O
+//! operations, then re-run with a simulated power cut at every operation
+//! index. After each cut the reloaded snapshot must equal the model state
+//! after the acknowledged steps (or one more, when the interrupted save's
+//! rename landed), and a second reload must read the same bytes.
 //!
 //! The matrix also mutation-tests itself: weakening [`Durability`] must make
 //! some crash point fail, proving the harness can see durability holes.
@@ -38,7 +38,7 @@ fn every_crash_point_recovers_even_with_bit_corruption() {
 }
 
 /// Skipping data fsyncs must make some crash point lose an acknowledged
-/// write; a matrix that passed the weakened store would be too lenient.
+/// save; a matrix that passed the weakened save would be too lenient.
 #[test]
 fn the_matrix_catches_a_store_that_skips_data_fsync() {
     let (_, failures) = run_crash_matrix(StoreInject::NoSyncData.durability(), &[false]);

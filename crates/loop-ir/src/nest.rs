@@ -73,6 +73,15 @@ pub struct Loop {
     pub schedule: LoopSchedule,
 }
 
+/// Iterations of `lower..upper step step` for `step > 0`. Exact for every
+/// domain: the span `upper - lower` is taken in `u64`, where it always fits.
+pub fn trip_count(lower: i64, upper: i64, step: i64) -> u64 {
+    if upper <= lower {
+        return 0;
+    }
+    (upper.abs_diff(lower) - 1) / step as u64 + 1
+}
+
 impl Loop {
     /// Creates a sequential loop with step 1.
     pub fn new(iter: impl Into<Var>, lower: Expr, upper: Expr, body: Vec<Node>) -> Self {
@@ -87,14 +96,14 @@ impl Loop {
     }
 
     /// Returns the trip count under the given parameter bindings, if it can
-    /// be evaluated.
+    /// be evaluated and fits in `i64`.
     pub fn trip_count(&self, bindings: &std::collections::BTreeMap<Var, i64>) -> Option<i64> {
         let lo = self.lower.eval(bindings)?;
         let hi = self.upper.eval(bindings)?;
         if self.step <= 0 {
             return None;
         }
-        Some(((hi - lo).max(0) + self.step - 1) / self.step)
+        i64::try_from(trip_count(lo, hi, self.step)).ok()
     }
 
     /// Returns all computations contained (transitively) in this loop.
@@ -480,6 +489,19 @@ mod tests {
         let mut strided = l.clone();
         strided.step = 3;
         assert_eq!(strided.trip_count(&BTreeMap::new()), Some(3));
+    }
+
+    #[test]
+    fn trip_counts_are_exact_at_the_ends_of_i64() {
+        let max = i64::MAX;
+        assert_eq!(trip_count(-max, -max + 7, max), 1);
+        assert_eq!(trip_count(max - 7, max, max), 1);
+        assert_eq!(trip_count(i64::MIN, max, max), 3);
+        assert_eq!(trip_count(i64::MIN, max, 1), u64::MAX);
+        assert_eq!(trip_count(5, 5, 1), 0);
+        // More trips than `i64` holds: not evaluable as a loop's count.
+        let l = Loop::new("i", cst(i64::MIN), cst(max), vec![]);
+        assert_eq!(l.trip_count(&BTreeMap::new()), None);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use loop_ir::array::AccessKind;
 use loop_ir::expr::{AffineExpr, Expr, Var};
-use loop_ir::nest::{BlasCall, BlasKind, Computation, Loop, Node};
+use loop_ir::nest::{trip_count, BlasCall, BlasKind, Computation, Loop, Node};
 use loop_ir::program::Program;
 use loop_ir::scalar::{BinOp, CmpOp, ScalarExpr, UnaryOp};
 
@@ -92,11 +92,11 @@ impl CAffine {
         frame: &[i64],
         slot: usize,
         step: i64,
-        trips: i64,
+        trips: u64,
     ) -> Option<(i64, i64, i64)> {
         let first = self.checked_eval(frame)?;
         let stride = self.coeff(slot).checked_mul(step)?;
-        let last = first.checked_add(stride.checked_mul(trips - 1)?)?;
+        let last = first.checked_add(stride.checked_mul(i64::try_from(trips - 1).ok()?)?)?;
         Some((first, last, stride))
     }
 
@@ -1024,9 +1024,10 @@ impl Executor<'_, '_> {
                 for child in &l.body {
                     self.exec_node(child)?;
                 }
-                v += l.step;
-                if v >= upper {
-                    break Ok(());
+                // An iterate past `i64::MAX` is past `upper` too.
+                match v.checked_add(l.step) {
+                    Some(next) if next < upper => v = next,
+                    _ => break Ok(()),
                 }
             }
         };
@@ -1041,7 +1042,7 @@ impl Executor<'_, '_> {
     /// `i64`: the caller then walks the loop per iteration, which reports
     /// the first failing access exactly as the reference does.
     fn exec_inner(&mut self, l: &CLoop, lower: i64, upper: i64) -> Result<bool> {
-        let trips = (upper - lower + l.step - 1) / l.step;
+        let trips = trip_count(lower, upper, l.step);
         self.frame[l.slot] = lower;
         self.cursors.clear();
         for node in &l.body {
@@ -1126,9 +1127,12 @@ impl Executor<'_, '_> {
                     None => value,
                 };
             }
-            v += l.step;
+            let Some(next) = v.checked_add(l.step) else {
+                break;
+            };
+            v = next;
         }
-        self.statements += trips as u64 * l.body.len() as u64;
+        self.statements += trips * l.body.len() as u64;
         Ok(true)
     }
 
@@ -1364,10 +1368,7 @@ impl CompiledProgram {
         let l = self.block_loop()?;
         let lower = l.lower.eval(&self.frame_init).ok()?;
         let upper = l.upper.eval(&self.frame_init).ok()?;
-        if upper <= lower {
-            return Some(0);
-        }
-        Some(((upper - lower + l.step - 1) / l.step) as u64)
+        Some(trip_count(lower, upper, l.step))
     }
 
     /// How far one trip of the block loop moves each array the block body
@@ -1429,7 +1430,10 @@ impl CompiledProgram {
         let lower = l.lower.eval(&streamer.frame)?;
         let (lo, hi) = (lo.min(trips), hi.min(trips));
         for trip in lo..hi {
-            streamer.frame[l.slot] = lower + trip as i64 * l.step;
+            // In range: the iterate is below `upper`. Wrapping arithmetic
+            // is exact there, also where `trip * step` alone would leave
+            // `i64`.
+            streamer.frame[l.slot] = lower.wrapping_add((trip as i64).wrapping_mul(l.step));
             for child in &l.body {
                 streamer.stream_node(child, sink)?;
             }
@@ -1475,12 +1479,12 @@ impl<'c> Streamer<'c> {
         if upper <= lower {
             return Ok(());
         }
-        let trips = (upper - lower + l.step - 1) / l.step;
+        let trips = trip_count(lower, upper, l.step);
         let saved = self.frame[l.slot];
         let result = if l.inner && self.stream_inner(l, lower, trips, sink) {
             telemetry::counter("machine.exec.compiled_stream_loops", 1);
             Ok(())
-        } else if trips > 1 && l.trace_invariant && sink.begin_repeat(trips as u64) {
+        } else if trips > 1 && l.trace_invariant && sink.begin_repeat(trips) {
             // The subtree's emissions do not depend on this iterator: stream
             // one iteration and let the sink scale it by the trip count.
             telemetry::counter("machine.exec.stream_repeat_loops", 1);
@@ -1494,7 +1498,7 @@ impl<'c> Streamer<'c> {
                 }
             }
             sink.end_repeat();
-            self.count += (trips as u64 - 1) * (self.count - before);
+            self.count += (trips - 1) * (self.count - before);
             repeated
         } else {
             if l.inner {
@@ -1508,9 +1512,9 @@ impl<'c> Streamer<'c> {
                 for child in &l.body {
                     self.stream_node(child, sink)?;
                 }
-                v += l.step;
-                if v >= upper {
-                    break Ok(());
+                match v.checked_add(l.step) {
+                    Some(next) if next < upper => v = next,
+                    _ => break Ok(()),
                 }
             }
         };
@@ -1526,7 +1530,7 @@ impl<'c> Streamer<'c> {
         &mut self,
         l: &CLoop,
         lower: i64,
-        trips: i64,
+        trips: u64,
         sink: &mut impl AccessSink,
     ) -> bool {
         self.frame[l.slot] = lower;
@@ -1570,13 +1574,13 @@ impl<'c> Streamer<'c> {
                 self.runs.push(StrideRun {
                     base,
                     stride,
-                    count: trips as u64,
+                    count: trips,
                     array: *array as u32,
                     is_write: *is_write,
                 });
             }
         }
-        self.count += trips as u64 * self.runs.len() as u64;
+        self.count += trips * self.runs.len() as u64;
         sink.run_group(&self.runs);
         true
     }

@@ -123,7 +123,11 @@ impl Interpreter {
                     for child in &l.body {
                         self.run_node(program, child, bindings, data)?;
                     }
-                    v += l.step;
+                    // An iterate past `i64::MAX` is past `upper` too.
+                    let Some(next) = v.checked_add(l.step) else {
+                        break;
+                    };
+                    v = next;
                 }
                 match previous {
                     Some(p) => {

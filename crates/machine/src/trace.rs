@@ -271,7 +271,11 @@ pub fn walk_accesses_symbolic(program: &Program, mut sink: impl FnMut(TraceEntry
                     for child in &l.body {
                         walk(program, child, map, bindings, sink, count)?;
                     }
-                    v += l.step;
+                    // An iterate past `i64::MAX` is past `upper` too.
+                    let Some(next) = v.checked_add(l.step) else {
+                        break;
+                    };
+                    v = next;
                 }
                 match previous {
                     Some(p) => {

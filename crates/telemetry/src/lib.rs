@@ -1,8 +1,7 @@
 //! Structured observability for the whole scheduling stack.
 //!
 //! Every hot layer of the reproduction (the `daisy` scheduler, the
-//! `machine` execution/simulation engines, the journaled `tunestore`, the
-//! `fuzz` farm) reports into **one global [`Recorder`]** through three
+//! `machine` execution/simulation engines, the `fuzz` farm) reports into **one global [`Recorder`]** through three
 //! primitives:
 //!
 //! - **Counters** ([`counter`]): monotonically increasing `u64` totals
@@ -37,7 +36,7 @@
 //! # Determinism
 //!
 //! Span *structure* and counter *values* are deterministic for a fixed
-//! workload: they count decisions (memo hits, fallbacks, journal appends),
+//! workload: they count decisions (memo hits, fallbacks, exact transfer hits),
 //! never wall-clock. Durations obviously vary run to run; everything else
 //! in a profile is stable, which is what makes `daisyprof diff` meaningful.
 //!

@@ -3,32 +3,22 @@
 //! ```text
 //! tunedb stats  <store>             summary statistics
 //! tunedb inspect <store> [limit]    per-entry listing (default 20 entries)
-//! tunedb verify <store> [--deep]    decode + checksum + fingerprint check;
-//!                                   --deep also validates the journal
+//! tunedb verify <store>             decode + checksum + fingerprint check
 //! tunedb merge  <out> <in> [<in>..] merge stores, best cost per key wins
 //! tunedb gc     <store>             drop identity recipes / duplicate keys
-//! tunedb recover <store>            recover snapshot + journal, quarantine
-//!                                   damage, report the health line
-//! tunedb compact <store>            fold the journal into the snapshot
 //! ```
 //!
-//! `verify --deep` is strictly read-only: it reports damage without moving
-//! or truncating anything, so it composes as a gate (`verify --deep f &&
-//! use f`). `recover` is the repairing counterpart: it quarantines what it
-//! cannot trust and exits 0 once the store is consistent again, printing
-//! what it did.
+//! A store is one snapshot file; `merge` and `gc` rewrite it with the same
+//! atomic save `reproduce --store` uses.
 //!
 //! Every failure — a missing snapshot path, a corrupt or truncated store, an
 //! unwritable output — exits with a non-zero status and a single
 //! `tunedb: <path>: <reason>` diagnostic on stderr (never a panic or
 //! backtrace), so the binary composes soundly in scripts and CI gates.
 
-use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use tunestore::store::journal_path;
-use tunestore::{journal, Durability, DurableStore, OsStorage, Snapshot, StoreError};
+use tunestore::{Snapshot, StoreError};
 
 /// A CLI failure: the offending path plus the underlying store error, so the
 /// one-line diagnostic always names the file it is about.
@@ -67,23 +57,14 @@ fn main() -> ExitCode {
             };
             inspect(&args[1], limit)
         }
-        Some("verify") if args.len() == 2 => verify(&args[1], false),
-        // `--deep` may come before or after the path.
-        Some("verify")
-            if args.len() == 3 && args[1..].iter().filter(|a| *a == "--deep").count() == 1 =>
-        {
-            let path = args[1..].iter().find(|a| *a != "--deep").unwrap();
-            verify(path, true)
-        }
+        Some("verify") if args.len() == 2 => verify(&args[1]),
         Some("merge") if args.len() >= 3 => merge(&args[1], &args[2..]),
         Some("gc") if args.len() == 2 => gc(&args[1]),
-        Some("recover") if args.len() == 2 => recover(&args[1]),
-        Some("compact") if args.len() == 2 => compact(&args[1]),
         _ => {
             eprintln!(
                 "usage:\n  tunedb stats  <store>\n  tunedb inspect <store> [limit]\n  \
-                 tunedb verify <store> [--deep]\n  tunedb merge  <out> <in> [<in>...]\n  \
-                 tunedb gc     <store>\n  tunedb recover <store>\n  tunedb compact <store>"
+                 tunedb verify <store>\n  tunedb merge  <out> <in> [<in>...]\n  \
+                 tunedb gc     <store>"
             );
             return ExitCode::from(2);
         }
@@ -98,66 +79,16 @@ fn main() -> ExitCode {
 }
 
 fn stats(path: &str) -> CliResult {
-    // A store that has only ever journaled has no snapshot yet; that is a
-    // journal-only store, not an error. Anything else (corrupt snapshot,
-    // no store at all) keeps the one-line failure contract.
-    let jpath = journal_path(Path::new(path));
-    let snapshot = match load(path) {
-        Ok(snapshot) => Some(snapshot),
-        Err(_) if !Path::new(path).exists() && jpath.exists() => None,
-        Err(failure) => return Err(failure),
-    };
-    // The journal is inspected strictly read-only (like `verify --deep`):
-    // a torn tail is *reported* here, repaired only by `tunedb recover`.
-    let jname = jpath.display().to_string();
-    let replay = if jpath.exists() {
-        let bytes = std::fs::read(&jpath).map_err(|e| Failure {
-            path: jname.clone(),
-            error: e.into(),
-        })?;
-        Some(journal::replay(&bytes).map_err(at(&jname))?)
-    } else {
-        None
-    };
-
+    let snapshot = load(path)?;
+    let stats = snapshot.stats();
     println!("store:            {path}");
-    match (&snapshot, &replay) {
-        (Some(snapshot), _) => println!("fingerprint:      {}", snapshot.fingerprint),
-        (None, Some(replay)) => {
-            println!("fingerprint:      {} (from journal)", replay.fingerprint)
-        }
-        (None, None) => unreachable!("journal-only degradation requires a journal"),
-    }
-    if let Some(snapshot) = &snapshot {
-        let stats = snapshot.stats();
-        println!("entries:          {}", stats.entries);
-        println!("distinct keys:    {}", stats.distinct_keys);
-        println!("identity recipes: {}", stats.identity_recipes);
-        println!("total steps:      {}", stats.total_steps);
-        if let (Some(min), Some(max)) = (stats.min_cost, stats.max_cost) {
-            println!("cost range:       {min:.6}s .. {max:.6}s");
-        }
-    } else {
-        println!("snapshot:         missing (journal-only store)");
-    }
-    match &replay {
-        Some(replay) => {
-            let header_len = journal::encode_header(&replay.fingerprint).len();
-            println!("journal records:  {}", replay.entries.len());
-            println!(
-                "journal bytes:    {} since last compact",
-                replay.valid_len.saturating_sub(header_len)
-            );
-            if replay.dropped_bytes > 0 {
-                println!(
-                    "torn tail:        {} bytes (run `tunedb recover` to repair)",
-                    replay.dropped_bytes
-                );
-            } else {
-                println!("torn tail:        none");
-            }
-        }
-        None => println!("journal:          none"),
+    println!("fingerprint:      {}", snapshot.fingerprint);
+    println!("entries:          {}", stats.entries);
+    println!("distinct keys:    {}", stats.distinct_keys);
+    println!("identity recipes: {}", stats.identity_recipes);
+    println!("total steps:      {}", stats.total_steps);
+    if let (Some(min), Some(max)) = (stats.min_cost, stats.max_cost) {
+        println!("cost range:       {min:.6}s .. {max:.6}s");
     }
     Ok(())
 }
@@ -186,97 +117,16 @@ fn inspect(path: &str, limit: usize) -> CliResult {
     Ok(())
 }
 
-fn verify(path: &str, deep: bool) -> CliResult {
+fn verify(path: &str) -> CliResult {
     // `load` already checks magic, version, both section checksums and
     // decodes every entry; `load_compatible` adds the fingerprint check.
     // Every failure — including a fingerprint mismatch — exits nonzero so
     // `tunedb verify f && use f` is a sound gate in scripts.
     let snapshot = Snapshot::load_compatible(path).map_err(at(path))?;
-    if !deep {
-        println!(
-            "{path}: OK ({} entries, fingerprint {})",
-            snapshot.entries.len(),
-            snapshot.fingerprint
-        );
-        return Ok(());
-    }
-    // Deep mode also validates the journal sibling — read-only: a torn
-    // tail or a corrupt record fails the gate here but is *not* repaired
-    // (that is `tunedb recover`'s job).
-    let jpath = journal_path(Path::new(path));
-    let jname = jpath.display().to_string();
-    let journal_line = if jpath.exists() {
-        let bytes = std::fs::read(&jpath).map_err(|e| Failure {
-            path: jname.clone(),
-            error: e.into(),
-        })?;
-        let replay = journal::replay(&bytes).map_err(at(&jname))?;
-        if replay.fingerprint != snapshot.fingerprint {
-            return Err(Failure {
-                path: jname,
-                error: StoreError::FingerprintMismatch {
-                    found: replay.fingerprint,
-                    expected: snapshot.fingerprint,
-                },
-            });
-        }
-        if replay.dropped_bytes > 0 {
-            return Err(Failure {
-                path: jname,
-                error: StoreError::Corrupt(format!(
-                    "journal carries a torn tail ({} bytes after the last valid record)",
-                    replay.dropped_bytes
-                )),
-            });
-        }
-        format!("journal OK ({} records)", replay.entries.len())
-    } else {
-        "no journal".to_string()
-    };
     println!(
-        "{path}: OK ({} entries, fingerprint {}); {journal_line}",
+        "{path}: OK ({} entries, fingerprint {})",
         snapshot.entries.len(),
         snapshot.fingerprint
-    );
-    Ok(())
-}
-
-/// Opens the store for repair, refusing to invent one out of thin air: a
-/// path with neither a snapshot nor a journal is a user error, not an
-/// empty store.
-fn open_for_repair(path: &str) -> Result<DurableStore, Failure> {
-    let p = Path::new(path);
-    if !p.exists() && !journal_path(p).exists() {
-        return Err(Failure {
-            path: path.to_string(),
-            error: StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                "no such store (neither snapshot nor journal exists)",
-            )),
-        });
-    }
-    DurableStore::open_existing(Arc::new(OsStorage), p, Durability::FULL).map_err(at(path))
-}
-
-fn recover(path: &str) -> CliResult {
-    // Opening *is* the recovery: damaged files are quarantined, torn
-    // journal tails durably truncated, and the surviving view reported.
-    // Exit 0 means the store is consistent now, however it was found.
-    let store = open_for_repair(path)?;
-    println!("{path}: {}", store.health());
-    Ok(())
-}
-
-fn compact(path: &str) -> CliResult {
-    let mut store = open_for_repair(path)?;
-    let health = store.health().clone();
-    if !health.is_clean() {
-        println!("{path}: {health}");
-    }
-    store.compact().map_err(at(path))?;
-    println!(
-        "{path}: compacted {} entries into the snapshot, journal reset",
-        store.len()
     );
     Ok(())
 }

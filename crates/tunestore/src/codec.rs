@@ -162,8 +162,8 @@ impl<'a> ByteReader<'a> {
 }
 
 /// Writes one length-prefixed, checksummed section: `u64` length, the raw
-/// body, then the body's FNV-1a checksum. The framing shared by snapshot
-/// sections and the journal header.
+/// body, then the body's FNV-1a checksum. The framing of both snapshot
+/// sections.
 pub fn write_section(w: &mut ByteWriter, body: &[u8]) {
     w.u64(body.len() as u64);
     w.bytes(body);

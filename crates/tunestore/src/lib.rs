@@ -18,19 +18,19 @@
 //!   [`Snapshot::gc`],
 //! * [`fingerprint`] — the environment fingerprint warm starts validate,
 //! * [`storage`] — the pluggable [`Storage`] trait with the real
-//!   [`OsStorage`] and the deterministic fault-injecting [`FaultStorage`]
-//!   used by the crash-matrix harness,
-//! * [`journal`] — the append-only, torn-tail-tolerant journal that makes
-//!   inserts durable between snapshots,
-//! * [`store`] — [`DurableStore`], the crash-safe handle combining both
-//!   files with quarantine-based recovery,
-//! * [`health`] — the [`StoreHealth`] report recovery produces instead of
-//!   erroring.
+//!   [`OsStorage`] and the deterministic fault-injecting [`FaultStorage`],
+//!   plus [`atomic_write`], the one crash contract: a save writes a temp
+//!   file, fsyncs it, renames it over the target and fsyncs the directory,
+//!   so a crash leaves the old snapshot or the new one, never a mix.
 //!
-//! The `tunedb` binary in this crate inspects, verifies, merges and
-//! garbage-collects store files from the command line; the `daisy` crate's
-//! `DaisyScheduler::warm_start` / `persist` wire snapshots into the
-//! scheduler.
+//! A database is one snapshot file, written whole by [`Snapshot::save`]
+//! and read whole by [`Snapshot::load`]. A snapshot that fails to load is
+//! a [`StoreError`], and the caller re-seeds (seeding takes milliseconds).
+//!
+//! The `tunedb` binary in this crate reports, inspects, verifies, merges
+//! and garbage-collects snapshot files from the command line; the `daisy`
+//! crate's `DaisyScheduler::warm_start` / `persist` wire snapshots into the
+//! scheduler. The crash contract is exercised by `daisyfuzz store`.
 //!
 //! # Guarantees
 //!
@@ -51,18 +51,13 @@ pub mod codec;
 pub mod entry;
 pub mod error;
 pub mod fingerprint;
-pub mod health;
-pub mod journal;
 pub mod snapshot;
 pub mod storage;
-pub mod store;
 
 pub use entry::StoredEntry;
 pub use error::{Result, StoreError};
 pub use fingerprint::environment_fingerprint;
-pub use health::{SourceState, StoreHealth};
 pub use snapshot::{Snapshot, StoreStats, FORMAT_VERSION, MAGIC};
 pub use storage::{
     atomic_write, is_power_cut, Durability, FaultPlan, FaultStorage, OpKind, OsStorage, Storage,
 };
-pub use store::DurableStore;

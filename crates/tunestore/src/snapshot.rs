@@ -189,17 +189,6 @@ impl Snapshot {
         Ok(snapshot)
     }
 
-    /// True when [`Snapshot::insert`] would accept an entry with this key
-    /// and cost (new key, or strictly lower cost than the stored one).
-    /// Lets durable callers skip journal I/O for inserts that would be
-    /// rejected anyway.
-    pub fn would_accept(&self, key: u64, cost: f64) -> bool {
-        match self.entries.iter().find(|e| e.key == key) {
-            Some(existing) => cost < existing.cost,
-            None => true,
-        }
-    }
-
     /// Inserts one entry with best-cost-per-key dedupe: a new key is
     /// appended; an existing key is replaced *in place* only when the new
     /// cost is strictly lower. Position stability keeps entry order — and

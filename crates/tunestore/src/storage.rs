@@ -1,21 +1,21 @@
 //! The pluggable storage layer every on-disk operation goes through.
 //!
 //! The store never calls `std::fs` directly: all filesystem traffic is
-//! routed through the [`Storage`] trait, so the same snapshot/journal code
-//! runs against the real filesystem ([`OsStorage`]) and against the
+//! routed through the [`Storage`] trait, so the same snapshot code runs
+//! against the real filesystem ([`OsStorage`]) and against the
 //! deterministic in-memory [`FaultStorage`], which can inject torn writes,
-//! partial appends, rename failures, `ENOSPC`, bit corruption, and a
-//! simulated power cut after the Nth I/O operation. The crash matrix of
-//! the fuzz farm's store sweep (`fuzz::run_crash_matrix`, run by
-//! `daisyfuzz store` and by `crates/fuzz/tests/crash_matrix.rs`)
-//! enumerates every operation index, crashes there, reopens, and asserts
-//! the recovery invariant.
+//! rename failures, `ENOSPC`, bit corruption, and a simulated power cut
+//! after the Nth I/O operation. The crash matrix of the fuzz farm's store
+//! sweep (`fuzz::run_crash_matrix`, run by `daisyfuzz store` and by
+//! `crates/fuzz/tests/crash_matrix.rs`) enumerates every operation index of
+//! a run of snapshot saves, crashes there, reloads, and asserts that the
+//! file holds a complete acknowledged snapshot.
 //!
 //! # The crash model
 //!
 //! [`FaultStorage`] models an ext4-like contract, adversarially:
 //!
-//! * Data written or appended but **not** `sync_file`d survives a crash
+//! * Data written but **not** `sync_file`d survives a crash
 //!   only as a deterministically *torn prefix* (possibly with a flipped
 //!   bit when [`FaultPlan::flip_bit_on_crash`] is set). An overwrite
 //!   destroys the old contents immediately — after a crash, the file
@@ -56,10 +56,6 @@ pub trait Storage: Send + Sync + fmt::Debug {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Creates or truncates `path` and writes `bytes`.
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Appends `bytes` to `path`, creating it when missing.
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Truncates `path` to `len` bytes (used to roll back a failed append).
-    fn truncate(&self, path: &Path, len: u64) -> io::Result<()>;
     /// Flushes a file's data to durable storage (`fsync`).
     fn sync_file(&self, path: &Path) -> io::Result<()>;
     /// Flushes a directory's entries to durable storage (`fsync` on the
@@ -121,20 +117,6 @@ impl Storage for OsStorage {
         std::fs::write(path, bytes)
     }
 
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(bytes)
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(len)
-    }
-
     fn sync_file(&self, path: &Path) -> io::Result<()> {
         std::fs::File::open(path)?.sync_all()
     }
@@ -187,10 +169,6 @@ pub enum OpKind {
     Read,
     /// [`Storage::write`]
     Write,
-    /// [`Storage::append`]
-    Append,
-    /// [`Storage::truncate`]
-    Truncate,
     /// [`Storage::sync_file`]
     SyncFile,
     /// [`Storage::sync_dir`]
@@ -221,7 +199,7 @@ pub struct FaultPlan {
     /// applied and without cutting the power — e.g. a rename failure or a
     /// transient full disk.
     pub fail_op: Option<(OpKind, u64)>,
-    /// Byte budget for `write`/`append`: once this many payload bytes have
+    /// Byte budget for `write`: once this many payload bytes have
     /// been accepted, further data is applied only partially (up to the
     /// budget) and the operation fails with an `ENOSPC`-style error.
     pub disk_budget: Option<u64>,
@@ -402,26 +380,6 @@ impl FaultStorage {
         plan.crash_at_op = None;
     }
 
-    /// Flips one bit of a file in place (directed corruption tests).
-    pub fn corrupt_byte(&self, path: &Path, offset: usize, mask: u8) {
-        let mut state = self.state.lock().unwrap();
-        if let Some(file) = state.files.get_mut(path) {
-            if offset < file.live.len() {
-                file.live[offset] ^= mask;
-            }
-        }
-    }
-
-    /// The live length of a file, if it exists (test inspection).
-    pub fn file_len(&self, path: &Path) -> Option<usize> {
-        self.state
-            .lock()
-            .unwrap()
-            .files
-            .get(path)
-            .map(|f| f.live.len())
-    }
-
     /// Charges one operation against the plan: returns an error if the
     /// power is already cut, cuts it at the planned index, or injects the
     /// planned clean failure for this kind.
@@ -509,36 +467,6 @@ impl Storage for FaultStorage {
         if full {
             return Err(io::Error::other("no space left on device (simulated)"));
         }
-        Ok(())
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.charge(OpKind::Append, "append")?;
-        let (take, full) = self.admit(bytes.len());
-        let mut state = self.state.lock().unwrap();
-        let created = !state.files.contains_key(path);
-        let file = state
-            .files
-            .entry(path.to_path_buf())
-            .or_insert_with(FileState::new);
-        file.live.extend_from_slice(&bytes[..take]);
-        if created {
-            state.pending.push(NsOp::Create {
-                path: path.to_path_buf(),
-            });
-        }
-        if full {
-            return Err(io::Error::other("no space left on device (simulated)"));
-        }
-        Ok(())
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        self.charge(OpKind::Truncate, "truncate")?;
-        let mut state = self.state.lock().unwrap();
-        let file = state.files.get_mut(path).ok_or_else(|| not_found(path))?;
-        file.live.truncate(len as usize);
-        file.synced_len = file.synced_len.min(file.live.len());
         Ok(())
     }
 
@@ -712,14 +640,10 @@ mod tests {
         fs.create_dir_all(&p("d")).unwrap();
         fs.write(&p("d/a"), b"hello").unwrap();
         assert_eq!(fs.read(&p("d/a")).unwrap(), b"hello");
-        fs.append(&p("d/a"), b" world").unwrap();
-        assert_eq!(fs.read(&p("d/a")).unwrap(), b"hello world");
         fs.rename(&p("d/a"), &p("d/b")).unwrap();
         assert!(!fs.exists(&p("d/a")));
-        assert_eq!(fs.read(&p("d/b")).unwrap(), b"hello world");
-        assert_eq!(fs.list_dir(&p("d")).unwrap(), vec![p("d/b")]);
-        fs.truncate(&p("d/b"), 5).unwrap();
         assert_eq!(fs.read(&p("d/b")).unwrap(), b"hello");
+        assert_eq!(fs.list_dir(&p("d")).unwrap(), vec![p("d/b")]);
         fs.remove_file(&p("d/b")).unwrap();
         assert!(matches!(
             fs.read(&p("d/b")),
@@ -736,13 +660,18 @@ mod tests {
         fs.write(&p("a"), b"durable").unwrap();
         fs.sync_file(&p("a")).unwrap();
         fs.sync_dir(&p("")).unwrap();
-        fs.append(&p("a"), b"-volatile-tail").unwrap();
+        fs.crash();
+        assert_eq!(
+            fs.read(&p("a")).unwrap(),
+            b"durable",
+            "synced data survives"
+        );
+        fs.write(&p("a"), b"volatile-overwrite").unwrap();
         fs.crash();
         let after = fs.read(&p("a")).unwrap();
-        assert!(after.starts_with(b"durable"), "synced prefix must survive");
         assert!(
-            after.len() < b"durable-volatile-tail".len(),
-            "the unsynced tail must be torn (seed 7 tears it): {after:?}"
+            b"volatile-overwrite".starts_with(&after) && after.len() < b"volatile-overwrite".len(),
+            "an unsynced overwrite leaves a torn prefix of the new bytes (seed 7 tears it): {after:?}"
         );
     }
 
@@ -820,8 +749,13 @@ mod tests {
         let err = fs.write(&p("a"), b"123456").unwrap_err();
         assert!(err.to_string().contains("no space"));
         assert_eq!(fs.read(&p("a")).unwrap(), b"1234", "partial application");
-        let err = fs.append(&p("a"), b"x").unwrap_err();
+        let err = fs.write(&p("b"), b"x").unwrap_err();
         assert!(err.to_string().contains("no space"));
+        assert_eq!(
+            fs.read(&p("b")).unwrap(),
+            b"",
+            "an exhausted budget applies nothing"
+        );
     }
 
     #[test]
@@ -895,10 +829,7 @@ mod tests {
         os.create_dir_all(&dir).unwrap();
         let f = dir.join("f.bin");
         os.write(&f, b"abc").unwrap();
-        os.append(&f, b"def").unwrap();
         os.sync_file(&f).unwrap();
-        assert_eq!(os.read(&f).unwrap(), b"abcdef");
-        os.truncate(&f, 3).unwrap();
         assert_eq!(os.read(&f).unwrap(), b"abc");
         assert!(os.exists(&f));
         let g = dir.join("g.bin");

@@ -4,10 +4,8 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use std::sync::Arc;
 
-use tunestore::store::journal_path;
-use tunestore::{DurableStore, OsStorage, Snapshot, StoredEntry};
+use tunestore::Snapshot;
 
 fn tunedb(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tunedb"))
@@ -48,33 +46,6 @@ fn assert_clean_failure(output: &Output, path: &str, label: &str) {
     );
 }
 
-/// A minimal valid entry for building stores the CLI is pointed at.
-fn entry(key: u64, cost: f64) -> StoredEntry {
-    StoredEntry {
-        key,
-        cost,
-        embedding: vec![1.0, 2.0, 3.0],
-        recipe: transforms::Recipe::identity(),
-        chain: vec![loop_ir::expr::Var::new("i")],
-        source: format!("cli-{key}"),
-    }
-}
-
-/// Builds a store on real disk with `n` journaled (uncompacted) inserts.
-fn journaled_store(dir: &std::path::Path, n: u64) -> PathBuf {
-    let path = dir.join("store.tunedb");
-    let mut store = DurableStore::open(
-        Arc::new(OsStorage),
-        &path,
-        &tunestore::environment_fingerprint(),
-    )
-    .unwrap();
-    for key in 0..n {
-        store.insert(entry(key, 0.5 + key as f64)).unwrap();
-    }
-    path
-}
-
 #[test]
 fn every_subcommand_reports_missing_stores_cleanly() {
     let dir = tmpdir("missing");
@@ -87,11 +58,8 @@ fn every_subcommand_reports_missing_stores_cleanly() {
         vec!["inspect", missing],
         vec!["inspect", missing, "5"],
         vec!["verify", missing],
-        vec!["verify", missing, "--deep"],
         vec!["gc", missing],
         vec!["merge", out, missing],
-        vec!["recover", missing],
-        vec!["compact", missing],
     ] {
         let output = tunedb(&args);
         assert_clean_failure(&output, missing, &args.join(" "));
@@ -124,7 +92,6 @@ fn every_subcommand_reports_corrupt_stores_cleanly() {
             vec!["stats", corrupt],
             vec!["inspect", corrupt],
             vec!["verify", corrupt],
-            vec!["verify", corrupt, "--deep"],
             vec!["gc", corrupt],
             vec!["merge", out, corrupt],
         ] {
@@ -157,177 +124,19 @@ fn usage_errors_exit_with_code_two() {
         vec![],
         vec!["stats"],
         vec!["frobnicate", "x"],
-        vec!["recover"],
-        vec!["compact"],
-        vec!["verify", "--deep", "--deep"],
         vec!["verify", "a.tunedb", "b.tunedb"],
+        // A store is one snapshot file: there is nothing to recover,
+        // compact or deep-verify.
+        vec!["recover", "a.tunedb"],
+        vec!["compact", "a.tunedb"],
+        vec!["verify", "a.tunedb", "--deep"],
+        vec!["verify", "--deep", "a.tunedb"],
     ] {
         let output = tunedb(&args);
         assert_eq!(output.status.code(), Some(2), "args: {args:?}");
     }
     let output = tunedb(&["inspect", "x.tunedb", "not-a-number"]);
     assert_eq!(output.status.code(), Some(2));
-}
-
-#[test]
-fn deep_verify_gates_and_recover_repairs_a_torn_journal() {
-    let dir = tmpdir("torn-journal");
-    let store = journaled_store(&dir, 3);
-    let path = store.to_str().unwrap();
-    // The journal alone holds the entries; compact first so the snapshot
-    // exists, then journal two more and tear the tail by hand.
-    assert_eq!(tunedb(&["compact", path]).status.code(), Some(0));
-    let mut handle = DurableStore::open(
-        Arc::new(OsStorage),
-        &store,
-        &tunestore::environment_fingerprint(),
-    )
-    .unwrap();
-    handle.insert(entry(10, 0.125)).unwrap();
-    handle.insert(entry(11, 0.25)).unwrap();
-    drop(handle);
-    let jpath = journal_path(&store);
-    let mut bytes = std::fs::read(&jpath).unwrap();
-    bytes.truncate(bytes.len() - 5);
-    std::fs::write(&jpath, &bytes).unwrap();
-
-    // Deep verify refuses the torn journal (naming the journal file) but
-    // does NOT repair it: a second deep verify still fails.
-    let output = tunedb(&["verify", path, "--deep"]);
-    assert_clean_failure(&output, jpath.to_str().unwrap(), "deep verify torn");
-    let output = tunedb(&["verify", "--deep", path]);
-    assert_clean_failure(&output, jpath.to_str().unwrap(), "deep verify is read-only");
-    // Shallow verify only looks at the snapshot and passes.
-    assert_eq!(tunedb(&["verify", path]).status.code(), Some(0));
-
-    // Recover truncates the torn tail durably and reports it.
-    let output = tunedb(&["recover", path]);
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("torn tail"), "recover reports: {stdout}");
-    // Now the gate passes again, with the surviving record intact.
-    let output = tunedb(&["verify", path, "--deep"]);
-    assert_eq!(output.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("journal OK (1 records)"), "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn recover_quarantines_a_corrupt_snapshot_and_exits_zero() {
-    let dir = tmpdir("recover-corrupt");
-    let store = journaled_store(&dir, 2);
-    let path = store.to_str().unwrap();
-    assert_eq!(tunedb(&["compact", path]).status.code(), Some(0));
-    // Flip a byte in the snapshot body.
-    let mut bytes = std::fs::read(&store).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&store, &bytes).unwrap();
-
-    let output = tunedb(&["recover", path]);
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "recover must degrade, not fail; stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("quarantined"), "recover reports: {stdout}");
-    let quarantined = dir.join("store.tunedb.corrupt");
-    assert!(quarantined.exists(), "damaged snapshot preserved");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn compact_folds_the_journal_and_leaves_a_deep_verifiable_store() {
-    let dir = tmpdir("compact");
-    let store = journaled_store(&dir, 4);
-    let path = store.to_str().unwrap();
-    // Before compaction everything lives in the journal; no snapshot file
-    // exists yet.
-    assert!(!store.exists(), "no snapshot before the first compact");
-    let output = tunedb(&["compact", path]);
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("compacted 4 entries"), "{stdout}");
-    // The snapshot now holds all entries and the journal is a bare header.
-    let snapshot = Snapshot::load(&store).unwrap();
-    assert_eq!(snapshot.entries.len(), 4);
-    let output = tunedb(&["verify", path, "--deep"]);
-    assert_eq!(output.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("journal OK (0 records)"), "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn stats_reports_journal_health_and_degrades_to_journal_only_stores() {
-    let dir = tmpdir("stats-journal");
-    let store = journaled_store(&dir, 3);
-    let path = store.to_str().unwrap();
-
-    // No snapshot exists yet: stats must degrade to journal-only output
-    // instead of failing, and report the journal's health.
-    assert!(!store.exists());
-    let output = tunedb(&["stats", path]);
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "journal-only store, stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("journal-only store"), "{stdout}");
-    assert!(stdout.contains("journal records:  3"), "{stdout}");
-    assert!(stdout.contains("torn tail:        none"), "{stdout}");
-
-    // After a compact the journal is a bare header: zero records, zero
-    // bytes since the last compact.
-    assert_eq!(tunedb(&["compact", path]).status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&tunedb(&["stats", path]).stdout).to_string();
-    assert!(stdout.contains("entries:          3"), "{stdout}");
-    assert!(stdout.contains("journal records:  0"), "{stdout}");
-    assert!(
-        stdout.contains("journal bytes:    0 since last compact"),
-        "{stdout}"
-    );
-
-    // Journal one more entry and tear its tail: stats *reports* the torn
-    // bytes read-only (recover is the repairing counterpart).
-    let mut handle = DurableStore::open(
-        Arc::new(OsStorage),
-        &store,
-        &tunestore::environment_fingerprint(),
-    )
-    .unwrap();
-    handle.insert(entry(7, 0.125)).unwrap();
-    handle.insert(entry(8, 0.25)).unwrap();
-    drop(handle);
-    let jpath = journal_path(&store);
-    let mut bytes = std::fs::read(&jpath).unwrap();
-    bytes.truncate(bytes.len() - 5);
-    std::fs::write(&jpath, &bytes).unwrap();
-    let output = tunedb(&["stats", path]);
-    assert_eq!(output.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("journal records:  1"), "{stdout}");
-    assert!(stdout.contains("torn tail:        "), "{stdout}");
-    assert!(stdout.contains("tunedb recover"), "{stdout}");
-    // And it really was read-only: the torn tail is still there.
-    let again = String::from_utf8_lossy(&tunedb(&["stats", path]).stdout).to_string();
-    assert!(again.contains("tunedb recover"), "{again}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -233,6 +233,35 @@ fn overflowing_bounds_fail_like_the_reference() {
     }
 }
 
+/// `upper - lower + step - 1` leaves `i64` on both domains, and the second
+/// iterate of the upper one lies past `i64::MAX`. Each domain has exactly
+/// one iteration, and every executor and trace walker must run it and stop.
+#[test]
+fn trip_counts_at_the_ends_of_i64_do_not_overflow() {
+    use loop_ir::parser::parse_program;
+    let max = i64::MAX;
+    for (lower, upper) in [(-max, -max + 7), (max - 7, max)] {
+        let p = parse_program(&format!(
+            "program trip {{ param N = 1; array A[N];
+               for i in {lower}..{upper} step {max} {{ A[0] = 1.0; }} }}"
+        ))
+        .unwrap();
+        assert_differential(&p);
+        let mut data = ProgramData::zeroed(&p).unwrap();
+        let mut slow = reference::Interpreter::new();
+        slow.run(&p, &mut data).unwrap();
+        assert_eq!(slow.executed_statements, 1, "{lower}..{upper}");
+
+        let mut streamed = Vec::new();
+        let compiled = CompiledProgram::lower(&p).unwrap();
+        compiled.stream(&mut CollectSink(&mut streamed)).unwrap();
+        let mut symbolic = Vec::new();
+        machine::trace::walk_accesses_symbolic(&p, |e| symbolic.push(e)).unwrap();
+        assert_eq!(streamed.len(), 1, "{lower}..{upper}: {streamed:?}");
+        assert_eq!(streamed, symbolic, "{lower}..{upper}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: lowering edge cases
 // ---------------------------------------------------------------------------
