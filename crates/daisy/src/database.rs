@@ -17,7 +17,7 @@ use loop_ir::{structural_hash_node, StructuralHasher};
 use transforms::{Recipe, Transform};
 use tunestore::{Snapshot, StoreError, StoredEntry};
 
-use crate::embedding::{PerformanceEmbedding, EMBEDDING_DIM};
+use crate::embedding::{squared_distance, PerformanceEmbedding, EMBEDDING_DIM};
 
 /// The database key of a nest: its structural hash combined with the
 /// program's integer parameter bindings.
@@ -116,6 +116,9 @@ pub struct TuningDatabase {
     /// Entries in insertion order; replacement happens in place so order is
     /// independent of how many duplicates were folded in.
     entries: Vec<DatabaseEntry>,
+    /// The embedding features of `entries`, in step with it: what the k-NN
+    /// scan reads, packed.
+    features: Vec<[f64; EMBEDDING_DIM]>,
     /// Structural-hash key -> position in `entries`.
     index: HashMap<u64, usize>,
 }
@@ -134,11 +137,13 @@ impl TuningDatabase {
         match self.index.get(&entry.key) {
             Some(&pos) => {
                 if entry.cost.total_cmp(&self.entries[pos].cost).is_lt() {
+                    self.features[pos] = *entry.embedding.features();
                     self.entries[pos] = entry;
                 }
             }
             None => {
                 self.index.insert(entry.key, self.entries.len());
+                self.features.push(*entry.embedding.features());
                 self.entries.push(entry);
             }
         }
@@ -193,25 +198,39 @@ impl TuningDatabase {
     /// A selection, not a sort: one pass keeps the `k` best seen so far in
     /// order, and an entry displaces a kept one only when it is *strictly*
     /// closer — exactly the prefix a stable sort of all distances yields.
+    ///
+    /// The pass reads the packed features and compares squared sums first:
+    /// an entry whose sum exceeds the `k`-th kept one's is skipped without a
+    /// square root. That is exact — `sqrt` is correctly rounded and
+    /// monotone, so a larger sum is never *strictly* closer — and every
+    /// entry that is kept or tied is still decided on the same distances.
     pub fn nearest(&self, query: &PerformanceEmbedding, k: usize) -> Vec<&DatabaseEntry> {
         if k == 0 {
             return Vec::new();
         }
-        let mut kept: Vec<(f64, &DatabaseEntry)> = Vec::with_capacity(k.min(self.entries.len()));
-        for entry in &self.entries {
-            let distance = entry.embedding.distance(query);
+        let query = query.features();
+        // (squared sum, distance, entry index), closest first.
+        let mut kept: Vec<(f64, f64, usize)> = Vec::with_capacity(k.min(self.entries.len()));
+        for (index, features) in self.features.iter().enumerate() {
+            let squared = squared_distance(features, query);
+            if kept.len() == k && squared.total_cmp(&kept[k - 1].0).is_gt() {
+                continue;
+            }
+            let distance = squared.sqrt();
             if kept.len() == k {
-                if distance.total_cmp(&kept[k - 1].0).is_ge() {
+                if distance.total_cmp(&kept[k - 1].1).is_ge() {
                     continue;
                 }
                 kept.pop();
             }
             // Behind every kept entry that is as close: ties keep
             // insertion order.
-            let position = kept.partition_point(|(d, _)| d.total_cmp(&distance).is_le());
-            kept.insert(position, (distance, entry));
+            let position = kept.partition_point(|&(_, d, _)| d.total_cmp(&distance).is_le());
+            kept.insert(position, (squared, distance, index));
         }
-        kept.into_iter().map(|(_, entry)| entry).collect()
+        kept.into_iter()
+            .map(|(_, _, index)| &self.entries[index])
+            .collect()
     }
 
     /// Re-targets an entry's recipe to a nest whose perfect chain is
@@ -510,6 +529,48 @@ mod tests {
                 assert_eq!(selected.len(), k.min(db.len()));
             }
         }
+    }
+
+    #[test]
+    fn nearest_keeps_insertion_order_where_squared_sums_differ_but_distances_tie() {
+        // `first` sits at squared distance 26 from the origin, `second` one
+        // double below it: a smaller sum whose square root rounds to the
+        // same distance. Inserted later, `second` ties and stays behind —
+        // the case a squared-sum comparison alone would reorder.
+        let origin = PerformanceEmbedding::from_slice(&[0.0; EMBEDDING_DIM]).unwrap();
+        let at = |y: f64| {
+            let mut features = [0.0; EMBEDDING_DIM];
+            features[0] = 5.0;
+            features[1] = y;
+            PerformanceEmbedding::from_slice(&features).unwrap()
+        };
+        let squared = |e: &PerformanceEmbedding| squared_distance(e.features(), origin.features());
+        let mut y = 1.0f64;
+        while squared(&at(y)) >= 26.0 {
+            y = y.next_down();
+        }
+        let (first, second) = (at(1.0), at(y));
+        assert_eq!(squared(&first), 26.0);
+        assert_eq!(squared(&second), 26.0f64.next_down());
+        assert_eq!(first.distance(&origin), second.distance(&origin));
+
+        let mut db = TuningDatabase::new();
+        for (key, embedding) in [(1, first), (2, second)] {
+            db.insert(DatabaseEntry {
+                key,
+                embedding,
+                source: format!("entry-{key}"),
+                ..entry("template", 32)
+            });
+        }
+        let sources = |k| -> Vec<String> {
+            db.nearest(&origin, k)
+                .iter()
+                .map(|e| e.source.clone())
+                .collect()
+        };
+        assert_eq!(sources(1), ["entry-1"]);
+        assert_eq!(sources(2), ["entry-1", "entry-2"]);
     }
 
     #[test]

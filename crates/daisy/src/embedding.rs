@@ -125,13 +125,14 @@ impl PerformanceEmbedding {
     /// Euclidean distance between two embeddings (the similarity measure of
     /// the transfer-tuning database).
     pub fn distance(&self, other: &PerformanceEmbedding) -> f64 {
-        self.features
-            .iter()
-            .zip(&other.features)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
+        squared_distance(&self.features, &other.features).sqrt()
     }
+}
+
+/// The sum of squared feature differences, added front to back:
+/// [`PerformanceEmbedding::distance`] before its square root.
+pub(crate) fn squared_distance(a: &[f64; EMBEDDING_DIM], b: &[f64; EMBEDDING_DIM]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| (a - b) * (a - b)).sum::<f64>()
 }
 
 fn collect_loops(nest: &Loop) -> Vec<&Loop> {

@@ -1,16 +1,16 @@
 //! The daisy auto-scheduler: normalization + idiom detection + transfer
 //! tuning (§4, "Optimization Algorithm").
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
+use dependence::DependenceGraph;
 use loop_ir::expr::Var;
 use loop_ir::nest::Node;
 use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
 use machine::pool::parallel_map;
-use machine::{CostModel, CostReport, MachineConfig, NestCost};
-use normalize::{Normalizer, NormalizerConfig};
+use machine::{CostModel, CostReport, Environment, MachineConfig, NestCost};
+use normalize::{NormalizedProgram, Normalizer, NormalizerConfig};
 use transforms::{perfect_chain, Recipe};
 use tunestore::{Snapshot, StoreError, StoredEntry};
 
@@ -227,7 +227,10 @@ impl DaisyScheduler {
     fn seed_entries(&self, programs: &[Program]) -> Vec<DatabaseEntry> {
         let _span = telemetry::span("seeding");
         let model = CostModel::new(self.config.machine.clone(), self.config.threads);
-        let normalized: Vec<Program> = programs.iter().map(|p| self.normalized(p)).collect();
+        let normalized: Vec<Program> = programs
+            .iter()
+            .map(|p| self.normalized(p).program)
+            .collect();
         let mut jobs: Vec<(&Program, usize)> = Vec::new();
         for program in &normalized {
             for (index, node) in program.body.iter().enumerate() {
@@ -416,35 +419,49 @@ impl DaisyScheduler {
         Ok(WriteThroughStore { path, snapshot })
     }
 
-    fn normalized(&self, program: &Program) -> Program {
-        if self.config.normalize {
+    /// The program [`schedule`](Self::schedule) plans: normalized when
+    /// [`DaisyConfig::normalize`] is on, and the input as it is when it is
+    /// off or when normalization fails (no graph then).
+    fn normalized(&self, program: &Program) -> NormalizedProgram {
+        let normalizer = if self.config.normalize {
             Normalizer::new()
-                .run(program)
-                .map(|n| n.program)
-                .unwrap_or_else(|_| program.clone())
         } else {
             Normalizer::with_config(NormalizerConfig {
                 fission: false,
                 stride_minimization: false,
             })
+        };
+        normalizer
             .run(program)
-            .map(|n| n.program)
-            .unwrap_or_else(|_| program.clone())
-        }
+            .unwrap_or_else(|_| NormalizedProgram {
+                program: program.clone(),
+                stats: Default::default(),
+                graph: None,
+                reordered: Vec::new(),
+            })
     }
 
     /// Schedules a program: normalization (if enabled), then per top-level
     /// nest idiom detection and transfer-tuned recipe application.
     ///
-    /// The normalized program is priced exactly once, in the `seed` phase,
-    /// and the per-node costs are kept: every transfer-tuning candidate is
-    /// then scored by the nest it rewrote (see
-    /// [`plan_node`](Self::plan_node)), and the merge splices the winners'
-    /// costs into that vector beside the nodes they replace, pricing only
-    /// replacement nodes and idiom calls. Decision-line estimates and the
-    /// final [`CostReport`] are sums over the vector in body order — the
-    /// order [`CostModel::estimate`] adds in — so nothing the outcome
-    /// carries depends on the program around a nest being re-priced.
+    /// Each piece of per-program work happens once per call:
+    ///
+    /// * One dependence analysis: the normalizer's. Its graph is split by
+    ///   top-level nest and handed to the nests that kept their loop order
+    ///   (`normalize::pipeline`, "The graph outlives the run"); only a nest
+    ///   stride minimization reordered, or every nest when normalization is
+    ///   off, is analyzed again — by itself, and only once one of its
+    ///   candidate recipes reaches the legality gate.
+    /// * One pricing of the normalized program, in the `seed` phase, under
+    ///   one hash of its environment ([`CostModel::environment`]). The
+    ///   per-node costs are kept: every transfer-tuning candidate is then
+    ///   scored by the nest it rewrote (see [`plan_node`](Self::plan_node)),
+    ///   and the merge splices the winners' costs into that vector beside
+    ///   the nodes they replace, pricing only replacement nodes and idiom
+    ///   calls. Decision-line estimates and the final [`CostReport`] are
+    ///   sums over the vector in body order — the order
+    ///   [`CostModel::estimate`] adds in — so nothing the outcome carries
+    ///   depends on the program around a nest being re-priced.
     ///
     /// After normalization the top-level nests are independent: idiom
     /// detection, database lookup, legality checks and candidate pricing for
@@ -457,16 +474,20 @@ impl DaisyScheduler {
     pub fn schedule(&self, program: &Program) -> ScheduleOutcome {
         let _span = telemetry::span("schedule");
         let model = CostModel::new(self.config.machine.clone(), self.config.threads);
-        let (normalized, normalize_ns) = telemetry::timed("normalize", || self.normalized(program));
+        let ((normalized, graphs), normalize_ns) =
+            telemetry::timed("normalize", || self.normalized(program).into_nest_graphs());
         // The baseline, priced once: its total is what candidates must
         // beat, its per-node costs are what they are scored against.
-        let (baseline, seed_ns) = telemetry::timed("seed", || model.estimate(&normalized));
+        let ((env, baseline), seed_ns) = telemetry::timed("seed", || {
+            let env = model.environment(&normalized);
+            (env, model.estimate_in(&normalized, env))
+        });
 
         // Phase 1: plan every top-level node independently.
         let (plans, search_ns) = telemetry::timed("search", || {
             let indices: Vec<usize> = (0..normalized.body.len()).collect();
             parallel_map(self.config.parallelism, &indices, &PARALLEL, |&i| {
-                self.plan_node(&normalized, i, &model, &baseline)
+                self.plan_node(&normalized, i, graphs[i].as_ref(), &model, env, &baseline)
             })
         });
 
@@ -484,7 +505,7 @@ impl DaisyScheduler {
                     NestPlan::Idiom(call) => {
                         decisions.push(format!("nest {index}: replaced with {call}"));
                         let node = Node::Call(call);
-                        costs[index] = model.node_cost(&current, &node);
+                        costs[index] = model.node_cost_in(&current, env, &node);
                         current.body[index] = node;
                         index += 1;
                     }
@@ -496,7 +517,7 @@ impl DaisyScheduler {
                         let added = replacement.len();
                         let priced: Vec<NestCost> = replacement
                             .iter()
-                            .map(|node| model.node_cost(&current, node))
+                            .map(|node| model.node_cost_in(&current, env, node))
                             .collect();
                         costs.splice(index..=index, priced);
                         current.body.splice(index..=index, replacement);
@@ -508,7 +529,7 @@ impl DaisyScheduler {
                         ));
                         index += added.max(1);
                     }
-                    NestPlan::Unoptimized => {
+                    NestPlan::Unoptimized(_) => {
                         decisions.push(format!("nest {index}: left unoptimized (-O3 only)"));
                         index += 1;
                     }
@@ -538,7 +559,16 @@ impl DaisyScheduler {
     /// work — everything it reads (`normalized`, the database, the memoized
     /// cost model, the baseline report) is shared immutably — so plans can
     /// be computed on any number of worker threads in any order without
-    /// changing the result.
+    /// changing the result. `graph` is the dependences among the node's own
+    /// computations when the normalizer's graph still describes them, `env`
+    /// the normalized program's environment under `model`.
+    ///
+    /// Transfer tuning first collects the recipes the exact match and the
+    /// nearest neighbours retarget onto the nest's chain, keeping the first
+    /// of equal ones (an equal recipe rewrites the nest equally, so a later
+    /// one could never win). Only then does a recipe meet the legality
+    /// gate, and only then is the nest's graph derived when `graph` is
+    /// `None`.
     ///
     /// What a candidate costs does not grow with the program around the
     /// nest: the recipe rewrites *the nest alone*, candidates dedupe on the
@@ -551,7 +581,9 @@ impl DaisyScheduler {
         &self,
         normalized: &Program,
         index: usize,
+        graph: Option<&DependenceGraph>,
         model: &CostModel,
+        env: Environment,
         baseline: &CostReport,
     ) -> NestPlan {
         let Node::Loop(nest) = &normalized.body[index] else {
@@ -572,74 +604,93 @@ impl DaisyScheduler {
         //    improves the cost wins. Neighbours whose retargeted
         //    recipes produce structurally identical candidates are
         //    priced once.
-        let mut best: Option<NestPlan> = None;
-        let mut best_seconds = baseline.seconds;
+        let mut plan = NestPlan::Unoptimized(Unoptimized::NoCandidate);
         if self.config.transfer_tuning && !self.database.is_empty() {
             let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
-            let context = ScoreContext {
-                program: normalized,
-                nest_index: index,
-                nest,
-                node_costs: &baseline.per_nest,
-                // Dependences of this nest, for the same semantic gate the
-                // seeding search applies (a recipe tuned on a structurally
-                // similar but differently-constrained nest must not smuggle
-                // in an illegal parallelization).
-                graph: &nest_scoped_graph(normalized, nest),
-            };
-            let mut tried: HashSet<u64> = HashSet::new();
-            let mut consider = |entry: &DatabaseEntry, exact: bool| {
-                let Some(recipe) = TuningDatabase::retarget(entry, &chain) else {
-                    return;
-                };
-                let Some(replacement) = context.rewrite(&recipe) else {
-                    return;
-                };
-                if !tried.insert(structural_hash_nodes(&replacement)) {
-                    return;
-                }
-                let seconds = context.score_rewrite(&replacement, model);
-                if seconds < best_seconds {
-                    let source = if exact {
-                        format!("{} [exact]", entry.source)
-                    } else {
-                        entry.source.clone()
-                    };
-                    best_seconds = seconds;
-                    best = Some(NestPlan::Recipe {
-                        recipe,
-                        source,
-                        replacement,
-                    });
-                }
-            };
-            let key = nest_key(normalized, &normalized.body[index]);
-            if let Some(entry) = self.database.lookup(key) {
+            let exact = self
+                .database
+                .lookup(nest_key(normalized, &normalized.body[index]));
+            if exact.is_some() {
                 telemetry::counter("daisy.plan.exact_hits", 1);
-                consider(entry, true);
             }
             // The exact match is a candidate, not a short-circuit: a
             // neighbour's recipe can still beat the recipe seeded on
             // this very nest (the seeding search is heuristic), so the
-            // k-NN scan always runs. The `tried` set keeps a neighbour
-            // whose retargeted recipe rewrites the nest identically
-            // from being priced twice.
+            // k-NN scan always runs.
             let embedding = PerformanceEmbedding::of_nest(normalized, nest);
-            for entry in self.database.nearest(&embedding, self.config.neighbors) {
-                consider(entry, false);
+            let neighbours = self.database.nearest(&embedding, self.config.neighbors);
+            let mut candidates: Vec<(Recipe, &DatabaseEntry, bool)> = Vec::new();
+            let entries = exact.map(|entry| (entry, true)).into_iter();
+            for (entry, exact) in entries.chain(neighbours.into_iter().map(|entry| (entry, false)))
+            {
+                let Some(recipe) = TuningDatabase::retarget(entry, &chain) else {
+                    continue;
+                };
+                if candidates.iter().all(|(seen, _, _)| *seen != recipe) {
+                    candidates.push((recipe, entry, exact));
+                }
             }
-            telemetry::counter("daisy.plan.candidates_priced", tried.len() as u64);
+            let mut priced: Vec<u64> = Vec::new();
+            if !candidates.is_empty() {
+                // Dependences of this nest, for the same semantic gate the
+                // seeding search applies (a recipe tuned on a structurally
+                // similar but differently-constrained nest must not smuggle
+                // in an illegal parallelization).
+                let scoped;
+                let graph = match graph {
+                    Some(graph) => graph,
+                    None => {
+                        scoped = nest_scoped_graph(normalized, nest);
+                        &scoped
+                    }
+                };
+                let context = ScoreContext {
+                    program: normalized,
+                    env,
+                    nest_index: index,
+                    nest,
+                    node_costs: &baseline.per_nest,
+                    graph,
+                };
+                let mut best_seconds = baseline.seconds;
+                plan = NestPlan::Unoptimized(Unoptimized::NoneLegal);
+                for (recipe, entry, exact) in candidates {
+                    let Some(replacement) = context.rewrite(&recipe) else {
+                        continue;
+                    };
+                    let hash = structural_hash_nodes(&replacement);
+                    if priced.contains(&hash) {
+                        continue;
+                    }
+                    priced.push(hash);
+                    let seconds = context.score_rewrite(&replacement, model);
+                    if seconds < best_seconds {
+                        let source = if exact {
+                            format!("{} [exact]", entry.source)
+                        } else {
+                            entry.source.clone()
+                        };
+                        best_seconds = seconds;
+                        plan = NestPlan::Recipe {
+                            recipe,
+                            source,
+                            replacement,
+                        };
+                    } else if matches!(plan, NestPlan::Unoptimized(_)) {
+                        plan = NestPlan::Unoptimized(Unoptimized::NoneBetter);
+                    }
+                }
+            }
+            telemetry::counter("daisy.plan.candidates_priced", priced.len() as u64);
         }
-        match best {
-            Some(plan) => {
-                telemetry::counter("daisy.plan.recipes_applied", 1);
-                plan
-            }
-            None => {
+        match &plan {
+            NestPlan::Unoptimized(reason) => {
                 telemetry::counter("daisy.plan.unoptimized", 1);
-                NestPlan::Unoptimized
+                telemetry::counter(reason.counter(), 1);
             }
+            _ => telemetry::counter("daisy.plan.recipes_applied", 1),
         }
+        plan
     }
 }
 
@@ -684,8 +735,32 @@ enum NestPlan {
         source: String,
         replacement: Vec<Node>,
     },
-    /// No database candidate beat the baseline.
-    Unoptimized,
+    /// Left as normalization made it, for the reason given.
+    Unoptimized(Unoptimized),
+}
+
+/// Why a nest was left unoptimized; each reason has a counter, and the
+/// three sum to `daisy.plan.unoptimized`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unoptimized {
+    /// No exact match and no neighbour's recipe retargets onto the nest's
+    /// chain (or transfer tuning is off, or the database empty).
+    NoCandidate,
+    /// Every distinct retargeted recipe failed the legality gate or did not
+    /// apply.
+    NoneLegal,
+    /// Candidates were priced, and none beat the baseline.
+    NoneBetter,
+}
+
+impl Unoptimized {
+    fn counter(self) -> &'static str {
+        match self {
+            Unoptimized::NoCandidate => "daisy.plan.unoptimized.no_candidate",
+            Unoptimized::NoneLegal => "daisy.plan.unoptimized.none_legal",
+            Unoptimized::NoneBetter => "daisy.plan.unoptimized.none_better",
+        }
+    }
 }
 
 #[cfg(test)]

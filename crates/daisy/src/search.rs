@@ -25,7 +25,17 @@
 //! does the scheduler's transfer tuning (`DaisyScheduler::schedule` prices
 //! the normalized program once and hands every nest's database candidates
 //! to the same two methods) — what a candidate costs does not grow with the
-//! program around the nest, whoever asks.
+//! program around the nest, whoever asks. Both price under the program's
+//! environment hashed once ([`CostModel::environment`]), not once per node.
+//!
+//! Per nest of transfer tuning: the exact match's and the nearest
+//! neighbours' recipes are retargeted onto the nest's chain and deduped
+//! *before* the gate — an equal recipe rewrites the nest equally, so only
+//! the first of equal ones is gated, rewritten and hashed. The distinct
+//! survivors' rewrites then dedupe on their structural hash, as below. A
+//! nest that kept its loop order through normalization is gated with the
+//! normalizer's graph; any other nest is analyzed by itself, once its first
+//! candidate reaches the gate.
 //!
 //! Per candidate of the search:
 //!
@@ -66,7 +76,7 @@ use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
 use machine::pool::{parallel_map, Counters};
-use machine::{CostModel, NestCost};
+use machine::{CostModel, Environment, NestCost};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -189,6 +199,7 @@ impl EvolutionarySearch {
         };
         let context = ScoreContext {
             program,
+            env: model.environment(program),
             nest_index,
             nest,
             node_costs: &node_costs,
@@ -594,6 +605,8 @@ fn recipe_fingerprint(recipe: &Recipe) -> u64 {
 /// once, and the one nest of it that candidates rewrite.
 pub(crate) struct ScoreContext<'a> {
     pub(crate) program: &'a Program,
+    /// `program`'s environment under the model that prices the rewrites.
+    pub(crate) env: Environment,
     pub(crate) nest_index: usize,
     /// The nest being rewritten (`program.body[nest_index]`).
     pub(crate) nest: &'a Loop,
@@ -624,7 +637,7 @@ impl ScoreContext<'_> {
             seconds += cost.seconds;
         }
         for node in rewrite {
-            seconds += model.node_cost(self.program, node).seconds;
+            seconds += model.node_cost_in(self.program, self.env, node).seconds;
         }
         for cost in &self.node_costs[self.nest_index + 1..] {
             seconds += cost.seconds;
@@ -792,6 +805,7 @@ mod tests {
     /// Builds a scoring context over the program's only nest.
     fn context_of<'a>(
         p: &'a Program,
+        model: &CostModel,
         node_costs: &'a [NestCost],
         graph: &'a DependenceGraph,
     ) -> ScoreContext<'a> {
@@ -800,6 +814,7 @@ mod tests {
         };
         ScoreContext {
             program: p,
+            env: model.environment(p),
             nest_index: 0,
             nest,
             node_costs,
@@ -822,7 +837,7 @@ mod tests {
             Recipe::identity(),
         ];
         let scores = search.score_batch(
-            &context_of(&p, &node_costs, &graph),
+            &context_of(&p, &model, &node_costs, &graph),
             &batch,
             &model,
             &mut seen,
@@ -849,7 +864,7 @@ mod tests {
         }]);
         let batch = [vectorize.clone(), vectorize.clone(), vectorize];
         let scores = search.score_batch(
-            &context_of(&p, &node_costs, &graph),
+            &context_of(&p, &model, &node_costs, &graph),
             &batch,
             &model,
             &mut seen,
@@ -1029,7 +1044,7 @@ mod tests {
         let mut seen = HashMap::new();
         let batch = [par_i.clone()];
         let scores = search.score_batch(
-            &context_of(&p, &node_costs, &graph),
+            &context_of(&p, &model, &node_costs, &graph),
             &batch,
             &model,
             &mut seen,
@@ -1102,7 +1117,7 @@ mod tests {
             Recipe::new(vec![vec, par]),
         ];
         let scores = search.score_batch(
-            &context_of(&p, &node_costs, &graph),
+            &context_of(&p, &model, &node_costs, &graph),
             &batch,
             &model,
             &mut seen,

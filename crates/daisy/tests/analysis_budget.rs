@@ -63,12 +63,11 @@ fn a_sweep_that_reorders_statements_costs_no_further_analysis() {
     assert_eq!(sink.counter_total(ANALYSES), 1);
 }
 
-#[test]
-fn scheduling_a_normalized_program_analyzes_it_once_and_each_nest_at_most_once() {
+/// A scheduler whose database is seeded from the normal form of [`fused`],
+/// idiom detection off: every nest of `fused` has candidates that reach the
+/// legality gate.
+fn seeded_scheduler() -> DaisyScheduler {
     let (normalized, _) = recorded(|| Normalizer::new().run(&fused()).unwrap().program);
-    let nests = normalized.loop_nests().len() as u64;
-    // Idiom detection off and a database to transfer from, so that every
-    // nest reaches the legality gate and its nest-scoped graph.
     let config = DaisyConfig {
         idiom_detection: false,
         ..DaisyConfig::default()
@@ -79,10 +78,39 @@ fn scheduling_a_normalized_program_analyzes_it_once_and_each_nest_at_most_once()
         scheduler
     });
     assert!(!scheduler.database().is_empty());
-    let (_, sink) = recorded(|| scheduler.schedule(&normalized));
-    let analyses = sink.counter_total(ANALYSES);
-    assert!(
-        (2..=1 + nests).contains(&analyses),
-        "{analyses} analyses for {nests} nests"
-    );
+    scheduler
+}
+
+#[test]
+fn scheduling_a_normalized_program_analyzes_it_once_and_each_nest_at_most_once() {
+    let scheduler = seeded_scheduler();
+    // Already normal: stride minimization reorders nothing, so every nest
+    // takes its legality graph from the normalizer's one analysis.
+    let (normalized, _) = recorded(|| Normalizer::new().run(&fused()).unwrap().program);
+    let (outcome, sink) = recorded(|| scheduler.schedule(&normalized));
+    assert_eq!(outcome.program.loop_nests().len(), 3);
+    assert_eq!(sink.counter_total("daisy.plan.candidates_priced"), 3);
+    assert_eq!(sink.counter_total(ANALYSES), 1);
+}
+
+#[test]
+fn a_reordered_nest_with_a_candidate_costs_one_more_analysis() {
+    let scheduler = seeded_scheduler();
+    // The normal form of `fused` but for the column-major copy, which
+    // stride minimization interchanges: the normalizer's graph no longer
+    // describes that nest, so its candidates have it analyzed by itself.
+    let program = parse_program(
+        "program one_reordered { param N = 24;
+           array A[N][N]; array B[N][N]; array C[N][N]; array D[N][N]; array E[N][N];
+           for i in 0..N { for j in 0..N { C[i][j] = C[i][j] * 0.5; } }
+           for i in 0..N { for k in 0..N { for j in 0..N { C[i][j] += A[i][k] * B[k][j]; } } }
+           for i in 0..N { for j in 0..N { E[j][i] = D[j][i] + 1.0; } } }",
+    )
+    .unwrap();
+    let (normalized, sink) = recorded(|| Normalizer::new().run(&program).unwrap());
+    assert_eq!(normalized.reordered, [false, false, true]);
+    assert_eq!(sink.counter_total(ANALYSES), 1);
+    let (_, sink) = recorded(|| scheduler.schedule(&program));
+    assert_eq!(sink.counter_total("daisy.plan.candidates_priced"), 3);
+    assert_eq!(sink.counter_total(ANALYSES), 2);
 }

@@ -11,9 +11,12 @@
 use std::sync::Arc;
 
 use daisy::{DaisyConfig, DaisyScheduler};
+use loop_ir::expr::Var;
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
 use telemetry::{with_recorder, CollectingRecorder, Event};
+use transforms::{Recipe, Transform};
+use tunestore::{Snapshot, StoredEntry};
 
 fn gemm(n: i64) -> Program {
     parse_program(&format!(
@@ -196,4 +199,88 @@ fn fan_out_counters_tell_calls_that_spawned_from_calls_that_did_not() {
     } else {
         assert_eq!((fanouts, workers), (0, callers));
     }
+}
+
+const UNOPTIMIZED: &str = "daisy.plan.unoptimized";
+const REASONS: [&str; 3] = [
+    "daisy.plan.unoptimized.no_candidate",
+    "daisy.plan.unoptimized.none_legal",
+    "daisy.plan.unoptimized.none_better",
+];
+
+#[test]
+fn each_unoptimized_nest_is_counted_under_its_reason() {
+    // A database of one entry, `parallelize(a)` on a two-loop chain, and a
+    // program with one nest per reason it cannot help:
+    // * a one-loop chain, onto which the recipe does not retarget;
+    // * `i` carries `A[i - 1][j]`, so `parallelize(i)` fails the gate;
+    // * a 4 x 4 copy, whose parallel region costs more than it saves.
+    let dir = std::env::temp_dir().join(format!("daisy-reasons-{}", std::process::id()));
+    let path = dir.join("one.tunedb");
+    let mut scheduler = DaisyScheduler::new(config());
+    let mut snapshot = Snapshot::new();
+    snapshot.fingerprint = scheduler.store_fingerprint();
+    snapshot.entries.push(StoredEntry {
+        key: 1,
+        cost: 1.0,
+        embedding: vec![0.0; daisy::embedding::EMBEDDING_DIM],
+        recipe: Recipe::new(vec![Transform::Parallelize {
+            iter: Var::new("a"),
+        }]),
+        chain: vec![Var::new("a"), Var::new("b")],
+        source: "par_outer".to_string(),
+    });
+    snapshot.save(&path).unwrap();
+    let loaded = with_recorder(Arc::new(CollectingRecorder::default()), || {
+        scheduler.warm_start(&path)
+    });
+    assert_eq!(loaded.unwrap(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let program = parse_program(
+        "program reasons { param N = 4; array A[N][N]; array B[N][N]; array X[N];
+           for i in 0..N { X[i] = 1.0; }
+           for i in 1..N { for j in 0..N { A[i][j] = A[i - 1][j] + 1.0; } }
+           for i in 0..N { for j in 0..N { B[i][j] = 2.0; } } }",
+    )
+    .unwrap();
+    let sink = Arc::new(CollectingRecorder::default());
+    let outcome = with_recorder(sink.clone(), || scheduler.schedule(&program));
+    assert_eq!(
+        outcome.decisions,
+        (0..3)
+            .map(|n| format!("nest {n}: left unoptimized (-O3 only)"))
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(sink.counter_total(UNOPTIMIZED), 3);
+    for reason in REASONS {
+        assert_eq!(sink.counter_total(reason), 1, "{reason}");
+    }
+    assert_eq!(sink.counter_total("daisy.plan.candidates_priced"), 1);
+}
+
+#[test]
+fn the_unoptimized_reasons_sum_to_the_unoptimized_count() {
+    let gen = fuzz::gen::GenConfig::default();
+    let siblings: Vec<Program> = (2001..=2016)
+        .map(|seed| fuzz::gen::generate(seed, &gen))
+        .collect();
+    // Seeded inside a scope of its own: the recorder is process-global.
+    let scheduler = with_recorder(Arc::new(CollectingRecorder::default()), || {
+        let mut scheduler = DaisyScheduler::new(DaisyConfig::default());
+        scheduler.seed_from_programs(&siblings);
+        scheduler
+    });
+    let sink = Arc::new(CollectingRecorder::default());
+    with_recorder(sink.clone(), || {
+        for seed in 1..=200 {
+            scheduler.schedule(&fuzz::gen::generate(seed, &gen));
+        }
+    });
+    let reasons = REASONS.map(|reason| sink.counter_total(reason));
+    assert!(
+        reasons.iter().all(|&count| count > 0),
+        "every reason occurs: {reasons:?}"
+    );
+    assert_eq!(reasons.iter().sum::<u64>(), sink.counter_total(UNOPTIMIZED));
 }

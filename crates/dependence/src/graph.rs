@@ -73,6 +73,25 @@ impl DependenceGraph {
     pub fn is_empty(&self) -> bool {
         self.deps.is_empty()
     }
+
+    /// Splits the graph into `parts` graphs: part `p` keeps, in order, the
+    /// edges whose two ends `part_of` both maps to `p`. An edge across two
+    /// parts, or with an end mapped to `None`, is dropped. The edges move;
+    /// none is copied.
+    pub fn split(
+        self,
+        parts: usize,
+        part_of: impl Fn(CompId) -> Option<usize>,
+    ) -> Vec<DependenceGraph> {
+        let mut out = vec![DependenceGraph::default(); parts];
+        for dep in self.deps {
+            match (part_of(dep.src), part_of(dep.dst)) {
+                (Some(a), Some(b)) if a == b => out[a].deps.push(dep),
+                _ => {}
+            }
+        }
+        out
+    }
 }
 
 /// The loops enclosing a computation with their bounds evaluated under
@@ -639,5 +658,41 @@ mod tests {
         let id = p.computations()[0].id;
         assert_eq!(evaluated_bounds(&p)[&id][0].upper, i64::MAX);
         assert_eq!(analyze(&p).carried_by(&Var::new("i")).len(), 1);
+    }
+
+    #[test]
+    fn split_keeps_exactly_the_edges_inside_one_part() {
+        // Two nests and a top-level statement sharing `A` and `B`: the
+        // graph links them, the parts keep only the edges inside each.
+        let p = loop_ir::parser::parse_program(
+            "program three { param N = 16; array A[N]; array B[N];
+               for i in 1..N { A[i] = A[i - 1] + B[i]; B[i] = A[i] * 2.0; }
+               B[0] = A[3];
+               for j in 1..N { B[j] = B[j - 1] + A[j]; } }",
+        )
+        .unwrap();
+        let top_level_of = |id: CompId| {
+            p.body
+                .iter()
+                .position(|node| node.computations().iter().any(|c| c.id == id))
+        };
+        let full = analyze(&p);
+        let same_node = |d: &&Dependence| top_level_of(d.src) == top_level_of(d.dst);
+        let expected: Vec<&Dependence> = full.all().iter().filter(same_node).collect();
+        assert!(
+            expected.len() < full.len(),
+            "the program has cross-nest edges"
+        );
+
+        let parts = full.clone().split(p.body.len(), top_level_of);
+        assert_eq!(parts.len(), 3);
+        let rejoined: Vec<&Dependence> = parts.iter().flat_map(|g| g.all()).collect();
+        assert_eq!(rejoined, expected);
+        for (index, part) in parts.iter().enumerate() {
+            assert!(part
+                .all()
+                .iter()
+                .all(|d| top_level_of(d.src) == Some(index)));
+        }
     }
 }

@@ -114,18 +114,25 @@ impl Expr {
     /// Returns `None` if a variable is unbound, a division by zero occurs or
     /// the value does not fit an `i64`.
     pub fn eval(&self, bindings: &BTreeMap<Var, i64>) -> Option<i64> {
+        self.eval_with(&|v| bindings.get(v).copied())
+    }
+
+    /// [`Expr::eval`] with variables looked up by `value_of` instead of in
+    /// a map.
+    pub fn eval_with(&self, value_of: &impl Fn(&Var) -> Option<i64>) -> Option<i64> {
+        let eval = |e: &Expr| e.eval_with(value_of);
         match self {
             Expr::Const(c) => Some(*c),
-            Expr::Var(v) => bindings.get(v).copied(),
-            Expr::Add(a, b) => a.eval(bindings)?.checked_add(b.eval(bindings)?),
-            Expr::Sub(a, b) => a.eval(bindings)?.checked_sub(b.eval(bindings)?),
-            Expr::Mul(a, b) => a.eval(bindings)?.checked_mul(b.eval(bindings)?),
+            Expr::Var(v) => value_of(v),
+            Expr::Add(a, b) => eval(a)?.checked_add(eval(b)?),
+            Expr::Sub(a, b) => eval(a)?.checked_sub(eval(b)?),
+            Expr::Mul(a, b) => eval(a)?.checked_mul(eval(b)?),
             // The checked forms also refuse a zero divisor.
-            Expr::Div(a, b) => a.eval(bindings)?.checked_div_euclid(b.eval(bindings)?),
-            Expr::Mod(a, b) => a.eval(bindings)?.checked_rem_euclid(b.eval(bindings)?),
-            Expr::Min(a, b) => Some(a.eval(bindings)?.min(b.eval(bindings)?)),
-            Expr::Max(a, b) => Some(a.eval(bindings)?.max(b.eval(bindings)?)),
-            Expr::Neg(a) => a.eval(bindings)?.checked_neg(),
+            Expr::Div(a, b) => eval(a)?.checked_div_euclid(eval(b)?),
+            Expr::Mod(a, b) => eval(a)?.checked_rem_euclid(eval(b)?),
+            Expr::Min(a, b) => Some(eval(a)?.min(eval(b)?)),
+            Expr::Max(a, b) => Some(eval(a)?.max(eval(b)?)),
+            Expr::Neg(a) => eval(a)?.checked_neg(),
         }
     }
 

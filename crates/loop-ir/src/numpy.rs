@@ -20,6 +20,7 @@ use crate::array::ArrayRef;
 use crate::error::{IrError, Result};
 use crate::expr::{cst, Expr, Var};
 use crate::nest::{Computation, Loop, Node};
+use crate::parser::MAX_NESTING;
 use crate::program::Program;
 use crate::scalar::{BinOp, ScalarExpr};
 
@@ -347,9 +348,25 @@ impl NumpyProgram {
     /// operator-at-a-time structure a Python frontend produces.
     ///
     /// # Errors
-    /// Returns an error if the lowered program does not validate, or if an
-    /// expression mixes incompatible ranks.
+    /// Returns an error if the lowered program does not validate, if an
+    /// expression mixes incompatible ranks, or if a statement nests deeper
+    /// than the text parser allows (`for` statements and expression
+    /// operators counted together): lowering recurses once per level.
     pub fn lower(&self) -> Result<(Program, Vec<FrameworkOp>)> {
+        for (index, stmt) in self.stmts.iter().enumerate() {
+            if nesting_depth(stmt) > MAX_NESTING {
+                let what = match stmt {
+                    NpStmt::Assign { target, .. } | NpStmt::AugAssign { target, .. } => {
+                        format!("assignment to `{}`", target.array)
+                    }
+                    NpStmt::For { iter, .. } => format!("`for {iter}`"),
+                };
+                return Err(IrError::Invalid(format!(
+                    "statement {index} ({what}) of `{}` nests deeper than {MAX_NESTING} levels",
+                    self.name
+                )));
+            }
+        }
         let mut builder = Program::builder(self.name.clone());
         for (name, value) in &self.params {
             builder = builder.param(name, *value);
@@ -376,6 +393,36 @@ impl NumpyProgram {
         let program = builder.nodes(nodes).build()?;
         Ok((program, lowering.ops))
     }
+}
+
+/// How deep `stmt` nests: one level per `for` and per operator of an
+/// expression, counted without recursing (the tree may be too deep for
+/// that).
+fn nesting_depth(stmt: &NpStmt) -> usize {
+    enum Item<'a> {
+        Stmt(&'a NpStmt),
+        Expr(&'a NpExpr),
+    }
+    let mut deepest = 0;
+    let mut pending = vec![(Item::Stmt(stmt), 0)];
+    while let Some((item, depth)) = pending.pop() {
+        deepest = deepest.max(depth);
+        match item {
+            Item::Stmt(NpStmt::For { body, .. }) => {
+                pending.extend(body.iter().map(|s| (Item::Stmt(s), depth + 1)));
+            }
+            Item::Stmt(NpStmt::Assign { value, .. } | NpStmt::AugAssign { value, .. }) => {
+                pending.push((Item::Expr(value), depth));
+            }
+            Item::Expr(NpExpr::Binary(_, a, b) | NpExpr::MatMul(a, b)) => {
+                pending.push((Item::Expr(a), depth + 1));
+                pending.push((Item::Expr(b), depth + 1));
+            }
+            Item::Expr(NpExpr::Sum(a, _)) => pending.push((Item::Expr(a), depth + 1)),
+            Item::Expr(NpExpr::View(_) | NpExpr::Const(_) | NpExpr::Param(_)) => {}
+        }
+    }
+    deepest
 }
 
 struct Lowering {
@@ -771,6 +818,49 @@ mod tests {
         assert_eq!(program.computations().len(), 2); // init + accumulate
         assert_eq!(ops[0].kind, FrameworkOpKind::Reduction);
         assert_eq!(program.max_depth(), 2);
+    }
+
+    #[test]
+    fn expressions_deeper_than_the_parser_allows_are_refused() {
+        let x = ArrayView::whole("X", &[var("N")]);
+        let program = |depth: usize| {
+            let mut value = NpExpr::View(x.clone());
+            for _ in 0..depth {
+                value = value.add(NpExpr::Const(1.0));
+            }
+            NumpyProgram::new("deep")
+                .param("N", 4)
+                .array("X", &["N"])
+                .array("Y", &["N"])
+                .stmt(NpStmt::Assign {
+                    target: ArrayView::whole("Y", &[var("N")]),
+                    value,
+                })
+        };
+        assert!(program(MAX_NESTING).lower().is_ok());
+        let err = program(300).lower().unwrap_err().to_string();
+        assert!(
+            err.contains("statement 0 (assignment to `Y`)") && err.contains("256 levels"),
+            "{err}"
+        );
+        // `for` statements count toward the same limit.
+        let looped = NumpyProgram::new("looped")
+            .param("N", 4)
+            .array("Y", &["N"])
+            .stmt((0..300).fold(
+                NpStmt::Assign {
+                    target: ArrayView::sliced("Y", vec![Range::index(cst(0))]),
+                    value: NpExpr::Const(1.0),
+                },
+                |body, level| NpStmt::For {
+                    iter: Var::new(format!("t{level}")),
+                    lower: cst(0),
+                    upper: cst(1),
+                    body: vec![body],
+                },
+            ));
+        let err = looped.lower().unwrap_err().to_string();
+        assert!(err.contains("statement 0 (`for t299`)"), "{err}");
     }
 
     #[test]

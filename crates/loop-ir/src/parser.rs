@@ -51,8 +51,9 @@ pub fn parse_program(source: &str) -> Result<Program> {
 /// of a left-deep chain (`1 + 1 + …`) may nest below a top-level statement,
 /// all counted together. The parser recurses once per level, as does every
 /// pass over the tree it builds; hostile input gets an error, not a stack
-/// overflow.
-const MAX_NESTING: usize = 256;
+/// overflow. The NumPy frontend holds the trees its builder makes to the same
+/// limit.
+pub(crate) const MAX_NESTING: usize = 256;
 
 /// Identifiers are slices of the source text.
 #[derive(Clone, Copy, Debug, PartialEq)]

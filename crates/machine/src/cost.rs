@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-use loop_ir::expr::Var;
+use loop_ir::expr::{Expr, Var};
 use loop_ir::nest::{BlasCall, Computation, Loop, Node};
 use loop_ir::program::Program;
 use loop_ir::structural_hash_node;
@@ -185,6 +185,14 @@ impl CostReport {
     }
 }
 
+/// A program's environment as a [`CostModel`] memo key: what
+/// [`CostModel::node_cost_in`] is handed instead of hashing the program's
+/// declarations again for every node. It holds for the program it was taken
+/// from and for every program with the same parameters, scalar parameters
+/// and arrays — the same program with other top-level nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Environment(Option<u64>);
+
 /// The analytical cost model.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -198,17 +206,25 @@ pub struct CostModel {
 }
 
 #[derive(Debug, Clone)]
-struct LoopInfo {
+struct LoopInfo<'a> {
     iter: Var,
     trip: f64,
     /// Midpoint of the iterator's value range, used to evaluate bounds of
     /// inner loops that depend on this iterator.
     mid_value: i64,
-    /// Variables referenced by this loop's bounds (needed to attribute tiled
-    /// accesses to their tile loops).
-    bound_vars: std::collections::BTreeSet<Var>,
+    /// The loop's lower and upper bounds. An access varies with every loop
+    /// a varying loop's bounds read: that attributes tiled accesses to
+    /// their tile loops.
+    bounds: [&'a Expr; 2],
     parallel: bool,
     vectorize: bool,
+}
+
+impl LoopInfo<'_> {
+    /// Whether this loop's bounds read `v`.
+    fn bound_uses(&self, v: &Var) -> bool {
+        self.bounds.iter().any(|bound| bound.uses_var(v))
+    }
 }
 
 impl CostModel {
@@ -264,13 +280,24 @@ impl CostModel {
 
     /// Estimates the execution cost of a program.
     pub fn estimate(&self, program: &Program) -> CostReport {
-        let env = self.memo.as_ref().map(|_| program.environment_hash());
+        self.estimate_in(program, self.environment(program))
+    }
+
+    /// [`estimate`](Self::estimate) given `program`'s
+    /// [`environment`](Self::environment).
+    pub fn estimate_in(&self, program: &Program, env: Environment) -> CostReport {
         let per_nest = program
             .body
             .iter()
-            .map(|node| self.node_cost_with_env(program, node, env))
+            .map(|node| self.node_cost_in(program, env, node))
             .collect();
         CostReport::from_nests(per_nest)
+    }
+
+    /// The memo key of `program`'s environment under this model (no key
+    /// when memoization is off).
+    pub fn environment(&self, program: &Program) -> Environment {
+        Environment(self.memo.as_ref().map(|_| program.environment_hash()))
     }
 
     /// Cost of a single top-level node under the program's environment
@@ -279,11 +306,14 @@ impl CostModel {
     /// way without materializing candidate programs. Memoized per
     /// `(environment, node structure)` exactly like [`estimate`](Self::estimate).
     pub fn node_cost(&self, program: &Program, node: &Node) -> NestCost {
-        let env = self.memo.as_ref().map(|_| program.environment_hash());
-        self.node_cost_with_env(program, node, env)
+        self.node_cost_in(program, self.environment(program), node)
     }
 
-    fn node_cost_with_env(&self, program: &Program, node: &Node, env: Option<u64>) -> NestCost {
+    /// [`node_cost`](Self::node_cost) given `program`'s
+    /// [`environment`](Self::environment), for callers that price many
+    /// nodes against one program.
+    pub fn node_cost_in(&self, program: &Program, env: Environment, node: &Node) -> NestCost {
+        let env = env.0;
         match node {
             Node::Loop(l) => self.nest_cost_memoized(program, node, l, env),
             Node::Call(call) => self.estimate_call(program, call),
@@ -366,12 +396,7 @@ impl CostModel {
     /// Estimates one top-level loop nest.
     fn estimate_nest(&self, program: &Program, nest: &Loop, env: Option<u64>) -> NestCost {
         let mut total = NestCost {
-            description: nest
-                .nested_iterators()
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
+            description: iterator_list(nest),
             seconds: 0.0,
             flops: 0.0,
             dram_bytes: 0.0,
@@ -382,11 +407,11 @@ impl CostModel {
         total
     }
 
-    fn walk(
+    fn walk<'a>(
         &self,
         program: &Program,
-        l: &Loop,
-        stack: &mut Vec<LoopInfo>,
+        l: &'a Loop,
+        stack: &mut Vec<LoopInfo<'a>>,
         total: &mut NestCost,
         env: Option<u64>,
     ) {
@@ -403,13 +428,11 @@ impl CostModel {
         };
         total.seconds +=
             iterations * LOOP_OVERHEAD_CYCLES / self.machine.frequency_hz / overhead_threads;
-        let mut bound_vars = l.lower.vars();
-        bound_vars.extend(l.upper.vars());
         stack.push(LoopInfo {
             iter: l.iter.clone(),
             trip,
             mid_value,
-            bound_vars,
+            bounds: [&l.lower, &l.upper],
             parallel: l.schedule.parallel,
             vectorize: l.schedule.vectorize,
         });
@@ -418,10 +441,10 @@ impl CostModel {
                 Node::Loop(inner) => self.walk(program, inner, stack, total, env),
                 Node::Computation(c) => {
                     let summary = self.comp_summary(program, node, c, env);
-                    let cost = self.computation_cost(&summary, &c.name, stack);
-                    total.seconds += cost.seconds;
-                    total.flops += cost.flops;
-                    total.dram_bytes += cost.dram_bytes;
+                    let (seconds, flops, dram_bytes) = self.computation_cost(&summary, stack);
+                    total.seconds += seconds;
+                    total.flops += flops;
+                    total.dram_bytes += dram_bytes;
                 }
                 Node::Call(call) => {
                     let mut cost = self.estimate_call(program, call);
@@ -441,19 +464,22 @@ impl CostModel {
     /// Average trip count of a loop (and the midpoint of its value range),
     /// evaluating bounds with outer iterators bound to the midpoint of their
     /// own ranges (handles triangular and tiled domains).
-    fn average_trip(&self, program: &Program, l: &Loop, stack: &[LoopInfo]) -> (f64, i64) {
-        let mut bindings: BTreeMap<Var, i64> = program.params.clone();
-        for info in stack {
-            bindings.insert(info.iter.clone(), info.mid_value);
-        }
-        let lower = l.lower.eval(&bindings).unwrap_or(0);
-        let upper = l.upper.eval(&bindings).unwrap_or(lower);
+    fn average_trip(&self, program: &Program, l: &Loop, stack: &[LoopInfo<'_>]) -> (f64, i64) {
+        // The innermost loop of a name shadows outer ones and parameters.
+        let value_of = |v: &Var| match stack.iter().rev().find(|info| &info.iter == v) {
+            Some(info) => Some(info.mid_value),
+            None => program.params.get(v).copied(),
+        };
+        let lower = l.lower.eval_with(&value_of).unwrap_or(0);
+        let upper = l.upper.eval_with(&value_of).unwrap_or(lower);
         let extent = (upper - lower).max(0) as f64;
         let trip = (extent / l.step.max(1) as f64).max(1.0);
         (trip, lower + (extent as i64) / 2)
     }
 
-    fn computation_cost(&self, summary: &CompSummary, name: &str, stack: &[LoopInfo]) -> NestCost {
+    /// Seconds, flops and DRAM bytes of every dynamic instance of one
+    /// computation under `stack`.
+    fn computation_cost(&self, summary: &CompSummary, stack: &[LoopInfo<'_>]) -> (f64, f64, f64) {
         let total_iters: f64 = stack.iter().map(|s| s.trip).product::<f64>().max(1.0);
         let flops = summary.flops * total_iters;
 
@@ -513,7 +539,7 @@ impl CostModel {
                             stack
                                 .iter()
                                 .find(|s| &s.iter == v)
-                                .map(|s| s.bound_vars.contains(&info.iter))
+                                .map(|s| s.bound_uses(&info.iter))
                                 .unwrap_or(false)
                         });
                         if influences {
@@ -544,12 +570,7 @@ impl CostModel {
         }
 
         let seconds = compute_seconds.max(memory_seconds) + overhead;
-        NestCost {
-            description: name.to_string(),
-            seconds,
-            flops,
-            dram_bytes,
-        }
+        (seconds, flops, dram_bytes)
     }
 
     /// A computation vectorizes well along `iter` when none of its accesses
@@ -565,7 +586,7 @@ impl CostModel {
 
     /// Estimated (DRAM bytes, L2 bytes) moved for all dynamic instances of a
     /// computation, via a working-set analysis over its loop stack.
-    fn memory_traffic(&self, summary: &CompSummary, stack: &[LoopInfo]) -> (f64, f64) {
+    fn memory_traffic(&self, summary: &CompSummary, stack: &[LoopInfo<'_>]) -> (f64, f64) {
         let n_accesses = summary.coeffs.len();
         let elems_per_line = self.machine.elems_per_line(8) as f64;
         let depth = stack.len();
@@ -576,19 +597,23 @@ impl CostModel {
         // in the subscripts, or (transitively) if a varying loop's bounds
         // depend on it — this attributes tiled accesses to their tile loops,
         // whose iterators only appear in point-loop bounds.
-        let mut coeffs: Vec<Vec<f64>> = Vec::with_capacity(n_accesses);
-        let mut varying: Vec<Vec<bool>> = Vec::with_capacity(n_accesses);
+        // Both are `depth` entries per access, one access after the other.
+        let mut coeffs: Vec<f64> = Vec::with_capacity(n_accesses * depth);
+        let mut varying: Vec<bool> = Vec::with_capacity(n_accesses * depth);
         for access in 0..n_accesses {
-            let per_loop: Vec<f64> = match &summary.coeffs[access] {
-                Some(map) => stack
-                    .iter()
-                    .map(|info| map.get(&info.iter).copied().unwrap_or(0) as f64)
-                    .collect(),
+            match &summary.coeffs[access] {
+                Some(map) => coeffs.extend(
+                    stack
+                        .iter()
+                        .map(|info| map.get(&info.iter).copied().unwrap_or(0) as f64),
+                ),
                 // Non-affine access: treat as touching a new line at every
                 // level (worst case).
-                None => vec![f64::INFINITY; depth],
-            };
-            let mut varies: Vec<bool> = per_loop.iter().map(|c| *c > 0.0).collect();
+                None => coeffs.extend(std::iter::repeat_n(f64::INFINITY, depth)),
+            }
+            let per_loop = &coeffs[access * depth..];
+            varying.extend(per_loop.iter().map(|c| *c > 0.0));
+            let varies = &mut varying[access * depth..];
             // Transitive closure through loop bounds.
             loop {
                 let mut changed = false;
@@ -597,7 +622,7 @@ impl CostModel {
                         continue;
                     }
                     for m in 0..depth {
-                        if !varies[m] && stack[v].bound_vars.contains(&stack[m].iter) {
+                        if !varies[m] && stack[v].bound_uses(&stack[m].iter) {
                             varies[m] = true;
                             changed = true;
                         }
@@ -607,15 +632,13 @@ impl CostModel {
                     break;
                 }
             }
-            coeffs.push(per_loop);
-            varying.push(varies);
         }
 
         // Distinct cache lines one access touches while the loops
         // `level..depth` execute once.
         let lines_for = |access_idx: usize, level: usize| -> f64 {
-            let c = &coeffs[access_idx];
-            let varies = &varying[access_idx];
+            let c = &coeffs[access_idx * depth..(access_idx + 1) * depth];
+            let varies = &varying[access_idx * depth..(access_idx + 1) * depth];
             let mut elements = 1.0;
             for l in level..depth {
                 if varies[l] {
@@ -704,6 +727,24 @@ impl CostModel {
     }
 }
 
+/// The iterators of `nest` and of every loop below it, in
+/// [`Loop::nested_iterators`] order, joined by commas: a nest's
+/// [`NestCost::description`].
+fn iterator_list(nest: &Loop) -> String {
+    fn push_below(l: &Loop, out: &mut String) {
+        for node in &l.body {
+            if let Node::Loop(inner) = node {
+                out.push(',');
+                out.push_str(inner.iter.as_str());
+                push_below(inner, out);
+            }
+        }
+    }
+    let mut out = nest.iter.as_str().to_owned();
+    push_below(nest, &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,6 +777,35 @@ mod tests {
         assert!((report.flops - 2.0 * 100.0_f64.powi(3)).abs() < 1.0);
         assert!(report.seconds > 0.0);
         assert!(report.flops_per_second() > 0.0);
+    }
+
+    #[test]
+    fn a_nest_is_described_by_its_iterators_in_nested_order() {
+        // Sibling loops, a triangular bound that reads an outer iterator
+        // and a parameter shadowed by nothing: the description lists every
+        // loop depth-first, and the midpoint bindings price what a map of
+        // the parameters overlaid by the loop midpoints would.
+        let p = parse_program(
+            "program sib { param N = 40;
+               array A[N][N]; array B[N];
+               for t in 0..4 {
+                 for i in 0..N { for j in 0..i + 1 { A[i][j] = A[i][j] + 1.0; } }
+                 for k in 2..N - 1 { B[k] = B[k - 1] * 0.5; }
+               } }",
+        )
+        .unwrap();
+        let nest = p.loop_nests()[0];
+        let names: Vec<String> = nest
+            .nested_iterators()
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        assert_eq!(iterator_list(nest), names.join(","));
+        let report = CostModel::sequential().estimate(&p);
+        assert_eq!(report.per_nest[0].description, "t,i,j,k");
+        // Per `t`: 40 trips of `i` times 21 of `j` (its bound read at the
+        // midpoint `i` = 20), and 37 trips of `k`; one flop each.
+        assert_eq!(report.flops, 4.0 * (40.0 * 21.0 + 37.0));
     }
 
     #[test]

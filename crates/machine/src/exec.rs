@@ -739,8 +739,7 @@ impl<'p> Lowerer<'p> {
         let layout = self.arrays[array]
             .layout
             .as_ref()
-            .ok_or_else(|| MachineError::UnboundSize(array_ref.array.to_string()))?
-            .clone();
+            .ok_or_else(|| MachineError::UnboundSize(array_ref.array.to_string()))?;
         if layout.dims.len() != array_ref.indices.len() {
             return Err(MachineError::OutOfBounds {
                 array: array_ref.array.to_string(),
@@ -753,9 +752,15 @@ impl<'p> Lowerer<'p> {
             .map(|e| e.affine_with(&self.fold_bindings))
             .collect();
         if let Some(indices) = affine {
+            // Slots first (that needs `self` mutably), then the extents
+            // and strides, read in place.
             let mut dims = Vec::with_capacity(indices.len());
-            for (affine, extent) in indices.iter().zip(&layout.dims) {
-                dims.push((self.lower_affine(affine)?, *extent));
+            for affine in &indices {
+                dims.push((self.lower_affine(affine)?, 0));
+            }
+            let layout = self.arrays[array].layout.as_ref().expect("checked above");
+            for ((_, extent), &dim) in dims.iter_mut().zip(&layout.dims) {
+                *extent = dim;
             }
             // A flat offset that leaves `i64` is evaluated per access.
             if let Some(flat) = flat_offset(&dims, &layout.strides) {

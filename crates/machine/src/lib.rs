@@ -96,7 +96,7 @@ pub mod trace;
 pub use analytic::{estimate_cache, CacheEstimate};
 pub use cache::{reference::ReferenceCacheHierarchy, CacheHierarchy, CacheStats};
 pub use config::MachineConfig;
-pub use cost::{CostModel, CostReport, NestCost};
+pub use cost::{CostModel, CostReport, Environment, NestCost};
 pub use error::{MachineError, Result};
 pub use exec::CompiledProgram;
 pub use interp::{run_seeded, Interpreter, ProgramData};

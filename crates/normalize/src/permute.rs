@@ -4,7 +4,7 @@ use dependence::{analyze, is_permutation_legal, DependenceGraph, PermutationLega
 use loop_ir::expr::Var;
 use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
-use transforms::interchange::{interchange, perfect_chain};
+use transforms::interchange::{check_interchange, interchange, perfect_chain};
 
 use crate::stride::NestStrides;
 
@@ -27,8 +27,11 @@ pub struct StrideMinimization {
     pub enumeration_limit: usize,
 }
 
-/// Statistics reported by the stride-minimization pass.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Statistics reported by the stride-minimization pass: counts only. What a
+/// permutation bought is [`sum_of_strides`](crate::stride::sum_of_strides)
+/// of the nest before and after; the pass prices no nest it cannot permute
+/// (a perfect chain shorter than two loops), so it keeps no total.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PermutationStats {
     /// Number of loop nests examined.
     pub nests_examined: usize,
@@ -36,10 +39,6 @@ pub struct PermutationStats {
     pub nests_permuted: usize,
     /// Number of nests handled by the grouped-sorting approximation.
     pub approximated: usize,
-    /// Total stride cost before the pass (sum over nests).
-    pub cost_before: f64,
-    /// Total stride cost after the pass (sum over nests).
-    pub cost_after: f64,
 }
 
 impl StrideMinimization {
@@ -53,10 +52,14 @@ impl StrideMinimization {
     /// Runs the pass, returning the permuted program and statistics.
     pub fn run(&self, program: Program) -> (Program, PermutationStats) {
         let graph = analyze(&program);
-        self.run_with_graph(program, &graph)
+        let (program, stats, _) = self.run_with_graph(program, &graph);
+        (program, stats)
     }
 
-    /// [`StrideMinimization::run`] given the dependence graph of `program`.
+    /// [`StrideMinimization::run`] given the dependence graph of `program`
+    /// (only the edges inside each top-level nest are read). The third
+    /// value says, per top-level node, whether the pass changed a loop order
+    /// anywhere inside it.
     ///
     /// The pass owns `program`: a nest that changes order is replaced, every
     /// other node stays where it is, untouched.
@@ -64,59 +67,58 @@ impl StrideMinimization {
         &self,
         mut program: Program,
         graph: &DependenceGraph,
-    ) -> (Program, PermutationStats) {
+    ) -> (Program, PermutationStats, Vec<bool>) {
         let mut stats = PermutationStats::default();
         // The nests are rewritten against the declarations they sit beside.
         let mut body = std::mem::take(&mut program.body);
-        for node in &mut body {
-            if let Node::Loop(nest) = node {
-                self.minimize_nest(&program, graph, nest, &mut stats);
-            }
-        }
+        let reordered = body
+            .iter_mut()
+            .map(|node| match node {
+                Node::Loop(nest) => self.minimize_nest(&program, graph, nest, &mut stats),
+                _ => false,
+            })
+            .collect();
         program.body = body;
-        (program, stats)
+        (program, stats, reordered)
     }
 
     /// Finds and applies the minimal-stride legal permutation for one nest,
     /// then recurses into loop nests below the perfect chain (imperfectly
     /// nested programs such as time-stepped stencils carry their permutable
     /// spatial nests *inside* the sequential time loop). `program` supplies
-    /// the parameters and array declarations only.
+    /// the parameters and array declarations only. Returns whether a loop
+    /// order changed anywhere in `nest`.
+    ///
+    /// A chain of one loop has no other order, so its accesses are not
+    /// even linearized.
     pub fn minimize_nest(
         &self,
         program: &Program,
         graph: &DependenceGraph,
         nest: &mut Loop,
         stats: &mut PermutationStats,
-    ) {
+    ) -> bool {
         stats.nests_examined += 1;
         let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
-        let strides = NestStrides::of(program, nest, &chain);
-        let original_cost = strides.cost(&chain);
-        stats.cost_before += original_cost;
-
-        let best = if chain.len() < 2 {
-            None
-        } else {
+        let mut reordered = false;
+        if chain.len() >= 2 {
+            let strides = NestStrides::of(program, nest, &chain);
             let limit = if self.enumeration_limit == 0 {
                 ENUMERATION_LIMIT
             } else {
                 self.enumeration_limit
             };
-            if chain.len() <= limit {
+            let best = if chain.len() <= limit {
                 self.enumerate(graph, nest, &chain, &strides)
             } else {
                 stats.approximated += 1;
                 self.grouped_sort(graph, nest, &chain, &strides)
-            }
-        };
-        match best {
-            Some((order, permuted)) if order != chain => {
+            };
+            if let Some(order) = best.filter(|order| *order != chain) {
                 stats.nests_permuted += 1;
-                stats.cost_after += strides.cost(&order);
-                *nest = permuted;
+                *nest = interchange(nest, &order).expect("the winning order was checked");
+                reordered = true;
             }
-            _ => stats.cost_after += original_cost,
         }
 
         // Recurse into the loops below the end of the perfect chain.
@@ -132,29 +134,31 @@ impl StrideMinimization {
         if innermost.body.len() > 1 {
             for node in &mut innermost.body {
                 if let Node::Loop(sub) = node {
-                    self.minimize_nest(program, graph, sub, stats);
+                    reordered |= self.minimize_nest(program, graph, sub, stats);
                 }
             }
         }
+        reordered
     }
 
     /// Exhaustive enumeration of legal permutations (§2.2: "the minimum can
     /// simply be found by enumeration for many practically-relevant loop
-    /// nests"). Returns the best order with the nest permuted into it.
+    /// nests"). Returns the best order [`interchange`] accepts; the caller
+    /// builds its nest.
     fn enumerate(
         &self,
         graph: &DependenceGraph,
         nest: &Loop,
         chain: &[Var],
         strides: &NestStrides,
-    ) -> Option<(Vec<Var>, Loop)> {
+    ) -> Option<Vec<Var>> {
         let weights = strides.weights();
         let weight = |iter: &Var| {
             let column = chain.iter().position(|c| c == iter);
             weights[column.expect("orders permute the chain")]
         };
         let legality = PermutationLegality::of(graph, nest);
-        let mut best: Option<(f64, Vec<Var>, Vec<f64>, Loop)> = None;
+        let mut best: Option<(f64, Vec<Var>, Vec<f64>)> = None;
         for order in permutations(chain) {
             if !legality.allows(&order) {
                 continue;
@@ -168,7 +172,7 @@ impl StrideMinimization {
             let key: Vec<f64> = order.iter().map(|v| -weight(v)).collect();
             let better = match &best {
                 None => true,
-                Some((best_cost, best_order, best_key, _)) => {
+                Some((best_cost, best_order, best_key)) => {
                     cost < best_cost - 1e-9
                         || ((cost - best_cost).abs() <= 1e-9
                             && (compare_keys(&key, best_key) == std::cmp::Ordering::Less
@@ -180,25 +184,26 @@ impl StrideMinimization {
                 continue;
             }
             // Triangular bounds make some orders structurally impossible;
-            // interchange reports those. Only an order that would win pays
-            // for building its nest.
-            if let Ok(permuted) = interchange(nest, &order) {
-                best = Some((cost, order, key, permuted));
+            // interchange reports those. Only an order that would win is
+            // checked, and only the winner's nest is built (by the caller,
+            // and not at all when it is the nest's own order).
+            if check_interchange(nest, &order).is_ok() {
+                best = Some((cost, order, key));
             }
         }
-        best.map(|(_, order, _, permuted)| (order, permuted))
+        best.map(|(_, order, _)| order)
     }
 
     /// Grouped-sorting approximation for deep nests: sort iterators by their
     /// total stride weight, largest strides outermost, and accept the order
-    /// only if it is legal.
+    /// only if it is legal and [`interchange`] accepts it.
     fn grouped_sort(
         &self,
         graph: &DependenceGraph,
         nest: &Loop,
         chain: &[Var],
         strides: &NestStrides,
-    ) -> Option<(Vec<Var>, Loop)> {
+    ) -> Option<Vec<Var>> {
         let weights = strides.weights();
         let mut by_weight: Vec<(&Var, f64)> = chain.iter().zip(weights).collect();
         by_weight.sort_by(|(a, wa), (b, wb)| {
@@ -210,8 +215,8 @@ impl StrideMinimization {
         if !is_permutation_legal(graph, nest, &order) {
             return None;
         }
-        let permuted = interchange(nest, &order).ok()?;
-        Some((order, permuted))
+        check_interchange(nest, &order).ok()?;
+        Some(order)
     }
 }
 
@@ -303,14 +308,22 @@ mod tests {
         assert_eq!(canonical, vec!["i", "k", "j"]);
     }
 
+    /// [`sum_of_strides`](crate::stride::sum_of_strides) of the program's
+    /// first nest in its own loop order.
+    fn strides_of(program: &Program) -> f64 {
+        let nest = program.loop_nests()[0];
+        crate::stride::sum_of_strides(program, nest, &nest.nested_iterators())
+    }
+
     #[test]
     fn permutation_is_semantically_valid_program() {
         let p = gemm_update("kji");
+        let before = strides_of(&p);
         let (n, stats) = StrideMinimization::new().run(p);
         assert!(n.validate().is_ok());
         assert_eq!(stats.nests_examined, 1);
         assert_eq!(stats.nests_permuted, 1);
-        assert!(stats.cost_after <= stats.cost_before);
+        assert!(strides_of(&n) <= before);
     }
 
     #[test]
@@ -343,10 +356,11 @@ mod tests {
             }
         "#;
         let p = parse_program(src).unwrap();
+        let before = strides_of(&p);
         let (n, stats) = StrideMinimization::new().run(p);
         assert_eq!(order_of(&n, 0), vec!["j", "i"]);
         assert_eq!(stats.nests_permuted, 1);
-        assert!(stats.cost_after < stats.cost_before);
+        assert!(strides_of(&n) < before);
     }
 
     #[test]

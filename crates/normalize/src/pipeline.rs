@@ -28,6 +28,23 @@
 //! every sweep and pass analyzing for itself, and `daisy`'s
 //! `tests/analysis_budget.rs` counts the one analysis.
 //!
+//! # The graph outlives the run
+//!
+//! [`NormalizedProgram`] keeps the graph and, per top-level node, whether
+//! stride minimization reordered a loop anywhere inside it. For a node it
+//! did not reorder, the graph's edges with both ends under that node are the
+//! edges [`dependence::analyze_nest`] finds in the node, by the argument
+//! above: fission left every computation of the node its identifier, its
+//! accesses and its stack of enclosing loops, so the two analyses put each
+//! pair of the node's computations through the same pair test, possibly
+//! the other way round, which yields the same edges; only their position in
+//! the list can differ. A consumer that reads the edges as a set — the
+//! scheduler's legality gate does — can take them
+//! ([`NormalizedProgram::into_nest_graphs`]) instead of analyzing the node
+//! again. A reordered node is not covered: interchange changes the loop
+//! stacks (and with them the order of every direction vector), and a
+//! triangular bound can change with it.
+//!
 //! # One working copy
 //!
 //! [`Normalizer::run`] borrows its input and clones it once; that copy *is*
@@ -40,9 +57,11 @@
 //!   that does not split is not touched, and the confirming sweep that
 //!   changes nothing allocates nothing for the tree.
 //! * [`StrideMinimization::run_with_graph`] takes and returns it. Orders are
-//!   priced on strides alone; `interchange` builds a nest only for an order
-//!   that wins, and that nest replaces the old one. A nest that keeps its
-//!   order is never copied.
+//!   priced on strides alone, and a nest whose perfect chain is one loop
+//!   long has no other order, so it is not priced at all. Orders are only
+//!   checked against `interchange` while they are scanned; it builds the
+//!   winner's nest alone, after the scan, and that nest replaces the old
+//!   one. A nest that keeps its order is never copied.
 //!
 //! Names make this cheap to hold together: a [`loop_ir::expr::Var`] is a
 //! shared immutable string, so the header copies above, the chain vectors
@@ -54,7 +73,8 @@
 //! (a node moved out of a body and not put back is the bug this design can
 //! have, and the passes would agree on it).
 
-use dependence::analyze;
+use dependence::{analyze, DependenceGraph};
+use loop_ir::nest::CompId;
 use loop_ir::program::Program;
 
 use crate::fission::{FissionStats, MaximalFission};
@@ -88,13 +108,74 @@ pub struct NormalizationStats {
     pub permutation: PermutationStats,
 }
 
-/// A normalized program together with the statistics of the run.
-#[derive(Debug, Clone, PartialEq)]
+/// A normalized program together with the statistics of the run, and the
+/// run's dependence graph (see the module docs, "The graph outlives the
+/// run").
+///
+/// `==` and `Debug` see the normal form and the statistics only: the graph
+/// and `reordered` are by-products of how the run got there.
+#[derive(Clone)]
 pub struct NormalizedProgram {
     /// The canonical-form program.
     pub program: Program,
     /// What the pipeline changed.
     pub stats: NormalizationStats,
+    /// The dependence graph the run analyzed its input into; `None` when
+    /// neither step ran.
+    pub graph: Option<DependenceGraph>,
+    /// Per top-level node of `program`: stride minimization changed a loop
+    /// order somewhere inside it.
+    pub reordered: Vec<bool>,
+}
+
+impl PartialEq for NormalizedProgram {
+    fn eq(&self, other: &Self) -> bool {
+        self.program == other.program && self.stats == other.stats
+    }
+}
+
+impl std::fmt::Debug for NormalizedProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NormalizedProgram")
+            .field("program", &self.program)
+            .field("stats", &self.stats)
+            .finish()
+    }
+}
+
+impl NormalizedProgram {
+    /// The program, and per top-level node the dependences among its own
+    /// computations where the run's graph still describes them: `None` for
+    /// a node stride minimization reordered, and for every node when no
+    /// step ran. The edges move out of the graph; none is copied.
+    pub fn into_nest_graphs(self) -> (Program, Vec<Option<DependenceGraph>>) {
+        let Some(graph) = self.graph else {
+            let nodes = self.program.body.len();
+            return (self.program, vec![None; nodes]);
+        };
+        let body = &self.program.body;
+        let kept: Vec<bool> = (0..body.len())
+            .map(|i| {
+                body[i].as_loop().is_some() && !self.reordered.get(i).copied().unwrap_or(false)
+            })
+            .collect();
+        let mut owner: Vec<(CompId, usize)> = Vec::new();
+        for (index, node) in body.iter().enumerate().filter(|&(i, _)| kept[i]) {
+            owner.extend(node.computations().iter().map(|c| (c.id, index)));
+        }
+        owner.sort_unstable();
+        let part_of = |id: CompId| {
+            let at = owner.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+            Some(owner[at].1)
+        };
+        let graphs = graph
+            .split(body.len(), part_of)
+            .into_iter()
+            .zip(kept)
+            .map(|(part, kept)| kept.then_some(part))
+            .collect();
+        (self.program, graphs)
+    }
 }
 
 /// The a priori loop nest normalization pipeline: maximal loop fission
@@ -140,19 +221,26 @@ impl Normalizer {
         let _span = telemetry::span("normalize.run");
         let mut stats = NormalizationStats::default();
         let mut current = program.clone();
+        let mut graph = None;
+        let mut reordered = Vec::new();
         if self.config.fission || self.config.stride_minimization {
-            let graph = analyze(program);
+            let analyzed = analyze(program);
             if self.config.fission {
-                (current, stats.fission) = self.fission.run_with_graph(current, &graph);
+                (current, stats.fission) = self.fission.run_with_graph(current, &analyzed);
             }
             if self.config.stride_minimization {
-                (current, stats.permutation) = self.stride.run_with_graph(current, &graph);
+                (current, stats.permutation, reordered) =
+                    self.stride.run_with_graph(current, &analyzed);
             }
+            graph = Some(analyzed);
         }
         current.validate()?;
+        reordered.resize(current.body.len(), false);
         Ok(NormalizedProgram {
             program: current,
             stats,
+            graph,
+            reordered,
         })
     }
 }

@@ -9,10 +9,16 @@
 //! of the tree they rewrite. A digest changes only when a normal form does;
 //! re-pin it in the change that means to move one, and say which.
 //!
-//! Re-pinned once since: the generated digest, when the dependence tester
-//! began to bound the destination iteration as it bounds the source. Its
-//! graphs only lost edges; 248 of the 2000 generated normal forms moved (no
-//! PolyBench or CLOUDSC one did).
+//! Re-pinned twice since:
+//!
+//! * the generated digest, when the dependence tester began to bound the
+//!   destination iteration as it bounds the source. Its graphs only lost
+//!   edges; 248 of the 2000 generated normal forms moved (no PolyBench or
+//!   CLOUDSC one did);
+//! * all four, when `PermutationStats` lost its two stride-cost totals
+//!   (`cost_before`, `cost_after`) and with them two fields of every
+//!   rendering. No normal form moved: the parent's renderings with those
+//!   two fields cut out hash to exactly the digests pinned now.
 
 use std::hash::Hasher;
 
@@ -47,12 +53,12 @@ fn polybench(dataset: Dataset) -> impl Iterator<Item = Program> {
 
 #[test]
 fn polybench_a_b_py_at_mini() {
-    assert_digest_of_normal_forms(polybench(Dataset::Mini), 0xbe8d_11ae_a110_d070);
+    assert_digest_of_normal_forms(polybench(Dataset::Mini), 0xf34b_510c_686a_4710);
 }
 
 #[test]
 fn polybench_a_b_py_at_large() {
-    assert_digest_of_normal_forms(polybench(Dataset::Large), 0x73b3_491d_6283_7c53);
+    assert_digest_of_normal_forms(polybench(Dataset::Large), 0x5b3c_1a5c_a90d_18c6);
 }
 
 #[test]
@@ -70,12 +76,12 @@ fn cloudsc_models_and_erosion_proxies_at_mini_and_paper() {
                 cloudsc::erosion_single_level(sizes, true),
             ]
         });
-    assert_digest_of_normal_forms(programs, 0x2d7b_5b08_f993_9797);
+    assert_digest_of_normal_forms(programs, 0x5fed_2251_0ec5_34ff);
 }
 
 #[test]
 fn generated_programs_0_to_2000() {
     let gen = GenConfig::default();
     let programs = (0..2000).map(|seed| generate(seed, &gen));
-    assert_digest_of_normal_forms(programs, 0x3221_fb3f_46c4_8b17);
+    assert_digest_of_normal_forms(programs, 0x918d_03e4_437f_1643);
 }

@@ -36,6 +36,41 @@ pub fn perfect_chain(nest: &Loop) -> Vec<&Loop> {
 /// [`TransformError::NotPerfectlyNested`].
 pub fn interchange(nest: &Loop, new_order: &[Var]) -> Result<Loop> {
     let chain = perfect_chain(nest);
+    check_order(&chain, new_order)?;
+    let innermost_body = chain.last().expect("chain is never empty").body.clone();
+    // Rebuild from the innermost loop outwards.
+    let mut body = innermost_body;
+    for iter in new_order.iter().rev() {
+        let template = chain
+            .iter()
+            .find(|l| &l.iter == iter)
+            .expect("iterator checked to be in the chain");
+        let mut rebuilt = Loop::new(
+            template.iter.clone(),
+            template.lower.clone(),
+            template.upper.clone(),
+            body,
+        );
+        rebuilt.step = template.step;
+        rebuilt.schedule = template.schedule;
+        body = vec![Node::Loop(rebuilt)];
+    }
+    match body.into_iter().next() {
+        Some(Node::Loop(l)) => Ok(l),
+        _ => unreachable!("interchange always rebuilds at least one loop"),
+    }
+}
+
+/// Whether [`interchange`] accepts `new_order` for `nest` — the same
+/// errors, without building the permuted nest.
+///
+/// # Errors
+/// Exactly those of [`interchange`].
+pub fn check_interchange(nest: &Loop, new_order: &[Var]) -> Result<()> {
+    check_order(&perfect_chain(nest), new_order)
+}
+
+fn check_order(chain: &[&Loop], new_order: &[Var]) -> Result<()> {
     let chain_iters: Vec<Var> = chain.iter().map(|l| l.iter.clone()).collect();
     {
         let mut a = chain_iters.clone();
@@ -65,29 +100,7 @@ pub fn interchange(nest: &Loop, new_order: &[Var]) -> Result<Loop> {
             }
         }
     }
-
-    let innermost_body = chain.last().expect("chain is never empty").body.clone();
-    // Rebuild from the innermost loop outwards.
-    let mut body = innermost_body;
-    for iter in new_order.iter().rev() {
-        let template = chain
-            .iter()
-            .find(|l| &l.iter == iter)
-            .expect("iterator checked to be in the chain");
-        let mut rebuilt = Loop::new(
-            template.iter.clone(),
-            template.lower.clone(),
-            template.upper.clone(),
-            body,
-        );
-        rebuilt.step = template.step;
-        rebuilt.schedule = template.schedule;
-        body = vec![Node::Loop(rebuilt)];
-    }
-    match body.into_iter().next() {
-        Some(Node::Loop(l)) => Ok(l),
-        _ => unreachable!("interchange always rebuilds at least one loop"),
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -215,5 +228,14 @@ mod tests {
         assert!(interchange(&nest, &[Var::new("i"), Var::new("j")]).is_ok());
         let err = interchange(&nest, &[Var::new("j"), Var::new("i")]).unwrap_err();
         assert_eq!(err, TransformError::NotPerfectlyNested(Var::new("j")));
+        // The check alone answers the same, for these orders and a
+        // non-permutation.
+        for order in [vec!["i", "j"], vec!["j", "i"], vec!["i"]] {
+            let order: Vec<Var> = order.into_iter().map(Var::new).collect();
+            assert_eq!(
+                check_interchange(&nest, &order),
+                interchange(&nest, &order).map(|_| ())
+            );
+        }
     }
 }

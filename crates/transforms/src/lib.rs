@@ -27,6 +27,6 @@ pub use annotate::{mark_parallel, mark_unroll, mark_vectorize};
 pub use error::{Result, TransformError};
 pub use fission::{distribute, distribute_all};
 pub use fusion::{fuse, fuse_producer_consumers};
-pub use interchange::{interchange, perfect_chain};
+pub use interchange::{check_interchange, interchange, perfect_chain};
 pub use recipe::{blas_from_wire, blas_to_wire, Recipe, Transform, TransformTag};
 pub use tiling::tile_band;
