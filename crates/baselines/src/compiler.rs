@@ -26,13 +26,16 @@ pub fn clang_schedule(program: &Program) -> Program {
             return;
         }
         let contiguous = l.body.iter().all(|n| match n {
-            Node::Computation(c) => c.accesses().iter().all(|access| {
-                arrays
-                    .get(&access.array_ref.array)
-                    .and_then(|a| access.array_ref.linear_offset(a, &params))
-                    .map(|off| off.coefficient(&l.iter).unsigned_abs() <= 1)
-                    .unwrap_or(false)
-            }),
+            Node::Computation(c) => c
+                .try_for_each_access(|access| {
+                    arrays
+                        .get(&access.array_ref.array)
+                        .and_then(|a| access.array_ref.linear_offset(a, &params))
+                        .is_some_and(|off| off.coefficient(&l.iter).unsigned_abs() <= 1)
+                        .then_some(())
+                        .ok_or(())
+                })
+                .is_ok(),
             _ => false,
         });
         if contiguous {

@@ -40,7 +40,7 @@ pub fn polly_schedule(program: &Program) -> Program {
 }
 
 fn schedule_nest(program: &Program, graph: &DependenceGraph, nest: &Loop) -> Loop {
-    let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
+    let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
 
     // 1. Tiling of the permutable band: only rectangular loops whose
     //    interchange with every other band member is legal are tiled (Polly
@@ -52,12 +52,13 @@ fn schedule_nest(program: &Program, graph: &DependenceGraph, nest: &Loop) -> Loo
             .filter(|iter| {
                 // rectangular bound (no other chain iterator in the bounds)
                 perfect_chain(nest)
-                    .iter()
                     .find(|l| &l.iter == *iter)
                     .map(|l| {
-                        let mut bound_vars = l.lower.vars();
-                        bound_vars.extend(l.upper.vars());
-                        bound_vars.iter().all(|v| !chain.contains(v))
+                        let mut rectangular = true;
+                        for bound in [&l.lower, &l.upper] {
+                            bound.for_each_var(&mut |v| rectangular &= !chain.contains(v));
+                        }
+                        rectangular
                     })
                     .unwrap_or(false)
             })
@@ -72,10 +73,7 @@ fn schedule_nest(program: &Program, graph: &DependenceGraph, nest: &Loop) -> Loo
 
     // 2. Parallelize the outermost loop that carries no dependence.
     let mut scheduled = tiled.clone();
-    let outer_candidates: Vec<Var> = perfect_chain(&tiled)
-        .iter()
-        .map(|l| l.iter.clone())
-        .collect();
+    let outer_candidates: Vec<Var> = perfect_chain(&tiled).map(|l| l.iter.clone()).collect();
     for iter in &outer_candidates {
         // Tile loops inherit the parallelism of their point loop.
         let point = Var::new(iter.as_str().strip_suffix("_t").unwrap_or(iter.as_str()));
@@ -90,14 +88,16 @@ fn schedule_nest(program: &Program, graph: &DependenceGraph, nest: &Loop) -> Loo
     // 3. Strip-mine vectorization of the innermost loop when contiguous.
     if let Some(innermost) = scheduled.nested_iterators().last().cloned() {
         let contiguous = nest.computations().iter().all(|c| {
-            c.accesses().iter().all(|access| {
+            c.try_for_each_access(|access| {
                 program
                     .array(&access.array_ref.array)
                     .ok()
                     .and_then(|a| access.array_ref.linear_offset(a, &program.params))
-                    .map(|off| off.coefficient(&innermost).unsigned_abs() <= 1)
-                    .unwrap_or(false)
+                    .is_some_and(|off| off.coefficient(&innermost).unsigned_abs() <= 1)
+                    .then_some(())
+                    .ok_or(())
             })
+            .is_ok()
         });
         if contiguous {
             if let Ok(v) = mark_vectorize(&scheduled, &innermost) {

@@ -7,8 +7,7 @@
 //! structure and memory access pattern — the information the original
 //! embeddings capture that is available statically.
 
-use loop_ir::expr::Var;
-use loop_ir::nest::Loop;
+use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
 
 /// Number of features in an embedding.
@@ -40,42 +39,45 @@ impl PerformanceEmbedding {
     /// 11. arithmetic intensity (flops per byte of footprint)
     pub fn of_nest(program: &Program, nest: &Loop) -> Self {
         let mut features = [0.0; EMBEDDING_DIM];
-        let iterators = nest.nested_iterators();
-        let depth = iterators.len();
+        let mut depth = 0;
+        let mut innermost = None;
+        nest.for_each_loop(&mut |l| {
+            depth += 1;
+            innermost = Some(&l.iter);
+        });
         features[0] = depth as f64;
 
         let mut total_iters = 1.0f64;
-        for l in collect_loops(nest) {
+        for_each_loop_level_order(nest, &mut |l| {
             let trip = l.trip_count(&program.params).unwrap_or(1).max(1);
             total_iters *= trip as f64;
-        }
+        });
         // Size features are down-weighted: similarity should be dominated by
         // the structure and access pattern, not the problem size.
         features[1] = 0.5 * total_iters.log10();
 
-        let comps = nest.computations();
-        features[2] = comps.len() as f64;
-        let flops: u64 = comps.iter().map(|c| c.flops()).sum();
-        features[3] = flops as f64;
-
+        let mut comps = 0usize;
+        let mut flops = 0u64;
+        let mut reduces = false;
         let mut arrays = std::collections::BTreeSet::new();
-        let innermost = innermost_iterator(nest);
         let mut unit = 0.0;
         let mut invariant = 0.0;
         let mut strided = 0.0;
         let mut accesses = 0.0;
         let mut footprint = 0.0;
-        for comp in &comps {
-            for access in comp.accesses() {
+        nest.for_each_computation(&mut |comp| {
+            comps += 1;
+            flops += comp.flops();
+            reduces |= comp.reduction.is_some();
+            comp.for_each_access(|access| {
                 accesses += 1.0;
-                arrays.insert(access.array_ref.array.clone());
+                arrays.insert(&access.array_ref.array);
                 let stride = program
                     .array(&access.array_ref.array)
                     .ok()
                     .and_then(|a| access.array_ref.linear_offset(a, &program.params))
                     .map(|off| {
                         innermost
-                            .as_ref()
                             .map(|it| off.coefficient(it).unsigned_abs())
                             .unwrap_or(0)
                     });
@@ -84,9 +86,11 @@ impl PerformanceEmbedding {
                     Some(1) => unit += 1.0,
                     Some(_) | None => strided += 1.0,
                 }
-            }
-        }
-        for name in &arrays {
+            })
+        });
+        features[2] = comps as f64;
+        features[3] = flops as f64;
+        for &name in &arrays {
             if let Ok(array) = program.array(name) {
                 footprint += array.size_bytes(&program.params).unwrap_or(0) as f64;
             }
@@ -97,11 +101,11 @@ impl PerformanceEmbedding {
             features[6] = invariant / accesses;
             features[7] = strided / accesses;
         }
-        features[8] = f64::from(comps.iter().any(|c| c.reduction.is_some()));
+        features[8] = f64::from(reduces);
         features[9] = f64::from(nest.is_perfect_nest());
         features[10] = 0.5 * footprint.max(1.0).log10();
         features[11] = if footprint > 0.0 {
-            let intensity = flops as f64 * total_iters / comps.len().max(1) as f64 / footprint;
+            let intensity = flops as f64 * total_iters / comps.max(1) as f64 / footprint;
             (1.0 + intensity).log10()
         } else {
             0.0
@@ -135,23 +139,27 @@ pub(crate) fn squared_distance(a: &[f64; EMBEDDING_DIM], b: &[f64; EMBEDDING_DIM
     a.iter().zip(b).map(|(a, b)| (a - b) * (a - b)).sum::<f64>()
 }
 
-fn collect_loops(nest: &Loop) -> Vec<&Loop> {
-    let mut out = vec![nest];
-    let mut idx = 0;
-    while idx < out.len() {
-        let current = out[idx];
-        for node in &current.body {
-            if let loop_ir::nest::Node::Loop(inner) = node {
-                out.push(inner);
+/// Calls `f` on the loops of `nest` breadth first: level by level, each
+/// level left to right — the order the trip-count product has always been
+/// taken in, so the `f64` it rounds to does not move.
+fn for_each_loop_level_order<'a>(nest: &'a Loop, f: &mut impl FnMut(&'a Loop)) {
+    fn at_level<'a>(l: &'a Loop, level: usize, f: &mut impl FnMut(&'a Loop)) -> bool {
+        if level == 0 {
+            f(l);
+            return true;
+        }
+        let mut reached = false;
+        for node in &l.body {
+            if let Node::Loop(inner) = node {
+                reached |= at_level(inner, level - 1, f);
             }
         }
-        idx += 1;
+        reached
     }
-    out
-}
-
-fn innermost_iterator(nest: &Loop) -> Option<Var> {
-    nest.nested_iterators().last().cloned()
+    let mut level = 0;
+    while at_level(nest, level, f) {
+        level += 1;
+    }
 }
 
 #[cfg(test)]

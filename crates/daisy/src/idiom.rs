@@ -26,16 +26,17 @@ use transforms::perfect_chain;
 /// perfect nests with a single reduction computation are considered, so the
 /// replacement is always semantics-preserving.
 pub fn detect_blas_idiom(program: &Program, nest: &Loop) -> Option<BlasCall> {
-    let chain = perfect_chain(nest);
+    let chain: Vec<&Loop> = perfect_chain(nest).collect();
     // Rectangular bounds only: a triangular SYRK updates half the matrix and
     // must not be replaced by a full-matrix library call.
-    let chain_iters: Vec<Var> = chain.iter().map(|l| l.iter.clone()).collect();
+    let mut triangular = false;
     for l in &chain {
         for bound in [&l.lower, &l.upper] {
-            if bound.vars().iter().any(|v| chain_iters.contains(v)) {
-                return None;
-            }
+            bound.for_each_var(&mut |v| triangular |= chain.iter().any(|c| &c.iter == v));
         }
+    }
+    if triangular {
+        return None;
     }
     let comps = nest.computations();
     if comps.len() != 1 {

@@ -264,7 +264,7 @@ impl DaisyScheduler {
             let nest = program.body[index]
                 .as_loop()
                 .expect("job indices point at loops");
-            let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
+            let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
             DatabaseEntry {
                 key: nest_key(program, &program.body[index]),
                 cost: cost - others,
@@ -606,7 +606,7 @@ impl DaisyScheduler {
         //    priced once.
         let mut plan = NestPlan::Unoptimized(Unoptimized::NoCandidate);
         if self.config.transfer_tuning && !self.database.is_empty() {
-            let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
+            let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
             let exact = self
                 .database
                 .lookup(nest_key(normalized, &normalized.body[index]));

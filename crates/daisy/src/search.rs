@@ -178,7 +178,7 @@ impl EvolutionarySearch {
             return (Recipe::identity(), f64::INFINITY);
         };
         let _span = telemetry::span("search");
-        let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
+        let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
         // Dependences of the nest under search, computed once: the semantic
         // gate consults them for every candidate.
         let graph = nest_scoped_graph(program, nest);
@@ -343,7 +343,7 @@ impl EvolutionarySearch {
     /// population: combinations of outer-loop parallelization, innermost
     /// vectorization and square tiling.
     pub fn proposals(&self, nest: &Loop) -> Vec<Recipe> {
-        let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
+        let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
         let mut out = Vec::new();
         if chain.is_empty() {
             return out;

@@ -1,4 +1,5 @@
-//! Allocation budgets of the normalize → schedule path.
+//! Allocation budgets of the front door: parse → normalize → analyze →
+//! schedule → lower → storage → execute.
 //!
 //! A binary of its own because it installs a counting `#[global_allocator]`.
 //! The counter is per thread and the scheduler runs at parallelism 1, so the
@@ -12,22 +13,37 @@
 //! led its scan, pricing built a name per computation, a parameter map and
 //! a bound-variable set per loop and a vector per access, and `schedule`
 //! analyzed every nest again, now it reuses the normalizer's graph for
-//! nests that kept their order):
+//! nests that kept their order; at `11ec2cd` the IR's queries built a
+//! collection per call — accesses, loads, variables, strides, perfect
+//! chains — `parse_program` validated twice and allocated a name per
+//! identifier occurrence, and the dependence walk cloned a loop stack per
+//! computation and kept a vector per access, per array and per pair; now
+//! queries borrow):
 //!
-//! | | `ce82fa1` | `960f646` | `0a530e4` | now | budget |
-//! |---|---|---|---|---|---|
-//! | `Normalizer::run` | 3 623 | 1 388 | 1 000 | 664 | 698 |
-//! | `DaisyScheduler::schedule`, 64-sibling database | 7 217 | 3 185 | 2 321 | 1 436 | 1 508 |
+//! | | `ce82fa1` | `960f646` | `0a530e4` | `11ec2cd` | now | budget |
+//! |---|---|---|---|---|---|---|
+//! | `parse_program` | | | | 326 | 155 | 163 |
+//! | `Normalizer::run` | 3 623 | 1 388 | 1 000 | 664 | 301 | 316 |
+//! | `dependence::analyze` | | | | 184 | 57 | 60 |
+//! | `DaisyScheduler::schedule`, 64-sibling database | 7 217 | 3 185 | 2 321 | 1 436 | 757 | 795 |
+//! | `CompiledProgram::lower` | | | | 388 | 266 | 279 |
+//! | `ProgramData::seeded` (storage) | | | | 80 | 49 | 51 |
+//! | `CompiledProgram::execute` | | | | 4 | 4 | 4 |
+//! | the front door | | | | 3 082 | 1 589 | 1 668 |
 //!
 //! Debug builds allocate a little more (`debug_assert!`s that collect:
-//! 685 and 1 465) and stay inside the same budgets.
+//! `schedule` 766) and stay inside the same budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use daisy::{DaisyConfig, DaisyScheduler};
 use fuzz::gen::{generate, GenConfig};
+use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
+use loop_ir::source::to_source;
+use machine::interp::ProgramData;
+use machine::CompiledProgram;
 use normalize::Normalizer;
 
 struct CountingAllocator;
@@ -76,6 +92,17 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
     after - before
 }
 
+/// Budgets, mean allocations per program: each stage's mean at the last
+/// ratchet plus 5 %.
+const PARSE: u64 = 163;
+const NORMALIZE: u64 = 316;
+const ANALYZE: u64 = 60;
+const SCHEDULE: u64 = 795;
+const LOWER: u64 = 279;
+const STORAGE: u64 = 51;
+const EXECUTE: u64 = 4;
+const FRONT_DOOR: u64 = 1668;
+
 fn generated(seeds: std::ops::RangeInclusive<u64>) -> Vec<Program> {
     let gen = GenConfig::default();
     seeds.map(|seed| generate(seed, &gen)).collect()
@@ -91,7 +118,7 @@ fn normalizer_run_stays_within_its_allocation_budget() {
         .sum();
     let mean = total / programs.len() as u64;
     println!("Normalizer::run: {mean} allocations per program");
-    assert!(mean <= 698, "{mean} allocations per program");
+    assert!(mean <= NORMALIZE, "{mean} allocations per program");
 }
 
 #[test]
@@ -105,19 +132,19 @@ fn schedule_stays_within_its_allocation_budget() {
         .sum();
     let mean = total / programs.len() as u64;
     println!("DaisyScheduler::schedule: {mean} allocations per program");
-    assert!(mean <= 1508, "{mean} allocations per program");
+    assert!(mean <= SCHEDULE, "{mean} allocations per program");
 }
 
 /// The "unchanged nests are never copied" contract: on a program that is
 /// already normal the pipeline pays for its one working copy, its one
 /// analysis, and per loop a bounded amount of looking (SCCs of each body,
-/// strides and legality of each loop order, the final `validate`) — 22
-/// allocations per loop over these programs (23 in debug builds), 35 at
-/// `0a530e4`, 59 at `960f646`, 181 at `ce82fa1`. One more copy of the tree
-/// would add 11.
+/// strides and legality of each loop order, the final `validate`) — 4.9
+/// allocations per loop over these programs (also in debug builds), 22 at
+/// `11ec2cd`, 35 at `0a530e4`, 59 at `960f646`, 181 at `ce82fa1`. One more
+/// copy of the tree would add 11.
 #[test]
 fn normalizing_a_normal_program_copies_it_once() {
-    const PER_LOOP: u64 = 40;
+    const PER_LOOP: u64 = 6;
     let normalizer = Normalizer::new();
     let (mut run, mut floor, mut loops) = (0u64, 0u64, 0u64);
     for program in generated(1..=2000) {
@@ -138,4 +165,56 @@ fn normalizing_a_normal_program_copies_it_once() {
         run <= floor + PER_LOOP * loops,
         "{run} allocations against clone + analyze = {floor} and {loops} loops"
     );
+}
+
+/// Mean allocations per program of each stage of the front door, in the
+/// order a source text goes through it: parse, normalize, analyze,
+/// schedule, lower, storage, execute.
+fn front_door_stages() -> [u64; 7] {
+    let sources: Vec<String> = generated(1..=2000)
+        .iter()
+        .map(|p| to_source(p).expect("renders"))
+        .collect();
+    let mut scheduler = DaisyScheduler::new(DaisyConfig::default().with_parallelism(1));
+    scheduler.seed_from_programs(&generated(2001..=2064));
+    let normalizer = Normalizer::new();
+    let mut totals = [0u64; 7];
+    for source in &sources {
+        let mut program = None;
+        totals[0] += allocations(|| program = Some(parse_program(source).expect("parses")));
+        let program = program.expect("parsed");
+        totals[1] += allocations(|| normalizer.run(&program).expect("normalizes"));
+        totals[2] += allocations(|| dependence::analyze(&program));
+        let mut outcome = None;
+        totals[3] += allocations(|| outcome = Some(scheduler.schedule(&program)));
+        let scheduled = outcome.expect("scheduled").program;
+        let mut compiled = None;
+        totals[4] += allocations(|| compiled = Some(CompiledProgram::lower(&scheduled)));
+        let compiled = compiled.expect("lowered").expect("lowers");
+        let mut data = None;
+        totals[5] += allocations(|| data = Some(ProgramData::seeded(&scheduled)));
+        let mut data = data.expect("allocated").expect("fits");
+        totals[6] += allocations(|| compiled.execute(&mut data).expect("executes"));
+    }
+    totals.map(|total| total / sources.len() as u64)
+}
+
+#[test]
+fn front_door_stays_within_its_allocation_budget() {
+    let stages = front_door_stages();
+    let total: u64 = stages.iter().sum();
+    println!("front door: {stages:?} = {total} allocations per program");
+    let budgets = [
+        ("parse_program", PARSE),
+        ("Normalizer::run", NORMALIZE),
+        ("dependence::analyze", ANALYZE),
+        ("DaisyScheduler::schedule", SCHEDULE),
+        ("CompiledProgram::lower", LOWER),
+        ("ProgramData::seeded", STORAGE),
+        ("CompiledProgram::execute", EXECUTE),
+    ];
+    for ((name, budget), mean) in budgets.into_iter().zip(stages) {
+        assert!(mean <= budget, "{name}: {mean} allocations per program");
+    }
+    assert!(total <= FRONT_DOOR, "{total} allocations per program");
 }

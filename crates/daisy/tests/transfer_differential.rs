@@ -57,7 +57,7 @@ fn decide(
     if !config.transfer_tuning || database.is_empty() {
         return Decision::Unoptimized;
     }
-    let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
+    let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
     let graph = nest_scoped_graph(normalized, nest);
     let embedding = PerformanceEmbedding::of_nest(normalized, nest);
     let exact = database.lookup(nest_key(normalized, &normalized.body[index]));

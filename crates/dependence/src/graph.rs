@@ -1,14 +1,16 @@
 //! Building the dependence graph of a program.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use loop_ir::array::{Access, AccessKind};
 use loop_ir::expr::Var;
-use loop_ir::nest::{CompId, Loop};
+use loop_ir::nest::{CompId, Computation, Loop, Node};
 use loop_ir::program::Program;
-use loop_ir::visit::{walk_nest_computations, CompContext};
+use loop_ir::visit::CompContext;
 
-use crate::tester::{LoopBound, LoopPairing, Pair, Subscripts};
+use crate::tester::{LoopBound, LoopPairing, Lowered, Pair, SubscriptTable};
 use crate::types::{DepKind, Dependence, Direction};
 
 /// Fallback extent used for loops whose bounds cannot be evaluated under the
@@ -95,36 +97,229 @@ impl DependenceGraph {
 }
 
 /// The loops enclosing a computation with their bounds evaluated under
-/// `params`. An upper bound that cannot be evaluated becomes
-/// `lower + UNKNOWN_EXTENT`, clamped to `i64::MAX` — no `i64` bound lies
-/// above that, so the clamp drops no iteration.
+/// `params` ([`loop_bound`]).
 pub(crate) fn loop_bounds(ctx: &CompContext<'_>, params: &BTreeMap<Var, i64>) -> Vec<LoopBound> {
-    ctx.loops
-        .iter()
-        .map(|l| {
-            let lower = l.lower.eval(params).unwrap_or(0);
-            let upper = l
-                .upper
-                .eval(params)
-                .unwrap_or_else(|| lower.saturating_add(UNKNOWN_EXTENT));
-            LoopBound::new(l.iter.clone(), lower, upper)
-        })
-        .collect()
+    ctx.loops.iter().map(|l| loop_bound(l, params)).collect()
+}
+
+/// The bounds of `l` evaluated under `params`. An upper bound that cannot be
+/// evaluated becomes `lower + UNKNOWN_EXTENT`, clamped to `i64::MAX` — no
+/// `i64` bound lies above that, so the clamp drops no iteration.
+fn loop_bound(l: &Loop, params: &BTreeMap<Var, i64>) -> LoopBound {
+    let lower = l.lower.eval(params).unwrap_or(0);
+    let upper = l
+        .upper
+        .eval(params)
+        .unwrap_or_else(|| lower.saturating_add(UNKNOWN_EXTENT));
+    LoopBound::new(l.iter.clone(), lower, upper)
 }
 
 /// One computation as the pair loop needs it: everything that depends on the
-/// computation alone, computed once.
-struct LoweredComp<'a> {
+/// computation alone, computed once, as ranges of the [`Lowering`]'s tables.
+struct LoweredComp {
     id: CompId,
-    loops: Vec<LoopBound>,
-    accesses: Vec<LoweredAccess<'a>>,
+    loops: Range<usize>,
+    accesses: Range<usize>,
 }
 
 struct LoweredAccess<'a> {
     access: Access<'a>,
-    /// Index of the accessed array among the arrays the program touches.
+    /// Index of the accessed array among the arrays the analysis touches.
     array: usize,
-    subscripts: Subscripts,
+    subscripts: Lowered,
+}
+
+/// Every computation of one analysis lowered into flat tables, in execution
+/// order.
+struct Lowering<'a> {
+    params: &'a BTreeMap<Var, i64>,
+    /// The evaluated bounds of the loops enclosing the current node.
+    stack: Vec<LoopBound>,
+    comps: Vec<LoweredComp>,
+    /// Per computation, a copy of `stack` where it stands, one after another.
+    loops: Vec<LoopBound>,
+    /// Per computation, its accesses in order, one after another.
+    accesses: Vec<LoweredAccess<'a>>,
+    subscripts: SubscriptTable,
+    /// The arrays touched, in order of first access.
+    arrays: Vec<&'a Var>,
+    /// `(array, is write, computation)` per access: sorted and deduplicated
+    /// by [`finish`](Self::finish), the readers and writers of each array
+    /// in ascending order.
+    touches: Vec<(usize, bool, usize)>,
+}
+
+impl<'a> Lowering<'a> {
+    fn new(params: &'a BTreeMap<Var, i64>) -> Self {
+        Lowering {
+            params,
+            stack: Vec::new(),
+            comps: Vec::new(),
+            loops: Vec::new(),
+            accesses: Vec::new(),
+            subscripts: SubscriptTable::default(),
+            arrays: Vec::new(),
+            touches: Vec::new(),
+        }
+    }
+
+    fn node(&mut self, node: &'a Node) {
+        match node {
+            Node::Loop(l) => self.nest(l),
+            Node::Computation(c) => self.computation(c),
+            Node::Call(_) => {}
+        }
+    }
+
+    fn nest(&mut self, l: &'a Loop) {
+        self.stack.push(loop_bound(l, self.params));
+        for node in &l.body {
+            self.node(node);
+        }
+        self.stack.pop();
+    }
+
+    fn computation(&mut self, c: &'a Computation) {
+        let index = self.comps.len();
+        let loops = self.loops.len()..self.loops.len() + self.stack.len();
+        self.loops.extend_from_slice(&self.stack);
+        let first_access = self.accesses.len();
+        c.for_each_access(|access| {
+            let name = &access.array_ref.array;
+            let array = match self.arrays.iter().position(|known| *known == name) {
+                Some(array) => array,
+                None => {
+                    self.arrays.push(name);
+                    self.arrays.len() - 1
+                }
+            };
+            let subscripts =
+                self.subscripts
+                    .lower(access.array_ref, &self.loops[loops.clone()], self.params);
+            self.touches.push((array, access.is_write(), index));
+            self.accesses.push(LoweredAccess {
+                access,
+                array,
+                subscripts,
+            });
+        });
+        self.comps.push(LoweredComp {
+            id: c.id,
+            loops,
+            accesses: first_access..self.accesses.len(),
+        });
+    }
+
+    /// The dependences among the lowered computations, in their order.
+    fn finish(mut self) -> DependenceGraph {
+        self.touches.sort_unstable();
+        self.touches.dedup();
+        // The computations from `i` on that touch `array` as `write` does.
+        let touching = |array: usize, write: bool, i: usize| {
+            let key = (array, write, i);
+            let from = self.touches.partition_point(|t| *t < key);
+            let to = self
+                .touches
+                .partition_point(|t| (t.0, t.1) <= (array, write));
+            self.touches[from..to].iter().map(|t| t.2)
+        };
+
+        let mut graph = DependenceGraph::default();
+        let mut stats = WalkStats::default();
+        let mut partners: Vec<usize> = Vec::new();
+        let mut scratch = PairScratch::default();
+        for (i, src) in self.comps.iter().enumerate() {
+            // The only partners of a computation are the ones writing what
+            // it touches or reading what it writes.
+            partners.clear();
+            for a in &self.accesses[src.accesses.clone()] {
+                partners.extend(touching(a.array, true, i));
+                if a.access.is_write() {
+                    partners.extend(touching(a.array, false, i));
+                }
+            }
+            partners.sort_unstable();
+            partners.dedup();
+            for &j in &partners {
+                self.analyze_pair(
+                    src,
+                    &self.comps[j],
+                    i == j,
+                    &mut scratch,
+                    &mut graph.deps,
+                    &mut stats,
+                );
+            }
+        }
+        if telemetry::enabled() {
+            telemetry::counter("dependence.analyze.calls", 1);
+            telemetry::counter("dependence.analyze.pair_tests", stats.pair_tests);
+            telemetry::counter("dependence.analyze.pruned_leaves", stats.pruned_leaves);
+        }
+        graph
+    }
+
+    fn analyze_pair(
+        &self,
+        src: &LoweredComp,
+        dst: &LoweredComp,
+        is_self: bool,
+        scratch: &mut PairScratch,
+        out: &mut Vec<Dependence>,
+        stats: &mut WalkStats,
+    ) {
+        let (src_loops, dst_loops) = (
+            &self.loops[src.loops.clone()],
+            &self.loops[dst.loops.clone()],
+        );
+        let PairScratch {
+            common,
+            pairing,
+            levels,
+        } = scratch;
+        common.clear();
+        common.extend(common_iterators(src_loops, dst_loops).cloned());
+        pairing.pair(src_loops, dst_loops, common);
+        levels.clear();
+        levels.resize(common.len(), Direction::Any);
+        // Built at the pair's first edge, shared by all of them.
+        let mut shared: Option<Arc<[Var]>> = None;
+        for sa in &self.accesses[src.accesses.clone()] {
+            for da in &self.accesses[dst.accesses.clone()] {
+                if sa.array != da.array || !(sa.access.is_write() || da.access.is_write()) {
+                    continue;
+                }
+                stats.pair_tests += 1;
+                let walk = Walk {
+                    pair: Pair {
+                        src: self.subscripts.get(sa.subscripts),
+                        src_loops,
+                        dst: self.subscripts.get(da.subscripts),
+                        dst_loops,
+                        pairing,
+                    },
+                    is_self,
+                };
+                walk.refine(levels, 0, stats, &mut |directions| {
+                    let common = shared.get_or_insert_with(|| Arc::from(&common[..]));
+                    out.push(oriented_dep(
+                        (src.id, sa.access),
+                        (dst.id, da.access),
+                        common.clone(),
+                        directions,
+                    ));
+                });
+            }
+        }
+    }
+}
+
+/// The buffers one pair test fills, kept from pair to pair.
+#[derive(Default)]
+struct PairScratch {
+    common: Vec<Var>,
+    pairing: LoopPairing,
+    levels: Vec<Direction>,
 }
 
 /// What one `analyze` did, for the `dependence.analyze.*` counters.
@@ -142,141 +337,31 @@ struct WalkStats {
 /// bounds that cannot be evaluated are replaced by a very large extent, which
 /// keeps the result conservative.
 pub fn analyze(program: &Program) -> DependenceGraph {
-    analyze_contexts(program, &program.computation_contexts())
+    let mut lowering = Lowering::new(&program.params);
+    for node in &program.body {
+        lowering.node(node);
+    }
+    lowering.finish()
 }
 
 /// [`analyze`] of one nest of `program` in isolation: the graph of a program
 /// with the same parameters whose whole body is `nest`, without building
 /// one. `nest` need not be a top-level nest, nor part of `program` at all.
 pub fn analyze_nest(program: &Program, nest: &Loop) -> DependenceGraph {
-    analyze_contexts(program, &walk_nest_computations(nest))
+    let mut lowering = Lowering::new(&program.params);
+    lowering.nest(nest);
+    lowering.finish()
 }
 
-/// The dependences among `contexts`, in their order, under the parameter
-/// bindings of `program`.
-fn analyze_contexts(program: &Program, contexts: &[CompContext<'_>]) -> DependenceGraph {
-    let mut array_ids: BTreeMap<Var, usize> = BTreeMap::new();
-    let comps: Vec<LoweredComp<'_>> = contexts
-        .iter()
-        .map(|ctx| {
-            let loops = loop_bounds(ctx, &program.params);
-            let accesses = ctx
-                .computation
-                .accesses()
-                .into_iter()
-                .map(|access| {
-                    let name = &access.array_ref.array;
-                    let array = array_ids.get(name).copied().unwrap_or_else(|| {
-                        array_ids.insert(name.clone(), array_ids.len());
-                        array_ids.len() - 1
-                    });
-                    LoweredAccess {
-                        array,
-                        subscripts: Subscripts::lower(access.array_ref, &loops, &program.params),
-                        access,
-                    }
-                })
-                .collect();
-            LoweredComp {
-                id: ctx.computation.id,
-                loops,
-                accesses,
-            }
-        })
-        .collect();
-
-    // Per array, the computations that read it and those that write it
-    // (ascending): the only partners of a computation are the ones writing
-    // what it touches or reading what it writes.
-    let mut reading: Vec<Vec<usize>> = vec![Vec::new(); array_ids.len()];
-    let mut writing: Vec<Vec<usize>> = vec![Vec::new(); array_ids.len()];
-    for (index, comp) in comps.iter().enumerate() {
-        for a in &comp.accesses {
-            let bucket = if a.access.is_write() {
-                &mut writing[a.array]
-            } else {
-                &mut reading[a.array]
-            };
-            if bucket.last() != Some(&index) {
-                bucket.push(index);
-            }
-        }
-    }
-
-    let mut graph = DependenceGraph::default();
-    let mut stats = WalkStats::default();
-    let mut partners: Vec<usize> = Vec::new();
-    for (i, src) in comps.iter().enumerate() {
-        partners.clear();
-        for a in &src.accesses {
-            let from_here = |bucket: &[usize]| bucket.partition_point(|&j| j < i);
-            let writers = &writing[a.array];
-            partners.extend_from_slice(&writers[from_here(writers)..]);
-            if a.access.is_write() {
-                let readers = &reading[a.array];
-                partners.extend_from_slice(&readers[from_here(readers)..]);
-            }
-        }
-        partners.sort_unstable();
-        partners.dedup();
-        for &j in &partners {
-            analyze_pair(src, &comps[j], i == j, &mut graph.deps, &mut stats);
-        }
-    }
-    if telemetry::enabled() {
-        telemetry::counter("dependence.analyze.calls", 1);
-        telemetry::counter("dependence.analyze.pair_tests", stats.pair_tests);
-        telemetry::counter("dependence.analyze.pruned_leaves", stats.pruned_leaves);
-    }
-    graph
-}
-
-/// Common loops of two loop stacks: the iterators shared by both, in the
-/// source's (outermost-first) order.
-pub(crate) fn common_loops(src: &[LoopBound], dst: &[LoopBound]) -> Vec<Var> {
+/// The iterators shared by two loop stacks, in the source's
+/// (outermost-first) order.
+pub(crate) fn common_iterators<'l>(
+    src: &'l [LoopBound],
+    dst: &'l [LoopBound],
+) -> impl Iterator<Item = &'l Var> {
     src.iter()
         .map(|l| &l.iter)
         .filter(|iter| dst.iter().any(|l| &l.iter == *iter))
-        .cloned()
-        .collect()
-}
-
-fn analyze_pair(
-    src: &LoweredComp<'_>,
-    dst: &LoweredComp<'_>,
-    is_self: bool,
-    out: &mut Vec<Dependence>,
-    stats: &mut WalkStats,
-) {
-    let common = common_loops(&src.loops, &dst.loops);
-    let pairing = LoopPairing::new(&src.loops, &dst.loops, &common);
-    let mut levels = vec![Direction::Any; common.len()];
-    for sa in &src.accesses {
-        for da in &dst.accesses {
-            if sa.array != da.array || !(sa.access.is_write() || da.access.is_write()) {
-                continue;
-            }
-            stats.pair_tests += 1;
-            let walk = Walk {
-                pair: Pair {
-                    src: &sa.subscripts,
-                    src_loops: &src.loops,
-                    dst: &da.subscripts,
-                    dst_loops: &dst.loops,
-                    pairing: &pairing,
-                },
-                is_self,
-            };
-            walk.refine(&mut levels, 0, stats, &mut |directions| {
-                out.push(oriented_dep(
-                    (src.id, sa.access),
-                    (dst.id, da.access),
-                    &common,
-                    directions,
-                ));
-            });
-        }
-    }
 }
 
 /// The refinement of one access pair into the direction vectors that may
@@ -337,7 +422,7 @@ impl Walk<'_> {
 fn oriented_dep(
     (src, src_access): (CompId, Access<'_>),
     (dst, dst_access): (CompId, Access<'_>),
-    common: &[Var],
+    common: Arc<[Var]>,
     directions: Vec<Direction>,
 ) -> Dependence {
     let backwards = directions.iter().find(|d| **d != Direction::Eq) == Some(&Direction::Gt);
@@ -354,7 +439,7 @@ pub(crate) fn make_dep(
     dst: CompId,
     src_access: Access<'_>,
     dst_access: Access<'_>,
-    common: &[Var],
+    common: Arc<[Var]>,
     directions: Vec<Direction>,
 ) -> Dependence {
     let kind = match (src_access.kind, dst_access.kind) {
@@ -368,7 +453,7 @@ pub(crate) fn make_dep(
         dst,
         kind,
         array: src_access.array_ref.array.clone(),
-        common_loops: common.to_vec(),
+        common_loops: common,
         directions,
     }
 }

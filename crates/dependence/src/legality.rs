@@ -1,7 +1,7 @@
 //! Legality queries for loop transformations, answered from a
 //! [`DependenceGraph`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use loop_ir::expr::Var;
 use loop_ir::nest::{CompId, Loop, Node};
@@ -19,30 +19,39 @@ use crate::types::{Dependence, Direction};
 /// whose statements belong to it; a body node with several nested statements
 /// is treated as an atomic unit.
 pub fn sccs_of_body(graph: &DependenceGraph, body: &[Node]) -> Vec<Vec<usize>> {
-    // Map every computation id to the index of the body node containing it.
-    let mut owner: BTreeMap<CompId, usize> = BTreeMap::new();
+    // Every computation id with the index of the body node containing it,
+    // sorted by id.
+    let mut owner: Vec<(CompId, usize)> = Vec::new();
     for (idx, node) in body.iter().enumerate() {
-        for c in node.computations() {
-            owner.insert(c.id, idx);
-        }
+        node.for_each_computation(&mut |c| owner.push((c.id, idx)));
     }
-    let n = body.len();
-    // Adjacency between body nodes induced by dependences.
-    let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    owner.sort_unstable();
+    let owner_of = |id: CompId| {
+        owner
+            .binary_search_by_key(&id, |&(c, _)| c)
+            .ok()
+            .map(|k| owner[k].1)
+    };
+    // Edges between body nodes induced by dependences, sorted and unique:
+    // the successors of `a` are the run of edges leaving it.
+    let mut edges: Vec<(usize, usize)> = Vec::new();
     for dep in graph.all() {
-        let (Some(&a), Some(&b)) = (owner.get(&dep.src), owner.get(&dep.dst)) else {
+        let (Some(a), Some(b)) = (owner_of(dep.src), owner_of(dep.dst)) else {
             continue;
         };
         if a != b {
-            succs[a].insert(b);
+            edges.push((a, b));
         }
     }
-    tarjan_sccs(n, &succs)
+    edges.sort_unstable();
+    edges.dedup();
+    tarjan_sccs(body.len(), &edges)
 }
 
-// Iterative Tarjan SCC; components are emitted in reverse topological order
-// and then reversed so that sources come first.
-fn tarjan_sccs(n: usize, succs: &[BTreeSet<usize>]) -> Vec<Vec<usize>> {
+// Iterative Tarjan SCC over sorted `(from, to)` edges; components are
+// emitted in reverse topological order and then reversed so that sources
+// come first.
+fn tarjan_sccs(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: Option<usize>,
@@ -57,26 +66,27 @@ fn tarjan_sccs(n: usize, succs: &[BTreeSet<usize>]) -> Vec<Vec<usize>> {
         };
         n
     ];
+    // The first edge leaving `v`.
+    let first_edge = |v: usize| edges.partition_point(|&(from, _)| from < v);
     let mut index = 0usize;
-    let mut stack: Vec<usize> = Vec::new();
-    let mut components: Vec<Vec<usize>> = Vec::new();
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
+    let mut components: Vec<Vec<usize>> = Vec::with_capacity(n);
+    // Explicit DFS stack of (node, position of its next edge).
+    let mut dfs: Vec<(usize, usize)> = Vec::with_capacity(n);
 
     for root in 0..n {
         if state[root].index.is_some() {
             continue;
         }
-        // Explicit DFS stack of (node, iterator position over successors).
-        let mut dfs: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        dfs.push((root, succs[root].iter().copied().collect(), 0));
+        dfs.push((root, first_edge(root)));
         state[root].index = Some(index);
         state[root].lowlink = index;
         state[root].on_stack = true;
         stack.push(root);
         index += 1;
 
-        while let Some((v, children, pos)) = dfs.last_mut() {
-            if *pos < children.len() {
-                let w = children[*pos];
+        while let Some((v, pos)) = dfs.last_mut() {
+            if let Some(&(_, w)) = edges.get(*pos).filter(|(from, _)| from == v) {
                 *pos += 1;
                 if state[w].index.is_none() {
                     state[w].index = Some(index);
@@ -84,7 +94,7 @@ fn tarjan_sccs(n: usize, succs: &[BTreeSet<usize>]) -> Vec<Vec<usize>> {
                     state[w].on_stack = true;
                     stack.push(w);
                     index += 1;
-                    dfs.push((w, succs[w].iter().copied().collect(), 0));
+                    dfs.push((w, first_edge(w)));
                 } else if state[w].on_stack {
                     let v = *v;
                     state[v].lowlink = state[v].lowlink.min(state[w].index.unwrap());
@@ -92,8 +102,7 @@ fn tarjan_sccs(n: usize, succs: &[BTreeSet<usize>]) -> Vec<Vec<usize>> {
             } else {
                 let v = *v;
                 dfs.pop();
-                if let Some((parent, _, _)) = dfs.last() {
-                    let parent = *parent;
+                if let Some(&(parent, _)) = dfs.last() {
                     state[parent].lowlink = state[parent].lowlink.min(state[v].lowlink);
                 }
                 if state[v].lowlink == state[v].index.unwrap() {
@@ -153,20 +162,23 @@ pub fn is_permutation_legal(graph: &DependenceGraph, nest: &Loop, new_order: &[V
 /// What constrains the loop orders of one nest: the dependences between its
 /// own computations, picked out of the graph once.
 pub struct PermutationLegality<'g> {
-    iterators: Vec<Var>,
+    nest: &'g Loop,
     deps: Vec<&'g Dependence>,
 }
 
 impl<'g> PermutationLegality<'g> {
     /// Collects the dependences of `graph` with both ends inside `nest`.
-    pub fn of(graph: &'g DependenceGraph, nest: &Loop) -> Self {
-        let comp_ids: BTreeSet<CompId> = nest.computations().iter().map(|c| c.id).collect();
+    pub fn of(graph: &'g DependenceGraph, nest: &'g Loop) -> Self {
+        let mut comp_ids: Vec<CompId> = Vec::new();
+        nest.for_each_computation(&mut |c| comp_ids.push(c.id));
+        comp_ids.sort_unstable();
+        let inside = |id: &CompId| comp_ids.binary_search(id).is_ok();
         PermutationLegality {
-            iterators: nest.nested_iterators(),
+            nest,
             deps: graph
                 .all()
                 .iter()
-                .filter(|dep| comp_ids.contains(&dep.src) && comp_ids.contains(&dep.dst))
+                .filter(|dep| inside(&dep.src) && inside(&dep.dst))
                 .collect(),
         }
     }
@@ -174,8 +186,10 @@ impl<'g> PermutationLegality<'g> {
     /// [`is_permutation_legal`] for the nest the dependences were taken from.
     pub fn allows(&self, new_order: &[Var]) -> bool {
         debug_assert!(
-            new_order.iter().all(|v| self.iterators.contains(v))
-                && new_order.iter().collect::<BTreeSet<_>>().len() == new_order.len(),
+            new_order
+                .iter()
+                .enumerate()
+                .all(|(k, v)| self.nest.has_iterator(v) && !new_order[..k].contains(v)),
             "new_order must be a duplicate-free selection of the nest's iterators"
         );
         // The permuted direction vector over the loops of this nest; a loop

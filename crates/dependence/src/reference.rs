@@ -12,12 +12,15 @@
 //! unchecked arithmetic throughout: feed it sane programs only.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use loop_ir::array::Access;
 use loop_ir::expr::{AffineExpr, Var};
+use loop_ir::nest::Computation;
 use loop_ir::program::Program;
 use loop_ir::visit::CompContext;
 
-use crate::graph::{common_loops, loop_bounds, make_dep, reverse, DependenceGraph};
+use crate::graph::{common_iterators, loop_bounds, make_dep, reverse, DependenceGraph};
 use crate::tester::{AccessContext, LoopBound};
 use crate::types::{Dependence, Direction};
 
@@ -299,10 +302,17 @@ fn analyze_pair(
     is_self: bool,
     out: &mut Vec<Dependence>,
 ) {
-    let common = common_loops(src_bounds, dst_bounds);
+    let common: Arc<[Var]> = common_iterators(src_bounds, dst_bounds).cloned().collect();
     let (src_id, dst_id) = (src_ctx.computation.id, dst_ctx.computation.id);
-    for sa in &src_ctx.computation.accesses() {
-        for da in &dst_ctx.computation.accesses() {
+    fn accesses(c: &Computation) -> Vec<Access<'_>> {
+        let mut out = Vec::new();
+        c.for_each_access(|a| out.push(a));
+        out
+    }
+    let (src_accesses, dst_accesses) =
+        (accesses(src_ctx.computation), accesses(dst_ctx.computation));
+    for sa in &src_accesses {
+        for da in &dst_accesses {
             if sa.array_ref.array != da.array_ref.array || !(sa.is_write() || da.is_write()) {
                 continue;
             }
@@ -335,9 +345,9 @@ fn analyze_pair(
                     // The dependence actually flows from dst to src with
                     // the reversed direction vector.
                     let reversed = directions.iter().map(|d| reverse(*d)).collect();
-                    make_dep(dst_id, src_id, *da, *sa, &common, reversed)
+                    make_dep(dst_id, src_id, *da, *sa, common.clone(), reversed)
                 } else {
-                    make_dep(src_id, dst_id, *sa, *da, &common, directions)
+                    make_dep(src_id, dst_id, *sa, *da, common.clone(), directions)
                 });
             }
         }

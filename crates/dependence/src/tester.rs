@@ -10,7 +10,7 @@
 //!
 //! # Dense rows
 //!
-//! An access is lowered once ([`Subscripts::lower`]) against the loops that
+//! An access is lowered once ([`SubscriptTable::lower`]) against the loops that
 //! enclose its computation, outermost first. Subscript dimension `d` becomes
 //! the integer row
 //!
@@ -153,33 +153,45 @@ struct FreeTerm {
     coefficient: i64,
 }
 
-/// The subscripts of one access as dense integer rows (module docs).
-#[derive(Clone, Debug)]
-pub(crate) struct Subscripts {
-    rank: usize,
-    /// `rank` rows of `depth + 1` integers, or `None` when a subscript is
-    /// not affine or does not fit: the access may touch any element.
-    rows: Option<Vec<i64>>,
+/// The subscripts of many accesses as dense integer rows (module docs), in
+/// two flat tables: one analysis lowers every access into one table.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SubscriptTable {
+    rows: Vec<i64>,
     free: Vec<FreeTerm>,
 }
 
-impl Subscripts {
+/// Where [`SubscriptTable::lower`] put the subscripts of one access.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lowered {
+    rank: usize,
+    /// The first row and the length of all rows, or `None` when a subscript
+    /// is not affine or does not fit: the access may touch any element.
+    rows: Option<(usize, usize)>,
+    free: (usize, usize),
+}
+
+impl SubscriptTable {
     /// Lowers `array_ref` against its enclosing `loops` (outermost first).
     pub(crate) fn lower(
+        &mut self,
         array_ref: &ArrayRef,
         loops: &[LoopBound],
         params: &BTreeMap<Var, i64>,
-    ) -> Self {
+    ) -> Lowered {
         let rank = array_ref.rank();
         let width = loops.len() + 1;
-        let mut rows = vec![0i64; rank * width];
-        let mut free = Vec::new();
+        let (first_row, first_free) = (self.rows.len(), self.free.len());
+        self.rows.resize(first_row + rank * width, 0);
+        let rows = &mut self.rows[first_row..];
+        let free = &mut self.free;
         let affine = array_ref.indices.iter().enumerate().all(|(dim, index)| {
             let mut row = RowBuilder {
                 loops,
                 dim,
                 row: &mut rows[dim * width..][..width],
-                free: &mut free,
+                first_free: free.len(),
+                free: &mut *free,
             };
             if AffineFold::new(params)
                 .add(index, 1, &mut |v, c| row.scatter(v, c))
@@ -198,13 +210,39 @@ impl Subscripts {
             }
             true
         });
-        Subscripts {
+        if !affine {
+            self.rows.truncate(first_row);
+            self.free.truncate(first_free);
+        }
+        Lowered {
             rank,
-            rows: affine.then_some(rows),
-            free,
+            rows: affine.then_some((first_row, rank * width)),
+            free: (first_free, self.free.len() - first_free),
         }
     }
 
+    /// The subscripts `lowered` describes.
+    pub(crate) fn get(&self, lowered: Lowered) -> Subscripts<'_> {
+        let (first, len) = lowered.free;
+        Subscripts {
+            rank: lowered.rank,
+            rows: lowered.rows.map(|(first, len)| &self.rows[first..][..len]),
+            free: &self.free[first..][..len],
+        }
+    }
+}
+
+/// The subscripts of one access as dense integer rows (module docs).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Subscripts<'a> {
+    rank: usize,
+    /// `rank` rows of `depth + 1` integers, or `None` when a subscript is
+    /// not affine or does not fit: the access may touch any element.
+    rows: Option<&'a [i64]>,
+    free: &'a [FreeTerm],
+}
+
+impl Subscripts<'_> {
     fn free_coefficient(&self, dim: usize, symbol: &Var) -> Option<i64> {
         self.free
             .iter()
@@ -220,6 +258,8 @@ struct RowBuilder<'a> {
     loops: &'a [LoopBound],
     dim: usize,
     row: &'a mut [i64],
+    /// The free terms of this row start here.
+    first_free: usize,
     free: &'a mut Vec<FreeTerm>,
 }
 
@@ -236,15 +276,13 @@ impl RowBuilder<'_> {
             self.row[1 + slot] += c;
             return;
         }
-        let dim = self.dim;
-        match self
-            .free
+        match self.free[self.first_free..]
             .iter_mut()
-            .find(|t| t.dim == dim && &t.symbol == v)
+            .find(|t| &t.symbol == v)
         {
             Some(term) => term.coefficient += c,
             None => self.free.push(FreeTerm {
-                dim,
+                dim: self.dim,
                 symbol: v.clone(),
                 coefficient: c,
             }),
@@ -254,8 +292,7 @@ impl RowBuilder<'_> {
     /// Forgets what a declined fold scattered.
     fn clear(&mut self) {
         self.row.fill(0);
-        let dim = self.dim;
-        self.free.retain(|t| t.dim != dim);
+        self.free.truncate(self.first_free);
     }
 }
 
@@ -270,8 +307,8 @@ struct CommonLoop {
 
 /// How the loop stacks of two computations line up: the common loops
 /// (matched by iterator name, in the order given) and the loops only one
-/// side has.
-#[derive(Clone, Debug)]
+/// side has. One pairing is refilled for pair after pair.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct LoopPairing {
     common: Vec<CommonLoop>,
     src_only: Vec<usize>,
@@ -281,37 +318,32 @@ pub(crate) struct LoopPairing {
 impl LoopPairing {
     /// Pairs the two stacks over `common`, whose iterators must enclose both
     /// sides.
-    pub(crate) fn new(src: &[LoopBound], dst: &[LoopBound], common: &[Var]) -> Self {
+    pub(crate) fn pair(&mut self, src: &[LoopBound], dst: &[LoopBound], common: &[Var]) {
         let slot = |loops: &[LoopBound], iter: &Var| {
             loops
                 .iter()
                 .position(|l| &l.iter == iter)
                 .expect("a common loop encloses both computations")
         };
-        let rest = |loops: &[LoopBound]| {
-            (0..loops.len())
-                .filter(|&k| !common.contains(&loops[k].iter))
-                .collect()
+        let rest = |loops: &[LoopBound], out: &mut Vec<usize>| {
+            out.clear();
+            out.extend((0..loops.len()).filter(|&k| !common.contains(&loops[k].iter)));
         };
-        LoopPairing {
-            common: common
-                .iter()
-                .map(|iter| CommonLoop {
-                    src: slot(src, iter),
-                    dst: slot(dst, iter),
-                })
-                .collect(),
-            src_only: rest(src),
-            dst_only: rest(dst),
-        }
+        self.common.clear();
+        self.common.extend(common.iter().map(|iter| CommonLoop {
+            src: slot(src, iter),
+            dst: slot(dst, iter),
+        }));
+        rest(src, &mut self.src_only);
+        rest(dst, &mut self.dst_only);
     }
 }
 
 /// Two accesses to one array, ready for testing.
 pub(crate) struct Pair<'a> {
-    pub(crate) src: &'a Subscripts,
+    pub(crate) src: Subscripts<'a>,
     pub(crate) src_loops: &'a [LoopBound],
-    pub(crate) dst: &'a Subscripts,
+    pub(crate) dst: Subscripts<'a>,
     pub(crate) dst_loops: &'a [LoopBound],
     pub(crate) pairing: &'a LoopPairing,
 }
@@ -324,7 +356,7 @@ impl Pair<'_> {
         if self.src.rank != self.dst.rank {
             return false;
         }
-        match (&self.src.rows, &self.dst.rows) {
+        match (self.src.rows, self.dst.rows) {
             // Each dimension refutes an empty polygon itself.
             (Some(src_rows), Some(dst_rows)) if self.src.rank > 0 => {
                 let (src_width, dst_width) = (self.src_loops.len() + 1, self.dst_loops.len() + 1);
@@ -587,12 +619,17 @@ pub fn may_depend(
         .filter(|(iter, _)| encloses(src.loops, iter) && encloses(dst.loops, iter))
         .map(|(iter, direction)| (iter.clone(), *direction))
         .unzip();
+    let mut table = SubscriptTable::default();
+    let lowered_src = table.lower(src.array_ref, src.loops, params);
+    let lowered_dst = table.lower(dst.array_ref, dst.loops, params);
+    let mut pairing = LoopPairing::default();
+    pairing.pair(src.loops, dst.loops, &shared);
     Pair {
-        src: &Subscripts::lower(src.array_ref, src.loops, params),
+        src: table.get(lowered_src),
         src_loops: src.loops,
-        dst: &Subscripts::lower(dst.array_ref, dst.loops, params),
+        dst: table.get(lowered_dst),
         dst_loops: dst.loops,
-        pairing: &LoopPairing::new(src.loops, dst.loops, &shared),
+        pairing: &pairing,
     }
     .may_depend(&levels)
 }
@@ -1048,27 +1085,25 @@ mod tests {
         let a = ArrayRef::new("A", vec![var("i") * cst(2)]);
         let b = ArrayRef::new("A", vec![var("i") * cst(2) + cst(3)]);
         let loops = bounds(&[("i", 0, 10)]);
+        // A[2i] -> A[2i + 4] survives relaxed and as `>` only.
+        let c = ArrayRef::new("A", vec![var("i") * cst(2) + cst(4)]);
         let no_params = params();
-        let (src, dst) = (
-            Subscripts::lower(&a, &loops, &no_params),
-            Subscripts::lower(&b, &loops, &no_params),
-        );
-        let pairing = LoopPairing::new(&loops, &loops, &[Var::new("i")]);
+        let mut table = SubscriptTable::default();
+        let [src, dst, far] = [&a, &b, &c].map(|r| table.lower(r, &loops, &no_params));
+        let mut pairing = LoopPairing::default();
+        pairing.pair(&loops, &loops, &[Var::new("i")]);
         let pair = |dst| Pair {
-            src: &src,
+            src: table.get(src),
             src_loops: &loops,
-            dst,
+            dst: table.get(dst),
             dst_loops: &loops,
             pairing: &pairing,
         };
-        assert!(!pair(&dst).may_depend(&[Direction::Any]));
-        // A[2i] -> A[2i + 4] survives relaxed and as `>` only.
-        let c = ArrayRef::new("A", vec![var("i") * cst(2) + cst(4)]);
-        let dst = Subscripts::lower(&c, &loops, &no_params);
-        assert!(pair(&dst).may_depend(&[Direction::Any]));
-        assert!(!pair(&dst).may_depend(&[Direction::Eq]));
-        assert!(!pair(&dst).may_depend(&[Direction::Lt]));
-        assert!(pair(&dst).may_depend(&[Direction::Gt]));
+        assert!(!pair(dst).may_depend(&[Direction::Any]));
+        assert!(pair(far).may_depend(&[Direction::Any]));
+        assert!(!pair(far).may_depend(&[Direction::Eq]));
+        assert!(!pair(far).may_depend(&[Direction::Lt]));
+        assert!(pair(far).may_depend(&[Direction::Gt]));
     }
 
     #[test]

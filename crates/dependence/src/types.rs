@@ -1,6 +1,7 @@
 //! Dependence kinds, direction vectors and the [`Dependence`] record.
 
 use std::fmt;
+use std::sync::Arc;
 
 use loop_ir::expr::Var;
 use loop_ir::nest::CompId;
@@ -85,8 +86,9 @@ pub struct Dependence {
     pub kind: DepKind,
     /// The array through which the dependence flows.
     pub array: Var,
-    /// The loops enclosing *both* computations, outermost first.
-    pub common_loops: Vec<Var>,
+    /// The loops enclosing *both* computations, outermost first; shared by
+    /// the edges of one pair of computations.
+    pub common_loops: Arc<[Var]>,
     /// One direction per common loop, outermost first.
     pub directions: Vec<Direction>,
 }
@@ -163,7 +165,7 @@ mod tests {
             dst: CompId(1),
             kind: DepKind::Flow,
             array: Var::new("A"),
-            common_loops: vec![Var::new("i"), Var::new("j"), Var::new("k")],
+            common_loops: [Var::new("i"), Var::new("j"), Var::new("k")].into(),
             directions,
         }
     }

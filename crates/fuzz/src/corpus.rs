@@ -27,11 +27,11 @@ pub fn features_of(program: &Program) -> BTreeSet<String> {
         if l.lower.as_const().is_none() || l.upper.as_const().is_none() {
             features.insert("parametric-bounds".to_string());
         }
-        let bound_vars: BTreeSet<Var> = l.lower.vars().into_iter().chain(l.upper.vars()).collect();
-        if bound_vars
-            .iter()
-            .any(|v| v != &l.iter && iterators.contains(v))
-        {
+        let mut triangular = false;
+        for bound in [&l.lower, &l.upper] {
+            bound.for_each_var(&mut |v| triangular |= v != &l.iter && iterators.contains(v));
+        }
+        if triangular {
             features.insert("triangular".to_string());
         }
         if l.schedule.parallel {
@@ -62,7 +62,8 @@ pub fn features_of(program: &Program) -> BTreeSet<String> {
         {
             features.insert("scalar-accumulator".to_string());
         }
-        let loads = comp.value.loads();
+        let mut loads = Vec::new();
+        comp.value.for_each_load(&mut |r| loads.push(r));
         for idx in comp
             .target
             .indices

@@ -554,9 +554,9 @@ mod tests {
             let p = generate(seed, &config);
             for comp in p.computations() {
                 let mut per_array: BTreeMap<String, usize> = BTreeMap::new();
-                for r in comp.value.loads() {
+                comp.value.for_each_load(&mut |r| {
                     *per_array.entry(r.array.to_string()).or_default() += 1;
-                }
+                });
                 widest = widest.max(per_array.values().copied().max().unwrap_or(0));
             }
         }

@@ -352,7 +352,9 @@ fn cleanup(mut program: Program) -> Program {
     let mut used_arrays = std::collections::BTreeSet::new();
     let mut used_params = std::collections::BTreeSet::new();
     fn note_expr(e: &Expr, params: &mut std::collections::BTreeSet<Var>) {
-        params.extend(e.vars());
+        e.for_each_var(&mut |v| {
+            params.insert(v.clone());
+        });
     }
     fn note_scalar(
         e: &ScalarExpr,

@@ -48,9 +48,9 @@ impl Array {
     /// Total number of elements under the given bindings; `None` when an
     /// extent cannot be evaluated or the product leaves `i64`.
     pub fn len(&self, bindings: &BTreeMap<Var, i64>) -> Option<i64> {
-        self.concrete_dims(bindings)?
+        self.dims
             .iter()
-            .try_fold(1i64, |len, &dim| len.checked_mul(dim))
+            .try_fold(1i64, |len, dim| len.checked_mul(dim.eval(bindings)?))
     }
 
     /// Returns true if the array has zero elements under the given bindings.
@@ -60,14 +60,48 @@ impl Array {
 
     /// Row-major linear strides (in elements) for each dimension, under the
     /// given parameter bindings. The innermost (last) dimension has stride 1.
-    /// `None` when an extent cannot be evaluated or a stride leaves `i64`.
+    /// `None` when an extent — the outermost too, though no stride uses it —
+    /// cannot be evaluated, or a stride leaves `i64`.
     pub fn strides(&self, bindings: &BTreeMap<Var, i64>) -> Option<Vec<i64>> {
-        let dims = self.concrete_dims(bindings)?;
-        let mut strides = vec![1i64; dims.len()];
-        for i in (0..dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1].checked_mul(dims[i + 1])?;
-        }
+        let mut strides = vec![0; self.rank()];
+        self.fill_strides(bindings, &mut strides)?;
         Some(strides)
+    }
+
+    /// [`strides`](Self::strides), written into one slot per dimension.
+    fn fill_strides(&self, bindings: &BTreeMap<Var, i64>, strides: &mut [i64]) -> Option<()> {
+        debug_assert_eq!(strides.len(), self.rank(), "one stride per dimension");
+        let mut stride = 1i64;
+        for k in (0..self.rank()).rev() {
+            strides[k] = stride;
+            let extent = self.dims[k].eval(bindings)?;
+            if k > 0 {
+                stride = stride.checked_mul(extent)?;
+            }
+        }
+        Some(())
+    }
+
+    /// Calls `f` with the row-major [`strides`](Self::strides), kept in a
+    /// buffer on the stack (on the heap past rank 8); `None` where
+    /// `strides` is.
+    pub fn with_strides<R>(
+        &self,
+        bindings: &BTreeMap<Var, i64>,
+        f: impl FnOnce(&[i64]) -> R,
+    ) -> Option<R> {
+        const INLINE: usize = 8;
+        let mut inline = [0i64; INLINE];
+        let mut heap = Vec::new();
+        let strides = match inline.get_mut(..self.rank()) {
+            Some(slice) => slice,
+            None => {
+                heap.resize(self.rank(), 0);
+                heap.as_mut_slice()
+            }
+        };
+        self.fill_strides(bindings, strides)?;
+        Some(f(strides))
     }
 
     /// Total size in bytes under the given bindings; `None` as for
@@ -142,23 +176,30 @@ impl ArrayRef {
         array: &Array,
         bindings: &BTreeMap<Var, i64>,
     ) -> Option<AffineExpr> {
-        let strides = array.strides(bindings)?;
-        if strides.len() != self.indices.len() {
+        if array.rank() != self.rank() {
             return None;
         }
+        array
+            .with_strides(bindings, |strides| self.linearize(strides, bindings))
+            .flatten()
+    }
+
+    /// `Σ stride · index` over the subscripts, folded; see
+    /// [`linear_offset`](Self::linear_offset).
+    fn linearize(&self, strides: &[i64], bindings: &BTreeMap<Var, i64>) -> Option<AffineExpr> {
         let mut out = AffineExpr::default();
         let mut fold = AffineFold::new(bindings);
         let folded = self
             .indices
             .iter()
-            .zip(&strides)
+            .zip(strides)
             .try_for_each(|(idx, &stride)| fold.add(idx, stride, &mut |v, c| out.add_folded(v, c)));
         if folded.is_some() {
             return Some(out.without_zero_terms());
         }
         // The reference: each subscript's form, scaled and summed, checked.
         let mut acc = AffineExpr::constant(0);
-        for (idx, stride) in self.indices.iter().zip(strides) {
+        for (idx, &stride) in self.indices.iter().zip(strides) {
             acc = acc.checked_add(idx.affine_with(bindings)?.checked_scaled(stride)?, 1)?;
         }
         Some(acc)
@@ -282,6 +323,7 @@ mod tests {
     fn missing_binding_gives_none() {
         let a = Array::with_param_dims("A", &["K"]);
         assert_eq!(a.concrete_dims(&bindings()), None);
+        assert_eq!(a.len(&bindings()), None);
         assert!(a.is_empty(&bindings()));
     }
 
@@ -308,8 +350,72 @@ mod tests {
     #[test]
     fn linear_offset_rank_mismatch_is_none() {
         let a = Array::with_param_dims("A", &["N", "M"]);
-        let r = ArrayRef::new("A", vec![var("i")]);
-        assert_eq!(r.linear_offset(&a, &bindings()), None);
+        for indices in [vec![], vec![var("i")], vec![var("i"), var("j"), var("k")]] {
+            assert_eq!(
+                ArrayRef::new("A", indices).linear_offset(&a, &bindings()),
+                None
+            );
+        }
+    }
+
+    /// `strides`, `with_strides` and `linear_offset` answer `None` together.
+    fn assert_no_layout(array: &Array, r: &ArrayRef, bindings: &BTreeMap<Var, i64>) {
+        assert_eq!(array.strides(bindings), None);
+        assert_eq!(array.with_strides(bindings, <[i64]>::to_vec), None);
+        assert_eq!(r.linear_offset(array, bindings), None);
+    }
+
+    #[test]
+    fn an_outermost_extent_that_does_not_evaluate_has_no_layout() {
+        // No stride uses the outermost extent, and still it must evaluate.
+        let a = Array::with_param_dims("A", &["K", "N"]);
+        let r = ArrayRef::new("A", vec![var("i"), var("j")]);
+        assert_no_layout(&a, &r, &bindings());
+        let scalar_like = Array::with_param_dims("S", &["K"]);
+        assert_no_layout(
+            &scalar_like,
+            &ArrayRef::new("S", vec![var("i")]),
+            &bindings(),
+        );
+    }
+
+    #[test]
+    fn an_inner_stride_product_that_leaves_i64_has_no_layout() {
+        let huge = [(Var::new("H"), 1i64 << 62)].into_iter().collect();
+        // Strides [4·2^62, 4, 1]: the outermost one leaves `i64`.
+        let a = Array::new("A", vec![cst(2), var("H"), cst(4)]);
+        let r = ArrayRef::new("A", vec![var("i"), var("j"), var("k")]);
+        assert_no_layout(&a, &r, &huge);
+        // A zero extent further out does not rescue it.
+        let z = Array::new("Z", vec![cst(0), cst(3), var("H"), cst(4)]);
+        let r = ArrayRef::new("Z", vec![var("h"), var("i"), var("j"), var("k")]);
+        assert_no_layout(&z, &r, &huge);
+    }
+
+    #[test]
+    fn offsets_of_every_rank_match_the_row_major_sum() {
+        // Ranks 0 through 9, past the eight strides kept on the stack.
+        for rank in 0..=9usize {
+            let dims: Vec<i64> = (0..rank as i64).map(|k| k + 2).collect();
+            let array = Array::new("A", dims.iter().map(|&d| cst(d)).collect());
+            let iters: Vec<Var> = (0..rank).map(|k| Var::new(format!("i{k}"))).collect();
+            let r = ArrayRef::new("A", iters.iter().map(|v| var(v.clone()) + cst(1)).collect());
+            let strides: Vec<i64> = (0..rank).map(|k| dims[k + 1..].iter().product()).collect();
+            assert_eq!(array.strides(&BTreeMap::new()), Some(strides.clone()));
+            assert_eq!(
+                array.with_strides(&BTreeMap::new(), <[i64]>::to_vec),
+                Some(strides.clone())
+            );
+            let expected = AffineExpr::from_terms(
+                iters.iter().cloned().zip(strides.iter().copied()),
+                strides.iter().sum(),
+            );
+            assert_eq!(
+                r.linear_offset(&array, &BTreeMap::new()),
+                Some(expected),
+                "rank {rank}"
+            );
+        }
     }
 
     #[test]

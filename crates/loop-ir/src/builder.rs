@@ -45,18 +45,24 @@ impl ProgramBuilder {
     }
 
     /// Declares an integer size parameter with its concrete value.
-    pub fn param(mut self, name: &str, value: i64) -> Self {
-        let key = Var::new(name);
-        if self.params.insert(key, value).is_some() {
+    pub fn param(self, name: &str, value: i64) -> Self {
+        self.param_var(Var::new(name), value)
+    }
+
+    pub(crate) fn param_var(mut self, name: Var, value: i64) -> Self {
+        if self.params.insert(name.clone(), value).is_some() {
             self.duplicate.get_or_insert_with(|| name.to_string());
         }
         self
     }
 
     /// Declares a floating-point scalar parameter with its concrete value.
-    pub fn scalar(mut self, name: &str, value: f64) -> Self {
-        let key = Var::new(name);
-        if self.scalar_params.insert(key, value).is_some() {
+    pub fn scalar(self, name: &str, value: f64) -> Self {
+        self.scalar_var(Var::new(name), value)
+    }
+
+    pub(crate) fn scalar_var(mut self, name: Var, value: f64) -> Self {
+        if self.scalar_params.insert(name.clone(), value).is_some() {
             self.duplicate.get_or_insert_with(|| name.to_string());
         }
         self
@@ -72,10 +78,13 @@ impl ProgramBuilder {
     }
 
     /// Declares an array with arbitrary symbolic extents.
-    pub fn array_with_dims(mut self, name: &str, dims: Vec<Expr>) -> Self {
-        let array = Array::new(name, dims);
-        if self.arrays.insert(array.name.clone(), array).is_some() {
-            self.duplicate.get_or_insert_with(|| name.to_string());
+    pub fn array_with_dims(self, name: &str, dims: Vec<Expr>) -> Self {
+        self.array_var(Array::new(name, dims))
+    }
+
+    pub(crate) fn array_var(mut self, array: Array) -> Self {
+        if let Some(old) = self.arrays.insert(array.name.clone(), array) {
+            self.duplicate.get_or_insert_with(|| old.name.to_string());
         }
         self
     }

@@ -6,6 +6,7 @@
 //! parameters. [`AffineExpr`] is its affine normal form, which is what the
 //! dependence analysis and the stride computation operate on.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
@@ -30,6 +31,14 @@ impl Var {
 
     /// Returns the variable name as a string slice.
     pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// A `Var` orders, compares and hashes as its name does, so maps keyed by
+/// `Var` can be searched with a `&str`.
+impl Borrow<str> for Var {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }
@@ -136,19 +145,12 @@ impl Expr {
         }
     }
 
-    /// Collects all variables referenced by the expression.
-    pub fn vars(&self) -> BTreeSet<Var> {
-        let mut out = BTreeSet::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    fn collect_vars(&self, out: &mut BTreeSet<Var>) {
+    /// Calls `f` on every variable occurrence, left to right (a variable
+    /// used twice is visited twice).
+    pub fn for_each_var<'a>(&'a self, f: &mut impl FnMut(&'a Var)) {
         match self {
             Expr::Const(_) => {}
-            Expr::Var(v) => {
-                out.insert(v.clone());
-            }
+            Expr::Var(v) => f(v),
             Expr::Add(a, b)
             | Expr::Sub(a, b)
             | Expr::Mul(a, b)
@@ -156,10 +158,10 @@ impl Expr {
             | Expr::Mod(a, b)
             | Expr::Min(a, b)
             | Expr::Max(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
-            Expr::Neg(a) => a.collect_vars(out),
+            Expr::Neg(a) => a.for_each_var(f),
         }
     }
 
@@ -181,44 +183,24 @@ impl Expr {
 
     /// Substitutes every occurrence of `v` by `replacement`.
     pub fn substitute(&self, v: &Var, replacement: &Expr) -> Expr {
+        self.map_vars(&|w| (w == v).then(|| replacement.clone()))
+    }
+
+    /// The expression with every variable `replace` maps to `Some(e)`
+    /// replaced by `e`, all at once.
+    fn map_vars(&self, replace: &impl Fn(&Var) -> Option<Expr>) -> Expr {
+        let map = |e: &Expr| Box::new(e.map_vars(replace));
         match self {
             Expr::Const(_) => self.clone(),
-            Expr::Var(w) => {
-                if w == v {
-                    replacement.clone()
-                } else {
-                    self.clone()
-                }
-            }
-            Expr::Add(a, b) => Expr::Add(
-                Box::new(a.substitute(v, replacement)),
-                Box::new(b.substitute(v, replacement)),
-            ),
-            Expr::Sub(a, b) => Expr::Sub(
-                Box::new(a.substitute(v, replacement)),
-                Box::new(b.substitute(v, replacement)),
-            ),
-            Expr::Mul(a, b) => Expr::Mul(
-                Box::new(a.substitute(v, replacement)),
-                Box::new(b.substitute(v, replacement)),
-            ),
-            Expr::Div(a, b) => Expr::Div(
-                Box::new(a.substitute(v, replacement)),
-                Box::new(b.substitute(v, replacement)),
-            ),
-            Expr::Mod(a, b) => Expr::Mod(
-                Box::new(a.substitute(v, replacement)),
-                Box::new(b.substitute(v, replacement)),
-            ),
-            Expr::Min(a, b) => Expr::Min(
-                Box::new(a.substitute(v, replacement)),
-                Box::new(b.substitute(v, replacement)),
-            ),
-            Expr::Max(a, b) => Expr::Max(
-                Box::new(a.substitute(v, replacement)),
-                Box::new(b.substitute(v, replacement)),
-            ),
-            Expr::Neg(a) => Expr::Neg(Box::new(a.substitute(v, replacement))),
+            Expr::Var(w) => replace(w).unwrap_or_else(|| self.clone()),
+            Expr::Add(a, b) => Expr::Add(map(a), map(b)),
+            Expr::Sub(a, b) => Expr::Sub(map(a), map(b)),
+            Expr::Mul(a, b) => Expr::Mul(map(a), map(b)),
+            Expr::Div(a, b) => Expr::Div(map(a), map(b)),
+            Expr::Mod(a, b) => Expr::Mod(map(a), map(b)),
+            Expr::Min(a, b) => Expr::Min(map(a), map(b)),
+            Expr::Max(a, b) => Expr::Max(map(a), map(b)),
+            Expr::Neg(a) => Expr::Neg(map(a)),
         }
     }
 
@@ -229,13 +211,8 @@ impl Expr {
     /// [`affine_with`](Self::affine_with), which computes the same form
     /// without building either tree.
     pub fn fold_params(&self, bindings: &BTreeMap<Var, i64>) -> Expr {
-        let mut out = self.clone();
-        for v in self.vars() {
-            if let Some(value) = bindings.get(&v) {
-                out = out.substitute(&v, &Expr::Const(*value));
-            }
-        }
-        out.simplify()
+        self.map_vars(&|v| bindings.get(v).map(|value| Expr::Const(*value)))
+            .simplify()
     }
 
     /// Performs constant folding and identity simplifications.
@@ -810,12 +787,10 @@ mod tests {
 
     #[test]
     fn vars_are_collected() {
-        let e = var("i") * var("NJ") + var("j");
-        let vars = e.vars();
-        assert!(vars.contains(&Var::new("i")));
-        assert!(vars.contains(&Var::new("j")));
-        assert!(vars.contains(&Var::new("NJ")));
-        assert_eq!(vars.len(), 3);
+        let e = var("i") * var("NJ") + var("j") - var("i");
+        let mut vars = Vec::new();
+        e.for_each_var(&mut |v| vars.push(v.as_str()));
+        assert_eq!(vars, ["i", "NJ", "j", "i"]);
     }
 
     #[test]

@@ -40,6 +40,24 @@
 //!     .expect("well-formed program");
 //! assert_eq!(program.computations().len(), 1);
 //! ```
+//!
+//! ## Queries borrow
+//!
+//! Analyses ask the IR the same questions per access, per nest and per
+//! candidate, so a query allocates only what it returns. Walks hand out
+//! borrows through visitors: [`Computation::for_each_access`] (and
+//! `try_for_each_access`, which stops at the first error),
+//! [`ScalarExpr::for_each_load`], [`Expr::for_each_var`],
+//! [`ScalarExpr::for_each_param`], [`Loop::for_each_computation`] and
+//! [`Loop::for_each_loop`]; `transforms::perfect_chain` is an iterator.
+//! [`Array::with_strides`] keeps a layout's strides on the stack (past rank
+//! 8, on the heap), so [`ArrayRef::linear_offset`] builds nothing but its
+//! [`AffineExpr`]; [`Array::len`] and [`Array::size_bytes`] build nothing.
+//! [`Program::validate`] allocates nothing but its stack of enclosing
+//! iterators, and [`parser::parse_program`] validates once and shares one
+//! [`Var`] per distinct identifier. The helpers that return a collection —
+//! [`Loop::computations`], [`Loop::nested_iterators`], [`Array::strides`],
+//! [`Array::concrete_dims`] — are for callers that keep it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -7,6 +7,7 @@
 //! scalar value expression.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::fmt;
 
 use crate::array::{Access, ArrayRef};
@@ -109,19 +110,43 @@ impl Loop {
     /// Returns all computations contained (transitively) in this loop.
     pub fn computations(&self) -> Vec<&Computation> {
         let mut out = Vec::new();
-        for node in &self.body {
-            node.collect_computations(&mut out);
-        }
+        self.for_each_computation(&mut |c| out.push(c));
         out
+    }
+
+    /// Calls `f` on every computation contained (transitively) in this
+    /// loop, in execution order.
+    pub fn for_each_computation<'a>(&'a self, f: &mut impl FnMut(&'a Computation)) {
+        for node in &self.body {
+            node.for_each_computation(f);
+        }
+    }
+
+    /// Calls `f` on this loop and every nested loop in pre-order (the order
+    /// of [`nested_iterators`](Self::nested_iterators)).
+    pub fn for_each_loop<'a>(&'a self, f: &mut impl FnMut(&'a Loop)) {
+        f(self);
+        for node in &self.body {
+            if let Node::Loop(inner) = node {
+                inner.for_each_loop(f);
+            }
+        }
+    }
+
+    /// Whether this loop or a loop nested in it iterates over `iter`.
+    pub fn has_iterator(&self, iter: &Var) -> bool {
+        &self.iter == iter
+            || self
+                .body
+                .iter()
+                .any(|node| matches!(node, Node::Loop(inner) if inner.has_iterator(iter)))
     }
 
     /// Returns the iterators of this loop and all nested loops in in-order
     /// traversal order (the order used by the stride-minimization pass).
     pub fn nested_iterators(&self) -> Vec<Var> {
-        let mut out = vec![self.iter.clone()];
-        for node in &self.body {
-            node.collect_iterators(&mut out);
-        }
+        let mut out = Vec::new();
+        self.for_each_loop(&mut |l| out.push(l.iter.clone()));
         out
     }
 
@@ -204,25 +229,33 @@ impl Computation {
         }
     }
 
-    /// Every memory access performed by the computation: all loads of the
-    /// value expression, plus a read of the target when the statement is a
-    /// reduction, plus the write of the target.
-    pub fn accesses(&self) -> Vec<Access<'_>> {
-        let mut out: Vec<Access<'_>> = self.value.loads().into_iter().map(Access::read).collect();
+    /// Calls `f` on every memory access performed by the computation, in
+    /// order: all loads of the value expression, then a read of the target
+    /// when the statement is a reduction, then the write of the target.
+    /// Stops at the first error.
+    pub fn try_for_each_access<'a, E>(
+        &'a self,
+        mut f: impl FnMut(Access<'a>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.value.try_for_each_load(&mut |r| f(Access::read(r)))?;
         if self.reduction.is_some() {
-            out.push(Access::read(&self.target));
+            f(Access::read(&self.target))?;
         }
-        out.push(Access::write(&self.target));
-        out
+        f(Access::write(&self.target))
     }
 
-    /// The read accesses of the computation.
-    pub fn reads(&self) -> Vec<&ArrayRef> {
-        let mut out = self.value.loads();
-        if self.reduction.is_some() {
-            out.push(&self.target);
-        }
-        out
+    /// Calls `f` on every memory access of the computation, in the order of
+    /// [`try_for_each_access`](Self::try_for_each_access).
+    pub fn for_each_access<'a>(&'a self, mut f: impl FnMut(Access<'a>)) {
+        let _ = self.try_for_each_access(|access| {
+            f(access);
+            Ok::<(), Infallible>(())
+        });
+    }
+
+    /// Number of memory accesses of the computation.
+    pub fn access_count(&self) -> usize {
+        self.value.load_count() + usize::from(self.reduction.is_some()) + 1
     }
 
     /// The single write access of the computation.
@@ -232,16 +265,22 @@ impl Computation {
 
     /// Names of all arrays touched by the computation.
     pub fn arrays(&self) -> BTreeSet<Var> {
-        let mut out: BTreeSet<Var> = self.reads().into_iter().map(|r| r.array.clone()).collect();
-        out.insert(self.target.array.clone());
+        let mut out = BTreeSet::new();
+        self.for_each_access(|access| {
+            out.insert(access.array_ref.array.clone());
+        });
         out
     }
 
     /// Iterator variables referenced by subscripts of this computation.
     pub fn referenced_vars(&self) -> BTreeSet<Var> {
-        let mut out = self.value.index_vars();
+        let mut out = BTreeSet::new();
+        let mut insert = |v: &Var| {
+            out.insert(v.clone());
+        };
+        self.value.for_each_index_var(&mut insert);
         for idx in &self.target.indices {
-            out.extend(idx.vars());
+            idx.for_each_var(&mut insert);
         }
         out
     }
@@ -379,24 +418,13 @@ impl Node {
         }
     }
 
-    pub(crate) fn collect_computations<'a>(&'a self, out: &mut Vec<&'a Computation>) {
+    /// Calls `f` on every computation contained in (and including) this
+    /// node, in execution order.
+    pub fn for_each_computation<'a>(&'a self, f: &mut impl FnMut(&'a Computation)) {
         match self {
-            Node::Loop(l) => {
-                for n in &l.body {
-                    n.collect_computations(out);
-                }
-            }
-            Node::Computation(c) => out.push(c),
+            Node::Loop(l) => l.for_each_computation(f),
+            Node::Computation(c) => f(c),
             Node::Call(_) => {}
-        }
-    }
-
-    pub(crate) fn collect_iterators(&self, out: &mut Vec<Var>) {
-        if let Node::Loop(l) = self {
-            out.push(l.iter.clone());
-            for n in &l.body {
-                n.collect_iterators(out);
-            }
         }
     }
 
@@ -404,7 +432,7 @@ impl Node {
     /// execution order.
     pub fn computations(&self) -> Vec<&Computation> {
         let mut out = Vec::new();
-        self.collect_computations(&mut out);
+        self.for_each_computation(&mut |c| out.push(c));
         out
     }
 
@@ -537,7 +565,8 @@ mod tests {
         let nest = gemm_nest();
         let comps = nest.computations();
         assert_eq!(comps.len(), 1);
-        let accesses = comps[0].accesses();
+        let mut accesses = Vec::new();
+        comps[0].for_each_access(|a| accesses.push(a));
         // reads of A, B, C (reduction) plus write of C.
         assert_eq!(accesses.len(), 4);
         assert_eq!(accesses.iter().filter(|a| a.is_write()).count(), 1);

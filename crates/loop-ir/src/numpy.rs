@@ -792,7 +792,9 @@ mod tests {
             .unwrap();
         let comp = program.computations()[0];
         // B[_i0_0][_i0_1] = A[_i0_1][_i0_0]
-        let load = &comp.value.loads()[0];
+        let mut loads = Vec::new();
+        comp.value.for_each_load(&mut |r| loads.push(r));
+        let load = loads[0];
         assert_eq!(load.array.as_str(), "A");
         assert_eq!(comp.target.indices[0], load.indices[1]);
         assert_eq!(comp.target.indices[1], load.indices[0]);

@@ -22,7 +22,9 @@
 //! }
 //! ```
 
-use crate::array::ArrayRef;
+use std::collections::BTreeMap;
+
+use crate::array::{Array, ArrayRef};
 use crate::error::{IrError, Result};
 use crate::expr::{Expr, Var};
 use crate::nest::{Computation, Loop, LoopSchedule, Node};
@@ -33,7 +35,10 @@ use crate::scalar::{BinOp, ScalarExpr, UnaryOp};
 ///
 /// # Errors
 /// Returns [`IrError::Parse`] with line/column information on syntax errors,
-/// and validation errors from [`Program::validate`] for semantic problems.
+/// and validation errors from [`Program::validate`] for semantic problems:
+/// the program is validated once, by [`ProgramBuilder::build`].
+///
+/// [`ProgramBuilder::build`]: crate::builder::ProgramBuilder::build
 pub fn parse_program(source: &str) -> Result<Program> {
     let tokens = Lexer::new(source).tokenize()?;
     let mut parser = Parser {
@@ -41,10 +46,9 @@ pub fn parse_program(source: &str) -> Result<Program> {
         pos: 0,
         next_comp: 0,
         depth: 0,
+        names: BTreeMap::new(),
     };
-    let program = parser.program()?;
-    program.validate()?;
-    Ok(program)
+    parser.program()
 }
 
 /// How deep parentheses, unary minus, calls, `for` blocks and the operators
@@ -236,6 +240,8 @@ struct Parser<'a> {
     next_comp: u32,
     /// Open nesting levels, against [`MAX_NESTING`].
     depth: usize,
+    /// One shared [`Var`] per distinct identifier of the parse.
+    names: BTreeMap<&'a str, Var>,
 }
 
 impl<'a> Parser<'a> {
@@ -312,6 +318,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The shared variable named `name`.
+    fn var(&mut self, name: &'a str) -> Var {
+        self.names
+            .entry(name)
+            .or_insert_with(|| Var::new(name))
+            .clone()
+    }
+
+    /// An identifier as a shared variable.
+    fn ident_var(&mut self) -> Result<Var> {
+        let name = self.ident()?;
+        Ok(self.var(name))
+    }
+
     fn int(&mut self) -> Result<i64> {
         match self.peek().kind {
             TokenKind::Int(v) => {
@@ -352,29 +372,24 @@ impl<'a> Parser<'a> {
             }
             if self.peek_keyword("param") {
                 self.bump();
-                let name = self.ident()?;
+                let name = self.ident_var()?;
                 self.eat_symbol("=")?;
                 let value = self.int()?;
                 self.eat_symbol(";")?;
-                builder = builder.param(name, value);
+                builder = builder.param_var(name, value);
             } else if self.peek_keyword("scalar") {
                 self.bump();
-                let name = self.ident()?;
+                let name = self.ident_var()?;
                 self.eat_symbol("=")?;
                 let value = self.number()?;
                 self.eat_symbol(";")?;
-                builder = builder.scalar(name, value);
+                builder = builder.scalar_var(name, value);
             } else if self.peek_keyword("array") {
                 self.bump();
-                let name = self.ident()?;
-                let mut dims = Vec::new();
-                while self.peek_symbol("[") {
-                    self.bump();
-                    dims.push(self.expr()?);
-                    self.eat_symbol("]")?;
-                }
+                let name = self.ident_var()?;
+                let dims = self.subscripts()?;
                 self.eat_symbol(";")?;
-                builder = builder.array_with_dims(name, dims);
+                builder = builder.array_var(Array::new(name, dims));
             } else {
                 let node = self.statement()?;
                 builder = builder.node(node);
@@ -386,10 +401,7 @@ impl<'a> Parser<'a> {
         }
         // Duplicate declarations and semantic validation are reported by the
         // builder / validator with their own error variants.
-        match builder.build() {
-            Ok(p) => Ok(p),
-            Err(e) => Err(e),
-        }
+        builder.build()
     }
 
     fn statement(&mut self) -> Result<Node> {
@@ -420,7 +432,7 @@ impl<'a> Parser<'a> {
 
     fn for_loop(&mut self, schedule: LoopSchedule) -> Result<Node> {
         self.eat_keyword("for")?;
-        let iter = self.ident()?;
+        let iter = self.ident_var()?;
         self.eat_keyword("in")?;
         let lower = self.expr()?;
         self.eat_symbol("..")?;
@@ -473,14 +485,20 @@ impl<'a> Parser<'a> {
     }
 
     fn array_ref(&mut self) -> Result<ArrayRef> {
-        let name = self.ident()?;
+        let name = self.ident_var()?;
+        Ok(ArrayRef::new(name, self.subscripts()?))
+    }
+
+    /// `([expr])*`: the subscripts of a reference, the extents of a
+    /// declaration.
+    fn subscripts(&mut self) -> Result<Vec<Expr>> {
         let mut indices = Vec::new();
         while self.peek_symbol("[") {
             self.bump();
             indices.push(self.expr()?);
             self.eat_symbol("]")?;
         }
-        Ok(ArrayRef::new(name, indices))
+        Ok(indices)
     }
 
     /// Parses `operand (op operand)*` over the operators `ops` into a
@@ -532,7 +550,7 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                Ok(Expr::Var(Var::new(name)))
+                Ok(Expr::Var(self.var(name)))
             }
             TokenKind::Symbol("-") => {
                 self.bump();
@@ -588,18 +606,13 @@ impl<'a> Parser<'a> {
                 if self.peek_symbol("(") {
                     self.nested(|parser| parser.call(name))
                 } else if self.peek_symbol("[") {
-                    let mut indices = Vec::new();
-                    while self.peek_symbol("[") {
-                        self.bump();
-                        indices.push(self.expr()?);
-                        self.eat_symbol("]")?;
-                    }
-                    Ok(ScalarExpr::Load(ArrayRef::new(name, indices)))
+                    let name = self.var(name);
+                    Ok(ScalarExpr::Load(ArrayRef::new(name, self.subscripts()?)))
                 } else {
                     // A bare identifier in scalar position is a scalar
                     // parameter (alpha, beta, …); iterators must be wrapped
                     // in `index(...)`.
-                    Ok(ScalarExpr::Param(Var::new(name)))
+                    Ok(ScalarExpr::Param(self.var(name)))
                 }
             }
             other => Err(self.error(format!("expected scalar expression, found {other:?}"))),
@@ -701,7 +714,7 @@ mod tests {
         assert_eq!(p.max_depth(), 3);
         let update = p.computations()[1];
         assert_eq!(update.reduction, Some(BinOp::Add));
-        assert_eq!(update.reads().len(), 3);
+        assert_eq!(update.access_count(), 4, "three reads and the write");
     }
 
     #[test]
@@ -736,8 +749,11 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         let c = p.computations()[0];
-        assert_eq!(c.value.loads().len(), 2);
-        assert!(c.value.index_vars().contains(&Var::new("i")));
+        assert_eq!(c.value.load_count(), 2);
+        let mut index_vars = Vec::new();
+        c.value
+            .for_each_index_var(&mut |v| index_vars.push(v.clone()));
+        assert!(index_vars.contains(&Var::new("i")));
     }
 
     #[test]
@@ -752,7 +768,11 @@ mod tests {
             }
         "#;
         let p = parse_program(src).unwrap();
-        assert_eq!(p.computations()[0].reads().len(), 2);
+        assert_eq!(
+            p.computations()[0].access_count(),
+            3,
+            "two reads and the write"
+        );
     }
 
     #[test]
@@ -889,6 +909,39 @@ mod tests {
     fn semantic_errors_surface_from_validation() {
         let src = "program p { param N = 2; for i in 0..N { A[i] = 1.0; } }";
         assert_eq!(parse_program(src), Err(IrError::UnknownArray("A".into())));
+    }
+
+    #[test]
+    fn an_extent_naming_an_undeclared_parameter_is_refused() {
+        let src = "program p { param N = 4; array A[M]; array B[N]; \
+                   for i in 0..N { B[i] = A[i] + 1.0; } }";
+        assert_eq!(
+            parse_program(src),
+            Err(IrError::UnknownVariable("M".into()))
+        );
+        // Extents are declarations: no loop iterator is in scope there.
+        let src = "program p { param N = 4; array A[i]; for i in 0..N { A[i] = 1.0; } }";
+        assert_eq!(
+            parse_program(src),
+            Err(IrError::UnknownVariable("i".into()))
+        );
+        let src = "program p { param N = 4; array A[N * 2 + 1]; for i in 0..N { A[i] = 1.0; } }";
+        assert!(parse_program(src).is_ok());
+    }
+
+    #[test]
+    fn each_distinct_name_is_one_shared_variable() {
+        let p = parse_program(GEMM).unwrap();
+        let update = p.computations()[1];
+        let mut names = Vec::new();
+        update.for_each_access(|a| names.push(&a.array_ref.array));
+        // `C` is read and written; both name the declaration's variable.
+        let declared = p.arrays.keys().find(|k| k.as_str() == "C").unwrap();
+        let c: Vec<_> = names.iter().filter(|n| n.as_str() == "C").collect();
+        assert_eq!(c.len(), 2);
+        assert!(c
+            .iter()
+            .all(|n| std::ptr::eq(n.as_str(), declared.as_str())));
     }
 
     #[test]

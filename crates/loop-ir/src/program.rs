@@ -7,7 +7,7 @@ use std::fmt;
 use crate::array::Array;
 use crate::builder::ProgramBuilder;
 use crate::error::{IrError, Result};
-use crate::expr::Var;
+use crate::expr::{Expr, Var};
 use crate::nest::{CompId, Computation, Loop, Node};
 use crate::visit::{walk_computations, CompContext, StructuralHasher};
 
@@ -49,7 +49,7 @@ impl Program {
     pub fn computations(&self) -> Vec<&Computation> {
         let mut out = Vec::new();
         for node in &self.body {
-            node.collect_computations(&mut out);
+            node.for_each_computation(&mut |c| out.push(c));
         }
         out
     }
@@ -150,20 +150,6 @@ impl Program {
         }
     }
 
-    /// Validates a hypothetical node sequence against this program's
-    /// declarations — the check [`validate`](Self::validate) would perform if
-    /// `nodes` replaced part of the body. Used by the scheduler to vet a
-    /// transformed nest without materializing the whole candidate program.
-    ///
-    /// # Errors
-    /// Returns the first violated invariant.
-    pub fn validate_nodes(&self, nodes: &[Node]) -> Result<()> {
-        for node in nodes {
-            self.validate_node(node, &mut Vec::new())?;
-        }
-        Ok(())
-    }
-
     /// Structural hash of the full program: environment
     /// ([`environment_hash`](Self::environment_hash)) plus body structure.
     ///
@@ -207,22 +193,42 @@ impl Program {
 
     /// Validates the structural invariants of the program:
     ///
+    /// * every array extent uses declared integer parameters only,
     /// * every accessed array is declared and accessed with matching rank,
     /// * every variable used in subscripts and bounds is either an enclosing
     ///   loop iterator or a declared integer parameter,
     /// * loop iterators are not shadowed within a nest,
     /// * loop steps are positive.
     ///
+    /// Allocates nothing but its stack of enclosing iterators.
+    ///
     /// # Errors
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<()> {
-        for node in &self.body {
-            self.validate_node(node, &mut Vec::new())?;
+        for array in self.arrays.values() {
+            for dim in &array.dims {
+                check_vars(dim, |v| self.params.contains_key(v))?;
+            }
+        }
+        self.validate_nodes(&self.body)
+    }
+
+    /// Validates a hypothetical node sequence against this program's
+    /// declarations — the check [`validate`](Self::validate) would perform on
+    /// the body if `nodes` replaced part of it. Used by the scheduler to vet
+    /// a transformed nest without materializing the whole candidate program.
+    ///
+    /// # Errors
+    /// Returns the first violated invariant.
+    pub fn validate_nodes(&self, nodes: &[Node]) -> Result<()> {
+        let mut iterators = Vec::new();
+        for node in nodes {
+            self.validate_node(node, &mut iterators)?;
         }
         Ok(())
     }
 
-    fn validate_node(&self, node: &Node, iterators: &mut Vec<Var>) -> Result<()> {
+    fn validate_node<'a>(&self, node: &'a Node, iterators: &mut Vec<&'a Var>) -> Result<()> {
         match node {
             Node::Loop(l) => {
                 if l.step <= 0 {
@@ -231,17 +237,13 @@ impl Program {
                         step: l.step,
                     });
                 }
-                if iterators.contains(&l.iter) {
+                if iterators.contains(&&l.iter) {
                     return Err(IrError::DuplicateIterator(l.iter.to_string()));
                 }
                 for bound in [&l.lower, &l.upper] {
-                    for v in bound.vars() {
-                        if !iterators.contains(&v) && !self.params.contains_key(&v) {
-                            return Err(IrError::UnknownVariable(v.to_string()));
-                        }
-                    }
+                    check_vars(bound, |v| self.is_bound(iterators, v))?;
                 }
-                iterators.push(l.iter.clone());
+                iterators.push(&l.iter);
                 for n in &l.body {
                     self.validate_node(n, iterators)?;
                 }
@@ -249,7 +251,7 @@ impl Program {
                 Ok(())
             }
             Node::Computation(c) => {
-                for access in c.accesses() {
+                c.try_for_each_access(|access| {
                     let array = self.array(&access.array_ref.array)?;
                     if array.rank() != access.array_ref.rank() {
                         return Err(IrError::RankMismatch {
@@ -259,19 +261,20 @@ impl Program {
                         });
                     }
                     for idx in &access.array_ref.indices {
-                        for v in idx.vars() {
-                            if !iterators.contains(&v) && !self.params.contains_key(&v) {
-                                return Err(IrError::UnknownVariable(v.to_string()));
-                            }
-                        }
+                        check_vars(idx, |v| self.is_bound(iterators, v))?;
                     }
-                }
-                for p in c.value.params() {
-                    if !self.scalar_params.contains_key(&p) {
-                        return Err(IrError::UnknownParam(p.to_string()));
+                    Ok(())
+                })?;
+                let mut unknown: Option<&Var> = None;
+                c.value.for_each_param(&mut |p| {
+                    if !self.scalar_params.contains_key(p) && unknown.is_none_or(|u| p < u) {
+                        unknown = Some(p);
                     }
+                });
+                match unknown {
+                    Some(p) => Err(IrError::UnknownParam(p.to_string())),
+                    None => Ok(()),
                 }
-                Ok(())
             }
             Node::Call(call) => {
                 self.array(&call.output)?;
@@ -281,6 +284,26 @@ impl Program {
                 Ok(())
             }
         }
+    }
+
+    /// Whether `v` is an enclosing iterator or an integer parameter.
+    fn is_bound(&self, iterators: &[&Var], v: &Var) -> bool {
+        iterators.contains(&v) || self.params.contains_key(v)
+    }
+}
+
+/// `Ok` when `known` accepts every variable of `expr`; otherwise the error
+/// names the first unknown one by name order.
+fn check_vars(expr: &Expr, known: impl Fn(&Var) -> bool) -> Result<()> {
+    let mut unknown: Option<&Var> = None;
+    expr.for_each_var(&mut |v| {
+        if !known(v) && unknown.is_none_or(|u| v < u) {
+            unknown = Some(v);
+        }
+    });
+    match unknown {
+        Some(v) => Err(IrError::UnknownVariable(v.to_string())),
+        None => Ok(()),
     }
 }
 

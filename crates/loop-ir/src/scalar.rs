@@ -6,7 +6,7 @@
 //! being written: an expression over array loads, loop iterators, symbolic
 //! scalar parameters and floating-point arithmetic.
 
-use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -201,7 +201,7 @@ pub enum ScalarExpr {
 /// ```
 /// use loop_ir::prelude::*;
 /// let e = load("A", vec![var("i"), var("k")]) * load("B", vec![var("k"), var("j")]);
-/// assert_eq!(e.loads().len(), 2);
+/// assert_eq!(e.load_count(), 2);
 /// ```
 pub fn load(array: impl Into<Var>, indices: Vec<Expr>) -> ScalarExpr {
     ScalarExpr::Load(ArrayRef::new(array, indices))
@@ -255,21 +255,19 @@ impl ScalarExpr {
         }
     }
 
-    /// Collects every array load in evaluation order (left to right).
-    pub fn loads(&self) -> Vec<&ArrayRef> {
-        let mut out = Vec::new();
-        self.collect_loads(&mut out);
-        out
-    }
-
-    fn collect_loads<'a>(&'a self, out: &mut Vec<&'a ArrayRef>) {
+    /// Calls `f` on every array load in evaluation order (left to right),
+    /// stopping at the first error.
+    pub fn try_for_each_load<'a, E>(
+        &'a self,
+        f: &mut impl FnMut(&'a ArrayRef) -> Result<(), E>,
+    ) -> Result<(), E> {
         match self {
-            ScalarExpr::Load(r) => out.push(r),
-            ScalarExpr::Const(_) | ScalarExpr::Param(_) | ScalarExpr::Index(_) => {}
-            ScalarExpr::Unary(_, a) => a.collect_loads(out),
+            ScalarExpr::Load(r) => f(r),
+            ScalarExpr::Const(_) | ScalarExpr::Param(_) | ScalarExpr::Index(_) => Ok(()),
+            ScalarExpr::Unary(_, a) => a.try_for_each_load(f),
             ScalarExpr::Binary(_, a, b) => {
-                a.collect_loads(out);
-                b.collect_loads(out);
+                a.try_for_each_load(f)?;
+                b.try_for_each_load(f)
             }
             ScalarExpr::Select {
                 lhs,
@@ -278,31 +276,38 @@ impl ScalarExpr {
                 otherwise,
                 ..
             } => {
-                lhs.collect_loads(out);
-                rhs.collect_loads(out);
-                then.collect_loads(out);
-                otherwise.collect_loads(out);
+                lhs.try_for_each_load(f)?;
+                rhs.try_for_each_load(f)?;
+                then.try_for_each_load(f)?;
+                otherwise.try_for_each_load(f)
             }
         }
     }
 
-    /// Collects the names of all scalar parameters referenced.
-    pub fn params(&self) -> BTreeSet<Var> {
-        let mut out = BTreeSet::new();
-        self.collect_params(&mut out);
-        out
+    /// Calls `f` on every array load in evaluation order (left to right).
+    pub fn for_each_load<'a>(&'a self, f: &mut impl FnMut(&'a ArrayRef)) {
+        let _ = self.try_for_each_load(&mut |r| {
+            f(r);
+            Ok::<(), Infallible>(())
+        });
     }
 
-    fn collect_params(&self, out: &mut BTreeSet<Var>) {
+    /// Number of array loads.
+    pub fn load_count(&self) -> usize {
+        let mut count = 0;
+        self.for_each_load(&mut |_| count += 1);
+        count
+    }
+
+    /// Calls `f` on every scalar parameter occurrence, left to right.
+    pub fn for_each_param<'a>(&'a self, f: &mut impl FnMut(&'a Var)) {
         match self {
-            ScalarExpr::Param(v) => {
-                out.insert(v.clone());
-            }
+            ScalarExpr::Param(v) => f(v),
             ScalarExpr::Load(_) | ScalarExpr::Const(_) | ScalarExpr::Index(_) => {}
-            ScalarExpr::Unary(_, a) => a.collect_params(out),
+            ScalarExpr::Unary(_, a) => a.for_each_param(f),
             ScalarExpr::Binary(_, a, b) => {
-                a.collect_params(out);
-                b.collect_params(out);
+                a.for_each_param(f);
+                b.for_each_param(f);
             }
             ScalarExpr::Select {
                 lhs,
@@ -311,35 +316,25 @@ impl ScalarExpr {
                 otherwise,
                 ..
             } => {
-                lhs.collect_params(out);
-                rhs.collect_params(out);
-                then.collect_params(out);
-                otherwise.collect_params(out);
+                lhs.for_each_param(f);
+                rhs.for_each_param(f);
+                then.for_each_param(f);
+                otherwise.for_each_param(f);
             }
         }
     }
 
-    /// Collects the integer variables used in `Index` leaves and load
-    /// subscripts.
-    pub fn index_vars(&self) -> BTreeSet<Var> {
-        let mut out = BTreeSet::new();
-        self.collect_index_vars(&mut out);
-        out
-    }
-
-    fn collect_index_vars(&self, out: &mut BTreeSet<Var>) {
+    /// Calls `f` on every integer variable occurrence in `Index` leaves and
+    /// load subscripts, left to right.
+    pub fn for_each_index_var<'a>(&'a self, f: &mut impl FnMut(&'a Var)) {
         match self {
-            ScalarExpr::Load(r) => {
-                for idx in &r.indices {
-                    out.extend(idx.vars());
-                }
-            }
-            ScalarExpr::Index(e) => out.extend(e.vars()),
+            ScalarExpr::Load(r) => r.indices.iter().for_each(|idx| idx.for_each_var(f)),
+            ScalarExpr::Index(e) => e.for_each_var(f),
             ScalarExpr::Const(_) | ScalarExpr::Param(_) => {}
-            ScalarExpr::Unary(_, a) => a.collect_index_vars(out),
+            ScalarExpr::Unary(_, a) => a.for_each_index_var(f),
             ScalarExpr::Binary(_, a, b) => {
-                a.collect_index_vars(out);
-                b.collect_index_vars(out);
+                a.for_each_index_var(f);
+                b.for_each_index_var(f);
             }
             ScalarExpr::Select {
                 lhs,
@@ -348,10 +343,10 @@ impl ScalarExpr {
                 otherwise,
                 ..
             } => {
-                lhs.collect_index_vars(out);
-                rhs.collect_index_vars(out);
-                then.collect_index_vars(out);
-                otherwise.collect_index_vars(out);
+                lhs.for_each_index_var(f);
+                rhs.for_each_index_var(f);
+                then.for_each_index_var(f);
+                otherwise.for_each_index_var(f);
             }
         }
     }
@@ -538,7 +533,8 @@ mod tests {
     #[test]
     fn loads_are_collected_in_order() {
         let e = load("A", vec![var("i")]) * load("B", vec![var("j")]) + load("C", vec![var("k")]);
-        let loads = e.loads();
+        let mut loads = Vec::new();
+        e.for_each_load(&mut |r| loads.push(r));
         assert_eq!(loads.len(), 3);
         assert_eq!(loads[0].array.as_str(), "A");
         assert_eq!(loads[1].array.as_str(), "B");
@@ -549,19 +545,21 @@ mod tests {
     fn params_and_index_vars() {
         let e = param("alpha") * load("A", vec![var("i"), var("k")])
             + ScalarExpr::Index(var("j") + cst(1));
-        assert!(e.params().contains(&Var::new("alpha")));
-        let vars = e.index_vars();
-        assert!(vars.contains(&Var::new("i")));
-        assert!(vars.contains(&Var::new("k")));
-        assert!(vars.contains(&Var::new("j")));
+        let mut params = Vec::new();
+        e.for_each_param(&mut |p| params.push(p.as_str()));
+        assert_eq!(params, ["alpha"]);
+        let mut vars = Vec::new();
+        e.for_each_index_var(&mut |v| vars.push(v.as_str()));
+        assert_eq!(vars, ["i", "k", "j"]);
     }
 
     #[test]
     fn substitute_index_renames_iterators() {
         let e = load("A", vec![var("i"), var("k")]) + ScalarExpr::Index(var("i"));
         let renamed = e.substitute_index(&Var::new("i"), &var("i0"));
-        assert!(!renamed.index_vars().contains(&Var::new("i")));
-        assert!(renamed.index_vars().contains(&Var::new("i0")));
+        let mut vars = Vec::new();
+        renamed.for_each_index_var(&mut |v| vars.push(v.as_str()));
+        assert_eq!(vars, ["i0", "k", "i0"]);
     }
 
     #[test]
@@ -581,7 +579,7 @@ mod tests {
             load("A", vec![var("i")]),
             fconst(0.0),
         );
-        assert_eq!(e.loads().len(), 2);
+        assert_eq!(e.load_count(), 2);
         assert!(format!("{e}").contains('>'));
     }
 

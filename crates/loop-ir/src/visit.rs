@@ -42,13 +42,6 @@ pub fn walk_computations(nodes: &[Node]) -> Vec<CompContext<'_>> {
     out
 }
 
-/// [`walk_computations`] of one nest: the contexts start at `nest` itself.
-pub fn walk_nest_computations(nest: &Loop) -> Vec<CompContext<'_>> {
-    let mut out = Vec::new();
-    walk_loop(nest, &mut Vec::new(), &mut out);
-    out
-}
-
 fn walk_loop<'a>(l: &'a Loop, stack: &mut Vec<&'a Loop>, out: &mut Vec<CompContext<'a>>) {
     stack.push(l);
     for n in &l.body {

@@ -13,7 +13,7 @@
 //! `x/1`, `min(x, x)`), parameters that shadow iterators, and constants near
 //! `i64::MAX`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use loop_ir::prelude::*;
 use proptest::prelude::*;
@@ -108,7 +108,11 @@ impl Frozen {
 
     fn fold_params(&mut self, e: &Expr, bindings: &BTreeMap<Var, i64>) -> Expr {
         let mut out = e.clone();
-        for v in e.vars() {
+        let mut vars = BTreeSet::new();
+        e.for_each_var(&mut |v| {
+            vars.insert(v.clone());
+        });
+        for v in vars {
             if let Some(value) = bindings.get(&v) {
                 out = out.substitute(&v, &cst(*value));
             }
@@ -369,7 +373,7 @@ fn an_overflow_anywhere_is_none() {
     assert_eq!(r.linear_offset(&deep, &n), None);
 }
 
-/// `accesses()` lends the computation's own references, loads in evaluation
+/// `for_each_access` lends the computation's own references, loads in evaluation
 /// order — through both `select` operands and both branches — then the
 /// reduction's read of the target, then the write.
 #[test]
@@ -382,7 +386,9 @@ fn accesses_borrow_in_evaluation_order() {
         load("E", vec![var("i")]),
     );
     let comp = Computation::reduction("S0", ArrayRef::new("T", vec![var("i")]), BinOp::Add, value);
-    let accesses = comp.accesses();
+    let mut accesses = Vec::new();
+    comp.for_each_access(|a| accesses.push(a));
+    assert_eq!(accesses.len(), comp.access_count());
     let order: Vec<(&str, bool)> = accesses
         .iter()
         .map(|a| (a.array_ref.array.as_str(), a.is_write()))
@@ -399,13 +405,14 @@ fn accesses_borrow_in_evaluation_order() {
             ("T", true),
         ]
     );
-    let loads = comp.value.loads();
+    let mut loads = Vec::new();
+    comp.value.for_each_load(&mut |r| loads.push(r));
+    assert_eq!(loads.len(), 5);
     for (access, load) in accesses.iter().zip(&loads) {
         assert!(std::ptr::eq(access.array_ref, *load));
     }
     assert!(std::ptr::eq(accesses[5].array_ref, &comp.target));
     assert!(std::ptr::eq(accesses[6].array_ref, comp.write()));
-    assert_eq!(comp.reads().len(), 6);
 }
 
 /// Affine, non-affine and overflowing subscripts each make up a fair share

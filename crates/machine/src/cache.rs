@@ -51,6 +51,8 @@
 
 use std::collections::BTreeMap;
 
+use loop_ir::expr::Var;
+
 use crate::config::MachineConfig;
 use crate::trace::StrideRun;
 
@@ -1006,7 +1008,7 @@ pub mod reference {
 /// linear offsets can be turned into byte addresses.
 #[derive(Debug, Clone, Default)]
 pub struct AddressMap {
-    bases: BTreeMap<String, u64>,
+    bases: BTreeMap<Var, u64>,
 }
 
 impl AddressMap {
@@ -1019,7 +1021,7 @@ impl AddressMap {
         let mut cursor: u64 = Self::ALIGN;
         for (name, array) in &program.arrays {
             let bytes = array.size_bytes(&program.params).unwrap_or(0).max(0) as u64;
-            bases.insert(name.to_string(), cursor);
+            bases.insert(name.clone(), cursor);
             cursor += (bytes + Self::ALIGN - 1) & !(Self::ALIGN - 1);
         }
         AddressMap { bases }

@@ -48,10 +48,10 @@
 //! bit-identical either way (the unit tests below hold the two against each
 //! other).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-use loop_ir::expr::{Expr, Var};
+use loop_ir::expr::{AffineExpr, Expr, Var};
 use loop_ir::nest::{BlasCall, Computation, Loop, Node};
 use loop_ir::program::Program;
 use loop_ir::structural_hash_node;
@@ -79,33 +79,29 @@ struct CompSummary {
     reduction: bool,
     /// Iterators referenced by the target's subscripts.
     target_vars: BTreeSet<Var>,
-    /// Per access (in [`Computation::accesses`] order): the absolute
-    /// linearized element stride along every iterator, or `None` when the
-    /// access is non-affine or its array is unknown.
-    coeffs: Vec<Option<BTreeMap<Var, u64>>>,
+    /// Per access (in [`Computation::for_each_access`] order): the
+    /// linearized offset, whose coefficients are the element strides along
+    /// the iterators, or `None` when the access is non-affine or its array
+    /// is unknown.
+    coeffs: Vec<Option<AffineExpr>>,
 }
 
 impl CompSummary {
     fn of(program: &Program, comp: &Computation) -> CompSummary {
-        let coeffs = comp
-            .accesses()
-            .iter()
-            .map(|access| {
+        let mut coeffs = Vec::with_capacity(comp.access_count());
+        comp.for_each_access(|access| {
+            coeffs.push(
                 program
                     .array(&access.array_ref.array)
                     .ok()
-                    .and_then(|array| access.array_ref.linear_offset(array, &program.params))
-                    .map(|offset| {
-                        offset
-                            .terms()
-                            .map(|(v, c)| (v.clone(), c.unsigned_abs()))
-                            .collect()
-                    })
-            })
-            .collect();
+                    .and_then(|array| access.array_ref.linear_offset(array, &program.params)),
+            )
+        });
         let mut target_vars = BTreeSet::new();
         for idx in &comp.target.indices {
-            target_vars.extend(idx.vars());
+            idx.for_each_var(&mut |v| {
+                target_vars.insert(v.clone());
+            });
         }
         CompSummary {
             flops: comp.flops() as f64,
@@ -120,7 +116,7 @@ impl CompSummary {
     fn stride_of(&self, access: usize, iter: &Var) -> Option<u64> {
         self.coeffs[access]
             .as_ref()
-            .map(|map| map.get(iter).copied().unwrap_or(0))
+            .map(|offset| offset.coefficient(iter).unsigned_abs())
     }
 }
 
@@ -602,10 +598,10 @@ impl CostModel {
         let mut varying: Vec<bool> = Vec::with_capacity(n_accesses * depth);
         for access in 0..n_accesses {
             match &summary.coeffs[access] {
-                Some(map) => coeffs.extend(
+                Some(offset) => coeffs.extend(
                     stack
                         .iter()
-                        .map(|info| map.get(&info.iter).copied().unwrap_or(0) as f64),
+                        .map(|info| offset.coefficient(&info.iter).unsigned_abs() as f64),
                 ),
                 // Non-affine access: treat as touching a new line at every
                 // level (worst case).

@@ -325,7 +325,7 @@ impl Postfix {
     }
 }
 
-/// A compiled computation. `accesses` is in [`Computation::accesses`] order:
+/// A compiled computation. `accesses` is in [`Computation::for_each_access`] order:
 /// the `n_loads` value loads, then (for reductions) the read of the target,
 /// then the write of the target.
 #[derive(Debug, Clone)]
@@ -360,8 +360,8 @@ fn has_conditional_loads(e: &ScalarExpr) -> bool {
         } => {
             has_conditional_loads(lhs)
                 || has_conditional_loads(rhs)
-                || !then.loads().is_empty()
-                || !otherwise.loads().is_empty()
+                || then.load_count() > 0
+                || otherwise.load_count() > 0
         }
     }
 }
@@ -543,6 +543,9 @@ struct Lowerer<'p> {
     /// Parameter bindings folded into affine subscripts: every parameter not
     /// shadowed by a loop iterator somewhere in the program.
     fold_bindings: BTreeMap<Var, i64>,
+    /// Per array slot, scratch for [`subtree_slot_shifts`], kept from loop
+    /// to loop.
+    shifts: Vec<Option<i64>>,
 }
 
 impl CompiledProgram {
@@ -602,6 +605,7 @@ impl CompiledProgram {
             arrays,
             array_slots,
             fold_bindings,
+            shifts: Vec::new(),
         };
         for (name, value) in &program.params {
             let slot = lowerer.frame_init.len();
@@ -746,18 +750,16 @@ impl<'p> Lowerer<'p> {
                 index: -1,
             });
         }
-        let affine: Option<Vec<AffineExpr>> = array_ref
-            .indices
-            .iter()
-            .map(|e| e.affine_with(&self.fold_bindings))
-            .collect();
-        if let Some(indices) = affine {
-            // Slots first (that needs `self` mutably), then the extents
-            // and strides, read in place.
-            let mut dims = Vec::with_capacity(indices.len());
-            for affine in &indices {
-                dims.push((self.lower_affine(affine)?, 0));
-            }
+        // Slots first (that needs `self` mutably), then the extents and
+        // strides, read in place.
+        let mut dims = Vec::with_capacity(array_ref.rank());
+        for e in &array_ref.indices {
+            let Some(affine) = e.affine_with(&self.fold_bindings) else {
+                break;
+            };
+            dims.push((self.lower_affine(&affine)?, 0));
+        }
+        if dims.len() == array_ref.rank() {
             let layout = self.arrays[array].layout.as_ref().expect("checked above");
             for ((_, extent), &dim) in dims.iter_mut().zip(&layout.dims) {
                 *extent = dim;
@@ -784,7 +786,7 @@ impl<'p> Lowerer<'p> {
     }
 
     /// Lowers a scalar expression; loads are numbered in
-    /// [`ScalarExpr::loads`] order via `next_load`.
+    /// [`ScalarExpr::for_each_load`] order via `next_load`.
     fn lower_scalar(&mut self, e: &ScalarExpr, next_load: &mut usize) -> Result<CScalar> {
         Ok(match e {
             ScalarExpr::Load(_) => {
@@ -826,11 +828,11 @@ impl<'p> Lowerer<'p> {
     }
 
     fn lower_comp(&mut self, comp: &Computation) -> Result<CComp> {
-        let accesses = comp
-            .accesses()
-            .iter()
-            .map(|a| self.lower_access(a.array_ref, a.kind == AccessKind::Write))
-            .collect::<Result<Vec<_>>>()?;
+        let mut accesses = Vec::with_capacity(comp.access_count());
+        comp.try_for_each_access(|a| {
+            accesses.push(self.lower_access(a.array_ref, a.kind == AccessKind::Write)?);
+            Ok(())
+        })?;
         // The loads, then the reduction's read of the target, then the write.
         let n_loads = accesses.len() - 1 - usize::from(comp.reduction.is_some());
         let mut next_load = 0usize;
@@ -866,11 +868,11 @@ impl<'p> Lowerer<'p> {
             .map(|d| self.lower_expr(d))
             .collect::<Result<Vec<_>>>()?;
         let lower_operand = |l: &mut Self, e: &ScalarExpr| -> Result<(CScalar, Vec<CAccess>)> {
-            let accesses = e
-                .loads()
-                .iter()
-                .map(|r| l.lower_access(r, false))
-                .collect::<Result<Vec<_>>>()?;
+            let mut accesses = Vec::with_capacity(e.load_count());
+            e.try_for_each_load(&mut |r| {
+                accesses.push(l.lower_access(r, false)?);
+                Ok(())
+            })?;
             let mut next = 0usize;
             let scalar = l.lower_scalar(e, &mut next)?;
             Ok((scalar, accesses))
@@ -922,9 +924,12 @@ impl<'p> Lowerer<'p> {
         } else {
             Vec::new()
         };
-        let mut shifts = vec![None; self.arrays.len()];
+        let mut shifts = std::mem::take(&mut self.shifts);
+        shifts.clear();
+        shifts.resize(self.arrays.len(), None);
         let trace_invariant = subtree_slot_shifts(&body, slot, &mut shifts)
             && shifts.iter().all(|c| c.unwrap_or(0) == 0);
+        self.shifts = shifts;
         Ok(CLoop {
             trace_invariant,
             slot,

@@ -287,35 +287,35 @@ pub fn walk_accesses_symbolic(program: &Program, mut sink: impl FnMut(TraceEntry
                 }
                 Ok(())
             }
-            Node::Computation(c) => {
-                for access in c.accesses() {
-                    let array = program.array(&access.array_ref.array).map_err(|_| {
+            Node::Computation(c) => c.try_for_each_access(|access| {
+                let array = program
+                    .array(&access.array_ref.array)
+                    .map_err(|_| MachineError::UnknownArray(access.array_ref.array.to_string()))?;
+                let offset = array
+                    .with_strides(&program.params, |strides| {
+                        let mut offset = 0i64;
+                        for (idx, stride) in access.array_ref.indices.iter().zip(strides) {
+                            offset = idx
+                                .eval(bindings)
+                                .and_then(|value| value.checked_mul(*stride))
+                                .and_then(|term| offset.checked_add(term))
+                                .ok_or_else(|| MachineError::UnboundVariable(idx.to_string()))?;
+                        }
+                        Ok(offset)
+                    })
+                    .ok_or_else(|| MachineError::UnboundSize(array.name.to_string()))??;
+                let address = map
+                    .address(access.array_ref.array.as_str(), offset, array.elem_size)
+                    .ok_or_else(|| {
                         MachineError::UnknownArray(access.array_ref.array.to_string())
                     })?;
-                    let strides = array
-                        .strides(&program.params)
-                        .ok_or_else(|| MachineError::UnboundSize(array.name.to_string()))?;
-                    let mut offset = 0i64;
-                    for (idx, stride) in access.array_ref.indices.iter().zip(&strides) {
-                        offset = idx
-                            .eval(bindings)
-                            .and_then(|value| value.checked_mul(*stride))
-                            .and_then(|term| offset.checked_add(term))
-                            .ok_or_else(|| MachineError::UnboundVariable(idx.to_string()))?;
-                    }
-                    let address = map
-                        .address(access.array_ref.array.as_str(), offset, array.elem_size)
-                        .ok_or_else(|| {
-                            MachineError::UnknownArray(access.array_ref.array.to_string())
-                        })?;
-                    *count += 1;
-                    sink(TraceEntry {
-                        address,
-                        is_write: access.kind == AccessKind::Write,
-                    });
-                }
+                *count += 1;
+                sink(TraceEntry {
+                    address,
+                    is_write: access.kind == AccessKind::Write,
+                });
                 Ok(())
-            }
+            }),
             Node::Call(_) => Ok(()),
         }
     }

@@ -99,7 +99,7 @@ impl StrideMinimization {
         stats: &mut PermutationStats,
     ) -> bool {
         stats.nests_examined += 1;
-        let chain: Vec<Var> = perfect_chain(nest).iter().map(|l| l.iter.clone()).collect();
+        let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
         let mut reordered = false;
         if chain.len() >= 2 {
             let strides = NestStrides::of(program, nest, &chain);
@@ -150,7 +150,7 @@ impl StrideMinimization {
         graph: &DependenceGraph,
         nest: &Loop,
         chain: &[Var],
-        strides: &NestStrides,
+        strides: &NestStrides<'_>,
     ) -> Option<Vec<Var>> {
         let weights = strides.weights();
         let weight = |iter: &Var| {
@@ -158,40 +158,44 @@ impl StrideMinimization {
             weights[column.expect("orders permute the chain")]
         };
         let legality = PermutationLegality::of(graph, nest);
-        let mut best: Option<(f64, Vec<Var>, Vec<f64>)> = None;
-        for order in permutations(chain) {
-            if !legality.allows(&order) {
-                continue;
+        let mut best: Option<(f64, Vec<Var>)> = None;
+        let mut order = chain.to_vec();
+        for_each_permutation(&mut order, &mut |order| {
+            if !legality.allows(order) {
+                return;
             }
-            let cost = strides.cost(&order);
+            let cost = strides.cost(order);
             // Deterministic tie-break independent of the incoming loop order:
             // prefer the order whose per-level stride weights decrease from
             // outermost to innermost, comparing the weight vectors
             // lexicographically (largest-stride iterators outermost), and
             // finally the iterator names.
-            let key: Vec<f64> = order.iter().map(|v| -weight(v)).collect();
             let better = match &best {
                 None => true,
-                Some((best_cost, best_order, best_key)) => {
+                Some((best_cost, best_order)) => {
+                    let by_key = compare_keys(
+                        order.iter().map(|v| -weight(v)),
+                        best_order.iter().map(|v| -weight(v)),
+                    );
                     cost < best_cost - 1e-9
                         || ((cost - best_cost).abs() <= 1e-9
-                            && (compare_keys(&key, best_key) == std::cmp::Ordering::Less
-                                || (compare_keys(&key, best_key) == std::cmp::Ordering::Equal
-                                    && order < *best_order)))
+                            && (by_key == std::cmp::Ordering::Less
+                                || (by_key == std::cmp::Ordering::Equal
+                                    && order < best_order.as_slice())))
                 }
             };
             if !better {
-                continue;
+                return;
             }
             // Triangular bounds make some orders structurally impossible;
             // interchange reports those. Only an order that would win is
             // checked, and only the winner's nest is built (by the caller,
             // and not at all when it is the nest's own order).
-            if check_interchange(nest, &order).is_ok() {
-                best = Some((cost, order, key));
+            if check_interchange(nest, order).is_ok() {
+                best = Some((cost, order.to_vec()));
             }
-        }
-        best.map(|(_, order, _)| order)
+        });
+        best.map(|(_, order)| order)
     }
 
     /// Grouped-sorting approximation for deep nests: sort iterators by their
@@ -202,7 +206,7 @@ impl StrideMinimization {
         graph: &DependenceGraph,
         nest: &Loop,
         chain: &[Var],
-        strides: &NestStrides,
+        strides: &NestStrides<'_>,
     ) -> Option<Vec<Var>> {
         let weights = strides.weights();
         let mut by_weight: Vec<(&Var, f64)> = chain.iter().zip(weights).collect();
@@ -220,9 +224,12 @@ impl StrideMinimization {
     }
 }
 
-fn compare_keys(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b) {
-        match x.partial_cmp(y) {
+fn compare_keys(
+    a: impl IntoIterator<Item = f64>,
+    b: impl IntoIterator<Item = f64>,
+) -> std::cmp::Ordering {
+    for (x, y) in a.into_iter().zip(b) {
+        match x.partial_cmp(&y) {
             Some(std::cmp::Ordering::Equal) | None => continue,
             Some(other) => return other,
         }
@@ -230,27 +237,24 @@ fn compare_keys(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
-/// All permutations of a slice (Heap's algorithm, iterative collection).
-fn permutations(items: &[Var]) -> Vec<Vec<Var>> {
-    let mut out = Vec::new();
-    let mut current = items.to_vec();
-    heap_permute(current.len(), &mut current, &mut out);
-    out
-}
-
-fn heap_permute(k: usize, items: &mut Vec<Var>, out: &mut Vec<Vec<Var>>) {
-    if k <= 1 {
-        out.push(items.clone());
-        return;
-    }
-    for i in 0..k {
-        heap_permute(k - 1, items, out);
-        if k.is_multiple_of(2) {
-            items.swap(i, k - 1);
-        } else {
-            items.swap(0, k - 1);
+/// Calls `visit` on every permutation of `items`, rearranged in place by
+/// Heap's algorithm; `items` ends in some permutation of itself.
+fn for_each_permutation(items: &mut [Var], visit: &mut impl FnMut(&[Var])) {
+    fn heap_permute(k: usize, items: &mut [Var], visit: &mut impl FnMut(&[Var])) {
+        if k <= 1 {
+            visit(items);
+            return;
+        }
+        for i in 0..k {
+            heap_permute(k - 1, items, visit);
+            if k.is_multiple_of(2) {
+                items.swap(i, k - 1);
+            } else {
+                items.swap(0, k - 1);
+            }
         }
     }
+    heap_permute(items.len(), items, visit);
 }
 
 #[cfg(test)]
@@ -444,8 +448,9 @@ mod tests {
 
     #[test]
     fn permutations_helper_generates_all() {
-        let items: Vec<Var> = ["a", "b", "c"].iter().map(|s| Var::new(*s)).collect();
-        let perms = permutations(&items);
+        let mut items: Vec<Var> = ["a", "b", "c"].iter().map(|s| Var::new(*s)).collect();
+        let mut perms = Vec::new();
+        for_each_permutation(&mut items, &mut |order| perms.push(order.to_vec()));
         assert_eq!(perms.len(), 6);
         let unique: std::collections::BTreeSet<Vec<Var>> = perms.into_iter().collect();
         assert_eq!(unique.len(), 6);

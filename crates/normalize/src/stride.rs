@@ -45,60 +45,66 @@ pub fn sum_of_strides(program: &Program, nest: &Loop, order: &[Var]) -> StrideCo
 /// what [`sum_of_strides`] and [`iterator_stride_weights`] read off the
 /// linearized offsets, kept so that many loop orders can be priced without
 /// linearizing again.
-pub(crate) struct NestStrides {
-    iters: Vec<Var>,
-    /// Per access (computations in order, accesses in order) the stride
-    /// along each of `iters`; `None` for an access that cannot be analyzed.
-    accesses: Vec<Option<Vec<f64>>>,
+pub(crate) struct NestStrides<'a> {
+    iters: &'a [Var],
+    /// Per access (computations in order, accesses in order) whether it can
+    /// be analyzed.
+    analyzable: Vec<bool>,
+    /// Per analyzable access, in order, the stride along each of `iters`.
+    strides: Vec<f64>,
 }
 
-impl NestStrides {
+impl<'a> NestStrides<'a> {
     /// Linearizes every access of `nest` once.
-    pub(crate) fn of(program: &Program, nest: &Loop, iters: &[Var]) -> Self {
-        let accesses = nest
-            .computations()
-            .iter()
-            .flat_map(|comp| comp.accesses())
-            .map(|access| {
-                let array = program.array(&access.array_ref.array).ok()?;
-                let offset = access.array_ref.linear_offset(array, &program.params)?;
-                Some(
-                    iters
-                        .iter()
-                        .map(|iter| offset.coefficient(iter).unsigned_abs() as f64)
-                        .collect(),
-                )
+    pub(crate) fn of(program: &Program, nest: &Loop, iters: &'a [Var]) -> Self {
+        let mut out = NestStrides {
+            iters,
+            analyzable: Vec::new(),
+            strides: Vec::new(),
+        };
+        nest.for_each_computation(&mut |comp| {
+            comp.for_each_access(|access| {
+                let offset = program
+                    .array(&access.array_ref.array)
+                    .ok()
+                    .and_then(|array| access.array_ref.linear_offset(array, &program.params));
+                out.analyzable.push(offset.is_some());
+                if let Some(offset) = offset {
+                    out.strides.extend(
+                        iters
+                            .iter()
+                            .map(|iter| offset.coefficient(iter).unsigned_abs() as f64),
+                    );
+                }
             })
-            .collect();
-        NestStrides {
-            iters: iters.to_vec(),
-            accesses,
-        }
+        });
+        out
     }
 
     /// [`sum_of_strides`] of the nest with its loops in `order`, a selection
     /// of the iterators the strides were taken along.
     pub(crate) fn cost(&self, order: &[Var]) -> StrideCost {
-        let columns: Vec<usize> = order
-            .iter()
-            .map(|iter| {
-                self.iters
-                    .iter()
-                    .position(|known| known == iter)
-                    .expect("orders permute the iterators the strides were taken along")
-            })
-            .collect();
+        let column = |iter: &Var| {
+            self.iters
+                .iter()
+                .position(|known| known == iter)
+                .expect("orders permute the iterators the strides were taken along")
+        };
         let depth = order.len().max(1);
+        let width = self.iters.len();
+        let mut row = 0;
         let mut cost = 0.0;
-        for strides in &self.accesses {
-            let Some(strides) = strides else {
+        for &analyzable in &self.analyzable {
+            if !analyzable {
                 cost += penalty(depth);
                 continue;
-            };
-            for (position, &column) in columns.iter().enumerate() {
+            }
+            let strides = &self.strides[row * width..][..width];
+            row += 1;
+            for (position, iter) in order.iter().enumerate() {
                 // position 0 = outermost (lowest weight), innermost loops
                 // advance most often and dominate the cost.
-                cost += strides[column] * LEVEL_WEIGHT.powi(position as i32);
+                cost += strides[column(iter)] * LEVEL_WEIGHT.powi(position as i32);
             }
         }
         cost
@@ -106,11 +112,10 @@ impl NestStrides {
 
     /// Per iterator, the total stride over the analyzable accesses.
     pub(crate) fn weights(&self) -> Vec<f64> {
-        let mut weights = vec![0.0; self.iters.len()];
-        for strides in self.accesses.iter().flatten() {
-            for (weight, stride) in weights.iter_mut().zip(strides) {
-                *weight += stride;
-            }
+        let width = self.iters.len();
+        let mut weights = vec![0.0; width];
+        for (k, stride) in self.strides.iter().enumerate() {
+            weights[k % width] += stride;
         }
         weights
     }
@@ -130,8 +135,8 @@ fn penalty(depth: usize) -> f64 {
 pub fn out_of_order_cost(nest: &Loop, order: &[Var]) -> f64 {
     let position: BTreeMap<&Var, usize> = order.iter().enumerate().map(|(i, v)| (v, i)).collect();
     let mut count = 0usize;
-    for comp in nest.computations() {
-        for access in comp.accesses() {
+    nest.for_each_computation(&mut |comp| {
+        comp.for_each_access(|access| {
             // For each subscript dimension, find the deepest loop iterator it
             // uses (the one that changes it most frequently).
             let dim_positions: Vec<Option<usize>> = access
@@ -139,11 +144,9 @@ pub fn out_of_order_cost(nest: &Loop, order: &[Var]) -> f64 {
                 .indices
                 .iter()
                 .map(|idx| {
-                    idx.vars()
-                        .iter()
-                        .filter_map(|v| position.get(v))
-                        .max()
-                        .copied()
+                    let mut deepest = None;
+                    idx.for_each_var(&mut |v| deepest = deepest.max(position.get(v).copied()));
+                    deepest
                 })
                 .collect();
             for a in 0..dim_positions.len() {
@@ -158,8 +161,8 @@ pub fn out_of_order_cost(nest: &Loop, order: &[Var]) -> f64 {
                     }
                 }
             }
-        }
-    }
+        })
+    });
     count as f64
 }
 

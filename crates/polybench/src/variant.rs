@@ -43,10 +43,8 @@ pub fn random_b_variant(program: &Program, seed: u64) -> Program {
                 candidates
                     .into_iter()
                     .map(|candidate| {
-                        let chain: Vec<Var> = perfect_chain(&candidate)
-                            .iter()
-                            .map(|l| l.iter.clone())
-                            .collect();
+                        let chain: Vec<Var> =
+                            perfect_chain(&candidate).map(|l| l.iter.clone()).collect();
                         if chain.len() < 2 {
                             return Node::Loop(candidate);
                         }

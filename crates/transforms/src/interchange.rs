@@ -10,15 +10,12 @@ use crate::error::{Result, TransformError};
 /// first loop whose body is not a single loop.
 ///
 /// These are the loops that can be freely reordered by [`interchange`]
-/// (subject to dependence legality).
-pub fn perfect_chain(nest: &Loop) -> Vec<&Loop> {
-    let mut chain = vec![nest];
-    let mut current = nest;
-    while let [Node::Loop(inner)] = current.body.as_slice() {
-        chain.push(inner);
-        current = inner;
-    }
-    chain
+/// (subject to dependence legality), outermost first.
+pub fn perfect_chain(nest: &Loop) -> impl Iterator<Item = &Loop> + Clone {
+    std::iter::successors(Some(nest), |l| match l.body.as_slice() {
+        [Node::Loop(inner)] => Some(inner),
+        _ => None,
+    })
 }
 
 /// Permutes the perfect chain of `nest` into the given iterator order
@@ -36,13 +33,18 @@ pub fn perfect_chain(nest: &Loop) -> Vec<&Loop> {
 /// [`TransformError::NotPerfectlyNested`].
 pub fn interchange(nest: &Loop, new_order: &[Var]) -> Result<Loop> {
     let chain = perfect_chain(nest);
-    check_order(&chain, new_order)?;
-    let innermost_body = chain.last().expect("chain is never empty").body.clone();
+    check_order(chain.clone(), new_order)?;
+    let innermost_body = chain
+        .clone()
+        .last()
+        .expect("chain is never empty")
+        .body
+        .clone();
     // Rebuild from the innermost loop outwards.
     let mut body = innermost_body;
     for iter in new_order.iter().rev() {
         let template = chain
-            .iter()
+            .clone()
             .find(|l| &l.iter == iter)
             .expect("iterator checked to be in the chain");
         let mut rebuilt = Loop::new(
@@ -67,37 +69,38 @@ pub fn interchange(nest: &Loop, new_order: &[Var]) -> Result<Loop> {
 /// # Errors
 /// Exactly those of [`interchange`].
 pub fn check_interchange(nest: &Loop, new_order: &[Var]) -> Result<()> {
-    check_order(&perfect_chain(nest), new_order)
+    check_order(perfect_chain(nest), new_order)
 }
 
-fn check_order(chain: &[&Loop], new_order: &[Var]) -> Result<()> {
-    let chain_iters: Vec<Var> = chain.iter().map(|l| l.iter.clone()).collect();
+fn check_order<'a>(chain: impl Iterator<Item = &'a Loop> + Clone, new_order: &[Var]) -> Result<()> {
+    let in_chain = |v: &Var| chain.clone().filter(|l| &l.iter == v).count();
+    let in_order = |v: &Var| new_order.iter().filter(|w| *w == v).count();
+    // Equal lengths and equal counts of every iterator of the order: the
+    // two are one multiset.
+    if chain.clone().count() != new_order.len()
+        || new_order.iter().any(|v| in_chain(v) != in_order(v))
     {
-        let mut a = chain_iters.clone();
-        let mut b = new_order.to_vec();
-        a.sort();
-        b.sort();
-        if a != b {
-            return Err(TransformError::NotAPermutation {
-                expected: chain_iters,
-                found: new_order.to_vec(),
-            });
-        }
+        return Err(TransformError::NotAPermutation {
+            expected: chain.map(|l| l.iter.clone()).collect(),
+            found: new_order.to_vec(),
+        });
     }
     // Reject orders that would evaluate a bound before the iterator it
     // depends on is defined (e.g. triangular nests `for i { for j in 0..i }`
     // cannot hoist j above i).
     for (pos, iter) in new_order.iter().enumerate() {
         let l = chain
-            .iter()
+            .clone()
             .find(|l| &l.iter == iter)
             .expect("iterator checked to be in the chain");
+        let mut hoisted = false;
         for bound in [&l.lower, &l.upper] {
-            for v in bound.vars() {
-                if chain_iters.contains(&v) && !new_order[..pos].contains(&v) {
-                    return Err(TransformError::NotPerfectlyNested(iter.clone()));
-                }
-            }
+            bound.for_each_var(&mut |v| {
+                hoisted |= in_chain(v) > 0 && !new_order[..pos].contains(v);
+            });
+        }
+        if hoisted {
+            return Err(TransformError::NotPerfectlyNested(iter.clone()));
         }
     }
     Ok(())
@@ -140,7 +143,7 @@ mod tests {
     fn chain_of_perfect_nest() {
         let nest = gemm_nest();
         let chain = perfect_chain(&nest);
-        let iters: Vec<&str> = chain.iter().map(|l| l.iter.as_str()).collect();
+        let iters: Vec<&str> = chain.map(|l| l.iter.as_str()).collect();
         assert_eq!(iters, vec!["i", "j", "k"]);
     }
 
@@ -152,8 +155,7 @@ mod tests {
             ArrayRef::new("C", vec![var("i"), cst(0)]),
             fconst(0.0),
         )));
-        let chain = perfect_chain(&nest);
-        assert_eq!(chain.len(), 1);
+        assert_eq!(perfect_chain(&nest).count(), 1);
     }
 
     #[test]

@@ -225,14 +225,14 @@ impl Recipe {
         let mut out = Vec::with_capacity(nests.len());
         let mut applied = false;
         for nest in nests {
-            let iters = nest.nested_iterators();
+            let has = |iter: &Var| nest.has_iterator(iter);
             match step {
                 Transform::Fission => {
                     out.extend(distribute_all(nest));
                     applied = true;
                 }
                 Transform::Interchange { order } => {
-                    if order.iter().all(|v| iters.contains(v)) {
+                    if order.iter().all(has) {
                         out.push(interchange(&nest, order)?);
                         applied = true;
                     } else {
@@ -240,7 +240,7 @@ impl Recipe {
                     }
                 }
                 Transform::Tile { tiles } => {
-                    if tiles.iter().all(|(v, _)| iters.contains(v)) {
+                    if tiles.iter().all(|(v, _)| has(v)) {
                         out.push(tile_band(&nest, tiles)?);
                         applied = true;
                     } else {
@@ -248,7 +248,7 @@ impl Recipe {
                     }
                 }
                 Transform::Parallelize { iter } => {
-                    if iters.contains(iter) {
+                    if has(iter) {
                         out.push(mark_parallel(&nest, iter)?);
                         applied = true;
                     } else {
@@ -256,7 +256,7 @@ impl Recipe {
                     }
                 }
                 Transform::Vectorize { iter } => {
-                    if iters.contains(iter) {
+                    if has(iter) {
                         out.push(mark_vectorize(&nest, iter)?);
                         applied = true;
                     } else {
@@ -264,7 +264,7 @@ impl Recipe {
                     }
                 }
                 Transform::Unroll { iter, factor } => {
-                    if iters.contains(iter) {
+                    if has(iter) {
                         out.push(mark_unroll(&nest, iter, *factor)?);
                         applied = true;
                     } else {
@@ -368,8 +368,9 @@ mod tests {
         let nest = out[0].as_loop().unwrap();
         assert_eq!(nest.iter, Var::new("i_t"));
         assert!(nest.schedule.parallel);
-        let chain = perfect_chain(nest);
-        let j_point = chain.iter().find(|l| l.iter == Var::new("j")).unwrap();
+        let j_point = perfect_chain(nest)
+            .find(|l| l.iter == Var::new("j"))
+            .unwrap();
         assert!(j_point.schedule.vectorize);
     }
 

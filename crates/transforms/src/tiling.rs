@@ -24,10 +24,10 @@ use crate::interchange::perfect_chain;
 /// * [`TransformError::NotPerfectlyNested`] if a tiled loop has bounds that
 ///   depend on another chain iterator (triangular bands are not tiled).
 pub fn tile_band(nest: &Loop, tiles: &[(Var, i64)]) -> Result<Loop> {
-    let chain = perfect_chain(nest);
-    let chain_iters: Vec<Var> = chain.iter().map(|l| l.iter.clone()).collect();
+    let chain: Vec<&Loop> = perfect_chain(nest).collect();
+    let in_chain = |v: &Var| chain.iter().any(|l| &l.iter == v);
     for (iter, size) in tiles {
-        if !chain_iters.contains(iter) {
+        if !in_chain(iter) {
             return Err(TransformError::UnknownLoop(iter.clone()));
         }
         if *size < 2 {
@@ -40,10 +40,12 @@ pub fn tile_band(nest: &Loop, tiles: &[(Var, i64)]) -> Result<Loop> {
     // Reject tiling of loops with bounds depending on other chain iterators.
     for (iter, _) in tiles {
         let l = chain.iter().find(|l| &l.iter == iter).expect("checked");
+        let mut dependent = false;
         for bound in [&l.lower, &l.upper] {
-            if bound.vars().iter().any(|v| chain_iters.contains(v)) {
-                return Err(TransformError::NotPerfectlyNested(iter.clone()));
-            }
+            bound.for_each_var(&mut |v| dependent |= in_chain(v));
+        }
+        if dependent {
+            return Err(TransformError::NotPerfectlyNested(iter.clone()));
         }
     }
 
@@ -123,10 +125,7 @@ mod tests {
     }
 
     fn iter_chain(l: &Loop) -> Vec<String> {
-        perfect_chain(l)
-            .iter()
-            .map(|x| x.iter.to_string())
-            .collect()
+        perfect_chain(l).map(|x| x.iter.to_string()).collect()
     }
 
     #[test]
@@ -145,7 +144,7 @@ mod tests {
         // Tile loops step by the tile size.
         assert_eq!(tiled.step, 32);
         // Point loops are bounded by min(start + tile, upper).
-        let point_i = perfect_chain(&tiled)[3];
+        let point_i = perfect_chain(&tiled).nth(3).unwrap();
         assert!(matches!(point_i.upper, Expr::Min(_, _)));
         // The computation is untouched.
         assert_eq!(tiled.computations().len(), 1);
@@ -156,7 +155,7 @@ mod tests {
         let nest = gemm_nest();
         let tiled = tile_band(&nest, &[(Var::new("k"), 64)]).unwrap();
         assert_eq!(iter_chain(&tiled), vec!["k_t", "i", "j", "k"]);
-        let point_j = perfect_chain(&tiled)[2];
+        let point_j = perfect_chain(&tiled).nth(2).unwrap();
         assert_eq!(point_j.upper, var("NJ"));
     }
 
