@@ -25,7 +25,7 @@ use rand::SeedableRng;
 use std::fmt;
 use transforms::Recipe;
 
-use daisy::search::{apply_recipe_to_program, evaluate_recipe, EvolutionarySearch, SearchConfig};
+use daisy::search::{apply_recipe_to_program, evaluate_recipe, EvolutionarySearch};
 
 /// Why the Tiramisu adapter rejected a program (the `X` marks in Figure 6).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,12 +91,8 @@ pub fn tiramisu_schedule(program: &Program, threads: usize) -> Result<Program, T
 
     let guide = CostModel::new(approximate_machine(), threads);
     let truth = CostModel::new(MachineConfig::xeon_e5_2680v3(), threads);
-    let search = EvolutionarySearch::new(SearchConfig {
-        epochs: 1,
-        iterations_per_epoch: 2,
-        population: 8,
-        seed: 0x71AA,
-    });
+    // Proposals read no search configuration.
+    let search = EvolutionarySearch::default();
     let mut rng = StdRng::seed_from_u64(0x71AA);
 
     let mut current = fissioned.clone();

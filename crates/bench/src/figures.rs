@@ -26,11 +26,10 @@ use loop_ir::program::Program;
 use machine::{effective_workers, simulate_cache_sharded, MachineConfig, ShardedCacheStats};
 use normalize::Normalizer;
 use polybench::cloudsc::{
-    erosion_optimized, erosion_original, erosion_single_level, full_model, CloudscSizes,
-    CloudscVariant,
+    daisy_model, erosion_optimized, erosion_original, erosion_single_level, full_model,
+    CloudscSizes, CloudscVariant,
 };
 use polybench::{all_benchmarks, Dataset};
-use transforms::fuse_producer_consumers;
 
 use crate::{
     daisy_seeded_from_a_variants, geometric_mean, paper_machine_model, ratio, render_table, THREADS,
@@ -634,22 +633,14 @@ pub fn fig9_python_frameworks(ctx: &mut ReproContext, out: &mut String) {
 // Figure 11
 // --------------------------------------------------------------------------
 
-/// The daisy CLOUDSC version: the DaCe structure normalized and
-/// producer-consumer fused (§5.1).
-fn daisy_full_model(sizes: CloudscSizes) -> Program {
-    let dace = full_model(CloudscVariant::Dace, sizes);
-    let normalized = Normalizer::new().run(&dace).expect("normalizes").program;
-    fuse_producer_consumers(&normalized)
-}
-
 /// The four CLOUDSC proxy versions at the given sizes: Fortran, C, DaCe and
-/// daisy (`daisy_full_model`).
+/// daisy ([`daisy_model`]).
 pub fn cloudsc_versions(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
     vec![
         ("Fortran", full_model(CloudscVariant::Fortran, sizes)),
         ("C", full_model(CloudscVariant::C, sizes)),
         ("DaCe", full_model(CloudscVariant::Dace, sizes)),
-        ("daisy", daisy_full_model(sizes)),
+        ("daisy", daisy_model(sizes)),
     ]
 }
 
@@ -985,10 +976,7 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext, out: &mut String) {
         out,
         "note: the paper's lower L1 load/evict counts stem from removed register spills,"
     );
-    let _ = writeln!(
-        out,
-        "which the IR-level cache simulation cannot observe (see EXPERIMENTS.md)."
-    );
+    let _ = writeln!(out, "which the IR-level cache simulation cannot observe.");
 }
 
 // --------------------------------------------------------------------------

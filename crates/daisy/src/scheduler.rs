@@ -10,7 +10,7 @@ use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
 use machine::pool::parallel_map;
 use machine::{CostModel, CostReport, Environment, MachineConfig, NestCost};
-use normalize::{NormalizedProgram, Normalizer, NormalizerConfig};
+use normalize::{NormalizedProgram, Normalizer};
 use transforms::{perfect_chain, Recipe};
 use tunestore::{Snapshot, StoreError, StoredEntry};
 
@@ -20,14 +20,12 @@ use crate::idiom::detect_blas_idiom;
 use crate::search::{nest_scoped_graph, EvolutionarySearch, ScoreContext, SearchConfig, PARALLEL};
 
 /// Configuration of the daisy scheduler. The ablation study (Fig. 7) toggles
-/// `normalize`; every figure keeps `transfer_tuning` on.
+/// `normalize`; every nest that is not a BLAS idiom queries the
+/// transfer-tuning database.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaisyConfig {
     /// Run a priori loop nest normalization before optimizing.
     pub normalize: bool,
-    /// Query the transfer-tuning database (and fall back to the evolutionary
-    /// search when seeding).
-    pub transfer_tuning: bool,
     /// Replace recognized BLAS-3 loop nests with library calls.
     pub idiom_detection: bool,
     /// Number of threads the generated schedule may use. This is a cost
@@ -62,7 +60,6 @@ impl Default for DaisyConfig {
     fn default() -> Self {
         DaisyConfig {
             normalize: true,
-            transfer_tuning: true,
             idiom_detection: true,
             threads: 12,
             machine: MachineConfig::xeon_e5_2680v3(),
@@ -423,22 +420,18 @@ impl DaisyScheduler {
     /// [`DaisyConfig::normalize`] is on, and the input as it is when it is
     /// off or when normalization fails (no graph then).
     fn normalized(&self, program: &Program) -> NormalizedProgram {
-        let normalizer = if self.config.normalize {
-            Normalizer::new()
-        } else {
-            Normalizer::with_config(NormalizerConfig {
-                fission: false,
-                stride_minimization: false,
-            })
+        let as_written = || NormalizedProgram {
+            program: program.clone(),
+            stats: Default::default(),
+            graph: None,
+            reordered: Vec::new(),
         };
-        normalizer
+        if !self.config.normalize {
+            return as_written();
+        }
+        Normalizer::new()
             .run(program)
-            .unwrap_or_else(|_| NormalizedProgram {
-                program: program.clone(),
-                stats: Default::default(),
-                graph: None,
-                reordered: Vec::new(),
-            })
+            .unwrap_or_else(|_| as_written())
     }
 
     /// Schedules a program: normalization (if enabled), then per top-level
@@ -605,7 +598,7 @@ impl DaisyScheduler {
         //    recipes produce structurally identical candidates are
         //    priced once.
         let mut plan = NestPlan::Unoptimized(Unoptimized::NoCandidate);
-        if self.config.transfer_tuning && !self.database.is_empty() {
+        if !self.database.is_empty() {
             let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
             let exact = self
                 .database

@@ -54,7 +54,7 @@ fn decide(
             return Decision::Idiom(call);
         }
     }
-    if !config.transfer_tuning || database.is_empty() {
+    if database.is_empty() {
         return Decision::Unoptimized;
     }
     let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();

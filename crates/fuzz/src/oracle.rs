@@ -548,7 +548,6 @@ fn semantics_match(
 fn daisy_config() -> DaisyConfig {
     DaisyConfig {
         normalize: true,
-        transfer_tuning: true,
         idiom_detection: true,
         threads: 4,
         machine: MachineConfig::tiny_for_tests(),

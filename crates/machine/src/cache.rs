@@ -28,26 +28,26 @@
 //! [`CacheHierarchy::access`] short-circuits an access to the same line as
 //! the immediately preceding access: that line is by construction the MRU
 //! entry of its set, so the access is a guaranteed hit and only the hit
-//! counter needs to move. [`CacheHierarchy::access_run`] extends this to a
-//! whole constant-stride run: for `|stride| <= line_bytes` the per-line
-//! access groups are consecutive in the stream, so the number of guaranteed
-//! hits is known in closed form (`count - distinct_lines`) and only one real
-//! access per distinct line is simulated. [`CacheHierarchy::access_run_group`]
-//! extends the idea to the *interleaved* stream of a whole compiled innermost
-//! loop (several lockstep runs) with one rule: an access is simulated only
-//! when its lane's line changed. Lanes whose stride is below a line
-//! (*stationary* lanes) cut the stream into line phases; each phase's first
-//! iteration is simulated in full, and after it only the lanes striding a
-//! line or more (*movers*) are probed while the stationary lanes' accesses
-//! are credited as L1 hits in closed form — re-touching resident lines in
-//! lane order is idempotent on a set's recency order as long as no other
-//! line enters the set, and the iterations in which a mover's line does
-//! (plus the one after each) are replayed in full. A unit-stride group has
-//! no movers and costs O(distinct lines); a GEMM column walk next to a row
-//! walk probes one lane in four. All fast paths produce counters that are
-//! *bit-identical* to naively simulating every access (see [`reference`] and
-//! the equivalence tests). Runs whose addresses leave `[0, i64::MAX]` wrap
-//! modulo 2^64, the same way in every path, and are simulated per access.
+//! counter needs to move. [`CacheHierarchy::access_run_group`], the one
+//! run-compression path, extends the idea to the *interleaved* stream of a
+//! whole compiled innermost loop (one or more lockstep runs) with one rule:
+//! an access is simulated only when its lane's line changed. Lanes whose
+//! stride is below a line (*stationary* lanes) cut the stream into line
+//! phases; each phase's first iteration is simulated in full, and after it
+//! only the lanes striding a line or more (*movers*) are probed while the
+//! stationary lanes' accesses are credited as L1 hits in closed form —
+//! re-touching resident lines in lane order is idempotent on a set's
+//! recency order as long as no other line enters the set, and the
+//! iterations in which a mover's line does (plus the one after each) are
+//! replayed in full. A unit-stride group has no movers and costs
+//! O(distinct lines); a GEMM column walk next to a row walk probes one lane
+//! in four. A single run is a group of one lane: a sub-line stride
+//! simulates one access per distinct line and credits the rest as hits, a
+//! stride of a line or more is simulated per access. All fast paths
+//! produce counters that are *bit-identical* to naively simulating every
+//! access (see [`reference`] and the equivalence tests). Runs whose
+//! addresses leave `[0, i64::MAX]` wrap modulo 2^64, the same way in every
+//! path, and are simulated per access.
 
 use std::collections::BTreeMap;
 
@@ -376,7 +376,7 @@ impl CacheHierarchy {
             last_line: EMPTY,
             group: GroupScratch::default(),
         };
-        // The run fast path reconstructs line-aligned addresses; both levels
+        // The run-group path reconstructs line-aligned addresses; both levels
         // sharing one line size keeps those addresses on the original lines.
         debug_assert_eq!(hierarchy.l1.line_shift, hierarchy.l2.line_shift);
         hierarchy
@@ -405,8 +405,8 @@ impl CacheHierarchy {
         self.access_counted(address);
     }
 
-    /// The access path without the total-access bookkeeping (used by the run
-    /// fast path, which counts accesses in bulk).
+    /// The access path without the total-access bookkeeping (used by the
+    /// run-group path, which counts accesses in bulk).
     #[inline]
     fn access_counted(&mut self, address: u64) {
         self.access_counted_tracked(address);
@@ -440,69 +440,6 @@ impl CacheHierarchy {
             self.l2.access_line(line);
         }
         evicted
-    }
-
-    /// Simulates `count` accesses at `start, start + stride, …` — the access
-    /// stream of one array reference inside a constant-stride innermost loop.
-    ///
-    /// For `|stride| <= line_bytes` the per-line groups of the run are
-    /// consecutive, so all but the first access to each line are guaranteed
-    /// hits; the hit count is added in closed form and only one access per
-    /// distinct line is simulated. Counters are bit-identical to calling
-    /// [`access`](Self::access) on `start + i·stride` for every `i < count`,
-    /// the sum taken modulo 2^64: a run that leaves `[0, i64::MAX]` wraps,
-    /// the same way on every path, and is simulated per access.
-    pub fn access_run(&mut self, start: u64, stride: i64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        self.accesses += count;
-        let line_bytes = 1u64 << self.l1.line_shift;
-        let end = match run_end(start, stride, count) {
-            Some(end) if stride.unsigned_abs() <= line_bytes => end,
-            end => {
-                // Super-line strides land every access on a fresh line
-                // (nothing to collapse); runs that wrap go per access too.
-                if end.is_some() && stride % line_bytes as i64 == 0 {
-                    // Line-multiple stride (a column walk): the line index
-                    // advances by a constant |dline| >= 2 per access, so
-                    // after the first access — which may still re-touch the
-                    // previous stream's line — the per-access line
-                    // recomputation and the MRU short-circuit can never
-                    // fire. Probing the levels directly with the stepped
-                    // line is counter-identical.
-                    let dline = stride >> self.l1.line_shift;
-                    let mut line = self.l1.line_of(start);
-                    self.access_counted(start);
-                    for _ in 1..count {
-                        line = line.wrapping_add_signed(dline);
-                        if !self.l1.access_line(line) {
-                            self.l2.access_line(line);
-                        }
-                    }
-                    self.last_line = line;
-                } else {
-                    for i in 0..count {
-                        self.access_counted(run_address(start, stride, i));
-                    }
-                }
-                return;
-            }
-        };
-        let first = self.l1.line_of(start);
-        let last = self.l1.line_of(end);
-        let distinct = first.abs_diff(last) + 1;
-        self.l1.stats.hits += count - distinct;
-        let shift = self.l1.line_shift;
-        if last >= first {
-            for line in first..=last {
-                self.access_counted(line << shift);
-            }
-        } else {
-            for line in (last..=first).rev() {
-                self.access_counted(line << shift);
-            }
-        }
     }
 
     /// Simulates iterations `iterations` of a lockstep group one access at a
@@ -604,12 +541,10 @@ impl CacheHierarchy {
     /// bit-identical to expanding the group through [`access`](Self::access)
     /// in interleaved order, as the differential suites verify.
     pub fn access_run_group(&mut self, runs: &[StrideRun]) {
-        match runs {
-            [] => return,
-            [r] => return self.access_run(r.base, r.stride, r.count),
-            _ => {}
-        }
-        let count = runs[0].count;
+        let Some(first) = runs.first() else {
+            return;
+        };
+        let count = first.count;
         if runs.iter().any(|r| r.count != count) {
             // Degenerate group: the runs disagree on the trip count (a
             // malformed plan, or zero-trip members mixed with live ones).
@@ -1209,7 +1144,7 @@ mod tests {
                     fast.access(a);
                     slow.access(a);
                 }
-                fast.access_run(start, stride, count);
+                fast.access_run_group(&[group_run(start, stride, count)]);
                 let mut address = start as i64;
                 for _ in 0..count {
                     slow.access(address as u64);
@@ -1310,7 +1245,7 @@ mod tests {
         fast.access_run_group(&[]);
         fast.access_run_group(&[group_run(0, 8, 0), group_run(64, 8, 0)]);
         assert_eq!(fast.accesses(), 0);
-        // Single-run group: delegates to the run fast path.
+        // Single-run group: one stationary lane, one head per line.
         fast.access_run_group(&[group_run(4096, 8, 100)]);
         for i in 0..100 {
             slow.access(4096 + 8 * i);
@@ -1360,7 +1295,7 @@ mod tests {
         ] {
             let mut fast = CacheHierarchy::from_machine(&machine);
             let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
-            fast.access_run(start, stride, count);
+            fast.access_run_group(&[group_run(start, stride, count)]);
             for i in 0..count {
                 slow.access(run_address(start, stride, i));
             }
@@ -1668,7 +1603,7 @@ mod tests {
                 let start = rng.gen_range(0..1 << 16);
                 let stride = *[8i64, 16, 64, -8].get(rng.gen_range(0..4usize)).unwrap();
                 let count = rng.gen_range(1..200u64);
-                fast.access_run(start, stride, count);
+                fast.access_run_group(&[group_run(start, stride, count)]);
                 let mut address = start as i64;
                 for _ in 0..count {
                     slow.access(address as u64);

@@ -21,6 +21,11 @@
 //!   empty is skipped without touching its body, and statement/access counts
 //!   of compiled innermost loops are computed as `trips * plan_len` instead
 //!   of being accumulated per iteration.
+//! * **One statement evaluator.** A computation's value is one compiled
+//!   scalar tree, walked by one function that takes the load source as an
+//!   argument: inside a compiled innermost loop the loads were prefetched
+//!   through the cursors, everywhere else each load is resolved and
+//!   bounds-checked when the walk reaches it.
 //!
 //! Two drivers share the lowering:
 //!
@@ -230,101 +235,6 @@ enum CScalar {
     },
 }
 
-/// One instruction of a [`Postfix`] program.
-#[derive(Debug, Clone, Copy)]
-enum POp {
-    /// Push the prefetched load at the given position.
-    Load(u32),
-    /// Push a constant.
-    Const(f64),
-    /// Pop one value, push `op(value)`.
-    Unary(UnaryOp),
-    /// Pop rhs then lhs, push `lhs op rhs`.
-    Binary(BinOp),
-    /// Pop otherwise, then, rhs, lhs; push `then` if `lhs cmp rhs` else
-    /// `otherwise`. Both branches are evaluated — they are pure `f64`
-    /// arithmetic, so the selected value is bit-identical to the
-    /// short-circuiting tree walk.
-    Select(CmpOp),
-}
-
-/// A scalar expression flattened to postfix form: no recursion, no error
-/// plumbing, evaluated on a small value stack. Only expressions without
-/// [`CScalar::Index`] leaves flatten (an `Index` can fail on division by
-/// zero and needs the loop frame); the rest keep the tree walk.
-#[derive(Debug, Clone)]
-struct Postfix {
-    ops: Vec<POp>,
-}
-
-impl Postfix {
-    fn try_compile(e: &CScalar) -> Option<Postfix> {
-        let mut ops = Vec::new();
-        Self::flatten(e, &mut ops)?;
-        Some(Postfix { ops })
-    }
-
-    fn flatten(e: &CScalar, ops: &mut Vec<POp>) -> Option<()> {
-        match e {
-            CScalar::Load(k) => ops.push(POp::Load(*k as u32)),
-            CScalar::Const(c) => ops.push(POp::Const(*c)),
-            CScalar::Index(_) => return None,
-            CScalar::Unary(op, a) => {
-                Self::flatten(a, ops)?;
-                ops.push(POp::Unary(*op));
-            }
-            CScalar::Binary(op, a, b) => {
-                Self::flatten(a, ops)?;
-                Self::flatten(b, ops)?;
-                ops.push(POp::Binary(*op));
-            }
-            CScalar::Select {
-                lhs,
-                cmp,
-                rhs,
-                then,
-                otherwise,
-            } => {
-                Self::flatten(lhs, ops)?;
-                Self::flatten(rhs, ops)?;
-                Self::flatten(then, ops)?;
-                Self::flatten(otherwise, ops)?;
-                ops.push(POp::Select(*cmp));
-            }
-        }
-        Some(())
-    }
-
-    /// Evaluates against prefetched loads. `stack` is caller-provided
-    /// scratch, cleared here.
-    fn eval(&self, loads: &[f64], stack: &mut Vec<f64>) -> f64 {
-        stack.clear();
-        for op in &self.ops {
-            match *op {
-                POp::Load(k) => stack.push(loads[k as usize]),
-                POp::Const(c) => stack.push(c),
-                POp::Unary(op) => {
-                    let a = stack.pop().expect("postfix stack underflow");
-                    stack.push(op.apply(a));
-                }
-                POp::Binary(op) => {
-                    let rhs = stack.pop().expect("postfix stack underflow");
-                    let lhs = stack.pop().expect("postfix stack underflow");
-                    stack.push(op.apply(lhs, rhs));
-                }
-                POp::Select(cmp) => {
-                    let otherwise = stack.pop().expect("postfix stack underflow");
-                    let then = stack.pop().expect("postfix stack underflow");
-                    let rhs = stack.pop().expect("postfix stack underflow");
-                    let lhs = stack.pop().expect("postfix stack underflow");
-                    stack.push(if cmp.apply(lhs, rhs) { then } else { otherwise });
-                }
-            }
-        }
-        stack.pop().expect("postfix leaves one value")
-    }
-}
-
 /// A compiled computation. `accesses` is in [`Computation::for_each_access`] order:
 /// the `n_loads` value loads, then (for reductions) the read of the target,
 /// then the write of the target.
@@ -334,8 +244,6 @@ struct CComp {
     n_loads: usize,
     reduction: Option<BinOp>,
     value: CScalar,
-    /// Flattened form of `value`, used by the innermost fast path.
-    postfix: Option<Postfix>,
     /// True when some load sits inside a select branch, i.e. the reference
     /// interpreter may never evaluate (or bounds-check) it.
     conditional_loads: bool,
@@ -838,13 +746,11 @@ impl<'p> Lowerer<'p> {
         let mut next_load = 0usize;
         let value = self.lower_scalar(&comp.value, &mut next_load)?;
         debug_assert_eq!(next_load, n_loads);
-        let postfix = Postfix::try_compile(&value);
         Ok(CComp {
             accesses,
             n_loads,
             reduction: comp.reduction,
             value,
-            postfix,
             conditional_loads: has_conditional_loads(&comp.value),
         })
     }
@@ -973,7 +879,6 @@ struct Executor<'a, 'c> {
     /// nest, so one buffer suffices).
     cursors: Vec<Cursor>,
     loads: Vec<f64>,
-    stack: Vec<f64>,
 }
 
 impl CompiledProgram {
@@ -992,7 +897,6 @@ impl CompiledProgram {
             statements: 0,
             cursors: Vec::new(),
             loads: Vec::new(),
-            stack: Vec::new(),
         };
         for node in &self.nodes {
             exec.exec_node(node)?;
@@ -1123,10 +1027,8 @@ impl Executor<'_, '_> {
                     *slot = self.data.storage(cursor.array).data[cursor.offset as usize];
                     cursor.offset = cursor.offset.wrapping_add(cursor.stride);
                 }
-                let value = match &comp.postfix {
-                    Some(postfix) => postfix.eval(&self.loads, &mut self.stack),
-                    None => eval_scalar_buffered(&comp.value, &self.loads, &self.frame)?,
-                };
+                let loads = &self.loads;
+                let value = eval_scalar(&comp.value, &self.frame, &|k| Ok(loads[k]))?;
                 let target = *rest.last().expect("accesses end with the write");
                 for cursor in rest {
                     cursor.offset = cursor.offset.wrapping_add(cursor.stride);
@@ -1200,39 +1102,11 @@ impl Executor<'_, '_> {
         Ok(self.data.storage(array).data[flat])
     }
 
-    /// Evaluates a compiled scalar with loads resolved on demand (lazily for
-    /// untaken select branches, exactly like the reference interpreter).
-    fn eval_scalar_direct(&self, e: &CScalar, accesses: &[CAccess]) -> Result<f64> {
-        Ok(match e {
-            CScalar::Load(k) => self.load_access(&accesses[*k])?,
-            CScalar::Const(c) => *c,
-            CScalar::Index(b) => b.eval(&self.frame)? as f64,
-            CScalar::Unary(op, a) => op.apply(self.eval_scalar_direct(a, accesses)?),
-            CScalar::Binary(op, a, b) => op.apply(
-                self.eval_scalar_direct(a, accesses)?,
-                self.eval_scalar_direct(b, accesses)?,
-            ),
-            CScalar::Select {
-                lhs,
-                cmp,
-                rhs,
-                then,
-                otherwise,
-            } => {
-                let l = self.eval_scalar_direct(lhs, accesses)?;
-                let r = self.eval_scalar_direct(rhs, accesses)?;
-                if cmp.apply(l, r) {
-                    self.eval_scalar_direct(then, accesses)?
-                } else {
-                    self.eval_scalar_direct(otherwise, accesses)?
-                }
-            }
-        })
-    }
-
     fn exec_comp(&mut self, comp: &CComp) -> Result<()> {
         self.statements += 1;
-        let value = self.eval_scalar_direct(&comp.value, &comp.accesses)?;
+        let value = eval_scalar(&comp.value, &self.frame, &|k| {
+            self.load_access(&comp.accesses[k])
+        })?;
         let (array, flat) = self.access_flat(comp.target())?;
         let result = match comp.reduction {
             Some(op) => op.apply(self.data.storage(array).data[flat], value),
@@ -1245,8 +1119,12 @@ impl Executor<'_, '_> {
     fn exec_call(&mut self, call: &CCall) -> Result<()> {
         let dims: Option<Vec<i64>> = call.dims.iter().map(|d| d.eval(&self.frame)).collect();
         let dims = dims.ok_or_else(|| MachineError::UnboundVariable("blas dims".to_string()))?;
-        let alpha = self.eval_scalar_direct(&call.alpha, &call.alpha_accesses)?;
-        let beta = self.eval_scalar_direct(&call.beta, &call.beta_accesses)?;
+        let alpha = eval_scalar(&call.alpha, &self.frame, &|k| {
+            self.load_access(&call.alpha_accesses[k])
+        })?;
+        let beta = eval_scalar(&call.beta, &self.frame, &|k| {
+            self.load_access(&call.beta_accesses[k])
+        })?;
         let input = |exec: &Self, i: usize| -> Result<Vec<f64>> {
             let slot = call
                 .inputs
@@ -1288,20 +1166,22 @@ impl Executor<'_, '_> {
     }
 }
 
-/// Evaluates a compiled scalar with loads prefetched into `loads` — the
-/// tree-walking fallback of the innermost fast path, needed only when the
-/// expression contains an [`CScalar::Index`] leaf (which reads the frame and
-/// can fail on division by zero).
-fn eval_scalar_buffered(e: &CScalar, loads: &[f64], frame: &[i64]) -> Result<f64> {
+/// Evaluates a compiled scalar, the one tree walk of every statement.
+/// `load(k)` yields the value of load `k`: a slot the innermost fast path
+/// prefetched, or [`Executor::load_access`] resolving it on demand. Loads
+/// are requested lazily — an untaken select branch requests none — which is
+/// what lets the on-demand source match the reference interpreter on a
+/// select-guarded boundary load. [`CScalar::Index`] leaves read `frame` and
+/// fail on division by zero like the reference.
+fn eval_scalar(e: &CScalar, frame: &[i64], load: &impl Fn(usize) -> Result<f64>) -> Result<f64> {
     Ok(match e {
-        CScalar::Load(k) => loads[*k],
+        CScalar::Load(k) => load(*k)?,
         CScalar::Const(c) => *c,
         CScalar::Index(b) => b.eval(frame)? as f64,
-        CScalar::Unary(op, a) => op.apply(eval_scalar_buffered(a, loads, frame)?),
-        CScalar::Binary(op, a, b) => op.apply(
-            eval_scalar_buffered(a, loads, frame)?,
-            eval_scalar_buffered(b, loads, frame)?,
-        ),
+        CScalar::Unary(op, a) => op.apply(eval_scalar(a, frame, load)?),
+        CScalar::Binary(op, a, b) => {
+            op.apply(eval_scalar(a, frame, load)?, eval_scalar(b, frame, load)?)
+        }
         CScalar::Select {
             lhs,
             cmp,
@@ -1309,12 +1189,12 @@ fn eval_scalar_buffered(e: &CScalar, loads: &[f64], frame: &[i64]) -> Result<f64
             then,
             otherwise,
         } => {
-            let l = eval_scalar_buffered(lhs, loads, frame)?;
-            let r = eval_scalar_buffered(rhs, loads, frame)?;
+            let l = eval_scalar(lhs, frame, load)?;
+            let r = eval_scalar(rhs, frame, load)?;
             if cmp.apply(l, r) {
-                eval_scalar_buffered(then, loads, frame)?
+                eval_scalar(then, frame, load)?
             } else {
-                eval_scalar_buffered(otherwise, loads, frame)?
+                eval_scalar(otherwise, frame, load)?
             }
         }
     })

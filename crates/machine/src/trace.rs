@@ -128,8 +128,8 @@ pub trait AccessSink {
     fn end_repeat(&mut self) {}
 }
 
-/// Sink feeding a [`CacheHierarchy`], forwarding runs and whole run groups
-/// to the closed-form fast paths. Shared with the sharded driver
+/// Sink feeding a [`CacheHierarchy`], forwarding whole run groups to the
+/// closed-form fast path. Shared with the sharded driver
 /// (`shard::simulate_cache_sharded`), which feeds one replica per shard
 /// through the identical sink so per-shard counters stay bit-compatible
 /// with [`simulate_cache`].
@@ -140,10 +140,6 @@ pub(crate) struct CacheSink<'a> {
 impl AccessSink for CacheSink<'_> {
     fn access(&mut self, entry: TraceEntry) {
         self.cache.access(entry.address);
-    }
-
-    fn run(&mut self, start: u64, stride: i64, count: u64, _is_write: bool) {
-        self.cache.access_run(start, stride, count);
     }
 
     fn run_group(&mut self, runs: &[StrideRun]) {
@@ -188,10 +184,9 @@ fn record_cache_counters(cache: &CacheHierarchy) {
     telemetry::counter("machine.cache.l2.evicts", l2.evicts);
 }
 
-/// Sink replicating the PR 1 evaluation pipeline: single-access runs still
-/// collapse through [`CacheHierarchy::access_run`], but interleaved
-/// multi-access loops expand to one simulated access per trace entry (the
-/// default [`AccessSink::run_group`]).
+/// Sink simulating one access per trace entry: it implements only
+/// [`AccessSink::access`], so the default [`AccessSink::run`] and
+/// [`AccessSink::run_group`] expand every run and group in stream order.
 pub(crate) struct PerAccessCacheSink<'a> {
     pub(crate) cache: &'a mut CacheHierarchy,
 }
@@ -200,14 +195,10 @@ impl AccessSink for PerAccessCacheSink<'_> {
     fn access(&mut self, entry: TraceEntry) {
         self.cache.access(entry.address);
     }
-
-    fn run(&mut self, start: u64, stride: i64, count: u64, _is_write: bool) {
-        self.cache.access_run(start, stride, count);
-    }
 }
 
-/// The pre-run-compression simulation pipeline: every access of an
-/// interleaved innermost loop is simulated individually. Retained as the
+/// The per-access simulation pipeline: every access of the trace is
+/// simulated individually. Retained as the
 /// baseline [`simulate_cache`] is differentially tested against — both
 /// must report bit-identical counters on every program.
 ///
@@ -480,7 +471,7 @@ mod tests {
             "program na { param N = 16; array A[N];
                for i in 0..N { A[i % 4] = 1.0; } }",
         );
-        // Single-access innermost loop: the run fast path.
+        // Single-access innermost loop: a one-run group.
         assert_identical_traces(
             "program run { param N = 200; array A[N];
                for i in 0..N { A[i] = 0.0; } }",

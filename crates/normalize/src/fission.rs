@@ -12,11 +12,17 @@ use transforms::fission::distribute;
 /// to a fixed point. The resulting loop nests are "atomic": their bodies
 /// contain computations and loops that cannot be separated due to data
 /// dependences.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MaximalFission {
     /// Upper bound on fixed-point iterations (a safety net; one bottom-up
     /// sweep already reaches the fixed point for well-formed programs).
     pub max_iterations: usize,
+}
+
+impl Default for MaximalFission {
+    fn default() -> Self {
+        MaximalFission::new()
+    }
 }
 
 /// Statistics reported by the fission pass.

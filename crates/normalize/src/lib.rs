@@ -15,7 +15,9 @@
 //!    expressions ([`stride`]).
 //!
 //! [`pipeline::Normalizer`] chains the two passes exactly as in the paper's
-//! Figure 5 and reports what changed.
+//! Figure 5 and reports what changed. The ablation study (Figure 7) turns
+//! normalization off as a whole in the scheduler
+//! (`daisy::DaisyConfig::normalize`), which then plans the input as written.
 //!
 //! ```
 //! use loop_ir::parser::parse_program;
@@ -49,5 +51,5 @@ pub mod stride;
 
 pub use fission::MaximalFission;
 pub use permute::StrideMinimization;
-pub use pipeline::{NormalizationStats, NormalizedProgram, Normalizer, NormalizerConfig};
+pub use pipeline::{NormalizationStats, NormalizedProgram, Normalizer};
 pub use stride::{out_of_order_cost, sum_of_strides, StrideCost};

@@ -22,10 +22,7 @@ const ENUMERATION_LIMIT: usize = 6;
 /// fission criterion"), but is safe on any program: imperfectly nested parts
 /// simply stay where they are.
 #[derive(Debug, Clone, Default)]
-pub struct StrideMinimization {
-    /// Maximum perfect-chain depth for exhaustive permutation enumeration.
-    pub enumeration_limit: usize,
-}
+pub struct StrideMinimization;
 
 /// Statistics reported by the stride-minimization pass: counts only. What a
 /// permutation bought is [`sum_of_strides`](crate::stride::sum_of_strides)
@@ -42,11 +39,9 @@ pub struct PermutationStats {
 }
 
 impl StrideMinimization {
-    /// Creates the pass with the default enumeration limit.
+    /// Creates the pass.
     pub fn new() -> Self {
-        StrideMinimization {
-            enumeration_limit: ENUMERATION_LIMIT,
-        }
+        StrideMinimization
     }
 
     /// Runs the pass, returning the permuted program and statistics.
@@ -103,12 +98,7 @@ impl StrideMinimization {
         let mut reordered = false;
         if chain.len() >= 2 {
             let strides = NestStrides::of(program, nest, &chain);
-            let limit = if self.enumeration_limit == 0 {
-                ENUMERATION_LIMIT
-            } else {
-                self.enumeration_limit
-            };
-            let best = if chain.len() <= limit {
+            let best = if chain.len() <= ENUMERATION_LIMIT {
                 self.enumerate(graph, nest, &chain, &strides)
             } else {
                 stats.approximated += 1;

@@ -80,31 +80,12 @@ use loop_ir::program::Program;
 use crate::fission::{FissionStats, MaximalFission};
 use crate::permute::{PermutationStats, StrideMinimization};
 
-/// Which steps of the pipeline to run. Used by the ablation study (Figure 7),
-/// which compares optimization with and without prior normalization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NormalizerConfig {
-    /// Run maximal loop fission.
-    pub fission: bool,
-    /// Run stride minimization.
-    pub stride_minimization: bool,
-}
-
-impl Default for NormalizerConfig {
-    fn default() -> Self {
-        NormalizerConfig {
-            fission: true,
-            stride_minimization: true,
-        }
-    }
-}
-
 /// Aggregated statistics of a normalization run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NormalizationStats {
-    /// Statistics of the maximal-fission step (zeroed if skipped).
+    /// Statistics of the maximal-fission step.
     pub fission: FissionStats,
-    /// Statistics of the stride-minimization step (zeroed if skipped).
+    /// Statistics of the stride-minimization step.
     pub permutation: PermutationStats,
 }
 
@@ -120,8 +101,8 @@ pub struct NormalizedProgram {
     pub program: Program,
     /// What the pipeline changed.
     pub stats: NormalizationStats,
-    /// The dependence graph the run analyzed its input into; `None` when
-    /// neither step ran.
+    /// The dependence graph the run analyzed its input into; `None` for a
+    /// program that was not normalized.
     pub graph: Option<DependenceGraph>,
     /// Per top-level node of `program`: stride minimization changed a loop
     /// order somewhere inside it.
@@ -146,8 +127,8 @@ impl std::fmt::Debug for NormalizedProgram {
 impl NormalizedProgram {
     /// The program, and per top-level node the dependences among its own
     /// computations where the run's graph still describes them: `None` for
-    /// a node stride minimization reordered, and for every node when no
-    /// step ran. The edges move out of the graph; none is copied.
+    /// a node stride minimization reordered, and for every node when there
+    /// is no graph. The edges move out of the graph; none is copied.
     pub fn into_nest_graphs(self) -> (Program, Vec<Option<DependenceGraph>>) {
         let Some(graph) = self.graph else {
             let nodes = self.program.body.len();
@@ -179,36 +160,18 @@ impl NormalizedProgram {
 }
 
 /// The a priori loop nest normalization pipeline: maximal loop fission
-/// followed by stride minimization.
+/// followed by stride minimization. [`Normalizer::new`] and
+/// [`Normalizer::default`] build the same pipeline.
 #[derive(Debug, Clone, Default)]
 pub struct Normalizer {
-    config: NormalizerConfig,
     fission: MaximalFission,
     stride: StrideMinimization,
 }
 
 impl Normalizer {
-    /// Creates the full pipeline (both criteria enabled).
+    /// Creates the pipeline.
     pub fn new() -> Self {
-        Normalizer {
-            config: NormalizerConfig::default(),
-            fission: MaximalFission::new(),
-            stride: StrideMinimization::new(),
-        }
-    }
-
-    /// Creates a pipeline with an explicit step selection (for ablations).
-    pub fn with_config(config: NormalizerConfig) -> Self {
-        Normalizer {
-            config,
-            fission: MaximalFission::new(),
-            stride: StrideMinimization::new(),
-        }
-    }
-
-    /// The configured step selection.
-    pub fn config(&self) -> NormalizerConfig {
-        self.config
+        Normalizer::default()
     }
 
     /// Runs the pipeline on a program.
@@ -219,27 +182,17 @@ impl Normalizer {
     /// to a well-formed output.
     pub fn run(&self, program: &Program) -> loop_ir::Result<NormalizedProgram> {
         let _span = telemetry::span("normalize.run");
-        let mut stats = NormalizationStats::default();
-        let mut current = program.clone();
-        let mut graph = None;
-        let mut reordered = Vec::new();
-        if self.config.fission || self.config.stride_minimization {
-            let analyzed = analyze(program);
-            if self.config.fission {
-                (current, stats.fission) = self.fission.run_with_graph(current, &analyzed);
-            }
-            if self.config.stride_minimization {
-                (current, stats.permutation, reordered) =
-                    self.stride.run_with_graph(current, &analyzed);
-            }
-            graph = Some(analyzed);
-        }
+        let graph = analyze(program);
+        let (current, fission) = self.fission.run_with_graph(program.clone(), &graph);
+        let (current, permutation, reordered) = self.stride.run_with_graph(current, &graph);
         current.validate()?;
-        reordered.resize(current.body.len(), false);
         Ok(NormalizedProgram {
             program: current,
-            stats,
-            graph,
+            stats: NormalizationStats {
+                fission,
+                permutation,
+            },
+            graph: Some(graph),
             reordered,
         })
     }
@@ -293,35 +246,16 @@ mod tests {
     }
 
     #[test]
-    fn config_controls_which_steps_run() {
+    fn each_step_alone_does_half_of_figure3() {
         let p = parse_program(FIGURE3).unwrap();
-        let fission_only = Normalizer::with_config(NormalizerConfig {
-            fission: true,
-            stride_minimization: false,
-        })
-        .run(&p)
-        .unwrap();
-        assert_eq!(fission_only.program.loop_nests().len(), 2);
-        assert_eq!(fission_only.stats.permutation.nests_examined, 0);
+        let (fission_only, _) = MaximalFission::new().run(p.clone());
+        assert_eq!(fission_only.loop_nests().len(), 2);
 
-        let stride_only = Normalizer::with_config(NormalizerConfig {
-            fission: false,
-            stride_minimization: true,
-        })
-        .run(&p)
-        .unwrap();
+        let (stride_only, stats) = StrideMinimization::new().run(p);
         // Without fission the single fused nest cannot pick a good order for
         // both statements at once; it stays a single nest.
-        assert_eq!(stride_only.program.loop_nests().len(), 1);
-        assert_eq!(stride_only.stats.fission.loops_split, 0);
-
-        let disabled = Normalizer::with_config(NormalizerConfig {
-            fission: false,
-            stride_minimization: false,
-        })
-        .run(&p)
-        .unwrap();
-        assert_eq!(disabled.program, p);
+        assert_eq!(stride_only.loop_nests().len(), 1);
+        assert_eq!(stats.nests_examined, 1);
     }
 
     #[test]
@@ -381,11 +315,20 @@ mod tests {
     }
 
     #[test]
-    fn default_normalizer_enables_both_steps() {
-        let n = Normalizer::default();
-        // Default-constructed config mirrors `new`.
-        assert_eq!(n.config(), NormalizerConfig::default());
-        assert!(NormalizerConfig::default().fission);
-        assert!(NormalizerConfig::default().stride_minimization);
+    fn default_and_new_build_the_same_pipeline() {
+        use polybench::{all_benchmarks, Dataset};
+        let mut programs = vec![parse_program(FIGURE3).unwrap()];
+        for bench in all_benchmarks() {
+            programs.push((bench.a)(Dataset::Mini));
+            programs.push((bench.b)(Dataset::Mini));
+        }
+        for p in &programs {
+            assert_eq!(
+                Normalizer::default().run(p).unwrap(),
+                Normalizer::new().run(p).unwrap(),
+                "{}",
+                p.name
+            );
+        }
     }
 }

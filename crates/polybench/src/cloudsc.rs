@@ -274,6 +274,18 @@ pub fn full_model(variant: CloudscVariant, sizes: CloudscSizes) -> Program {
     )
 }
 
+/// The daisy CLOUDSC version of the case study (Figs. 11 and 12): the DaCe
+/// structure normalized and then producer-consumer fused (§5.1). This is
+/// the one place the version is built.
+pub fn daisy_model(sizes: CloudscSizes) -> Program {
+    let dace = full_model(CloudscVariant::Dace, sizes);
+    let normalized = normalize::Normalizer::new()
+        .run(&dace)
+        .expect("the DaCe variant normalizes")
+        .program;
+    transforms::fuse_producer_consumers(&normalized)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,8 +351,7 @@ mod tests {
     fn normalization_plus_fusion_preserves_the_dace_variant() {
         let sizes = CloudscSizes::mini();
         let dace = full_model(CloudscVariant::Dace, sizes);
-        let normalized = normalize::Normalizer::new().run(&dace).unwrap().program;
-        let fused = transforms::fuse_producer_consumers(&normalized);
+        let fused = daisy_model(sizes);
         assert!(fused.validate().is_ok());
         equivalent(&dace, &fused, &["ZTP1", "ZQSMIX", "PLUDE", "PFPLSL"]);
     }

@@ -6,11 +6,9 @@
 
 use machine::interp::run_seeded;
 use machine::{simulate_cache, CostModel, MachineConfig};
-use normalize::Normalizer;
 use polybench::cloudsc::{
-    erosion_optimized, erosion_original, full_model, CloudscSizes, CloudscVariant,
+    daisy_model, erosion_optimized, erosion_original, full_model, CloudscSizes, CloudscVariant,
 };
-use transforms::fuse_producer_consumers;
 
 fn main() {
     let machine = MachineConfig::xeon_e5_2680v3();
@@ -43,9 +41,7 @@ fn main() {
 
     // --- the full proxy model (Figure 11 / 12) ---------------------------
     let fortran = full_model(CloudscVariant::Fortran, sizes);
-    let dace = full_model(CloudscVariant::Dace, sizes);
-    let daisy_prog =
-        fuse_producer_consumers(&Normalizer::new().run(&dace).expect("normalizes").program);
+    let daisy_prog = daisy_model(sizes);
     for threads in [1usize, 6, 12] {
         let model = CostModel::new(machine.clone(), threads);
         let f = model.estimate(&fortran).seconds;

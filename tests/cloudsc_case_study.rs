@@ -4,16 +4,13 @@
 
 use machine::interp::run_seeded;
 use machine::CostModel;
-use normalize::Normalizer;
-use polybench::cloudsc::{full_model, CloudscSizes, CloudscVariant};
-use transforms::fuse_producer_consumers;
+use polybench::cloudsc::{daisy_model, full_model, CloudscSizes, CloudscVariant};
 
 #[test]
 fn daisy_pipeline_on_cloudsc_is_equivalent_and_not_slower() {
     let mini = CloudscSizes::mini();
     let fortran = full_model(CloudscVariant::Fortran, mini);
-    let dace = full_model(CloudscVariant::Dace, mini);
-    let daisy_prog = fuse_producer_consumers(&Normalizer::new().run(&dace).unwrap().program);
+    let daisy_prog = daisy_model(mini);
     assert!(daisy_prog.validate().is_ok());
 
     // Semantics: the optimized pipeline computes the same physics.
@@ -29,7 +26,7 @@ fn daisy_pipeline_on_cloudsc_is_equivalent_and_not_slower() {
     let paper = CloudscSizes::paper();
     let fortran_large = full_model(CloudscVariant::Fortran, paper);
     let dace_large = full_model(CloudscVariant::Dace, paper);
-    let daisy_large = fuse_producer_consumers(&Normalizer::new().run(&dace_large).unwrap().program);
+    let daisy_large = daisy_model(paper);
     let model = CostModel::sequential();
     let t_fortran = model.estimate(&fortran_large).seconds;
     let t_dace = model.estimate(&dace_large).seconds;

@@ -147,6 +147,68 @@ fn select_guarded_boundary_accesses_stay_valid() {
 }
 
 #[test]
+fn index_leaves_in_innermost_loops_match_the_reference() {
+    // Innermost loops whose accesses are affine and unguarded take the
+    // prefetching path; an `index()` leaf there reads the loop frame.
+    use loop_ir::parser::parse_program;
+    let p = parse_program(
+        "program idx { param N = 9; array A[N]; array B[N];
+           for i in 0..N { B[i] = A[i] * index(i) + index(i / 2); } }",
+    )
+    .unwrap();
+    assert_differential(&p);
+    // Division by zero inside the leaf at i = 3: both engines stop with the
+    // same error.
+    let p = parse_program(
+        "program idx_div { param N = 9; array A[N]; array B[N];
+           for i in 0..N { B[i] = A[i] + index(N / (i - 3)); } }",
+    )
+    .unwrap();
+    let mut data = ProgramData::seeded(&p).unwrap();
+    let slow = reference::Interpreter::new()
+        .run(&p, &mut data)
+        .unwrap_err();
+    let mut data = ProgramData::seeded(&p).unwrap();
+    let fast = Interpreter::new().run(&p, &mut data).unwrap_err();
+    assert!(matches!(slow, MachineError::UnboundVariable(_)), "{slow:?}");
+    assert_eq!(fast, slow);
+}
+
+#[test]
+fn load_free_selects_in_innermost_loops_match_the_reference() {
+    // Both branches are load-free, so the loop takes the prefetching path;
+    // the condition holds for half of the iterations.
+    use loop_ir::nest::{Computation, Node};
+    use loop_ir::prelude::*;
+
+    let value = load("A", vec![var("i")])
+        * ScalarExpr::select(
+            ScalarExpr::Index(var("i")),
+            CmpOp::Ge,
+            fconst(4.0),
+            fconst(1.5),
+            ScalarExpr::Index(var("i")) * fconst(-0.5),
+        );
+    let p = Program::builder("select")
+        .param("N", 8)
+        .array("A", &["N"])
+        .array("B", &["N"])
+        .node(for_loop(
+            "i",
+            cst(0),
+            var("N"),
+            vec![Node::Computation(Computation::assign(
+                "S0",
+                ArrayRef::new("B", vec![var("i")]),
+                value,
+            ))],
+        ))
+        .build()
+        .unwrap();
+    assert_differential(&p);
+}
+
+#[test]
 fn compiled_engine_reports_oob_like_the_reference() {
     use loop_ir::parser::parse_program;
     let p = parse_program(

@@ -38,8 +38,7 @@ use machine::{
     simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan, CompiledProgram,
     MachineConfig, ShardGranularity, ShardPlan, ShardedCacheStats,
 };
-use normalize::Normalizer;
-use polybench::cloudsc::{full_model, CloudscSizes, CloudscVariant};
+use polybench::cloudsc::{daisy_model, full_model, CloudscSizes, CloudscVariant};
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
 
 /// A blocked nest: `NB` trips of a top-level block loop, each reading and
@@ -402,13 +401,6 @@ fn clamped_and_spilling_representatives_fall_back_to_every_member() {
     assert_counters_match("in-bounds representative", &stats, &oracle);
 }
 
-/// The daisy CLOUDSC version as the figure harnesses build it.
-fn daisy_full_model(sizes: CloudscSizes) -> Program {
-    let dace = full_model(CloudscVariant::Dace, sizes);
-    let normalized = Normalizer::new().run(&dace).expect("normalizes").program;
-    transforms::fuse_producer_consumers(&normalized)
-}
-
 #[test]
 fn cloudsc_uniform_blocks_form_one_class_and_stationary_temporaries_keep_32() {
     // Paper NPROMA/KLEV: a 3-D slab is 128 x 137 x 8 B = 137 KiB, which is
@@ -428,7 +420,7 @@ fn cloudsc_uniform_blocks_form_one_class_and_stationary_temporaries_keep_32() {
         ("Fortran", full_model(CloudscVariant::Fortran, sizes), 1),
         ("C", full_model(CloudscVariant::C, sizes), 1),
         ("DaCe", full_model(CloudscVariant::Dace, sizes), 32),
-        ("daisy", daisy_full_model(sizes), 32),
+        ("daisy", daisy_model(sizes), 32),
     ];
     for (name, program, classes) in &versions {
         let (stats, oracle) = canonical_and_oracle(program, &machine);
