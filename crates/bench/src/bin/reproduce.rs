@@ -9,14 +9,14 @@
 //! simulated CLOUDSC traces, so Fig. 12b's schedule point reuses the daisy
 //! trace Fig. 11 simulated. `--sim-workers` sizes the trace
 //! lane's shard pool; the schedule lane keeps running next to that pool.
-//! Each figure renders into its own buffer, and the buffers print in paper
-//! order once both lanes finished, so stdout is the same as a
+//! Each figure returns its tables, which render into a buffer of its own,
+//! and the buffers print in paper order once both lanes finished, so stdout is the same as a
 //! one-after-another run apart from host timings. `--only` leaves a lane
 //! empty when it selects none of its figures.
 //!
 //! ```text
 //! reproduce [--smoke] [--store DIR] [--warm] [--verify] [--only LIST] [--list]
-//!           [--verbose] [--profile OUT.json] [--sim-workers N]
+//!           [--profile OUT.json] [--sim-workers N]
 //!
 //!   --smoke       tiny problem sizes (Dataset::Mini, CloudscSizes::mini());
 //!                 the CI configuration, finishes in seconds
@@ -26,14 +26,14 @@
 //!                 available parallelism); counters are bit-identical at
 //!                 any value, so this only changes wall clock. The pool
 //!                 runs beside the schedule lane, not instead of it
-//!   --verbose     print the per-phase wall clock (normalize / seed /
-//!                 search / cost) of every schedule the figures run
 //!   --profile F   record a telemetry profile of the whole run — spans,
 //!                 counters and latency histograms across the scheduler,
 //!                 the cache simulator and the tuning store — to F as
 //!                 JSON lines, and print the aggregate span tree (one
 //!                 `figure.<name>` root per figure, opened on the lane
-//!                 that runs it); inspect or diff the file with daisyprof
+//!                 that runs it, with each `schedule` call's normalize /
+//!                 seed / search / cost phases under it); inspect or diff
+//!                 the file with daisyprof
 //!   --store DIR   persist cold-seeded tuning databases under DIR
 //!                 (<DIR>/daisy-<config>-<dataset>.tunedb)
 //!   --warm        warm-start schedulers from the store instead of seeding
@@ -55,17 +55,38 @@ use std::time::Instant;
 
 use bench::figures::{
     fig11_cloudsc_full, fig12_cloudsc_scaling, fig1_gemm_variants, fig6_autoschedulers,
-    fig7_ablation, fig9_python_frameworks, table1_cloudsc_erosion, verify_cold_warm,
-    verify_scheduler_against_store, ReproContext, ReproOptions, TraceContext,
+    fig7_ablation, fig9_python_frameworks, table1_cloudsc_erosion, ReproContext, ReproOptions,
+    TraceContext,
 };
+use bench::Table;
 
-/// The reproduction targets, in paper order.
-const FIGURES: [&str; 7] = ["fig1", "table1", "fig6", "fig7", "fig9", "fig11", "fig12"];
+/// One reproduction target: its `--only` name, the telemetry span it runs
+/// under, and its harness on the lane that runs it.
+struct Figure {
+    name: &'static str,
+    span: &'static str,
+    lane: Lane,
+}
 
-/// How many of [`FIGURES`] run on the schedule lane; the rest, the CLOUDSC
-/// case study that closes the paper, run on the trace lane. So the schedule
-/// lane's sections followed by the trace lane's are in paper order.
-const SCHEDULE_LANE: usize = 5;
+/// The lane a figure runs on, with its harness: the schedule lane shares the
+/// run's schedulers, the trace lane the simulated CLOUDSC traces.
+enum Lane {
+    Schedule(fn(&mut ReproContext) -> Vec<Table>),
+    Trace(fn(&mut TraceContext) -> Vec<Table>),
+}
+use Lane::{Schedule, Trace};
+
+/// The reproduction targets, in paper order. Adding a figure adds a line.
+#[rustfmt::skip]
+const FIGURES: [Figure; 7] = [
+    Figure { name: "fig1",   span: "figure.fig1",   lane: Schedule(fig1_gemm_variants) },
+    Figure { name: "table1", span: "figure.table1", lane: Schedule(table1_cloudsc_erosion) },
+    Figure { name: "fig6",   span: "figure.fig6",   lane: Schedule(fig6_autoschedulers) },
+    Figure { name: "fig7",   span: "figure.fig7",   lane: Schedule(fig7_ablation) },
+    Figure { name: "fig9",   span: "figure.fig9",   lane: Schedule(fig9_python_frameworks) },
+    Figure { name: "fig11",  span: "figure.fig11",  lane: Trace(fig11_cloudsc_full) },
+    Figure { name: "fig12",  span: "figure.fig12",  lane: Trace(fig12_cloudsc_scaling) },
+];
 
 struct Args {
     options: ReproOptions,
@@ -84,7 +105,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         match arg.as_str() {
             "--smoke" => options.smoke = true,
             "--warm" => options.warm = true,
-            "--verbose" => options.verbose = true,
             "--verify" => verify = true,
             "--store" => {
                 let dir = args.next().ok_or("--store needs a directory")?;
@@ -109,18 +129,19 @@ fn parse_args() -> Result<Option<Args>, String> {
                 let list = args.next().ok_or("--only needs a figure list")?;
                 let names: Vec<String> = list.split(',').map(|s| s.trim().to_string()).collect();
                 for name in &names {
-                    if !FIGURES.contains(&name.as_str()) {
+                    if !FIGURES.iter().any(|figure| figure.name == name) {
+                        let valid: Vec<&str> = FIGURES.iter().map(|figure| figure.name).collect();
                         return Err(format!(
                             "unknown target '{name}' (valid targets: {})",
-                            FIGURES.join(", ")
+                            valid.join(", ")
                         ));
                     }
                 }
                 only = Some(names);
             }
             "--list" => {
-                for name in FIGURES {
-                    println!("{name}");
+                for figure in &FIGURES {
+                    println!("{}", figure.name);
                 }
                 return Ok(None);
             }
@@ -176,41 +197,41 @@ fn main() -> ExitCode {
 }
 
 fn run_figures(args: &Args) -> ExitCode {
-    let selected = |name: &str| {
-        args.only
-            .as_ref()
-            .map(|names| names.iter().any(|n| n == name))
-            .unwrap_or(true)
-    };
+    let selected: Vec<&Figure> = FIGURES
+        .iter()
+        .filter(|figure| {
+            args.only
+                .as_ref()
+                .is_none_or(|names| names.iter().any(|n| n == figure.name))
+        })
+        .collect();
 
-    let (schedule_lane, trace_lane) = FIGURES.split_at(SCHEDULE_LANE);
     let start = Instant::now();
     let mut ctx = ReproContext::new(args.options.clone());
     let sections = std::thread::scope(|scope| {
         let trace = scope.spawn(|| {
-            let trace_ctx = TraceContext::new(args.options.clone());
-            run_lane(trace_lane, selected, |name, out| match name {
-                "fig11" => fig11_cloudsc_full(&trace_ctx, out),
-                "fig12" => fig12_cloudsc_scaling(&trace_ctx, out),
-                _ => unreachable!("FIGURES and the trace dispatch table are in sync"),
+            let mut trace_ctx = TraceContext::new(args.options.clone());
+            run_lane(&selected, &mut trace_ctx, |lane| match lane {
+                Trace(figure) => Some(*figure),
+                Schedule(_) => None,
             })
         });
-        let mut sections = run_lane(schedule_lane, selected, |name, out| match name {
-            "fig1" => fig1_gemm_variants(&ctx, out),
-            "table1" => table1_cloudsc_erosion(&ctx, out),
-            "fig6" => fig6_autoschedulers(&mut ctx, out),
-            "fig7" => fig7_ablation(&mut ctx, out),
-            "fig9" => fig9_python_frameworks(&mut ctx, out),
-            _ => unreachable!("FIGURES and the schedule dispatch table are in sync"),
+        let schedule = run_lane(&selected, &mut ctx, |lane| match lane {
+            Schedule(figure) => Some(*figure),
+            Trace(_) => None,
         });
         let trace = trace
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        sections.extend(trace);
-        sections
+        // Each figure ran on exactly one of the two lanes.
+        schedule
+            .into_iter()
+            .zip(trace)
+            .flat_map(|(schedule, trace)| schedule.or(trace))
+            .collect::<Vec<String>>()
     });
-    for (name, text) in sections {
-        println!("\n================ {name} ================");
+    for (figure, text) in selected.iter().zip(sections) {
+        println!("\n================ {} ================", figure.name);
         print!("{text}");
     }
 
@@ -224,7 +245,7 @@ fn run_figures(args: &Args) -> ExitCode {
         println!(
             "scheduler {:>6}: {} database, {} entries in {:.3}s{store}",
             event.kind.stem(),
-            event.mode,
+            if event.warm { "warm" } else { "cold" },
             event.entries,
             event.seconds
         );
@@ -234,26 +255,14 @@ fn run_figures(args: &Args) -> ExitCode {
     if args.verify {
         println!("\n================ cold/warm verification ================");
         // Verify exactly the scheduler configurations this run used (an
-        // --only subset may have used none, or just one): a cold run's
-        // scheduler doubles as the verification reference, a warm run
-        // seeds a fresh cold reference to compare against the store.
-        let used: Vec<_> = ctx
-            .events()
-            .iter()
-            .map(|e| (e.kind, e.mode))
-            .collect::<Vec<_>>();
-        if used.is_empty() {
+        // --only subset may have used none, or just one).
+        if ctx.events().is_empty() {
             println!("the selected figures used no schedulers; nothing to verify");
             return ExitCode::SUCCESS;
         }
         let mut ok = true;
-        for (kind, mode) in used {
-            let result = if mode == "cold" {
-                verify_scheduler_against_store(ctx.scheduler(kind), &args.options, kind)
-            } else {
-                verify_cold_warm(&args.options, kind)
-            };
-            match result {
+        for kind in ctx.events().iter().map(|event| event.kind) {
+            match ctx.verify(kind) {
                 Ok(report) => {
                     println!(
                         "verify {:>6}: {} entries, {}/{} outcomes bit-identical -> {}",
@@ -280,36 +289,20 @@ fn run_figures(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the selected figures of one lane in order, each under a
-/// `figure.<name>` span and into a buffer of its own; returns every figure's
-/// name with its text.
-fn run_lane(
-    names: &[&'static str],
-    selected: impl Fn(&str) -> bool,
-    mut figure: impl FnMut(&str, &mut String),
-) -> Vec<(&'static str, String)> {
-    names
+/// Runs the selected figures that `harness` places on this lane, in order,
+/// each under its `figure.<name>` span; returns each selected figure's
+/// rendered tables, `None` where the figure runs on the other lane.
+fn run_lane<C>(
+    figures: &[&Figure],
+    ctx: &mut C,
+    harness: impl Fn(&Lane) -> Option<fn(&mut C) -> Vec<Table>>,
+) -> Vec<Option<String>> {
+    figures
         .iter()
-        .filter(|name| selected(name))
-        .map(|&name| {
-            let _span = telemetry::span(figure_span(name));
-            let mut out = String::new();
-            figure(name, &mut out);
-            (name, out)
+        .map(|figure| {
+            let run = harness(&figure.lane)?;
+            let _span = telemetry::span(figure.span);
+            Some(run(ctx).iter().map(Table::to_string).collect())
         })
         .collect()
-}
-
-/// The telemetry span a figure runs under.
-fn figure_span(name: &str) -> &'static str {
-    match name {
-        "fig1" => "figure.fig1",
-        "table1" => "figure.table1",
-        "fig6" => "figure.fig6",
-        "fig7" => "figure.fig7",
-        "fig9" => "figure.fig9",
-        "fig11" => "figure.fig11",
-        "fig12" => "figure.fig12",
-        _ => unreachable!("FIGURES and the span table are in sync"),
-    }
 }

@@ -1,26 +1,28 @@
 //! The figure/table harnesses as library functions, driven by the
 //! `reproduce` binary (`reproduce --only <figure>` for a single one).
 //!
-//! Every function regenerates one figure or table of the paper and renders
-//! it into a `&mut String`, so `reproduce` decides when and in which order
-//! the text reaches stdout. The ones that need a transfer-tuning database
-//! pull their scheduler from a [`ReproContext`], which seeds it once per
-//! configuration and — when a store directory is given — warm-starts it
-//! from a persisted `tunestore` snapshot instead, so a whole reproduction
-//! run pays the seeding cost at most once ever per machine. The
-//! trace-backed CLOUDSC figures (Fig. 11, Fig. 12) share a [`TraceContext`]
-//! instead, which owns nothing a scheduling figure touches.
+//! Every function regenerates one figure or table of the paper and returns
+//! its [`Table`]s: typed cells plus the note lines under them, each summary
+//! note computed from the table's own values. Formatting happens when
+//! `reproduce` displays a table, so it decides when and in which order the
+//! text reaches stdout. The scheduling figures take a [`ReproContext`],
+//! which seeds a transfer-tuning database once per configuration and —
+//! when a store directory is given — warm-starts it from a persisted
+//! `tunestore` snapshot instead, so a whole reproduction run pays the
+//! seeding cost at most once ever per machine. The trace-backed CLOUDSC
+//! figures (Fig. 11, Fig. 12) take a [`TraceContext`] instead, which owns
+//! nothing a scheduling figure touches.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::fmt::Write;
+use std::iter::once;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use baselines::{
     clang_schedule, icc_schedule, polly_schedule, python_framework_times, tiramisu_schedule,
 };
-use daisy::{DaisyConfig, DaisyScheduler, ScheduleOutcome};
+use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
 use machine::{effective_workers, simulate_cache_sharded, MachineConfig, ShardedCacheStats};
@@ -32,7 +34,7 @@ use polybench::cloudsc::{
 use polybench::{all_benchmarks, Dataset};
 
 use crate::{
-    daisy_seeded_from_a_variants, geometric_mean, paper_machine_model, ratio, render_table, THREADS,
+    daisy_seeded_from_a_variants, geometric_mean, paper_machine_model, Cell, Table, THREADS,
 };
 
 /// The scheduler configurations the figure harnesses use. `Full` is the
@@ -48,9 +50,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Every scheduler configuration the harnesses use.
-    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Full, SchedulerKind::NoNormalize];
-
     /// The daisy configuration of this kind.
     pub fn config(self) -> DaisyConfig {
         match self {
@@ -83,9 +82,6 @@ pub struct ReproOptions {
     pub store: Option<PathBuf>,
     /// Warm-start schedulers from the store instead of seeding.
     pub warm: bool,
-    /// Print the per-phase wall clock ([`daisy::PhaseTimings`]) of every
-    /// schedule the figures run.
-    pub verbose: bool,
     /// Worker threads for the sharded cache simulation behind the trace
     /// figures (`--sim-workers`). `0` uses the machine's available
     /// parallelism. Sharded counters are bit-identical at any value, so
@@ -104,22 +100,14 @@ impl ReproOptions {
     }
 }
 
-/// Renders one schedule's per-phase wall clock into `out` when
-/// `--verbose` is on. A free function (not a [`ReproContext`] method) so
-/// figures can call it while a scheduler borrow of the context is live.
-pub fn render_phases(out: &mut String, verbose: bool, label: &str, outcome: &ScheduleOutcome) {
-    if verbose {
-        let _ = writeln!(out, "  phases [{label}]: {}", outcome.phase_timings);
-    }
-}
-
 /// How one scheduler's database was obtained, for the run summary.
 #[derive(Debug, Clone)]
 pub struct SeedingEvent {
     /// Which scheduler configuration.
     pub kind: SchedulerKind,
-    /// `"warm"` when loaded from a store, `"cold"` when seeded by search.
-    pub mode: &'static str,
+    /// True when the database was loaded from a store, false when it was
+    /// seeded by search.
+    pub warm: bool,
     /// Number of database entries.
     pub entries: usize,
     /// Wall-clock seconds spent seeding or loading.
@@ -197,7 +185,7 @@ impl ReproContext {
                     Ok(entries) => {
                         let event = SeedingEvent {
                             kind,
-                            mode: "warm",
+                            warm: true,
                             entries,
                             seconds: start.elapsed().as_secs_f64(),
                             store: store.clone(),
@@ -221,25 +209,79 @@ impl ReproContext {
         }
         let event = SeedingEvent {
             kind,
-            mode: "cold",
+            warm: false,
             entries: scheduler.database().len(),
             seconds,
             store,
         };
         (scheduler, event)
     }
+
+    /// Verifies the cold/warm equivalence guarantee for one scheduler kind:
+    /// a scheduler warm-started from the persisted store must hold the
+    /// identical database and produce bit-identical `ScheduleOutcome`s to a
+    /// cold-seeded one on every equivalence workload (the Table 1 CLOUDSC
+    /// erosion nests plus the A and B variants of every PolyBench
+    /// benchmark). The cold side is this run's scheduler when the run
+    /// seeded it, and a freshly seeded one otherwise.
+    ///
+    /// # Errors
+    /// A message when the store directory is missing from the options or the
+    /// store cannot be loaded.
+    pub fn verify(&self, kind: SchedulerKind) -> Result<EquivalenceReport, String> {
+        let path = self
+            .store_path(kind)
+            .ok_or_else(|| "cold/warm verification needs --store".to_string())?;
+        let mut warm = DaisyScheduler::new(kind.config());
+        warm.warm_start(&path)
+            .map_err(|e| format!("warm start from {} failed: {e}", path.display()))?;
+        let seeded;
+        let cold = match self.events.iter().find(|e| e.kind == kind) {
+            Some(event) if !event.warm => &self.schedulers[&kind],
+            _ => {
+                seeded = daisy_seeded_from_a_variants(self.dataset(), kind.config());
+                &seeded
+            }
+        };
+
+        let mut identical = warm.database().entries() == cold.database().entries();
+        if !identical {
+            eprintln!(
+                "verify[{}]: databases differ (cold {} entries, warm {})",
+                kind.stem(),
+                cold.database().len(),
+                warm.database().len()
+            );
+        }
+        let workloads = equivalence_workloads(self.dataset(), self.options.sizes());
+        let mut outcomes_identical = 0;
+        for (name, program) in &workloads {
+            if cold.schedule(program) == warm.schedule(program) {
+                outcomes_identical += 1;
+            } else {
+                identical = false;
+                eprintln!("verify[{}]: outcome mismatch on {name}", kind.stem());
+            }
+        }
+        Ok(EquivalenceReport {
+            entries: cold.database().len(),
+            outcomes_checked: workloads.len(),
+            outcomes_identical,
+            identical,
+        })
+    }
 }
 
 /// What the trace-backed figures (Fig. 11, Fig. 12) of one reproduction run
-/// share: the options, the CLOUDSC versions at trace sizes and their
-/// simulated cache counters. Separate from [`ReproContext`] so those
-/// figures can run on their own thread beside the scheduling figures.
+/// share: the options, the four CLOUDSC versions (Fortran, C, DaCe, daisy)
+/// at trace sizes and their simulated cache counters. Separate from
+/// [`ReproContext`] so those figures can run on their own thread beside the
+/// scheduling figures.
 #[derive(Debug)]
 pub struct TraceContext {
     options: ReproOptions,
     trace_versions: OnceCell<Vec<(&'static str, Program)>>,
-    /// The exact counters of each [`cloudsc_versions`] entry, simulated
-    /// on first use.
+    /// The exact counters of each trace version, simulated on first use.
     traces: [OnceCell<ShardedCacheStats>; 4],
 }
 
@@ -282,9 +324,8 @@ impl TraceContext {
         (stats, seconds)
     }
 
-    /// [`cloudsc_versions`] at the sizes the trace-backed columns simulate
-    /// (the run's sizes, lifted to [`FULL_TRACE_NBLOCKS`] outside smoke
-    /// runs), built on first use.
+    /// The four CLOUDSC versions at [`trace_sizes`](Self::trace_sizes),
+    /// built on first use.
     pub fn trace_versions(&self) -> &[(&'static str, Program)] {
         self.trace_versions
             .get_or_init(|| cloudsc_versions(self.trace_sizes()))
@@ -313,7 +354,7 @@ impl TraceContext {
 /// A GEMM kernel with the loops in the given `order` (a permutation of
 /// "ijk") at the Figure 1 problem size, divided by `shrink` (1 = paper
 /// size, larger for smoke runs).
-pub fn gemm_with_order(order: &str, shrink: i64) -> Program {
+fn gemm_with_order(order: &str, shrink: i64) -> Program {
     let l: Vec<char> = order.chars().collect();
     let bound = |c: char| match c {
         'i' => "NI",
@@ -345,55 +386,73 @@ pub fn gemm_with_order(order: &str, shrink: i64) -> Program {
 /// Figure 1: structurally different GEMM kernels yield significantly
 /// different performance under a baseline compiler and under Polly, while
 /// the normalized pipeline maps them all to the same canonical form.
-pub fn fig1_gemm_variants(ctx: &ReproContext, out: &mut String) {
+pub fn fig1_gemm_variants(ctx: &mut ReproContext) -> Vec<Table> {
     let shrink = if ctx.options().smoke { 25 } else { 1 };
     let model = paper_machine_model(THREADS);
     let sequential = paper_machine_model(1);
-    let mut rows = Vec::new();
-    let mut clang_times = Vec::new();
-    let mut polly_times = Vec::new();
+    let mut table = Table::new(
+        format!(
+            "Figure 1: GEMM loop-order variants (estimated seconds, NI={})",
+            1000 / shrink
+        ),
+        &["order", "clang -O3", "Polly", "normalized order"],
+    );
     for order in ["ijk", "ikj", "jik", "jki", "kij", "kji"] {
         let p = gemm_with_order(order, shrink);
         let clang = sequential.estimate(&clang_schedule(&p)).seconds;
         let polly = model.estimate(&polly_schedule(&p)).seconds;
         let normalized = Normalizer::new().run(&p).expect("normalizes").program;
-        let canonical: Vec<String> = normalized.loop_nests()[0]
+        let canonical: String = normalized.loop_nests()[0]
             .nested_iterators()
             .iter()
             .map(|v| v.to_string())
             .collect();
-        clang_times.push(clang);
-        polly_times.push(polly);
-        rows.push(vec![
-            order.to_string(),
-            format!("{clang:.3}"),
-            format!("{polly:.3}"),
-            canonical.join(""),
+        table.rows.push(vec![
+            Cell::Text(order.to_string()),
+            Cell::Fixed(clang, 3),
+            Cell::Fixed(polly, 3),
+            Cell::Text(canonical),
         ]);
     }
-    render_table(
-        out,
-        &format!(
-            "Figure 1: GEMM loop-order variants (estimated seconds, NI={})",
-            1000 / shrink
-        ),
-        &["order", "clang -O3", "Polly", "normalized order"],
-        &rows,
-    );
-    let spread = |times: &[f64]| {
+    let spread = |header: &str| {
+        let times = table.values(header);
         times.iter().cloned().fold(f64::MIN, f64::max)
             / times.iter().cloned().fold(f64::MAX, f64::min)
     };
-    let _ = writeln!(
-        out,
-        "\nclang worst/best ratio: {:.1}x   Polly worst/best ratio: {:.1}x",
-        spread(&clang_times),
-        spread(&polly_times)
-    );
-    let _ = writeln!(
-        out,
-        "after normalization every variant maps to the same canonical loop order"
-    );
+    table.notes = vec![
+        format!(
+            "clang worst/best ratio: {:.1}x   Polly worst/best ratio: {:.1}x",
+            spread("clang -O3"),
+            spread("Polly")
+        ),
+        canonical_order_note(&table),
+    ];
+    vec![table]
+}
+
+/// Fig. 1's statement about its `normalized order` column: that every
+/// variant maps to the same canonical loop order, or else which variants
+/// miss the most common one.
+fn canonical_order_note(table: &Table) -> String {
+    let normalized: Vec<&Cell> = table.column("normalized order").collect();
+    let count = |order: &Cell| normalized.iter().filter(|&&o| o == order).count();
+    // The most common order; on a tie, the one of the earliest variant.
+    let canonical = normalized.iter().rev().max_by_key(|&&o| count(o)).copied();
+    let differing: Vec<String> = table
+        .column("order")
+        .zip(&normalized)
+        .filter(|&(_, &order)| Some(order) != canonical)
+        .map(|(variant, order)| format!("{variant} ({order})"))
+        .collect();
+    match canonical {
+        Some(canonical) if !differing.is_empty() => format!(
+            "after normalization {} of {} variants map to the canonical loop order {canonical}; {} do not",
+            normalized.len() - differing.len(),
+            normalized.len(),
+            differing.join(", ")
+        ),
+        _ => "after normalization every variant maps to the same canonical loop order".to_string(),
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -404,68 +463,11 @@ pub fn fig1_gemm_variants(ctx: &ReproContext, out: &mut String) {
 /// and B variants of the 15 PolyBench benchmarks. Runtimes are normalized
 /// to the daisy A variant; `X` marks benchmarks the Tiramisu adapter cannot
 /// convert.
-pub fn fig6_autoschedulers(ctx: &mut ReproContext, out: &mut String) {
+pub fn fig6_autoschedulers(ctx: &mut ReproContext) -> Vec<Table> {
     let dataset = ctx.dataset();
-    let verbose = ctx.options().verbose;
     let model = paper_machine_model(THREADS);
     let scheduler = ctx.scheduler(SchedulerKind::Full);
-
-    let mut rows = Vec::new();
-    let mut ab_gaps = Vec::new();
-    let mut speedup_polly_a = Vec::new();
-    let mut speedup_icc_a = Vec::new();
-    let mut speedup_tiramisu_a = Vec::new();
-    let mut speedup_polly_b = Vec::new();
-    let mut speedup_icc_b = Vec::new();
-    let mut speedup_tiramisu_b = Vec::new();
-
-    for b in all_benchmarks() {
-        let a_prog = (b.a)(dataset);
-        let b_prog = (b.b)(dataset);
-        let outcome_a = scheduler.schedule(&a_prog);
-        let outcome_b = scheduler.schedule(&b_prog);
-        render_phases(out, verbose, &format!("{}/A", b.name), &outcome_a);
-        render_phases(out, verbose, &format!("{}/B", b.name), &outcome_b);
-        let daisy_a = outcome_a.seconds();
-        let daisy_b = outcome_b.seconds();
-        let polly_a = model.estimate(&polly_schedule(&a_prog)).seconds;
-        let polly_b = model.estimate(&polly_schedule(&b_prog)).seconds;
-        let icc_a = model.estimate(&icc_schedule(&a_prog)).seconds;
-        let icc_b = model.estimate(&icc_schedule(&b_prog)).seconds;
-        let tira_a = tiramisu_schedule(&a_prog, THREADS)
-            .ok()
-            .map(|p| model.estimate(&p).seconds);
-        let tira_b = tiramisu_schedule(&b_prog, THREADS)
-            .ok()
-            .map(|p| model.estimate(&p).seconds);
-
-        ab_gaps.push((daisy_b / daisy_a - 1.0).abs());
-        speedup_polly_a.push(polly_a / daisy_a);
-        speedup_icc_a.push(icc_a / daisy_a);
-        speedup_polly_b.push(polly_b / daisy_b);
-        speedup_icc_b.push(icc_b / daisy_b);
-        if let Some(t) = tira_a {
-            speedup_tiramisu_a.push(t / daisy_a);
-        }
-        if let Some(t) = tira_b {
-            speedup_tiramisu_b.push(t / daisy_b);
-        }
-
-        rows.push(vec![
-            b.name.to_string(),
-            format!("{daisy_a:.4}"),
-            ratio(Some(daisy_a), daisy_a),
-            ratio(Some(daisy_b), daisy_a),
-            ratio(Some(polly_a), daisy_a),
-            ratio(Some(polly_b), daisy_a),
-            ratio(Some(icc_a), daisy_a),
-            ratio(Some(icc_b), daisy_a),
-            ratio(tira_a, daisy_a),
-            ratio(tira_b, daisy_a),
-        ]);
-    }
-    render_table(
-        out,
+    let mut table = Table::new(
         "Figure 6: normalized runtime (baseline = daisy A, lower is better)",
         &[
             "benchmark",
@@ -479,28 +481,65 @@ pub fn fig6_autoschedulers(ctx: &mut ReproContext, out: &mut String) {
             "Tiramisu A",
             "Tiramisu B",
         ],
-        &rows,
     );
-    let _ = writeln!(
-        out,
-        "\ndaisy A/B robustness: mean gap {:.1}%  max gap {:.1}%",
-        100.0 * ab_gaps.iter().sum::<f64>() / ab_gaps.len() as f64,
-        100.0 * ab_gaps.iter().cloned().fold(0.0, f64::max)
-    );
-    let _ = writeln!(
-        out,
-        "geo-mean speedup of daisy on A variants: {:.2}x vs Polly, {:.2}x vs icc, {:.2}x vs Tiramisu",
-        geometric_mean(&speedup_polly_a),
-        geometric_mean(&speedup_icc_a),
-        geometric_mean(&speedup_tiramisu_a)
-    );
-    let _ = writeln!(
-        out,
-        "geo-mean speedup of daisy on B variants: {:.2}x vs Polly, {:.2}x vs icc, {:.2}x vs Tiramisu",
-        geometric_mean(&speedup_polly_b),
-        geometric_mean(&speedup_icc_b),
-        geometric_mean(&speedup_tiramisu_b)
-    );
+    for b in all_benchmarks() {
+        let a_prog = (b.a)(dataset);
+        let b_prog = (b.b)(dataset);
+        let daisy_a = scheduler.schedule(&a_prog).seconds();
+        let estimate = |p: Program| Some(model.estimate(&p).seconds);
+        let tiramisu = |p: &Program| tiramisu_schedule(p, THREADS).ok().and_then(estimate);
+        let runtimes = [
+            Some(daisy_a),
+            Some(scheduler.schedule(&b_prog).seconds()),
+            estimate(polly_schedule(&a_prog)),
+            estimate(polly_schedule(&b_prog)),
+            estimate(icc_schedule(&a_prog)),
+            estimate(icc_schedule(&b_prog)),
+            tiramisu(&a_prog),
+            tiramisu(&b_prog),
+        ];
+        table.rows.push(
+            [Cell::Text(b.name.to_string()), Cell::Fixed(daisy_a, 4)]
+                .into_iter()
+                .chain(runtimes.map(|t| Cell::Ratio(t, daisy_a)))
+                .collect(),
+        );
+    }
+
+    let daisy_a = table.values("daisy A");
+    let daisy_b = table.values("daisy B");
+    let gaps: Vec<f64> = daisy_a
+        .iter()
+        .zip(&daisy_b)
+        .map(|(a, b)| (b / a - 1.0).abs())
+        .collect();
+    // Speedup of daisy over one baseline column on the rows it converts.
+    let speedup = |header: String, daisy: &[f64]| {
+        let speedups: Vec<f64> = table
+            .column(&header)
+            .zip(daisy)
+            .filter_map(|(cell, d)| Some(cell.value()? / d))
+            .collect();
+        geometric_mean(&speedups)
+    };
+    let speedups = |variant: &str, daisy: &[f64]| {
+        format!(
+            "geo-mean speedup of daisy on {variant} variants: {:.2}x vs Polly, {:.2}x vs icc, {:.2}x vs Tiramisu",
+            speedup(format!("Polly {variant}"), daisy),
+            speedup(format!("icc {variant}"), daisy),
+            speedup(format!("Tiramisu {variant}"), daisy)
+        )
+    };
+    table.notes = vec![
+        format!(
+            "daisy A/B robustness: mean gap {:.1}%  max gap {:.1}%",
+            100.0 * gaps.iter().sum::<f64>() / gaps.len() as f64,
+            100.0 * gaps.iter().cloned().fold(0.0, f64::max)
+        ),
+        speedups("A", &daisy_a),
+        speedups("B", &daisy_b),
+    ];
+    vec![table]
 }
 
 // --------------------------------------------------------------------------
@@ -511,48 +550,15 @@ pub fn fig6_autoschedulers(ctx: &mut ReproContext, out: &mut String) {
 /// normalization (Opt), normalization without transfer tuning (Norm), and
 /// the full pipeline (Norm + Opt), on the A and B variants of every
 /// benchmark. Runtimes are normalized to clang on the A variant.
-pub fn fig7_ablation(ctx: &mut ReproContext, out: &mut String) {
+pub fn fig7_ablation(ctx: &mut ReproContext) -> Vec<Table> {
     let dataset = ctx.dataset();
-    let verbose = ctx.options().verbose;
     let sequential = paper_machine_model(1);
 
-    // Build (or warm-start) both schedulers up front; the borrow of one
-    // ends before the other is used.
+    // Build (or warm-start) both schedulers up front, in summary order.
     ctx.scheduler(SchedulerKind::Full);
     ctx.scheduler(SchedulerKind::NoNormalize);
 
-    let mut rows = Vec::new();
-    for b in all_benchmarks() {
-        let a_prog = (b.a)(dataset);
-        let b_prog = (b.b)(dataset);
-        let clang_a = sequential.estimate(&clang_schedule(&a_prog)).seconds;
-        let clang_b = sequential.estimate(&clang_schedule(&b_prog)).seconds;
-        let norm_only = |p: &Program| {
-            let normalized = Normalizer::new().run(p).expect("normalizes").program;
-            sequential.estimate(&clang_schedule(&normalized)).seconds
-        };
-        let opt_a = ctx.scheduler(SchedulerKind::NoNormalize).schedule(&a_prog);
-        let opt_b = ctx.scheduler(SchedulerKind::NoNormalize).schedule(&b_prog);
-        let full_a = ctx.scheduler(SchedulerKind::Full).schedule(&a_prog);
-        let full_b = ctx.scheduler(SchedulerKind::Full).schedule(&b_prog);
-        render_phases(out, verbose, &format!("{}/A", b.name), &full_a);
-        render_phases(out, verbose, &format!("{}/B", b.name), &full_b);
-        let row = vec![
-            b.name.to_string(),
-            format!("{clang_a:.4}"),
-            ratio(Some(clang_a), clang_a),
-            ratio(Some(opt_a.seconds()), clang_a),
-            ratio(Some(norm_only(&a_prog)), clang_a),
-            ratio(Some(full_a.seconds()), clang_a),
-            ratio(Some(clang_b), clang_a),
-            ratio(Some(opt_b.seconds()), clang_a),
-            ratio(Some(norm_only(&b_prog)), clang_a),
-            ratio(Some(full_b.seconds()), clang_a),
-        ];
-        rows.push(row);
-    }
-    render_table(
-        out,
+    let mut table = Table::new(
         "Figure 7: ablation (baseline = clang A, lower is better)",
         &[
             "benchmark",
@@ -566,16 +572,25 @@ pub fn fig7_ablation(ctx: &mut ReproContext, out: &mut String) {
             "Norm B",
             "Norm+Opt B",
         ],
-        &rows,
     );
-    let _ = writeln!(
-        out,
-        "\nBoth normalization and transfer tuning are required for consistently low runtimes;"
-    );
-    let _ = writeln!(
-        out,
-        "without normalization the database recipes fail to apply to the B variants."
-    );
+    let clang = |p: &Program| sequential.estimate(&clang_schedule(p)).seconds;
+    let norm_only = |p: &Program| {
+        let normalized = Normalizer::new().run(p).expect("normalizes").program;
+        clang(&normalized)
+    };
+    for b in all_benchmarks() {
+        let variants = [(b.a)(dataset), (b.b)(dataset)];
+        let clang_a = clang(&variants[0]);
+        let mut row = vec![Cell::Text(b.name.to_string()), Cell::Fixed(clang_a, 4)];
+        for p in &variants {
+            let opt = ctx.scheduler(SchedulerKind::NoNormalize).schedule(p);
+            let full = ctx.scheduler(SchedulerKind::Full).schedule(p);
+            let runtimes = [clang(p), opt.seconds(), norm_only(p), full.seconds()];
+            row.extend(runtimes.map(|t| Cell::Ratio(Some(t), clang_a)));
+        }
+        table.rows.push(row);
+    }
+    vec![table]
 }
 
 // --------------------------------------------------------------------------
@@ -585,36 +600,13 @@ pub fn fig7_ablation(ctx: &mut ReproContext, out: &mut String) {
 /// Figure 9: the NPBench (Python) variants optimized by daisy (with and
 /// without normalization) compared against the NumPy, Numba and DaCe
 /// framework models. Runtimes are normalized to daisy (lower is better).
-pub fn fig9_python_frameworks(ctx: &mut ReproContext, out: &mut String) {
+pub fn fig9_python_frameworks(ctx: &mut ReproContext) -> Vec<Table> {
     let dataset = ctx.dataset();
     let machine = MachineConfig::xeon_e5_2680v3();
     ctx.scheduler(SchedulerKind::Full);
     ctx.scheduler(SchedulerKind::NoNormalize);
 
-    let mut rows = Vec::new();
-    for b in all_benchmarks() {
-        let (py_prog, ops) = (b.py)(dataset);
-        let daisy_t = ctx
-            .scheduler(SchedulerKind::Full)
-            .schedule(&py_prog)
-            .seconds();
-        let daisy_wo = ctx
-            .scheduler(SchedulerKind::NoNormalize)
-            .schedule(&py_prog)
-            .seconds();
-        let frameworks = python_framework_times(&py_prog, &ops, &machine, THREADS);
-        rows.push(vec![
-            b.name.to_string(),
-            format!("{daisy_t:.4}"),
-            ratio(Some(daisy_t), daisy_t),
-            ratio(Some(daisy_wo), daisy_t),
-            ratio(Some(frameworks.numpy), daisy_t),
-            ratio(Some(frameworks.numba), daisy_t),
-            ratio(Some(frameworks.dace), daisy_t),
-        ]);
-    }
-    render_table(
-        out,
+    let mut table = Table::new(
         "Figure 9: Python-frontend variants (baseline = daisy, lower is better)",
         &[
             "benchmark",
@@ -625,8 +617,33 @@ pub fn fig9_python_frameworks(ctx: &mut ReproContext, out: &mut String) {
             "Numba",
             "DaCe",
         ],
-        &rows,
     );
+    for b in all_benchmarks() {
+        let (py_prog, ops) = (b.py)(dataset);
+        let daisy = ctx
+            .scheduler(SchedulerKind::Full)
+            .schedule(&py_prog)
+            .seconds();
+        let daisy_wo = ctx
+            .scheduler(SchedulerKind::NoNormalize)
+            .schedule(&py_prog)
+            .seconds();
+        let frameworks = python_framework_times(&py_prog, &ops, &machine, THREADS);
+        let runtimes = [
+            daisy,
+            daisy_wo,
+            frameworks.numpy,
+            frameworks.numba,
+            frameworks.dace,
+        ];
+        table.rows.push(
+            [Cell::Text(b.name.to_string()), Cell::Fixed(daisy, 4)]
+                .into_iter()
+                .chain(runtimes.map(|t| Cell::Ratio(Some(t), daisy)))
+                .collect(),
+        );
+    }
+    vec![table]
 }
 
 // --------------------------------------------------------------------------
@@ -635,7 +652,7 @@ pub fn fig9_python_frameworks(ctx: &mut ReproContext, out: &mut String) {
 
 /// The four CLOUDSC proxy versions at the given sizes: Fortran, C, DaCe and
 /// daisy ([`daisy_model`]).
-pub fn cloudsc_versions(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
+fn cloudsc_versions(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
     vec![
         ("Fortran", full_model(CloudscVariant::Fortran, sizes)),
         ("C", full_model(CloudscVariant::C, sizes)),
@@ -647,7 +664,7 @@ pub fn cloudsc_versions(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
 /// Figure 11: sequential runtime of the full CLOUDSC proxy for the Fortran,
 /// C, DaCe and daisy versions (normalized to Fortran), plus the achieved
 /// FLOP/s of Fortran and daisy against the machine peak (§5.2).
-pub fn fig11_cloudsc_full(ctx: &TraceContext, out: &mut String) {
+pub fn fig11_cloudsc_full(ctx: &mut TraceContext) -> Vec<Table> {
     let sizes = ctx.options().sizes();
     let trace_sizes = ctx.trace_sizes();
     let sequential = paper_machine_model(1);
@@ -659,78 +676,47 @@ pub fn fig11_cloudsc_full(ctx: &TraceContext, out: &mut String) {
         .map(|(name, p)| (*name, sequential.estimate(p)))
         .collect();
     let baseline = reports[0].1.seconds;
-    let rows: Vec<Vec<String>> = reports
-        .iter()
-        .map(|(name, r)| {
-            vec![
-                name.to_string(),
-                format!("{:.3}", r.seconds),
-                ratio(Some(r.seconds), baseline),
-                format!("{:.1}", r.flops_per_second() / 1e9),
-            ]
-        })
-        .collect();
-    render_table(
-        out,
-        &format!(
+    let mut roofline = Table::new(
+        format!(
             "Figure 11: CLOUDSC sequential execution, roofline at run sizes (NPROMA={}, NBLOCKS={})",
             sizes.nproma, sizes.nblocks
         ),
         &["version", "seconds", "normalized", "GFLOP/s"],
-        &rows,
     );
-    let daisy_seconds = reports[3].1.seconds;
-    let _ = writeln!(
-        out,
-        "\ndaisy vs hand-tuned Fortran: {:.1}% faster",
-        100.0 * (baseline - daisy_seconds) / baseline
-    );
-    let peak = sequential.machine().peak_flops_per_core() / 1e9;
-    let _ = writeln!(
-        out,
-        "peak (1 core, FMA+AVX): {:.1} GFLOP/s; Fortran reaches {:.1}%, daisy {:.1}% of peak",
-        peak,
-        100.0 * reports[0].1.flops_per_second() / 1e9 / peak,
-        100.0 * reports[3].1.flops_per_second() / 1e9 / peak
-    );
-
-    // Since PR 5 the run-compressed simulator sustains multi-block
-    // full-model traces, so every Fig. 11 schedule point is backed by the
-    // exact simulated access stream, not only the analytical model.
-    // Throughput divides what the replicas streamed, not the logical
-    // accesses their classes stand for.
-    let mut shards = 0;
-    let mut classes = Vec::new();
-    let rows: Vec<Vec<String>> = ctx
-        .trace_versions()
+    roofline.rows = reports
         .iter()
-        .enumerate()
-        .map(|(index, (name, _))| {
-            let (stats, seconds) = ctx.trace(index);
-            shards = stats.shards();
-            classes.push((*name, stats.classes()));
-            // Fig. 11 runs first in its lane and so times every trace; one
-            // an earlier call simulated has no time to show.
-            let (sim_ms, macc) = match seconds {
-                Some(s) => (
-                    format!("{:.1}", s * 1e3),
-                    format!("{:.0}", stats.streamed_accesses() as f64 / s / 1e6),
-                ),
-                None => ("-".to_string(), "-".to_string()),
-            };
+        .map(|(name, r)| {
             vec![
-                name.to_string(),
-                stats.accesses().to_string(),
-                sim_ms,
-                macc,
-                format!("{:.1}%", 100.0 * stats.l1().hit_rate()),
-                stats.l1().loads.to_string(),
+                Cell::Text(name.to_string()),
+                Cell::Fixed(r.seconds, 3),
+                Cell::Ratio(Some(r.seconds), baseline),
+                Cell::Fixed(r.flops_per_second() / 1e9, 1),
             ]
         })
         .collect();
-    render_table(
-        out,
-        &format!(
+    let seconds = roofline.values("seconds");
+    let gflops = roofline.values("GFLOP/s");
+    let peak = sequential.machine().peak_flops_per_core() / 1e9;
+    roofline.notes = vec![
+        format!(
+            "daisy vs hand-tuned Fortran: {:.1}% faster",
+            100.0 * (seconds[0] - seconds[3]) / seconds[0]
+        ),
+        format!(
+            "peak (1 core, FMA+AVX): {:.1} GFLOP/s; Fortran reaches {:.1}%, daisy {:.1}% of peak",
+            peak,
+            100.0 * gflops[0] / peak,
+            100.0 * gflops[3] / peak
+        ),
+    ];
+
+    // Every schedule point is also backed by the exact simulated access
+    // stream. Throughput divides what the replicas streamed, not the
+    // logical accesses their classes stand for.
+    let mut shards = 0;
+    let mut classes = Vec::new();
+    let mut trace = Table::new(
+        format!(
             "Figure 11 (exact trace): block-sharded cache simulation, NBLOCKS={}",
             trace_sizes.nblocks
         ),
@@ -742,41 +728,60 @@ pub fn fig11_cloudsc_full(ctx: &TraceContext, out: &mut String) {
             "L1 hit rate",
             "L1 loads",
         ],
-        &rows,
     );
-    render_trace_sharding(out, "\ntrace sharding", ctx, shards, &classes);
+    trace.rows = ctx
+        .trace_versions()
+        .iter()
+        .enumerate()
+        .map(|(index, (name, _))| {
+            let (stats, seconds) = ctx.trace(index);
+            shards = stats.shards();
+            classes.push((*name, stats.classes()));
+            // Fig. 11 runs first in its lane and so times every trace; one
+            // an earlier call simulated has no time to show.
+            let (sim_ms, macc) = match seconds {
+                Some(s) => (
+                    Cell::Fixed(s * 1e3, 1),
+                    Cell::Fixed(stats.streamed_accesses() as f64 / s / 1e6, 0),
+                ),
+                None => (Cell::Text("-".to_string()), Cell::Text("-".to_string())),
+            };
+            vec![
+                Cell::Text(name.to_string()),
+                Cell::Count(stats.accesses()),
+                sim_ms,
+                macc,
+                Cell::Percent(100.0 * stats.l1().hit_rate(), 1),
+                Cell::Count(stats.l1().loads),
+            ]
+        })
+        .collect();
+    trace.notes = vec![trace_sharding(ctx, shards, &classes)];
+    vec![roofline, trace]
 }
 
 /// The block count the paper's full CLOUDSC experiments sweep
 /// (`NBLOCKS = 4096`, ~1.6B accesses per schedule point at paper
 /// NPROMA/KLEV) — sustained by the block-sharded parallel simulator.
-pub const FULL_TRACE_NBLOCKS: i64 = 4096;
+const FULL_TRACE_NBLOCKS: i64 = 4096;
 
-/// Renders the sharding configuration of a trace-backed figure section:
-/// block count, the shards of each trace's plan, how many of them each
-/// version actually simulated (its classes), and the requested/effective
-/// simulation worker counts (the pool fans out classes, so it clamps to
-/// the most any version had).
-fn render_trace_sharding(
-    out: &mut String,
-    label: &str,
-    ctx: &TraceContext,
-    shards: usize,
-    classes: &[(&str, usize)],
-) {
+/// The sharding line of a trace-backed figure: block count, the shards of
+/// each trace's plan, how many of them each version actually simulated (its
+/// classes), and the requested/effective simulation worker counts (the pool
+/// fans out classes, so it clamps to the most any version had).
+fn trace_sharding(ctx: &TraceContext, shards: usize, classes: &[(&str, usize)]) -> String {
     let sim_workers = ctx.options().sim_workers;
     let per_version: Vec<String> = classes
         .iter()
         .map(|(name, count)| format!("{name} {count}"))
         .collect();
     let most = classes.iter().map(|&(_, count)| count).max().unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "{label}: NBLOCKS={}, {shards} shards, classes {}, sim-workers={sim_workers} (effective {})",
+    format!(
+        "trace sharding: NBLOCKS={}, {shards} shards, classes {}, sim-workers={sim_workers} (effective {})",
         ctx.trace_sizes().nblocks,
         per_version.join(", "),
         effective_workers(sim_workers, most),
-    );
+    )
 }
 
 // --------------------------------------------------------------------------
@@ -786,74 +791,30 @@ fn render_trace_sharding(
 /// Figure 12: strong scaling (fixed workload, 1-12 threads) and weak
 /// scaling (workload grows with the thread count) of the CLOUDSC proxy for
 /// the Fortran, C, DaCe and daisy versions.
-pub fn fig12_cloudsc_scaling(ctx: &TraceContext, out: &mut String) {
-    let programs = cloudsc_versions(ctx.options().sizes());
-    let mut rows = Vec::new();
-    for threads in [1usize, 2, 4, 6, 8, 10, 12] {
-        let model = paper_machine_model(threads);
-        let times: Vec<f64> = programs
-            .iter()
-            .map(|(_, p)| model.estimate(p).seconds)
-            .collect();
-        let gain = 100.0 * (times[0] - times[3]) / times[0];
-        rows.push(vec![
-            threads.to_string(),
-            format!("{:.3}", times[0]),
-            format!("{:.3}", times[1]),
-            format!("{:.3}", times[2]),
-            format!("{:.3}", times[3]),
-            format!("{gain:.2}%"),
-        ]);
-    }
-    render_table(
-        out,
+pub fn fig12_cloudsc_scaling(ctx: &mut TraceContext) -> Vec<Table> {
+    let sizes = ctx.options().sizes();
+    let strong = [1usize, 2, 4, 6, 8, 10, 12].map(|threads| (threads.to_string(), sizes, threads));
+    let strong = scaling_table(
         "Figure 12a: strong scaling (seconds per run)",
-        &[
-            "threads",
-            "Fortran",
-            "C",
-            "DaCe",
-            "daisy",
-            "daisy vs Fortran",
-        ],
-        &rows,
+        "threads",
+        &strong,
     );
 
     // The weak-scaling workload list; a smoke run shrinks the column
     // counts 64x so the whole figure stays CI-sized.
     let scale = if ctx.options().smoke { 64 } else { 1 };
-    let mut rows = Vec::new();
-    for (columns, threads) in [(65536i64, 1usize), (131072, 2), (262144, 4), (524288, 8)] {
-        let sizes = CloudscSizes::with_columns(columns / scale);
-        let programs = cloudsc_versions(sizes);
-        let model = paper_machine_model(threads);
-        let times: Vec<f64> = programs
-            .iter()
-            .map(|(_, p)| model.estimate(p).seconds)
-            .collect();
-        let gain = 100.0 * (times[0] - times[3]) / times[0];
-        rows.push(vec![
-            format!("{} / {threads}", columns / scale),
-            format!("{:.3}", times[0]),
-            format!("{:.3}", times[1]),
-            format!("{:.3}", times[2]),
-            format!("{:.3}", times[3]),
-            format!("{gain:.2}%"),
-        ]);
-    }
-    render_table(
-        out,
+    let weak =
+        [(65536i64, 1usize), (131072, 2), (262144, 4), (524288, 8)].map(|(columns, threads)| {
+            let columns = columns / scale;
+            let sizes = CloudscSizes::with_columns(columns);
+            (format!("{columns} / {threads}"), sizes, threads)
+        });
+    let mut weak = scaling_table(
         "Figure 12b: weak scaling (seconds per run)",
-        &[
-            "columns/threads",
-            "Fortran",
-            "C",
-            "DaCe",
-            "daisy",
-            "daisy vs Fortran",
-        ],
-        &rows,
+        "columns/threads",
+        &weak,
     );
+
     // The weak-scaling points only grow the block count and blocks are
     // independent, so one sharded simulation at the full schedule-point
     // block count stands for every row's exact per-block access stream.
@@ -869,20 +830,51 @@ pub fn fig12_cloudsc_scaling(ctx: &TraceContext, out: &mut String) {
         ),
         None => "memo hit".to_string(),
     };
-    let _ = writeln!(
-        out,
-        "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses {source}, L1 hit rate {:.1}%",
-        ctx.trace_sizes().nblocks,
-        trace.accesses(),
-        100.0 * trace.l1().hit_rate()
+    weak.notes = vec![
+        format!(
+            "daisy trace per schedule point (NBLOCKS={}): {} accesses {source}, L1 hit rate {:.1}%",
+            ctx.trace_sizes().nblocks,
+            trace.accesses(),
+            100.0 * trace.l1().hit_rate()
+        ),
+        trace_sharding(ctx, trace.shards(), &[(name, trace.classes())]),
+    ];
+    vec![strong, weak]
+}
+
+/// One Fig. 12 panel: the roofline seconds per run of the four CLOUDSC
+/// versions at each `(label, sizes, threads)` point, plus daisy's gain over
+/// Fortran. Consecutive points of equal sizes share one build of the
+/// versions.
+fn scaling_table(
+    title: &str,
+    label: &'static str,
+    points: &[(String, CloudscSizes, usize)],
+) -> Table {
+    let mut table = Table::new(
+        title,
+        &[label, "Fortran", "C", "DaCe", "daisy", "daisy vs Fortran"],
     );
-    render_trace_sharding(
-        out,
-        "trace sharding",
-        ctx,
-        trace.shards(),
-        &[(name, trace.classes())],
-    );
+    let mut built: Option<(CloudscSizes, Vec<(&str, Program)>)> = None;
+    for (label, sizes, threads) in points {
+        if built.as_ref().is_none_or(|(at, _)| at != sizes) {
+            built = Some((*sizes, cloudsc_versions(*sizes)));
+        }
+        let (_, versions) = built.as_ref().expect("built above");
+        let model = paper_machine_model(*threads);
+        let times: Vec<f64> = versions
+            .iter()
+            .map(|(_, p)| model.estimate(p).seconds)
+            .collect();
+        let gain = 100.0 * (times[0] - times[3]) / times[0];
+        table.rows.push(
+            once(Cell::Text(label.clone()))
+                .chain(times.into_iter().map(|t| Cell::Fixed(t, 3)))
+                .chain(once(Cell::Percent(gain, 2)))
+                .collect(),
+        );
+    }
+    table
 }
 
 // --------------------------------------------------------------------------
@@ -891,8 +883,8 @@ pub fn fig12_cloudsc_scaling(ctx: &TraceContext, out: &mut String) {
 
 /// The Table 1 CLOUDSC erosion workloads at the given sizes: the nests the
 /// cold/warm equivalence guarantee is checked on.
-pub fn table1_workloads(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
-    vec![
+fn table1_workloads(sizes: CloudscSizes) -> [(&'static str, Program); 4] {
+    [
         (
             "erosion_single_original",
             erosion_single_level(sizes, false),
@@ -909,74 +901,61 @@ pub fn table1_workloads(sizes: CloudscSizes) -> Vec<(&'static str, Program)> {
 /// Table 1: the erosion-of-clouds loop nest before and after normalization +
 /// producer-consumer fusion — runtime for a single vertical iteration and
 /// for all KLEV iterations, plus the absolute number of L1 loads and evicts.
-pub fn table1_cloudsc_erosion(ctx: &ReproContext, out: &mut String) {
+pub fn table1_cloudsc_erosion(ctx: &mut ReproContext) -> Vec<Table> {
     let sizes = ctx.options().sizes();
     let model = paper_machine_model(1);
 
-    let original_single = erosion_single_level(sizes, false);
-    let optimized_single = erosion_single_level(sizes, true);
-    let original_full = erosion_original(sizes);
-    let optimized_full = erosion_optimized(sizes);
+    let [original_single, optimized_single, original_full, optimized_full] =
+        table1_workloads(sizes).map(|(_, p)| p);
 
-    let t = |p: &Program| model.estimate(p).seconds * 1000.0;
     // The single-level nests have a one-trip top-level loop, so the sharded
     // driver runs them as one covering shard: counters exactly match the
     // monolithic simulation at any worker count.
-    // `(l1_loads, l1_evicts, accesses)` per nest.
-    let cache = |p: &Program| -> (u64, u64, u64) {
-        let stats = simulate_cache_sharded(p, model.machine(), 0).expect("trace runs");
-        (stats.l1().loads, stats.l1().evicts, stats.accesses())
+    let cache = |p: &Program| simulate_cache_sharded(p, model.machine(), 0).expect("trace runs");
+    let (original_cache, optimized_cache) = (cache(&original_single), cache(&optimized_single));
+    let ms = |p: &Program| Cell::Fixed(model.estimate(p).seconds * 1000.0, 3);
+    let counts = |metric: &str, count: fn(&ShardedCacheStats) -> u64| {
+        vec![
+            Cell::Text(metric.to_string()),
+            Cell::Count(count(&original_cache)),
+            Cell::Count(count(&optimized_cache)),
+        ]
     };
-    let orig_cache = cache(&original_single);
-    let opt_cache = cache(&optimized_single);
-
-    let rows = vec![
-        vec![
-            "Single Iteration [ms]".to_string(),
-            format!("{:.3}", t(&original_single)),
-            format!("{:.3}", t(&optimized_single)),
-        ],
-        vec![
-            "KLEV Iterations [ms]".to_string(),
-            format!("{:.3}", t(&original_full)),
-            format!("{:.3}", t(&optimized_full)),
-        ],
-        vec![
-            "L1 Loads (single iteration)".to_string(),
-            format!("{}", orig_cache.0),
-            format!("{}", opt_cache.0),
-        ],
-        vec![
-            "L1 Evicts (single iteration)".to_string(),
-            format!("{}", orig_cache.1),
-            format!("{}", opt_cache.1),
-        ],
-        vec![
-            "L1 accesses (single iteration)".to_string(),
-            format!("{}", orig_cache.2),
-            format!("{}", opt_cache.2),
-        ],
-    ];
-    render_table(
-        out,
-        &format!(
+    let mut table = Table::new(
+        format!(
             "Table 1: erosion of clouds, NPROMA={}, KLEV={}",
             sizes.nproma, sizes.klev
         ),
         &["metric", "Original", "Optimized"],
-        &rows,
     );
-    let _ = writeln!(
-        out,
-        "\nruntime speedup: single iteration {:.2}x, KLEV iterations {:.2}x",
-        t(&original_single) / t(&optimized_single),
-        t(&original_full) / t(&optimized_full)
-    );
-    let _ = writeln!(
-        out,
+    table.rows = vec![
+        vec![
+            Cell::Text("Single Iteration [ms]".to_string()),
+            ms(&original_single),
+            ms(&optimized_single),
+        ],
+        vec![
+            Cell::Text("KLEV Iterations [ms]".to_string()),
+            ms(&original_full),
+            ms(&optimized_full),
+        ],
+        counts("L1 Loads (single iteration)", |s| s.l1().loads),
+        counts("L1 Evicts (single iteration)", |s| s.l1().evicts),
+        counts("L1 accesses (single iteration)", |s| s.accesses()),
+    ];
+    let original = table.values("Original");
+    let optimized = table.values("Optimized");
+    table.notes = vec![
+        format!(
+            "runtime speedup: single iteration {:.2}x, KLEV iterations {:.2}x",
+            original[0] / optimized[0],
+            original[1] / optimized[1]
+        ),
         "note: the paper's lower L1 load/evict counts stem from removed register spills,"
-    );
-    let _ = writeln!(out, "which the IR-level cache simulation cannot observe.");
+            .to_string(),
+        "which the IR-level cache simulation cannot observe.".to_string(),
+    ];
+    vec![table]
 }
 
 // --------------------------------------------------------------------------
@@ -986,13 +965,11 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext, out: &mut String) {
 /// One scheduler configuration's cold/warm comparison.
 #[derive(Debug, Clone)]
 pub struct EquivalenceReport {
-    /// Which scheduler configuration was compared.
-    pub kind: SchedulerKind,
     /// Entries in the (deduped) database.
     pub entries: usize,
     /// Workloads scheduled by both sides.
     pub outcomes_checked: usize,
-    /// Workloads whose [`ScheduleOutcome`]s were bit-identical.
+    /// Workloads whose `ScheduleOutcome`s were bit-identical.
     pub outcomes_identical: usize,
     /// True when databases and every outcome matched exactly.
     pub identical: bool,
@@ -1000,7 +977,7 @@ pub struct EquivalenceReport {
 
 /// The workloads cold/warm equivalence is checked on: the Table 1 CLOUDSC
 /// erosion nests plus the A and B variants of every PolyBench benchmark.
-pub fn equivalence_workloads(dataset: Dataset, sizes: CloudscSizes) -> Vec<(String, Program)> {
+fn equivalence_workloads(dataset: Dataset, sizes: CloudscSizes) -> Vec<(String, Program)> {
     let mut workloads: Vec<(String, Program)> = table1_workloads(sizes)
         .into_iter()
         .map(|(name, p)| (name.to_string(), p))
@@ -1010,74 +987,6 @@ pub fn equivalence_workloads(dataset: Dataset, sizes: CloudscSizes) -> Vec<(Stri
         workloads.push((format!("{}_b", b.name), (b.b)(dataset)));
     }
     workloads
-}
-
-/// Verifies the cold/warm equivalence guarantee for one scheduler kind: a
-/// scheduler warm-started from the persisted store must hold the identical
-/// database and produce bit-identical [`ScheduleOutcome`]s to a freshly
-/// seeded one on every equivalence workload.
-///
-/// # Errors
-/// A message when the store directory is missing from the options or the
-/// store cannot be loaded.
-pub fn verify_cold_warm(
-    options: &ReproOptions,
-    kind: SchedulerKind,
-) -> Result<EquivalenceReport, String> {
-    let ctx = ReproContext::new(options.clone());
-    let cold = daisy_seeded_from_a_variants(ctx.dataset(), kind.config());
-    verify_scheduler_against_store(&cold, options, kind)
-}
-
-/// Like [`verify_cold_warm`], but against an already cold-seeded scheduler
-/// — for callers (a cold `reproduce --verify` run) that just paid for
-/// seeding and must not pay again.
-///
-/// # Errors
-/// A message when the store directory is missing from the options or the
-/// store cannot be loaded.
-pub fn verify_scheduler_against_store(
-    cold: &DaisyScheduler,
-    options: &ReproOptions,
-    kind: SchedulerKind,
-) -> Result<EquivalenceReport, String> {
-    let ctx = ReproContext::new(options.clone());
-    let path = ctx
-        .store_path(kind)
-        .ok_or_else(|| "cold/warm verification needs --store".to_string())?;
-
-    let mut warm = DaisyScheduler::new(kind.config());
-    warm.warm_start(&path)
-        .map_err(|e| format!("warm start from {} failed: {e}", path.display()))?;
-
-    let mut identical = warm.database().entries() == cold.database().entries();
-    if !identical {
-        eprintln!(
-            "verify[{}]: databases differ (cold {} entries, warm {})",
-            kind.stem(),
-            cold.database().len(),
-            warm.database().len()
-        );
-    }
-    let workloads = equivalence_workloads(ctx.dataset(), options.sizes());
-    let mut outcomes_identical = 0;
-    for (name, program) in &workloads {
-        let cold_outcome: ScheduleOutcome = cold.schedule(program);
-        let warm_outcome = warm.schedule(program);
-        if cold_outcome == warm_outcome {
-            outcomes_identical += 1;
-        } else {
-            identical = false;
-            eprintln!("verify[{}]: outcome mismatch on {name}", kind.stem());
-        }
-    }
-    Ok(EquivalenceReport {
-        kind,
-        entries: cold.database().len(),
-        outcomes_checked: workloads.len(),
-        outcomes_identical,
-        identical,
-    })
 }
 
 #[cfg(test)]
@@ -1099,7 +1008,7 @@ mod tests {
         ctx.scheduler(SchedulerKind::Full);
         ctx.scheduler(SchedulerKind::Full);
         assert_eq!(ctx.events().len(), 1, "second use must hit the cache");
-        assert_eq!(ctx.events()[0].mode, "cold");
+        assert!(!ctx.events()[0].warm);
         assert!(ctx.events()[0].entries > 0);
     }
 
@@ -1124,14 +1033,17 @@ mod tests {
             .entries()
             .to_vec();
         assert!(cold.store_path(SchedulerKind::Full).unwrap().exists());
+        // The cold run verifies against its own scheduler.
+        let report = cold.verify(SchedulerKind::Full).expect("store exists");
+        assert!(report.identical, "cold/warm equivalence must hold");
 
         let mut warm = ReproContext::new(smoke_options(Some(dir.clone()), true));
         let warm_db = warm.scheduler(SchedulerKind::Full).database().entries();
         assert_eq!(warm_db, cold_entries.as_slice());
-        assert_eq!(warm.events()[0].mode, "warm");
+        assert!(warm.events()[0].warm);
 
-        let report = verify_cold_warm(&smoke_options(Some(dir.clone()), true), SchedulerKind::Full)
-            .expect("store exists");
+        // A warm run seeds a fresh cold reference.
+        let report = warm.verify(SchedulerKind::Full).expect("store exists");
         assert!(report.identical, "cold/warm equivalence must hold");
         assert_eq!(report.outcomes_checked, report.outcomes_identical);
         std::fs::remove_dir_all(&dir).ok();
@@ -1143,9 +1055,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let mut ctx = ReproContext::new(smoke_options(Some(dir.clone()), true));
         ctx.scheduler(SchedulerKind::Full);
-        assert_eq!(ctx.events()[0].mode, "cold");
+        assert!(!ctx.events()[0].warm);
         // The fallback also persists, so the next warm run hits.
         assert!(ctx.store_path(SchedulerKind::Full).unwrap().exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fig1_states_the_canonical_order_its_column_holds() {
+        let mut ctx = ReproContext::new(smoke_options(None, false));
+        let tables = fig1_gemm_variants(&mut ctx);
+        let [table] = &tables[..] else {
+            panic!("Fig. 1 is one table: {tables:?}")
+        };
+        let orders: Vec<&Cell> = table.column("normalized order").collect();
+        assert_eq!(orders.len(), 6);
+        assert!(orders
+            .iter()
+            .all(|&order| *order == Cell::Text("ikj".into())));
+        assert_eq!(
+            table.notes[1],
+            "after normalization every variant maps to the same canonical loop order"
+        );
+
+        // A column that disagrees names the variants that miss the most
+        // common order.
+        let mut split = table.clone();
+        split.rows[2][3] = Cell::Text("jik".into());
+        split.rows[5][3] = Cell::Text("kji".into());
+        assert_eq!(
+            canonical_order_note(&split),
+            "after normalization 4 of 6 variants map to the canonical loop order ikj; \
+             jik (jik), kji (kji) do not"
+        );
     }
 }

@@ -3,17 +3,18 @@
 //! Every function in [`figures`] regenerates one figure or table of the
 //! paper (`reproduce --only <name>` runs one, `reproduce` all) by building
 //! the corresponding workloads from the `polybench` crate, scheduling them
-//! with daisy and the baselines, and rendering the same rows/series the
-//! paper reports into a text buffer. Absolute numbers come from the
-//! analytical machine model, so only the *shape* (ratios, ordering,
-//! crossovers) is comparable with the paper.
+//! with daisy and the baselines, and returning the same rows/series the
+//! paper reports as [`Table`]s of typed [`Cell`]s; formatting happens only
+//! when a table is displayed. Absolute numbers come from the analytical
+//! machine model, so only the *shape* (ratios, ordering, crossovers) is
+//! comparable with the paper.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod figures;
 
-use std::fmt::Write;
+use std::fmt;
 
 use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::program::Program;
@@ -33,32 +34,131 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Renders a simple aligned table into `out`: a blank line, the
-/// `=== title ===` header, the header row and one line per row, each cell
-/// right-aligned to its column's widest cell and cells joined by two
-/// spaces. Cells beyond the header count are right-aligned to width 8.
-pub fn render_table(out: &mut String, title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let _ = writeln!(out, "\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+/// One table cell: the value a figure computed, formatted only on display.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// Text printed as is: a row label, or `-` for a value not measured.
+    Text(String),
+    /// An exact count.
+    Count(u64),
+    /// A quantity (seconds, milliseconds, GFLOP/s, Macc/s) printed with the
+    /// given number of decimals.
+    Fixed(f64, usize),
+    /// A runtime relative to a baseline runtime, printed as
+    /// `value / baseline` with two decimals; `X` marks a configuration that
+    /// does not apply (no value) or a baseline that is not positive.
+    Ratio(Option<f64>, f64),
+    /// A percentage printed with the given number of decimals and a `%`.
+    Percent(f64, usize),
+}
+
+impl Cell {
+    /// The number this cell holds — for a ratio, its value before the
+    /// division by the baseline; `None` for text and missing ratios.
+    pub fn value(&self) -> Option<f64> {
+        match *self {
+            Cell::Text(_) => None,
+            Cell::Count(n) => Some(n as f64),
+            Cell::Fixed(v, _) | Cell::Percent(v, _) => Some(v),
+            Cell::Ratio(v, _) => v,
         }
     }
-    let mut render_row = |cells: &[String]| {
-        let line = cells
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Text(text) => f.write_str(text),
+            Cell::Count(n) => write!(f, "{n}"),
+            Cell::Fixed(v, decimals) => write!(f, "{v:.decimals$}"),
+            Cell::Ratio(Some(v), baseline) if *baseline > 0.0 => write!(f, "{:.2}", v / baseline),
+            Cell::Ratio(..) => f.write_str("X"),
+            Cell::Percent(v, decimals) => write!(f, "{v:.decimals$}%"),
+        }
+    }
+}
+
+/// One table of a figure: title, column headers, rows of [`Cell`]s (one per
+/// header) and the note lines printed under it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// The title, printed as `=== title ===`.
+    pub title: String,
+    /// The column headers.
+    pub headers: Vec<&'static str>,
+    /// The rows, each with one cell per header.
+    pub rows: Vec<Vec<Cell>>,
+    /// Lines printed after the table, separated from it by a blank line.
+    pub notes: Vec<String>,
+}
+
+impl Table {
+    /// An empty table with the given title and headers.
+    pub fn new(title: impl Into<String>, headers: &[&'static str]) -> Self {
+        Table {
+            title: title.into(),
+            headers: headers.to_vec(),
+            rows: Vec::new(),
+            notes: Vec::new(),
+        }
+    }
+
+    /// The cells of the column with the given header, top to bottom; panics
+    /// when the table has no such column.
+    pub fn column(&self, header: &str) -> impl Iterator<Item = &Cell> + '_ {
+        let index = self
+            .headers
             .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>width$}", c, width = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ");
-        let _ = writeln!(out, "{line}");
-    };
-    render_row(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    for row in rows {
-        render_row(row);
+            .position(|h| *h == header)
+            .unwrap_or_else(|| panic!("table {:?} has no column {header:?}", self.title));
+        self.rows.iter().map(move |row| &row[index])
+    }
+
+    /// The [`Cell::value`]s of a column; panics when the table has no such
+    /// column or one of its cells holds no number.
+    pub fn values(&self, header: &str) -> Vec<f64> {
+        self.column(header)
+            .map(|cell| cell.value().expect("a numeric cell"))
+            .collect()
+    }
+}
+
+/// A blank line, the `=== title ===` header, the header row and one line
+/// per row — each cell right-aligned to its column's widest cell, cells
+/// joined by two spaces — then, after another blank line, the notes.
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "\n=== {} ===", self.title)?;
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(Cell::to_string).collect())
+            .collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &rows {
+            debug_assert_eq!(
+                row.len(),
+                widths.len(),
+                "{}: one cell per header",
+                self.title
+            );
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
+            }
+        }
+        let headers = self.headers.iter().map(|h| h.to_string()).collect();
+        for row in std::iter::once(&headers).chain(&rows) {
+            let cells: Vec<String> = row
+                .iter()
+                .zip(&widths)
+                .map(|(cell, width)| format!("{cell:>width$}"))
+                .collect();
+            writeln!(f, "{}", cells.join("  "))?;
+        }
+        if !self.notes.is_empty() {
+            writeln!(f)?;
+        }
+        self.notes.iter().try_for_each(|note| writeln!(f, "{note}"))
     }
 }
 
@@ -76,15 +176,6 @@ pub fn paper_machine_model(threads: usize) -> CostModel {
     CostModel::new(MachineConfig::xeon_e5_2680v3(), threads)
 }
 
-/// Formats a runtime ratio the way the figures report it (relative runtime,
-/// lower is better), with `X` marking inapplicable configurations.
-pub fn ratio(value: Option<f64>, baseline: f64) -> String {
-    match value {
-        Some(v) if baseline > 0.0 => format!("{:.2}", v / baseline),
-        _ => "X".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,9 +189,10 @@ mod tests {
 
     #[test]
     fn ratio_formatting() {
-        assert_eq!(ratio(Some(2.0), 1.0), "2.00");
-        assert_eq!(ratio(None, 1.0), "X");
-        assert_eq!(ratio(Some(1.0), 0.0), "X");
+        assert_eq!(Cell::Ratio(Some(2.0), 1.0).to_string(), "2.00");
+        assert_eq!(Cell::Ratio(None, 1.0).to_string(), "X");
+        assert_eq!(Cell::Ratio(Some(1.0), 0.0).to_string(), "X");
+        assert_eq!(Cell::Ratio(Some(3.0), 2.0).value(), Some(3.0));
     }
 
     #[test]
@@ -111,23 +203,26 @@ mod tests {
 
     #[test]
     fn table_renderer_right_aligns_to_the_widest_cell() {
-        let mut out = String::new();
-        render_table(
-            &mut out,
-            "test",
-            &["a", "bb"],
-            &[
-                vec!["1".into(), "2".into()],
-                vec!["333".into(), "4".into(), "x".into()],
+        let mut table = Table::new("test", &["a", "bb", "c"]);
+        table.rows = vec![
+            vec![Cell::Count(1), Cell::Fixed(2.0, 1), Cell::Text("x".into())],
+            vec![
+                Cell::Count(333),
+                Cell::Percent(4.25, 2),
+                Cell::Ratio(None, 1.0),
             ],
-        );
+        ];
+        table.notes = vec!["note".into()];
         let expected = concat!(
             "\n",
             "=== test ===\n",
-            "  a  bb\n",
-            "  1   2\n",
-            "333   4         x\n",
+            "  a     bb  c\n",
+            "  1    2.0  x\n",
+            "333  4.25%  X\n",
+            "\n",
+            "note\n",
         );
-        assert_eq!(out, expected);
+        assert_eq!(table.to_string(), expected);
+        assert_eq!(table.values("a"), [1.0, 333.0]);
     }
 }

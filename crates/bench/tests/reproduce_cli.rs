@@ -3,8 +3,9 @@
 //! harnesses and exits 0 without running anything; usage errors exit 2 with
 //! a one-line diagnostic, never a panic; the two figure lanes print in
 //! paper order, and stdout apart from host timings does not depend on the
-//! lanes, the worker count or the run. A warm run loads its store and
-//! searches nothing; a damaged store falls back to cold seeding.
+//! lanes, the worker count or the run, and is pinned by a digest. A warm
+//! run loads its store and searches nothing; a damaged store falls back to
+//! cold seeding.
 
 use std::process::{Command, Output};
 
@@ -72,6 +73,7 @@ fn usage_errors_exit_with_code_two() {
         vec!["--sim-workers", "0"],    // zero workers is meaningless
         vec!["--sim-workers", "many"], // not a number
         vec!["--cache-mode", "exact"], // no such flag
+        vec!["--verbose"],             // gone: --profile shows the phases
     ] {
         let output = reproduce(&args);
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -112,45 +114,45 @@ fn sim_workers_is_respected_in_smoke_runs() {
 }
 
 #[test]
-fn profile_writes_a_parseable_json_lines_profile_and_verbose_prints_phases() {
+fn profile_writes_a_parseable_json_lines_profile_and_renders_the_schedule_phases() {
     let dir = std::env::temp_dir().join(format!("reproduce-cli-profile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join("profile.json");
     let path_str = path.to_str().expect("utf8 path");
 
-    let output = reproduce(&[
-        "--smoke",
-        "--only",
-        "fig7",
-        "--verbose",
-        "--profile",
-        path_str,
-    ]);
+    let output = reproduce(&["--smoke", "--only", "fig7", "--profile", path_str]);
     let stdout = String::from_utf8_lossy(&output.stdout);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let tree = stdout
+        .split("================ profile ================")
+        .nth(1)
+        .unwrap_or_else(|| panic!("--profile prints the aggregate span tree: {stdout}"));
     assert!(
-        stdout.contains("phases ["),
-        "--verbose prints per-phase timings: {stdout}"
-    );
-    assert!(
-        stdout.contains("================ profile ================"),
-        "--profile prints the aggregate span tree: {stdout}"
-    );
-    assert!(
-        stdout.contains(&format!("profile written to {}", path.display())),
+        tree.contains(&format!("profile written to {}", path.display())),
         "--profile names the output file: {stdout}"
     );
+    // Each schedule call's span and its four phases, one tree line each.
+    for span in ["schedule", "normalize", "seed", "search", "cost"] {
+        assert!(
+            tree.lines()
+                .any(|line| line.split_whitespace().next() == Some(span)),
+            "the span tree shows `{span}`: {tree}"
+        );
+    }
 
     // The file round-trips through the same parser daisyprof uses, and the
-    // run's schedule spans made it in.
+    // phases nest under the figure's schedule calls.
     let contents = std::fs::read_to_string(&path).expect("profile file exists");
     let profile = telemetry::Profile::from_json_lines(&contents).expect("profile parses");
     assert_eq!(profile.label, "reproduce");
-    assert!(
-        profile.spans.keys().any(|path| path.contains("schedule")),
-        "profile records scheduler spans: {contents}"
-    );
+    for phase in ["normalize", "seed", "search", "cost"] {
+        let path = format!("figure.fig7.schedule.{phase}");
+        assert!(
+            profile.spans.contains_key(&path),
+            "profile records {path}: {contents}"
+        );
+    }
     assert!(
         !profile.counters.is_empty(),
         "profile records counters: {contents}"
@@ -273,6 +275,23 @@ fn smoke_stdout_does_not_depend_on_workers_or_the_run() {
             assert_eq!(*first, run, "round {round}, --sim-workers {workers}");
         }
     }
+}
+
+/// The rendered figures of a smoke run, pinned as an FNV-1a digest of its
+/// stdout without host timings. A change that moves a row, a note or the
+/// layout of a table moves the digest: re-pin it (the failure prints the
+/// new value) only in a change that means to move them.
+#[test]
+fn smoke_stdout_is_pinned() {
+    const PINNED: u64 = 0x815e_2d06_0b31_7d84;
+    let stdout = strip_timings(&reproduce_ok(&["--smoke"]));
+    let digest = stdout.bytes().fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        digest, PINNED,
+        "smoke stdout moved: new digest {digest:#018x}\n{stdout}"
+    );
 }
 
 /// `--warm` loads the store a cold run wrote and runs no search at all. A
