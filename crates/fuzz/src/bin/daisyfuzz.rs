@@ -5,7 +5,6 @@
 //!                                       [--inject exec|panic]
 //! daisyfuzz replay <case.loop | --seed N>
 //! daisyfuzz corpus promote --seed 7 --budget 500 [--dir fuzz/corpus] [--cap 24]
-//! daisyfuzz store --seed 7 --budget 1000 [--json report.json] [--inject no-fsync|no-dirsync|no-rename]
 //! ```
 //!
 //! `run` executes a campaign and exits non-zero if any oracle disagreed or
@@ -14,16 +13,12 @@
 //! re-checks one case — a committed `.loop` file or a generated seed —
 //! with the full oracle battery. `corpus promote` runs the generator and
 //! graduates programs whose structural feature set the corpus does not
-//! cover yet. `store` runs the storage fault sweep: an exhaustive
-//! power-cut matrix over a scripted run of tunestore snapshot saves, then
-//! randomized fault cases; its `--inject` weakens the save's durability
-//! on purpose and expects the sweep to catch it.
+//! cover yet.
 
 use std::process::ExitCode;
 
 use fuzz::campaign::{replay_seed, run_campaign, CampaignConfig, Inject};
 use fuzz::corpus::{default_corpus_dir, load_corpus, promote, Promotion};
-use fuzz::storage::{run_store_sweep, StoreInject, StoreSweepConfig};
 use fuzz::Verdict;
 
 fn main() -> ExitCode {
@@ -37,7 +32,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: daisyfuzz <run|replay|corpus|store> [options] (see --help)";
+const USAGE: &str = "usage: daisyfuzz <run|replay|corpus> [options] (see --help)";
 
 const HELP: &str = "\
 daisyfuzz — differential fuzz farm for the loop-nest-normalization pipeline
@@ -61,15 +56,6 @@ commands:
                --budget <n>   programs to consider (default 500)
                --dir <path>   corpus directory (default fuzz/corpus)
                --cap <n>      max corpus files (default 24)
-  store    fault-sweep the tunestore's atomic snapshot save (exhaustive
-           power-cut matrix, then randomized torn-write/clean-failure/
-           ENOSPC cases)
-             --seed <u64>     sweep seed (default 53596, 0xD15C)
-             --budget <n>     randomized cases (default 1000)
-             --json <path>    write the JSON report here
-             --inject <kind>  weaken durability on purpose
-                              (no-fsync|no-dirsync|no-rename); the sweep
-                              must then FAIL, proving it can see holes
 
 exit status: 0 clean, 1 failures found, 2 usage error";
 
@@ -82,7 +68,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("run") => cmd_run(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("corpus") => cmd_corpus(&args[1..]),
-        Some("store") => cmd_store(&args[1..]),
         Some(other) => Err(format!("unknown command {other:?}; {USAGE}")),
         None => Err(USAGE.to_string()),
     }
@@ -193,49 +178,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     if let Some(path) = flag(&flags, "json") {
         std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("daisyfuzz run: report written to {path}");
-    }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
-    let (flags, positional) = parse_flags(args, &["seed", "budget", "json", "inject"])?;
-    if let Some(extra) = positional.first() {
-        return Err(format!("unexpected argument {extra:?}; {USAGE}"));
-    }
-    let mut config = StoreSweepConfig {
-        seed: parse_u64(&flags, "seed", StoreSweepConfig::default().seed)?,
-        budget: parse_u64(&flags, "budget", StoreSweepConfig::default().budget)?,
-        inject: None,
-    };
-    if let Some(kind) = flag(&flags, "inject") {
-        config.inject = Some(StoreInject::parse(kind).ok_or_else(|| {
-            format!("option --inject needs no-fsync, no-dirsync or no-rename, got {kind:?}")
-        })?);
-    }
-
-    let report = run_store_sweep(&config);
-    println!(
-        "daisyfuzz store: seed={} matrix_points={} cases={}{} failures={} ({:.1}s)",
-        report.seed,
-        report.matrix_points,
-        report.cases,
-        match report.inject {
-            Some(inject) => format!(" inject={}", inject.name()),
-            None => String::new(),
-        },
-        report.failures.len(),
-        report.elapsed_secs
-    );
-    for f in &report.failures {
-        println!("  {} (seed {:#018x}): {}", f.phase, f.case_seed, f.detail);
-    }
-    if let Some(path) = flag(&flags, "json") {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("daisyfuzz store: report written to {path}");
     }
     Ok(if report.clean() {
         ExitCode::SUCCESS

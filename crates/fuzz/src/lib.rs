@@ -21,26 +21,17 @@
 //!   failure is replayable in isolation, and renders a JSON report.
 //! - [`corpus`] graduates programs with novel structural feature sets into
 //!   a committed `.loop` corpus that CI replays as a regression test.
-//! - [`storage`] points the same farm discipline at the tunestore's atomic
-//!   snapshot save: an exhaustive power-cut matrix plus a randomized sweep
-//!   of torn writes, clean I/O failures and `ENOSPC`, with durability
-//!   weakenings as the self-test injections.
 //!
-//! The `daisyfuzz` binary exposes `run`, `replay`, `corpus promote` and
-//! `store`.
+//! The `daisyfuzz` binary exposes `run`, `replay` and `corpus promote`.
 
 pub mod campaign;
 pub mod corpus;
 pub mod gen;
 pub mod oracle;
 pub mod shrink;
-pub mod storage;
 
 pub use campaign::{case_seed, run_campaign, CampaignConfig, CampaignReport, Failure, Inject};
 pub use corpus::{features_of, load_corpus, promote, Promotion};
 pub use gen::{generate, GenConfig};
 pub use oracle::{check_all, check_one, OracleSelection, Verdict, ORACLES};
 pub use shrink::{shrink, Shrunk};
-pub use storage::{
-    run_crash_matrix, run_store_sweep, StoreFailure, StoreInject, StoreReport, StoreSweepConfig,
-};

@@ -29,9 +29,6 @@ fn usage_errors_are_one_line_and_exit_2() {
         &["replay"][..],
         &["corpus"][..],
         &["corpus", "demote"][..],
-        &["store", "--inject", "no-power"][..],
-        &["store", "--budget", "many"][..],
-        &["store", "extra"][..],
     ] {
         let output = daisyfuzz(args);
         assert_eq!(
@@ -206,57 +203,7 @@ fn help_lists_every_command() {
     let output = daisyfuzz(&["--help"]);
     assert_eq!(output.status.code(), Some(0));
     let out = String::from_utf8_lossy(&output.stdout);
-    for needle in [
-        "run",
-        "replay",
-        "corpus",
-        "store",
-        "--inject",
-        "exit status",
-    ] {
+    for needle in ["run", "replay", "corpus", "--inject", "exit status"] {
         assert!(out.contains(needle), "help must mention {needle}");
     }
-}
-
-#[test]
-fn a_clean_store_sweep_exits_0_and_writes_its_report() {
-    let json_path =
-        std::env::temp_dir().join(format!("daisyfuzz-cli-store-{}.json", std::process::id()));
-    let output = daisyfuzz(&[
-        "store",
-        "--seed",
-        "7",
-        "--budget",
-        "120",
-        "--json",
-        json_path.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "stderr: {}",
-        stderr_line(&output)
-    );
-    let out = String::from_utf8_lossy(&output.stdout);
-    assert!(out.contains("cases=120"), "stdout: {out}");
-    assert!(out.contains("failures=0"), "stdout: {out}");
-    let json = std::fs::read_to_string(&json_path).expect("json report written");
-    assert!(json.contains("\"generated_by\": \"daisyfuzz store\""));
-    assert!(json.contains("\"clean\": true"));
-    std::fs::remove_file(&json_path).ok();
-}
-
-#[test]
-fn a_weakened_store_fails_the_sweep() {
-    let output = daisyfuzz(&[
-        "store", "--seed", "7", "--budget", "120", "--inject", "no-fsync",
-    ]);
-    assert_eq!(
-        output.status.code(),
-        Some(1),
-        "a store without data fsyncs must fail the sweep"
-    );
-    let out = String::from_utf8_lossy(&output.stdout);
-    assert!(out.contains("inject=no-fsync"), "stdout: {out}");
-    assert!(!out.contains("failures=0"), "stdout: {out}");
 }

@@ -17,11 +17,11 @@
 //!   best-cost-per-key [`Snapshot::insert`]/[`Snapshot::merge`], and
 //!   [`Snapshot::gc`],
 //! * [`fingerprint`] — the environment fingerprint warm starts validate,
-//! * [`storage`] — the pluggable [`Storage`] trait with the real
-//!   [`OsStorage`] and the deterministic fault-injecting [`FaultStorage`],
-//!   plus [`atomic_write`], the one crash contract: a save writes a temp
-//!   file, fsyncs it, renames it over the target and fsyncs the directory,
-//!   so a crash leaves the old snapshot or the new one, never a mix.
+//! * [`storage`] — the [`Storage`] trait every file operation goes through,
+//!   the real [`OsStorage`], and [`atomic_write`], the one crash contract:
+//!   a save writes a temp file, fsyncs it, renames it over the target and
+//!   fsyncs the directory, so a crash leaves the old snapshot or the new
+//!   one, never a mix.
 //!
 //! A database is one snapshot file, written whole by [`Snapshot::save`]
 //! and read whole by [`Snapshot::load`]. A snapshot that fails to load is
@@ -30,7 +30,11 @@
 //! The `tunedb` binary in this crate reports, inspects, verifies, merges
 //! and garbage-collects snapshot files from the command line; the `daisy`
 //! crate's `DaisyScheduler::warm_start` / `persist` wire snapshots into the
-//! scheduler. The crash contract is exercised by `daisyfuzz store`.
+//! scheduler. The crash contract is exercised by one exhaustive crash
+//! matrix (`tests/crash_matrix.rs`): an in-memory fault-injecting disk
+//! behind [`Storage`] cuts the power, flips a torn bit, fails cleanly or
+//! runs out of space at every operation of a fixed script of saves and
+//! reloads, and every reload must hold a complete acknowledged snapshot.
 //!
 //! # Guarantees
 //!
@@ -58,6 +62,4 @@ pub use entry::StoredEntry;
 pub use error::{Result, StoreError};
 pub use fingerprint::environment_fingerprint;
 pub use snapshot::{Snapshot, StoreStats, FORMAT_VERSION, MAGIC};
-pub use storage::{
-    atomic_write, is_power_cut, Durability, FaultPlan, FaultStorage, OpKind, OsStorage, Storage,
-};
+pub use storage::{atomic_write, OsStorage, Storage};

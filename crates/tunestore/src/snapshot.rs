@@ -28,7 +28,7 @@ use crate::codec::{read_section, write_section, ByteReader, ByteWriter};
 use crate::entry::StoredEntry;
 use crate::error::{Result, StoreError};
 use crate::fingerprint::environment_fingerprint;
-use crate::storage::{atomic_write, Durability, OsStorage, Storage};
+use crate::storage::{atomic_write, OsStorage, Storage};
 
 /// The eight magic bytes every store file starts with.
 pub const MAGIC: &[u8; 8] = b"DAISYTDB";
@@ -146,18 +146,13 @@ impl Snapshot {
     /// are swept first. (All of this lives in
     /// [`atomic_write`](crate::storage::atomic_write).)
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.save_with(&OsStorage, path.as_ref(), Durability::FULL)
+        self.save_with(&OsStorage, path.as_ref())
     }
 
-    /// [`Snapshot::save`] through an explicit [`Storage`] (the fault
-    /// harness) with an explicit [`Durability`] setting.
-    pub fn save_with(
-        &self,
-        storage: &dyn Storage,
-        path: &Path,
-        durability: Durability,
-    ) -> Result<()> {
-        atomic_write(storage, path, &self.encode(), durability)
+    /// [`Snapshot::save`] through an explicit [`Storage`] — the seam the
+    /// crash matrix plugs its fault-injecting in-memory disk into.
+    pub fn save_with(&self, storage: &dyn Storage, path: &Path) -> Result<()> {
+        atomic_write(storage, path, &self.encode())
     }
 
     /// Reads and decodes a snapshot from a file.
