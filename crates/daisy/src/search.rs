@@ -121,7 +121,6 @@ pub struct EvolutionarySearch {
     config: SearchConfig,
     tile_sizes: Vec<i64>,
     parallel: bool,
-    reference_eval: bool,
 }
 
 impl Default for EvolutionarySearch {
@@ -138,7 +137,6 @@ impl EvolutionarySearch {
             config,
             tile_sizes: vec![16, 32, 64, 128],
             parallel: true,
-            reference_eval: false,
         }
     }
 
@@ -149,15 +147,6 @@ impl EvolutionarySearch {
     /// way.
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    /// Switches candidate scoring to the pre-refactor path: every candidate
-    /// program is materialized and fully re-priced, sequentially, with no
-    /// dedupe. Kept as the reference the overhauled pipeline is tested
-    /// against; finds identical recipes and scores.
-    pub fn reference_evaluation(mut self) -> Self {
-        self.reference_eval = true;
         self
     }
 
@@ -192,11 +181,7 @@ impl EvolutionarySearch {
 
         // Per-node costs of the base program: candidates only ever rewrite
         // `nest_index`, so these are priced exactly once per search.
-        let node_costs = if self.reference_eval {
-            Vec::new()
-        } else {
-            model.estimate(program).per_nest
-        };
+        let node_costs = model.estimate(program).per_nest;
         let context = ScoreContext {
             program,
             env: model.environment(program),
@@ -263,22 +248,6 @@ impl EvolutionarySearch {
         model: &CostModel,
         seen: &mut HashMap<u64, f64>,
     ) -> Vec<f64> {
-        if self.reference_eval {
-            // Pre-refactor path: materialize and fully re-price every
-            // candidate program, one at a time. The semantic gate applies
-            // here too, so both paths still find identical recipes.
-            return recipes
-                .iter()
-                .map(|recipe| {
-                    if !recipe_is_semantically_legal(context.graph, context.nest, recipe) {
-                        return f64::INFINITY;
-                    }
-                    evaluate_recipe(context.program, context.nest_index, recipe, model)
-                        .unwrap_or(f64::INFINITY)
-                })
-                .collect();
-        }
-
         // Stage 1: dedupe by recipe fingerprint — a recipe identical to one
         // already scored anywhere in this search skips even the rewrite.
         let keys: Vec<u64> = recipes.iter().map(recipe_fingerprint).collect();
@@ -877,7 +846,9 @@ mod tests {
     #[test]
     fn incremental_scoring_matches_the_reference_path_exactly() {
         // Multi-nest program: the incremental scorer must fold unchanged
-        // nest costs in body order so scores stay bit-identical.
+        // nest costs in body order, so every candidate it prices scores
+        // bit-identically to re-pricing the whole candidate program
+        // (`evaluate_recipe`, the reference) on an unmemoized model.
         let p = parse_program(
             "program multi { param N = 96; array A[N][N]; array B[N][N]; array C[N][N];
                for a in 0..N { for b in 0..N { B[a][b] = A[a][b] * 2.0; } }
@@ -887,19 +858,57 @@ mod tests {
                for x in 0..N { for y in 0..N { A[x][y] = C[x][y] + 1.0; } } }",
         )
         .unwrap();
-        let config = SearchConfig {
-            epochs: 2,
-            iterations_per_epoch: 2,
-            population: 8,
-            seed: 5,
+        let Node::Loop(nest) = &p.body[1] else {
+            panic!("second node is a nest");
         };
-        let (r_new, s_new) =
-            EvolutionarySearch::new(config.clone()).search(&p, 1, &CostModel::sequential(), &[]);
-        let (r_ref, s_ref) = EvolutionarySearch::new(config)
-            .reference_evaluation()
-            .search(&p, 1, &CostModel::sequential().without_memoization(), &[]);
-        assert_eq!(r_new, r_ref);
-        assert_eq!(s_new, s_ref, "scores must be bit-identical");
+        let model = CostModel::sequential();
+        let node_costs = model.estimate(&p).per_nest;
+        let graph = nest_scoped_graph(&p, nest);
+        let context = ScoreContext {
+            program: &p,
+            env: model.environment(&p),
+            nest_index: 1,
+            nest,
+            node_costs: &node_costs,
+            graph: &graph,
+        };
+        // The candidates a search draws — the identity, the proposals and
+        // mutations of earlier candidates — plus one the dependence gate
+        // rejects (`k` carries the reduction into `C`).
+        let search = EvolutionarySearch::default();
+        let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut candidates = vec![Recipe::identity()];
+        candidates.extend(search.proposals(nest));
+        while candidates.len() < 64 {
+            let parent = candidates.choose(&mut rng).unwrap().clone();
+            candidates.push(search.mutate(&parent, &chain, &mut rng));
+        }
+        let par_k = Recipe::new(vec![Transform::Parallelize {
+            iter: Var::new("k"),
+        }]);
+        assert!(!recipe_is_semantically_legal(&graph, nest, &par_k));
+        candidates.push(par_k);
+
+        let scores = search.score_batch(&context, &candidates, &model, &mut HashMap::new());
+        let reference = CostModel::sequential().without_memoization();
+        let mut finite = 0;
+        for (recipe, score) in candidates.iter().zip(&scores) {
+            let expected = if recipe_is_semantically_legal(&graph, nest, recipe) {
+                evaluate_recipe(&p, 1, recipe, &reference).unwrap_or(f64::INFINITY)
+            } else {
+                f64::INFINITY
+            };
+            assert_eq!(score.to_bits(), expected.to_bits(), "{recipe:?}");
+            finite += usize::from(score.is_finite());
+        }
+        assert!(finite > candidates.len() / 2, "{finite} priced");
+        assert_eq!(scores.last(), Some(&f64::INFINITY));
+
+        // The search reports its winner's reference score.
+        let (best, score) = search.search(&p, 1, &model, &[]);
+        let expected = evaluate_recipe(&p, 1, &best, &reference).unwrap();
+        assert_eq!(score.to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! kept precisely so it could stand witness: the compiled execution engine
 //! against the tree-walking interpreter, the compiled trace stream against
 //! the symbolic access walker, the run-compressed cache simulation against
-//! the per-access model, the scheduler's warm start against a cold run.
+//! the naive LRU model, the scheduler's warm start against a cold run.
 //! This crate turns those witnesses into a farm:
 //!
 //! - [`gen`] draws random but *valid-by-construction* affine programs from

@@ -10,12 +10,14 @@
 //!   array state and statement counts, or the *same error kind* when the
 //!   program faults.
 //! * **trace** — the compiled access stream versus the symbolic walker
-//!   [`machine::trace::walk_accesses_symbolic`]: identical entry sequences.
-//! * **cache** — the run-compressed simulation versus the per-access
-//!   pipeline and the naive LRU reference: bit-identical counters on the
-//!   tiny test machine whose four sets force conflicts; and the sharded
-//!   driver under the program's canonical plan (translation classes and
-//!   all) versus every shard streamed through the per-access pipeline.
+//!   [`machine::trace::walk_accesses_symbolic`] (the reference
+//!   interpreter's loop walk): identical entry sequences.
+//! * **cache** — a two-way cache oracle: the run-compressed simulation
+//!   versus the naive LRU reference, bit-identical counters on the tiny
+//!   test machine whose four sets force conflicts; and the sharded driver
+//!   under the program's canonical plan (translation classes and all)
+//!   versus the shard oracle on the naive LRU, every shard streamed into
+//!   its own cold reference.
 //! * **analytic** — the closed-form cache tier ([`machine::estimate_cache`])
 //!   versus the exact simulator: the estimated miss counts must stay within
 //!   the estimate's *own reported* error bound on both levels, and access
@@ -44,9 +46,8 @@ use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::prelude::*;
 use machine::interp::{reference, ProgramData};
 use machine::{
-    simulate_cache, simulate_cache_per_access, simulate_cache_reference,
-    simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan, CompiledProgram,
-    Interpreter, MachineConfig, ShardPlan, TraceEntry,
+    simulate_cache, simulate_cache_reference, simulate_cache_sharded_reference,
+    simulate_cache_sharded_with_plan, CompiledProgram, MachineConfig, ShardPlan,
 };
 use normalize::Normalizer;
 
@@ -117,7 +118,7 @@ pub struct OracleSelection {
     pub exec: bool,
     /// Run the trace differential.
     pub trace: bool,
-    /// Run the three-way cache differential.
+    /// Run the two-way cache oracle (and the shard oracle).
     pub cache: bool,
     /// Run the analytic-bracket oracle (estimates within their own error
     /// bound of the exact counters).
@@ -246,15 +247,14 @@ fn exec_differential(program: &Program, label: &str) -> std::result::Result<(), 
 
     let mut fast_data =
         ProgramData::seeded(program).map_err(|e| format!("{label}storage allocation: {e}"))?;
-    let mut fast = Interpreter::new();
-    let fast_result = fast.run(program, &mut fast_data);
+    let fast_result = execute(program, &mut fast_data);
 
     match (slow_result, fast_result) {
-        (Ok(()), Ok(())) => {
-            if slow.executed_statements != fast.executed_statements {
+        (Ok(()), Ok(fast)) => {
+            if slow.executed_statements != fast {
                 return Err(format!(
-                    "{label}statement counts diverge: reference {} vs compiled {}",
-                    slow.executed_statements, fast.executed_statements
+                    "{label}statement counts diverge: reference {} vs compiled {fast}",
+                    slow.executed_statements
                 ));
             }
             if slow_data != fast_data {
@@ -274,13 +274,19 @@ fn exec_differential(program: &Program, label: &str) -> std::result::Result<(), 
                 ))
             }
         }
-        (Err(a), Ok(())) => Err(format!(
+        (Err(a), Ok(_)) => Err(format!(
             "{label}reference faults (`{a}`) but the compiled engine succeeds"
         )),
         (Ok(()), Err(b)) => Err(format!(
             "{label}compiled engine faults (`{b}`) but the reference succeeds"
         )),
     }
+}
+
+/// Lowers and executes `program` once through the compiled engine; the
+/// executed statement count.
+fn execute(program: &Program, data: &mut ProgramData) -> machine::Result<u64> {
+    CompiledProgram::lower(program)?.execute(data)
 }
 
 fn first_data_difference(program: &Program, a: &ProgramData, b: &ProgramData) -> String {
@@ -298,8 +304,7 @@ fn trace_oracle(program: &Program) -> std::result::Result<(), String> {
     let compiled =
         machine::exec::CompiledProgram::lower(program).map_err(|e| format!("lowering: {e}"))?;
     let mut fast = Vec::new();
-    let mut sink = CollectSink(&mut fast);
-    let fast_result = compiled.stream(&mut sink);
+    let fast_result = compiled.stream(&mut |e| fast.push(e));
     let mut slow = Vec::new();
     let slow_result = machine::trace::walk_accesses_symbolic(program, |e| slow.push(e));
     match (fast_result, slow_result) {
@@ -332,73 +337,41 @@ fn trace_oracle(program: &Program) -> std::result::Result<(), String> {
     }
 }
 
-struct CollectSink<'a>(&'a mut Vec<TraceEntry>);
-
-impl machine::AccessSink for CollectSink<'_> {
-    fn access(&mut self, entry: TraceEntry) {
-        self.0.push(entry);
-    }
-}
-
 fn cache_oracle(program: &Program) -> std::result::Result<(), String> {
     let machine = MachineConfig::tiny_for_tests();
-    let fast = simulate_cache(program, &machine);
-    let base = simulate_cache_per_access(program, &machine);
-    let naive = simulate_cache_reference(program, &machine);
-    let (fast, base, naive) = match (fast, base, naive) {
-        (Ok(f), Ok(b), Ok(n)) => (f, b, n),
-        (Err(f), Err(b), Err(n)) => {
-            let (df, db, dn) = (
-                std::mem::discriminant(&f),
-                std::mem::discriminant(&b),
-                std::mem::discriminant(&n),
-            );
-            if df == db && db == dn {
-                return Ok(());
-            }
-            return Err(format!(
-                "simulation error kinds diverge: run-compressed `{f}`, per-access `{b}`, reference `{n}`"
-            ));
+    let (fast, naive) = match (
+        simulate_cache(program, &machine),
+        simulate_cache_reference(program, &machine),
+    ) {
+        (Ok(f), Ok(n)) => (f, n),
+        (Err(f), Err(n)) if std::mem::discriminant(&f) == std::mem::discriminant(&n) => {
+            return Ok(())
         }
-        (f, b, n) => {
+        (f, n) => {
             return Err(format!(
-                "simulation outcomes diverge: run-compressed {:?}, per-access {:?}, reference {:?}",
+                "simulation outcomes diverge: run-compressed {:?}, reference {:?}",
                 f.err().map(|e| e.to_string()),
-                b.err().map(|e| e.to_string()),
                 n.err().map(|e| e.to_string()),
             ))
         }
     };
-    for (label, accesses, l1, l2) in [
-        ("per-access", base.accesses(), base.l1(), base.l2()),
-        ("reference", naive.accesses(), naive.l1(), naive.l2()),
-    ] {
-        if fast.accesses() != accesses {
-            return Err(format!(
-                "access counts diverge from {label}: {} vs {accesses}",
-                fast.accesses()
-            ));
-        }
-        if fast.l1() != l1 {
-            return Err(format!(
-                "L1 counters diverge from {label}: {:?} vs {l1:?}",
-                fast.l1()
-            ));
-        }
-        if fast.l2() != l2 {
-            return Err(format!(
-                "L2 counters diverge from {label}: {:?} vs {l2:?}",
-                fast.l2()
-            ));
-        }
+    let (fast, naive) = (
+        (fast.accesses(), fast.l1(), fast.l2()),
+        (naive.accesses(), naive.l1(), naive.l2()),
+    );
+    if fast != naive {
+        return Err(format!(
+            "(accesses, L1, L2) diverge from the reference: {fast:?} vs {naive:?}"
+        ));
     }
     sharded_cache_differential(program, &machine)
 }
 
 /// The sharded driver under the canonical plan — one simulation per
-/// translation class, on two workers — against the un-deduplicated
-/// per-access oracle of the same plan. Runs only on programs the monolithic
-/// simulations accepted, so any error here is a divergence.
+/// translation class, on two workers — against the un-deduplicated shard
+/// oracle of the same plan, every shard on its own naive LRU. Runs only on
+/// programs the monolithic simulations accepted, so any error here is a
+/// divergence.
 fn sharded_cache_differential(
     program: &Program,
     machine: &MachineConfig,
@@ -408,7 +381,7 @@ fn sharded_cache_differential(
         let plan = ShardPlan::for_program(&compiled)?;
         Ok((
             simulate_cache_sharded_with_plan(&compiled, &plan, machine, 2)?,
-            simulate_cache_sharded_per_access(&compiled, &plan, machine)?,
+            simulate_cache_sharded_reference(&compiled, &plan, machine)?,
         ))
     };
     let (fast, oracle) =
@@ -416,7 +389,7 @@ fn sharded_cache_differential(
     let counters = |s: &machine::ShardedCacheStats| (s.accesses(), s.l1(), s.l2(), s.shards());
     if counters(&fast) != counters(&oracle) {
         return Err(format!(
-            "sharded counters ({} classes) diverge from the per-access shards: {:?} vs {:?}",
+            "sharded counters ({} classes) diverge from the reference shards: {:?} vs {:?}",
             fast.classes(),
             counters(&fast),
             counters(&oracle)
@@ -514,11 +487,11 @@ fn semantics_match(
     what: &str,
 ) -> std::result::Result<(), String> {
     let mut before = ProgramData::seeded(original).map_err(|e| e.to_string())?;
-    let before_result = Interpreter::new().run(original, &mut before);
+    let before_result = execute(original, &mut before);
     let mut after = ProgramData::seeded(derived).map_err(|e| e.to_string())?;
-    let after_result = Interpreter::new().run(derived, &mut after);
+    let after_result = execute(derived, &mut after);
     match (before_result, after_result) {
-        (Ok(()), Ok(())) => {
+        (Ok(_), Ok(_)) => {
             for name in original.arrays.keys() {
                 let Some(diff) = before.max_abs_diff(&after, name.as_str()) else {
                     return Err(format!("{what} dropped or reshaped array {name}"));

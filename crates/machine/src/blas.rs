@@ -6,9 +6,42 @@
 //! implementation (for numerical results) and a near-peak roofline estimate
 //! (for the cost model).
 
+use loop_ir::nest::BlasKind;
+
 use crate::config::MachineConfig;
+use crate::error::{MachineError, Result};
 
 const BLOCK: usize = 64;
+
+/// Runs one library call into `out`: the one dispatch both executors share,
+/// with `dims` and `inputs` in the kernel's argument order.
+///
+/// # Errors
+/// [`MachineError::UnknownArray`] when the call lists fewer inputs than its
+/// kernel reads.
+pub(crate) fn run_call(
+    kind: BlasKind,
+    dims: &[i64],
+    alpha: f64,
+    beta: f64,
+    inputs: &[Vec<f64>],
+    out: &mut [f64],
+) -> Result<()> {
+    let input = |i: usize| {
+        inputs
+            .get(i)
+            .map(Vec::as_slice)
+            .ok_or_else(|| MachineError::UnknownArray(format!("blas input {i}")))
+    };
+    let d = |i: usize| dims[i] as usize;
+    match kind {
+        BlasKind::Gemm => dgemm(d(0), d(1), d(2), alpha, input(0)?, input(1)?, beta, out),
+        BlasKind::Syrk => dsyrk(d(0), d(1), alpha, input(0)?, beta, out),
+        BlasKind::Syr2k => dsyr2k(d(0), d(1), alpha, input(0)?, input(1)?, beta, out),
+        BlasKind::Gemv => dgemv(d(0), d(1), alpha, input(0)?, input(1)?, beta, out),
+    }
+    Ok(())
+}
 
 /// `C = beta * C + alpha * A * B` with `A` of shape `m×k`, `B` of shape
 /// `k×n`, `C` of shape `m×n`, all row-major.

@@ -842,9 +842,9 @@ impl CacheHierarchy {
     }
 }
 
-/// The pre-refactor simulator: per-set `Vec<u64>` in LRU order, one full
-/// lookup per access. Kept as the ground truth for equivalence tests. Uses
-/// the same (rounded) geometry as [`CacheHierarchy`].
+/// The one cache oracle: per-set `Vec<u64>` in LRU order, one full lookup
+/// per access, the same (rounded) geometry as [`CacheHierarchy`]. As an
+/// [`AccessSink`](crate::AccessSink) it expands every run it is handed.
 pub mod reference {
     use super::{nearest_pow2, CacheStats};
     use crate::config::MachineConfig;
@@ -986,6 +986,7 @@ impl AddressMap {
 mod tests {
     use super::reference::ReferenceCacheHierarchy;
     use super::*;
+    use crate::trace::AccessSink;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1144,35 +1145,10 @@ mod tests {
                     fast.access(a);
                     slow.access(a);
                 }
-                fast.access_run_group(&[group_run(start, stride, count)]);
-                let mut address = start as i64;
-                for _ in 0..count {
-                    slow.access(address as u64);
-                    address += stride;
-                }
+                fast.access_run_group(&[array_run(start, stride, count, 0)]);
+                slow.run(start, stride, count, false);
                 assert_same_stats(&fast, &slow, &format!("stride {stride} count {count}"));
             }
-        }
-    }
-
-    /// Expands a lockstep run group to the interleaved per-access stream on
-    /// the reference simulator.
-    fn expand_group_on(slow: &mut ReferenceCacheHierarchy, runs: &[StrideRun]) {
-        let count = runs.first().map(|r| r.count).unwrap_or(0);
-        for i in 0..count {
-            for r in runs {
-                slow.access(run_address(r.base, r.stride, i));
-            }
-        }
-    }
-
-    fn group_run(base: u64, stride: i64, count: u64) -> StrideRun {
-        StrideRun {
-            base,
-            stride,
-            count,
-            array: 0,
-            is_write: false,
         }
     }
 
@@ -1190,7 +1166,7 @@ mod tests {
                 .map(|_| {
                     let stride = stride_menu[rng.gen_range(0..stride_menu.len())];
                     let base = rng.gen_range(100_000..180_000u64);
-                    group_run(base, stride, count)
+                    array_run(base, stride, count, 0)
                 })
                 .collect();
             let mut fast = CacheHierarchy::from_machine(&machine);
@@ -1202,7 +1178,7 @@ mod tests {
                 slow.access(a);
             }
             fast.access_run_group(&runs);
-            expand_group_on(&mut slow, &runs);
+            slow.run_group(&runs);
             // And a shared random suffix: the state the group leaves behind
             // (stamp order, last-line shortcut) must be equivalent too.
             for _ in 0..400 {
@@ -1223,12 +1199,12 @@ mod tests {
         let machine = MachineConfig::tiny_for_tests();
         let count = 512;
         let runs: Vec<StrideRun> = (0..5)
-            .map(|j| group_run(0x1000 * (j + 1), 8, count))
+            .map(|j| array_run(0x1000 * (j + 1), 8, count, 0))
             .collect();
         let mut fast = CacheHierarchy::from_machine(&machine);
         let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
         fast.access_run_group(&runs);
-        expand_group_on(&mut slow, &runs);
+        slow.run_group(&runs);
         assert_same_stats(&fast, &slow, "associativity conflict");
         assert!(
             fast.l1().evicts > 0,
@@ -1243,18 +1219,16 @@ mod tests {
         let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
         // Empty group and zero-trip group: no accesses at all.
         fast.access_run_group(&[]);
-        fast.access_run_group(&[group_run(0, 8, 0), group_run(64, 8, 0)]);
+        fast.access_run_group(&[array_run(0, 8, 0, 0), array_run(64, 8, 0, 0)]);
         assert_eq!(fast.accesses(), 0);
         // Single-run group: one stationary lane, one head per line.
-        fast.access_run_group(&[group_run(4096, 8, 100)]);
-        for i in 0..100 {
-            slow.access(4096 + 8 * i);
-        }
+        fast.access_run_group(&[array_run(4096, 8, 100, 0)]);
+        slow.run(4096, 8, 100, false);
         assert_same_stats(&fast, &slow, "single-run group");
         // A run walking below address zero wraps like the expanded stream.
-        let wrap = [group_run(64, -128, 4), group_run(4096, 8, 4)];
+        let wrap = [array_run(64, -128, 4, 0), array_run(4096, 8, 4, 0)];
         fast.access_run_group(&wrap);
-        expand_group_on(&mut slow, &wrap);
+        slow.run_group(&wrap);
         assert_same_stats(&fast, &slow, "negative wrap");
     }
 
@@ -1295,23 +1269,33 @@ mod tests {
         ] {
             let mut fast = CacheHierarchy::from_machine(&machine);
             let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
-            fast.access_run_group(&[group_run(start, stride, count)]);
-            for i in 0..count {
-                slow.access(run_address(start, stride, i));
-            }
+            fast.access_run_group(&[array_run(start, stride, count, 0)]);
+            slow.run(start, stride, count, false);
             assert_same_stats(&fast, &slow, &format!("run {start:#x} + i * {stride}"));
         }
         let groups: Vec<Vec<StrideRun>> = vec![
-            vec![group_run(0x1000, i64::MAX, 6), group_run(0x2000, 8, 6)],
-            vec![group_run(0x1000, i64::MIN, 6), group_run(0x2000, 0, 6)],
-            vec![group_run(u64::MAX - 64, 8, 40), group_run(0x3000, 64, 40)],
             vec![
-                group_run(1 << 62, 1 << 61, 7),
-                group_run(1 << 62, -(1 << 61), 7),
-                group_run(0x40, 8, 7),
+                array_run(0x1000, i64::MAX, 6, 0),
+                array_run(0x2000, 8, 6, 0),
+            ],
+            vec![
+                array_run(0x1000, i64::MIN, 6, 0),
+                array_run(0x2000, 0, 6, 0),
+            ],
+            vec![
+                array_run(u64::MAX - 64, 8, 40, 0),
+                array_run(0x3000, 64, 40, 0),
+            ],
+            vec![
+                array_run(1 << 62, 1 << 61, 7, 0),
+                array_run(1 << 62, -(1 << 61), 7, 0),
+                array_run(0x40, 8, 7, 0),
             ],
             // Ragged and hostile at once.
-            vec![group_run(0x1000, i64::MAX, 3), group_run(0x2000, 8, 5)],
+            vec![
+                array_run(0x1000, i64::MAX, 3, 0),
+                array_run(0x2000, 8, 5, 0),
+            ],
         ];
         for (j, runs) in groups.iter().enumerate() {
             let mut fast = CacheHierarchy::from_machine(&machine);
@@ -1329,23 +1313,23 @@ mod tests {
         // per-access fallback with counters matching the ragged expansion.
         let machine = MachineConfig::tiny_for_tests();
         let groups: Vec<Vec<StrideRun>> = vec![
-            vec![group_run(0x1000, 8, 100), group_run(0x2000, 8, 60)],
+            vec![array_run(0x1000, 8, 100, 0), array_run(0x2000, 8, 60, 0)],
             // A zero-trip member mixed with live ones.
             vec![
-                group_run(0x1000, 8, 50),
-                group_run(0x2000, 8, 0),
-                group_run(0x3000, -8, 20),
+                array_run(0x1000, 8, 50, 0),
+                array_run(0x2000, 8, 0, 0),
+                array_run(0x3000, -8, 20, 0),
             ],
             // Zero strides only, unequal counts.
-            vec![group_run(0x1000, 0, 7), group_run(0x2000, 0, 3)],
+            vec![array_run(0x1000, 0, 7, 0), array_run(0x2000, 0, 3, 0)],
             // Line-sized, zero and super-line strides together.
             vec![
-                group_run(0x1000, 64, 33),
-                group_run(0x2040, 0, 12),
-                group_run(0x5000, 128, 5),
+                array_run(0x1000, 64, 33, 0),
+                array_run(0x2040, 0, 12, 0),
+                array_run(0x5000, 128, 5, 0),
             ],
             // runs[0] is the *short* one: trusting it would drop accesses.
-            vec![group_run(0x1000, 8, 1), group_run(0x2000, 8, 400)],
+            vec![array_run(0x1000, 8, 1, 0), array_run(0x2000, 8, 400, 0)],
         ];
         for (j, runs) in groups.iter().enumerate() {
             let mut fast = CacheHierarchy::from_machine(&machine);
@@ -1362,18 +1346,18 @@ mod tests {
         // All-zero-trip ragged group: a no-op, not a division or underflow.
         let mut fast = CacheHierarchy::from_machine(&machine);
         fast.access_run_group(&[
-            group_run(0, 8, 0),
-            group_run(64, -8, 0),
-            group_run(128, 0, 0),
+            array_run(0, 8, 0, 0),
+            array_run(64, -8, 0, 0),
+            array_run(128, 0, 0, 0),
         ]);
         assert_eq!(fast.accesses(), 0);
         // Lockstep all-zero-stride group: every iteration re-touches the
         // same lines; the phase math must not divide by the zero stride.
-        let runs = vec![group_run(0x1000, 0, 256), group_run(0x1044, 0, 256)];
+        let runs = vec![array_run(0x1000, 0, 256, 0), array_run(0x1044, 0, 256, 0)];
         let mut fast = CacheHierarchy::from_machine(&machine);
         let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
         fast.access_run_group(&runs);
-        expand_group_on(&mut slow, &runs);
+        slow.run_group(&runs);
         assert_same_stats(&fast, &slow, "zero-stride lockstep");
     }
 
@@ -1385,12 +1369,12 @@ mod tests {
         // while the number of real probes stays near the line count.
         let machine = MachineConfig::tiny_for_tests();
         let runs: Vec<StrideRun> = (0..3)
-            .map(|j| group_run(0x40000 * (j + 1), 8, 1024))
+            .map(|j| array_run(0x40000 * (j + 1), 8, 1024, 0))
             .collect();
         let mut fast = CacheHierarchy::from_machine(&machine);
         let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
         fast.access_run_group(&runs);
-        expand_group_on(&mut slow, &runs);
+        slow.run_group(&runs);
         assert_same_stats(&fast, &slow, "aligned unit stride");
         assert_eq!(fast.accesses(), 3 * 1024);
         assert!(
@@ -1428,7 +1412,7 @@ mod tests {
         let mut fast = CacheHierarchy::from_machine(&machine);
         let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
         fast.access_run_group(&runs);
-        expand_group_on(&mut slow, &runs);
+        slow.run_group(&runs);
         assert_same_stats(&fast, &slow, "five-tap stagger");
         assert_eq!(fast.accesses(), 6 * count);
         // Two cluster heads + shortcuts per 8-iteration line period: about
@@ -1506,7 +1490,7 @@ mod tests {
             let mut fast = CacheHierarchy::from_machine(&machine);
             let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
             fast.access_run_group(runs);
-            expand_group_on(&mut slow, runs);
+            slow.run_group(runs);
             // The state left behind must be equivalent too.
             for a in (0..(1u64 << 14)).step_by(64) {
                 fast.access(a);
@@ -1519,77 +1503,37 @@ mod tests {
     #[test]
     fn superline_only_groups_take_the_per_access_path_up_front() {
         // Column-major walks: every lane's |stride| is at least a line, so
-        // no phase can span two iterations and the lane bookkeeping is pure
-        // overhead. The group must bail out per access (observable through
-        // the telemetry counter) with bit-identical counters.
+        // the group bails out per access — with bit-identical counters.
+        // `tests/telemetry_counters.rs` pins that it takes the bailout.
         let machine = MachineConfig::tiny_for_tests();
-        let count = 300u64;
         let runs = vec![
-            array_run(0x10000, 64, count, 0),
-            array_run(0x20000, 128, count, 1),
-            array_run(0x60000, -64, count, 2),
+            array_run(0x10000, 64, 300, 0),
+            array_run(0x20000, 128, 300, 1),
+            array_run(0x60000, -64, 300, 2),
         ];
-        let sink = std::sync::Arc::new(telemetry::CollectingRecorder::default());
         let mut fast = CacheHierarchy::from_machine(&machine);
-        telemetry::with_recorder(sink.clone(), || {
-            fast.access_run_group(&runs);
-        });
+        fast.access_run_group(&runs);
         let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
-        expand_group_on(&mut slow, &runs);
+        slow.run_group(&runs);
         assert_same_stats(&fast, &slow, "super-line bailout");
-        assert_eq!(
-            sink.counter_total("machine.cache.group_superline_accesses"),
-            3 * count,
-            "the super-line group must take the up-front per-access path"
-        );
-
-        // One sub-line lane re-enables the phase machinery: the bailout
-        // counter must stay silent.
-        let mixed = vec![
-            array_run(0x10000, 64, count, 0),
-            array_run(0x30000, 8, count, 1),
-        ];
-        let sink = std::sync::Arc::new(telemetry::CollectingRecorder::default());
-        let mut fast = CacheHierarchy::from_machine(&machine);
-        telemetry::with_recorder(sink.clone(), || {
-            fast.access_run_group(&mixed);
-        });
-        assert_eq!(
-            sink.counter_total("machine.cache.group_superline_accesses"),
-            0,
-            "a sub-line lane keeps the group on the lane fast path"
-        );
     }
 
     #[test]
     fn stagger_clusters_elide_middle_lanes() {
+        // Three taps elide their middle lane, two elide nothing: either way
+        // the counters are the expanded stream's. `tests/telemetry_counters.rs`
+        // pins the elision count.
         let machine = MachineConfig::tiny_for_tests();
-        let count = 64u64;
-        // Three taps: exactly one middle member is elided.
-        let runs: Vec<StrideRun> = (0..3)
-            .map(|t| array_run(0x40000 + 8 * t, 8, count, 0))
-            .collect();
-        let sink = std::sync::Arc::new(telemetry::CollectingRecorder::default());
-        let mut fast = CacheHierarchy::from_machine(&machine);
-        telemetry::with_recorder(sink.clone(), || {
+        for taps in [3u64, 2] {
+            let runs: Vec<StrideRun> = (0..taps)
+                .map(|t| array_run(0x40000 + 8 * t, 8, 64, 0))
+                .collect();
+            let mut fast = CacheHierarchy::from_machine(&machine);
             fast.access_run_group(&runs);
-        });
-        assert_eq!(
-            sink.counter_total("machine.cache.group_stagger_elided"),
-            count,
-            "a three-tap cluster elides exactly its middle lane"
-        );
-        // Two taps only: leader and rear are both bounding, nothing to
-        // elide, the cluster machinery must not engage.
-        let pair: Vec<StrideRun> = (0..2)
-            .map(|t| array_run(0x40000 + 8 * t, 8, count, 0))
-            .collect();
-        let sink = std::sync::Arc::new(telemetry::CollectingRecorder::default());
-        let mut fast = CacheHierarchy::from_machine(&machine);
-        telemetry::with_recorder(sink.clone(), || {
-            fast.access_run_group(&pair);
-        });
-        assert_eq!(sink.counter_total("machine.cache.group_stagger_elided"), 0);
+            let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
+            slow.run_group(&runs);
+            assert_same_stats(&fast, &slow, &format!("{taps} taps"));
+        }
     }
 
     #[test]
@@ -1603,12 +1547,8 @@ mod tests {
                 let start = rng.gen_range(0..1 << 16);
                 let stride = *[8i64, 16, 64, -8].get(rng.gen_range(0..4usize)).unwrap();
                 let count = rng.gen_range(1..200u64);
-                fast.access_run_group(&[group_run(start, stride, count)]);
-                let mut address = start as i64;
-                for _ in 0..count {
-                    slow.access(address as u64);
-                    address += stride;
-                }
+                fast.access_run_group(&[array_run(start, stride, count, 0)]);
+                slow.run(start, stride, count, false);
             } else {
                 let address = rng.gen_range(0..1 << 16);
                 fast.access(address);

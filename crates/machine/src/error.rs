@@ -22,6 +22,12 @@ pub enum MachineError {
         /// The offending index value (-1 for rank mismatches).
         index: i64,
     },
+    /// A subscript of the array, or the element offset it makes, has no
+    /// `i64` value: its exact value leaves `i64`, or it divides by zero.
+    SubscriptOverflow {
+        /// The accessed array.
+        array: String,
+    },
     /// A loop has a non-positive step or non-evaluable bounds.
     InvalidLoop(String),
     /// A shard-ranged stream was requested for a program whose shape the
@@ -42,6 +48,9 @@ impl fmt::Display for MachineError {
             MachineError::UnboundVariable(name) => write!(f, "unbound variable in `{name}`"),
             MachineError::OutOfBounds { array, index } => {
                 write!(f, "index {index} is out of bounds for array `{array}`")
+            }
+            MachineError::SubscriptOverflow { array } => {
+                write!(f, "a subscript of array `{array}` has no `i64` value")
             }
             MachineError::InvalidLoop(iter) => write!(f, "loop over `{iter}` cannot be executed"),
             MachineError::NotShardable(what) => {

@@ -1,11 +1,8 @@
 //! The compiled loop-nest execution engine.
 //!
-//! Both executions the evaluation relies on — the semantic reference run of
-//! [`crate::interp`] and the cache-trace walk of [`crate::trace`] — used to
-//! walk the program tree with per-iteration `BTreeMap` bindings and a
-//! symbolic `Expr::eval` per subscript. This module replaces that duplicated
-//! hot path with a single lowering, [`CompiledProgram::lower`], performed
-//! once per program:
+//! Both executions the evaluation relies on — semantics and the cache
+//! trace — run on one lowering, [`CompiledProgram::lower`], performed once
+//! per program:
 //!
 //! * **Flat storage and slot frames.** Arrays resolve to dense indices into
 //!   the [`ProgramData`] storage vector; loop iterators and size parameters
@@ -30,20 +27,24 @@
 //! Two drivers share the lowering:
 //!
 //! * [`CompiledProgram::execute`] runs the program semantics over a
-//!   [`ProgramData`] store — bit-identical array state to the retained
-//!   tree-walking interpreter ([`crate::interp::reference`]) on every valid
-//!   program, with full per-dimension bounds checking.
+//!   [`ProgramData`] store — bit-identical array state to the reference
+//!   interpreter ([`crate::interp::reference`]) on every valid program,
+//!   with full per-dimension bounds checking.
 //! * [`CompiledProgram::stream`] emits the exact access trace into an
 //!   [`AccessSink`], every compiled innermost loop as one closed-form
 //!   lockstep [`crate::trace::StrideRun`] group ([`AccessSink::run_group`])
 //!   built straight from the offset/stride plans — bit-identical to the
-//!   retained symbolic walker ([`crate::trace::walk_accesses_symbolic`]).
+//!   symbolic walk ([`crate::trace::walk_accesses_symbolic`]).
+//!
+//! Integers are evaluated exactly, in `i128`, and narrowed once: a bound
+//! or subscript faults iff its value leaves `i64` (a subscript with
+//! [`MachineError::SubscriptOverflow`]), the references' rule.
 //!
 //! # Divergences on *invalid* programs
 //!
 //! Lowering is eager: unbound variables, non-positive steps and rank
 //! mismatches are reported before anything executes, whereas the reference
-//! walkers only failed upon reaching the offending node. Valid programs are
+//! walk only fails upon reaching the offending node. Valid programs are
 //! unaffected — in particular, a computation whose loads sit inside
 //! [`ScalarExpr::Select`] branches (the boundary-condition idiom, where the
 //! untaken branch may index out of bounds) is excluded from the semantic
@@ -77,13 +78,18 @@ struct CAffine {
 }
 
 impl CAffine {
-    /// The value against the frame, or `None` when a product or sum leaves
-    /// `i64`.
+    /// The value against the frame, or `None` when it leaves `i64`.
     fn checked_eval(&self, frame: &[i64]) -> Option<i64> {
+        i64::try_from(self.exact(frame)?).ok()
+    }
+
+    /// The exact value against the frame: accumulated in `i128` (a product
+    /// of two `i64`s always fits), so terms that cancel never fault.
+    fn exact(&self, frame: &[i64]) -> Option<i128> {
         self.terms
             .iter()
-            .try_fold(self.constant, |acc, &(slot, coeff)| {
-                acc.checked_add(coeff.checked_mul(frame[slot])?)
+            .try_fold(i128::from(self.constant), |acc, &(slot, coeff)| {
+                acc.checked_add(i128::from(coeff) * i128::from(frame[slot]))
             })
     }
 
@@ -154,20 +160,26 @@ enum CExpr {
 
 impl CExpr {
     /// Evaluates against the frame; `None` on division by zero or when the
-    /// value does not fit an `i64` (mirroring [`Expr::eval`]).
+    /// exact value does not fit an `i64` (the rule of the reference walk).
     fn eval(&self, frame: &[i64]) -> Option<i64> {
+        i64::try_from(self.exact(frame)?).ok()
+    }
+
+    /// The exact value, in `i128`; `None` on division by zero or when a
+    /// partial value leaves `i128`. `/` and `%` are Euclidean.
+    fn exact(&self, frame: &[i64]) -> Option<i128> {
         match self {
-            CExpr::Const(c) => Some(*c),
-            CExpr::Affine(a) => a.checked_eval(frame),
-            CExpr::Add(a, b) => a.eval(frame)?.checked_add(b.eval(frame)?),
-            CExpr::Sub(a, b) => a.eval(frame)?.checked_sub(b.eval(frame)?),
-            CExpr::Mul(a, b) => a.eval(frame)?.checked_mul(b.eval(frame)?),
+            CExpr::Const(c) => Some(i128::from(*c)),
+            CExpr::Affine(a) => a.exact(frame),
+            CExpr::Add(a, b) => a.exact(frame)?.checked_add(b.exact(frame)?),
+            CExpr::Sub(a, b) => a.exact(frame)?.checked_sub(b.exact(frame)?),
+            CExpr::Mul(a, b) => a.exact(frame)?.checked_mul(b.exact(frame)?),
             // The checked forms also refuse a zero divisor.
-            CExpr::Div(a, b) => a.eval(frame)?.checked_div_euclid(b.eval(frame)?),
-            CExpr::Mod(a, b) => a.eval(frame)?.checked_rem_euclid(b.eval(frame)?),
-            CExpr::Min(a, b) => Some(a.eval(frame)?.min(b.eval(frame)?)),
-            CExpr::Max(a, b) => Some(a.eval(frame)?.max(b.eval(frame)?)),
-            CExpr::Neg(a) => a.eval(frame)?.checked_neg(),
+            CExpr::Div(a, b) => a.exact(frame)?.checked_div_euclid(b.exact(frame)?),
+            CExpr::Mod(a, b) => a.exact(frame)?.checked_rem_euclid(b.exact(frame)?),
+            CExpr::Min(a, b) => Some(a.exact(frame)?.min(b.exact(frame)?)),
+            CExpr::Max(a, b) => Some(a.exact(frame)?.max(b.exact(frame)?)),
+            CExpr::Neg(a) => a.exact(frame)?.checked_neg(),
         }
     }
 }
@@ -532,10 +544,11 @@ impl CompiledProgram {
         })
     }
 
-    /// The error of a subscript of `array` whose value leaves `i64`: the
-    /// kind the reference interpreter and walker report for it.
+    /// The error of a subscript of `array` without an `i64` value.
     fn subscript_overflow(&self, array: usize) -> MachineError {
-        MachineError::UnboundVariable(format!("subscript of {}", self.arrays[array].name))
+        MachineError::SubscriptOverflow {
+            array: self.arrays[array].name.to_string(),
+        }
     }
 
     /// Names of the arrays in slot order, for storage-compatibility checks.
@@ -1080,7 +1093,10 @@ impl Executor<'_, '_> {
                 for ((bound, extent), stride) in
                     indices.iter().zip(&layout.dims).zip(&layout.strides)
                 {
-                    let idx = bound.eval(&self.frame)?;
+                    let idx = bound
+                        .compiled
+                        .eval(&self.frame)
+                        .ok_or_else(|| self.compiled.subscript_overflow(*array))?;
                     if idx < 0 || idx >= *extent {
                         return Err(MachineError::OutOfBounds {
                             array: self.compiled.arrays[*array].name.to_string(),
@@ -1125,44 +1141,13 @@ impl Executor<'_, '_> {
         let beta = eval_scalar(&call.beta, &self.frame, &|k| {
             self.load_access(&call.beta_accesses[k])
         })?;
-        let input = |exec: &Self, i: usize| -> Result<Vec<f64>> {
-            let slot = call
-                .inputs
-                .get(i)
-                .copied()
-                .ok_or_else(|| MachineError::UnknownArray(format!("blas input {i}")))?;
-            Ok(exec.data.storage(slot).data.clone())
-        };
-        match call.kind {
-            BlasKind::Gemm => {
-                let (m, n, k) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-                let a = input(self, 0)?;
-                let b = input(self, 1)?;
-                let c = &mut self.data.storage_mut(call.output).data;
-                blas::dgemm(m, n, k, alpha, &a, &b, beta, c);
-            }
-            BlasKind::Syrk => {
-                let (n, k) = (dims[0] as usize, dims[1] as usize);
-                let a = input(self, 0)?;
-                let c = &mut self.data.storage_mut(call.output).data;
-                blas::dsyrk(n, k, alpha, &a, beta, c);
-            }
-            BlasKind::Syr2k => {
-                let (n, k) = (dims[0] as usize, dims[1] as usize);
-                let a = input(self, 0)?;
-                let b = input(self, 1)?;
-                let c = &mut self.data.storage_mut(call.output).data;
-                blas::dsyr2k(n, k, alpha, &a, &b, beta, c);
-            }
-            BlasKind::Gemv => {
-                let (m, n) = (dims[0] as usize, dims[1] as usize);
-                let a = input(self, 0)?;
-                let x = input(self, 1)?;
-                let y = &mut self.data.storage_mut(call.output).data;
-                blas::dgemv(m, n, alpha, &a, &x, beta, y);
-            }
-        }
-        Ok(())
+        let inputs: Vec<Vec<f64>> = call
+            .inputs
+            .iter()
+            .map(|&slot| self.data.storage(slot).data.clone())
+            .collect();
+        let out = &mut self.data.storage_mut(call.output).data;
+        blas::run_call(call.kind, &dims, alpha, beta, &inputs, out)
     }
 }
 
@@ -1490,14 +1475,22 @@ impl<'c> Streamer<'c> {
                         .layout
                         .as_ref()
                         .expect("symbolic accesses lower only with a layout");
-                    let mut offset = 0i64;
-                    for (bound, stride) in indices.iter().zip(&layout.strides) {
-                        offset = bound
-                            .eval(&self.frame)?
-                            .checked_mul(*stride)
-                            .and_then(|term| offset.checked_add(term))
-                            .ok_or_else(|| compiled.subscript_overflow(*array))?;
-                    }
+                    // Exact, narrowed once: a subscript outside `i64` may
+                    // still make an offset inside it.
+                    let offset = indices.iter().zip(&layout.strides).try_fold(
+                        0i128,
+                        |offset, (bound, &stride)| {
+                            offset.checked_add(
+                                bound
+                                    .compiled
+                                    .exact(&self.frame)?
+                                    .checked_mul(stride.into())?,
+                            )
+                        },
+                    );
+                    let offset = offset
+                        .and_then(|offset| i64::try_from(offset).ok())
+                        .ok_or_else(|| compiled.subscript_overflow(*array))?;
                     (*array, offset)
                 }
             };
@@ -1543,15 +1536,11 @@ mod tests {
                for i in 0..N { A[i] = 1.0; } }",
         )
         .unwrap();
-        struct Drop0;
-        impl AccessSink for Drop0 {
-            fn access(&mut self, _entry: TraceEntry) {}
-        }
         let compiled = CompiledProgram::lower(&p).unwrap();
         let mut data = ProgramData::zeroed(&p).unwrap();
         assert_eq!(compiled.execute(&mut data).unwrap(), 0);
         assert_eq!(data.array("A").unwrap(), &[0.0; 4]);
-        assert_eq!(compiled.stream(&mut Drop0).unwrap(), 0);
+        assert_eq!(compiled.stream(&mut |_: TraceEntry| {}).unwrap(), 0);
     }
 
     #[test]
@@ -1567,35 +1556,24 @@ mod tests {
         let compiled = CompiledProgram::lower(&p).unwrap();
         assert_eq!(compiled.block_trips(), Some(5));
 
-        #[derive(Default)]
-        struct Collect(Vec<TraceEntry>);
-        impl AccessSink for Collect {
-            fn access(&mut self, entry: TraceEntry) {
-                self.0.push(entry);
-            }
-        }
-
-        let mut whole = Collect::default();
-        let total = compiled.stream(&mut whole).unwrap();
-        let mut pieces = Collect::default();
+        let mut whole = Vec::new();
+        let total = compiled.stream(&mut |e| whole.push(e)).unwrap();
+        let mut pieces = Vec::new();
         // Ragged cuts, including an empty range and one clamped past the end.
         for (lo, hi) in [(0, 2), (2, 2), (2, 3), (3, 9)] {
-            compiled.stream_block_range(lo, hi, &mut pieces).unwrap();
+            compiled
+                .stream_block_range(lo, hi, &mut |e| pieces.push(e))
+                .unwrap();
         }
-        assert_eq!(pieces.0.len() as u64, total);
-        assert_eq!(pieces.0.len(), whole.0.len());
-        assert!(pieces
-            .0
-            .iter()
-            .zip(&whole.0)
-            .all(|(a, b)| a.address == b.address && a.is_write == b.is_write));
+        assert_eq!(pieces.len() as u64, total);
+        assert_eq!(pieces, whole);
 
         // Flat innermost loops refuse block sharding (one run group already
         // covers the whole domain).
         let flat = lower("program f { param N = 8; array A[N]; for i in 0..N { A[i] = 1.0; } }");
         assert_eq!(flat.block_trips(), None);
         assert!(matches!(
-            flat.stream_block_range(0, 1, &mut Collect::default()),
+            flat.stream_block_range(0, 1, &mut |_: TraceEntry| {}),
             Err(MachineError::NotShardable(_))
         ));
     }
@@ -1649,15 +1627,15 @@ mod tests {
                for b in 0..NB { for i in 0..N { A[b * N + i + 2] = T[i] + A[b * N + i - 1]; } } }",
         );
         let shifts = compiled.block_shifts().unwrap();
-        struct Drop0;
-        impl AccessSink for Drop0 {
-            fn access(&mut self, _entry: TraceEntry) {}
-        }
         // Block 0 computes offset -1 (clamped), block 1 does not.
-        let clamped = compiled.stream_block_range(0, 1, &mut Drop0).unwrap();
+        let clamped = compiled
+            .stream_block_range(0, 1, &mut |_: TraceEntry| {})
+            .unwrap();
         assert_eq!(clamped.extents, vec![(-1, 9), (0, 7)]);
         assert!(!clamped.translates(&shifts, 1));
-        let inside = compiled.stream_block_range(1, 2, &mut Drop0).unwrap();
+        let inside = compiled
+            .stream_block_range(1, 2, &mut |_: TraceEntry| {})
+            .unwrap();
         assert_eq!(inside.extents, vec![(7, 17), (0, 7)]);
         // Two trips on, A[.. + 2] still ends at 33 < 34; three trips on it
         // would spill past the end.

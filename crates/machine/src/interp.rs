@@ -1,20 +1,16 @@
 //! Program interpretation over concrete `f64` arrays.
 //!
-//! The interpreter is the ground truth used by the test suite to check that
+//! Execution is the ground truth the test suite uses to check that
 //! transformations — fission, interchange, tiling, fusion, idiom replacement
 //! — preserve semantics, exactly the property normalization must have.
 //!
-//! Since PR 4 the default [`Interpreter`] drives the compiled execution
-//! engine ([`crate::exec`]): the program is lowered once (flat array
-//! storage, precomputed affine offset/stride plans for innermost loops,
-//! closed-form zero-trip and constant-bound handling) and then executed
-//! without any per-iteration symbolic evaluation. The pre-refactor
-//! tree-walking interpreter survives as [`reference`] and is the baseline of
-//! the differential tests (`tests/exec_differential.rs`, the fuzz farm's
-//! `exec` oracle): both produce bit-identical array state on every valid
-//! program.
-
-use std::collections::BTreeMap;
+//! [`ProgramData`] is the store. One engine executes programs over it: the
+//! compiled engine, [`CompiledProgram::execute`] (lower once with
+//! [`CompiledProgram::lower`], execute any number of times; [`run_seeded`]
+//! does both on seeded data). Its one oracle is the tree-walking
+//! [`mod@reference`] interpreter, which the differential tests
+//! (`tests/exec_differential.rs`, the fuzz farm's `exec` oracle) hold to
+//! bit-identical array state on every valid program.
 
 use loop_ir::expr::Var;
 use loop_ir::program::Program;
@@ -162,47 +158,14 @@ impl ProgramData {
     }
 }
 
-/// The interpreter: executes a program over a [`ProgramData`] store through
-/// the compiled execution engine.
-#[derive(Debug, Clone, Default)]
-pub struct Interpreter {
-    /// Counts of executed computation instances, for test assertions.
-    pub executed_statements: u64,
-}
-
-impl Interpreter {
-    /// Creates an interpreter.
-    pub fn new() -> Self {
-        Interpreter::default()
-    }
-
-    /// Executes the program, mutating `data` in place.
-    ///
-    /// The program is lowered with [`CompiledProgram::lower`] and executed
-    /// once; callers running the same program repeatedly should lower once
-    /// themselves and call [`CompiledProgram::execute`] directly.
-    ///
-    /// # Errors
-    /// Returns an error on out-of-bounds accesses, unbound variables or
-    /// non-evaluable loop bounds. Lowering errors are reported before any
-    /// array is mutated.
-    pub fn run(&mut self, program: &Program, data: &mut ProgramData) -> Result<()> {
-        let compiled = CompiledProgram::lower(program)?;
-        self.executed_statements += compiled.execute(data)?;
-        Ok(())
-    }
-}
-
-/// Evaluation bindings type used by the reference interpreter.
-pub(crate) type Bindings = BTreeMap<Var, i64>;
-
-/// Convenience: runs a program on seeded data and returns the data.
+/// Convenience: runs a program on seeded data through the compiled engine
+/// and returns the data.
 ///
 /// # Errors
-/// Propagates interpreter errors.
+/// Storage, lowering and execution errors.
 pub fn run_seeded(program: &Program) -> Result<ProgramData> {
     let mut data = ProgramData::seeded(program)?;
-    Interpreter::new().run(program, &mut data)?;
+    CompiledProgram::lower(program)?.execute(&mut data)?;
     Ok(data)
 }
 
@@ -213,6 +176,11 @@ mod tests {
     use loop_ir::parser::parse_program;
     use loop_ir::prelude::*;
 
+    /// Lowers and executes once; the executed statement count.
+    fn run(program: &Program, data: &mut ProgramData) -> crate::error::Result<u64> {
+        CompiledProgram::lower(program)?.execute(data)
+    }
+
     #[test]
     fn executes_a_simple_copy() {
         let p = parse_program(
@@ -222,7 +190,7 @@ mod tests {
         .unwrap();
         let mut data =
             ProgramData::new_with(&p, |name, i| if name == "A" { i as f64 } else { 0.0 }).unwrap();
-        Interpreter::new().run(&p, &mut data).unwrap();
+        run(&p, &mut data).unwrap();
         assert_eq!(
             data.array("B").unwrap(),
             &[0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
@@ -245,7 +213,7 @@ mod tests {
         let a0 = data.array("A").unwrap().to_vec();
         let b0 = data.array("B").unwrap().to_vec();
         let c0 = data.array("C").unwrap().to_vec();
-        Interpreter::new().run(&p, &mut data).unwrap();
+        run(&p, &mut data).unwrap();
         // reference
         let (ni, nj, nk) = (5usize, 4usize, 3usize);
         let mut c_ref = c0.clone();
@@ -291,7 +259,7 @@ mod tests {
             _ => f64::NEG_INFINITY,
         })
         .unwrap();
-        Interpreter::new().run(&p, &mut data).unwrap();
+        run(&p, &mut data).unwrap();
         assert_eq!(data.array("acc").unwrap()[0], 5.0);
     }
 
@@ -303,7 +271,7 @@ mod tests {
         )
         .unwrap();
         let mut data = ProgramData::zeroed(&p).unwrap();
-        let err = Interpreter::new().run(&p, &mut data).unwrap_err();
+        let err = run(&p, &mut data).unwrap_err();
         assert!(matches!(err, MachineError::OutOfBounds { .. }));
     }
 
@@ -314,10 +282,8 @@ mod tests {
                for i in 0..N { for j in 0..M { A[i][j] = 1.0; } } }",
         )
         .unwrap();
-        let mut interp = Interpreter::new();
         let mut data = ProgramData::zeroed(&p).unwrap();
-        interp.run(&p, &mut data).unwrap();
-        assert_eq!(interp.executed_statements, 12);
+        assert_eq!(run(&p, &mut data).unwrap(), 12);
     }
 
     #[test]
@@ -328,7 +294,7 @@ mod tests {
         )
         .unwrap();
         let mut data = ProgramData::zeroed(&p).unwrap();
-        Interpreter::new().run(&p, &mut data).unwrap();
+        run(&p, &mut data).unwrap();
         let a = data.array("A").unwrap();
         for (i, v) in a.iter().enumerate() {
             let expected = if i % 3 == 0 { 7.0 } else { 0.0 };
@@ -360,7 +326,7 @@ mod tests {
             _ => -1.0,
         })
         .unwrap();
-        Interpreter::new().run(&p, &mut data).unwrap();
+        run(&p, &mut data).unwrap();
         let c = data.array("C").unwrap();
         let b: Vec<f64> = (0..16).map(|i| i as f64).collect();
         assert_eq!(c, b.as_slice());

@@ -6,12 +6,11 @@
 //!
 //! * [`exec`] — the compiled loop-nest execution engine: one lowering (flat
 //!   array slots, affine offset/stride plans, closed-form zero-trip and
-//!   constant-bound loops) drives both the semantic interpreter and the
-//!   trace walker,
-//! * [`interp`] — the interpreter over concrete `f64` arrays, used to
-//!   verify that normalization and optimization preserve semantics; the
-//!   pre-refactor tree walker survives as [`interp::reference`] for
-//!   differential tests,
+//!   constant-bound loops) drives both execution and the access stream,
+//! * [`interp`] — the store of concrete `f64` arrays programs execute
+//!   over, used to verify that normalization and optimization preserve
+//!   semantics; [`interp::reference`] holds the naive symbolic walk behind
+//!   both executor and trace oracles,
 //! * [`cache`] + [`trace`] — a set-associative L1/L2 cache simulator fed by
 //!   the exact access stream, reproducing the load/evict counters of the
 //!   CLOUDSC case study (Table 1),
@@ -58,10 +57,21 @@
 //! striding a line or more are probed while the others are credited as L1
 //! hits in closed form — O(distinct cache lines touched) for a unit-stride
 //! loop, one probe in four for a GEMM column walk. Each set's LRU order
-//! sits directly in one flat tag array; the counters are bit-identical to
-//! the retained per-access pipeline ([`trace::simulate_cache_per_access`])
-//! and to the naive reference simulator ([`cache::reference`]), both kept
-//! as the references of the differential suites.
+//! sits directly in one flat tag array.
+//!
+//! Each layer keeps one engine and one naive oracle, which the differential
+//! suites hold it to bit for bit:
+//!
+//! | layer   | engine                                  | oracle                               |
+//! |---------|-----------------------------------------|--------------------------------------|
+//! | execute | [`CompiledProgram::execute`]            | [`interp::reference::Interpreter`]   |
+//! | stream  | [`CompiledProgram::stream`]             | [`trace::walk_accesses_symbolic`]    |
+//! | cache   | [`simulate_cache`]                      | [`simulate_cache_reference`]         |
+//! | shards  | [`simulate_cache_sharded_with_plan`]    | [`simulate_cache_sharded_reference`] |
+//!
+//! The two symbolic oracles share one loop walk ([`interp::reference`]);
+//! engines and oracles alike fault on a bound or subscript iff its exact
+//! value leaves `i64`.
 //!
 //! [`cost::CostModel`] memoizes behind structural hashes in two tables:
 //! whole-nest costs and per-computation *run summaries* (the per-iterator
@@ -99,13 +109,10 @@ pub use config::MachineConfig;
 pub use cost::{CostModel, CostReport, Environment, NestCost};
 pub use error::{MachineError, Result};
 pub use exec::CompiledProgram;
-pub use interp::{run_seeded, Interpreter, ProgramData};
+pub use interp::{run_seeded, ProgramData};
 pub use pool::effective_workers;
 pub use shard::{
-    simulate_cache_sharded, simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan,
+    simulate_cache_sharded, simulate_cache_sharded_reference, simulate_cache_sharded_with_plan,
     ShardGranularity, ShardPlan, ShardedCacheStats,
 };
-pub use trace::{
-    simulate_cache, simulate_cache_per_access, simulate_cache_reference, AccessSink, StrideRun,
-    TraceEntry,
-};
+pub use trace::{simulate_cache, simulate_cache_reference, AccessSink, StrideRun, TraceEntry};

@@ -53,8 +53,8 @@
 //! set period, are one simulation, and those of DaCe and daisy, whose temporaries stay
 //! put, are 32. [`ShardedCacheStats`] still reports the logical totals of
 //! the whole plan and is bit-identical to simulating every shard (the
-//! per-access oracle, [`simulate_cache_sharded_per_access`], does exactly
-//! that and the differential suite holds the two equal);
+//! shard oracle, [`simulate_cache_sharded_reference`], streams every shard
+//! into its own naive LRU and the differential suite holds the two equal);
 //! [`ShardedCacheStats::classes`] says how many shards were streamed and
 //! [`ShardedCacheStats::streamed_accesses`] how many accesses they held.
 //!
@@ -117,12 +117,13 @@ use std::collections::HashMap;
 
 use loop_ir::program::Program;
 
+use crate::cache::reference::ReferenceCacheHierarchy;
 use crate::cache::{CacheHierarchy, CacheStats};
 use crate::config::MachineConfig;
 use crate::error::Result;
 use crate::exec::{ArrayShift, BlockFootprint, CompiledProgram};
 use crate::pool::{parallel_map, Counters};
-use crate::trace::{AccessSink, CacheSink, PerAccessCacheSink, StrideRun, TraceEntry};
+use crate::trace::{AccessSink, StrideRun, TraceEntry};
 
 /// Maximum shard count of the run-group fallback. Each fallback shard
 /// replays the full trace walk (simulating only its window), so the cut
@@ -445,44 +446,33 @@ pub fn simulate_cache_sharded_with_plan(
     Ok(merged)
 }
 
-/// The sequential per-access oracle of the differential suite: the same
-/// shard decomposition, but *every* shard's stream — no translation
-/// classes, nothing skipped — expanded through the retained per-access
-/// pipeline
-/// ([`simulate_cache_per_access`](crate::simulate_cache_per_access)'s sink)
-/// instead of the run-group fast path. Accesses and per-level counters are
-/// bit-identical to [`simulate_cache_sharded_with_plan`] at any worker
-/// count — that equality is exactly the run-compression and translation
-/// contract, shard by shard. (`probes` is a property of the pipeline, not
-/// of the contract: run compression probes once per distinct line, this
-/// oracle once per access.)
+/// The shard oracle of the differential suite: the same shard
+/// decomposition, but *every* shard's stream — no translation classes,
+/// nothing skipped — expanded into its own cold
+/// [`ReferenceCacheHierarchy`], the naive LRU, sequentially. Accesses and
+/// per-level counters are bit-identical to
+/// [`simulate_cache_sharded_with_plan`] at any worker count — that equality
+/// is exactly the run-compression and translation contract, shard by
+/// shard. The naive LRU counts no probes, so `probes` reads 0.
 ///
 /// # Errors
 /// Trace-generation errors.
-pub fn simulate_cache_sharded_per_access(
+pub fn simulate_cache_sharded_reference(
     compiled: &CompiledProgram,
     plan: &ShardPlan,
     machine: &MachineConfig,
 ) -> Result<ShardedCacheStats> {
     let mut merged = ShardedCacheStats::empty(plan, plan.len());
     for &(lo, hi) in plan.shards() {
-        let mut cache = CacheHierarchy::from_machine(machine);
-        match plan.granularity() {
-            ShardGranularity::Blocks => {
-                let mut sink = PerAccessCacheSink { cache: &mut cache };
-                compiled.stream_block_range(lo, hi, &mut sink)?;
-            }
-            ShardGranularity::RunGroups => {
-                let mut sink = UnitWindow {
-                    inner: PerAccessCacheSink { cache: &mut cache },
-                    next: 0,
-                    lo,
-                    hi,
-                };
-                compiled.stream(&mut sink)?;
-            }
-        }
-        merged.add(&Replica::of(&cache), 1);
+        let mut cache = ReferenceCacheHierarchy::from_machine(machine);
+        stream_shard(compiled, plan.granularity(), lo, hi, &mut cache)?;
+        let replica = Replica {
+            accesses: cache.accesses(),
+            probes: 0,
+            l1: cache.l1(),
+            l2: cache.l2(),
+        };
+        merged.add(&replica, 1);
     }
     Ok(merged)
 }
@@ -564,8 +554,8 @@ fn shard_classes(
         .collect()
 }
 
-/// Streams one shard through the run-compressed sink into a cold replica;
-/// block shards also report what they touched.
+/// Streams one shard through the run-compressed simulator into a cold
+/// replica; block shards also report what they touched.
 fn simulate_shard(
     compiled: &CompiledProgram,
     granularity: ShardGranularity,
@@ -574,23 +564,31 @@ fn simulate_shard(
     machine: &MachineConfig,
 ) -> Result<(Replica, Option<BlockFootprint>)> {
     let mut cache = CacheHierarchy::from_machine(machine);
-    let footprint = match granularity {
-        ShardGranularity::Blocks => {
-            let mut sink = CacheSink { cache: &mut cache };
-            Some(compiled.stream_block_range(lo, hi, &mut sink)?)
-        }
+    let footprint = stream_shard(compiled, granularity, lo, hi, &mut cache)?;
+    Ok((Replica::of(&cache), footprint))
+}
+
+/// Streams shard `[lo, hi)` of a plan of the given granularity into `sink`;
+/// block shards also report what they touched.
+fn stream_shard(
+    compiled: &CompiledProgram,
+    granularity: ShardGranularity,
+    lo: u64,
+    hi: u64,
+    sink: &mut impl AccessSink,
+) -> Result<Option<BlockFootprint>> {
+    match granularity {
+        ShardGranularity::Blocks => Ok(Some(compiled.stream_block_range(lo, hi, sink)?)),
         ShardGranularity::RunGroups => {
-            let mut sink = UnitWindow {
-                inner: CacheSink { cache: &mut cache },
+            compiled.stream(&mut UnitWindow {
+                inner: sink,
                 next: 0,
                 lo,
                 hi,
-            };
-            compiled.stream(&mut sink)?;
-            None
+            })?;
+            Ok(None)
         }
-    };
-    Ok((Replica::of(&cache), footprint))
+    }
 }
 
 /// Publishes the counters of one finished sharded simulation, at the
@@ -606,18 +604,14 @@ fn record_sharded_counters(stats: &ShardedCacheStats) {
     telemetry::counter("machine.shard.accesses", stats.accesses);
 }
 
-/// Counts trace emission units — each lockstep run group, standalone run
-/// or bare access is one unit, the atom run-group granularity cuts at.
+/// Counts trace emission units — each lockstep run group or bare access
+/// is one unit, the atom run-group granularity cuts at.
 struct UnitCounter {
     units: u64,
 }
 
 impl AccessSink for UnitCounter {
     fn access(&mut self, _entry: TraceEntry) {
-        self.units += 1;
-    }
-
-    fn run(&mut self, _start: u64, _stride: i64, _count: u64, _is_write: bool) {
         self.units += 1;
     }
 
@@ -629,14 +623,14 @@ impl AccessSink for UnitCounter {
 /// Forwards only the emission units with index in `[lo, hi)` to the inner
 /// sink; everything else is counted and dropped. Whole units are never
 /// split, so the windows of a run-group plan tile the trace exactly.
-struct UnitWindow<S> {
-    inner: S,
+struct UnitWindow<'a, S> {
+    inner: &'a mut S,
     next: u64,
     lo: u64,
     hi: u64,
 }
 
-impl<S> UnitWindow<S> {
+impl<S> UnitWindow<'_, S> {
     fn take(&mut self) -> bool {
         let unit = self.next;
         self.next += 1;
@@ -644,16 +638,10 @@ impl<S> UnitWindow<S> {
     }
 }
 
-impl<S: AccessSink> AccessSink for UnitWindow<S> {
+impl<S: AccessSink> AccessSink for UnitWindow<'_, S> {
     fn access(&mut self, entry: TraceEntry) {
         if self.take() {
             self.inner.access(entry);
-        }
-    }
-
-    fn run(&mut self, start: u64, stride: i64, count: u64, is_write: bool) {
-        if self.take() {
-            self.inner.run(start, stride, count, is_write);
         }
     }
 
@@ -667,7 +655,7 @@ impl<S: AccessSink> AccessSink for UnitWindow<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{simulate_cache, simulate_cache_per_access};
+    use crate::trace::{simulate_cache, simulate_cache_reference};
     use loop_ir::parser::parse_program;
 
     /// `N = 16` keeps each block's 128-byte slab line-aligned, so blocks
@@ -686,8 +674,8 @@ mod tests {
 
     /// Equality on everything except `probes`: how often the simulator
     /// probed is a property of the pipeline (run compression probes once
-    /// per distinct line, the per-access baseline once per access), not of
-    /// the determinism contract, which covers the cache *counters*.
+    /// per distinct line, the naive oracle counts none), not of the
+    /// determinism contract, which covers the cache *counters*.
     fn assert_counters_eq(a: &ShardedCacheStats, b: &ShardedCacheStats) {
         assert_eq!(a.accesses(), b.accesses());
         assert_eq!(a.l1(), b.l1());
@@ -790,7 +778,7 @@ mod tests {
         // Ragged last shard (3+3+3+1), plus a range clamped past the end.
         let plan = ShardPlan::blocks(vec![(0, 3), (3, 6), (6, 9), (9, 12)]);
         let sharded = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 3).unwrap();
-        let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+        let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
         assert_counters_eq(&sharded, &oracle);
         // All accesses are covered exactly once despite the clamped range.
         assert_eq!(
@@ -827,11 +815,11 @@ mod tests {
         let compiled = CompiledProgram::lower(&program).unwrap();
         let plan = ShardPlan::for_program(&compiled).unwrap();
         let sharded = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 3).unwrap();
-        let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+        let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
         assert_counters_eq(&sharded, &oracle);
         assert_eq!(
             sharded.accesses(),
-            simulate_cache_per_access(&program, &machine)
+            simulate_cache_reference(&program, &machine)
                 .unwrap()
                 .accesses()
         );
@@ -933,7 +921,7 @@ mod tests {
         let plan = ShardPlan::for_program(&compiled).unwrap();
         let stats = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 2).unwrap();
         assert_eq!(stats.classes(), 5, "every member is simulated");
-        let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+        let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
         assert_counters_eq(&stats, &oracle);
         assert_ne!(
             stats.l1().loads,

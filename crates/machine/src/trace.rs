@@ -12,24 +12,28 @@
 //! plans — every compiled innermost loop becomes one [`AccessSink::run_group`]
 //! of lockstep [`StrideRun`] segments (one per array reference), without ever
 //! expanding them into individual addresses. Sinks that want the per-access
-//! stream get it from the default `run_group` expansion; the cache sink
-//! instead forwards whole groups to the run-aware simulator
-//! ([`crate::cache::CacheHierarchy::access_run_group`]), which processes a
-//! run in time proportional to the distinct cache lines it touches. The
-//! pre-refactor per-iteration symbolic walker is retained as
-//! [`walk_accesses_symbolic`], and the per-access simulation pipeline as
-//! [`simulate_cache_per_access`] — the ground truths of the equivalence
-//! tests.
+//! stream get it from the default `run_group` expansion; [`CacheHierarchy`]
+//! instead takes whole groups into the run-aware simulator
+//! ([`CacheHierarchy::access_run_group`]), which processes a run in time
+//! proportional to the distinct cache lines it touches.
+//!
+//! One oracle stands behind each layer: [`walk_accesses_symbolic`], the
+//! symbolic walk shared with the reference interpreter, is the ground truth
+//! of the stream, and the naive [`ReferenceCacheHierarchy`] — an
+//! [`AccessSink`] that expands every run — that of the simulator
+//! ([`simulate_cache_reference`], and the shard oracle
+//! [`crate::shard::simulate_cache_sharded_reference`]).
 
 use loop_ir::array::AccessKind;
 use loop_ir::nest::Node;
 use loop_ir::program::Program;
 
+use crate::cache::reference::ReferenceCacheHierarchy;
 use crate::cache::{AddressMap, CacheHierarchy};
 use crate::config::MachineConfig;
 use crate::error::{MachineError, Result};
 use crate::exec::CompiledProgram;
-use crate::interp::Bindings;
+use crate::interp::reference;
 
 /// One entry of an access trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,24 +69,22 @@ pub struct StrideRun {
 /// Consumer of a streamed access trace.
 ///
 /// Implementors receive the trace in execution order, either access by
-/// access or — when the walker proves a constant-stride innermost loop —
-/// as whole runs or lockstep run groups. The defaults expand
-/// [`run`](AccessSink::run) and [`run_group`](AccessSink::run_group) to
-/// individual accesses, so a sink only interested in single entries
+/// access or — for every compiled innermost loop — as lockstep run
+/// groups. The default [`run_group`](AccessSink::run_group) expands a
+/// group to individual accesses (a one-lane group through
+/// [`run`](AccessSink::run)), so a sink only interested in single entries
 /// implements [`access`](AccessSink::access) alone.
 pub trait AccessSink {
     /// Consumes one access.
     fn access(&mut self, entry: TraceEntry);
 
-    /// Consumes `count` accesses at `start, start + stride, …`.
+    /// Consumes `count` accesses at `start, start + stride, …` (modulo
+    /// 2^64).
     fn run(&mut self, start: u64, stride: i64, count: u64, is_write: bool) {
-        let mut address = start as i64;
+        let mut address = start;
         for _ in 0..count {
-            self.access(TraceEntry {
-                address: address as u64,
-                is_write,
-            });
-            address += stride;
+            self.access(TraceEntry { address, is_write });
+            address = address.wrapping_add(stride as u64);
         }
     }
 
@@ -97,14 +99,14 @@ pub trait AccessSink {
             [] => {}
             [r] => self.run(r.base, r.stride, r.count, r.is_write),
             _ => {
-                let mut addresses: Vec<i64> = runs.iter().map(|r| r.base as i64).collect();
+                let mut addresses: Vec<u64> = runs.iter().map(|r| r.base).collect();
                 for _ in 0..runs[0].count {
-                    for (slot, r) in addresses.iter_mut().zip(runs) {
+                    for (address, r) in addresses.iter_mut().zip(runs) {
                         self.access(TraceEntry {
-                            address: *slot as u64,
+                            address: *address,
                             is_write: r.is_write,
                         });
-                        *slot += r.stride;
+                        *address = address.wrapping_add(r.stride as u64);
                     }
                 }
             }
@@ -128,22 +130,32 @@ pub trait AccessSink {
     fn end_repeat(&mut self) {}
 }
 
-/// Sink feeding a [`CacheHierarchy`], forwarding whole run groups to the
-/// closed-form fast path. Shared with the sharded driver
-/// (`shard::simulate_cache_sharded`), which feeds one replica per shard
-/// through the identical sink so per-shard counters stay bit-compatible
-/// with [`simulate_cache`].
-pub(crate) struct CacheSink<'a> {
-    pub(crate) cache: &'a mut CacheHierarchy,
+/// A closure is a per-access sink: the defaults expand every run for it.
+impl<F: FnMut(TraceEntry)> AccessSink for F {
+    fn access(&mut self, entry: TraceEntry) {
+        self(entry);
+    }
 }
 
-impl AccessSink for CacheSink<'_> {
+/// The production simulator takes whole run groups into its closed-form
+/// fast path; the sharded driver feeds its replicas the same way, so
+/// per-shard counters stay bit-compatible with [`simulate_cache`].
+impl AccessSink for CacheHierarchy {
     fn access(&mut self, entry: TraceEntry) {
-        self.cache.access(entry.address);
+        CacheHierarchy::access(self, entry.address);
     }
 
     fn run_group(&mut self, runs: &[StrideRun]) {
-        self.cache.access_run_group(runs);
+        self.access_run_group(runs);
+    }
+}
+
+/// The naive oracle takes everything one access at a time: the default
+/// [`AccessSink::run`] and [`AccessSink::run_group`] expand every run in
+/// stream order.
+impl AccessSink for ReferenceCacheHierarchy {
+    fn access(&mut self, entry: TraceEntry) {
+        ReferenceCacheHierarchy::access(self, entry.address);
     }
 }
 
@@ -152,15 +164,14 @@ impl AccessSink for CacheSink<'_> {
 /// streamed run-compressed: compiled innermost loops reach the simulator as
 /// lockstep [`StrideRun`] groups and are processed in time proportional to
 /// the distinct cache lines they touch — with counters bit-identical to
-/// feeding the simulator one access at a time
-/// ([`simulate_cache_per_access`], the differential baseline).
+/// the naive oracle ([`simulate_cache_reference`]).
 ///
 /// # Errors
 /// Propagates trace-generation errors.
 pub fn simulate_cache(program: &Program, machine: &MachineConfig) -> Result<CacheHierarchy> {
     let _span = telemetry::span("simulate_cache");
     let mut cache = CacheHierarchy::from_machine(machine);
-    CompiledProgram::lower(program)?.stream(&mut CacheSink { cache: &mut cache })?;
+    CompiledProgram::lower(program)?.stream(&mut cache)?;
     record_cache_counters(&cache);
     Ok(cache)
 }
@@ -184,39 +195,9 @@ fn record_cache_counters(cache: &CacheHierarchy) {
     telemetry::counter("machine.cache.l2.evicts", l2.evicts);
 }
 
-/// Sink simulating one access per trace entry: it implements only
-/// [`AccessSink::access`], so the default [`AccessSink::run`] and
-/// [`AccessSink::run_group`] expand every run and group in stream order.
-pub(crate) struct PerAccessCacheSink<'a> {
-    pub(crate) cache: &'a mut CacheHierarchy,
-}
-
-impl AccessSink for PerAccessCacheSink<'_> {
-    fn access(&mut self, entry: TraceEntry) {
-        self.cache.access(entry.address);
-    }
-}
-
-/// The per-access simulation pipeline: every access of the trace is
-/// simulated individually. Retained as the
-/// baseline [`simulate_cache`] is differentially tested against — both
-/// must report bit-identical counters on every program.
-///
-/// # Errors
-/// Propagates trace-generation errors.
-pub fn simulate_cache_per_access(
-    program: &Program,
-    machine: &MachineConfig,
-) -> Result<CacheHierarchy> {
-    let mut cache = CacheHierarchy::from_machine(machine);
-    CompiledProgram::lower(program)?.stream(&mut PerAccessCacheSink { cache: &mut cache })?;
-    record_cache_counters(&cache);
-    Ok(cache)
-}
-
-/// Simulates the trace on the naive [`reference`](crate::cache::reference)
-/// simulator through the pre-refactor per-access walk. This is the baseline
-/// the equivalence tests and the benchmark's `strided_trace` output check
+/// Simulates the trace on the naive [`ReferenceCacheHierarchy`] through
+/// the symbolic walk, [`walk_accesses_symbolic`]: the cache oracle the
+/// differential suites and the benchmark's `strided_trace` output check
 /// compare [`simulate_cache`] against.
 ///
 /// # Errors
@@ -224,99 +205,49 @@ pub fn simulate_cache_per_access(
 pub fn simulate_cache_reference(
     program: &Program,
     machine: &MachineConfig,
-) -> Result<crate::cache::reference::ReferenceCacheHierarchy> {
-    let mut cache = crate::cache::reference::ReferenceCacheHierarchy::from_machine(machine);
+) -> Result<ReferenceCacheHierarchy> {
+    let mut cache = ReferenceCacheHierarchy::from_machine(machine);
     walk_accesses_symbolic(program, |entry| cache.access(entry.address))?;
     Ok(cache)
 }
 
-/// The pre-refactor walker: per-iteration binding updates and per-subscript
-/// symbolic evaluation, no compilation, no runs. Kept as the ground truth
-/// for the compiled streaming walker's equivalence tests.
+/// The symbolic trace walk: the shared reference walk
+/// ([`crate::interp::reference`]) with every subscript evaluated per
+/// access, no compilation, no runs. The ground truth of the compiled
+/// stream's equivalence tests; returns the number of accesses.
+///
+/// # Errors
+/// Those of the reference walk, plus unknown arrays and extents that
+/// cannot be evaluated.
 pub fn walk_accesses_symbolic(program: &Program, mut sink: impl FnMut(TraceEntry)) -> Result<u64> {
-    fn walk(
-        program: &Program,
-        node: &Node,
-        map: &AddressMap,
-        bindings: &mut Bindings,
-        sink: &mut impl FnMut(TraceEntry),
-        count: &mut u64,
-    ) -> Result<()> {
-        match node {
-            Node::Loop(l) => {
-                let lower = l
-                    .lower
-                    .eval(bindings)
-                    .ok_or_else(|| MachineError::UnboundVariable(l.lower.to_string()))?;
-                let upper = l
-                    .upper
-                    .eval(bindings)
-                    .ok_or_else(|| MachineError::UnboundVariable(l.upper.to_string()))?;
-                if l.step <= 0 {
-                    return Err(MachineError::InvalidLoop(l.iter.to_string()));
-                }
-                let previous = bindings.get(&l.iter).copied();
-                let mut v = lower;
-                while v < upper {
-                    bindings.insert(l.iter.clone(), v);
-                    for child in &l.body {
-                        walk(program, child, map, bindings, sink, count)?;
-                    }
-                    // An iterate past `i64::MAX` is past `upper` too.
-                    let Some(next) = v.checked_add(l.step) else {
-                        break;
-                    };
-                    v = next;
-                }
-                match previous {
-                    Some(p) => {
-                        bindings.insert(l.iter.clone(), p);
-                    }
-                    None => {
-                        bindings.remove(&l.iter);
-                    }
-                }
-                Ok(())
-            }
-            Node::Computation(c) => c.try_for_each_access(|access| {
-                let array = program
-                    .array(&access.array_ref.array)
-                    .map_err(|_| MachineError::UnknownArray(access.array_ref.array.to_string()))?;
-                let offset = array
-                    .with_strides(&program.params, |strides| {
-                        let mut offset = 0i64;
-                        for (idx, stride) in access.array_ref.indices.iter().zip(strides) {
-                            offset = idx
-                                .eval(bindings)
-                                .and_then(|value| value.checked_mul(*stride))
-                                .and_then(|term| offset.checked_add(term))
-                                .ok_or_else(|| MachineError::UnboundVariable(idx.to_string()))?;
-                        }
-                        Ok(offset)
-                    })
-                    .ok_or_else(|| MachineError::UnboundSize(array.name.to_string()))??;
-                let address = map
-                    .address(access.array_ref.array.as_str(), offset, array.elem_size)
-                    .ok_or_else(|| {
-                        MachineError::UnknownArray(access.array_ref.array.to_string())
-                    })?;
-                *count += 1;
-                sink(TraceEntry {
-                    address,
-                    is_write: access.kind == AccessKind::Write,
-                });
-                Ok(())
-            }),
-            Node::Call(_) => Ok(()),
-        }
-    }
-
     let map = AddressMap::for_program(program);
-    let mut bindings: Bindings = program.params.clone();
     let mut count = 0u64;
-    for node in &program.body {
-        walk(program, node, &map, &mut bindings, &mut sink, &mut count)?;
-    }
+    reference::walk(program, &mut |node, bindings| {
+        // Library calls are opaque to the trace.
+        let Node::Computation(c) = node else {
+            return Ok(());
+        };
+        c.try_for_each_access(|access| {
+            let name = &access.array_ref.array;
+            let array = program
+                .array(name)
+                .map_err(|_| MachineError::UnknownArray(name.to_string()))?;
+            let offset = array
+                .with_strides(&program.params, |strides| {
+                    reference::element_offset(access.array_ref, strides, None, bindings)
+                })
+                .ok_or_else(|| MachineError::UnboundSize(name.to_string()))??;
+            let address = map
+                .address(name.as_str(), offset, array.elem_size)
+                .ok_or_else(|| MachineError::UnknownArray(name.to_string()))?;
+            count += 1;
+            sink(TraceEntry {
+                address,
+                is_write: access.kind == AccessKind::Write,
+            });
+            Ok(())
+        })
+    })?;
     Ok(count)
 }
 
@@ -325,17 +256,9 @@ mod tests {
     use super::*;
     use loop_ir::parser::parse_program;
 
-    /// A closure as a per-access sink (the default `run_group` expansion).
-    struct FnSink<F: FnMut(TraceEntry)>(F);
-
-    impl<F: FnMut(TraceEntry)> AccessSink for FnSink<F> {
-        fn access(&mut self, entry: TraceEntry) {
-            (self.0)(entry)
-        }
-    }
-
-    fn walk_accesses(program: &Program, sink: impl FnMut(TraceEntry)) -> Result<u64> {
-        CompiledProgram::lower(program)?.stream(&mut FnSink(sink))
+    /// The compiled stream, expanded access by access.
+    fn walk_accesses(program: &Program, mut sink: impl FnMut(TraceEntry)) -> Result<u64> {
+        CompiledProgram::lower(program)?.stream(&mut sink)
     }
 
     #[test]

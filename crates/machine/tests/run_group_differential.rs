@@ -1,7 +1,8 @@
 //! Differential coverage of [`CacheHierarchy::access_run_group`] at the
 //! kernel: random lockstep groups are fed to it directly — no program, no
 //! lowering in between — and its counters must equal those of the naive
-//! [`ReferenceCacheHierarchy`] fed the interleaved per-access expansion.
+//! [`ReferenceCacheHierarchy`] fed the interleaved per-access expansion
+//! (`AccessSink::run_group`'s default).
 //!
 //! The groups mix every lane kind the phase loop tells apart (stride zero,
 //! sub-line, exactly one line, super-line as a line multiple and not, both
@@ -18,7 +19,7 @@
 //! test passes. The directed test shows the smallest group that tells the
 //! difference.
 
-use machine::{CacheHierarchy, MachineConfig, ReferenceCacheHierarchy, StrideRun};
+use machine::{AccessSink, CacheHierarchy, MachineConfig, ReferenceCacheHierarchy, StrideRun};
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,15 +88,6 @@ fn random_group(rng: &mut StdRng) -> Vec<StrideRun> {
     runs
 }
 
-/// Feeds the reference the interleaved per-access stream of a group.
-fn expand_on(slow: &mut ReferenceCacheHierarchy, runs: &[StrideRun]) {
-    for i in 0..runs[0].count {
-        for r in runs {
-            slow.access(r.base.wrapping_add((r.stride as u64).wrapping_mul(i)));
-        }
-    }
-}
-
 fn assert_group_matches_reference(machine: &MachineConfig, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fast = CacheHierarchy::from_machine(machine);
@@ -112,7 +104,7 @@ fn assert_group_matches_reference(machine: &MachineConfig, seed: u64) {
     for _ in 0..2 {
         let runs = random_group(&mut StdRng::seed_from_u64(seed ^ fast.accesses()));
         fast.access_run_group(&runs);
-        expand_on(&mut slow, &runs);
+        slow.run_group(&runs);
         prop_assert_eq!(fast.accesses(), slow.accesses(), "{:?}", runs);
         prop_assert_eq!(fast.l1(), slow.l1(), "L1 after {:?}", runs);
         prop_assert_eq!(fast.l2(), slow.l2(), "L2 after {:?}", runs);
@@ -157,7 +149,7 @@ fn a_line_that_entered_a_stationary_set_forces_one_more_replay() {
     let mut fast = CacheHierarchy::from_machine(&machine);
     fast.access_run_group(&runs);
     let mut slow = ReferenceCacheHierarchy::from_machine(&machine);
-    expand_on(&mut slow, &runs);
+    slow.run_group(&runs);
     assert_eq!(fast.l1(), slow.l1());
     assert_eq!(fast.l2(), slow.l2());
     // S misses once, the movers every time.

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use loop_ir::parser::parse_program;
-use machine::{simulate_cache, simulate_cache_sharded, MachineConfig};
+use machine::{simulate_cache, simulate_cache_sharded, CacheHierarchy, MachineConfig, StrideRun};
 use telemetry::{with_recorder, CollectingRecorder};
 
 #[test]
@@ -76,4 +76,44 @@ fn mixed_stride_groups_count_credited_accesses_and_replayed_iterations() {
     );
     // Credited accesses are L1 hits like any other: the books still close.
     assert_eq!(cache.l1().hits + cache.l1().misses, cache.accesses());
+}
+
+/// The total of counter `name` over one `access_run_group` call on a cold
+/// tiny hierarchy; `lanes` are `(base, stride, array)`, `count` long.
+fn group_counter(lanes: &[(u64, i64, u32)], count: u64, name: &str) -> u64 {
+    let runs: Vec<StrideRun> = lanes
+        .iter()
+        .map(|&(base, stride, array)| StrideRun {
+            base,
+            stride,
+            count,
+            array,
+            is_write: false,
+        })
+        .collect();
+    let sink = Arc::new(CollectingRecorder::default());
+    let mut cache = CacheHierarchy::from_machine(&MachineConfig::tiny_for_tests());
+    with_recorder(sink.clone(), || cache.access_run_group(&runs));
+    sink.counter_total(name)
+}
+
+#[test]
+fn superline_only_groups_take_the_per_access_path_up_front() {
+    // Every lane strides a line or more: the whole group takes the up-front
+    // per-access path. One sub-line lane re-enables the phase machinery.
+    let superline = "machine.cache.group_superline_accesses";
+    let columns = [(0x10000, 64, 0), (0x20000, 128, 1), (0x60000, -64, 2)];
+    assert_eq!(group_counter(&columns, 300, superline), 3 * 300);
+    let mixed = [(0x10000, 64, 0), (0x30000, 8, 1)];
+    assert_eq!(group_counter(&mixed, 300, superline), 0);
+}
+
+#[test]
+fn stagger_clusters_elide_middle_lanes() {
+    // Three taps one element apart: the middle lane is elided in every
+    // iteration. Two taps both bound the cluster: nothing to elide.
+    let elided = "machine.cache.group_stagger_elided";
+    let taps = [(0x40000, 8, 0), (0x40008, 8, 0), (0x40010, 8, 0)];
+    assert_eq!(group_counter(&taps, 64, elided), 64);
+    assert_eq!(group_counter(&taps[..2], 64, elided), 0);
 }

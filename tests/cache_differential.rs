@@ -4,54 +4,41 @@
 //! [`machine::StrideRun`] groups (one per compiled innermost loop) and the
 //! simulator processes them in line phases; this suite pins its
 //! [`machine::CacheStats`] *bit-identical* — not approximately equal — to
-//! the per-access streaming pipeline retained as
-//! [`machine::simulate_cache_per_access`], and both to the naive LRU
-//! reference simulator driven by the symbolic walker. Property tests sweep
-//! random affine nests through the edge cases the run compression must not
-//! get wrong: zero-trip inner loops, negative strides (reversal
+//! the one cache oracle, the naive LRU reference simulator driven by the
+//! symbolic walker ([`machine::simulate_cache_reference`]). Property tests
+//! sweep random affine nests through the edge cases the run compression
+//! must not get wrong: zero-trip inner loops, negative strides (reversal
 //! subscripts), loop-invariant (zero-stride) accesses, strides larger than
 //! a cache line (transposed subscripts) and interleaved multi-access bodies
 //! whose lines collide in the tiny test cache's few sets.
 
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
-use machine::{simulate_cache, simulate_cache_per_access, simulate_cache_reference, MachineConfig};
+use machine::{simulate_cache, simulate_cache_reference, MachineConfig};
 use polybench::cloudsc::{erosion_optimized, erosion_original, erosion_single_level, CloudscSizes};
 use polybench::{all_benchmarks, Dataset};
 use proptest::{prop, prop_assert_eq, proptest, ProptestConfig, Strategy};
 
-/// Asserts that the run-compressed, per-access and naive-reference
-/// simulations of `program` report bit-identical counters.
+/// The counters both simulators must agree on: accesses, L1 and L2.
+macro_rules! counters {
+    ($cache:expr) => {
+        ($cache.accesses(), $cache.l1(), $cache.l2())
+    };
+}
+
+/// Asserts that the run-compressed and the naive-reference simulations of
+/// `program` report bit-identical counters.
 fn assert_cache_equivalence(program: &Program, machine: &MachineConfig) {
     let fast = simulate_cache(program, machine)
         .unwrap_or_else(|e| panic!("{}: run-compressed simulation failed: {e}", program.name));
-    let base = simulate_cache_per_access(program, machine)
-        .unwrap_or_else(|e| panic!("{}: per-access simulation failed: {e}", program.name));
     let naive = simulate_cache_reference(program, machine)
         .unwrap_or_else(|e| panic!("{}: reference simulation failed: {e}", program.name));
-    for (label, accesses, l1, l2) in [
-        ("per-access", base.accesses(), base.l1(), base.l2()),
-        ("reference", naive.accesses(), naive.l1(), naive.l2()),
-    ] {
-        assert_eq!(
-            fast.accesses(),
-            accesses,
-            "{}: access counts diverge from {label}",
-            program.name
-        );
-        assert_eq!(
-            fast.l1(),
-            l1,
-            "{}: L1 counters diverge from {label}",
-            program.name
-        );
-        assert_eq!(
-            fast.l2(),
-            l2,
-            "{}: L2 counters diverge from {label}",
-            program.name
-        );
-    }
+    assert_eq!(
+        counters!(fast),
+        counters!(naive),
+        "{}: (accesses, L1, L2) diverge from the reference",
+        program.name
+    );
 }
 
 /// A two-deep affine nest whose inner body interleaves accesses drawn from
@@ -117,14 +104,8 @@ proptest! {
         // run-group fast path.
         let machine = MachineConfig::tiny_for_tests();
         let fast = simulate_cache(&program, &machine).unwrap();
-        let base = simulate_cache_per_access(&program, &machine).unwrap();
-        prop_assert_eq!(fast.accesses(), base.accesses());
-        prop_assert_eq!(fast.l1(), base.l1());
-        prop_assert_eq!(fast.l2(), base.l2());
         let naive = simulate_cache_reference(&program, &machine).unwrap();
-        prop_assert_eq!(fast.accesses(), naive.accesses());
-        prop_assert_eq!(fast.l1(), naive.l1());
-        prop_assert_eq!(fast.l2(), naive.l2());
+        prop_assert_eq!(counters!(fast), counters!(naive));
     }
 }
 
@@ -191,13 +172,8 @@ proptest! {
         let program = stencil_program(n, steps, &taps, reversed);
         let machine = MachineConfig::tiny_for_tests();
         let fast = simulate_cache(&program, &machine).unwrap();
-        let base = simulate_cache_per_access(&program, &machine).unwrap();
-        prop_assert_eq!(fast.accesses(), base.accesses());
-        prop_assert_eq!(fast.l1(), base.l1());
-        prop_assert_eq!(fast.l2(), base.l2());
         let naive = simulate_cache_reference(&program, &machine).unwrap();
-        prop_assert_eq!(fast.l1(), naive.l1());
-        prop_assert_eq!(fast.l2(), naive.l2());
+        prop_assert_eq!(counters!(fast), counters!(naive));
     }
 }
 

@@ -2,16 +2,18 @@
 //!
 //! Every workload of the reproduction — the A, B and Python variants of all
 //! 15 PolyBench benchmarks plus every CLOUDSC proxy — runs through the
-//! retained tree-walking interpreter (`machine::interp::reference`) and the
+//! tree-walking reference interpreter (`machine::interp::reference`) and the
 //! compiled engine, asserting *bit-identical* array state (not a tolerance:
 //! the compiled engine evaluates the same floating-point operations in the
-//! same order). Property tests then drive the lowering through its edge
-//! cases: zero-trip loops, negative access strides, strided domains and
-//! scalar-only (loop-free) nests.
+//! same order). Directed cases pin faults: both engines evaluate integers
+//! exactly, so a bound or subscript faults iff its value leaves `i64`.
+//! Property tests then drive the lowering through its edge cases: zero-trip
+//! loops, negative access strides, strided domains and scalar-only
+//! (loop-free) nests.
 
 use machine::exec::CompiledProgram;
 use machine::interp::{reference, ProgramData};
-use machine::{Interpreter, MachineError};
+use machine::MachineError;
 use polybench::cloudsc::{
     erosion_optimized, erosion_original, erosion_single_level, full_model, CloudscSizes,
     CloudscVariant,
@@ -21,8 +23,14 @@ use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
 
 use loop_ir::program::Program;
 
-/// Runs `program` through both interpreters and asserts bit-identical data
-/// and statement counts.
+/// Lowers and executes `program` once through the compiled engine; the
+/// executed statement count.
+fn compiled_run(program: &Program, data: &mut ProgramData) -> machine::Result<u64> {
+    CompiledProgram::lower(program)?.execute(data)
+}
+
+/// Runs `program` through the reference interpreter and the compiled
+/// engine and asserts bit-identical data and statement counts.
 fn assert_differential(program: &Program) {
     let mut slow_data = ProgramData::seeded(program).expect("storage allocates");
     let mut slow = reference::Interpreter::new();
@@ -30,12 +38,11 @@ fn assert_differential(program: &Program) {
         .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", program.name));
 
     let mut fast_data = ProgramData::seeded(program).expect("storage allocates");
-    let mut fast = Interpreter::new();
-    fast.run(program, &mut fast_data)
+    let fast = compiled_run(program, &mut fast_data)
         .unwrap_or_else(|e| panic!("{}: compiled run failed: {e}", program.name));
 
     assert_eq!(
-        slow.executed_statements, fast.executed_statements,
+        slow.executed_statements, fast,
         "{}: statement counts diverge",
         program.name
     );
@@ -169,7 +176,7 @@ fn index_leaves_in_innermost_loops_match_the_reference() {
         .run(&p, &mut data)
         .unwrap_err();
     let mut data = ProgramData::seeded(&p).unwrap();
-    let fast = Interpreter::new().run(&p, &mut data).unwrap_err();
+    let fast = compiled_run(&p, &mut data).unwrap_err();
     assert!(matches!(slow, MachineError::UnboundVariable(_)), "{slow:?}");
     assert_eq!(fast, slow);
 }
@@ -221,7 +228,7 @@ fn compiled_engine_reports_oob_like_the_reference() {
         .run(&p, &mut data)
         .unwrap_err();
     let mut data = ProgramData::zeroed(&p).unwrap();
-    let fast = Interpreter::new().run(&p, &mut data).unwrap_err();
+    let fast = compiled_run(&p, &mut data).unwrap_err();
     assert!(matches!(slow, MachineError::OutOfBounds { .. }));
     assert!(matches!(fast, MachineError::OutOfBounds { .. }));
 }
@@ -230,11 +237,8 @@ fn compiled_engine_reports_oob_like_the_reference() {
 fn overflowing_bounds_fail_like_the_reference() {
     use loop_ir::parser::parse_program;
     // The inner bound leaves `i64` at `i = 2`: through the affine arm
-    // (`i * 2^62 - (2^63 - 1)`) and through a general product (`i * i * 2^61`).
-    for bound in [
-        "i * 4611686018427387904 - 9223372036854775807",
-        "i * i * 2305843009213693952",
-    ] {
+    // (`i * 2^62 + 1`) and through a general product (`i * i * 2^61`).
+    for bound in ["i * 4611686018427387904 + 1", "i * i * 2305843009213693952"] {
         let p = parse_program(&format!(
             "program p {{ param N = 3; array A[N];
                for i in 2..N {{ for j in 0..({bound}) {{ A[0] = 1.0; }} }} }}"
@@ -282,16 +286,45 @@ fn overflowing_bounds_fail_like_the_reference() {
         let mut slow_trace = Vec::new();
         let slow = machine::trace::walk_accesses_symbolic(&p, |e| slow_trace.push(e));
         let mut fast_trace = Vec::new();
-        let fast = compiled.stream(&mut CollectSink(&mut fast_trace));
-        assert!(
-            matches!(slow, Err(MachineError::UnboundVariable(_))),
-            "{body}: {slow:?}"
-        );
-        assert!(
-            matches!(fast, Err(MachineError::UnboundVariable(_))),
-            "{body}: {fast:?}"
-        );
+        let fast = compiled.stream(&mut |e| fast_trace.push(e));
+        let overflow = MachineError::SubscriptOverflow {
+            array: "A".to_string(),
+        };
+        assert_eq!(slow, Err(overflow.clone()), "{body}");
+        assert_eq!(fast, Err(overflow), "{body}");
         assert_eq!(fast_trace, slow_trace, "{body}: streamed before the fault");
+    }
+}
+
+/// Terms whose partial sums leave `i64` but whose exact value does not
+/// fault in no engine or walker: one iterator (`i*MAX - i*MAX`, which the
+/// affine fold cancels), two (`i*MAX - j*MAX` at `j == i`, which it
+/// cannot), the same on a two-dimensional array, and a bound (`i*2^62 -
+/// MAX` is 1 at `i = 2`).
+#[test]
+fn cancelling_overflows_do_not_fault() {
+    use loop_ir::parser::parse_program;
+    let (max, pair) = (i64::MAX, "for i in 0..4 { for j in i..(i + 1) {");
+    for body in [
+        format!("for i in 0..4 {{ A[(i * {max} - i * {max})] = 1.0; }}"),
+        format!("{pair} A[(i * {max} - j * {max})] += index(j); }} }}"),
+        format!("{pair} B[(i * {max} - j * {max})][0] = A[j]; }} }}"),
+        format!(
+            "for i in 2..3 {{ for j in 0..(i * 4611686018427387904 - {max}) {{ A[j] = 2.0; }} }}"
+        ),
+    ] {
+        let p = parse_program(&format!(
+            "program p {{ param N = 4; array A[N]; array B[N][1]; {body} }}"
+        ))
+        .unwrap();
+        assert_differential(&p);
+        let mut streamed = Vec::new();
+        let compiled = CompiledProgram::lower(&p).unwrap();
+        compiled.stream(&mut |e| streamed.push(e)).unwrap();
+        let mut symbolic = Vec::new();
+        machine::trace::walk_accesses_symbolic(&p, |e| symbolic.push(e)).unwrap();
+        assert!(!streamed.is_empty(), "{body}");
+        assert_eq!(streamed, symbolic, "{body}");
     }
 }
 
@@ -316,7 +349,7 @@ fn trip_counts_at_the_ends_of_i64_do_not_overflow() {
 
         let mut streamed = Vec::new();
         let compiled = CompiledProgram::lower(&p).unwrap();
-        compiled.stream(&mut CollectSink(&mut streamed)).unwrap();
+        compiled.stream(&mut |e| streamed.push(e)).unwrap();
         let mut symbolic = Vec::new();
         machine::trace::walk_accesses_symbolic(&p, |e| symbolic.push(e)).unwrap();
         assert_eq!(streamed.len(), 1, "{lower}..{upper}: {streamed:?}");
@@ -392,18 +425,9 @@ proptest! {
 
         // The trace side of the same lowering must match the symbolic walk.
         let mut compiled_trace = Vec::new();
-        let mut sink = CollectSink(&mut compiled_trace);
-        compiled.stream(&mut sink).unwrap();
+        compiled.stream(&mut |e| compiled_trace.push(e)).unwrap();
         let mut symbolic = Vec::new();
         machine::trace::walk_accesses_symbolic(&program, |e| symbolic.push(e)).unwrap();
         prop_assert_eq!(compiled_trace, symbolic);
-    }
-}
-
-struct CollectSink<'a>(&'a mut Vec<machine::TraceEntry>);
-
-impl machine::AccessSink for CollectSink<'_> {
-    fn access(&mut self, entry: machine::TraceEntry) {
-        self.0.push(entry);
     }
 }

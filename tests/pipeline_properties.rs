@@ -3,7 +3,7 @@
 //! affine programs, and legal random permutations never change results.
 
 use loop_ir::prelude::*;
-use machine::interp::{Interpreter, ProgramData};
+use machine::{CompiledProgram, ProgramData};
 use normalize::Normalizer;
 use proptest::prelude::*;
 
@@ -87,8 +87,8 @@ fn arbitrary_program() -> impl Strategy<Value = Program> {
 
 fn outputs_of(program: &Program) -> ProgramData {
     let mut data = ProgramData::seeded(program).expect("storage allocates");
-    Interpreter::new()
-        .run(program, &mut data)
+    CompiledProgram::lower(program)
+        .and_then(|compiled| compiled.execute(&mut data))
         .expect("program executes");
     data
 }

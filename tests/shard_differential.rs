@@ -11,11 +11,11 @@
 //!   *bit-identical* at worker counts 1, 3 and 8 (the plan is a pure
 //!   function of the program, never of the worker count);
 //! * **per-shard run compression** — accesses and per-level counters match
-//!   the sequential per-access oracle
-//!   ([`machine::simulate_cache_sharded_per_access`]) on the same plan,
-//!   including ragged and clamped-past-the-end cuts. `probes` is excluded:
-//!   run compression probes once per distinct line, the oracle once per
-//!   access (the same exclusion `cache_differential` makes).
+//!   the sequential shard oracle
+//!   ([`machine::simulate_cache_sharded_reference`]: every shard streamed
+//!   into its own naive LRU) on the same plan, including ragged and
+//!   clamped-past-the-end cuts. `probes` is excluded: run compression
+//!   probes once per distinct line, the naive LRU counts none.
 //!
 //! * **translation classes** — the driver simulates one representative per
 //!   class of block shards that move every array by one whole number of
@@ -34,8 +34,8 @@
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
 use machine::{
-    simulate_cache, simulate_cache_per_access, simulate_cache_sharded,
-    simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan, CompiledProgram,
+    simulate_cache, simulate_cache_reference, simulate_cache_sharded,
+    simulate_cache_sharded_reference, simulate_cache_sharded_with_plan, CompiledProgram,
     MachineConfig, ShardGranularity, ShardPlan, ShardedCacheStats,
 };
 use polybench::cloudsc::{daisy_model, full_model, CloudscSizes, CloudscVariant};
@@ -74,7 +74,7 @@ fn blocked_program(nb: i64, n: i64, shape: u8) -> Program {
 }
 
 /// Asserts accesses and per-level counters (everything but `probes`) match
-/// between a sharded result and its per-access oracle.
+/// between a sharded result and its shard oracle.
 fn assert_counters_match(label: &str, fast: &ShardedCacheStats, oracle: &ShardedCacheStats) {
     assert_eq!(fast.accesses(), oracle.accesses(), "{label}: access counts");
     assert_eq!(fast.l1(), oracle.l1(), "{label}: L1 counters");
@@ -126,8 +126,8 @@ proptest! {
                     simulate_cache_sharded_with_plan(&compiled, &plan, &machine, workers).unwrap();
                 prop_assert_eq!(&threaded, &baseline, "workers = {}", workers);
             }
-            // Run compression, shard by shard, against the per-access oracle.
-            let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+            // Run compression, shard by shard, against the shard oracle.
+            let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
             assert_counters_match("blocked nest", &baseline, &oracle);
         }
     }
@@ -292,7 +292,7 @@ proptest! {
                     simulate_cache_sharded_with_plan(&compiled, &plan, &machine, workers).unwrap();
                 prop_assert_eq!(&threaded, &baseline, "workers = {}", workers);
             }
-            let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+            let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
             assert_counters_match("translated nest", &baseline, &oracle);
             prop_assert_eq!(oracle.classes(), plan.len(), "the oracle never deduplicates");
             prop_assert!(baseline.classes() <= plan.len());
@@ -354,7 +354,7 @@ fn a_stated_share_of_translated_nests_merges_below_the_per_array_key() {
     );
 }
 
-/// The merged stats under the canonical plan next to its per-access oracle.
+/// The merged stats under the canonical plan next to its shard oracle.
 fn canonical_and_oracle(
     program: &Program,
     machine: &MachineConfig,
@@ -363,7 +363,7 @@ fn canonical_and_oracle(
     let plan = ShardPlan::for_program(&compiled).unwrap();
     (
         simulate_cache_sharded_with_plan(&compiled, &plan, machine, 2).unwrap(),
-        simulate_cache_sharded_per_access(&compiled, &plan, machine).unwrap(),
+        simulate_cache_sharded_reference(&compiled, &plan, machine).unwrap(),
     )
 }
 
@@ -473,7 +473,7 @@ fn whole_line_moves_of_a_lone_array_form_one_class_per_line_offset() {
             let plan = ShardPlan::for_program(&compiled).unwrap();
             let stats = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 2).unwrap();
             assert_eq!((stats.shards(), stats.classes()), (64, classes), "{label}");
-            let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+            let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
             assert_counters_match(&label, &stats, &oracle);
             let alone: u64 = plan
                 .shards()
@@ -539,9 +539,9 @@ fn single_covering_shards_degenerate_to_the_monolithic_simulation() {
         assert_eq!(sharded.l1(), monolithic.l1());
         assert_eq!(sharded.l2(), monolithic.l2());
 
-        // And therefore bit-identical (minus probes) to the retained
-        // per-access pipeline, closing the loop with cache_differential.
-        let base = simulate_cache_per_access(&program, &machine).unwrap();
+        // And therefore bit-identical (minus probes) to the naive
+        // reference, closing the loop with cache_differential.
+        let base = simulate_cache_reference(&program, &machine).unwrap();
         assert_eq!(sharded.accesses(), base.accesses());
         assert_eq!(sharded.l1(), base.l1());
         assert_eq!(sharded.l2(), base.l2());
@@ -591,6 +591,6 @@ fn run_group_fallback_is_worker_invariant_and_matches_the_oracle() {
             simulate_cache_sharded_with_plan(&compiled, &plan, &machine, workers).unwrap();
         assert_eq!(threaded, baseline, "workers = {workers}");
     }
-    let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
+    let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
     assert_counters_match("run-group fallback", &baseline, &oracle);
 }
