@@ -448,7 +448,7 @@ impl DaisyScheduler {
     /// * One pricing of the normalized program, in the `seed` phase, under
     ///   one hash of its environment ([`CostModel::environment`]). The
     ///   per-node costs are kept: every transfer-tuning candidate is then
-    ///   scored by the nest it rewrote (see [`plan_node`](Self::plan_node)),
+    ///   scored by the nest it rewrote (see `plan_node`),
     ///   and the merge splices the winners' costs into that vector beside
     ///   the nodes they replace, pricing only replacement nodes and idiom
     ///   calls. Decision-line estimates and the final [`CostReport`] are

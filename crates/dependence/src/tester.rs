@@ -10,7 +10,7 @@
 //!
 //! # Dense rows
 //!
-//! An access is lowered once ([`SubscriptTable::lower`]) against the loops that
+//! An access is lowered once (`SubscriptTable::lower`) against the loops that
 //! enclose its computation, outermost first. Subscript dimension `d` becomes
 //! the integer row
 //!
@@ -21,7 +21,7 @@
 //! with the program's parameters folded into `constant` and `c_k` the
 //! coefficient of the `k`-th enclosing loop's iterator. A symbol that is
 //! neither a bound parameter nor an enclosing iterator is kept as a
-//! [`FreeTerm`]: an unbounded unknown shared by both sides of a pair. The
+//! `FreeTerm`: an unbounded unknown shared by both sides of a pair. The
 //! terms come from the one affine fold of the IR, [`AffineFold`], scattered
 //! as they are found; what it declines is scattered from the reference
 //! `fold_params(..).as_affine()`. So a row is exactly the subscript's
@@ -32,7 +32,7 @@
 //!
 //! # The unknowns and the polygon
 //!
-//! A pair of accesses is tested through a [`LoopPairing`] of the two loop
+//! A pair of accesses is tested through a `LoopPairing` of the two loop
 //! stacks. For one dimension the equation `src − dst = 0` has these
 //! unknowns:
 //!
@@ -46,7 +46,7 @@
 //!                                              `>`: (−∞, −1]   `*`: ℤ
 //!   ```
 //!
-//! * a symbol that is neither (a [`FreeTerm`]): unbounded.
+//! * a symbol that is neither (a `FreeTerm`): unbounded.
 //!
 //! The equation may have a solution when the GCD of the non-zero
 //! coefficients divides the constant and the interval of the left-hand side

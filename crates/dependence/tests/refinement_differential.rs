@@ -200,7 +200,7 @@ proptest! {
             production.all(),
             naive.all(),
             "{}",
-            loop_ir::printer::print_program(&program)
+            program
         );
     }
 

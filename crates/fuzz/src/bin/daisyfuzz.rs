@@ -202,7 +202,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let program = loop_ir::parser::parse_program(&text)
                 .map_err(|e| format!("parsing {path}: {e}"))?;
-            let verdict = fuzz::campaign::check_program(&program, &config.oracles);
+            let verdict = fuzz::campaign::check_program(&program);
             (path.clone(), program, verdict)
         }
         (None, None) => return Err(format!("replay needs a case file or --seed; {USAGE}")),

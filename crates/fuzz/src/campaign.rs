@@ -17,11 +17,10 @@
 use std::time::Instant;
 
 use loop_ir::prelude::*;
-use loop_ir::source::to_source;
 use telemetry::json::json_string;
 
 use crate::gen::{generate, GenConfig};
-use crate::oracle::{check_all, check_one, OracleSelection, Verdict};
+use crate::oracle::{check_all, check_one, Verdict};
 use crate::shrink::{same_failure, shrink};
 
 /// A deliberately injected fault, for testing the farm end to end.
@@ -53,8 +52,9 @@ pub struct CampaignConfig {
     pub budget: u64,
     /// Generator envelope.
     pub gen: GenConfig,
-    /// Which oracles run (and how often the schedule oracle samples).
-    pub oracles: OracleSelection,
+    /// Run the schedule oracle on every `schedule_every`-th case (0 =
+    /// never); every other oracle runs on every case.
+    pub schedule_every: u64,
     /// Maximum accepted shrink reductions per failure.
     pub shrink_steps: usize,
     /// Stop after this many failures (0 = collect all).
@@ -69,7 +69,7 @@ impl Default for CampaignConfig {
             seed: 0xDA15,
             budget: 1000,
             gen: GenConfig::default(),
-            oracles: OracleSelection::default(),
+            schedule_every: 16,
             shrink_steps: 400,
             max_failures: 10,
             inject: None,
@@ -182,7 +182,8 @@ fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 
 /// Checks one program, applying any configured fault injection.
 fn check_case(program: &Program, config: &CampaignConfig, index: u64) -> Verdict {
-    let genuine = check_all(program, &config.oracles, index);
+    let schedule = config.schedule_every != 0 && index.is_multiple_of(config.schedule_every);
+    let genuine = check_all(program, schedule);
     if !genuine.is_pass() {
         return genuine;
     }
@@ -267,7 +268,7 @@ pub fn replay_seed(seed: u64, config: &CampaignConfig) -> (Program, Verdict) {
         // Replay runs every oracle including schedule (index 0 hits the
         // sampled oracle too).
         let mut c = config.clone();
-        c.oracles.schedule_every = 1;
+        c.schedule_every = 1;
         check_case(&program, &c, 0)
     });
     (program, verdict)
@@ -275,12 +276,8 @@ pub fn replay_seed(seed: u64, config: &CampaignConfig) -> (Program, Verdict) {
 
 /// Checks a parsed program (a corpus case or a shrunk reproduction) with
 /// the full battery, panics silenced.
-pub fn check_program(program: &Program, oracles: &OracleSelection) -> Verdict {
-    with_quiet_panics(|| {
-        let mut o = oracles.clone();
-        o.schedule_every = 1;
-        check_all(program, &o, 0)
-    })
+pub fn check_program(program: &Program) -> Verdict {
+    with_quiet_panics(|| check_all(program, true))
 }
 
 fn shrink_failure(
@@ -293,7 +290,11 @@ fn shrink_failure(
     // Re-checking a candidate must reproduce the same failure key. For
     // injected faults the re-check applies the same injection, so the
     // shrinker sees the synthetic bug exactly like a real one.
-    let oracle = verdict.oracle().unwrap_or("exec");
+    let (oracle, panicked, detail) = match &verdict {
+        Verdict::Mismatch { oracle, detail } => (*oracle, false, detail.clone()),
+        Verdict::Panic { oracle, message } => (*oracle, true, message.clone()),
+        Verdict::Pass => unreachable!("only failures are shrunk"),
+    };
     let re_check = |candidate: &Program| -> Verdict {
         if config.inject.is_some() {
             check_case(candidate, config, index)
@@ -310,27 +311,16 @@ fn shrink_failure(
         )
     };
     telemetry::counter("fuzz.shrink.steps", shrunk.steps as u64);
-    let (panicked, detail) = match &verdict {
-        Verdict::Mismatch { detail, .. } => (false, detail.clone()),
-        Verdict::Panic { message, .. } => (true, message.clone()),
-        Verdict::Pass => unreachable!("only failures are shrunk"),
-    };
     Failure {
         index,
         case_seed: seed,
         oracle: oracle.to_string(),
         panicked,
         detail,
-        original: source_or_printer(program),
-        shrunk: source_or_printer(&shrunk.program),
+        original: program.to_string(),
+        shrunk: shrunk.program.to_string(),
         shrink_steps: shrunk.steps,
     }
-}
-
-/// Frontend syntax when expressible (always, for generated programs), the
-/// C-style printer as a fallback so a report is never empty.
-fn source_or_printer(program: &Program) -> String {
-    to_source(program).unwrap_or_else(|_| loop_ir::printer::print_program(program))
 }
 
 #[cfg(test)]
@@ -340,10 +330,7 @@ mod tests {
     fn small_config() -> CampaignConfig {
         CampaignConfig {
             budget: 120,
-            oracles: OracleSelection {
-                schedule_every: 40,
-                ..OracleSelection::default()
-            },
+            schedule_every: 40,
             ..CampaignConfig::default()
         }
     }

@@ -528,9 +528,9 @@ mod tests {
         let mut multi_nest = false;
         for seed in 0..300 {
             let p = generate(seed, &config);
-            let text = loop_ir::printer::print_program(&p);
+            let text = p.to_string();
             reversal |= text.contains("- i");
-            strided |= text.contains("+= 2") || text.contains("+= 3");
+            strided |= text.contains(" step ");
             scalar_red |= p
                 .computations()
                 .iter()

@@ -14,7 +14,7 @@
 //! - [`oracle`] runs each program through every pipeline stage and
 //!   cross-checks fast paths against their references, containing panics
 //!   with `catch_unwind` so one crash never stops a campaign.
-//! - [`shrink`] delta-debugs any failure down to a minimal program that
+//! - [`mod@shrink`] delta-debugs any failure down to a minimal program that
 //!   still reproduces the same oracle's failure class.
 //! - [`campaign`] drives the generate → check → shrink loop from a single
 //!   campaign seed, with per-case seeds derived by SplitMix64 so every
@@ -33,5 +33,5 @@ pub mod shrink;
 pub use campaign::{case_seed, run_campaign, CampaignConfig, CampaignReport, Failure, Inject};
 pub use corpus::{features_of, load_corpus, promote, Promotion};
 pub use gen::{generate, GenConfig};
-pub use oracle::{check_all, check_one, OracleSelection, Verdict, ORACLES};
+pub use oracle::{check_all, check_one, OracleFn, Verdict, ORACLES};
 pub use shrink::{shrink, Shrunk};

@@ -53,15 +53,20 @@ use normalize::Normalizer;
 
 use crate::gen::{generate, GenConfig};
 
-/// Names of all oracles, in the order [`check_all`] runs them.
-pub const ORACLES: [&str; 7] = [
-    "exec",
-    "trace",
-    "cache",
-    "analytic",
-    "dependence",
-    "normalize",
-    "schedule",
+/// An oracle: `Ok(())` on agreement, `Err(detail)` on divergence.
+pub type OracleFn = fn(&Program) -> std::result::Result<(), String>;
+
+/// Every oracle with its name, in the order [`check_all`] runs them. The
+/// schedule oracle comes last: it costs two scheduler constructions and a
+/// store round trip per case, so campaigns subsample it.
+pub const ORACLES: [(&str, OracleFn); 7] = [
+    ("exec", exec_oracle),
+    ("trace", trace_oracle),
+    ("cache", cache_oracle),
+    ("analytic", analytic_oracle),
+    ("dependence", dependence_oracle),
+    ("normalize", normalize_oracle),
+    ("schedule", schedule_oracle),
 ];
 
 /// Outcome of running one oracle (or a whole oracle battery) on a program.
@@ -110,64 +115,15 @@ impl Verdict {
     }
 }
 
-/// Which oracles a campaign runs. The schedule oracle costs two scheduler
-/// constructions and a store round trip per case, so campaigns subsample it.
-#[derive(Debug, Clone)]
-pub struct OracleSelection {
-    /// Run the exec differential.
-    pub exec: bool,
-    /// Run the trace differential.
-    pub trace: bool,
-    /// Run the two-way cache oracle (and the shard oracle).
-    pub cache: bool,
-    /// Run the analytic-bracket oracle (estimates within their own error
-    /// bound of the exact counters).
-    pub analytic: bool,
-    /// Run the dependence-graph differential.
-    pub dependence: bool,
-    /// Run the normalization oracle.
-    pub normalize: bool,
-    /// Run the schedule oracle on every `schedule_every`-th case (0 = never).
-    pub schedule_every: u64,
-}
-
-impl Default for OracleSelection {
-    fn default() -> Self {
-        OracleSelection {
-            exec: true,
-            trace: true,
-            cache: true,
-            analytic: true,
-            dependence: true,
-            normalize: true,
-            schedule_every: 16,
-        }
-    }
-}
-
-/// An oracle: `Ok(())` on agreement, `Err(detail)` on divergence.
-type OracleFn = fn(&Program) -> std::result::Result<(), String>;
-
-/// Runs every selected oracle on `program`, stopping at the first failure.
-/// `case_index` drives the schedule-oracle subsampling.
-pub fn check_all(program: &Program, oracles: &OracleSelection, case_index: u64) -> Verdict {
-    let battery: [(&'static str, bool, OracleFn); 7] = [
-        ("exec", oracles.exec, exec_oracle),
-        ("trace", oracles.trace, trace_oracle),
-        ("cache", oracles.cache, cache_oracle),
-        ("analytic", oracles.analytic, analytic_oracle),
-        ("dependence", oracles.dependence, dependence_oracle),
-        ("normalize", oracles.normalize, normalize_oracle),
-        (
-            "schedule",
-            oracles.schedule_every != 0 && case_index.is_multiple_of(oracles.schedule_every.max(1)),
-            schedule_oracle,
-        ),
-    ];
-    for (name, enabled, oracle) in battery {
-        if !enabled {
-            continue;
-        }
+/// Runs every oracle on `program`, stopping at the first failure; the
+/// schedule oracle only when `schedule` is set.
+pub fn check_all(program: &Program, schedule: bool) -> Verdict {
+    let battery = if schedule {
+        &ORACLES[..]
+    } else {
+        &ORACLES[..ORACLES.len() - 1]
+    };
+    for &(name, oracle) in battery {
         match contain(name, || oracle(program)) {
             Verdict::Pass => {}
             failure => return failure,
@@ -178,27 +134,15 @@ pub fn check_all(program: &Program, oracles: &OracleSelection, case_index: u64) 
 
 /// Runs a single oracle by name (as [`Verdict::oracle`] reports it) — the
 /// shrinker re-runs exactly the failing oracle.
+///
+/// # Panics
+///
+/// When `oracle` names none of [`ORACLES`].
 pub fn check_one(program: &Program, oracle: &str) -> Verdict {
-    let f: OracleFn = match oracle {
-        "exec" => exec_oracle,
-        "trace" => trace_oracle,
-        "cache" => cache_oracle,
-        "analytic" => analytic_oracle,
-        "dependence" => dependence_oracle,
-        "normalize" => normalize_oracle,
-        "schedule" => schedule_oracle,
-        other => {
-            return Verdict::Mismatch {
-                oracle: "exec",
-                detail: format!("unknown oracle {other:?}"),
-            }
-        }
-    };
-    let name = ORACLES
+    let &(name, f) = ORACLES
         .iter()
-        .find(|n| **n == oracle)
-        .copied()
-        .unwrap_or("exec");
+        .find(|(name, _)| *name == oracle)
+        .unwrap_or_else(|| panic!("unknown oracle {oracle:?}"));
     contain(name, || f(program))
 }
 
@@ -622,18 +566,10 @@ mod tests {
     #[test]
     fn generated_programs_pass_every_oracle() {
         let config = GenConfig::default();
-        let oracles = OracleSelection {
-            schedule_every: 8,
-            ..OracleSelection::default()
-        };
         for seed in 0..40 {
             let p = generate(seed, &config);
-            let verdict = check_all(&p, &oracles, seed);
-            assert!(
-                verdict.is_pass(),
-                "seed {seed} fails: {verdict:?}\n{}",
-                loop_ir::printer::print_program(&p)
-            );
+            let verdict = check_all(&p, seed % 8 == 0);
+            assert!(verdict.is_pass(), "seed {seed} fails: {verdict:?}\n{p}");
         }
     }
 
@@ -671,7 +607,7 @@ mod tests {
             "program oob { param N = 4; array A[N]; for i in 0..N { A[i + 3] = 1.0; } }",
         )
         .unwrap();
-        assert!(check_all(&p, &OracleSelection::default(), 0).is_pass());
+        assert!(check_all(&p, true).is_pass());
     }
 
     #[test]

@@ -470,7 +470,7 @@ mod tests {
             assert!(
                 comps <= 2,
                 "seed {seed}: shrunk program still has {comps} statements:\n{}",
-                loop_ir::printer::print_program(&shrunk.program)
+                shrunk.program
             );
             if tried >= 10 {
                 break;

@@ -7,7 +7,7 @@
 
 use fuzz::campaign::check_program;
 use fuzz::corpus::{default_corpus_dir, features_of, load_corpus};
-use fuzz::oracle::OracleSelection;
+use loop_ir::source::to_source;
 
 #[test]
 fn every_committed_corpus_case_passes_every_oracle() {
@@ -19,7 +19,7 @@ fn every_committed_corpus_case_passes_every_oracle() {
         dir.display()
     );
     for case in &cases {
-        let verdict = check_program(&case.program, &OracleSelection::default());
+        let verdict = check_program(&case.program);
         assert!(
             verdict.is_pass(),
             "{} regressed: {:?}",
@@ -59,4 +59,32 @@ fn corpus_headers_record_the_generating_seed() {
             case.path.display()
         );
     }
+}
+
+#[test]
+fn generated_corpus_files_are_in_canonical_source_form() {
+    // A generated case is written by `to_source`, so below its `//` header
+    // it must be exactly what `to_source` emits for the program it parses
+    // to: this pins the source format byte for byte.
+    let cases = load_corpus(&default_corpus_dir()).expect("corpus loads");
+    let mut generated = 0;
+    for case in &cases {
+        let name = case.path.file_name().unwrap().to_string_lossy();
+        if !name.starts_with("seed_") {
+            continue;
+        }
+        generated += 1;
+        let text = std::fs::read_to_string(&case.path).expect("readable");
+        let body: String = text
+            .split_inclusive('\n')
+            .filter(|line| !line.starts_with("//"))
+            .collect();
+        assert_eq!(
+            to_source(&case.program).expect("has a source form"),
+            body,
+            "{} is not what to_source emits",
+            case.path.display()
+        );
+    }
+    assert!(generated > 0, "no generated corpus files");
 }

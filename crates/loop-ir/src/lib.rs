@@ -12,6 +12,12 @@
 //! * from NumPy-style array expressions through [`numpy::NumpyProgram`],
 //!   mirroring the DaCe Python frontend used in the paper's §4.3.
 //!
+//! A program prints one way: [`Program`]'s `Display` writes the frontend
+//! grammar of [`parser`], and [`source::to_source`] returns that text after
+//! checking the program has a source form (no select, library call,
+//! `min`/`max` index, unroll annotation, `min`/`max`/`pow` reduction, or
+//! NaN, ±inf or -0.0 constant), so the text reparses to the same program.
+//!
 //! The representation is a tree of [`Loop`] and [`Computation`] nodes
 //! (see [`nest::Node`]), where loop bounds and memory accesses are symbolic
 //! integer expressions ([`expr::Expr`]) and computation bodies are scalar
@@ -69,7 +75,6 @@ pub mod expr;
 pub mod nest;
 pub mod numpy;
 pub mod parser;
-pub mod printer;
 pub mod program;
 pub mod scalar;
 pub mod source;

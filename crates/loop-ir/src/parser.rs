@@ -2,9 +2,9 @@
 //!
 //! The paper lifts its symbolic representation from LLVM IR through Polly;
 //! this crate instead accepts a small, explicit source language whose
-//! constructs map one-to-one onto the IR. [`crate::source::to_source`] is
-//! its inverse, so programs round-trip through text (the pretty printer in
-//! [`crate::printer`] does not).
+//! constructs map one-to-one onto the IR. [`Program`]'s `Display` writes
+//! it and [`crate::source::to_source`] is the parser's inverse, so programs
+//! round-trip through text.
 //!
 //! ```text
 //! program gemm {
@@ -947,10 +947,7 @@ mod tests {
     #[test]
     fn printer_output_reparses() {
         let p = parse_program(GEMM).unwrap();
-        // The printer uses C-style headers, not the frontend syntax, so only
-        // check that a second parse of an equivalent frontend string matches.
-        let q = parse_program(GEMM).unwrap();
-        assert_eq!(p, q);
+        assert_eq!(parse_program(&p.to_string()).unwrap(), p);
     }
 
     #[test]

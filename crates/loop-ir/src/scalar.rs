@@ -421,13 +421,40 @@ impl ScalarExpr {
     }
 }
 
+/// A scalar constant, displayed as a literal the lexer reads back
+/// bit-exactly. Rust's `Display` prints the shortest round-tripping decimal
+/// and never uses exponent notation, so a value without a fraction only
+/// needs `.0` appended to lex as a float rather than an integer. The
+/// grammar's unary minus parses to `Neg(Const)`, a different tree than
+/// `Const(-c)`, so a negative value prints as the exact subtraction
+/// `(0.0 - c)`. NaN, ±inf and -0.0 have no source form and print as `NaN`,
+/// `inf`, `-inf` and `-0.0`.
+pub(crate) struct Literal(pub(crate) f64);
+
+impl fmt::Display for Literal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if !v.is_finite() {
+            write!(f, "{v}")
+        } else if v == 0.0 && v.is_sign_negative() {
+            f.write_str("-0.0")
+        } else if v < 0.0 {
+            write!(f, "(0.0 - {})", Literal(-v))
+        } else if v.fract() == 0.0 {
+            write!(f, "{v}.0")
+        } else {
+            write!(f, "{v}")
+        }
+    }
+}
+
 impl fmt::Display for ScalarExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScalarExpr::Load(r) => write!(f, "{r}"),
-            ScalarExpr::Const(c) => write!(f, "{c}"),
+            ScalarExpr::Const(c) => Literal(*c).fmt(f),
             ScalarExpr::Param(v) => write!(f, "{v}"),
-            ScalarExpr::Index(e) => write!(f, "(double){e}"),
+            ScalarExpr::Index(e) => write!(f, "index({e})"),
             ScalarExpr::Unary(UnaryOp::Neg, a) => write!(f, "(-{a})"),
             ScalarExpr::Unary(op, a) => write!(f, "{op}({a})"),
             ScalarExpr::Binary(BinOp::Min, a, b) => write!(f, "min({a}, {b})"),

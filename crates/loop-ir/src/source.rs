@@ -1,56 +1,43 @@
 //! Emits programs back into the textual mini-language of [`crate::parser`].
 //!
-//! The C-like pretty printer in [`crate::printer`] targets the pseudocode
-//! style of the paper's figures and does *not* round-trip — `for (i = 0; …)`
-//! headers are not part of the frontend grammar. This module is the inverse
-//! of the parser instead: [`to_source`] produces a `program name { … }`
-//! definition that [`crate::parser::parse_program`] accepts, which is how
+//! The text itself is [`Program`]'s `Display`: it writes the frontend
+//! grammar for every program, and constructs the grammar lacks in a
+//! readable form the parser rejects. [`to_source`] is the check in front of
+//! it, the inverse of the parser: it refuses a program that has no source
+//! form and otherwise returns the `Display` text, a `program name { … }`
+//! definition that [`crate::parser::parse_program`] accepts. This is how
 //! the fuzz corpus serializes generated programs as plain text.
 //!
-//! Not every IR value has a source form. Constructs the grammar cannot
-//! express — [`ScalarExpr::Select`], [`Node::Call`], `min`/`max` in index
-//! expressions, unroll annotations, `Min`/`Div` reductions — are reported
-//! as [`IrError::Invalid`] rather than silently mangled. Within the
+//! The constructs without a source form — [`ScalarExpr::Select`],
+//! [`Node::Call`], `min`/`max` in index expressions, unroll annotations,
+//! `min`/`max`/`pow` reductions, NaN, ±inf and -0.0 constants — are
+//! reported as [`IrError::Invalid`] rather than silently mangled. Within the
 //! expressible subset the round trip is exact up to statement names (the
 //! parser renames statements `S0, S1, …` in program order): emitting
 //! programs whose statements already follow that convention round-trips to
 //! a structurally identical program, as the tests pin down.
 
-use std::fmt::Write as _;
-
 use crate::error::{IrError, Result};
 use crate::expr::Expr;
-use crate::nest::{Computation, Node};
+use crate::nest::Node;
 use crate::program::Program;
-use crate::scalar::{BinOp, ScalarExpr, UnaryOp};
+use crate::scalar::{BinOp, ScalarExpr};
 
 /// Renders `program` in the textual mini-language accepted by
-/// [`crate::parser::parse_program`].
+/// [`crate::parser::parse_program`], or names the first construct (in
+/// text order) that has no source form.
 pub fn to_source(program: &Program) -> Result<String> {
-    let mut out = String::new();
-    let _ = writeln!(out, "program {} {{", program.name);
-    for (name, value) in &program.params {
-        let _ = writeln!(out, "  param {name} = {value};");
-    }
-    for (name, value) in &program.scalar_params {
-        let _ = writeln!(out, "  scalar {name} = {};", float(*value)?);
+    for &value in program.scalar_params.values() {
+        check_const(value)?;
     }
     for array in program.arrays.values() {
-        let mut dims = String::new();
-        for d in &array.dims {
-            let _ = write!(dims, "[{}]", index_expr(d)?);
-        }
-        let _ = writeln!(out, "  array {}{};", array.name, dims);
+        array.dims.iter().try_for_each(check_index)?;
     }
-    for node in &program.body {
-        node_source(node, 1, &mut out)?;
-    }
-    out.push_str("}\n");
-    Ok(out)
+    program.body.iter().try_for_each(check_node)?;
+    Ok(program.to_string())
 }
 
-fn node_source(node: &Node, indent: usize, out: &mut String) -> Result<()> {
-    let pad = "  ".repeat(indent);
+fn check_node(node: &Node) -> Result<()> {
     match node {
         Node::Loop(l) => {
             if l.schedule.unroll > 1 {
@@ -59,37 +46,21 @@ fn node_source(node: &Node, indent: usize, out: &mut String) -> Result<()> {
                     l.iter
                 )));
             }
-            let mut pragma = Vec::new();
-            if l.schedule.parallel {
-                pragma.push("parallel");
-            }
-            if l.schedule.vectorize {
-                pragma.push("simd");
-            }
-            if !pragma.is_empty() {
-                let _ = writeln!(out, "{pad}#pragma {}", pragma.join(" "));
-            }
-            let step = if l.step == 1 {
-                String::new()
-            } else {
-                format!(" step {}", l.step)
-            };
-            let _ = writeln!(
-                out,
-                "{pad}for {} in {}..{}{step} {{",
-                l.iter,
-                index_expr(&l.lower)?,
-                index_expr(&l.upper)?,
-            );
-            for n in &l.body {
-                node_source(n, indent + 1, out)?;
-            }
-            let _ = writeln!(out, "{pad}}}");
-            Ok(())
+            check_index(&l.lower)?;
+            check_index(&l.upper)?;
+            l.body.iter().try_for_each(check_node)
         }
         Node::Computation(c) => {
-            let _ = writeln!(out, "{pad}{};", comp_source(c)?);
-            Ok(())
+            c.target.indices.iter().try_for_each(check_index)?;
+            match c.reduction {
+                None | Some(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) => {}
+                Some(op) => {
+                    return Err(IrError::Invalid(format!(
+                        "reduction operator {op} has no source form"
+                    )))
+                }
+            }
+            check_scalar(&c.value)
         }
         Node::Call(call) => Err(IrError::Invalid(format!(
             "library call {call} has no source form"
@@ -97,69 +68,32 @@ fn node_source(node: &Node, indent: usize, out: &mut String) -> Result<()> {
     }
 }
 
-fn comp_source(c: &Computation) -> Result<String> {
-    let mut target = c.target.array.to_string();
-    for idx in &c.target.indices {
-        let _ = write!(target, "[{}]", index_expr(idx)?);
-    }
-    let op = match c.reduction {
-        None => "=",
-        Some(BinOp::Add) => "+=",
-        Some(BinOp::Sub) => "-=",
-        Some(BinOp::Mul) => "*=",
-        Some(BinOp::Div) => "/=",
-        Some(op) => {
-            return Err(IrError::Invalid(format!(
-                "reduction operator {op} has no source form"
-            )))
-        }
-    };
-    Ok(format!("{target} {op} {}", scalar_expr(&c.value)?))
-}
-
 /// Index expressions: the parser grammar covers `+ - * / %`, unary minus,
 /// integers, identifiers and parentheses — but not `min`/`max`.
-fn index_expr(e: &Expr) -> Result<String> {
+fn check_index(e: &Expr) -> Result<()> {
     match e {
-        Expr::Const(c) => Ok(c.to_string()),
-        Expr::Var(v) => Ok(v.to_string()),
-        Expr::Add(a, b) => Ok(format!("({} + {})", index_expr(a)?, index_expr(b)?)),
-        Expr::Sub(a, b) => Ok(format!("({} - {})", index_expr(a)?, index_expr(b)?)),
-        Expr::Mul(a, b) => Ok(format!("({} * {})", index_expr(a)?, index_expr(b)?)),
-        Expr::Div(a, b) => Ok(format!("({} / {})", index_expr(a)?, index_expr(b)?)),
-        Expr::Mod(a, b) => Ok(format!("({} % {})", index_expr(a)?, index_expr(b)?)),
-        Expr::Neg(a) => Ok(format!("(-{})", index_expr(a)?)),
+        Expr::Const(_) | Expr::Var(_) => Ok(()),
+        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) | Expr::Mod(a, b) => {
+            check_index(a)?;
+            check_index(b)
+        }
+        Expr::Neg(a) => check_index(a),
         Expr::Min(_, _) | Expr::Max(_, _) => Err(IrError::Invalid(format!(
             "index expression {e} has no source form (min/max are scalar-only)"
         ))),
     }
 }
 
-fn scalar_expr(e: &ScalarExpr) -> Result<String> {
+fn check_scalar(e: &ScalarExpr) -> Result<()> {
     match e {
-        ScalarExpr::Load(r) => {
-            let mut s = r.array.to_string();
-            for idx in &r.indices {
-                let _ = write!(s, "[{}]", index_expr(idx)?);
-            }
-            Ok(s)
-        }
-        ScalarExpr::Const(c) => float(*c),
-        ScalarExpr::Param(v) => Ok(v.to_string()),
-        ScalarExpr::Index(idx) => Ok(format!("index({})", index_expr(idx)?)),
-        ScalarExpr::Unary(UnaryOp::Neg, a) => Ok(format!("(-{})", scalar_expr(a)?)),
-        ScalarExpr::Unary(op, a) => Ok(format!("{op}({})", scalar_expr(a)?)),
-        ScalarExpr::Binary(BinOp::Min, a, b) => {
-            Ok(format!("min({}, {})", scalar_expr(a)?, scalar_expr(b)?))
-        }
-        ScalarExpr::Binary(BinOp::Max, a, b) => {
-            Ok(format!("max({}, {})", scalar_expr(a)?, scalar_expr(b)?))
-        }
-        ScalarExpr::Binary(BinOp::Pow, a, b) => {
-            Ok(format!("pow({}, {})", scalar_expr(a)?, scalar_expr(b)?))
-        }
-        ScalarExpr::Binary(op, a, b) => {
-            Ok(format!("({} {op} {})", scalar_expr(a)?, scalar_expr(b)?))
+        ScalarExpr::Load(r) => r.indices.iter().try_for_each(check_index),
+        ScalarExpr::Const(c) => check_const(*c),
+        ScalarExpr::Param(_) => Ok(()),
+        ScalarExpr::Index(idx) => check_index(idx),
+        ScalarExpr::Unary(_, a) => check_scalar(a),
+        ScalarExpr::Binary(_, a, b) => {
+            check_scalar(a)?;
+            check_scalar(b)
         }
         ScalarExpr::Select { .. } => Err(IrError::Invalid(
             "select expressions have no source form".to_string(),
@@ -167,28 +101,15 @@ fn scalar_expr(e: &ScalarExpr) -> Result<String> {
     }
 }
 
-/// Formats a non-negative finite `f64` as a literal the lexer reads back
-/// bit-exactly. Rust's `Display` prints the shortest round-tripping decimal
-/// and never uses exponent notation, so a dotless rendering only needs
-/// `.0` appended to lex as a `Float` rather than an `Int`.
-fn float(v: f64) -> Result<String> {
+/// Every finite constant but -0.0 prints as a literal the lexer reads back
+/// bit-exactly (see `Display for ScalarExpr`).
+fn check_const(v: f64) -> Result<()> {
     if !v.is_finite() || (v == 0.0 && v.is_sign_negative()) {
         return Err(IrError::Invalid(format!(
             "scalar constant {v} has no source form"
         )));
     }
-    if v < 0.0 {
-        // The grammar's unary minus parses to `Neg(Const)` — a different
-        // tree than `Const(-c)` — so negative values are expressed as an
-        // exact subtraction instead.
-        return Ok(format!("(0.0 - {})", float(-v)?));
-    }
-    let plain = format!("{v}");
-    if plain.contains('.') {
-        Ok(plain)
-    } else {
-        Ok(format!("{plain}.0"))
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -312,5 +233,22 @@ mod tests {
             )))
             .build_unchecked();
         assert!(matches!(to_source(&p), Err(IrError::Invalid(_))));
+    }
+
+    #[test]
+    fn negative_scalar_parameters_round_trip() {
+        let p = Program::builder("signed")
+            .scalar("alpha", -1.5)
+            .array_with_dims("A", vec![cst(1)])
+            .node(Node::Computation(Computation::assign(
+                "S0",
+                ArrayRef::new("A", vec![cst(0)]),
+                param("alpha"),
+            )))
+            .build()
+            .unwrap();
+        let text = to_source(&p).unwrap();
+        assert!(text.contains("scalar alpha = -1.5;"), "{text}");
+        assert_eq!(p, parse_program(&text).unwrap());
     }
 }

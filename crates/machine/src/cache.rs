@@ -11,7 +11,7 @@
 //! assoc` entries, per set in true LRU order with the MRU line at the
 //! front) and maps a line to its set by masking with `set_count - 1`. Two
 //! invariants make that indexing valid, both established by
-//! [`CacheLevel::new`]:
+//! `CacheLevel::new`:
 //!
 //! * the line size is rounded to the nearest power of two (ties upward), so
 //!   the line number is `address >> line_shift`;
@@ -45,7 +45,7 @@
 //! simulates one access per distinct line and credits the rest as hits, a
 //! stride of a line or more is simulated per access. All fast paths
 //! produce counters that are *bit-identical* to naively simulating every
-//! access (see [`reference`] and the equivalence tests). Runs whose
+//! access (see [`mod@reference`] and the equivalence tests). Runs whose
 //! addresses leave `[0, i64::MAX]` wrap modulo 2^64, the same way in every
 //! path, and are simulated per access.
 

@@ -204,15 +204,6 @@ impl ShardPlan {
         }
     }
 
-    /// A run-group-granularity plan with explicit emission-unit windows.
-    /// Units outside `[0, total units)` select nothing.
-    pub fn run_groups(cuts: Vec<(u64, u64)>) -> ShardPlan {
-        ShardPlan {
-            granularity: ShardGranularity::RunGroups,
-            cuts,
-        }
-    }
-
     /// The granularity this plan cuts at.
     pub fn granularity(&self) -> ShardGranularity {
         self.granularity

@@ -16,7 +16,8 @@ const ENUMERATION_LIMIT: usize = 6;
 /// The stride-minimization normalization pass.
 ///
 /// For every top-level loop nest of the program, the legal permutation of its
-/// perfectly nested loops with the smallest [`sum_of_strides`] cost replaces
+/// perfectly nested loops with the smallest
+/// [`sum_of_strides`](crate::stride::sum_of_strides) cost replaces
 /// the nest. The pass assumes maximal loop fission already ran (§2.2: "We
 /// assume the stride minimization criterion is applied after the maximal loop
 /// fission criterion"), but is safe on any program: imperfectly nested parts

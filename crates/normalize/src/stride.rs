@@ -42,8 +42,8 @@ pub fn sum_of_strides(program: &Program, nest: &Loop, order: &[Var]) -> StrideCo
 }
 
 /// The strides of every access of a nest along a fixed set of iterators:
-/// what [`sum_of_strides`] and [`iterator_stride_weights`] read off the
-/// linearized offsets, kept so that many loop orders can be priced without
+/// what [`sum_of_strides`] and the permutation search's per-iterator
+/// weights read off the linearized offsets, kept so that many loop orders can be priced without
 /// linearizing again.
 pub(crate) struct NestStrides<'a> {
     iters: &'a [Var],
@@ -164,15 +164,6 @@ pub fn out_of_order_cost(nest: &Loop, order: &[Var]) -> f64 {
         })
     });
     count as f64
-}
-
-/// Convenience: the per-iterator total absolute stride over all accesses of a
-/// nest, used for the grouped-sorting approximation on deep nests and as a
-/// deterministic tie-breaker.
-pub fn iterator_stride_weights(program: &Program, nest: &Loop) -> BTreeMap<Var, f64> {
-    let iters = nest.nested_iterators();
-    let weights = NestStrides::of(program, nest, &iters).weights();
-    iters.into_iter().zip(weights).collect()
 }
 
 #[cfg(test)]
@@ -310,13 +301,14 @@ mod tests {
     fn iterator_weights_reflect_linearized_strides() {
         let p = gemm_program();
         let nest = p.loop_nests()[0];
-        let w = iterator_stride_weights(&p, nest);
-        // i appears with stride 100 in A and twice (read+write) with stride
-        // 100 in C; j with stride 1 in B and C (x2 for C), k with stride 1 in
-        // A and 100 in B.
-        assert_eq!(w[&Var::new("i")], 300.0);
-        assert_eq!(w[&Var::new("j")], 3.0);
-        assert_eq!(w[&Var::new("k")], 101.0);
+        // A one-loop order weighs its iterator's strides by 1, so the cost
+        // is the iterator's total stride: i appears with stride 100 in A
+        // and twice (read+write) with stride 100 in C; j with stride 1 in B
+        // and C (x2 for C), k with stride 1 in A and 100 in B.
+        let weight = |iter: &str| sum_of_strides(&p, nest, &order(&[iter]));
+        assert_eq!(weight("i"), 300.0);
+        assert_eq!(weight("j"), 3.0);
+        assert_eq!(weight("k"), 101.0);
     }
 
     #[test]

@@ -58,15 +58,6 @@ pub fn distribute_all(nest: Loop) -> Vec<Loop> {
     distribute(nest, &groups).expect("indices are in range by construction")
 }
 
-/// Wraps the distributed loops back into nodes, a convenience for rebuilding
-/// a parent body.
-pub fn distribute_to_nodes(nest: Loop, groups: &[Vec<usize>]) -> Result<Vec<Node>> {
-    Ok(distribute(nest, groups)?
-        .into_iter()
-        .map(Node::Loop)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,13 +150,5 @@ mod tests {
         // Nodes move: a second group cannot take what the first one has.
         let err = distribute(nest, &[vec![0], vec![0]]).unwrap_err();
         assert_eq!(err, TransformError::InvalidGroup(0));
-    }
-
-    #[test]
-    fn distribute_to_nodes_wraps_loops() {
-        let nest = figure3a_nest();
-        let nodes = distribute_to_nodes(nest, &[vec![0]]).unwrap();
-        assert_eq!(nodes.len(), 1);
-        assert!(nodes[0].as_loop().is_some());
     }
 }

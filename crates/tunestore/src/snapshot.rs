@@ -144,7 +144,7 @@ impl Snapshot {
     /// half-written store and an acknowledged save survives power loss.
     /// Stale temp files left by earlier failed saves of the same target
     /// are swept first. (All of this lives in
-    /// [`atomic_write`](crate::storage::atomic_write).)
+    /// [`crate::storage::atomic_write`].)
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         self.save_with(&OsStorage, path.as_ref())
     }

@@ -1,12 +1,13 @@
 //! Demonstrates the two normalization criteria on the paper's Figure 3
 //! example: two independent computations with contiguous and strided accesses
 //! fused into one loop nest are fissioned and stride-minimized, and the
-//! reference interpreter confirms that the semantics are unchanged.
+//! reference interpreter confirms that the semantics are unchanged. Each
+//! listing is the program's `Display`, the frontend grammar, so it reparses
+//! with `parse_program`.
 //!
 //! Run with `cargo run --example normalize_gemm`.
 
 use loop_ir::parser::parse_program;
-use loop_ir::printer::print_program;
 use machine::interp::run_seeded;
 use normalize::{MaximalFission, Normalizer, StrideMinimization};
 
@@ -24,20 +25,18 @@ fn main() {
           }
         }";
     let program = parse_program(source).expect("parses");
-    println!("--- original (Figure 3a) ---\n{}", print_program(&program));
+    println!("--- original (Figure 3a) ---\n{program}");
 
     let (fissioned, fission_stats) = MaximalFission::new().run(program.clone());
     println!(
         "--- after maximal loop fission (Figure 3b), {} loop(s) split ---\n{}",
-        fission_stats.loops_split,
-        print_program(&fissioned)
+        fission_stats.loops_split, fissioned
     );
 
     let (permuted, permute_stats) = StrideMinimization::new().run(fissioned);
     println!(
         "--- after stride minimization (Figure 3c), {} nest(s) permuted ---\n{}",
-        permute_stats.nests_permuted,
-        print_program(&permuted)
+        permute_stats.nests_permuted, permuted
     );
 
     // The full pipeline in one call, plus a semantics check.
