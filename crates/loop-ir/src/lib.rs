@@ -75,6 +75,7 @@ pub mod expr;
 pub mod nest;
 pub mod numpy;
 pub mod parser;
+mod printer;
 pub mod program;
 pub mod scalar;
 pub mod source;

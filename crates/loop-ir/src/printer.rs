@@ -1,101 +1,82 @@
-//! A C-like pretty printer for programs and loop nests.
-//!
-//! The output mirrors the pseudocode style the paper uses in its figures. It
-//! does not round-trip: `for (i = 0; …)` headers and `#pragma` lines are not
-//! part of the frontend grammar. [`crate::source::to_source`] emits text
-//! that [`crate::parser`] accepts.
+//! The one printer: [`Program`]'s `Display`, which writes the frontend
+//! grammar of [`crate::parser`]. [`crate::source::to_source`] is a check in
+//! front of it.
 
-use std::fmt::Write as _;
+use std::fmt;
 
-use crate::nest::{Loop, Node};
+use crate::nest::Node;
 use crate::program::Program;
+use crate::scalar::Literal;
 
-/// Pretty-prints a whole program, including its declarations.
-pub fn print_program(program: &Program) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "program {} {{", program.name);
-    for (name, value) in &program.params {
-        let _ = writeln!(out, "  param {name} = {value};");
-    }
-    for (name, value) in &program.scalar_params {
-        let _ = writeln!(out, "  scalar {name} = {value};");
-    }
-    for array in program.arrays.values() {
-        let mut dims = String::new();
-        for d in &array.dims {
-            let _ = write!(dims, "[{d}]");
+impl fmt::Display for Program {
+    /// Writes the program in the frontend grammar of [`crate::parser`]: a
+    /// `program name { … }` definition, two spaces of indentation per
+    /// level. A program [`crate::source::to_source`] accepts reparses from
+    /// this text to an equal program (statement names aside). Constructs
+    /// the grammar lacks still print readably, in a form the parser
+    /// rejects: `unroll(k)` in a `#pragma`, `min`/`max` in an index, a
+    /// select as `(a < b ? c : d)`, a library call as `dgemm(C, A, B);`, a
+    /// `min=`/`max=`/`pow=` reduction, and `NaN`/`inf` constants.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "program {} {{", self.name)?;
+        for (name, value) in &self.params {
+            writeln!(f, "  param {name} = {value};")?;
         }
-        let _ = writeln!(out, "  array {}{};", array.name, dims);
+        for (name, &value) in &self.scalar_params {
+            // A declaration reads a signed number, not an expression.
+            if value < 0.0 {
+                writeln!(f, "  scalar {name} = -{};", Literal(-value))?;
+            } else {
+                writeln!(f, "  scalar {name} = {};", Literal(value))?;
+            }
+        }
+        for array in self.arrays.values() {
+            writeln!(f, "  array {array};")?;
+        }
+        for node in &self.body {
+            write_node(f, node, 1)?;
+        }
+        f.write_str("}\n")
     }
-    for node in &program.body {
-        print_node(node, 1, &mut out);
-    }
-    out.push_str("}\n");
-    out
 }
 
-/// Pretty-prints a sequence of nodes (without program declarations).
-pub fn print_nodes(nodes: &[Node]) -> String {
-    let mut out = String::new();
-    for node in nodes {
-        print_node(node, 0, &mut out);
-    }
-    out
-}
-
-/// Pretty-prints a single loop nest.
-pub fn print_loop(l: &Loop) -> String {
-    let mut out = String::new();
-    print_node(&Node::Loop(l.clone()), 0, &mut out);
-    out
-}
-
-fn print_node(node: &Node, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
+/// Writes `node` as statements of the frontend grammar, `depth` levels
+/// deep.
+fn write_node(f: &mut fmt::Formatter<'_>, node: &Node, depth: usize) -> fmt::Result {
+    let pad = depth * 2;
     match node {
         Node::Loop(l) => {
-            let mut annotations = Vec::new();
-            if l.schedule.parallel {
-                annotations.push("parallel".to_string());
+            let s = &l.schedule;
+            if s.parallel || s.vectorize || s.unroll > 1 {
+                write!(f, "{:pad$}#pragma", "")?;
+                if s.parallel {
+                    f.write_str(" parallel")?;
+                }
+                if s.vectorize {
+                    f.write_str(" simd")?;
+                }
+                if s.unroll > 1 {
+                    write!(f, " unroll({})", s.unroll)?;
+                }
+                f.write_str("\n")?;
             }
-            if l.schedule.vectorize {
-                annotations.push("simd".to_string());
+            write!(f, "{:pad$}for {} in {}..{}", "", l.iter, l.lower, l.upper)?;
+            if l.step != 1 {
+                write!(f, " step {}", l.step)?;
             }
-            if l.schedule.unroll > 1 {
-                annotations.push(format!("unroll({})", l.schedule.unroll));
-            }
-            if !annotations.is_empty() {
-                let _ = writeln!(out, "{pad}#pragma {}", annotations.join(" "));
-            }
-            let step = if l.step == 1 {
-                format!("{} += 1", l.iter)
-            } else {
-                format!("{} += {}", l.iter, l.step)
-            };
-            let _ = writeln!(
-                out,
-                "{pad}for ({iter} = {lo}; {iter} < {hi}; {step}) {{",
-                iter = l.iter,
-                lo = l.lower,
-                hi = l.upper,
-            );
+            f.write_str(" {\n")?;
             for n in &l.body {
-                print_node(n, indent + 1, out);
+                write_node(f, n, depth + 1)?;
             }
-            let _ = writeln!(out, "{pad}}}");
+            writeln!(f, "{:pad$}}}", "")
         }
-        Node::Computation(c) => {
-            let _ = writeln!(out, "{pad}{c};  // {}", c.name);
-        }
-        Node::Call(call) => {
-            let _ = writeln!(out, "{pad}{call};");
-        }
+        Node::Computation(c) => writeln!(f, "{:pad$}{c};", ""),
+        Node::Call(call) => writeln!(f, "{:pad$}{call};", ""),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::expr::{cst, var};
     use crate::nest::{for_loop, Computation, LoopSchedule};
     use crate::prelude::*;
@@ -136,19 +117,20 @@ mod tests {
 
     #[test]
     fn program_printer_includes_declarations() {
-        let text = print_program(&sample());
-        assert!(text.contains("program gemm {"));
-        assert!(text.contains("param NI = 4;"));
-        assert!(text.contains("array A[NI][NK];"));
-        assert!(text.contains("for (i = 0; i < NI; i += 1) {"));
+        let text = sample().to_string();
+        assert!(text.starts_with("program gemm {\n"));
+        assert!(text.contains("\n  param NI = 4;\n"));
+        assert!(text.contains("\n  array A[NI][NK];\n"));
+        assert!(text.contains("for i in 0..NI {"));
         assert!(text.contains("C[i][j] += (A[i][k] * B[k][j]);"));
     }
 
     #[test]
     fn indentation_follows_nesting() {
-        let text = print_program(&sample());
-        assert!(text.contains("\n      for (k = 0"));
+        let text = sample().to_string();
+        assert!(text.contains("\n      for k in 0..NK {\n"));
         assert!(text.contains("\n        C[i][j]"));
+        assert!(text.ends_with("\n      }\n    }\n  }\n}\n"));
     }
 
     #[test]
@@ -161,29 +143,98 @@ mod tests {
                 inner.schedule.unroll = 4;
             }
         }
-        let text = print_program(&p);
-        assert!(text.contains("#pragma parallel"));
-        assert!(text.contains("#pragma simd unroll(4)"));
-    }
-
-    #[test]
-    fn node_printer_without_program() {
-        let p = sample();
-        let text = print_nodes(&p.body);
-        assert!(text.starts_with("for (i = 0"));
-        let l = p.loop_nests()[0];
-        assert_eq!(print_loop(l), text);
+        let text = p.to_string();
+        assert!(text.contains("\n  #pragma parallel\n  for i in 0..NI {"));
+        assert!(text.contains("\n    #pragma simd unroll(4)\n    for j in 0..NJ {"));
     }
 
     #[test]
     fn strided_loop_prints_step() {
-        let l = Loop {
-            step: 32,
-            ..match for_loop("i", cst(0), cst(128), vec![]) {
-                Node::Loop(l) => l,
-                _ => unreachable!(),
-            }
+        let mut p = sample();
+        if let Node::Loop(l) = &mut p.body[0] {
+            l.step = 32;
+        }
+        let text = p.to_string();
+        assert!(text.contains("\n  for i in 0..NI step 32 {\n"));
+        assert!(text.contains("\n    for j in 0..NJ {\n"));
+    }
+
+    #[test]
+    fn display_writes_the_frontend_grammar_and_the_rest_readably() {
+        let update = Computation::reduction(
+            "S1",
+            ArrayRef::new("C", vec![var("i"), var("j")]),
+            BinOp::Add,
+            load("A", vec![var("i"), var("k")]) * load("B", vec![var("k"), var("j")]),
+        );
+        let clamp = Computation::assign(
+            "S2",
+            ArrayRef::new("C", vec![var("i"), cst(0)]),
+            ScalarExpr::select(
+                ScalarExpr::Index(var("i")),
+                CmpOp::Lt,
+                fconst(-0.5),
+                param("alpha"),
+                fconst(3.0),
+            ),
+        );
+        let mut inner = for_loop("k", cst(0), var("N"), vec![Node::Computation(update)]);
+        if let Node::Loop(l) = &mut inner {
+            l.step = 32;
+            l.schedule.vectorize = true;
+            l.schedule.unroll = 4;
+        }
+        let mut nest = for_loop(
+            "i",
+            cst(0),
+            var("N"),
+            vec![
+                for_loop("j", cst(1), var("N") - cst(1), vec![inner]),
+                Node::Computation(clamp),
+            ],
+        );
+        if let Node::Loop(l) = &mut nest {
+            l.schedule.parallel = true;
+        }
+        let call = BlasCall {
+            kind: BlasKind::Gemm,
+            output: Var::new("C"),
+            inputs: vec![Var::new("A"), Var::new("B")],
+            dims: vec![var("N"), var("N"), var("N")],
+            alpha: fconst(1.0),
+            beta: fconst(1.0),
         };
-        assert!(print_loop(&l).contains("i += 32"));
+        let p = Program::builder("gemm")
+            .param("N", 4)
+            .scalar("alpha", 2.0)
+            .array("A", &["N", "N"])
+            .array("B", &["N", "N"])
+            .array("C", &["N", "N"])
+            .node(nest)
+            .node(Node::Call(call))
+            .build()
+            .unwrap();
+        assert_eq!(
+            p.to_string(),
+            "program gemm {
+  param N = 4;
+  scalar alpha = 2.0;
+  array A[N][N];
+  array B[N][N];
+  array C[N][N];
+  #pragma parallel
+  for i in 0..N {
+    for j in 1..(N - 1) {
+      #pragma simd unroll(4)
+      for k in 0..N step 32 {
+        C[i][j] += (A[i][k] * B[k][j]);
+      }
+    }
+    C[i][0] = (index(i) < (0.0 - 0.5) ? alpha : 3.0);
+  }
+  dgemm(C, A, B);
+}
+"
+        );
     }
 }
