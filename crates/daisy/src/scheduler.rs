@@ -224,12 +224,14 @@ impl DaisyScheduler {
     fn seed_entries(&self, programs: &[Program]) -> Vec<DatabaseEntry> {
         let _span = telemetry::span("seeding");
         let model = CostModel::new(self.config.machine.clone(), self.config.threads);
-        let normalized: Vec<Program> = programs
+        // Each nest that kept its loop order is gated with the normalizer's
+        // graph, as in `schedule`; any other is analyzed by its search.
+        let normalized: Vec<(Program, Vec<Option<DependenceGraph>>)> = programs
             .iter()
-            .map(|p| self.normalized(p).program)
+            .map(|p| self.normalized(p).into_nest_graphs())
             .collect();
-        let mut jobs: Vec<(&Program, usize)> = Vec::new();
-        for program in &normalized {
+        let mut jobs: Vec<(&Program, usize, Option<&DependenceGraph>)> = Vec::new();
+        for (program, graphs) in &normalized {
             for (index, node) in program.body.iter().enumerate() {
                 let Node::Loop(nest) = node else { continue };
                 if self.config.idiom_detection && detect_blas_idiom(program, nest).is_some() {
@@ -237,20 +239,20 @@ impl DaisyScheduler {
                     // time; the database entry records that decision.
                     continue;
                 }
-                jobs.push((program, index));
+                jobs.push((program, index, graphs[index].as_ref()));
             }
         }
         telemetry::counter("daisy.seed.nests", jobs.len() as u64);
         let search = self.search.clone().with_parallel(false);
         let workers = self.config.parallelism;
-        parallel_map(workers, &jobs, &PARALLEL, |&(program, index)| {
+        parallel_map(workers, &jobs, &PARALLEL, |&(program, index, graph)| {
             // Keep the winning recipe's *nest-scoped* cost: the search
             // returns whole-program seconds (a sum over node costs), so
             // subtracting the other nodes' baseline isolates what the
             // recipe achieved on this nest. Whole-program cost would make
             // duplicate-key ranking depend on which seeding program the
             // entry happened to come from (e.g. under `tunedb merge`).
-            let (recipe, cost) = search.search(program, index, &model, &[]);
+            let (recipe, cost) = search.search_with_graph(program, index, &model, &[], graph);
             let others: f64 = program
                 .body
                 .iter()

@@ -67,6 +67,13 @@
 //!
 //! Results are deterministic: mutation draws happen on the single-threaded
 //! RNG before evaluation, and scores are written back by candidate index.
+//!
+//! **Stopping.** Refinement ends at the first generation that leaves the
+//! incumbent unchanged; [`SearchConfig`]'s epochs × iterations are a cap.
+//! Every draw before the stop is the draw the full run makes, so stopping
+//! changes a result only where a later generation would have won. Each
+//! search records the generation of its last improvement (0: the initial
+//! population) in the `daisy.search.improved_at` histogram.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -92,11 +99,17 @@ pub(crate) const PARALLEL: Counters = Counters {
 };
 
 /// Configuration of the evolutionary search.
+///
+/// `epochs` × `iterations_per_epoch` caps the refinement generations: the
+/// search stops at the first generation that leaves its incumbent unchanged
+/// (no strictly lower score). Under this cost model the incumbent last
+/// improves at the initial population or at generation 1, so a search runs
+/// one or two generations of the paper's nine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
-    /// Number of epochs (the paper uses three).
+    /// Most epochs (the paper uses three).
     pub epochs: usize,
-    /// Refinement iterations per epoch (the paper uses three).
+    /// Most refinement iterations per epoch (the paper uses three).
     pub iterations_per_epoch: usize,
     /// Population size.
     pub population: usize,
@@ -155,6 +168,9 @@ impl EvolutionarySearch {
     /// nests in later epochs, or the proposal generator's candidates) and
     /// evaluating fitness with `model`.
     ///
+    /// Refinement stops at the first generation that leaves the incumbent
+    /// unchanged (see [`SearchConfig`]).
+    ///
     /// Returns the best recipe found together with its estimated runtime.
     pub fn search(
         &self,
@@ -163,14 +179,36 @@ impl EvolutionarySearch {
         model: &CostModel,
         seeds: &[Recipe],
     ) -> (Recipe, f64) {
+        self.search_with_graph(program, nest_index, model, seeds, None)
+    }
+
+    /// [`EvolutionarySearch::search`] gated with `graph`, the nest's
+    /// dependences when the caller already holds them (the normalizer's
+    /// graph of a nest it did not reorder); `None` analyzes the nest by
+    /// itself.
+    pub(crate) fn search_with_graph(
+        &self,
+        program: &Program,
+        nest_index: usize,
+        model: &CostModel,
+        seeds: &[Recipe],
+        graph: Option<&DependenceGraph>,
+    ) -> (Recipe, f64) {
         let Some(Node::Loop(nest)) = program.body.get(nest_index) else {
             return (Recipe::identity(), f64::INFINITY);
         };
         let _span = telemetry::span("search");
         let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
-        // Dependences of the nest under search, computed once: the semantic
-        // gate consults them for every candidate.
-        let graph = nest_scoped_graph(program, nest);
+        // Dependences of the nest under search, computed at most once: the
+        // semantic gate consults them for every candidate.
+        let scoped;
+        let graph = match graph {
+            Some(graph) => graph,
+            None => {
+                scoped = nest_scoped_graph(program, nest);
+                &scoped
+            }
+        };
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         let mut population: Vec<Recipe> = Vec::new();
@@ -188,7 +226,7 @@ impl EvolutionarySearch {
             nest_index,
             nest,
             node_costs: &node_costs,
-            graph: &graph,
+            graph,
         };
 
         // Scores of every candidate evaluated anywhere in this search, keyed
@@ -201,8 +239,15 @@ impl EvolutionarySearch {
         let mut scored: Vec<(f64, Recipe)> = scores.into_iter().zip(population).collect();
         sort_by_fitness(&mut scored);
 
-        for _epoch in 0..self.config.epochs.max(1) {
+        // The generation that last lowered the incumbent's score (0: the
+        // initial population). An epoch's re-seed runs only after a
+        // generation that improved, so it counts with that generation.
+        let mut improved_at = 0u64;
+        let mut generation = 0u64;
+        'refine: for _epoch in 0..self.config.epochs.max(1) {
             for _iter in 0..self.config.iterations_per_epoch.max(1) {
+                generation += 1;
+                let incumbent = scored[0].0;
                 let _generation = telemetry::span("generation");
                 // Keep the better half, refill with mutations of survivors.
                 let keep = (scored.len() / 2).max(2);
@@ -220,7 +265,14 @@ impl EvolutionarySearch {
                 }
                 let scores = self.score_batch(&context, &children, model, &mut seen);
                 scored.extend(scores.into_iter().zip(children));
+                // Stable: a child that only ties the incumbent stays behind
+                // it, so the incumbent changes exactly when its score drops.
                 sort_by_fitness(&mut scored);
+                if scored[0].0 < incumbent {
+                    improved_at = generation;
+                } else {
+                    break 'refine;
+                }
             }
             // Re-seed the next epoch with fresh mutations of the incumbent,
             // mirroring the paper's re-seeding from the most similar nests.
@@ -232,6 +284,7 @@ impl EvolutionarySearch {
             scored.push((f, reseed));
             sort_by_fitness(&mut scored);
         }
+        telemetry::histogram("daisy.search.improved_at", improved_at);
         let (best_time, best) = (scored[0].0, scored[0].1.clone());
         (best, best_time)
     }

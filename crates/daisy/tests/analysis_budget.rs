@@ -63,6 +63,25 @@ fn a_sweep_that_reorders_statements_costs_no_further_analysis() {
     assert_eq!(sink.counter_total(ANALYSES), 1);
 }
 
+#[test]
+fn seeding_analyzes_only_the_nests_stride_minimization_reordered() {
+    let config = DaisyConfig {
+        idiom_detection: false,
+        ..DaisyConfig::default()
+    };
+    // Stride minimization interchanges `fused`'s GEMM update and its
+    // column-major copy, and nothing in their normal form.
+    let (normalized, _) = recorded(|| Normalizer::new().run(&fused()).unwrap());
+    assert_eq!(normalized.reordered, [false, true, true]);
+    for (program, analyses) in [(fused(), 3), (normalized.program, 1)] {
+        let (_, sink) = recorded(|| {
+            DaisyScheduler::new(config.clone()).seed_from_programs(std::slice::from_ref(&program))
+        });
+        assert_eq!(sink.counter_total("daisy.seed.nests"), 3);
+        assert_eq!(sink.counter_total(ANALYSES), analyses, "{}", program.name);
+    }
+}
+
 /// A scheduler whose database is seeded from the normal form of [`fused`],
 /// idiom detection off: every nest of `fused` has candidates that reach the
 /// legality gate.

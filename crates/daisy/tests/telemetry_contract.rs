@@ -1,5 +1,6 @@
 //! Instrumentation contracts of the scheduling stack, asserted through a
-//! [`CollectingRecorder`]: which spans a cold seeding emits, that a warm
+//! [`CollectingRecorder`]: which spans a cold seeding emits, that its
+//! searches stop one generation after their last improvement, that a warm
 //! start emits **zero** `search.generation` spans (the whole point of the
 //! persistent store), that `schedule()` reports its four phases, and that
 //! counter values are deterministic across identical runs.
@@ -14,6 +15,7 @@ use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::expr::Var;
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
+use polybench::{all_benchmarks, Dataset};
 use telemetry::{with_recorder, CollectingRecorder, Event};
 use transforms::{Recipe, Transform};
 use tunestore::{Snapshot, StoredEntry};
@@ -72,6 +74,51 @@ fn cold_seeding_emits_search_generation_spans_and_search_counters() {
         sink.counter_total("daisy.search.candidates")
             >= sink.counter_total("daisy.search.deduped_recipes"),
         "dedupes are a subset of candidates"
+    );
+}
+
+/// Every value recorded into the histogram `name`, in order.
+fn histogram_samples(sink: &CollectingRecorder, name: &str) -> Vec<u64> {
+    sink.events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::Histogram { name: n, value } if *n == name => Some(*value),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn seeding_searches_stop_one_generation_after_their_last_improvement() {
+    // The database `reproduce` and the benchmark seed: PolyBench's A
+    // variants at Large. Under this cost model every search's incumbent
+    // last improves at the initial population or at generation 1, so the
+    // 3 x 3 cap never binds. The day a later generation wins, this fails:
+    // that nest is the case for the paper's full depth.
+    let programs: Vec<Program> = all_benchmarks()
+        .iter()
+        .map(|bench| (bench.a)(Dataset::Large))
+        .collect();
+    assert_eq!(programs.len(), 15);
+    let sink = Arc::new(CollectingRecorder::default());
+    with_recorder(sink.clone(), || {
+        DaisyScheduler::new(DaisyConfig::default()).seed_from_programs(&programs);
+    });
+    let improved_at = histogram_samples(&sink, "daisy.search.improved_at");
+    assert_eq!(
+        improved_at.len() as u64,
+        sink.counter_total("daisy.seed.nests"),
+        "one sample per seeded nest"
+    );
+    assert!(improved_at.iter().all(|&g| g <= 1), "{improved_at:?}");
+    assert!(
+        improved_at.contains(&1),
+        "generation 1 wins somewhere: {improved_at:?}"
+    );
+    // The stop fires at the first generation that does not improve.
+    assert_eq!(
+        generation_spans(&sink) as u64,
+        improved_at.iter().map(|g| g + 1).sum::<u64>()
     );
 }
 
@@ -170,11 +217,11 @@ fn fan_out_counters_tell_calls_that_spawned_from_calls_that_did_not() {
     assert_eq!(sink.counter_total("daisy.parallel.workers"), 1);
     assert_eq!(sink.counter_total("daisy.parallel.fanouts"), 0);
 
-    // Seeding runs one evolutionary search per nest, each of which outlasts
-    // the spawn budget many times over: with cores to spare the queue must
-    // fan out, and a helper must get to drain some of it. Every call counts
-    // its caller as a worker, so the helpers are what a seeding at the
-    // machine's parallelism reports beyond a sequential one.
+    // Seeding runs one evolutionary search per nest, and the 16 of them
+    // outlast the spawn budget many times over: with cores to spare the
+    // queue must fan out, and a helper must get to drain some of it. Every
+    // call counts its caller as a worker, so the helpers are what a seeding
+    // at the machine's parallelism reports beyond a sequential one.
     let programs: Vec<Program> = (2..10).map(|n| gemm(32 * n)).collect();
     let seed = |parallelism: usize| {
         let sink = Arc::new(CollectingRecorder::default());

@@ -370,7 +370,7 @@ mod tests {
             // The shrunk program must still reproduce the injected failure.
             let p = loop_ir::parser::parse_program(&f.shrunk).expect("shrunk program parses");
             let v = check_case(&p, &config, f.index);
-            assert_eq!(v.oracle(), Some("exec"));
+            assert_eq!(v.failure_key(), Some(("exec", false)));
         }
     }
 

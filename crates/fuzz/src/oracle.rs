@@ -96,14 +96,6 @@ impl Verdict {
         matches!(self, Verdict::Pass)
     }
 
-    /// The oracle that failed, or `None` for a pass.
-    pub fn oracle(&self) -> Option<&'static str> {
-        match self {
-            Verdict::Pass => None,
-            Verdict::Mismatch { oracle, .. } | Verdict::Panic { oracle, .. } => Some(oracle),
-        }
-    }
-
     /// Coarse failure class used by the shrinker to preserve the failure
     /// while reducing: `(oracle, is_panic)`.
     pub fn failure_key(&self) -> Option<(&'static str, bool)> {
@@ -132,7 +124,7 @@ pub fn check_all(program: &Program, schedule: bool) -> Verdict {
     Verdict::Pass
 }
 
-/// Runs a single oracle by name (as [`Verdict::oracle`] reports it) — the
+/// Runs a single oracle by name (as [`Verdict::failure_key`] reports it) — the
 /// shrinker re-runs exactly the failing oracle.
 ///
 /// # Panics

@@ -15,8 +15,9 @@
 //! A program prints one way: [`Program`]'s `Display` writes the frontend
 //! grammar of [`parser`], and [`source::to_source`] returns that text after
 //! checking the program has a source form (no select, library call,
-//! `min`/`max` index, unroll annotation, `min`/`max`/`pow` reduction, or
-//! NaN, ±inf or -0.0 constant), so the text reparses to the same program.
+//! `min`/`max` index, unroll annotation, `min`/`max`/`pow` reduction,
+//! NaN or ±inf constant, or -0.0 in a statement), so the text reparses to
+//! the same program.
 //!
 //! The representation is a tree of [`Loop`] and [`Computation`] nodes
 //! (see [`nest::Node`]), where loop bounds and memory accesses are symbolic

@@ -427,8 +427,9 @@ impl ScalarExpr {
 /// needs `.0` appended to lex as a float rather than an integer. The
 /// grammar's unary minus parses to `Neg(Const)`, a different tree than
 /// `Const(-c)`, so a negative value prints as the exact subtraction
-/// `(0.0 - c)`. NaN, ±inf and -0.0 have no source form and print as `NaN`,
-/// `inf`, `-inf` and `-0.0`.
+/// `(0.0 - c)`. NaN, ±inf and -0.0 have no source form in a statement and
+/// print as `NaN`, `inf`, `-inf` and `-0.0` (a declaration reads `-0.0`
+/// back exactly).
 pub(crate) struct Literal(pub(crate) f64);
 
 impl fmt::Display for Literal {

@@ -10,7 +10,8 @@
 //!
 //! The constructs without a source form — [`ScalarExpr::Select`],
 //! [`Node::Call`], `min`/`max` in index expressions, unroll annotations,
-//! `min`/`max`/`pow` reductions, NaN, ±inf and -0.0 constants — are
+//! `min`/`max`/`pow` reductions, NaN and ±inf constants, -0.0 inside a
+//! statement — are
 //! reported as [`IrError::Invalid`] rather than silently mangled. Within the
 //! expressible subset the round trip is exact up to statement names (the
 //! parser renames statements `S0, S1, …` in program order): emitting
@@ -28,7 +29,8 @@ use crate::scalar::{BinOp, ScalarExpr};
 /// text order) that has no source form.
 pub fn to_source(program: &Program) -> Result<String> {
     for &value in program.scalar_params.values() {
-        check_const(value)?;
+        // A declaration reads a signed number, so even -0.0 reads back.
+        check_finite(value)?;
     }
     for array in program.arrays.values() {
         array.dims.iter().try_for_each(check_index)?;
@@ -102,9 +104,19 @@ fn check_scalar(e: &ScalarExpr) -> Result<()> {
 }
 
 /// Every finite constant but -0.0 prints as a literal the lexer reads back
-/// bit-exactly (see `Display for ScalarExpr`).
+/// bit-exactly (see `Display for ScalarExpr`); in a statement, `-0.0`
+/// reparses as the negation of `0.0`.
 fn check_const(v: f64) -> Result<()> {
-    if !v.is_finite() || (v == 0.0 && v.is_sign_negative()) {
+    if v == 0.0 && v.is_sign_negative() {
+        return Err(IrError::Invalid(format!(
+            "scalar constant {v} has no source form"
+        )));
+    }
+    check_finite(v)
+}
+
+fn check_finite(v: f64) -> Result<()> {
+    if !v.is_finite() {
         return Err(IrError::Invalid(format!(
             "scalar constant {v} has no source form"
         )));
@@ -250,5 +262,37 @@ mod tests {
         let text = to_source(&p).unwrap();
         assert!(text.contains("scalar alpha = -1.5;"), "{text}");
         assert_eq!(p, parse_program(&text).unwrap());
+    }
+
+    #[test]
+    fn negative_zero_round_trips_as_a_declaration_only() {
+        let program = |alpha: f64, value: f64| {
+            Program::builder("zero")
+                .scalar("alpha", alpha)
+                .array_with_dims("A", vec![cst(1)])
+                .node(Node::Computation(Computation::assign(
+                    "S0",
+                    ArrayRef::new("A", vec![cst(0)]),
+                    param("alpha") + fconst(value),
+                )))
+                .build()
+                .unwrap()
+        };
+        let p = program(-0.0, 1.0);
+        let text = to_source(&p).unwrap();
+        assert!(text.contains("scalar alpha = -0.0;"), "{text}");
+        let back = parse_program(&text).unwrap();
+        assert_eq!(
+            back.scalar_param("alpha").map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(p, back);
+        let refused = |p: Program| matches!(to_source(&p), Err(IrError::Invalid(_)));
+        // In a statement `-0.0` reparses as `Neg(0.0)`: no source form.
+        assert!(refused(program(0.0, -0.0)));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(refused(program(bad, 1.0)));
+            assert!(refused(program(1.0, bad)));
+        }
     }
 }

@@ -362,19 +362,6 @@ impl AccessSink for AnalyticSink {
         self.cover(line, line);
     }
 
-    fn run(&mut self, start: u64, stride: i64, count: u64, is_write: bool) {
-        // Route through the group memo so repeated single-run emissions
-        // (outer-loop replays of a non-lockstep body) also fold in O(1).
-        let r = StrideRun {
-            base: start,
-            stride,
-            count,
-            array: u32::MAX,
-            is_write,
-        };
-        self.run_group(std::slice::from_ref(&r));
-    }
-
     fn run_group(&mut self, runs: &[StrideRun]) {
         if let Some(d) = self.group_memo.get(runs).copied() {
             // An already-summarized group shape: replay its unit deltas at
@@ -622,9 +609,6 @@ mod tests {
         impl AccessSink for NoRepeat {
             fn access(&mut self, entry: TraceEntry) {
                 self.0.access(entry);
-            }
-            fn run(&mut self, start: u64, stride: i64, count: u64, is_write: bool) {
-                self.0.run(start, stride, count, is_write);
             }
             fn run_group(&mut self, runs: &[StrideRun]) {
                 self.0.run_group(runs);
