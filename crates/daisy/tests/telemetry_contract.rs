@@ -219,9 +219,12 @@ fn fan_out_counters_tell_calls_that_spawned_from_calls_that_did_not() {
 
     // Seeding runs one evolutionary search per nest, and the 16 of them
     // outlast the spawn budget many times over: with cores to spare the
-    // queue must fan out, and a helper must get to drain some of it. Every
-    // call counts its caller as a worker, so the helpers are what a seeding
-    // at the machine's parallelism reports beyond a sequential one.
+    // queue must fan out, with at most one helper per spare core. Whether a
+    // helper gets to an item before the caller empties the queue is timing
+    // (`machine::pool`'s own tests hold that a helper drains when it can);
+    // every call counts its caller as a worker, so the helpers that did are
+    // what a seeding at the machine's parallelism reports beyond a
+    // sequential one. The items handed to the pool do not depend on it.
     let programs: Vec<Program> = (2..10).map(|n| gemm(32 * n)).collect();
     let seed = |parallelism: usize| {
         let sink = Arc::new(CollectingRecorder::default());
@@ -231,18 +234,20 @@ fn fan_out_counters_tell_calls_that_spawned_from_calls_that_did_not() {
         });
         assert_eq!(sink.counter_total("daisy.seed.nests"), 16);
         (
+            sink.counter_total("daisy.parallel.jobs"),
             sink.counter_total("daisy.parallel.fanouts"),
             sink.counter_total("daisy.parallel.workers"),
         )
     };
-    let (sequential_fanouts, callers) = seed(1);
+    let (sequential_jobs, sequential_fanouts, callers) = seed(1);
     assert_eq!(sequential_fanouts, 0);
-    let (fanouts, workers) = seed(0);
+    let (jobs, fanouts, workers) = seed(0);
+    assert_eq!(jobs, sequential_jobs, "the queues do not depend on workers");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
     if cores > 1 {
         assert_eq!(fanouts, 1, "the seeding queue spawns, its searches do not");
         let helpers = workers - callers;
-        assert!((1..cores).contains(&helpers), "{helpers} helpers");
+        assert!(helpers < cores, "{helpers} helpers");
     } else {
         assert_eq!((fanouts, workers), (0, callers));
     }

@@ -8,7 +8,6 @@ use loop_ir::array::{Access, AccessKind};
 use loop_ir::expr::Var;
 use loop_ir::nest::{CompId, Computation, Loop, Node};
 use loop_ir::program::Program;
-use loop_ir::visit::CompContext;
 
 use crate::tester::{LoopBound, LoopPairing, Lowered, Pair, SubscriptTable};
 use crate::types::{DepKind, Dependence, Direction};
@@ -39,14 +38,6 @@ impl DependenceGraph {
         self.deps
             .iter()
             .filter(|d| d.src == src && d.dst == dst)
-            .collect()
-    }
-
-    /// Dependences that involve the given computation (as source or sink).
-    pub fn involving(&self, id: CompId) -> Vec<&Dependence> {
-        self.deps
-            .iter()
-            .filter(|d| d.src == id || d.dst == id)
             .collect()
     }
 
@@ -96,16 +87,10 @@ impl DependenceGraph {
     }
 }
 
-/// The loops enclosing a computation with their bounds evaluated under
-/// `params` ([`loop_bound`]).
-pub(crate) fn loop_bounds(ctx: &CompContext<'_>, params: &BTreeMap<Var, i64>) -> Vec<LoopBound> {
-    ctx.loops.iter().map(|l| loop_bound(l, params)).collect()
-}
-
 /// The bounds of `l` evaluated under `params`. An upper bound that cannot be
 /// evaluated becomes `lower + UNKNOWN_EXTENT`, clamped to `i64::MAX` — no
 /// `i64` bound lies above that, so the clamp drops no iteration.
-fn loop_bound(l: &Loop, params: &BTreeMap<Var, i64>) -> LoopBound {
+pub(crate) fn loop_bound(l: &Loop, params: &BTreeMap<Var, i64>) -> LoopBound {
     let lower = l.lower.eval(params).unwrap_or(0);
     let upper = l
         .upper
@@ -467,16 +452,6 @@ pub(crate) fn reverse(d: Direction) -> Direction {
     }
 }
 
-/// Evaluated loop bounds for every computation of a program, exposed for
-/// reuse by downstream crates (e.g. the cost model).
-pub fn evaluated_bounds(program: &Program) -> BTreeMap<CompId, Vec<LoopBound>> {
-    program
-        .computation_contexts()
-        .iter()
-        .map(|ctx| (ctx.computation.id, loop_bounds(ctx, &program.params)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,22 +633,21 @@ mod tests {
         assert!(g.is_empty());
     }
 
-    #[test]
-    fn involving_lists_both_endpoints() {
-        let p = gemm();
-        let g = analyze(&p);
-        let comps = p.computations();
-        assert!(!g.involving(comps[0].id).is_empty());
-        assert!(!g.involving(comps[1].id).is_empty());
-        assert_eq!(g.len(), g.all().len());
+    /// The evaluated loop bounds around the program's `index`-th
+    /// computation in execution order.
+    fn bounds_of(p: &Program, index: usize) -> Vec<LoopBound> {
+        let contexts = p.computation_contexts();
+        contexts[index]
+            .loops
+            .iter()
+            .map(|l| loop_bound(l, &p.params))
+            .collect()
     }
 
     #[test]
     fn evaluated_bounds_match_params() {
         let p = gemm();
-        let bounds = evaluated_bounds(&p);
-        let update_id = p.computations()[1].id;
-        let b = &bounds[&update_id];
+        let b = bounds_of(&p, 1);
         assert_eq!(b.len(), 3);
         assert!(b.iter().all(|lb| lb.lower == 0 && lb.upper == 8));
     }
@@ -740,8 +714,7 @@ mod tests {
     #[test]
     fn an_unknown_extent_next_to_i64_max_clamps_instead_of_overflowing() {
         let p = one_loop(cst(i64::MAX - 5), var("unbound"), var("i") + cst(1), 0);
-        let id = p.computations()[0].id;
-        assert_eq!(evaluated_bounds(&p)[&id][0].upper, i64::MAX);
+        assert_eq!(bounds_of(&p, 0)[0].upper, i64::MAX);
         assert_eq!(analyze(&p).carried_by(&Var::new("i")).len(), 1);
     }
 

@@ -20,7 +20,7 @@ use loop_ir::nest::Computation;
 use loop_ir::program::Program;
 use loop_ir::visit::CompContext;
 
-use crate::graph::{common_iterators, loop_bounds, make_dep, reverse, DependenceGraph};
+use crate::graph::{common_iterators, loop_bound, make_dep, reverse, DependenceGraph};
 use crate::tester::{AccessContext, LoopBound};
 use crate::types::{Dependence, Direction};
 
@@ -278,7 +278,12 @@ pub fn analyze(program: &Program) -> DependenceGraph {
     let contexts = program.computation_contexts();
     let loop_bounds: Vec<Vec<LoopBound>> = contexts
         .iter()
-        .map(|ctx| loop_bounds(ctx, &program.params))
+        .map(|ctx| {
+            ctx.loops
+                .iter()
+                .map(|l| loop_bound(l, &program.params))
+                .collect()
+        })
         .collect();
     let mut graph = DependenceGraph::default();
     for (i, src_ctx) in contexts.iter().enumerate() {

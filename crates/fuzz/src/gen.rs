@@ -262,7 +262,7 @@ impl Gen {
     /// constant term. A quarter of bodies with an iterator in scope instead
     /// start from a multi-tap stencil family — 2-5 reads of *one* shared
     /// array at mixed-sign constant offsets, the shape the stagger-merged
-    /// cache fast path and the analytic tier both special-case.
+    /// cache fast path special-cases.
     fn gen_value(&mut self, scope: &[ScopeIter]) -> ScalarExpr {
         let mut value = match self.gen_stencil(scope) {
             Some(stencil) => stencil,

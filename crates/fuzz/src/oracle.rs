@@ -18,10 +18,6 @@
 //!   under the program's canonical plan (translation classes and all)
 //!   versus the shard oracle on the naive LRU, every shard streamed into
 //!   its own cold reference.
-//! * **analytic** — the closed-form cache tier ([`machine::estimate_cache`])
-//!   versus the exact simulator: the estimated miss counts must stay within
-//!   the estimate's *own reported* error bound on both levels, and access
-//!   counts must match exactly.
 //! * **dependence** — the dependence analysis ([`dependence::analyze`]:
 //!   dense integer rows, direction vectors refined level by level) versus
 //!   the naive reference ([`dependence::reference::analyze`]: every `3ⁿ`
@@ -59,11 +55,10 @@ pub type OracleFn = fn(&Program) -> std::result::Result<(), String>;
 /// Every oracle with its name, in the order [`check_all`] runs them. The
 /// schedule oracle comes last: it costs two scheduler constructions and a
 /// store round trip per case, so campaigns subsample it.
-pub const ORACLES: [(&str, OracleFn); 7] = [
+pub const ORACLES: [(&str, OracleFn); 6] = [
     ("exec", exec_oracle),
     ("trace", trace_oracle),
     ("cache", cache_oracle),
-    ("analytic", analytic_oracle),
     ("dependence", dependence_oracle),
     ("normalize", normalize_oracle),
     ("schedule", schedule_oracle),
@@ -329,49 +324,6 @@ fn sharded_cache_differential(
             fast.classes(),
             counters(&fast),
             counters(&oracle)
-        ));
-    }
-    Ok(())
-}
-
-fn analytic_oracle(program: &Program) -> std::result::Result<(), String> {
-    let machine = MachineConfig::tiny_for_tests();
-    let exact = simulate_cache(program, &machine);
-    let estimate = machine::estimate_cache(program, &machine);
-    let (exact, estimate) = match (exact, estimate) {
-        (Ok(e), Ok(a)) => (e, a),
-        (Err(e), Err(a)) => {
-            if std::mem::discriminant(&e) == std::mem::discriminant(&a) {
-                return Ok(());
-            }
-            return Err(format!(
-                "outcome kinds diverge: exact `{e}` vs analytic `{a}`"
-            ));
-        }
-        (e, a) => {
-            return Err(format!(
-                "outcomes diverge: exact {:?} vs analytic {:?}",
-                e.err().map(|e| e.to_string()),
-                a.err().map(|e| e.to_string()),
-            ))
-        }
-    };
-    if estimate.accesses != exact.accesses() {
-        return Err(format!(
-            "access counts diverge: analytic {} vs exact {}",
-            estimate.accesses,
-            exact.accesses()
-        ));
-    }
-    if !estimate.brackets(&exact.l1(), &exact.l2()) {
-        return Err(format!(
-            "analytic miss estimate escapes its error bound {}: \
-             L1 {} vs exact {}, L2 {} vs exact {}",
-            estimate.error_bound,
-            estimate.l1.misses,
-            exact.l1().misses,
-            estimate.l2.misses,
-            exact.l2().misses
         ));
     }
     Ok(())

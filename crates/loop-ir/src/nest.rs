@@ -11,7 +11,7 @@ use std::convert::Infallible;
 use std::fmt;
 
 use crate::array::{Access, ArrayRef};
-use crate::expr::{cst, Expr, Var};
+use crate::expr::{Expr, Var};
 use crate::scalar::{BinOp, ScalarExpr};
 
 /// Schedule annotations attached to a loop by a scheduler.
@@ -285,18 +285,6 @@ impl Computation {
         out
     }
 
-    /// Renames an iterator in every access of the computation.
-    pub fn rename_iterator(&self, from: &Var, to: &Var) -> Computation {
-        let replacement = Expr::Var(to.clone());
-        Computation {
-            id: self.id,
-            name: self.name.clone(),
-            target: self.target.substitute(from, &replacement),
-            reduction: self.reduction,
-            value: self.value.substitute_index(from, &replacement),
-        }
-    }
-
     /// Floating point operations per dynamic execution of the statement.
     pub fn flops(&self) -> u64 {
         self.value.flop_count() + u64::from(self.reduction.is_some())
@@ -410,14 +398,6 @@ impl Node {
         }
     }
 
-    /// Returns the contained computation, if this node is one.
-    pub fn as_computation(&self) -> Option<&Computation> {
-        match self {
-            Node::Computation(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Calls `f` on every computation contained in (and including) this
     /// node, in execution order.
     pub fn for_each_computation<'a>(&'a self, f: &mut impl FnMut(&'a Computation)) {
@@ -470,12 +450,6 @@ pub fn parallel_loop(iter: impl Into<Var>, lower: Expr, upper: Expr, body: Vec<N
     let mut l = Loop::new(iter, lower, upper, body);
     l.schedule.parallel = true;
     Node::Loop(l)
-}
-
-/// Builds a loop node from zero to an exclusive constant bound, a common
-/// shorthand in tests.
-pub fn counted_loop(iter: impl Into<Var>, n: i64, body: Vec<Node>) -> Node {
-    for_loop(iter, cst(0), cst(n), body)
 }
 
 #[cfg(test)]
@@ -585,15 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn rename_iterator_updates_all_accesses() {
-        let nest = gemm_nest();
-        let comp = nest.computations()[0].clone();
-        let renamed = comp.rename_iterator(&Var::new("k"), &Var::new("kk"));
-        assert!(!renamed.referenced_vars().contains(&Var::new("k")));
-        assert!(renamed.referenced_vars().contains(&Var::new("kk")));
-    }
-
-    #[test]
     fn flops_count_reduction() {
         let nest = gemm_nest();
         let comp = nest.computations()[0];
@@ -624,9 +589,8 @@ mod tests {
 
     #[test]
     fn node_helpers() {
-        let n = counted_loop("i", 4, vec![]);
+        let n = for_loop("i", cst(0), cst(4), vec![]);
         assert!(n.as_loop().is_some());
-        assert!(n.as_computation().is_none());
         assert_eq!(n.computation_count(), 0);
         let p = parallel_loop("i", cst(0), cst(4), vec![]);
         assert!(p.as_loop().unwrap().schedule.parallel);

@@ -118,14 +118,6 @@ impl Program {
         Ok(out)
     }
 
-    /// Total footprint of all declared arrays in bytes.
-    pub fn total_array_bytes(&self) -> i64 {
-        self.arrays
-            .values()
-            .filter_map(|a| a.size_bytes(&self.params))
-            .sum()
-    }
-
     /// Re-assigns fresh, dense [`CompId`]s in execution order. Used by the
     /// builder and by transformations that duplicate statements.
     pub fn renumber_computations(&mut self) {
@@ -353,7 +345,10 @@ mod tests {
     fn footprint_is_computed() {
         let p = small_program();
         // two arrays of 16 doubles.
-        assert_eq!(p.total_array_bytes(), 2 * 16 * 8);
+        assert_eq!(p.arrays.len(), 2);
+        for array in p.arrays.values() {
+            assert_eq!(array.size_bytes(&p.params), Some(16 * 8));
+        }
     }
 
     #[test]

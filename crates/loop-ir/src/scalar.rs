@@ -46,12 +46,6 @@ impl BinOp {
         }
     }
 
-    /// Returns true if the operator is associative and commutative, i.e.
-    /// usable as a reduction operator.
-    pub fn is_reduction_op(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Mul | BinOp::Min | BinOp::Max)
-    }
-
     /// Identity element of the operator when used as a reduction.
     pub fn identity(self) -> Option<f64> {
         match self {
@@ -535,8 +529,6 @@ mod tests {
         assert_eq!(BinOp::Add.identity(), Some(0.0));
         assert_eq!(BinOp::Mul.identity(), Some(1.0));
         assert_eq!(BinOp::Sub.identity(), None);
-        assert!(BinOp::Add.is_reduction_op());
-        assert!(!BinOp::Div.is_reduction_op());
     }
 
     #[test]

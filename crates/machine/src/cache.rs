@@ -98,7 +98,7 @@ impl CacheStats {
 const EMPTY: u64 = u64::MAX;
 
 /// Rounds to the nearest power of two, ties toward the larger one. Shared
-/// with the analytic tier ([`crate::analytic`]), which must model the same
+/// with the naive oracle ([`mod@reference`]), which must model the same
 /// rounded geometry the simulator actually uses.
 pub(crate) fn nearest_pow2(n: u64) -> u64 {
     let n = n.max(1);

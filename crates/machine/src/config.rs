@@ -115,11 +115,6 @@ impl MachineConfig {
         self.frequency_hz * self.scalar_flops_per_cycle * self.vector_width as f64
     }
 
-    /// Peak double-precision FLOP/s of the whole socket.
-    pub fn peak_flops(&self) -> f64 {
-        self.peak_flops_per_core() * self.cores as f64
-    }
-
     /// Effective memory bandwidth when `threads` cores stream concurrently.
     pub fn bandwidth_with_threads(&self, threads: usize) -> f64 {
         let t = threads.max(1) as f64;
@@ -152,7 +147,6 @@ mod tests {
         let m = MachineConfig::xeon_e5_2680v3();
         let peak = m.peak_flops_per_core();
         assert!(peak > 15.0e9 && peak < 60.0e9, "peak/core = {peak}");
-        assert!(m.peak_flops() > peak);
     }
 
     #[test]

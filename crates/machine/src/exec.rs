@@ -328,13 +328,6 @@ struct CLoop {
     /// Access-list base offset of each body node inside the shared cursor
     /// scratch, precomputed so loop entries allocate nothing.
     bases: Vec<usize>,
-    /// True when the subtree's *trace* is independent of this loop's
-    /// iterator: every access in the body is affine with a zero coefficient
-    /// on the loop's slot, and no descendant loop bound references it. Such
-    /// a loop re-emits the identical access sequence every iteration, so
-    /// summarizing sinks can consume the body once through the
-    /// [`AccessSink::begin_repeat`] protocol.
-    trace_invariant: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -463,9 +456,6 @@ struct Lowerer<'p> {
     /// Parameter bindings folded into affine subscripts: every parameter not
     /// shadowed by a loop iterator somewhere in the program.
     fold_bindings: BTreeMap<Var, i64>,
-    /// Per array slot, scratch for [`subtree_slot_shifts`], kept from loop
-    /// to loop.
-    shifts: Vec<Option<i64>>,
 }
 
 impl CompiledProgram {
@@ -525,7 +515,6 @@ impl CompiledProgram {
             arrays,
             array_slots,
             fold_bindings,
-            shifts: Vec::new(),
         };
         for (name, value) in &program.params {
             let slot = lowerer.frame_init.len();
@@ -843,14 +832,7 @@ impl<'p> Lowerer<'p> {
         } else {
             Vec::new()
         };
-        let mut shifts = std::mem::take(&mut self.shifts);
-        shifts.clear();
-        shifts.resize(self.arrays.len(), None);
-        let trace_invariant = subtree_slot_shifts(&body, slot, &mut shifts)
-            && shifts.iter().all(|c| c.unwrap_or(0) == 0);
-        self.shifts = shifts;
         Ok(CLoop {
-            trace_invariant,
             slot,
             lower,
             upper,
@@ -1359,22 +1341,6 @@ impl<'c> Streamer<'c> {
         let result = if l.inner && self.stream_inner(l, lower, trips, sink) {
             telemetry::counter("machine.exec.compiled_stream_loops", 1);
             Ok(())
-        } else if trips > 1 && l.trace_invariant && sink.begin_repeat(trips) {
-            // The subtree's emissions do not depend on this iterator: stream
-            // one iteration and let the sink scale it by the trip count.
-            telemetry::counter("machine.exec.stream_repeat_loops", 1);
-            self.frame[l.slot] = lower;
-            let before = self.count;
-            let mut repeated = Ok(());
-            for child in &l.body {
-                if let Err(e) = self.stream_node(child, sink) {
-                    repeated = Err(e);
-                    break;
-                }
-            }
-            sink.end_repeat();
-            self.count += (trips - 1) * (self.count - before);
-            repeated
         } else {
             if l.inner {
                 // A clamping access bailed the run-group build: this loop

@@ -82,16 +82,10 @@
 //! structure)* — see the [`cost`] module docs — which is what lets the
 //! `daisy` evolutionary search re-price only the nest a candidate recipe
 //! rewrote, and re-price outer-loop permutations from cached summaries.
-//!
-//! [`analytic`] is a bounded-error closed-form *estimator* of the same
-//! counters. No product path prices with it: the fuzz farm's `analytic`
-//! oracle and the benchmark's `strided_trace` workload check that its
-//! brackets contain the exact counts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod analytic;
 pub mod blas;
 pub mod cache;
 pub mod config;
@@ -103,7 +97,6 @@ pub mod pool;
 pub mod shard;
 pub mod trace;
 
-pub use analytic::{estimate_cache, CacheEstimate};
 pub use cache::{reference::ReferenceCacheHierarchy, CacheHierarchy, CacheStats};
 pub use config::MachineConfig;
 pub use cost::{CostModel, CostReport, Environment, NestCost};
@@ -115,4 +108,7 @@ pub use shard::{
     simulate_cache_sharded, simulate_cache_sharded_reference, simulate_cache_sharded_with_plan,
     ShardGranularity, ShardPlan, ShardedCacheStats,
 };
-pub use trace::{simulate_cache, simulate_cache_reference, AccessSink, StrideRun, TraceEntry};
+pub use trace::{
+    estimate_cache, simulate_cache, simulate_cache_reference, AccessSink, CacheEstimate, StrideRun,
+    TraceEntry,
+};

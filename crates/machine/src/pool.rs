@@ -163,6 +163,7 @@ pub fn parallel_map<T: Sync, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     const TEST: Counters = Counters {
         jobs: "test.pool.jobs",
@@ -229,6 +230,35 @@ mod tests {
             std::thread::current().id()
         });
         assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn a_spawned_helper_drains_an_item_whenever_cores_allow() {
+        // The caller may empty a queue before a helper it spawned gets a
+        // core. Here the first item outlasts the spawn budget, and every
+        // later one waits (for at most a second) until some item has started
+        // off the calling thread, so a helper gets its item on any load.
+        let caller = std::thread::current().id();
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let helper_started = AtomicBool::new(false);
+        let items: Vec<usize> = (0..8).collect();
+        let ids = parallel_map(0, &items, &TEST, |&x| {
+            let id = std::thread::current().id();
+            if id != caller {
+                helper_started.store(true, Ordering::SeqCst);
+            }
+            if x == 0 {
+                item_cost(true);
+            } else if available > 1 {
+                let deadline = Instant::now() + Duration::from_secs(1);
+                while !helper_started.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            }
+            id
+        });
+        let helped = ids.iter().any(|&id| id != caller);
+        assert_eq!(helped, available > 1, "helpers exactly when cores allow");
     }
 
     #[test]

@@ -51,14 +51,26 @@ impl StoredEntry {
     }
 
     /// Decodes one entry from a reader. Never panics: corrupted or truncated
-    /// input yields an `Err`.
+    /// input yields an `Err`, and so does a NaN or infinite cost or
+    /// embedding feature, which no cost model or embedding produces and
+    /// which would leave duplicate-key ranking and neighbour order without
+    /// a meaning.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
         let key = r.u64("entry key")?;
-        let cost = r.f64("entry cost")?;
+        let finite = |value: f64, what: &str| {
+            if value.is_finite() {
+                Ok(value)
+            } else {
+                Err(StoreError::Corrupt(format!(
+                    "entry {key:016x} holds a non-finite {what}"
+                )))
+            }
+        };
+        let cost = finite(r.f64("entry cost")?, "cost")?;
         let dim = r.count(8, "embedding length")?;
         let mut embedding = Vec::with_capacity(dim);
         for _ in 0..dim {
-            embedding.push(r.f64("embedding feature")?);
+            embedding.push(finite(r.f64("embedding feature")?, "embedding feature")?);
         }
         let recipe = decode_recipe(r)?;
         let chain_len = r.count(4, "chain length")?;

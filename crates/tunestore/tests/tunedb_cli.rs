@@ -5,7 +5,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use tunestore::Snapshot;
+use transforms::Recipe;
+use tunestore::{Snapshot, StoredEntry};
 
 fn tunedb(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tunedb"))
@@ -99,6 +100,29 @@ fn every_subcommand_reports_corrupt_stores_cleanly() {
             assert_clean_failure(&output, corrupt, &args.join(" "));
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn verify_refuses_a_store_holding_a_nan_cost() {
+    // Checksums cover the bytes, not their meaning: the snapshot is intact,
+    // but no cost model produces NaN, and `warm_start` refuses the entry.
+    let dir = tmpdir("nan");
+    let store = dir.join("nan.tunedb");
+    let mut snapshot = Snapshot::new();
+    snapshot.entries.push(StoredEntry {
+        key: 0xABCD,
+        cost: f64::NAN,
+        embedding: vec![1.0, 2.0],
+        recipe: Recipe::identity(),
+        chain: Vec::new(),
+        source: "nan".to_string(),
+    });
+    snapshot.save(&store).unwrap();
+    let store = store.to_str().unwrap();
+    let output = tunedb(&["verify", store]);
+    assert_clean_failure(&output, store, "verify of a NaN cost");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("000000000000abcd"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
