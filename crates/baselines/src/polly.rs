@@ -72,15 +72,13 @@ fn schedule_nest(program: &Program, graph: &DependenceGraph, nest: &Loop) -> Loo
     }
 
     // 2. Parallelize the outermost loop that carries no dependence.
-    let mut scheduled = tiled.clone();
     let outer_candidates: Vec<Var> = perfect_chain(&tiled).map(|l| l.iter.clone()).collect();
+    let mut scheduled = tiled;
     for iter in &outer_candidates {
         // Tile loops inherit the parallelism of their point loop.
         let point = Var::new(iter.as_str().strip_suffix("_t").unwrap_or(iter.as_str()));
         if is_parallel_loop(graph, &point) {
-            if let Ok(p) = mark_parallel(&scheduled, iter) {
-                scheduled = p;
-            }
+            mark_parallel(&mut scheduled, iter).expect("a chain loop of the nest it marks");
             break;
         }
     }
@@ -100,9 +98,7 @@ fn schedule_nest(program: &Program, graph: &DependenceGraph, nest: &Loop) -> Loo
             .is_ok()
         });
         if contiguous {
-            if let Ok(v) = mark_vectorize(&scheduled, &innermost) {
-                scheduled = v;
-            }
+            mark_vectorize(&mut scheduled, &innermost).expect("a loop of the nest it marks");
         }
     }
     scheduled

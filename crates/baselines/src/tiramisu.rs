@@ -15,7 +15,8 @@
 //! under the true machine model.
 
 use dependence::{analyze, is_parallel_loop};
-use loop_ir::nest::Node;
+use loop_ir::expr::Var;
+use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
 use machine::{CostModel, MachineConfig};
 use normalize::MaximalFission;
@@ -23,9 +24,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
-use transforms::Recipe;
+use transforms::{perfect_chain, Recipe, Transform};
 
-use daisy::search::{apply_recipe_to_program, evaluate_recipe, EvolutionarySearch};
+use daisy::search::{apply_recipe_to_program, evaluate_recipe};
 
 /// Why the Tiramisu adapter rejected a program (the `X` marks in Figure 6).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +92,6 @@ pub fn tiramisu_schedule(program: &Program, threads: usize) -> Result<Program, T
 
     let guide = CostModel::new(approximate_machine(), threads);
     let truth = CostModel::new(MachineConfig::xeon_e5_2680v3(), threads);
-    // Proposals read no search configuration.
-    let search = EvolutionarySearch::default();
     let mut rng = StdRng::seed_from_u64(0x71AA);
 
     let mut current = fissioned.clone();
@@ -104,7 +103,7 @@ pub fn tiramisu_schedule(program: &Program, threads: usize) -> Result<Program, T
         };
         // Candidate generation guided by the approximate model: the search
         // ranks candidates with the flawed model…
-        let mut candidates: Vec<Recipe> = search.proposals(&nest);
+        let mut candidates: Vec<Recipe> = proposals(&nest);
         candidates.push(Recipe::identity());
         candidates.shuffle(&mut rng);
         let mut scored: Vec<(f64, Recipe)> = candidates
@@ -135,6 +134,45 @@ pub fn tiramisu_schedule(program: &Program, threads: usize) -> Result<Program, T
     Ok(current)
 }
 
+/// Structural proposals the search draws from: combinations of
+/// outer-loop parallelization, innermost vectorization and square tiling.
+fn proposals(nest: &Loop) -> Vec<Recipe> {
+    let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
+    let outer = chain[0].clone();
+    let inner = chain[chain.len() - 1].clone();
+    let mut out = vec![
+        Recipe::new(vec![Transform::Parallelize {
+            iter: outer.clone(),
+        }]),
+        Recipe::new(vec![Transform::Vectorize {
+            iter: inner.clone(),
+        }]),
+        Recipe::new(vec![
+            Transform::Parallelize {
+                iter: outer.clone(),
+            },
+            Transform::Vectorize {
+                iter: inner.clone(),
+            },
+        ]),
+    ];
+    if chain.len() >= 2 {
+        for &tile in &[32i64, 64] {
+            let tiles: Vec<(Var, i64)> = chain.iter().cloned().map(|v| (v, tile)).collect();
+            out.push(Recipe::new(vec![
+                Transform::Tile { tiles },
+                Transform::Parallelize {
+                    iter: Var::new(format!("{outer}_t")),
+                },
+                Transform::Vectorize {
+                    iter: inner.clone(),
+                },
+            ]));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +189,20 @@ mod tests {
             l[0], l[1], l[2]
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn proposals_cover_parallel_vector_tile() {
+        let p = gemm("ikj", 256);
+        let proposals = proposals(p.loop_nests()[0]);
+        assert!(proposals.len() >= 4);
+        assert!(proposals
+            .iter()
+            .any(|r| r.steps.iter().any(|s| matches!(s, Transform::Tile { .. }))));
+        assert!(proposals.iter().any(|r| r
+            .steps
+            .iter()
+            .any(|s| matches!(s, Transform::Parallelize { .. }))));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! 3. for the remaining nests, a database of `(performance embedding,
 //!    transformation recipe)` pairs ([`database`]) is queried by Euclidean
 //!    distance of the embeddings ([`embedding`]); the database is seeded from
-//!    the normalized A variants using an evolutionary search ([`search`]),
+//!    the normalized A variants by a search that prices every recipe of a
+//!    nest's small space and keeps the cheapest ([`search`]; the paper's
+//!    search is evolutionary),
 //! 4. the chosen recipes (interchange, tiling, parallelization,
 //!    vectorization) are applied and the result is costed on the machine
 //!    model.

@@ -17,7 +17,7 @@ use tunestore::{Snapshot, StoreError, StoredEntry};
 use crate::database::{nest_key, DatabaseEntry, TuningDatabase};
 use crate::embedding::PerformanceEmbedding;
 use crate::idiom::detect_blas_idiom;
-use crate::search::{nest_scoped_graph, EvolutionarySearch, ScoreContext, SearchConfig, PARALLEL};
+use crate::search::{nest_scoped_graph, EvolutionarySearch, ScoreContext, PARALLEL};
 
 /// Configuration of the daisy scheduler. The ablation study (Fig. 7) toggles
 /// `normalize`; every nest that is not a BLAS idiom queries the
@@ -37,7 +37,7 @@ pub struct DaisyConfig {
     /// How many nearest database entries to try per nest.
     pub neighbors: usize,
     /// Worker threads the scheduler itself may use: database seeding has
-    /// one evolutionary search per nest to hand out, and
+    /// one recipe search per nest to hand out, and
     /// [`DaisyScheduler::schedule`] one plan per independent top-level
     /// nest. `0` allows the machine's available parallelism; `1` is fully
     /// sequential. This is a ceiling, not a demand: the calling thread
@@ -181,7 +181,7 @@ impl DaisyScheduler {
         DaisyScheduler {
             config,
             database: TuningDatabase::new(),
-            search: EvolutionarySearch::new(SearchConfig::default()),
+            search: EvolutionarySearch::default(),
         }
     }
 
@@ -205,7 +205,8 @@ impl DaisyScheduler {
 
     /// Seeds the scheduling database from a set of programs (the paper seeds
     /// from the normalized A variants): every non-BLAS loop nest contributes
-    /// a `(embedding, recipe)` pair found by the evolutionary search.
+    /// a `(embedding, recipe)` pair, the cheapest recipe of the nest's search
+    /// space ([`crate::search`]).
     ///
     /// The per-nest searches are independent, so they are handed out over
     /// up to [`DaisyConfig::parallelism`] threads (each search evaluating its
@@ -608,10 +609,9 @@ impl DaisyScheduler {
             if exact.is_some() {
                 telemetry::counter("daisy.plan.exact_hits", 1);
             }
-            // The exact match is a candidate, not a short-circuit: a
-            // neighbour's recipe can still beat the recipe seeded on
-            // this very nest (the seeding search is heuristic), so the
-            // k-NN scan always runs.
+            // The exact match is a candidate, not a short-circuit: the
+            // k-NN scan always runs, and a neighbour's recipe displaces
+            // the exact match's only where it prices strictly lower here.
             let embedding = PerformanceEmbedding::of_nest(normalized, nest);
             let neighbours = self.database.nearest(&embedding, self.config.neighbors);
             let mut candidates: Vec<(Recipe, &DatabaseEntry, bool)> = Vec::new();

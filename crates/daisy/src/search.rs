@@ -1,18 +1,37 @@
-//! Evolutionary search for optimization recipes.
+//! The recipe search.
 //!
 //! The paper seeds the scheduling database with recipes found by an
-//! evolutionary search: the first epoch's population is seeded by the
-//! Tiramisu auto-scheduler's proposals and refined through mutation and
-//! selection with the measured runtime as fitness; later epochs re-seed from
-//! the best recipes of the most similar loop nests (§4). Here the fitness is
-//! the analytical cost model and the initial proposals come from a
-//! structural proposal generator playing the role of the Tiramisu seed.
+//! evolutionary search: a population seeded by the Tiramisu auto-scheduler's
+//! proposals, refined through mutation and selection with the measured
+//! runtime as fitness (§4). Here the fitness is the analytical cost model,
+//! and the space is small enough to price whole, so [`EvolutionarySearch`]
+//! enumerates it and keeps the cheapest recipe: its answer is the space's
+//! exact optimum, which a test can check (`tests/search_oracle.rs`).
+//!
+//! # The space
+//!
+//! For a nest whose perfect chain runs from `outer` to `inner`, a recipe
+//! makes three choices, and its steps always come in this order:
+//!
+//! 1. tile every chain loop with one size of 32, 64, 16 or 128, or not
+//!    (chains of two or more loops only);
+//! 2. parallelize `outer` (its tile loop `{outer}_t` when tiled), or not;
+//! 3. vectorize `inner`, or not.
+//!
+//! That is 20 recipes for a chain of two or more loops and 4 for a single
+//! loop; the caller's seeds are priced after them, because a seed can fall
+//! outside the space. Ties go to the first recipe in this order: untiled
+//! before the tile sizes as listed, unmarked before marked, the space before
+//! the seeds. The identity comes first, so a schedule changes only where a
+//! recipe is strictly cheaper.
+//!
+//! There is no unroll axis. The cost model does not read a loop's unroll
+//! factor, so every unrolled recipe ties, bit for bit, with the same recipe
+//! without unrolling (`machine::cost`'s tests pin that). The axis comes back
+//! when the model starts to price unrolling; the oracle test, whose
+//! enumeration does unroll, fails first on that day.
 //!
 //! # Evaluation pipeline
-//!
-//! Candidate evaluation — the dominant cost of the search — is incremental
-//! and staged so the expensive part runs as rarely and as concurrently as
-//! possible.
 //!
 //! **One scorer.** The base program's per-node costs are priced once; a
 //! candidate then differs from the base only in the nest the recipe
@@ -21,7 +40,7 @@
 //! are bit-identical to the naive path). That is `ScoreContext`: the
 //! semantic gate plus `Recipe::apply_to_nest` on *the nest alone*
 //! (`rewrite`), and prefix costs + the rewrite's nodes + suffix costs
-//! (`score_rewrite`). The search scores its generations through it, and so
+//! (`score_rewrite`). The search scores its candidates through it, and so
 //! does the scheduler's transfer tuning (`DaisyScheduler::schedule` prices
 //! the normalized program once and hands every nest's database candidates
 //! to the same two methods) — what a candidate costs does not grow with the
@@ -37,45 +56,34 @@
 //! normalizer's graph; any other nest is analyzed by itself, once its first
 //! candidate reaches the gate.
 //!
-//! Per candidate of the search:
+//! Per search, all candidates go through one batch:
 //!
-//! 1. **Dedupe.** Recipes are fingerprinted; one identical to a recipe
-//!    already scored anywhere in this search reuses its score without even
-//!    being re-applied. (The duplicate stays in the population — selection
-//!    dynamics are unchanged — it is only never re-evaluated.) Distinct
-//!    recipes whose rewrites happen to be structurally identical are caught
-//!    one stage later by the cost model's structural-hash memo.
-//! 2. **Early reject.** A surviving recipe is checked against the nest's
+//! 1. **Dedupe.** Equal recipes are rewritten and priced once. Enumerated
+//!    recipes are distinct, so only a seed that repeats one, or another
+//!    seed, is caught here. Distinct recipes whose rewrites happen to be
+//!    structurally identical are caught at stage 3.
+//! 2. **Early reject.** A unique recipe is checked against the nest's
 //!    dependence graph — parallelizing a loop that carries a dependence or
 //!    requesting a lexicographically negative permutation scores
-//!    `f64::INFINITY` outright (previously the cost model's atomic penalty
-//!    merely down-ranked such candidates) — and then *applied to the nest
-//!    alone* (cheap, structural — no program clone); recipes whose
-//!    transform legality check fails are likewise rejected without ever
-//!    reaching the cost model.
-//! 3. **Batched costing.** The unique legal rewrites of a generation are
-//!    grouped by the rewrite's structural hash — distinct recipes that
-//!    converge on the same lowered rewrite share one pricing — and the
-//!    groups are priced through the one worker pool, each thread sharing
-//!    the model's memo tables (per-nest costs and per-computation run
-//!    summaries, so even structurally distinct candidates that merely
-//!    permute or re-annotate outer loops re-price from cached run
+//!    `f64::INFINITY` outright — and then *applied to the nest alone*
+//!    (cheap, structural — no program clone); recipes whose transform
+//!    legality check fails are likewise rejected without ever reaching the
+//!    cost model.
+//! 3. **Batched costing.** The legal rewrites are grouped by their
+//!    structural hash — distinct recipes that converge on the same lowered
+//!    rewrite share one pricing — and the groups are priced through the one
+//!    worker pool, each thread sharing the model's memo tables (per-nest
+//!    costs and per-computation run summaries, so even structurally distinct
+//!    candidates that merely re-annotate outer loops re-price from cached run
 //!    summaries).
 //!
 //! **One fan-out rule.** Every queue of independent work in this crate goes
 //! through [`machine::pool::parallel_map`] (see its module docs).
 //!
-//! Results are deterministic: mutation draws happen on the single-threaded
-//! RNG before evaluation, and scores are written back by candidate index.
-//!
-//! **Stopping.** Refinement ends at the first generation that leaves the
-//! incumbent unchanged; [`SearchConfig`]'s epochs × iterations are a cap.
-//! Every draw before the stop is the draw the full run makes, so stopping
-//! changes a result only where a later generation would have won. Each
-//! search records the generation of its last improvement (0: the initial
-//! population) in the `daisy.search.improved_at` histogram.
+//! Results are deterministic: scores are written back by candidate index,
+//! and the first minimum wins.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use dependence::{is_permutation_legal, DependenceGraph};
 use loop_ir::expr::Var;
@@ -84,13 +92,10 @@ use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
 use machine::pool::{parallel_map, Counters};
 use machine::{CostModel, Environment, NestCost};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use transforms::{perfect_chain, Recipe, Transform};
 
 /// The telemetry names of the crate's fan-outs: the seeding searches,
-/// `schedule`'s nests and a generation's rewrite groups.
+/// `schedule`'s nests and a search's rewrite groups.
 pub(crate) const PARALLEL: Counters = Counters {
     jobs: "daisy.parallel.jobs",
     workers: "daisy.parallel.workers",
@@ -98,59 +103,32 @@ pub(crate) const PARALLEL: Counters = Counters {
     worker_items: "daisy.parallel.worker_items",
 };
 
-/// Configuration of the evolutionary search.
-///
-/// `epochs` × `iterations_per_epoch` caps the refinement generations: the
-/// search stops at the first generation that leaves its incumbent unchanged
-/// (no strictly lower score). Under this cost model the incumbent last
-/// improves at the initial population or at generation 1, so a search runs
-/// one or two generations of the paper's nine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchConfig {
-    /// Most epochs (the paper uses three).
-    pub epochs: usize,
-    /// Most refinement iterations per epoch (the paper uses three).
-    pub iterations_per_epoch: usize,
-    /// Population size.
-    pub population: usize,
-    /// RNG seed, fixed for reproducibility.
-    pub seed: u64,
-}
+/// The square tile sizes of the search space, in tie-break order.
+const TILE_SIZES: [i64; 4] = [32, 64, 16, 128];
 
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            epochs: 3,
-            iterations_per_epoch: 3,
-            population: 12,
-            seed: 0xDA15F,
-        }
-    }
-}
+/// Configuration of the search. It holds no settings: the space is fixed
+/// (see the [module docs](self)).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SearchConfig;
 
-/// The evolutionary recipe search.
+/// The recipe search: it prices every recipe of a nest's space and keeps
+/// the cheapest.
 #[derive(Debug, Clone)]
 pub struct EvolutionarySearch {
-    config: SearchConfig,
-    tile_sizes: Vec<i64>,
     parallel: bool,
 }
 
 impl Default for EvolutionarySearch {
     fn default() -> Self {
-        EvolutionarySearch::new(SearchConfig::default())
+        EvolutionarySearch::new(SearchConfig)
     }
 }
 
 impl EvolutionarySearch {
-    /// Creates a search with the given configuration, evaluating candidates
-    /// in parallel with structural dedupe.
-    pub fn new(config: SearchConfig) -> Self {
-        EvolutionarySearch {
-            config,
-            tile_sizes: vec![16, 32, 64, 128],
-            parallel: true,
-        }
+    /// Creates a search, evaluating candidates in parallel with structural
+    /// dedupe.
+    pub fn new(_config: SearchConfig) -> Self {
+        EvolutionarySearch { parallel: true }
     }
 
     /// Enables or disables parallel candidate evaluation. Disabled, unique
@@ -163,15 +141,13 @@ impl EvolutionarySearch {
         self
     }
 
-    /// Searches for the best recipe for `nest_index`-th top-level nest of the
-    /// program, seeding the population with `seeds` (recipes of similar loop
-    /// nests in later epochs, or the proposal generator's candidates) and
-    /// evaluating fitness with `model`.
+    /// Searches for the best recipe for the `nest_index`-th top-level nest
+    /// of the program: prices every recipe of the nest's space, then
+    /// `seeds` (recipes of similar loop nests, say), with `model`.
     ///
-    /// Refinement stops at the first generation that leaves the incumbent
-    /// unchanged (see [`SearchConfig`]).
-    ///
-    /// Returns the best recipe found together with its estimated runtime.
+    /// Returns the cheapest recipe — the first of equally cheap ones, in the
+    /// order of the [module docs](self) — together with the whole program's
+    /// estimated runtime under it.
     pub fn search(
         &self,
         program: &Program,
@@ -198,7 +174,6 @@ impl EvolutionarySearch {
             return (Recipe::identity(), f64::INFINITY);
         };
         let _span = telemetry::span("search");
-        let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
         // Dependences of the nest under search, computed at most once: the
         // semantic gate consults them for every candidate.
         let scoped;
@@ -209,13 +184,8 @@ impl EvolutionarySearch {
                 &scoped
             }
         };
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-
-        let mut population: Vec<Recipe> = Vec::new();
-        population.push(Recipe::identity());
-        population.extend(self.proposals(nest));
-        population.extend(seeds.iter().cloned());
-        population.truncate(self.config.population.max(4));
+        let mut candidates = space(nest);
+        candidates.extend_from_slice(seeds);
 
         // Per-node costs of the base program: candidates only ever rewrite
         // `nest_index`, so these are priced exactly once per search.
@@ -228,100 +198,50 @@ impl EvolutionarySearch {
             node_costs: &node_costs,
             graph,
         };
-
-        // Scores of every candidate evaluated anywhere in this search, keyed
-        // by recipe fingerprint (identical recipes dedupe here; distinct
-        // recipes with structurally identical rewrites dedupe one level
-        // down, in the cost model's memo).
-        let mut seen: HashMap<u64, f64> = HashMap::new();
-
-        let scores = self.score_batch(&context, &population, model, &mut seen);
-        let mut scored: Vec<(f64, Recipe)> = scores.into_iter().zip(population).collect();
-        sort_by_fitness(&mut scored);
-
-        // The generation that last lowered the incumbent's score (0: the
-        // initial population). An epoch's re-seed runs only after a
-        // generation that improved, so it counts with that generation.
-        let mut improved_at = 0u64;
-        let mut generation = 0u64;
-        'refine: for _epoch in 0..self.config.epochs.max(1) {
-            for _iter in 0..self.config.iterations_per_epoch.max(1) {
-                generation += 1;
-                let incumbent = scored[0].0;
-                let _generation = telemetry::span("generation");
-                // Keep the better half, refill with mutations of survivors.
-                let keep = (scored.len() / 2).max(2);
-                scored.truncate(keep);
-                let survivors: Vec<Recipe> = scored.iter().map(|(_, r)| r.clone()).collect();
-                // Draw the whole refill batch from the (single-threaded) RNG
-                // first, then evaluate it in one deduped, parallel pass.
-                let mut children = Vec::new();
-                while scored.len() + children.len() < self.config.population.max(4) {
-                    let parent = survivors
-                        .choose(&mut rng)
-                        .cloned()
-                        .unwrap_or_else(Recipe::identity);
-                    children.push(self.mutate(&parent, &chain, &mut rng));
-                }
-                let scores = self.score_batch(&context, &children, model, &mut seen);
-                scored.extend(scores.into_iter().zip(children));
-                // Stable: a child that only ties the incumbent stays behind
-                // it, so the incumbent changes exactly when its score drops.
-                sort_by_fitness(&mut scored);
-                if scored[0].0 < incumbent {
-                    improved_at = generation;
-                } else {
-                    break 'refine;
-                }
+        let scores = self.score_batch(&context, &candidates, model);
+        // Strictly lower only: the first of equal scores wins.
+        let mut best = 0;
+        for (index, &score) in scores.iter().enumerate() {
+            if score < scores[best] {
+                best = index;
             }
-            // Re-seed the next epoch with fresh mutations of the incumbent,
-            // mirroring the paper's re-seeding from the most similar nests.
-            let best = scored[0].1.clone();
-            let reseed = self.mutate(&best, &chain, &mut rng);
-            let batch = [reseed];
-            let f = self.score_batch(&context, &batch, model, &mut seen)[0];
-            let [reseed] = batch;
-            scored.push((f, reseed));
-            sort_by_fitness(&mut scored);
         }
-        telemetry::histogram("daisy.search.improved_at", improved_at);
-        let (best_time, best) = (scored[0].0, scored[0].1.clone());
-        (best, best_time)
+        (candidates.swap_remove(best), scores[best])
     }
 
-    /// Scores a batch of recipes: early-reject, structural dedupe, then
-    /// (adaptively parallel) incremental costing of the unique survivors,
-    /// batched so each distinct lowered rewrite is priced exactly once.
-    /// Returns one score per recipe, in order; `seen` accumulates scores
-    /// across batches.
+    /// Scores a batch of recipes: dedupe, early-reject, then (adaptively
+    /// parallel) incremental costing of the legal rewrites, batched so each
+    /// distinct lowered rewrite is priced exactly once. Returns one score
+    /// per recipe, in order.
     fn score_batch(
         &self,
         context: &ScoreContext<'_>,
         recipes: &[Recipe],
         model: &CostModel,
-        seen: &mut HashMap<u64, f64>,
     ) -> Vec<f64> {
-        // Stage 1: dedupe by recipe fingerprint — a recipe identical to one
-        // already scored anywhere in this search skips even the rewrite.
-        let keys: Vec<u64> = recipes.iter().map(recipe_fingerprint).collect();
-        let mut jobs: Vec<(u64, &Recipe)> = Vec::new();
-        for (key, recipe) in keys.iter().zip(recipes) {
-            if !seen.contains_key(key) && jobs.iter().all(|(k, _)| k != key) {
-                jobs.push((*key, recipe));
-            }
+        // Stage 1: dedupe — an equal recipe rewrites the nest equally, so
+        // only the first of equal ones is rewritten and priced.
+        let mut unique: Vec<&Recipe> = Vec::new();
+        let mut slot_of: Vec<usize> = Vec::with_capacity(recipes.len());
+        for recipe in recipes {
+            let slot = unique.iter().position(|seen| *seen == recipe);
+            slot_of.push(slot.unwrap_or_else(|| {
+                unique.push(recipe);
+                unique.len() - 1
+            }));
         }
         telemetry::counter("daisy.search.candidates", recipes.len() as u64);
         telemetry::counter(
             "daisy.search.deduped_recipes",
-            (recipes.len() - jobs.len()) as u64,
+            (recipes.len() - unique.len()) as u64,
         );
 
         // Stage 2: rewrite the unique recipes on the calling thread (cheap,
         // structural). The semantic gate and recipes that fail to apply
         // score infinity without ever reaching the cost model.
-        let rewrites: Vec<Option<Vec<Node>>> = jobs
+        let rewrites: Vec<Option<Vec<Node>>> = unique
             .iter()
-            .map(|(_, recipe)| context.rewrite(recipe))
+            .map(|recipe| context.rewrite(recipe))
             .collect();
         telemetry::counter(
             "daisy.search.rejected_precost",
@@ -329,13 +249,13 @@ impl EvolutionarySearch {
         );
 
         // Stage 3: batch the candidate costing — one lowered rewrite per
-        // structurally identical variant group. Distinct recipes of a
-        // generation routinely converge on the same rewrite (step
-        // reorderings, annotation toggles that cancel), so group by the
-        // rewrite's structural hash and price each group exactly once.
-        // Whether the groups leave the calling thread is the pool's one
-        // fan-out rule to decide. Scores are identical at any fan-out.
-        let mut group_of: Vec<Option<usize>> = vec![None; jobs.len()];
+        // structurally identical variant group. Distinct recipes can
+        // converge on the same rewrite (a seed that orders a space recipe's
+        // steps differently, say), so group by the rewrite's structural
+        // hash and price each group exactly once. Whether the groups leave the
+        // calling thread is the pool's one fan-out rule to decide. Scores
+        // are identical at any fan-out.
+        let mut group_of: Vec<Option<usize>> = vec![None; unique.len()];
         let mut groups: Vec<(u64, &Vec<Node>)> = Vec::new();
         for (index, rewrite) in rewrites.iter().enumerate() {
             let Some(rewrite) = rewrite else { continue };
@@ -353,136 +273,49 @@ impl EvolutionarySearch {
         let price = |&(_, rewrite): &(u64, &Vec<Node>)| context.score_rewrite(rewrite, model);
         let workers = if self.parallel { 0 } else { 1 };
         let group_costs = parallel_map(workers, &groups, &PARALLEL, price);
-        for ((key, _), group) in jobs.iter().zip(&group_of) {
-            let cost = group.map_or(f64::INFINITY, |g| group_costs[g]);
-            seen.insert(*key, cost);
-        }
-
-        keys.into_iter().map(|key| seen[&key]).collect()
+        slot_of
+            .into_iter()
+            .map(|slot| group_of[slot].map_or(f64::INFINITY, |g| group_costs[g]))
+            .collect()
     }
+}
 
-    /// Structural proposals playing the role of the Tiramisu-seeded initial
-    /// population: combinations of outer-loop parallelization, innermost
-    /// vectorization and square tiling.
-    pub fn proposals(&self, nest: &Loop) -> Vec<Recipe> {
-        let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
-        let mut out = Vec::new();
-        if chain.is_empty() {
-            return out;
-        }
-        let outer = chain[0].clone();
-        let inner = chain[chain.len() - 1].clone();
-        out.push(Recipe::new(vec![Transform::Parallelize {
-            iter: outer.clone(),
-        }]));
-        out.push(Recipe::new(vec![Transform::Vectorize {
-            iter: inner.clone(),
-        }]));
-        out.push(Recipe::new(vec![
-            Transform::Parallelize {
-                iter: outer.clone(),
-            },
-            Transform::Vectorize {
-                iter: inner.clone(),
-            },
-        ]));
-        if chain.len() >= 2 {
-            for &tile in &[32i64, 64] {
-                let tiles: Vec<(Var, i64)> = chain.iter().cloned().map(|v| (v, tile)).collect();
-                out.push(Recipe::new(vec![
-                    Transform::Tile { tiles },
-                    Transform::Parallelize {
-                        iter: Var::new(format!("{outer}_t")),
-                    },
-                    Transform::Vectorize {
-                        iter: inner.clone(),
-                    },
-                ]));
-            }
-        }
-        out
-    }
-
-    fn mutate(&self, parent: &Recipe, chain: &[Var], rng: &mut StdRng) -> Recipe {
-        let mut steps = parent.steps.clone();
-        if chain.is_empty() {
-            return parent.clone();
-        }
-        let choice = rng.gen_range(0..4);
-        match choice {
-            // Toggle parallelization of the outermost loop (or its tile loop).
-            0 => {
-                let has_par = steps
-                    .iter()
-                    .any(|s| matches!(s, Transform::Parallelize { .. }));
-                if has_par {
-                    steps.retain(|s| !matches!(s, Transform::Parallelize { .. }));
-                } else {
-                    let target = if steps.iter().any(|s| matches!(s, Transform::Tile { .. })) {
-                        Var::new(format!("{}_t", chain[0]))
-                    } else {
-                        chain[0].clone()
+/// The search space of `nest`, in tie-break order (see the
+/// [module docs](self)): tile size outermost, then the parallel mark, then
+/// the vector mark, each unmarked first. The identity comes first.
+fn space(nest: &Loop) -> Vec<Recipe> {
+    let chain: Vec<&Loop> = perfect_chain(nest).collect();
+    let (outer, inner) = (&nest.iter, &chain[chain.len() - 1].iter);
+    let tiles = if chain.len() >= 2 {
+        &TILE_SIZES[..]
+    } else {
+        &[]
+    };
+    let mut space = Vec::with_capacity(4 * (1 + tiles.len()));
+    for tile in std::iter::once(None).chain(tiles.iter().map(Some)) {
+        for parallel in [false, true] {
+            for vectorize in [false, true] {
+                let mut steps = Vec::with_capacity(3);
+                if let Some(&size) = tile {
+                    let tiles = chain.iter().map(|l| (l.iter.clone(), size)).collect();
+                    steps.push(Transform::Tile { tiles });
+                }
+                if parallel {
+                    let iter = match tile {
+                        Some(_) => Var::new(format!("{outer}_t")),
+                        None => outer.clone(),
                     };
-                    steps.push(Transform::Parallelize { iter: target });
+                    steps.push(Transform::Parallelize { iter });
                 }
-            }
-            // Toggle vectorization of the innermost loop.
-            1 => {
-                let has_vec = steps
-                    .iter()
-                    .any(|s| matches!(s, Transform::Vectorize { .. }));
-                if has_vec {
-                    steps.retain(|s| !matches!(s, Transform::Vectorize { .. }));
-                } else {
-                    steps.push(Transform::Vectorize {
-                        iter: chain[chain.len() - 1].clone(),
-                    });
+                if vectorize {
+                    let iter = inner.clone();
+                    steps.push(Transform::Vectorize { iter });
                 }
+                space.push(Recipe::new(steps));
             }
-            // Add / resize tiling.
-            2 => {
-                let size = *self.tile_sizes.choose(rng).unwrap_or(&32);
-                steps.retain(|s| !matches!(s, Transform::Tile { .. }));
-                if chain.len() >= 2 && rng.gen_bool(0.8) {
-                    let tiles: Vec<(Var, i64)> = chain.iter().cloned().map(|v| (v, size)).collect();
-                    // Tiling must run before annotations that reference tile
-                    // loops; put it first and re-point parallelization.
-                    steps.insert(0, Transform::Tile { tiles });
-                    for s in steps.iter_mut() {
-                        if let Transform::Parallelize { iter } = s {
-                            if !iter.as_str().ends_with("_t") && chain.contains(iter) {
-                                *iter = Var::new(format!("{iter}_t"));
-                            }
-                        }
-                    }
-                } else {
-                    // Tiling removed: re-point parallelization back to the
-                    // original loops.
-                    for s in steps.iter_mut() {
-                        if let Transform::Parallelize { iter } = s {
-                            if let Some(stripped) = iter.as_str().strip_suffix("_t") {
-                                *iter = Var::new(stripped);
-                            }
-                        }
-                    }
-                }
-            }
-            // Add an unroll of the innermost loop.
-            _ => {
-                steps.retain(|s| !matches!(s, Transform::Unroll { .. }));
-                if rng.gen_bool(0.5) {
-                    steps.push(Transform::Unroll {
-                        iter: chain[chain.len() - 1].clone(),
-                        factor: *[2u32, 4, 8].choose(rng).unwrap_or(&4),
-                    });
-                }
-            }
-        }
-        Recipe {
-            steps,
-            blas: parent.blas,
         }
     }
+    space
 }
 
 /// Dependence graph of one top-level nest in isolation.
@@ -608,21 +441,7 @@ pub fn recipe_is_semantically_legal(graph: &DependenceGraph, nest: &Loop, recipe
     true
 }
 
-/// Fingerprint of a recipe: a structural hash over its rendered steps and
-/// BLAS marker. Two recipes share a fingerprint exactly when they contain the
-/// same steps in the same order.
-fn recipe_fingerprint(recipe: &Recipe) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = loop_ir::StructuralHasher::default();
-    recipe.steps.len().hash(&mut hasher);
-    for step in &recipe.steps {
-        step.to_string().hash(&mut hasher);
-    }
-    recipe.blas.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The one incremental scorer, shared by the evolutionary search and the
+/// The one incremental scorer, shared by the search and the
 /// scheduler's transfer tuning: a program whose per-node costs were priced
 /// once, and the one nest of it that candidates rewrite.
 pub(crate) struct ScoreContext<'a> {
@@ -666,10 +485,6 @@ impl ScoreContext<'_> {
         }
         seconds
     }
-}
-
-fn sort_by_fitness(scored: &mut [(f64, Recipe)]) {
-    scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 }
 
 /// Applies a recipe to the `nest_index`-th top-level node of a program and
@@ -719,32 +534,11 @@ mod tests {
     }
 
     #[test]
-    fn proposals_cover_parallel_vector_tile() {
-        let p = gemm(256);
-        let search = EvolutionarySearch::default();
-        let proposals = search.proposals(p.loop_nests()[0]);
-        assert!(proposals.len() >= 4);
-        assert!(proposals
-            .iter()
-            .any(|r| r.steps.iter().any(|s| matches!(s, Transform::Tile { .. }))));
-        assert!(proposals.iter().any(|r| r
-            .steps
-            .iter()
-            .any(|s| matches!(s, Transform::Parallelize { .. }))));
-    }
-
-    #[test]
     fn search_beats_the_identity_schedule() {
         let p = gemm(512);
         let model = CostModel::new(MachineConfig::xeon_e5_2680v3(), 12);
         let baseline = model.estimate(&p).seconds;
-        let search = EvolutionarySearch::new(SearchConfig {
-            epochs: 2,
-            iterations_per_epoch: 2,
-            population: 8,
-            seed: 7,
-        });
-        let (best, time) = search.search(&p, 0, &model, &[]);
+        let (best, time) = EvolutionarySearch::default().search(&p, 0, &model, &[]);
         assert!(
             time < baseline,
             "search ({time}) should beat identity ({baseline})"
@@ -765,14 +559,15 @@ mod tests {
 
     #[test]
     fn seeds_participate_in_the_population() {
+        // A tile size outside the space: only the seed brings it in.
         let p = gemm(256);
         let model = CostModel::new(MachineConfig::xeon_e5_2680v3(), 8);
         let seed_recipe = Recipe::new(vec![
             Transform::Tile {
                 tiles: vec![
-                    (Var::new("i"), 64),
-                    (Var::new("k"), 64),
-                    (Var::new("j"), 64),
+                    (Var::new("i"), 48),
+                    (Var::new("k"), 48),
+                    (Var::new("j"), 48),
                 ],
             },
             Transform::Parallelize {
@@ -782,15 +577,41 @@ mod tests {
                 iter: Var::new("j"),
             },
         ]);
-        let search = EvolutionarySearch::new(SearchConfig {
-            epochs: 1,
-            iterations_per_epoch: 1,
-            population: 6,
-            seed: 3,
-        });
-        let (_, with_seed) = search.search(&p, 0, &model, std::slice::from_ref(&seed_recipe));
+        let search = EvolutionarySearch::default();
+        let ((_, with_seed), counters) =
+            counted(|| search.search(&p, 0, &model, std::slice::from_ref(&seed_recipe)));
+        assert_eq!(counters[..2], [21, 0], "the 20 of the space, then the seed");
         let seed_time = evaluate_recipe(&p, 0, &seed_recipe, &model).unwrap();
         assert!(with_seed <= seed_time + 1e-12);
+    }
+
+    #[test]
+    fn the_space_lists_distinct_recipes_and_ties_keep_the_first() {
+        let p = gemm(256);
+        let recipes = space(p.loop_nests()[0]);
+        assert_eq!(recipes.len(), 20);
+        assert!(recipes[0].is_identity());
+        for (index, recipe) in recipes.iter().enumerate() {
+            assert!(!recipes[..index].contains(recipe), "{recipe} repeats");
+        }
+        let single = parse_program(
+            "program one { param N = 64; array A[N]; for i in 0..N { A[i] = 1.0; } }",
+        )
+        .unwrap();
+        assert_eq!(space(single.loop_nests()[0]).len(), 4, "no tiling");
+
+        // An unrolled copy of the winner prices the same, and seeds come
+        // after the space: it does not displace the winner.
+        let model = CostModel::new(MachineConfig::xeon_e5_2680v3(), 12);
+        let search = EvolutionarySearch::default();
+        let (best, score) = search.search(&p, 0, &model, &[]);
+        let unrolled = best.clone().then(Transform::Unroll {
+            iter: Var::new("j"),
+            factor: 4,
+        });
+        let (again, again_score) = search.search(&p, 0, &model, &[unrolled]);
+        assert_eq!(again, best);
+        assert_eq!(again_score.to_bits(), score.to_bits());
     }
 
     #[test]
@@ -807,17 +628,11 @@ mod tests {
     #[test]
     fn parallel_and_sequential_evaluation_agree() {
         let p = gemm(192);
-        let config = SearchConfig {
-            epochs: 2,
-            iterations_per_epoch: 2,
-            population: 8,
-            seed: 11,
-        };
         let model_a = CostModel::new(MachineConfig::xeon_e5_2680v3(), 8);
         let model_b = CostModel::new(MachineConfig::xeon_e5_2680v3(), 8);
-        let (r_par, t_par) = EvolutionarySearch::new(config.clone()).search(&p, 0, &model_a, &[]);
+        let (r_par, t_par) = EvolutionarySearch::default().search(&p, 0, &model_a, &[]);
         let (r_seq, t_seq) =
-            EvolutionarySearch::new(config)
+            EvolutionarySearch::default()
                 .with_parallel(false)
                 .search(&p, 0, &model_b, &[]);
         assert_eq!(r_par, r_seq);
@@ -844,13 +659,28 @@ mod tests {
         }
     }
 
+    /// Runs `f` under a fresh collecting sink and returns its result and
+    /// the sink's `daisy.search.*` counters: candidates, deduped recipes,
+    /// rejections before costing and rewrites priced.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 4]) {
+        let sink = std::sync::Arc::new(telemetry::CollectingRecorder::default());
+        let out = telemetry::with_recorder(sink.clone(), f);
+        let counters = [
+            "candidates",
+            "deduped_recipes",
+            "rejected_precost",
+            "rewrites_priced",
+        ]
+        .map(|name| sink.counter_total(&format!("daisy.search.{name}")));
+        (out, counters)
+    }
+
     #[test]
     fn illegal_recipes_are_rejected_without_costing() {
         let p = gemm(64);
         let model = CostModel::sequential();
         let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
-        let mut seen = HashMap::new();
         let graph = nest_scoped_graph(&p, p.loop_nests()[0]);
         let batch = [
             Recipe::new(vec![Transform::Parallelize {
@@ -858,18 +688,13 @@ mod tests {
             }]),
             Recipe::identity(),
         ];
-        let scores = search.score_batch(
-            &context_of(&p, &model, &node_costs, &graph),
-            &batch,
-            &model,
-            &mut seen,
-        );
+        let context = context_of(&p, &model, &node_costs, &graph);
+        let (scores, counters) = counted(|| search.score_batch(&context, &batch, &model));
         assert_eq!(scores[0], f64::INFINITY);
         assert!(scores[1].is_finite());
-        // Both recipes were fingerprinted (the illegal one caches its
-        // rejection), but only the legal rewrite reached the cost model —
-        // and it shares the base nest's memo entry.
-        assert_eq!(seen.len(), 2);
+        // Only the legal rewrite reached the cost model — and it shares the
+        // base nest's memo entry.
+        assert_eq!(counters, [2, 0, 1, 1]);
         assert_eq!(model.memo_entries(), 1);
     }
 
@@ -879,21 +704,16 @@ mod tests {
         let model = CostModel::sequential();
         let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
-        let mut seen = HashMap::new();
         let graph = nest_scoped_graph(&p, p.loop_nests()[0]);
         let vectorize = Recipe::new(vec![Transform::Vectorize {
             iter: Var::new("j"),
         }]);
         let batch = [vectorize.clone(), vectorize.clone(), vectorize];
-        let scores = search.score_batch(
-            &context_of(&p, &model, &node_costs, &graph),
-            &batch,
-            &model,
-            &mut seen,
-        );
+        let context = context_of(&p, &model, &node_costs, &graph);
+        let (scores, counters) = counted(|| search.score_batch(&context, &batch, &model));
         assert_eq!(scores[0], scores[1]);
         assert_eq!(scores[1], scores[2]);
-        assert_eq!(seen.len(), 1, "one structural hash, one evaluation");
+        assert_eq!(counters, [3, 2, 0, 1], "one recipe, one evaluation");
     }
 
     #[test]
@@ -925,25 +745,19 @@ mod tests {
             node_costs: &node_costs,
             graph: &graph,
         };
-        // The candidates a search draws — the identity, the proposals and
-        // mutations of earlier candidates — plus one the dependence gate
-        // rejects (`k` carries the reduction into `C`).
+        // The candidates a search prices — the nest's whole space — plus
+        // one the dependence gate rejects (`k` carries the reduction into
+        // `C`).
         let search = EvolutionarySearch::default();
-        let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut candidates = vec![Recipe::identity()];
-        candidates.extend(search.proposals(nest));
-        while candidates.len() < 64 {
-            let parent = candidates.choose(&mut rng).unwrap().clone();
-            candidates.push(search.mutate(&parent, &chain, &mut rng));
-        }
+        let mut candidates = space(nest);
+        assert_eq!(candidates.len(), 20);
         let par_k = Recipe::new(vec![Transform::Parallelize {
             iter: Var::new("k"),
         }]);
         assert!(!recipe_is_semantically_legal(&graph, nest, &par_k));
         candidates.push(par_k);
 
-        let scores = search.score_batch(&context, &candidates, &model, &mut HashMap::new());
+        let scores = search.score_batch(&context, &candidates, &model);
         let reference = CostModel::sequential().without_memoization();
         let mut finite = 0;
         for (recipe, score) in candidates.iter().zip(&scores) {
@@ -1103,14 +917,9 @@ mod tests {
         let model = CostModel::sequential();
         let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
-        let mut seen = HashMap::new();
         let batch = [par_i.clone()];
-        let scores = search.score_batch(
-            &context_of(&p, &model, &node_costs, &graph),
-            &batch,
-            &model,
-            &mut seen,
-        );
+        let scores =
+            search.score_batch(&context_of(&p, &model, &node_costs, &graph), &batch, &model);
         assert_eq!(scores[0], f64::INFINITY);
         assert_eq!(
             model.memo_entries(),
@@ -1166,7 +975,6 @@ mod tests {
         let model = CostModel::sequential();
         let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
-        let mut seen = HashMap::new();
         let graph = nest_scoped_graph(&p, p.loop_nests()[0]);
         let par = Transform::Parallelize {
             iter: Var::new("i"),
@@ -1178,14 +986,10 @@ mod tests {
             Recipe::new(vec![par.clone(), vec.clone()]),
             Recipe::new(vec![vec, par]),
         ];
-        let scores = search.score_batch(
-            &context_of(&p, &model, &node_costs, &graph),
-            &batch,
-            &model,
-            &mut seen,
-        );
+        let context = context_of(&p, &model, &node_costs, &graph);
+        let (scores, counters) = counted(|| search.score_batch(&context, &batch, &model));
         assert_eq!(scores[0], scores[1]);
-        assert_eq!(seen.len(), 2, "two fingerprints, one shared score");
+        assert_eq!(counters, [2, 0, 0, 1], "two recipes, one shared pricing");
         assert_eq!(
             model.memo_entries(),
             2,

@@ -11,11 +11,18 @@
 //! rewrites. The digest is the same at parallelism 1 and 4; re-pin it in the
 //! change that means to move a schedule, and say which.
 //!
-//! Re-pinned once since: the generated digest, when the dependence tester
-//! began to bound the destination iteration as it bounds the source. 96 of
-//! the 500 generated outcomes moved — 59 with their normal form, 37 through
-//! the smaller nest-scoped graphs or the sibling database (6 of its 64
-//! normal forms moved). No PolyBench outcome did.
+//! Re-pinned twice since:
+//!
+//! * the generated digest, when the dependence tester began to bound the
+//!   destination iteration as it bounds the source. 96 of the 500 generated
+//!   outcomes moved — 59 with their normal form, 37 through the smaller
+//!   nest-scoped graphs or the sibling database (6 of its 64 normal forms
+//!   moved). No PolyBench outcome did;
+//! * the Large and generated digests, when the seeding search began to
+//!   enumerate its space and keep the first minimum. Only ties moved: 22
+//!   Large and 11 generated outcomes changed their decision text (a
+//!   `vectorize` mark that does not change the price, say), and not one
+//!   `report.seconds` moved. The Mini digest did not move.
 
 use std::hash::Hasher;
 
@@ -79,7 +86,7 @@ fn polybench_schedule_inputs_at_mini() {
 
 #[test]
 fn polybench_schedule_inputs_at_large() {
-    assert_polybench_digest(Dataset::Large, 0x5334_6012_02b7_a758);
+    assert_polybench_digest(Dataset::Large, 0x299e_5c70_3a61_11d1);
 }
 
 #[test]
@@ -89,5 +96,5 @@ fn generated_programs_against_a_sibling_seeded_database() {
     let siblings: Vec<Program> = (500..564).map(|seed| generate(seed, &gen)).collect();
     let mut scheduler = DaisyScheduler::new(DaisyConfig::default());
     scheduler.seed_from_programs(&siblings);
-    assert_digest_at_parallelism_1_and_4(&mut scheduler, &inputs, 0xd3de_657a_9730_aaa5);
+    assert_digest_at_parallelism_1_and_4(&mut scheduler, &inputs, 0xcc7d_a646_74d5_6854);
 }

@@ -1,9 +1,13 @@
 //! The search against an independent oracle, on the paper's own inputs.
 //!
 //! For every top-level nest of the PolyBench A, B and Py variants at Mini and
-//! of the CLOUDSC mini programs, each as written and normalized,
+//! of the CLOUDSC mini programs, each as written and normalized, and of the
+//! normalized A and Py variants at Medium and Large,
 //! [`EvolutionarySearch::search`]'s score must equal, bit for bit, the
-//! cheapest recipe of the oracle's own enumeration. The oracle shares no
+//! cheapest recipe of the oracle's own enumeration. At Mini every tile size
+//! ties with another one on every nest, so Mini alone cannot tell a space
+//! that lost a tile size; the larger sizes can (16 is the only best size
+//! of some Medium nests, 32 of some Large ones). The oracle shares no
 //! code with the search's candidate pricing: it materializes every recipe
 //! (`evaluate_recipe`) and prices the whole program on a model built
 //! `without_memoization`, behind the same semantic gate. Its space is wider
@@ -97,11 +101,17 @@ fn the_search_finds_the_minimum_of_every_recipe_on_the_papers_inputs() {
         programs.push(full_model(variant, sizes));
     }
     programs.push(erosion_original(sizes));
-    let normalized: Vec<Program> = programs
-        .iter()
-        .map(|p| Normalizer::new().run(p).expect("normalizes").program)
-        .collect();
-    programs.extend(normalized);
+    let mut to_normalize = programs.clone();
+    for dataset in [Dataset::Medium, Dataset::Large] {
+        for bench in all_benchmarks() {
+            to_normalize.extend([(bench.a)(dataset), (bench.py)(dataset).0]);
+        }
+    }
+    programs.extend(
+        to_normalize
+            .iter()
+            .map(|p| Normalizer::new().run(p).expect("normalizes").program),
+    );
 
     let machine = MachineConfig::xeon_e5_2680v3();
     let model = CostModel::new(machine.clone(), 12);
@@ -124,5 +134,5 @@ fn the_search_finds_the_minimum_of_every_recipe_on_the_papers_inputs() {
             nests += 1;
         }
     }
-    assert!(nests > 200, "{nests} nests");
+    assert!(nests > 500, "{nests} nests");
 }

@@ -1,9 +1,9 @@
 //! Instrumentation contracts of the scheduling stack, asserted through a
-//! [`CollectingRecorder`]: which spans a cold seeding emits, that its
-//! searches stop one generation after their last improvement, that a warm
-//! start emits **zero** `search.generation` spans (the whole point of the
-//! persistent store), that `schedule()` reports its four phases, and that
-//! counter values are deterministic across identical runs.
+//! [`CollectingRecorder`]: what a cold seeding emits and that its searches
+//! price whole spaces, that a warm start prices **zero** search candidates
+//! (the whole point of the persistent store), that `schedule()` reports its
+//! four phases, and that counter values are deterministic across identical
+//! runs.
 //!
 //! Every test runs inside `telemetry::with_recorder`, which serializes on
 //! the process-global recorder — tests in this file can run on any number
@@ -15,8 +15,7 @@ use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::expr::Var;
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
-use polybench::{all_benchmarks, Dataset};
-use telemetry::{with_recorder, CollectingRecorder, Event};
+use telemetry::{with_recorder, CollectingRecorder};
 use transforms::{Recipe, Transform};
 use tunestore::{Snapshot, StoredEntry};
 
@@ -40,19 +39,6 @@ fn config() -> DaisyConfig {
     }
 }
 
-/// Completed span paths whose leaf segment is `search.generation`,
-/// wherever they are rooted (seeding fans out to worker threads, whose
-/// spans root at `search`).
-fn generation_spans(sink: &CollectingRecorder) -> usize {
-    sink.events()
-        .iter()
-        .filter(|e| {
-            matches!(e, Event::SpanExit { path, .. }
-                if path == "search.generation" || path.ends_with(".search.generation"))
-        })
-        .count()
-}
-
 #[test]
 fn cold_seeding_emits_search_generation_spans_and_search_counters() {
     let sink = Arc::new(CollectingRecorder::default());
@@ -61,14 +47,11 @@ fn cold_seeding_emits_search_generation_spans_and_search_counters() {
         scheduler.seed_from_programs(&[gemm(128)]);
     });
     assert_eq!(sink.span_count("seeding"), 1);
+    // Normalized, the program is two nests, and the gemm nest's chain of
+    // three loops alone has a space of 20 recipes.
     assert!(
-        generation_spans(&sink) > 0,
-        "a cold seeding runs the evolutionary search: {:?}",
-        sink.span_paths()
-    );
-    assert!(
-        sink.counter_total("daisy.search.candidates") > 0,
-        "the search scores candidates"
+        sink.counter_total("daisy.search.candidates") >= 20,
+        "a cold seeding prices the gemm nest's whole space"
     );
     assert!(
         sink.counter_total("daisy.search.candidates")
@@ -77,53 +60,8 @@ fn cold_seeding_emits_search_generation_spans_and_search_counters() {
     );
 }
 
-/// Every value recorded into the histogram `name`, in order.
-fn histogram_samples(sink: &CollectingRecorder, name: &str) -> Vec<u64> {
-    sink.events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Histogram { name: n, value } if *n == name => Some(*value),
-            _ => None,
-        })
-        .collect()
-}
-
 #[test]
-fn seeding_searches_stop_one_generation_after_their_last_improvement() {
-    // The database `reproduce` and the benchmark seed: PolyBench's A
-    // variants at Large. Under this cost model every search's incumbent
-    // last improves at the initial population or at generation 1, so the
-    // 3 x 3 cap never binds. The day a later generation wins, this fails:
-    // that nest is the case for the paper's full depth.
-    let programs: Vec<Program> = all_benchmarks()
-        .iter()
-        .map(|bench| (bench.a)(Dataset::Large))
-        .collect();
-    assert_eq!(programs.len(), 15);
-    let sink = Arc::new(CollectingRecorder::default());
-    with_recorder(sink.clone(), || {
-        DaisyScheduler::new(DaisyConfig::default()).seed_from_programs(&programs);
-    });
-    let improved_at = histogram_samples(&sink, "daisy.search.improved_at");
-    assert_eq!(
-        improved_at.len() as u64,
-        sink.counter_total("daisy.seed.nests"),
-        "one sample per seeded nest"
-    );
-    assert!(improved_at.iter().all(|&g| g <= 1), "{improved_at:?}");
-    assert!(
-        improved_at.contains(&1),
-        "generation 1 wins somewhere: {improved_at:?}"
-    );
-    // The stop fires at the first generation that does not improve.
-    assert_eq!(
-        generation_spans(&sink) as u64,
-        improved_at.iter().map(|g| g + 1).sum::<u64>()
-    );
-}
-
-#[test]
-fn warm_start_emits_zero_search_generation_spans() {
+fn warm_start_prices_no_search_candidates() {
     let dir = std::env::temp_dir().join(format!("daisy-telemetry-{}", std::process::id()));
     let path = dir.join("warm.tunedb");
     std::fs::create_dir_all(&dir).unwrap();
@@ -148,10 +86,9 @@ fn warm_start_emits_zero_search_generation_spans() {
     });
     assert_eq!(cold_outcome, warm_outcome, "warm must match cold");
     assert_eq!(
-        generation_spans(&sink),
+        sink.counter_total("daisy.search.candidates"),
         0,
-        "a warm-started schedule must never re-run the search: {:?}",
-        sink.span_paths()
+        "a warm-started schedule must never re-run the search"
     );
     assert_eq!(sink.span_count("seeding"), 0);
     assert_eq!(sink.span_count("schedule"), 1);
@@ -217,7 +154,7 @@ fn fan_out_counters_tell_calls_that_spawned_from_calls_that_did_not() {
     assert_eq!(sink.counter_total("daisy.parallel.workers"), 1);
     assert_eq!(sink.counter_total("daisy.parallel.fanouts"), 0);
 
-    // Seeding runs one evolutionary search per nest, and the 16 of them
+    // Seeding runs one search per nest, and the 16 of them
     // outlast the spawn budget many times over: with cores to spare the
     // queue must fan out, with at most one helper per spare core. Whether a
     // helper gets to an item before the caller empties the queue is timing

@@ -766,6 +766,36 @@ mod tests {
     }
 
     #[test]
+    fn the_unroll_factor_does_not_change_an_estimate() {
+        // The recipe search leaves unrolling out of its space for exactly
+        // this reason: every unrolled recipe would tie with the same recipe
+        // without it. When the model starts to price unrolling, this test
+        // fails, and the unroll axis goes back into the search.
+        let model = CostModel::new(MachineConfig::xeon_e5_2680v3(), 12).without_memoization();
+        for scheduled in [false, true] {
+            let mut plain = gemm("ikj", 256);
+            if scheduled {
+                let Node::Loop(nest) = &mut plain.body[0] else {
+                    panic!("gemm is one nest");
+                };
+                transforms::mark_parallel(nest, &Var::new("i")).unwrap();
+                transforms::mark_vectorize(nest, &Var::new("j")).unwrap();
+            }
+            let mut unrolled = plain.clone();
+            let Node::Loop(nest) = &mut unrolled.body[0] else {
+                panic!("gemm is one nest");
+            };
+            transforms::mark_unroll(nest, &Var::new("j"), 4).unwrap();
+            assert_eq!(
+                model.estimate(&unrolled).seconds.to_bits(),
+                model.estimate(&plain).seconds.to_bits(),
+                "the cost model now prices unrolling: put the unroll axis back \
+                 into the recipe search's space (scheduled: {scheduled})"
+            );
+        }
+    }
+
+    #[test]
     fn flop_count_matches_iteration_space() {
         let p = gemm("ijk", 100);
         let report = CostModel::sequential().estimate(&p);

@@ -1,5 +1,5 @@
 //! The one worker pool: every queue of independent work in the workspace —
-//! the scheduler's seeding searches, `schedule`'s nests and a generation's
+//! the scheduler's seeding searches, `schedule`'s nests and a search's
 //! rewrite groups, the shard simulator's translation classes and
 //! stragglers — fans out through [`parallel_map`], and none of them decides
 //! for itself whether threads are worth it.
@@ -12,7 +12,7 @@
 //! queue that already outlasted the budget), and never slower than spawning
 //! up front by more than the budget or one item, whichever is longer (the
 //! helpers' head start the caller worked through alone). Cheap queues — a
-//! generation of memoized rewrites, a one-class simulation — never leave
+//! search's memoized rewrites, a one-class simulation — never leave
 //! their caller; a seeding, a many-nest CLOUDSC plan or the 32 classes of
 //! a DaCe trace fan out after their first item or two.
 //!
@@ -49,7 +49,7 @@ pub struct Counters {
 pub fn effective_workers(requested: usize, items: usize) -> usize {
     // Asked once per process: the answer costs a system call and a walk of
     // the cgroup files (~10 µs), and this runs per queue — the rewrite
-    // groups of every generation, every `schedule` call.
+    // groups of every search, every `schedule` call.
     static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let available =
         *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
@@ -64,7 +64,7 @@ pub fn effective_workers(requested: usize, items: usize) -> usize {
 /// How long the calling thread drains a [`parallel_map`] queue alone before
 /// it pays for helper threads: about the cost of spawning and joining one
 /// scoped thread on the machines this runs on. A queue that empties within
-/// it — one `schedule` call on a small program, a generation of memoized
+/// it — one `schedule` call on a small program, a search's memoized
 /// rewrites — never spawns at all.
 const SPAWN_BUDGET: Duration = Duration::from_micros(300);
 

@@ -26,8 +26,8 @@
 //!   (per-path duration histograms + counters) for `reproduce --profile`,
 //!   `daisyfuzz run --profile` and the `daisyprof` viewer;
 //! - [`CollectingRecorder`] keeps the raw event log so tests can assert
-//!   instrumentation *contracts* (e.g. "warm start emits zero
-//!   `search.generation` spans").
+//!   instrumentation *contracts* (e.g. "a warm start prices zero
+//!   `daisy.search.candidates`").
 //!
 //! Tests that install a recorder must serialize on the global sink —
 //! [`with_recorder`] does exactly that (one global mutex, install, run,

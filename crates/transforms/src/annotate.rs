@@ -1,4 +1,8 @@
 //! Schedule annotations: parallelization, vectorization and unrolling marks.
+//!
+//! A mark changes one loop's schedule and nothing else, so it is set in
+//! place on the nest the caller owns; a failed mark leaves the nest as it
+//! was.
 
 use loop_ir::expr::Var;
 use loop_ir::nest::Loop;
@@ -9,7 +13,7 @@ use crate::error::{Result, TransformError};
 ///
 /// # Errors
 /// Returns [`TransformError::UnknownLoop`] if the iterator is not found.
-pub fn mark_parallel(nest: &Loop, iter: &Var) -> Result<Loop> {
+pub fn mark_parallel(nest: &mut Loop, iter: &Var) -> Result<()> {
     annotate(nest, iter, |l| l.schedule.parallel = true)
 }
 
@@ -17,7 +21,7 @@ pub fn mark_parallel(nest: &Loop, iter: &Var) -> Result<Loop> {
 ///
 /// # Errors
 /// Returns [`TransformError::UnknownLoop`] if the iterator is not found.
-pub fn mark_vectorize(nest: &Loop, iter: &Var) -> Result<Loop> {
+pub fn mark_vectorize(nest: &mut Loop, iter: &Var) -> Result<()> {
     annotate(nest, iter, |l| l.schedule.vectorize = true)
 }
 
@@ -26,7 +30,7 @@ pub fn mark_vectorize(nest: &Loop, iter: &Var) -> Result<Loop> {
 /// # Errors
 /// Returns [`TransformError::UnknownLoop`] if the iterator is not found, or
 /// [`TransformError::InvalidFactor`] for factors below 2.
-pub fn mark_unroll(nest: &Loop, iter: &Var, factor: u32) -> Result<Loop> {
+pub fn mark_unroll(nest: &mut Loop, iter: &Var, factor: u32) -> Result<()> {
     if factor < 2 {
         return Err(TransformError::InvalidFactor {
             iterator: iter.clone(),
@@ -36,10 +40,9 @@ pub fn mark_unroll(nest: &Loop, iter: &Var, factor: u32) -> Result<Loop> {
     annotate(nest, iter, |l| l.schedule.unroll = factor)
 }
 
-fn annotate(nest: &Loop, iter: &Var, f: impl Fn(&mut Loop)) -> Result<Loop> {
-    let mut out = nest.clone();
-    if apply(&mut out, iter, &f) {
-        Ok(out)
+fn annotate(nest: &mut Loop, iter: &Var, f: impl Fn(&mut Loop)) -> Result<()> {
+    if apply(nest, iter, &f) {
+        Ok(())
     } else {
         Err(TransformError::UnknownLoop(iter.clone()))
     }
@@ -84,40 +87,48 @@ mod tests {
 
     #[test]
     fn parallel_mark_targets_named_loop() {
-        let marked = mark_parallel(&nest(), &Var::new("i")).unwrap();
+        let mut marked = nest();
+        mark_parallel(&mut marked, &Var::new("i")).unwrap();
         assert!(marked.schedule.parallel);
         assert!(!marked.body[0].as_loop().unwrap().schedule.parallel);
     }
 
     #[test]
     fn vectorize_mark_targets_inner_loop() {
-        let marked = mark_vectorize(&nest(), &Var::new("j")).unwrap();
+        let mut marked = nest();
+        mark_vectorize(&mut marked, &Var::new("j")).unwrap();
         assert!(!marked.schedule.vectorize);
         assert!(marked.body[0].as_loop().unwrap().schedule.vectorize);
     }
 
     #[test]
     fn unroll_requires_factor_of_at_least_two() {
+        let mut marked = nest();
         assert!(matches!(
-            mark_unroll(&nest(), &Var::new("j"), 1),
+            mark_unroll(&mut marked, &Var::new("j"), 1),
             Err(TransformError::InvalidFactor { .. })
         ));
-        let marked = mark_unroll(&nest(), &Var::new("j"), 8).unwrap();
+        assert_eq!(marked, nest(), "a rejected factor marks nothing");
+        mark_unroll(&mut marked, &Var::new("j"), 8).unwrap();
         assert_eq!(marked.body[0].as_loop().unwrap().schedule.unroll, 8);
     }
 
     #[test]
     fn unknown_loop_is_reported() {
         assert_eq!(
-            mark_parallel(&nest(), &Var::new("z")).unwrap_err(),
+            mark_parallel(&mut nest(), &Var::new("z")).unwrap_err(),
             TransformError::UnknownLoop(Var::new("z"))
         );
     }
 
     #[test]
     fn original_nest_is_untouched() {
-        let original = nest();
-        let _ = mark_parallel(&original, &Var::new("i")).unwrap();
-        assert!(!original.schedule.parallel);
+        // A mark that finds no loop changes nothing.
+        let mut original = nest();
+        for mark in [mark_parallel, mark_vectorize] {
+            mark(&mut original, &Var::new("z")).unwrap_err();
+        }
+        mark_unroll(&mut original, &Var::new("z"), 4).unwrap_err();
+        assert_eq!(original, nest());
     }
 }

@@ -224,7 +224,7 @@ impl Recipe {
     fn apply_step(&self, step: &Transform, nests: Vec<Loop>) -> Result<Vec<Loop>> {
         let mut out = Vec::with_capacity(nests.len());
         let mut applied = false;
-        for nest in nests {
+        for mut nest in nests {
             let has = |iter: &Var| nest.has_iterator(iter);
             match step {
                 Transform::Fission => {
@@ -249,27 +249,24 @@ impl Recipe {
                 }
                 Transform::Parallelize { iter } => {
                     if has(iter) {
-                        out.push(mark_parallel(&nest, iter)?);
+                        mark_parallel(&mut nest, iter)?;
                         applied = true;
-                    } else {
-                        out.push(nest);
                     }
+                    out.push(nest);
                 }
                 Transform::Vectorize { iter } => {
                     if has(iter) {
-                        out.push(mark_vectorize(&nest, iter)?);
+                        mark_vectorize(&mut nest, iter)?;
                         applied = true;
-                    } else {
-                        out.push(nest);
                     }
+                    out.push(nest);
                 }
                 Transform::Unroll { iter, factor } => {
                     if has(iter) {
-                        out.push(mark_unroll(&nest, iter, *factor)?);
+                        mark_unroll(&mut nest, iter, *factor)?;
                         applied = true;
-                    } else {
-                        out.push(nest);
                     }
+                    out.push(nest);
                 }
             }
         }
