@@ -236,11 +236,49 @@ impl CacheLevel {
     }
 }
 
+/// L2 replicas fed with the misses of one L1: each missed line goes to
+/// every replica, first moved by that replica's whole-line offset for the
+/// array it lies in. The shard layer's L1 classes use them to simulate the
+/// L2 of several translation classes behind one L1 stream (see
+/// [`crate::shard`]).
+#[derive(Debug, Clone)]
+struct L2Replicas {
+    /// `[first, end)` line ranges of the arrays the stream may touch, sorted
+    /// by first line and disjoint.
+    arrays: Vec<(u64, u64)>,
+    /// The offset of array `a` in replica `r`, at `a * levels.len() + r`.
+    offsets: Vec<u64>,
+    levels: Vec<CacheLevel>,
+}
+
+impl L2Replicas {
+    /// Accesses one missed line in every replica. A line outside every
+    /// array moves by nothing.
+    #[inline(never)]
+    fn access_line(&mut self, line: u64) {
+        let replicas = self.levels.len();
+        let array = self.arrays.partition_point(|&(first, _)| first <= line);
+        match array.checked_sub(1).filter(|&a| line < self.arrays[a].1) {
+            Some(a) => {
+                let offsets = &self.offsets[a * replicas..(a + 1) * replicas];
+                for (level, offset) in self.levels.iter_mut().zip(offsets) {
+                    level.access_line(line.wrapping_add(*offset));
+                }
+            }
+            None => self.levels.iter_mut().for_each(|level| {
+                level.access_line(line);
+            }),
+        }
+    }
+}
+
 /// A two-level cache hierarchy fed with byte addresses.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: CacheLevel,
     l2: CacheLevel,
+    /// When set, L1 misses go to these replicas instead of `l2`.
+    l2_replicas: Option<Box<L2Replicas>>,
     accesses: u64,
     /// L1 line number of the previous access; a repeat is a guaranteed hit.
     last_line: u64,
@@ -372,6 +410,7 @@ impl CacheHierarchy {
         let hierarchy = CacheHierarchy {
             l1: CacheLevel::new(machine.l1_bytes, machine.l1_assoc, machine.line_bytes),
             l2: CacheLevel::new(machine.l2_bytes, machine.l2_assoc, machine.line_bytes),
+            l2_replicas: None,
             accesses: 0,
             last_line: EMPTY,
             group: GroupScratch::default(),
@@ -382,19 +421,62 @@ impl CacheHierarchy {
         hierarchy
     }
 
-    /// The rounded line size and the byte distance after which the set
-    /// mapping of both levels repeats, `line_bytes × max(L1 sets, L2 sets)`
-    /// (the *set period*). Moving every address by the same whole number of
-    /// lines shifts each level's set index by one constant modulo that
-    /// level's set count, and moving one address by a whole set period
-    /// keeps it in the same set at both levels. `None` when a line is wider
-    /// than the [`AddressMap`] alignment, so that two arrays could share one.
-    pub(crate) fn line_and_set_period_bytes(machine: &MachineConfig) -> Option<(u64, u64)> {
+    /// A hierarchy whose L1 misses go to `replicas` L2 replicas instead of
+    /// one L2: a missed line inside `arrays[a]` (`[first, end)` line
+    /// ranges, sorted and disjoint) reaches replica `r` moved by
+    /// `offsets[a * replicas + r]` lines, a line outside every range
+    /// unmoved. Everything the L1 sees is unchanged; read the replicas'
+    /// counters with [`l2_replicas`](Self::l2_replicas).
+    pub(crate) fn with_l2_replicas(
+        machine: &MachineConfig,
+        arrays: Vec<(u64, u64)>,
+        offsets: Vec<u64>,
+        replicas: usize,
+    ) -> Self {
+        debug_assert_eq!(offsets.len(), arrays.len() * replicas);
+        debug_assert!(arrays.windows(2).all(|w| w[0].1 <= w[1].0));
+        let level = CacheLevel::new(machine.l2_bytes, machine.l2_assoc, machine.line_bytes);
+        CacheHierarchy {
+            l2_replicas: Some(Box::new(L2Replicas {
+                arrays,
+                offsets,
+                levels: vec![level; replicas],
+            })),
+            ..CacheHierarchy::from_machine(machine)
+        }
+    }
+
+    /// The counters of each L2 replica of a hierarchy built by
+    /// [`with_l2_replicas`](Self::with_l2_replicas), in replica order;
+    /// empty otherwise.
+    pub(crate) fn l2_replicas(&self) -> Vec<CacheStats> {
+        self.l2_replicas
+            .iter()
+            .flat_map(|replicas| replicas.levels.iter().map(|level| level.stats))
+            .collect()
+    }
+
+    /// The rounded line size and the byte distances after which the set
+    /// mapping repeats: `line_bytes × L1 sets` (the *L1 set period*) and
+    /// `line_bytes × max(L1 sets, L2 sets)` (the *set period* of both
+    /// levels). Moving every address by the same whole number of lines
+    /// shifts each level's set index by one constant modulo that level's
+    /// set count, and moving one address by a whole period keeps it in the
+    /// same set at the levels the period covers. `None` when a line is
+    /// wider than the [`AddressMap`] alignment, so that two arrays could
+    /// share one.
+    pub(crate) fn line_and_set_periods(machine: &MachineConfig) -> Option<(u64, u64, u64)> {
         let (line_bytes, l1_sets) =
             CacheLevel::geometry(machine.l1_bytes, machine.l1_assoc, machine.line_bytes);
         let (_, l2_sets) =
             CacheLevel::geometry(machine.l2_bytes, machine.l2_assoc, machine.line_bytes);
-        (line_bytes <= AddressMap::ALIGN).then(|| (line_bytes, line_bytes * l1_sets.max(l2_sets)))
+        (line_bytes <= AddressMap::ALIGN).then(|| {
+            (
+                line_bytes,
+                line_bytes * l1_sets,
+                line_bytes * l1_sets.max(l2_sets),
+            )
+        })
     }
 
     /// Simulates one access to the given byte address (reads and writes are
@@ -437,7 +519,13 @@ impl CacheHierarchy {
         self.last_line = line;
         let (hit, evicted) = self.l1.access_line_tracked(line);
         if !hit {
-            self.l2.access_line(line);
+            // L2 sees nothing but the lines L1 missed, in miss order.
+            match &mut self.l2_replicas {
+                None => {
+                    self.l2.access_line(line);
+                }
+                Some(replicas) => replicas.access_line(line),
+            }
         }
         evicted
     }

@@ -387,6 +387,8 @@ pub(crate) struct ArrayShift {
     len: u64,
     /// `elems` in bytes.
     pub(crate) bytes: u64,
+    /// The array's byte addresses, `[base, end)`.
+    pub(crate) addresses: (u64, u64),
 }
 
 /// What one [`CompiledProgram::stream_block_range`] call touched: per array
@@ -1251,11 +1253,13 @@ impl CompiledProgram {
             let len = dims
                 .iter()
                 .try_fold(1u64, |n, &d| n.checked_mul(u64::try_from(d).ok()?))?;
+            let size = len.saturating_mul(carray.elem_size as u64);
             shifts.push(ArrayShift {
                 array,
                 elems,
                 len,
                 bytes: elems.checked_mul(carray.elem_size as u64)?,
+                addresses: (carray.base, carray.base.saturating_add(size)),
             });
         }
         Some(shifts)

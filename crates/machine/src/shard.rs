@@ -55,8 +55,10 @@
 //! the whole plan and is bit-identical to simulating every shard (the
 //! shard oracle, [`simulate_cache_sharded_reference`], streams every shard
 //! into its own naive LRU and the differential suite holds the two equal);
-//! [`ShardedCacheStats::classes`] says how many shards were streamed and
-//! [`ShardedCacheStats::streamed_accesses`] how many accesses they held.
+//! [`ShardedCacheStats::classes`] says how many shards' L2 was simulated,
+//! [`ShardedCacheStats::l1_streams`] how many shards were streamed through
+//! an L1 (see "Two levels, two periods" below) and
+//! [`ShardedCacheStats::streamed_accesses`] how many accesses those held.
 //!
 //! The class key of a shard `[lo, hi)` (clamped to the trip count) is its
 //! length, then `lo × shift_ref mod line_bytes` for the first array the
@@ -111,7 +113,40 @@
 //!    of the class are simulated. (All-zero shifts replay the identical
 //!    stream and need no check.)
 //!
-//! Simulations fan out through the one worker pool, [`crate::pool`].
+//! # Two levels, two periods
+//!
+//! The argument above holds at each level with that level's own period.
+//! L2 is probed only on an L1 miss, with the missed line, and every
+//! decision of the run-group fast path reads only L1 sets and in-line
+//! offsets. So two shards whose keys agree at the *L1 set period*
+//! `line_bytes × L1 sets` have the same L1 hits, misses, loads, evictions
+//! and probes, and the second one's L1 misses are the first one's, in the
+//! same order, each moved by the second one's byte distance from the first
+//! in the array the line lies in — a whole number of lines. Translation
+//! classes refine these *L1 classes* (the L1 period divides the set
+//! period): on the modelled Xeon, DaCe's and daisy's 32 translation classes
+//! are 4 L1 classes each, because their slabs move a whole number of L1
+//! periods modulo one another and the temporaries differ only at L2.
+//!
+//! The driver therefore groups translation classes by their
+//! representatives' key at the L1 period and streams each L1 class's
+//! lowest representative once, through one L1 whose misses go to one cold
+//! L2 replica per translation class of the L1 class. Before a missed line
+//! enters a replica, it is moved by that class representative's whole-line
+//! distance from the streamed one in the line's own array, which the
+//! stream finds from the arrays' byte ranges: arrays are
+//! [`AddressMap`](crate::cache::AddressMap)-aligned, so no line spans two.
+//! Each replica then sees exactly the L2 stream of its representative, and
+//! every class is weighted by its members as before; misses are forwarded
+//! as they happen, so nothing grows with the trace. An L1 class of one
+//! translation class is simulated exactly as before. When the streamed
+//! representative's footprint, moved to the highest member of the L1
+//! class, leaves an array, each translation class falls back to the path
+//! above: the streamed one keeps its own replica, which saw its lines
+//! unmoved, and each other class streams its own representative.
+//!
+//! Simulations fan out through the one worker pool, [`crate::pool`], one
+//! L1 class per job.
 
 use std::collections::HashMap;
 
@@ -256,6 +291,7 @@ pub struct ShardedCacheStats {
     l2: CacheStats,
     shards: usize,
     classes: usize,
+    l1_streams: usize,
     granularity: ShardGranularity,
 }
 
@@ -269,8 +305,15 @@ impl ShardedCacheStats {
             l2: CacheStats::default(),
             shards: plan.len(),
             classes,
+            l1_streams: 0,
             granularity: plan.granularity(),
         }
+    }
+
+    /// Counts one stream of `accesses` accesses through an L1 replica.
+    fn add_stream(&mut self, accesses: u64) {
+        self.l1_streams += 1;
+        self.streamed += accesses;
     }
 
     /// Adds the counters of one finished replica, `times` over.
@@ -281,7 +324,6 @@ impl ShardedCacheStats {
             hits: stats.hits * times,
             misses: stats.misses * times,
         };
-        self.streamed += replica.accesses;
         self.accesses += replica.accesses * times;
         self.probes += replica.probes * times;
         self.l1.merge(&scaled(replica.l1));
@@ -294,15 +336,17 @@ impl ShardedCacheStats {
         self.accesses
     }
 
-    /// Accesses actually streamed through a replica: those of the
-    /// [`classes`](Self::classes) shards that were simulated. Equal to
+    /// Accesses actually streamed through an L1 replica: those of the
+    /// [`l1_streams`](Self::l1_streams) shards that were streamed. Equal to
     /// [`accesses`](Self::accesses) when nothing was deduplicated; the
     /// count a simulation throughput divides by.
     pub fn streamed_accesses(&self) -> u64 {
         self.streamed
     }
 
-    /// Total cache lookups across all shards and both levels.
+    /// L1 lookups of the whole plan: each streamed shard's count of real
+    /// L1 lookups (see [`CacheHierarchy::probes`]), weighted by the shards
+    /// it stands for. L2 lookups are not counted.
     pub fn probes(&self) -> u64 {
         self.probes
     }
@@ -322,12 +366,19 @@ impl ShardedCacheStats {
         self.shards
     }
 
-    /// Number of shards actually streamed through a replica: one per
-    /// translation class (see the module docs), plus every further member
-    /// of a class whose representative could not stand for it. Equal to
+    /// Number of shards whose L2 was simulated: one per translation class
+    /// (see the module docs), plus every further member of a class whose
+    /// representative could not stand for it. Equal to
     /// [`shards`](Self::shards) when nothing was deduplicated.
     pub fn classes(&self) -> usize {
         self.classes
+    }
+
+    /// Number of shards streamed through an L1 replica: one per L1 class
+    /// (see the module docs), plus every shard its representative could
+    /// not stand for. At most [`classes`](Self::classes).
+    pub fn l1_streams(&self) -> usize {
+        self.l1_streams
     }
 
     /// The granularity the trace was cut at.
@@ -381,13 +432,14 @@ const SHARD_POOL: Counters = Counters {
 };
 
 /// [`simulate_cache_sharded`] with an explicit plan: streams one
-/// representative shard per translation class (see the module docs)
-/// through its own cold [`CacheHierarchy`] replica on the worker pool and
-/// merges the counters, each class weighted by its member count
-/// (field-wise sums, so any worker schedule produces bit-identical totals).
+/// representative shard per L1 class (see the module docs) through its own
+/// cold [`CacheHierarchy`] replica on the worker pool — with one L2 replica
+/// per translation class the L1 class holds — and merges the counters, each
+/// translation class weighted by its member count (field-wise sums, so any
+/// worker schedule produces bit-identical totals).
 ///
 /// # Errors
-/// Trace-generation errors; the first failing class (in plan order of
+/// Trace-generation errors; the first failing L1 class (in plan order of
 /// first appearance) wins.
 pub fn simulate_cache_sharded_with_plan(
     compiled: &CompiledProgram,
@@ -400,38 +452,61 @@ pub fn simulate_cache_sharded_with_plan(
         ShardGranularity::Blocks => compiled.block_shifts(),
         ShardGranularity::RunGroups => None,
     };
-    let classes = shard_classes(compiled, plan, machine, shifts.as_deref());
+    let shifts = shifts.as_deref();
+    let classes = shard_classes(compiled, plan, machine, shifts);
+    let l1_classes = l1_classes(&classes, shifts, machine);
     let simulate = |&(lo, hi): &(u64, u64)| {
         let _shard_span = telemetry::span("simulate_cache_sharded.shard");
         simulate_shard(compiled, plan.granularity(), lo, hi, machine)
     };
-    let representatives = parallel_map(workers, &classes, &SHARD_POOL, |class| {
+    // One translation class on its own: its representative streamed alone,
+    // standing for its members only if the highest of them still stays
+    // inside every array (classes with members have block shifts and
+    // footprints).
+    let alone = |class: &ShardClass| {
         let (replica, footprint) = simulate(&plan.shards()[class.representative])?;
-        // A class of one translates nothing; a larger one stands for its
-        // members only if the highest of them still stays inside every
-        // array (classes with members have block shifts and footprints).
         let translates = class.others.is_empty()
             || footprint
-                .zip(shifts.as_deref())
+                .zip(shifts)
                 .is_some_and(|(touched, shifts)| touched.translates(shifts, class.span));
         Ok::<_, crate::error::MachineError>((replica, translates))
+    };
+    let outcomes = parallel_map(workers, &l1_classes, &SHARD_POOL, |members| {
+        let [class] = members.as_slice() else {
+            let shifts = shifts.expect("only block shifts merge translation classes");
+            return stream_l1_class(compiled, plan, machine, shifts, &classes, members, alone);
+        };
+        let (replica, translates) = alone(&classes[*class])?;
+        Ok(vec![ClassOutcome {
+            class: *class,
+            replica,
+            translates,
+            streamed: true,
+        }])
     });
     let mut merged = ShardedCacheStats::empty(plan, classes.len());
     let mut stragglers = Vec::new();
-    for (class, result) in classes.iter().zip(representatives) {
-        let (replica, translates) = result?;
-        if translates {
-            merged.add(&replica, 1 + class.others.len() as u64);
-        } else {
-            merged.add(&replica, 1);
-            stragglers.extend(class.others.iter().map(|&shard| plan.shards()[shard]));
+    for outcome in outcomes {
+        for outcome in outcome? {
+            let (class, replica) = (&classes[outcome.class], &outcome.replica);
+            if outcome.streamed {
+                merged.add_stream(replica.accesses);
+            }
+            if outcome.translates {
+                merged.add(replica, 1 + class.others.len() as u64);
+            } else {
+                merged.add(replica, 1);
+                stragglers.extend(class.others.iter().map(|&shard| plan.shards()[shard]));
+            }
         }
     }
     // Members a representative could not stand for are simulated one by
     // one, exactly as if each had been its own class.
     merged.classes += stragglers.len();
     for result in parallel_map(workers, &stragglers, &SHARD_POOL, simulate) {
-        merged.add(&result?.0, 1);
+        let replica = result?.0;
+        merged.add_stream(replica.accesses);
+        merged.add(&replica, 1);
     }
     record_sharded_counters(&merged);
     Ok(merged)
@@ -463,12 +538,13 @@ pub fn simulate_cache_sharded_reference(
             l1: cache.l1(),
             l2: cache.l2(),
         };
+        merged.add_stream(replica.accesses);
         merged.add(&replica, 1);
     }
     Ok(merged)
 }
 
-/// The shards of a plan one simulation stands for, by plan index.
+/// The shards of a plan one L2 simulation stands for, by plan index.
 struct ShardClass {
     /// The member starting at the lowest block trip — the one simulated.
     /// Shifts are non-negative, so if its stream clamps nowhere, no
@@ -476,9 +552,51 @@ struct ShardClass {
     representative: usize,
     /// The other members.
     others: Vec<usize>,
+    /// The representative's range, clamped to the block loop's trip count.
+    trips: (u64, u64),
     /// Block trips from the representative's start to the start of the
     /// highest member.
     span: u64,
+}
+
+/// The class key of block trips `[lo, hi)` at set period `period`: the
+/// length, the reference array's (the first shift's) start shift inside
+/// its line, then every other array's start shift relative to the
+/// reference's modulo `period`; `u128` keeps `lo × shift` exact.
+fn class_key(
+    (lo, hi): (u64, u64),
+    shifts: &[ArrayShift],
+    line_bytes: u64,
+    period: u64,
+) -> Vec<u64> {
+    let (line_bytes, period) = (u128::from(line_bytes), u128::from(period));
+    let mut key = vec![hi.saturating_sub(lo)];
+    if let (true, Some((reference, others))) = (lo < hi, shifts.split_first()) {
+        let start = |s: &ArrayShift| u128::from(lo) * u128::from(s.bytes) % period;
+        let origin = start(reference);
+        key.push((origin % line_bytes) as u64);
+        key.extend(
+            others
+                .iter()
+                .map(|s| ((start(s) + period - origin) % period) as u64),
+        );
+    }
+    key
+}
+
+/// Indices `0..count` grouped by `key`, groups and members in order of
+/// first appearance.
+fn group_by_key(count: usize, key: impl Fn(usize) -> Vec<u64>) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<Vec<u64>, usize> = HashMap::new();
+    for item in 0..count {
+        let group = *by_key.entry(key(item)).or_insert(groups.len());
+        if group == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[group].push(item);
+    }
+    groups
 }
 
 /// Groups the shards of a plan into translation classes, in order of first
@@ -496,37 +614,12 @@ fn shard_classes(
         let (lo, hi) = plan.shards()[shard];
         (lo.min(trips), hi.min(trips))
     };
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    match shifts.zip(CacheHierarchy::line_and_set_period_bytes(machine)) {
-        None => groups.extend((0..plan.len()).map(|shard| vec![shard])),
-        Some((shifts, (line_bytes, period))) => {
-            let (line_bytes, period) = (u128::from(line_bytes), u128::from(period));
-            let mut by_key: HashMap<Vec<u64>, usize> = HashMap::new();
-            for shard in 0..plan.len() {
-                let (lo, hi) = clamped(shard);
-                // Shard length, the reference array's start shift inside
-                // its line, then every other array's start shift relative
-                // to the reference's modulo the set period; `u128` keeps
-                // `lo × shift` exact.
-                let mut key = vec![hi.saturating_sub(lo)];
-                if let (true, Some((reference, others))) = (lo < hi, shifts.split_first()) {
-                    let start = |s: &ArrayShift| u128::from(lo) * u128::from(s.bytes) % period;
-                    let origin = start(reference);
-                    key.push((origin % line_bytes) as u64);
-                    key.extend(
-                        others
-                            .iter()
-                            .map(|s| ((start(s) + period - origin) % period) as u64),
-                    );
-                }
-                let group = *by_key.entry(key).or_insert(groups.len());
-                if group == groups.len() {
-                    groups.push(Vec::new());
-                }
-                groups[group].push(shard);
-            }
-        }
-    }
+    let groups = match shifts.zip(CacheHierarchy::line_and_set_periods(machine)) {
+        None => (0..plan.len()).map(|shard| vec![shard]).collect(),
+        Some((shifts, (line_bytes, _, period))) => group_by_key(plan.len(), |shard| {
+            class_key(clamped(shard), shifts, line_bytes, period)
+        }),
+    };
     groups
         .into_iter()
         .map(|mut members| {
@@ -538,9 +631,122 @@ fn shard_classes(
             let highest = members.iter().map(start).max();
             ShardClass {
                 representative,
+                trips: clamped(representative),
                 span: highest.map_or(0, |high| high - start(&representative)),
                 others: members,
             }
+        })
+        .collect()
+}
+
+/// Groups translation classes into L1 classes — those whose
+/// representatives' keys agree at the L1 set period — by index into
+/// `classes`, in order of first appearance. Translation classes refine L1
+/// classes (the L1 set period divides the set period), so every member of
+/// one translation class shares its L1 class.
+fn l1_classes(
+    classes: &[ShardClass],
+    shifts: Option<&[ArrayShift]>,
+    machine: &MachineConfig,
+) -> Vec<Vec<usize>> {
+    match shifts.zip(CacheHierarchy::line_and_set_periods(machine)) {
+        None => (0..classes.len()).map(|class| vec![class]).collect(),
+        Some((shifts, (line_bytes, l1_period, _))) => group_by_key(classes.len(), |class| {
+            class_key(classes[class].trips, shifts, line_bytes, l1_period)
+        }),
+    }
+}
+
+/// One translation class as an L1 stream found it.
+struct ClassOutcome {
+    /// Index into the plan's translation classes.
+    class: usize,
+    /// The counters of the class representative.
+    replica: Replica,
+    /// Whether they stand for the class's other members.
+    translates: bool,
+    /// Whether the L1 stream behind them counts as one of its own (the
+    /// further replicas of a shared stream do not).
+    streamed: bool,
+}
+
+/// Streams the lowest representative of an L1 class of several
+/// translation classes once through L1, with one L2 replica per
+/// translation class, each fed the L1's misses moved by the distance from
+/// that stream to the class's representative (see "Two levels, two
+/// periods" in the module docs). When the stream's footprint does not
+/// stay inside every array up to the highest member of the L1 class, each
+/// translation class takes `alone` instead — except the streamed one,
+/// whose own replica saw its lines unmoved.
+fn stream_l1_class(
+    compiled: &CompiledProgram,
+    plan: &ShardPlan,
+    machine: &MachineConfig,
+    shifts: &[ArrayShift],
+    classes: &[ShardClass],
+    members: &[usize],
+    alone: impl Fn(&ShardClass) -> Result<(Replica, bool)>,
+) -> Result<Vec<ClassOutcome>> {
+    let _shard_span = telemetry::span("simulate_cache_sharded.shard");
+    let (line_bytes, _, _) = CacheHierarchy::line_and_set_periods(machine)
+        .expect("only geometries with set periods merge translation classes");
+    let start = |class: usize| classes[class].trips.0;
+    let lead = (0..members.len())
+        .min_by_key(|&m| start(members[m]))
+        .expect("L1 classes are never empty");
+    let origin = start(members[lead]);
+    // Per array, its line range and, per member, how many lines that
+    // member's representative sits above the lead's in it — a whole number,
+    // since the two share their L1 key. (A count past `u64` only arises
+    // when the footprint check below fails, and the replica is dropped.)
+    let mut arrays = Vec::with_capacity(shifts.len());
+    let mut offsets = Vec::with_capacity(shifts.len() * members.len());
+    for shift in shifts {
+        let (base, end) = shift.addresses;
+        if base < end {
+            arrays.push((base / line_bytes, end.div_ceil(line_bytes)));
+            offsets.extend(members.iter().map(|&class| {
+                let bytes = u128::from(start(class) - origin) * u128::from(shift.bytes);
+                debug_assert_eq!(bytes % u128::from(line_bytes), 0);
+                (bytes / u128::from(line_bytes)) as u64
+            }));
+        }
+    }
+    let mut cache = CacheHierarchy::with_l2_replicas(machine, arrays, offsets, members.len());
+    let (lo, hi) = plan.shards()[classes[members[lead]].representative];
+    let footprint = compiled.stream_block_range(lo, hi, &mut cache)?;
+    let replica = |l2| Replica {
+        accesses: cache.accesses(),
+        probes: cache.probes(),
+        l1: cache.l1(),
+        l2,
+    };
+    let l2 = cache.l2_replicas();
+    let span = members
+        .iter()
+        .map(|&class| start(class) + classes[class].span - origin)
+        .max()
+        .unwrap_or(0);
+    let whole = footprint.translates(shifts, span);
+    members
+        .iter()
+        .zip(l2)
+        .enumerate()
+        .map(|(m, (&class, l2))| {
+            let (replica, translates) = if whole || m == lead {
+                let own = &classes[class];
+                let translates =
+                    whole || own.others.is_empty() || footprint.translates(shifts, own.span);
+                (replica(l2), translates)
+            } else {
+                alone(&classes[class])?
+            };
+            Ok(ClassOutcome {
+                class,
+                replica,
+                translates,
+                streamed: m == lead || !whole,
+            })
         })
         .collect()
 }
@@ -592,6 +798,7 @@ fn record_sharded_counters(stats: &ShardedCacheStats) {
     telemetry::counter("machine.shard.simulations", 1);
     telemetry::counter("machine.shard.shards", stats.shards as u64);
     telemetry::counter("machine.shard.classes", stats.classes as u64);
+    telemetry::counter("machine.shard.l1_streams", stats.l1_streams as u64);
     telemetry::counter("machine.shard.accesses", stats.accesses);
 }
 
@@ -874,6 +1081,16 @@ mod tests {
                 (6, vec![], 0),
             ]
         );
+        // A row is two L1 periods (64 B x 4 L1 sets), so the odd and even
+        // blocks share their L1 class.
+        let compiled = CompiledProgram::lower(&pinned).unwrap();
+        let shifts = compiled.block_shifts().unwrap();
+        let classes = shard_classes(&compiled, &plan, &machine, Some(&shifts));
+        assert_eq!(
+            l1_classes(&classes, Some(&shifts), &machine),
+            vec![vec![0, 1], vec![2], vec![3]]
+        );
+        assert_eq!(l1_classes(&classes, None, &machine).len(), 4);
     }
 
     #[test]

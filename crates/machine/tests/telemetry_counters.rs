@@ -33,10 +33,39 @@ fn the_pool_counts_and_clamps_to_classes_while_plan_counters_keep_their_totals()
         ("machine.shard.simulations", 1),
         ("machine.shard.shards", 9),
         ("machine.shard.classes", 1),
+        ("machine.shard.l1_streams", 1),
         ("machine.shard.accesses", stats.accesses()),
         ("machine.shard.jobs", 1),
         ("machine.shard.workers", 1),
         ("machine.shard.fanouts", 0),
+    ] {
+        assert_eq!(sink.counter_total(counter), total, "{counter}");
+    }
+}
+
+#[test]
+fn each_l1_stream_is_one_job_of_the_pool() {
+    // `A` moves by one L1 period of the tiny machine (64 B lines x 4 L1
+    // sets = 32 doubles) per block next to the stationary `C`: four
+    // translation classes, one L1 class.
+    let program = parse_program(
+        "program quarter { param NB = 8; param N = 96;
+           array A[NB * 32 + N]; array C[N];
+           for b in 0..NB {
+             for i in 0..N { A[b * 32 + i] = A[b * 32 + i] + C[i]; }
+           } }",
+    )
+    .unwrap();
+    let sink = Arc::new(CollectingRecorder::default());
+    let stats = with_recorder(sink.clone(), || {
+        simulate_cache_sharded(&program, &MachineConfig::tiny_for_tests(), 4).unwrap()
+    });
+    assert_eq!((stats.classes(), stats.l1_streams()), (4, 1));
+    for (counter, total) in [
+        ("machine.shard.shards", 8),
+        ("machine.shard.classes", 4),
+        ("machine.shard.l1_streams", 1),
+        ("machine.shard.jobs", 1),
     ] {
         assert_eq!(sink.counter_total(counter), total, "{counter}");
     }

@@ -26,6 +26,12 @@
 //!   array, block-dependent bounds, symbolic subscripts, sub-line shifts,
 //!   clamped and spilling offsets) *is* the equivalence check. `probes` is
 //!   pinned separately against every shard simulated alone.
+//! * **L1 classes** — translation classes whose representatives agree at
+//!   the L1 set period share one L1 stream, whose misses reach one L2
+//!   replica per translation class, each moved by that class's per-array
+//!   line offset; nests where slabs move by a fraction of the L2 period, at
+//!   two line rates, or fail the footprint check for the whole L1 class
+//!   hold that to the same oracle.
 //!
 //! A single all-covering shard must degenerate to exactly the monolithic
 //! [`machine::simulate_cache`], and zero-trip block loops to an empty plan
@@ -306,16 +312,7 @@ proptest! {
 
             // Probes are a property of the run-compressed pipeline, so the
             // oracle cannot pin them; every shard simulated alone can.
-            let alone: u64 = plan
-                .shards()
-                .iter()
-                .map(|&cut| {
-                    let single = ShardPlan::blocks(vec![cut]);
-                    simulate_cache_sharded_with_plan(&compiled, &single, &machine, 1)
-                        .unwrap()
-                        .probes()
-                })
-                .sum();
+            let alone = probes_alone(&compiled, &plan, &machine);
             prop_assert_eq!(baseline.probes(), alone, "probes");
         }
     }
@@ -399,6 +396,22 @@ fn clamped_and_spilling_representatives_fall_back_to_every_member() {
         canonical_and_oracle(&translated_program(6, 1, 128, 0, 1 << 2 | 1 << 3), &machine);
     assert_eq!(stats.classes(), 1);
     assert_counters_match("in-bounds representative", &stats, &oracle);
+    // Half-period rows: even and odd blocks are two translation classes of
+    // one L1 class, whose stream (block 0) fails the footprint check up to
+    // block 5, so each translation class falls back on its own. Clamping
+    // hands back the even class (block 0 plus its members 2 and 4, each
+    // streamed); spilling hands back the odd one (block 1, then 3 and 5),
+    // while block 0 still stands for 2 and 4.
+    for (k, body) in [(3, 1 << 2), (12, 1 << 3)] {
+        let (stats, oracle) =
+            canonical_and_oracle(&translated_program(6, 1, 64, k, body), &machine);
+        assert_eq!(
+            (stats.classes(), stats.l1_streams()),
+            (4, 4),
+            "body = {body:#b}"
+        );
+        assert_counters_match("L1 class falling back", &stats, &oracle);
+    }
 }
 
 #[test]
@@ -416,23 +429,111 @@ fn cloudsc_uniform_blocks_form_one_class_and_stationary_temporaries_keep_32() {
         nblocks: 64,
     };
     let machine = MachineConfig::xeon_e5_2680v3();
+    // At the L1 set period (64 B x 64 L1 sets = 4 KiB) a slab is 1 KiB and
+    // a row 1 KiB modulo the period: DaCe's and daisy's 32 classes repeat
+    // every 4 blocks there, so each streams 4 blocks through L1 and feeds
+    // 8 L2 replicas from each.
     let versions = [
-        ("Fortran", full_model(CloudscVariant::Fortran, sizes), 1),
-        ("C", full_model(CloudscVariant::C, sizes), 1),
-        ("DaCe", full_model(CloudscVariant::Dace, sizes), 32),
-        ("daisy", daisy_model(sizes), 32),
+        ("Fortran", full_model(CloudscVariant::Fortran, sizes), 1, 1),
+        ("C", full_model(CloudscVariant::C, sizes), 1, 1),
+        ("DaCe", full_model(CloudscVariant::Dace, sizes), 32, 4),
+        ("daisy", daisy_model(sizes), 32, 4),
     ];
-    for (name, program, classes) in &versions {
+    for (name, program, classes, l1_streams) in &versions {
         let (stats, oracle) = canonical_and_oracle(program, &machine);
         assert_eq!(stats.shards(), 64, "{name}");
         assert_eq!(stats.classes(), *classes, "{name}");
+        assert_eq!(stats.l1_streams(), *l1_streams, "{name}");
         assert_counters_match(name, &stats, &oracle);
         assert_eq!(
             stats.streamed_accesses() * 64,
-            stats.accesses() * *classes as u64,
-            "{name}: every class streams one block"
+            stats.accesses() * *l1_streams as u64,
+            "{name}: every L1 class streams one block"
         );
     }
+}
+
+/// Every shard of a plan simulated by itself, probes summed: what the
+/// merged `probes` must equal (the oracle counts none).
+fn probes_alone(compiled: &CompiledProgram, plan: &ShardPlan, machine: &MachineConfig) -> u64 {
+    plan.shards()
+        .iter()
+        .map(|&cut| {
+            let single = ShardPlan::blocks(vec![cut]);
+            simulate_cache_sharded_with_plan(compiled, &single, machine, 1)
+                .unwrap()
+                .probes()
+        })
+        .sum()
+}
+
+#[test]
+fn a_slab_moving_by_a_quarter_l2_period_streams_l1_once() {
+    // The tiny machine's L1 period is 64 B x 4 sets = 256 B, its L2 period
+    // 64 B x 16 sets = 1 KiB. `A` moves by 32 doubles (256 B) per block
+    // next to the stationary `C`: the blocks are one class at L1 and four
+    // at L2, so one L1 stream feeds four L2 replicas.
+    let program = parse_program(
+        "program quarter { param NB = 8; param N = 96;
+           array A[NB * 32 + N]; array C[N];
+           for b in 0..NB {
+             for r in 0..2 { for i in 0..N { A[b * 32 + i] = A[b * 32 + i] + C[i]; } }
+           } }",
+    )
+    .unwrap();
+    let machine = MachineConfig::tiny_for_tests();
+    let compiled = CompiledProgram::lower(&program).unwrap();
+    let plan = ShardPlan::for_program(&compiled).unwrap();
+    let stats = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 2).unwrap();
+    assert_eq!(
+        (stats.shards(), stats.classes(), stats.l1_streams()),
+        (8, 4, 1)
+    );
+    assert!(stats.l1_streams() < stats.classes());
+    assert_eq!(stats.streamed_accesses() * 8, stats.accesses());
+    let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
+    assert_counters_match("quarter-period slab", &stats, &oracle);
+    assert_eq!(stats.probes(), probes_alone(&compiled, &plan, &machine));
+}
+
+#[test]
+fn slabs_moving_at_different_line_rates_reach_each_replica_by_their_own_offset() {
+    // Per block, `A` moves by 640 doubles (5 KiB, whole L2 periods) and `B`
+    // by 608 (4.75 KiB): both are whole L1 periods, so all 8 blocks are one
+    // L1 class, but `B` moves 768 B against `A` modulo the L2 period and
+    // the blocks fall into four translation classes. Each block reads
+    // 72-line slabs of both twice; whether the second pass hits in the
+    // 128-line L2 depends on where the slabs' extra lines land in its sets,
+    // so the classes' L2 counters differ and a replica that moved `B`'s
+    // misses by `A`'s offset would read the lead's.
+    let program = parse_program(
+        "program rates { param NB = 8; param N = 576;
+           array A[NB * 640]; array B[NB * 640];
+           for b in 0..NB {
+             for r in 0..2 { for i in 0..N { A[b * 640 + i] = A[b * 640 + i] + B[b * 608 + i]; } }
+           } }",
+    )
+    .unwrap();
+    let machine = MachineConfig::tiny_for_tests();
+    let compiled = CompiledProgram::lower(&program).unwrap();
+    let plan = ShardPlan::for_program(&compiled).unwrap();
+    let stats = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 2).unwrap();
+    assert_eq!(
+        (stats.shards(), stats.classes(), stats.l1_streams()),
+        (8, 4, 1)
+    );
+    let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
+    assert_counters_match("two line rates", &stats, &oracle);
+    assert_eq!(stats.probes(), probes_alone(&compiled, &plan, &machine));
+    let lead =
+        simulate_cache_sharded_with_plan(&compiled, &ShardPlan::blocks(vec![(0, 1)]), &machine, 1)
+            .unwrap();
+    assert_eq!(stats.l1().loads, 8 * lead.l1().loads, "one L1 class");
+    assert_ne!(
+        stats.l2().misses,
+        8 * lead.l2().misses,
+        "the classes differ at L2"
+    );
 }
 
 /// A `col_major`-shaped walk: block `j` reads and writes column `j` of a
@@ -475,16 +576,7 @@ fn whole_line_moves_of_a_lone_array_form_one_class_per_line_offset() {
             assert_eq!((stats.shards(), stats.classes()), (64, classes), "{label}");
             let oracle = simulate_cache_sharded_reference(&compiled, &plan, &machine).unwrap();
             assert_counters_match(&label, &stats, &oracle);
-            let alone: u64 = plan
-                .shards()
-                .iter()
-                .map(|&cut| {
-                    let single = ShardPlan::blocks(vec![cut]);
-                    simulate_cache_sharded_with_plan(&compiled, &single, &machine, 1)
-                        .unwrap()
-                        .probes()
-                })
-                .sum();
+            let alone = probes_alone(&compiled, &plan, &machine);
             assert_eq!(stats.probes(), alone, "{label}: probes");
         }
     }
