@@ -9,7 +9,7 @@ use loop_ir::nest::Node;
 use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
 use machine::pool::parallel_map;
-use machine::{CostModel, CostReport, Environment, MachineConfig, NestCost};
+use machine::{CostModel, CostReport, MachineConfig, NestCost};
 use normalize::{NormalizedProgram, Normalizer};
 use transforms::{perfect_chain, Recipe};
 use tunestore::{Snapshot, StoreError, StoredEntry};
@@ -221,18 +221,23 @@ impl DaisyScheduler {
 
     /// Computes the database entries seeding these programs produces (the
     /// heart of [`DaisyScheduler::seed_from_programs`]), in deterministic
-    /// program/nest order.
+    /// program/nest order. Each normalized program is priced once, and its
+    /// per-node costs serve every search of its nests.
     fn seed_entries(&self, programs: &[Program]) -> Vec<DatabaseEntry> {
         let _span = telemetry::span("seeding");
-        let model = CostModel::new(self.config.machine.clone(), self.config.threads);
+        let model = &CostModel::new(self.config.machine.clone(), self.config.threads);
         // Each nest that kept its loop order is gated with the normalizer's
         // graph, as in `schedule`; any other is analyzed by its search.
-        let normalized: Vec<(Program, Vec<Option<DependenceGraph>>)> = programs
+        let normalized: Vec<_> = programs
             .iter()
-            .map(|p| self.normalized(p).into_nest_graphs())
+            .map(|p| {
+                let (program, graphs) = self.normalized(p).into_nest_graphs();
+                let costs = model.estimate(&program).per_nest;
+                (program, graphs, costs)
+            })
             .collect();
-        let mut jobs: Vec<(&Program, usize, Option<&DependenceGraph>)> = Vec::new();
-        for (program, graphs) in &normalized {
+        let mut jobs = Vec::new();
+        for (program, graphs, costs) in &normalized {
             for (index, node) in program.body.iter().enumerate() {
                 let Node::Loop(nest) = node else { continue };
                 if self.config.idiom_detection && detect_blas_idiom(program, nest).is_some() {
@@ -240,40 +245,45 @@ impl DaisyScheduler {
                     // time; the database entry records that decision.
                     continue;
                 }
-                jobs.push((program, index, graphs[index].as_ref()));
+                jobs.push((program, index, graphs[index].as_ref(), costs.as_slice()));
             }
         }
         telemetry::counter("daisy.seed.nests", jobs.len() as u64);
         let search = self.search.clone().with_parallel(false);
         let workers = self.config.parallelism;
-        parallel_map(workers, &jobs, &PARALLEL, |&(program, index, graph)| {
-            // Keep the winning recipe's *nest-scoped* cost: the search
-            // returns whole-program seconds (a sum over node costs), so
-            // subtracting the other nodes' baseline isolates what the
-            // recipe achieved on this nest. Whole-program cost would make
-            // duplicate-key ranking depend on which seeding program the
-            // entry happened to come from (e.g. under `tunedb merge`).
-            let (recipe, cost) = search.search_with_graph(program, index, &model, &[], graph);
-            let others: f64 = program
-                .body
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != index)
-                .map(|(_, node)| model.node_cost(program, node).seconds)
-                .sum();
-            let nest = program.body[index]
-                .as_loop()
-                .expect("job indices point at loops");
-            let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
-            DatabaseEntry {
-                key: nest_key(program, &program.body[index]),
-                cost: cost - others,
-                embedding: PerformanceEmbedding::of_nest(program, nest),
-                recipe,
-                chain,
-                source: format!("{}#{}", program.name, index),
-            }
-        })
+        parallel_map(
+            workers,
+            &jobs,
+            &PARALLEL,
+            |&(program, index, graph, costs)| {
+                // Keep the winning recipe's *nest-scoped* cost: the search
+                // returns whole-program seconds (a sum over node costs), so
+                // subtracting the other nodes' baseline isolates what the
+                // recipe achieved on this nest. Whole-program cost would make
+                // duplicate-key ranking depend on which seeding program the
+                // entry happened to come from (e.g. under `tunedb merge`).
+                let (recipe, cost) =
+                    search.search_with_graph(program, index, model, costs, &[], graph);
+                let others: f64 = costs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != index)
+                    .map(|(_, node)| node.seconds)
+                    .sum();
+                let nest = program.body[index]
+                    .as_loop()
+                    .expect("job indices point at loops");
+                let chain: Vec<Var> = perfect_chain(nest).map(|l| l.iter.clone()).collect();
+                DatabaseEntry {
+                    key: nest_key(program, &program.body[index]),
+                    cost: cost - others,
+                    embedding: PerformanceEmbedding::of_nest(program, nest),
+                    recipe,
+                    chain,
+                    source: format!("{}#{}", program.name, index),
+                }
+            },
+        )
     }
 
     /// The fingerprint this scheduler stamps on persisted stores: the
@@ -448,13 +458,12 @@ impl DaisyScheduler {
     ///   stride minimization reordered, or every nest when normalization is
     ///   off, is analyzed again — by itself, and only once one of its
     ///   candidate recipes reaches the legality gate.
-    /// * One pricing of the normalized program, in the `seed` phase, under
-    ///   one hash of its environment ([`CostModel::environment`]). The
+    /// * One pricing of the normalized program, in the `seed` phase. The
     ///   per-node costs are kept: every transfer-tuning candidate is then
-    ///   scored by the nest it rewrote (see `plan_node`),
-    ///   and the merge splices the winners' costs into that vector beside
-    ///   the nodes they replace, pricing only replacement nodes and idiom
-    ///   calls. Decision-line estimates and the final [`CostReport`] are
+    ///   scored by the nest it rewrote (see `plan_node`), each winner's plan
+    ///   keeps the costs of its replacement nodes, and the merge splices
+    ///   those into the vector beside the nodes they replace, pricing only
+    ///   idiom calls. Decision-line estimates and the final [`CostReport`] are
     ///   sums over the vector in body order — the order
     ///   [`CostModel::estimate`] adds in — so nothing the outcome carries
     ///   depends on the program around a nest being re-priced.
@@ -474,16 +483,13 @@ impl DaisyScheduler {
             telemetry::timed("normalize", || self.normalized(program).into_nest_graphs());
         // The baseline, priced once: its total is what candidates must
         // beat, its per-node costs are what they are scored against.
-        let ((env, baseline), seed_ns) = telemetry::timed("seed", || {
-            let env = model.environment(&normalized);
-            (env, model.estimate_in(&normalized, env))
-        });
+        let (baseline, seed_ns) = telemetry::timed("seed", || model.estimate(&normalized));
 
         // Phase 1: plan every top-level node independently.
         let (plans, search_ns) = telemetry::timed("search", || {
             let indices: Vec<usize> = (0..normalized.body.len()).collect();
             parallel_map(self.config.parallelism, &indices, &PARALLEL, |&i| {
-                self.plan_node(&normalized, i, graphs[i].as_ref(), &model, env, &baseline)
+                self.plan_node(&normalized, i, graphs[i].as_ref(), &model, &baseline)
             })
         });
 
@@ -501,7 +507,7 @@ impl DaisyScheduler {
                     NestPlan::Idiom(call) => {
                         decisions.push(format!("nest {index}: replaced with {call}"));
                         let node = Node::Call(call);
-                        costs[index] = model.node_cost_in(&current, env, &node);
+                        costs[index] = model.node_cost(&current, &node);
                         current.body[index] = node;
                         index += 1;
                     }
@@ -509,12 +515,9 @@ impl DaisyScheduler {
                         recipe,
                         source,
                         replacement,
+                        priced,
                     } => {
                         let added = replacement.len();
-                        let priced: Vec<NestCost> = replacement
-                            .iter()
-                            .map(|node| model.node_cost_in(&current, env, node))
-                            .collect();
                         costs.splice(index..=index, priced);
                         current.body.splice(index..=index, replacement);
                         // The whole-program estimate *with earlier decisions
@@ -533,8 +536,8 @@ impl DaisyScheduler {
             }
             CostReport::from_nests(costs)
         });
-        // Debug builds re-price the result whole (memo hits that release
-        // builds do not count): the spliced costs must total to exactly it.
+        // Debug builds re-price the result whole, a pricing release builds
+        // skip: the spliced costs must total to exactly it.
         debug_assert_eq!(report, model.estimate(&current));
         telemetry::counter("daisy.schedule.calls", 1);
         telemetry::counter("daisy.schedule.nests", current.body.len() as u64);
@@ -552,12 +555,11 @@ impl DaisyScheduler {
     }
 
     /// Plans one top-level node of the normalized program. Pure per-nest
-    /// work — everything it reads (`normalized`, the database, the memoized
-    /// cost model, the baseline report) is shared immutably — so plans can
-    /// be computed on any number of worker threads in any order without
+    /// work — everything it reads (`normalized`, the database, the cost
+    /// model, the baseline report) is shared immutably — so plans can be
+    /// computed on any number of worker threads in any order without
     /// changing the result. `graph` is the dependences among the node's own
-    /// computations when the normalizer's graph still describes them, `env`
-    /// the normalized program's environment under `model`.
+    /// computations when the normalizer's graph still describes them.
     ///
     /// Transfer tuning first collects the recipes the exact match and the
     /// nearest neighbours retarget onto the nest's chain, keeping the first
@@ -571,15 +573,14 @@ impl DaisyScheduler {
     /// rewrite's structural hash, and the search's [`ScoreContext`] scores
     /// one as the baseline's prefix costs + the rewrite's nodes + the
     /// suffix costs, in body order — bit-identical to pricing the
-    /// materialized candidate program. The winning rewrite travels in the
-    /// plan; nothing is applied twice.
+    /// materialized candidate program. The winning rewrite and its node
+    /// costs travel in the plan; nothing is applied or priced twice.
     fn plan_node(
         &self,
         normalized: &Program,
         index: usize,
         graph: Option<&DependenceGraph>,
         model: &CostModel,
-        env: Environment,
         baseline: &CostReport,
     ) -> NestPlan {
         let Node::Loop(nest) = &normalized.body[index] else {
@@ -641,7 +642,6 @@ impl DaisyScheduler {
                 };
                 let context = ScoreContext {
                     program: normalized,
-                    env,
                     nest_index: index,
                     nest,
                     node_costs: &baseline.per_nest,
@@ -658,7 +658,7 @@ impl DaisyScheduler {
                         continue;
                     }
                     priced.push(hash);
-                    let seconds = context.score_rewrite(&replacement, model);
+                    let (seconds, priced) = context.score_rewrite(&replacement, model);
                     if seconds < best_seconds {
                         let source = if exact {
                             format!("{} [exact]", entry.source)
@@ -670,6 +670,7 @@ impl DaisyScheduler {
                             recipe,
                             source,
                             replacement,
+                            priced,
                         };
                     } else if matches!(plan, NestPlan::Unoptimized(_)) {
                         plan = NestPlan::Unoptimized(Unoptimized::NoneBetter);
@@ -729,6 +730,8 @@ enum NestPlan {
         recipe: Recipe,
         source: String,
         replacement: Vec<Node>,
+        /// The costs of `replacement`'s nodes, as the candidate was scored.
+        priced: Vec<NestCost>,
     },
     /// Left as normalization made it, for the reason given.
     Unoptimized(Unoptimized),

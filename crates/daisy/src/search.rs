@@ -44,8 +44,11 @@
 //! does the scheduler's transfer tuning (`DaisyScheduler::schedule` prices
 //! the normalized program once and hands every nest's database candidates
 //! to the same two methods) — what a candidate costs does not grow with the
-//! program around the nest, whoever asks. Both price under the program's
-//! environment hashed once ([`CostModel::environment`]), not once per node.
+//! program around the nest, whoever asks. The cost model keeps no tables,
+//! so each caller prices a node once and keeps the number: seeding prices a
+//! program once for all of its nests' searches, and `score_rewrite` hands
+//! back the rewrite's node costs with its score, which the scheduler's merge
+//! splices in for the winner instead of pricing it again.
 //!
 //! Per nest of transfer tuning: the exact match's and the nearest
 //! neighbours' recipes are retargeted onto the nest's chain and deduped
@@ -72,10 +75,8 @@
 //! 3. **Batched costing.** The legal rewrites are grouped by their
 //!    structural hash — distinct recipes that converge on the same lowered
 //!    rewrite share one pricing — and the groups are priced through the one
-//!    worker pool, each thread sharing the model's memo tables (per-nest
-//!    costs and per-computation run summaries, so even structurally distinct
-//!    candidates that merely re-annotate outer loops re-price from cached run
-//!    summaries).
+//!    worker pool. The model is a plain value, so the workers share nothing
+//!    but the base program's node costs.
 //!
 //! **One fan-out rule.** Every queue of independent work in this crate goes
 //! through [`machine::pool::parallel_map`] (see its module docs).
@@ -91,7 +92,7 @@ use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
 use loop_ir::structural_hash_nodes;
 use machine::pool::{parallel_map, Counters};
-use machine::{CostModel, Environment, NestCost};
+use machine::{CostModel, NestCost};
 use transforms::{perfect_chain, Recipe, Transform};
 
 /// The telemetry names of the crate's fan-outs: the seeding searches,
@@ -155,18 +156,22 @@ impl EvolutionarySearch {
         model: &CostModel,
         seeds: &[Recipe],
     ) -> (Recipe, f64) {
-        self.search_with_graph(program, nest_index, model, seeds, None)
+        let node_costs = model.estimate(program).per_nest;
+        self.search_with_graph(program, nest_index, model, &node_costs, seeds, None)
     }
 
-    /// [`EvolutionarySearch::search`] gated with `graph`, the nest's
-    /// dependences when the caller already holds them (the normalizer's
-    /// graph of a nest it did not reorder); `None` analyzes the nest by
-    /// itself.
+    /// [`EvolutionarySearch::search`] given `node_costs`, the program's
+    /// per-node costs under `model` (candidates only ever rewrite
+    /// `nest_index`, so one pricing of the program serves every search of
+    /// its nests), and gated with `graph`, the nest's dependences when the
+    /// caller already holds them (the normalizer's graph of a nest it did
+    /// not reorder); `None` analyzes the nest by itself.
     pub(crate) fn search_with_graph(
         &self,
         program: &Program,
         nest_index: usize,
         model: &CostModel,
+        node_costs: &[NestCost],
         seeds: &[Recipe],
         graph: Option<&DependenceGraph>,
     ) -> (Recipe, f64) {
@@ -187,15 +192,11 @@ impl EvolutionarySearch {
         let mut candidates = space(nest);
         candidates.extend_from_slice(seeds);
 
-        // Per-node costs of the base program: candidates only ever rewrite
-        // `nest_index`, so these are priced exactly once per search.
-        let node_costs = model.estimate(program).per_nest;
         let context = ScoreContext {
             program,
-            env: model.environment(program),
             nest_index,
             nest,
-            node_costs: &node_costs,
+            node_costs,
             graph,
         };
         let scores = self.score_batch(&context, &candidates, model);
@@ -270,7 +271,7 @@ impl EvolutionarySearch {
             group_of[index] = Some(group);
         }
         telemetry::counter("daisy.search.rewrites_priced", groups.len() as u64);
-        let price = |&(_, rewrite): &(u64, &Vec<Node>)| context.score_rewrite(rewrite, model);
+        let price = |&(_, rewrite): &(u64, &Vec<Node>)| context.score_rewrite(rewrite, model).0;
         let workers = if self.parallel { 0 } else { 1 };
         let group_costs = parallel_map(workers, &groups, &PARALLEL, price);
         slot_of
@@ -446,8 +447,6 @@ pub fn recipe_is_semantically_legal(graph: &DependenceGraph, nest: &Loop, recipe
 /// once, and the one nest of it that candidates rewrite.
 pub(crate) struct ScoreContext<'a> {
     pub(crate) program: &'a Program,
-    /// `program`'s environment under the model that prices the rewrites.
-    pub(crate) env: Environment,
     pub(crate) nest_index: usize,
     /// The nest being rewritten (`program.body[nest_index]`).
     pub(crate) nest: &'a Loop,
@@ -469,21 +468,30 @@ impl ScoreContext<'_> {
     }
 
     /// Whole-program seconds of the candidate that replaces the nest with
-    /// `rewrite`. Summed node by node in body order — the exact order
-    /// [`CostModel::estimate`] uses — so the result is bit-identical to
-    /// pricing the materialized candidate program.
-    pub(crate) fn score_rewrite(&self, rewrite: &[Node], model: &CostModel) -> f64 {
+    /// `rewrite`, and the costs of `rewrite`'s nodes, which a caller splices
+    /// in if the candidate wins. Seconds are summed node by node in body
+    /// order — the exact order [`CostModel::estimate`] uses — so they are
+    /// bit-identical to pricing the materialized candidate program.
+    pub(crate) fn score_rewrite(
+        &self,
+        rewrite: &[Node],
+        model: &CostModel,
+    ) -> (f64, Vec<NestCost>) {
         let mut seconds = 0.0;
         for cost in &self.node_costs[..self.nest_index] {
             seconds += cost.seconds;
         }
-        for node in rewrite {
-            seconds += model.node_cost_in(self.program, self.env, node).seconds;
+        let priced: Vec<NestCost> = rewrite
+            .iter()
+            .map(|node| model.node_cost(self.program, node))
+            .collect();
+        for cost in &priced {
+            seconds += cost.seconds;
         }
         for cost in &self.node_costs[self.nest_index + 1..] {
             seconds += cost.seconds;
         }
-        seconds
+        (seconds, priced)
     }
 }
 
@@ -642,7 +650,6 @@ mod tests {
     /// Builds a scoring context over the program's only nest.
     fn context_of<'a>(
         p: &'a Program,
-        model: &CostModel,
         node_costs: &'a [NestCost],
         graph: &'a DependenceGraph,
     ) -> ScoreContext<'a> {
@@ -651,7 +658,6 @@ mod tests {
         };
         ScoreContext {
             program: p,
-            env: model.environment(p),
             nest_index: 0,
             nest,
             node_costs,
@@ -659,19 +665,45 @@ mod tests {
         }
     }
 
-    /// Runs `f` under a fresh collecting sink and returns its result and
-    /// the sink's `daisy.search.*` counters: candidates, deduped recipes,
-    /// rejections before costing and rewrites priced.
-    fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 4]) {
-        let sink = std::sync::Arc::new(telemetry::CollectingRecorder::default());
+    /// A sink that keeps only one thread's counters. The recorder is
+    /// process-global, and the other tests of this binary price and search
+    /// outside any recorder scope; their counters would land in the totals.
+    struct OneThread {
+        thread: std::thread::ThreadId,
+        sink: telemetry::CollectingRecorder,
+    }
+
+    impl telemetry::Recorder for OneThread {
+        fn counter_add(&self, name: &'static str, delta: u64) {
+            if std::thread::current().id() == self.thread {
+                self.sink.counter_add(name, delta);
+            }
+        }
+        fn histogram_record(&self, _: &'static str, _: u64) {}
+        fn span_enter(&self, _: &str) {}
+        fn span_exit(&self, _: &str, _: u64) {}
+    }
+
+    /// Runs `f` under a fresh sink of this thread's counters and returns
+    /// its result and the counters: the search's candidates, deduped
+    /// recipes, rejections before costing and rewrites priced, then the
+    /// nests the cost model priced. A batch of one rewrite group is priced
+    /// on the calling thread: the pool's caller takes the first item.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 5]) {
+        let sink = std::sync::Arc::new(OneThread {
+            thread: std::thread::current().id(),
+            sink: telemetry::CollectingRecorder::default(),
+        });
         let out = telemetry::with_recorder(sink.clone(), f);
+        let sink = &sink.sink;
         let counters = [
-            "candidates",
-            "deduped_recipes",
-            "rejected_precost",
-            "rewrites_priced",
+            "daisy.search.candidates",
+            "daisy.search.deduped_recipes",
+            "daisy.search.rejected_precost",
+            "daisy.search.rewrites_priced",
+            "machine.cost.nests_priced",
         ]
-        .map(|name| sink.counter_total(&format!("daisy.search.{name}")));
+        .map(|name| sink.counter_total(name));
         (out, counters)
     }
 
@@ -688,14 +720,12 @@ mod tests {
             }]),
             Recipe::identity(),
         ];
-        let context = context_of(&p, &model, &node_costs, &graph);
+        let context = context_of(&p, &node_costs, &graph);
         let (scores, counters) = counted(|| search.score_batch(&context, &batch, &model));
         assert_eq!(scores[0], f64::INFINITY);
         assert!(scores[1].is_finite());
-        // Only the legal rewrite reached the cost model — and it shares the
-        // base nest's memo entry.
-        assert_eq!(counters, [2, 0, 1, 1]);
-        assert_eq!(model.memo_entries(), 1);
+        // Only the legal rewrite reached the cost model.
+        assert_eq!(counters, [2, 0, 1, 1, 1]);
     }
 
     #[test]
@@ -709,11 +739,11 @@ mod tests {
             iter: Var::new("j"),
         }]);
         let batch = [vectorize.clone(), vectorize.clone(), vectorize];
-        let context = context_of(&p, &model, &node_costs, &graph);
+        let context = context_of(&p, &node_costs, &graph);
         let (scores, counters) = counted(|| search.score_batch(&context, &batch, &model));
         assert_eq!(scores[0], scores[1]);
         assert_eq!(scores[1], scores[2]);
-        assert_eq!(counters, [3, 2, 0, 1], "one recipe, one evaluation");
+        assert_eq!(counters, [3, 2, 0, 1, 1], "one recipe, one evaluation");
     }
 
     #[test]
@@ -721,7 +751,7 @@ mod tests {
         // Multi-nest program: the incremental scorer must fold unchanged
         // nest costs in body order, so every candidate it prices scores
         // bit-identically to re-pricing the whole candidate program
-        // (`evaluate_recipe`, the reference) on an unmemoized model.
+        // (`evaluate_recipe`, the reference).
         let p = parse_program(
             "program multi { param N = 96; array A[N][N]; array B[N][N]; array C[N][N];
                for a in 0..N { for b in 0..N { B[a][b] = A[a][b] * 2.0; } }
@@ -739,7 +769,6 @@ mod tests {
         let graph = nest_scoped_graph(&p, nest);
         let context = ScoreContext {
             program: &p,
-            env: model.environment(&p),
             nest_index: 1,
             nest,
             node_costs: &node_costs,
@@ -758,11 +787,10 @@ mod tests {
         candidates.push(par_k);
 
         let scores = search.score_batch(&context, &candidates, &model);
-        let reference = CostModel::sequential().without_memoization();
         let mut finite = 0;
         for (recipe, score) in candidates.iter().zip(&scores) {
             let expected = if recipe_is_semantically_legal(&graph, nest, recipe) {
-                evaluate_recipe(&p, 1, recipe, &reference).unwrap_or(f64::INFINITY)
+                evaluate_recipe(&p, 1, recipe, &model).unwrap_or(f64::INFINITY)
             } else {
                 f64::INFINITY
             };
@@ -774,7 +802,7 @@ mod tests {
 
         // The search reports its winner's reference score.
         let (best, score) = search.search(&p, 1, &model, &[]);
-        let expected = evaluate_recipe(&p, 1, &best, &reference).unwrap();
+        let expected = evaluate_recipe(&p, 1, &best, &model).unwrap();
         assert_eq!(score.to_bits(), expected.to_bits());
     }
 
@@ -913,19 +941,15 @@ mod tests {
         ));
 
         // The gate rejects before costing: the illegal candidate scores
-        // infinity and leaves no memo entry.
+        // infinity and never reaches the cost model.
         let model = CostModel::sequential();
         let node_costs = model.estimate(&p).per_nest;
         let search = EvolutionarySearch::default();
         let batch = [par_i.clone()];
-        let scores =
-            search.score_batch(&context_of(&p, &model, &node_costs, &graph), &batch, &model);
+        let context = context_of(&p, &node_costs, &graph);
+        let (scores, counters) = counted(|| search.score_batch(&context, &batch, &model));
         assert_eq!(scores[0], f64::INFINITY);
-        assert_eq!(
-            model.memo_entries(),
-            1,
-            "only the base estimate is memoized"
-        );
+        assert_eq!(counters, [1, 0, 1, 0, 0], "nothing was priced");
 
         // And the full search never emits an illegal parallelization.
         let (best, _) = search.search(&p, 0, &model, std::slice::from_ref(&par_i));
@@ -969,8 +993,7 @@ mod tests {
         // [Par, Vec] and [Vec, Par] are distinct recipes (different
         // fingerprints) whose lowered rewrites are structurally identical;
         // the batched costing must price that rewrite exactly once. The
-        // observable: both score identically and the model memoizes only
-        // the base nest and the one rewritten nest.
+        // observable: both score identically and the model prices one nest.
         let p = gemm(64);
         let model = CostModel::sequential();
         let node_costs = model.estimate(&p).per_nest;
@@ -986,14 +1009,13 @@ mod tests {
             Recipe::new(vec![par.clone(), vec.clone()]),
             Recipe::new(vec![vec, par]),
         ];
-        let context = context_of(&p, &model, &node_costs, &graph);
+        let context = context_of(&p, &node_costs, &graph);
         let (scores, counters) = counted(|| search.score_batch(&context, &batch, &model));
         assert_eq!(scores[0], scores[1]);
-        assert_eq!(counters, [2, 0, 0, 1], "two recipes, one shared pricing");
         assert_eq!(
-            model.memo_entries(),
-            2,
-            "base nest + one rewrite: the duplicate rewrite never reached the model"
+            counters,
+            [2, 0, 0, 1, 1],
+            "two recipes, one shared pricing: the duplicate rewrite never reached the model"
         );
     }
 

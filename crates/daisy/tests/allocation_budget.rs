@@ -17,22 +17,25 @@
 //! collection per call — accesses, loads, variables, strides, perfect
 //! chains — `parse_program` validated twice and allocated a name per
 //! identifier occurrence, and the dependence walk cloned a loop stack per
-//! computation and kept a vector per access, per array and per pair; now
-//! queries borrow):
+//! computation and kept a vector per access, per array and per pair
+//! (queries borrow since); at `132902c` pricing built an affine form per
+//! access and looked every nest and computation up in two shared tables,
+//! now strides come straight from the affine fold and nothing is cached):
 //!
-//! | | `ce82fa1` | `960f646` | `0a530e4` | `11ec2cd` | now | budget |
-//! |---|---|---|---|---|---|---|
-//! | `parse_program` | | | | 326 | 155 | 163 |
-//! | `Normalizer::run` | 3 623 | 1 388 | 1 000 | 664 | 301 | 316 |
-//! | `dependence::analyze` | | | | 184 | 57 | 60 |
-//! | `DaisyScheduler::schedule`, 64-sibling database | 7 217 | 3 185 | 2 321 | 1 436 | 757 | 795 |
-//! | `CompiledProgram::lower` | | | | 388 | 266 | 279 |
-//! | `ProgramData::seeded` (storage) | | | | 80 | 49 | 51 |
-//! | `CompiledProgram::execute` | | | | 4 | 4 | 4 |
-//! | the front door | | | | 3 082 | 1 589 | 1 668 |
+//! | | `ce82fa1` | `960f646` | `0a530e4` | `11ec2cd` | `132902c` | now | budget |
+//! |---|---|---|---|---|---|---|---|
+//! | `parse_program` | | | | 326 | 155 | 155 | 163 |
+//! | `Normalizer::run` | 3 623 | 1 388 | 1 000 | 664 | 301 | 301 | 316 |
+//! | `dependence::analyze` | | | | 184 | 57 | 57 | 60 |
+//! | `DaisyScheduler::schedule`, 64-sibling database | 7 217 | 3 185 | 2 321 | 1 436 | 747 | 716 | 795 |
+//! | `CompiledProgram::lower` | | | | 388 | 251 | 251 | 279 |
+//! | `ProgramData::seeded` (storage) | | | | 80 | 49 | 49 | 51 |
+//! | `CompiledProgram::execute` | | | | 4 | 3 | 3 | 4 |
+//! | the front door | | | | 3 082 | 1 563 | 1 532 | 1 668 |
 //!
-//! Debug builds allocate a little more (`debug_assert!`s that collect:
-//! `schedule` 766) and stay inside the same budgets.
+//! Debug builds allocate a little more (`debug_assert!`s that collect, and
+//! one that prices the scheduled program again: `schedule` 752) and stay
+//! inside the same budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

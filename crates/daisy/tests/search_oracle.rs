@@ -9,8 +9,8 @@
 //! that lost a tile size; the larger sizes can (16 is the only best size
 //! of some Medium nests, 32 of some Large ones). The oracle shares no
 //! code with the search's candidate pricing: it materializes every recipe
-//! (`evaluate_recipe`) and prices the whole program on a model built
-//! `without_memoization`, behind the same semantic gate. Its space is wider
+//! (`evaluate_recipe`) and prices the whole program, behind the same
+//! semantic gate. Its space is wider
 //! than the search's: it also unrolls the innermost loop, so a cost model
 //! that starts to price unrolling fails here first.
 
@@ -115,7 +115,7 @@ fn the_search_finds_the_minimum_of_every_recipe_on_the_papers_inputs() {
 
     let machine = MachineConfig::xeon_e5_2680v3();
     let model = CostModel::new(machine.clone(), 12);
-    let reference = CostModel::new(machine, 12).without_memoization();
+    let reference = CostModel::new(machine, 12);
     let search = EvolutionarySearch::default();
     let mut nests = 0;
     for program in &programs {

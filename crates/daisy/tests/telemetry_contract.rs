@@ -1,9 +1,9 @@
 //! Instrumentation contracts of the scheduling stack, asserted through a
-//! [`CollectingRecorder`]: what a cold seeding emits and that its searches
-//! price whole spaces, that a warm start prices **zero** search candidates
-//! (the whole point of the persistent store), that `schedule()` reports its
-//! four phases, and that counter values are deterministic across identical
-//! runs.
+//! [`CollectingRecorder`]: what a cold seeding emits, that its searches
+//! price whole spaces and each program once, that a warm start prices
+//! **zero** search candidates (the whole point of the persistent store),
+//! that `schedule()` reports its four phases, and that counter values are
+//! deterministic across identical runs.
 //!
 //! Every test runs inside `telemetry::with_recorder`, which serializes on
 //! the process-global recorder — tests in this file can run on any number
@@ -13,8 +13,10 @@ use std::sync::Arc;
 
 use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::expr::Var;
+use loop_ir::nest::Node;
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
+use normalize::Normalizer;
 use telemetry::{with_recorder, CollectingRecorder};
 use transforms::{Recipe, Transform};
 use tunestore::{Snapshot, StoredEntry};
@@ -272,4 +274,38 @@ fn the_unoptimized_reasons_sum_to_the_unoptimized_count() {
         "every reason occurs: {reasons:?}"
     );
     assert_eq!(reasons.iter().sum::<u64>(), sink.counter_total(UNOPTIMIZED));
+}
+
+#[test]
+fn seeding_prices_each_program_once_and_then_only_rewrites() {
+    // The cost model keeps no tables, so seeding prices each normalized
+    // program once and hands its node costs to every search of its nests:
+    // every nest the model prices is a top-level loop nest of one of the
+    // programs, or a rewrite one of the searches priced.
+    let programs: Vec<Program> = polybench::all_benchmarks()
+        .iter()
+        .map(|bench| (bench.a)(polybench::Dataset::Large))
+        .collect();
+    assert_eq!(programs.len(), 15);
+    let sink = Arc::new(CollectingRecorder::default());
+    let top_level_nests: u64 = with_recorder(sink.clone(), || {
+        DaisyScheduler::new(DaisyConfig::default()).seed_from_programs(&programs);
+        let normalized = programs
+            .iter()
+            .map(|p| Normalizer::new().run(p).expect("normalizes").program);
+        normalized
+            .map(|p| {
+                p.body
+                    .iter()
+                    .filter(|node| matches!(node, Node::Loop(_)))
+                    .count() as u64
+            })
+            .sum()
+    });
+    let rewrites = sink.counter_total("daisy.search.rewrites_priced");
+    assert!(rewrites > 0);
+    assert_eq!(
+        sink.counter_total("machine.cost.nests_priced"),
+        top_level_nests + rewrites
+    );
 }

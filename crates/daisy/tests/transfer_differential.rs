@@ -5,9 +5,8 @@
 //! and splices per-node costs in its merge. The oracle here does neither: it
 //! is the materializing planner written from public helpers only — every
 //! candidate is a whole program (`apply_recipe_to_program`), every price a
-//! whole-program [`CostModel::estimate`] on a model built
-//! `without_memoization`, every decision applied to a program that is then
-//! re-priced from scratch. The two must agree on the whole
+//! whole-program [`CostModel::estimate`], every decision applied to a
+//! program that is then re-priced from scratch. The two must agree on the whole
 //! [`ScheduleOutcome`] — program, report (every `f64` bit for bit) and
 //! decision log — at any scheduler parallelism.
 
@@ -102,7 +101,7 @@ fn decide(
 fn oracle(scheduler: &DaisyScheduler, program: &Program) -> ScheduleOutcome {
     let config = scheduler.config();
     assert!(config.normalize, "the oracle normalizes like the default");
-    let model = CostModel::new(config.machine.clone(), config.threads).without_memoization();
+    let model = CostModel::new(config.machine.clone(), config.threads);
     let normalized = Normalizer::new()
         .run(program)
         .map(|n| n.program)

@@ -17,7 +17,9 @@
 //!   test machine whose four sets force conflicts; and the sharded driver
 //!   under the program's canonical plan (translation classes and all)
 //!   versus the shard oracle on the naive LRU, every shard streamed into
-//!   its own cold reference.
+//!   its own cold reference. The sharded check runs again on a
+//!   block-wrapped copy of the program, whose blocks the sharded driver
+//!   folds into classes.
 //! * **dependence** — the dependence analysis ([`dependence::analyze`]:
 //!   dense integer rows, direction vectors refined level by level) versus
 //!   the naive reference ([`dependence::reference::analyze`]: every `3ⁿ`
@@ -35,11 +37,13 @@
 //!   siblings (recipes transferred from other nests) and then from the case
 //!   itself too (recipes searched for these very nests).
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::prelude::*;
+use loop_ir::visit::for_each_computation_mut;
 use machine::interp::{reference, ProgramData};
 use machine::{
     simulate_cache, simulate_cache_reference, simulate_cache_sharded_reference,
@@ -295,7 +299,96 @@ fn cache_oracle(program: &Program) -> std::result::Result<(), String> {
             "(accesses, L1, L2) diverge from the reference: {fast:?} vs {naive:?}"
         ));
     }
-    sharded_cache_differential(program, &machine)
+    sharded_cache_differential(program, &machine)?;
+    match block_wrapped(program, &machine) {
+        Some(blocked) => sharded_cache_differential(&blocked, &machine)
+            .map_err(|detail| format!("block-wrapped copy: {detail}")),
+        None => Ok(()),
+    }
+}
+
+/// Trips of the block loop [`block_wrapped`] adds: more than the four
+/// translation classes one L1 set period of the tiny machine splits into at
+/// its L2 set period, so classes gain members.
+const BLOCKS: i64 = 8;
+
+/// The largest array [`block_wrapped`] grows, in bytes.
+const MAX_BLOCKED_BYTES: i64 = 1 << 20;
+
+/// `program` as the blocks of a block-sharded program, CLOUDSC's shape: its
+/// body inside one top-level `for` over [`BLOCKS`] slabs, whose iterator no
+/// source text can name. Every other array, from the first in name order,
+/// gains an outer dimension the block iterator indexes, spaced so that each
+/// block moves the array by a whole number of `machine`'s L1 set periods;
+/// the others stay put, like CLOUDSC's temporaries, and so do arrays that
+/// would grow past [`MAX_BLOCKED_BYTES`]. So the sharded driver folds the
+/// blocks into translation classes and those into L1 classes, which it
+/// never does for the generated programs themselves. `None` for an empty
+/// body or one with a library call.
+fn block_wrapped(program: &Program, machine: &MachineConfig) -> Option<Program> {
+    fn index_loads(value: &mut ScalarExpr, index: &impl Fn(&mut ArrayRef)) {
+        match value {
+            ScalarExpr::Load(r) => index(r),
+            ScalarExpr::Unary(_, a) => index_loads(a, index),
+            ScalarExpr::Binary(_, a, b) => {
+                index_loads(a, index);
+                index_loads(b, index);
+            }
+            ScalarExpr::Select {
+                lhs,
+                rhs,
+                then,
+                otherwise,
+                ..
+            } => {
+                for operand in [lhs, rhs, then, otherwise] {
+                    index_loads(operand, index);
+                }
+            }
+            ScalarExpr::Const(_) | ScalarExpr::Param(_) | ScalarExpr::Index(_) => {}
+        }
+    }
+    let inner = walk_loops(&program.body).into_iter().flat_map(|l| &l.body);
+    let mut nodes = program.body.iter().chain(inner);
+    if program.body.is_empty() || nodes.any(|n| matches!(n, Node::Call(_))) {
+        return None;
+    }
+    // `period / gcd(slab, period)` slabs apart move an array by the least
+    // whole number of periods.
+    let period = (machine.l1_bytes / machine.l1_assoc) as i64;
+    let gcd = |mut a: i64, mut b: i64| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let mut blocked = program.clone();
+    let mut spacing: BTreeMap<Var, i64> = BTreeMap::new();
+    for (name, array) in blocked.arrays.iter_mut().step_by(2) {
+        let Some(slab) = array.size_bytes(&program.params).filter(|&slab| slab >= 0) else {
+            continue;
+        };
+        let apart = period / gcd(slab, period);
+        if slab
+            .checked_mul(BLOCKS * apart)
+            .is_some_and(|bytes| bytes <= MAX_BLOCKED_BYTES)
+        {
+            array.dims.insert(0, cst(BLOCKS * apart));
+            spacing.insert(name.clone(), apart);
+        }
+    }
+    let index = |r: &mut ArrayRef| {
+        if let Some(&apart) = spacing.get(&r.array) {
+            r.indices.insert(0, var("#block") * cst(apart));
+        }
+    };
+    for_each_computation_mut(&mut blocked.body, &mut |c| {
+        index(&mut c.target);
+        index_loads(&mut c.value, &index);
+    });
+    let body = std::mem::take(&mut blocked.body);
+    blocked.body = vec![for_loop("#block", cst(0), cst(BLOCKS), body)];
+    Some(blocked)
 }
 
 /// The sharded driver under the canonical plan — one simulation per
@@ -541,6 +634,33 @@ mod tests {
         }
         assert!(transferred > 0, "no sibling recipe ever won");
         assert!(exact > 0, "no exact match ever won");
+    }
+
+    #[test]
+    fn block_wrapped_copies_form_translation_and_l1_classes() {
+        // The generated programs alone never make the sharded driver fold
+        // a shard into a class; their block-wrapped copies must, several
+        // translation classes to an L1 class.
+        let (config, machine) = (GenConfig::default(), MachineConfig::tiny_for_tests());
+        let (mut shards, mut classes, mut l1_streams) = (0, 0, 0);
+        for seed in 0..40 {
+            let p = generate(seed, &config);
+            let blocked = block_wrapped(&p, &machine).expect("generated bodies are not empty");
+            let stats = machine::simulate_cache_sharded(&blocked, &machine, 1).unwrap();
+            assert_eq!(
+                stats.shards(),
+                BLOCKS as usize,
+                "seed {seed}: one shard per block"
+            );
+            shards += stats.shards();
+            classes += stats.classes();
+            l1_streams += stats.l1_streams();
+        }
+        assert!(classes < shards, "{classes} classes of {shards} shards");
+        assert!(
+            l1_streams < classes,
+            "{l1_streams} L1 streams for {classes} classes"
+        );
     }
 
     #[test]

@@ -141,44 +141,33 @@ impl Program {
         }
     }
 
-    /// Structural hash of the full program: environment
-    /// ([`environment_hash`](Self::environment_hash)) plus body structure.
+    /// Structural hash of the full program: its environment (integer
+    /// parameters, scalar parameters and array declarations) plus body
+    /// structure.
     ///
     /// Two programs share a hash exactly when they have the same parameters,
     /// array declarations and structurally identical bodies (statement names
     /// and ids excluded — see [`crate::visit::structural_hash_nodes`]). The
-    /// scheduler uses this to recognize candidate programs it has already
-    /// evaluated.
+    /// fuzz farm derives a case's seed from it.
     pub fn structural_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
-        let mut hasher = StructuralHasher::default();
-        self.environment_hash().hash(&mut hasher);
-        crate::visit::structural_hash_nodes(&self.body).hash(&mut hasher);
-        hasher.finish()
-    }
-
-    /// Hash of everything a body's cost can depend on *besides* the body:
-    /// integer parameters, scalar parameters and array declarations.
-    ///
-    /// Transformations only rewrite `body`, so all candidate programs of one
-    /// scheduling run share an environment hash; the cost model combines it
-    /// with per-nest structural hashes as its memoization key.
-    pub fn environment_hash(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = StructuralHasher::default();
+        let mut environment = StructuralHasher::default();
         for (name, value) in &self.params {
-            name.hash(&mut hasher);
-            value.hash(&mut hasher);
+            name.hash(&mut environment);
+            value.hash(&mut environment);
         }
         for (name, value) in &self.scalar_params {
-            name.hash(&mut hasher);
-            value.to_bits().hash(&mut hasher);
+            name.hash(&mut environment);
+            value.to_bits().hash(&mut environment);
         }
         for (name, array) in &self.arrays {
-            name.hash(&mut hasher);
-            array.dims.hash(&mut hasher);
-            array.elem_size.hash(&mut hasher);
+            name.hash(&mut environment);
+            array.dims.hash(&mut environment);
+            array.elem_size.hash(&mut environment);
         }
+        let mut hasher = StructuralHasher::default();
+        environment.finish().hash(&mut hasher);
+        crate::visit::structural_hash_nodes(&self.body).hash(&mut hasher);
         hasher.finish()
     }
 

@@ -1,5 +1,5 @@
 //! Traversal utilities over loop-nest trees, including the structural hash
-//! used by the cost-model memoization and the search's candidate dedupe.
+//! behind the search's candidate dedupe and the tuning database's keys.
 
 use std::hash::{Hash, Hasher};
 
@@ -176,7 +176,7 @@ impl Hasher for StructuralHasher {
 /// targets, reductions and value expressions, same library calls. Statement
 /// *names* and [`crate::nest::CompId`]s are deliberately excluded — they are
 /// labels, not structure, so renamed copies of a nest share one hash (and
-/// one memoized cost).
+/// one pricing in a search's batch).
 pub fn structural_hash_nodes(nodes: &[Node]) -> u64 {
     let mut hasher = StructuralHasher::default();
     nodes.len().hash(&mut hasher);
@@ -241,7 +241,7 @@ fn hash_call(call: &BlasCall, h: &mut impl Hasher) {
 
 /// Hashes a scalar expression. [`ScalarExpr`] cannot derive `Hash` because
 /// of its `f64` literals; they are hashed by bit pattern (`-0.0` and `0.0`
-/// therefore hash differently, which errs on the safe side for memoization).
+/// therefore hash differently, which errs on the safe side for dedupe).
 fn hash_scalar(e: &ScalarExpr, h: &mut impl Hasher) {
     match e {
         ScalarExpr::Load(r) => {

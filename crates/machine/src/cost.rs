@@ -19,106 +19,25 @@
 //! schedules the same way the paper's Xeon does (who wins, by what factor,
 //! where the crossovers are).
 //!
-//! # Memoization
+//! # No tables
 //!
-//! The evolutionary search prices thousands of candidate programs that differ
-//! in a single nest; re-deriving the working-set analysis for the unchanged
-//! nests dominated its runtime. [`CostModel`] therefore memoizes in two
-//! tables, both behind structural hashes and both shared across clones of a
-//! model (worker threads costing candidates in parallel populate one table):
-//!
-//! 1. **Per nest.** A nest's cost is a pure function of *(machine, thread
-//!    count, program environment, nest structure)*, where the environment is
-//!    the parameter bindings and array declarations
-//!    ([`Program::environment_hash`]) and the structure is everything
-//!    [`loop_ir::structural_hash_node`] covers (bounds, steps, schedule
-//!    annotations, subscripts, values — statement names excluded).
-//! 2. **Per run signature.** Below the nest level, every computation's
-//!    *run summary* — the absolute linearized stride of each access along
-//!    each iterator, the access-affinity flags and the target's subscript
-//!    variables, i.e. exactly the per-iterator facts a constant-stride run
-//!    of the access exposes — is memoized keyed by `(environment,
-//!    computation structure)`. The summary is independent of the enclosing
-//!    loop order, so search candidates that only permute, annotate or
-//!    re-tile the outer loops miss layer 1 but re-price from cached run
-//!    summaries: the symbolic affine extraction is never repeated, only the
-//!    cheap per-stack arithmetic.
-//!
-//! [`CostModel::without_memoization`] turns both off; estimates are
-//! bit-identical either way (the unit tests below hold the two against each
-//! other).
+//! [`CostModel`] is a plain value — a machine and a thread count — and
+//! pricing is a pure function of *(machine, thread count, program
+//! environment, node)*: the same node under the same program prices to the
+//! same bits every time, on any thread. The model keeps nothing between
+//! calls. A caller that needs a node's cost more than once keeps the
+//! [`NestCost`] it got: the scheduler prices the normalized program once and
+//! splices the winners' costs into that vector, and database seeding prices
+//! each program once for all of its nests' searches. The telemetry counter
+//! `machine.cost.nests_priced` counts every top-level loop nest priced.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
-
-use loop_ir::expr::{AffineExpr, Expr, Var};
+use loop_ir::array::ArrayRef;
+use loop_ir::expr::{AffineFold, Expr, Var};
 use loop_ir::nest::{BlasCall, Computation, Loop, Node};
 use loop_ir::program::Program;
-use loop_ir::structural_hash_node;
 
 use crate::blas::blas_call_time;
 use crate::config::MachineConfig;
-
-/// Shared memo table of a [`CostModel`]: per-nest costs keyed by
-/// `(environment hash, nest structural hash)`.
-type CostMemo = Arc<Mutex<HashMap<(u64, u64), NestCost>>>;
-
-/// Shared run-summary table: per-computation summaries keyed by
-/// `(environment hash, computation structural hash)`.
-type SummaryMemo = Arc<Mutex<HashMap<(u64, u64), Arc<CompSummary>>>>;
-
-/// The run summary of one computation: every IR-derived fact the pricing
-/// arithmetic needs, independent of the enclosing loop order. Deriving it
-/// (symbolic affine extraction per access) is the expensive part of pricing
-/// a computation; everything downstream is arithmetic over the loop stack.
-#[derive(Debug, Clone)]
-struct CompSummary {
-    /// Floating-point operations per dynamic execution.
-    flops: f64,
-    /// Whether the statement is a reduction update.
-    reduction: bool,
-    /// Iterators referenced by the target's subscripts.
-    target_vars: BTreeSet<Var>,
-    /// Per access (in [`Computation::for_each_access`] order): the
-    /// linearized offset, whose coefficients are the element strides along
-    /// the iterators, or `None` when the access is non-affine or its array
-    /// is unknown.
-    coeffs: Vec<Option<AffineExpr>>,
-}
-
-impl CompSummary {
-    fn of(program: &Program, comp: &Computation) -> CompSummary {
-        let mut coeffs = Vec::with_capacity(comp.access_count());
-        comp.for_each_access(|access| {
-            coeffs.push(
-                program
-                    .array(&access.array_ref.array)
-                    .ok()
-                    .and_then(|array| access.array_ref.linear_offset(array, &program.params)),
-            )
-        });
-        let mut target_vars = BTreeSet::new();
-        for idx in &comp.target.indices {
-            idx.for_each_var(&mut |v| {
-                target_vars.insert(v.clone());
-            });
-        }
-        CompSummary {
-            flops: comp.flops() as f64,
-            reduction: comp.reduction.is_some(),
-            target_vars,
-            coeffs,
-        }
-    }
-
-    /// Absolute element stride of access `i` along `iter` (zero if the
-    /// iterator does not appear; `None` when the access is non-affine).
-    fn stride_of(&self, access: usize, iter: &Var) -> Option<u64> {
-        self.coeffs[access]
-            .as_ref()
-            .map(|offset| offset.coefficient(iter).unsigned_abs())
-    }
-}
 
 /// Loop-control overhead in cycles per executed loop iteration (increment,
 /// compare, branch). Negligible for large loop bodies, but it is what makes
@@ -181,24 +100,12 @@ impl CostReport {
     }
 }
 
-/// A program's environment as a [`CostModel`] memo key: what
-/// [`CostModel::node_cost_in`] is handed instead of hashing the program's
-/// declarations again for every node. It holds for the program it was taken
-/// from and for every program with the same parameters, scalar parameters
-/// and arrays — the same program with other top-level nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Environment(Option<u64>);
-
-/// The analytical cost model.
+/// The analytical cost model: the machine it prices on and the number of
+/// threads a schedule may use there.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     machine: MachineConfig,
     threads: usize,
-    /// Per-nest memo, shared across clones so parallel workers fill one
-    /// table; `None` disables memoization.
-    memo: Option<CostMemo>,
-    /// Per-computation run-summary memo (layer 2), shared like `memo`.
-    summaries: Option<SummaryMemo>,
 }
 
 #[derive(Debug, Clone)]
@@ -224,44 +131,17 @@ impl LoopInfo<'_> {
 }
 
 impl CostModel {
-    /// Creates a cost model for `threads` worker threads on `machine`,
-    /// with memoization enabled.
+    /// Creates a cost model for `threads` worker threads on `machine`.
     pub fn new(machine: MachineConfig, threads: usize) -> Self {
         CostModel {
             threads: threads.max(1),
             machine,
-            memo: Some(Arc::new(Mutex::new(HashMap::new()))),
-            summaries: Some(Arc::new(Mutex::new(HashMap::new()))),
         }
     }
 
     /// Creates a sequential cost model for the paper's machine.
     pub fn sequential() -> Self {
         CostModel::new(MachineConfig::default(), 1)
-    }
-
-    /// Returns this model with memoization disabled — every nest is priced
-    /// from scratch. What the memoized answers are tested against.
-    pub fn without_memoization(mut self) -> Self {
-        self.memo = None;
-        self.summaries = None;
-        self
-    }
-
-    /// Number of distinct nests currently memoized.
-    pub fn memo_entries(&self) -> usize {
-        self.memo
-            .as_ref()
-            .map(|memo| memo.lock().expect("cost memo poisoned").len())
-            .unwrap_or(0)
-    }
-
-    /// Number of distinct computation run summaries currently memoized.
-    pub fn run_summary_entries(&self) -> usize {
-        self.summaries
-            .as_ref()
-            .map(|memo| memo.lock().expect("summary memo poisoned").len())
-            .unwrap_or(0)
     }
 
     /// The machine description used by the model.
@@ -276,42 +156,21 @@ impl CostModel {
 
     /// Estimates the execution cost of a program.
     pub fn estimate(&self, program: &Program) -> CostReport {
-        self.estimate_in(program, self.environment(program))
-    }
-
-    /// [`estimate`](Self::estimate) given `program`'s
-    /// [`environment`](Self::environment).
-    pub fn estimate_in(&self, program: &Program, env: Environment) -> CostReport {
         let per_nest = program
             .body
             .iter()
-            .map(|node| self.node_cost_in(program, env, node))
+            .map(|node| self.node_cost(program, node))
             .collect();
         CostReport::from_nests(per_nest)
-    }
-
-    /// The memo key of `program`'s environment under this model (no key
-    /// when memoization is off).
-    pub fn environment(&self, program: &Program) -> Environment {
-        Environment(self.memo.as_ref().map(|_| program.environment_hash()))
     }
 
     /// Cost of a single top-level node under the program's environment
     /// (parameters, scalar parameters, arrays). `node` does not have to be
     /// part of `program.body`: the scheduler prices transformed nests this
-    /// way without materializing candidate programs. Memoized per
-    /// `(environment, node structure)` exactly like [`estimate`](Self::estimate).
+    /// way without materializing candidate programs.
     pub fn node_cost(&self, program: &Program, node: &Node) -> NestCost {
-        self.node_cost_in(program, self.environment(program), node)
-    }
-
-    /// [`node_cost`](Self::node_cost) given `program`'s
-    /// [`environment`](Self::environment), for callers that price many
-    /// nodes against one program.
-    pub fn node_cost_in(&self, program: &Program, env: Environment, node: &Node) -> NestCost {
-        let env = env.0;
         match node {
-            Node::Loop(l) => self.nest_cost_memoized(program, node, l, env),
+            Node::Loop(l) => self.estimate_nest(program, l),
             Node::Call(call) => self.estimate_call(program, call),
             Node::Computation(c) => NestCost {
                 description: c.name.clone(),
@@ -320,55 +179,6 @@ impl CostModel {
                 dram_bytes: 0.0,
             },
         }
-    }
-
-    /// Per-nest cost with memo lookup; `env` is `Some` iff memoization is on.
-    fn nest_cost_memoized(
-        &self,
-        program: &Program,
-        node: &Node,
-        nest: &Loop,
-        env: Option<u64>,
-    ) -> NestCost {
-        let (Some(env), Some(memo)) = (env, self.memo.as_ref()) else {
-            return self.estimate_nest(program, nest, env);
-        };
-        let key = (env, structural_hash_node(node));
-        if let Some(hit) = memo.lock().expect("cost memo poisoned").get(&key) {
-            telemetry::counter("machine.cost.memo_hits", 1);
-            return hit.clone();
-        }
-        telemetry::counter("machine.cost.memo_misses", 1);
-        let cost = self.estimate_nest(program, nest, Some(env));
-        memo.lock()
-            .expect("cost memo poisoned")
-            .insert(key, cost.clone());
-        cost
-    }
-
-    /// The run summary of a computation, from the layer-2 memo when
-    /// memoization is on (`env` is `Some`), derived fresh otherwise.
-    fn comp_summary(
-        &self,
-        program: &Program,
-        node: &Node,
-        comp: &Computation,
-        env: Option<u64>,
-    ) -> Arc<CompSummary> {
-        let (Some(env), Some(memo)) = (env, self.summaries.as_ref()) else {
-            return Arc::new(CompSummary::of(program, comp));
-        };
-        let key = (env, structural_hash_node(node));
-        if let Some(hit) = memo.lock().expect("summary memo poisoned").get(&key) {
-            telemetry::counter("machine.cost.summary_memo_hits", 1);
-            return hit.clone();
-        }
-        telemetry::counter("machine.cost.summary_memo_misses", 1);
-        let summary = Arc::new(CompSummary::of(program, comp));
-        memo.lock()
-            .expect("summary memo poisoned")
-            .insert(key, summary.clone());
-        summary
     }
 
     /// Estimates one BLAS library call.
@@ -390,7 +200,8 @@ impl CostModel {
     }
 
     /// Estimates one top-level loop nest.
-    fn estimate_nest(&self, program: &Program, nest: &Loop, env: Option<u64>) -> NestCost {
+    fn estimate_nest(&self, program: &Program, nest: &Loop) -> NestCost {
+        telemetry::counter("machine.cost.nests_priced", 1);
         let mut total = NestCost {
             description: iterator_list(nest),
             seconds: 0.0,
@@ -398,7 +209,7 @@ impl CostModel {
             dram_bytes: 0.0,
         };
         let mut stack = Vec::new();
-        self.walk(program, nest, &mut stack, &mut total, env);
+        self.walk(program, nest, &mut stack, &mut total);
         // Nested library calls contribute through walk as well.
         total
     }
@@ -409,7 +220,6 @@ impl CostModel {
         l: &'a Loop,
         stack: &mut Vec<LoopInfo<'a>>,
         total: &mut NestCost,
-        env: Option<u64>,
     ) {
         let (trip, mid_value) = self.average_trip(program, l, stack);
         // Loop-control overhead for every dynamic iteration of this loop,
@@ -434,10 +244,9 @@ impl CostModel {
         });
         for node in &l.body {
             match node {
-                Node::Loop(inner) => self.walk(program, inner, stack, total, env),
+                Node::Loop(inner) => self.walk(program, inner, stack, total),
                 Node::Computation(c) => {
-                    let summary = self.comp_summary(program, node, c, env);
-                    let (seconds, flops, dram_bytes) = self.computation_cost(&summary, stack);
+                    let (seconds, flops, dram_bytes) = self.computation_cost(program, c, stack);
                     total.seconds += seconds;
                     total.flops += flops;
                     total.dram_bytes += dram_bytes;
@@ -475,27 +284,34 @@ impl CostModel {
 
     /// Seconds, flops and DRAM bytes of every dynamic instance of one
     /// computation under `stack`.
-    fn computation_cost(&self, summary: &CompSummary, stack: &[LoopInfo<'_>]) -> (f64, f64, f64) {
+    fn computation_cost(
+        &self,
+        program: &Program,
+        comp: &Computation,
+        stack: &[LoopInfo<'_>],
+    ) -> (f64, f64, f64) {
+        let strides = access_strides(program, comp, stack);
+        let flops_per_execution = comp.flops() as f64;
         let total_iters: f64 = stack.iter().map(|s| s.trip).product::<f64>().max(1.0);
-        let flops = summary.flops * total_iters;
+        let flops = flops_per_execution * total_iters;
 
         // ---- compute time ----------------------------------------------
         let innermost = stack.last();
         let mut flops_per_cycle = self.machine.scalar_flops_per_cycle;
         if let Some(inner) = innermost {
-            if inner.vectorize && Self::vectorizable(summary, &inner.iter) {
+            if inner.vectorize && Self::vectorizable(&strides, stack.len()) {
                 flops_per_cycle *=
                     self.machine.vector_width as f64 * self.machine.vector_efficiency;
             }
         }
         // Very large loop bodies (heavily unrolled physics code) suffer from
         // register pressure; model a mild penalty that fission removes.
-        let body_size_penalty = 1.0 + (summary.flops / 64.0).min(1.0);
+        let body_size_penalty = 1.0 + (flops_per_execution / 64.0).min(1.0);
         let mut compute_seconds =
             flops * body_size_penalty / (self.machine.frequency_hz * flops_per_cycle);
 
         // ---- memory time -------------------------------------------------
-        let (dram_bytes, l2_bytes) = self.memory_traffic(summary, stack);
+        let (dram_bytes, l2_bytes) = self.memory_traffic(&strides, stack);
 
         // ---- parallelism --------------------------------------------------
         let parallel_level = stack.iter().position(|s| s.parallel);
@@ -518,11 +334,11 @@ impl CostModel {
             // must be updated atomically. "Varies" includes indirect
             // variation through loop bounds: a tile's point loop owns a
             // distinct slice of the target for every tile-loop iteration.
-            if summary.reduction {
+            if comp.reduction.is_some() {
                 let mut influencing: Vec<Var> = stack
                     .iter()
                     .map(|s| s.iter.clone())
-                    .filter(|iter| summary.target_vars.contains(iter))
+                    .filter(|iter| comp.target.indices.iter().any(|idx| idx.uses_var(iter)))
                     .collect();
                 let mut changed = true;
                 while changed {
@@ -569,45 +385,33 @@ impl CostModel {
         (seconds, flops, dram_bytes)
     }
 
-    /// A computation vectorizes well along `iter` when none of its accesses
-    /// has a large stride along that iterator (unit stride and loop-invariant
-    /// accesses are fine).
-    fn vectorizable(summary: &CompSummary, iter: &Var) -> bool {
-        (0..summary.coeffs.len()).all(|access| {
-            summary
-                .stride_of(access, iter)
-                .is_some_and(|stride| stride <= 1)
-        })
+    /// A computation vectorizes well along the innermost of its `depth`
+    /// loops when none of its accesses has a large stride along that loop
+    /// (unit stride and loop-invariant accesses are fine).
+    fn vectorizable(strides: &[f64], depth: usize) -> bool {
+        strides
+            .chunks_exact(depth)
+            .all(|per_loop| per_loop[depth - 1] <= 1.0)
     }
 
     /// Estimated (DRAM bytes, L2 bytes) moved for all dynamic instances of a
-    /// computation, via a working-set analysis over its loop stack.
-    fn memory_traffic(&self, summary: &CompSummary, stack: &[LoopInfo<'_>]) -> (f64, f64) {
-        let n_accesses = summary.coeffs.len();
+    /// computation whose accesses have `coeffs` ([`access_strides`]), via a
+    /// working-set analysis over its loop stack.
+    fn memory_traffic(&self, coeffs: &[f64], stack: &[LoopInfo<'_>]) -> (f64, f64) {
         let elems_per_line = self.machine.elems_per_line(8) as f64;
         let depth = stack.len();
+        let n_accesses = coeffs.len() / depth;
 
         // Per access: the absolute linearized stride along every stack loop
-        // (straight from the cached run summary), and the set of loops that
-        // vary the access. A loop varies an access if its iterator appears
-        // in the subscripts, or (transitively) if a varying loop's bounds
-        // depend on it — this attributes tiled accesses to their tile loops,
-        // whose iterators only appear in point-loop bounds.
-        // Both are `depth` entries per access, one access after the other.
-        let mut coeffs: Vec<f64> = Vec::with_capacity(n_accesses * depth);
+        // (`coeffs`), and the set of loops that vary the access. A loop
+        // varies an access if its iterator appears in the subscripts, or
+        // (transitively) if a varying loop's bounds depend on it — this
+        // attributes tiled accesses to their tile loops, whose iterators only
+        // appear in point-loop bounds. Both are `depth` entries per access,
+        // one access after the other.
         let mut varying: Vec<bool> = Vec::with_capacity(n_accesses * depth);
         for access in 0..n_accesses {
-            match &summary.coeffs[access] {
-                Some(offset) => coeffs.extend(
-                    stack
-                        .iter()
-                        .map(|info| offset.coefficient(&info.iter).unsigned_abs() as f64),
-                ),
-                // Non-affine access: treat as touching a new line at every
-                // level (worst case).
-                None => coeffs.extend(std::iter::repeat_n(f64::INFINITY, depth)),
-            }
-            let per_loop = &coeffs[access * depth..];
+            let per_loop = &coeffs[access * depth..(access + 1) * depth];
             varying.extend(per_loop.iter().map(|c| *c > 0.0));
             let varies = &mut varying[access * depth..];
             // Transitive closure through loop bounds.
@@ -723,6 +527,88 @@ impl CostModel {
     }
 }
 
+/// The absolute element stride of each of `comp`'s accesses (in
+/// [`Computation::for_each_access`] order) along every loop of `stack`,
+/// outermost first: `stack.len()` entries per access, one access after the
+/// other. Deriving them is the expensive part of pricing a computation;
+/// everything downstream is arithmetic over the loop stack. An access that
+/// is non-affine or whose array is unknown has infinite strides.
+fn access_strides(program: &Program, comp: &Computation, stack: &[LoopInfo<'_>]) -> Vec<f64> {
+    let depth = stack.len();
+    // Each access's coefficients are summed in `i64` here, then widened.
+    const INLINE: usize = 8;
+    let mut inline = [0i64; INLINE];
+    let mut heap = Vec::new();
+    let row = match inline.get_mut(..depth) {
+        Some(slice) => slice,
+        None => {
+            heap.resize(depth, 0);
+            heap.as_mut_slice()
+        }
+    };
+    let mut strides = Vec::with_capacity(comp.access_count() * depth);
+    comp.for_each_access(|access| {
+        row.fill(0);
+        if linear_coefficients(program, access.array_ref, stack, row) {
+            strides.extend(row.iter().map(|c| c.unsigned_abs() as f64));
+        } else {
+            // Non-affine access: treat as touching a new line at every
+            // level (worst case).
+            strides.extend(std::iter::repeat_n(f64::INFINITY, depth));
+        }
+    });
+    strides
+}
+
+/// Writes the coefficient of every `stack` loop's iterator in
+/// `array_ref`'s linearized offset ([`ArrayRef::linear_offset`]) to `row`,
+/// which starts zeroed, without building the offset: the fold's terms are
+/// scattered straight into the loops they name, like the dependence
+/// tester's rows. `false` where the offset is `None`: a subscript is not
+/// affine, or the array is unknown or has another rank.
+fn linear_coefficients(
+    program: &Program,
+    array_ref: &ArrayRef,
+    stack: &[LoopInfo<'_>],
+    row: &mut [i64],
+) -> bool {
+    let Ok(array) = program.array(&array_ref.array) else {
+        return false;
+    };
+    if array.rank() != array_ref.rank() {
+        return false;
+    }
+    let folded = array.with_strides(&program.params, |strides| {
+        let mut fold = AffineFold::new(&program.params);
+        let mut scatter = |v: Option<&Var>, c: i64| {
+            for (info, coefficient) in stack.iter().zip(row.iter_mut()) {
+                if v == Some(&info.iter) {
+                    *coefficient += c;
+                }
+            }
+        };
+        array_ref
+            .indices
+            .iter()
+            .zip(strides)
+            .try_for_each(|(idx, &stride)| fold.add(idx, stride, &mut scatter))
+    });
+    match folded {
+        None => false,
+        Some(Some(())) => true,
+        // What the fold declines, the reference decides.
+        Some(None) => match array_ref.linear_offset(array, &program.params) {
+            Some(offset) => {
+                for (info, coefficient) in stack.iter().zip(row.iter_mut()) {
+                    *coefficient = offset.coefficient(&info.iter);
+                }
+                true
+            }
+            None => false,
+        },
+    }
+}
+
 /// The iterators of `nest` and of every loop below it, in
 /// [`Loop::nested_iterators`] order, joined by commas: a nest's
 /// [`NestCost::description`].
@@ -771,7 +657,7 @@ mod tests {
         // this reason: every unrolled recipe would tie with the same recipe
         // without it. When the model starts to price unrolling, this test
         // fails, and the unroll axis goes back into the search.
-        let model = CostModel::new(MachineConfig::xeon_e5_2680v3(), 12).without_memoization();
+        let model = CostModel::new(MachineConfig::xeon_e5_2680v3(), 12);
         for scheduled in [false, true] {
             let mut plain = gemm("ikj", 256);
             if scheduled {
@@ -842,6 +728,13 @@ mod tests {
         assert!(
             bad > good * 1.5,
             "column-major innermost ({bad}) should be clearly slower than row-major ({good})"
+        );
+        // The problem size is an input too: the same order at a smaller `N`
+        // prices lower.
+        let small = model.estimate(&gemm("ikj", 256)).seconds;
+        assert!(
+            good > small,
+            "N = 512 ({good}) must cost more than N = 256 ({small})"
         );
     }
 
@@ -971,65 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_and_unmemoized_estimates_are_identical() {
-        let memoized = CostModel::new(MachineConfig::xeon_e5_2680v3(), 12);
-        let plain = memoized.clone().without_memoization();
-        for order in ["ijk", "ikj", "jki"] {
-            let p = gemm(order, 128);
-            let a = memoized.estimate(&p);
-            let b = plain.estimate(&p);
-            // Repeat with a warm memo: must still be bit-identical.
-            let c = memoized.estimate(&p);
-            assert_eq!(a, b, "order {order}");
-            assert_eq!(a, c, "order {order} warm");
-        }
-        assert_eq!(memoized.memo_entries(), 3);
-        assert_eq!(plain.memo_entries(), 0);
-    }
-
-    #[test]
-    fn permuted_candidates_share_one_run_summary() {
-        // All six GEMM loop orders contain the same computation, so the
-        // per-nest memo holds six entries while the run-summary layer holds
-        // exactly one — permuting outer loops re-prices from the cached
-        // summary instead of re-deriving the affine access facts.
-        let model = CostModel::sequential();
-        let mut estimates = Vec::new();
-        for order in ["ijk", "ikj", "jik", "jki", "kij", "kji"] {
-            estimates.push(model.estimate(&gemm(order, 64)));
-        }
-        assert_eq!(model.memo_entries(), 6);
-        assert_eq!(model.run_summary_entries(), 1);
-        // The summary is order-independent input, not an order-independent
-        // answer: permutations still price differently.
-        let plain = model.clone().without_memoization();
-        for (order, est) in ["ijk", "ikj", "jik", "jki", "kij", "kji"]
-            .iter()
-            .zip(&estimates)
-        {
-            assert_eq!(est, &plain.estimate(&gemm(order, 64)), "order {order}");
-        }
-        assert_eq!(plain.run_summary_entries(), 0);
-    }
-
-    #[test]
-    fn memo_distinguishes_problem_sizes_and_structures() {
-        let model = CostModel::sequential();
-        let small = model.estimate(&gemm("ijk", 32)).seconds;
-        let large = model.estimate(&gemm("ijk", 64)).seconds;
-        assert!(
-            large > small,
-            "different params must not share memo entries"
-        );
-        assert_eq!(model.memo_entries(), 2);
-        // A schedule annotation changes the structure, hence the entry.
-        let mut annotated = gemm("ijk", 32);
-        annotated.body[0].as_loop_mut().unwrap().schedule.vectorize = true;
-        model.estimate(&annotated);
-        assert_eq!(model.memo_entries(), 3);
-    }
-
-    #[test]
     fn simulated_cache_counters_are_parallelism_invariant() {
         // The model only prices; exact counters for the machine it prices
         // on come from the sharded simulator, whose worker count is
@@ -1045,25 +879,5 @@ mod tests {
                 "workers {workers}"
             );
         }
-    }
-
-    #[test]
-    fn clones_share_the_memo_across_threads() {
-        let model = CostModel::sequential();
-        let programs: Vec<Program> = ["ijk", "ikj", "kij", "jik"]
-            .iter()
-            .map(|o| gemm(o, 96))
-            .collect();
-        std::thread::scope(|scope| {
-            for chunk in programs.chunks(2) {
-                let worker = model.clone();
-                scope.spawn(move || {
-                    for p in chunk {
-                        worker.estimate(p);
-                    }
-                });
-            }
-        });
-        assert_eq!(model.memo_entries(), 4);
     }
 }

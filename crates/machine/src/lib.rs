@@ -37,7 +37,7 @@
 //!
 //! ```text
 //! program ─▶ cost model ─────────────────────────▶ search
-//!            (cost, memoized roofline)              (daisy)
+//!            (cost, roofline)                       (daisy)
 //! program ─▶ access stream ─▶ cache simulator ───▶ exact counters (Table 1,
 //!            (exec, streamed)  (cache + shard)      Fig. 11, Fig. 12b)
 //! ```
@@ -73,15 +73,13 @@
 //! engines and oracles alike fault on a bound or subscript iff its exact
 //! value leaves `i64`.
 //!
-//! [`cost::CostModel`] memoizes behind structural hashes in two tables:
-//! whole-nest costs and per-computation *run summaries* (the per-iterator
-//! stride facts of each access). It only prices; the exact cache counters
-//! the figures print come from the block-sharded simulator
+//! [`cost::CostModel`] only prices, and keeps no tables; the exact cache
+//! counters the figures print come from the block-sharded simulator
 //! ([`shard::simulate_cache_sharded`]). The contract: a nest's cost is a pure
 //! function of *(machine, thread count, program environment, nest
 //! structure)* — see the [`cost`] module docs — which is what lets the
-//! `daisy` evolutionary search re-price only the nest a candidate recipe
-//! rewrote, and re-price outer-loop permutations from cached summaries.
+//! `daisy` recipe search price a program's nodes once and re-price only the
+//! nest a candidate recipe rewrote.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -99,7 +97,7 @@ pub mod trace;
 
 pub use cache::{reference::ReferenceCacheHierarchy, CacheHierarchy, CacheStats};
 pub use config::MachineConfig;
-pub use cost::{CostModel, CostReport, Environment, NestCost};
+pub use cost::{CostModel, CostReport, NestCost};
 pub use error::{MachineError, Result};
 pub use exec::CompiledProgram;
 pub use interp::{run_seeded, ProgramData};

@@ -12,7 +12,7 @@
 //! queue that already outlasted the budget), and never slower than spawning
 //! up front by more than the budget or one item, whichever is longer (the
 //! helpers' head start the caller worked through alone). Cheap queues — a
-//! search's memoized rewrites, a one-class simulation — never leave
+//! small nest's search rewrites, a one-class simulation — never leave
 //! their caller; a seeding, a many-nest CLOUDSC plan or the 32 classes of
 //! a DaCe trace fan out after their first item or two.
 //!
@@ -64,7 +64,7 @@ pub fn effective_workers(requested: usize, items: usize) -> usize {
 /// How long the calling thread drains a [`parallel_map`] queue alone before
 /// it pays for helper threads: about the cost of spawning and joining one
 /// scoped thread on the machines this runs on. A queue that empties within
-/// it — one `schedule` call on a small program, a search's memoized
+/// it — one `schedule` call on a small program, a small nest's search
 /// rewrites — never spawns at all.
 const SPAWN_BUDGET: Duration = Duration::from_micros(300);
 

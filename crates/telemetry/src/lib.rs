@@ -5,7 +5,7 @@
 //! primitives:
 //!
 //! - **Counters** ([`counter`]): monotonically increasing `u64` totals
-//!   keyed by a `&'static str` name (`"machine.cost.memo_hits"`).
+//!   keyed by a `&'static str` name (`"machine.cost.nests_priced"`).
 //! - **Histograms** ([`histogram`]): log2-bucketed value distributions
 //!   ([`Histogram`]) for latency and size samples; `p99` and friends are
 //!   answered from the buckets, no samples are retained.
@@ -36,9 +36,10 @@
 //! # Determinism
 //!
 //! Span *structure* and counter *values* are deterministic for a fixed
-//! workload: they count decisions (memo hits, fallbacks, exact transfer hits),
-//! never wall-clock. Durations obviously vary run to run; everything else
-//! in a profile is stable, which is what makes `daisyprof diff` meaningful.
+//! workload: they count decisions (nests priced, fallbacks, exact transfer
+//! hits), never wall-clock. Durations obviously vary run to run; everything
+//! else in a profile is stable, which is what makes `daisyprof diff`
+//! meaningful.
 //!
 //! Guards are unwinding-safe: dropping a span guard in any order (early
 //! return, `panic!` unwinding, leaked inner guards) truncates the

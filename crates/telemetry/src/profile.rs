@@ -13,7 +13,7 @@
 //! {"profile":"daisy-telemetry","version":1,"label":"reproduce --smoke"}
 //! {"type":"span","path":"schedule.normalize","count":34,"total_ns":81243,"max":4096,"buckets":[[11,30],[12,4]]}
 //! {"type":"histogram","name":"daisy.parallel.worker_items","count":8,"total":34,"max":6,"buckets":[[2,3],[3,5]]}
-//! {"type":"counter","name":"machine.cost.memo_hits","value":1187}
+//! {"type":"counter","name":"machine.cost.nests_priced","value":1187}
 //! ```
 //!
 //! Buckets are sparse `[log2_index, count]` pairs: index 0 holds the
