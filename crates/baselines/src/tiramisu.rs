@@ -95,10 +95,8 @@ pub fn tiramisu_schedule(program: &Program, threads: usize) -> Result<Program, T
     let mut rng = StdRng::seed_from_u64(0x71AA);
 
     let mut current = fissioned.clone();
-    let mut index = 0usize;
-    while index < current.body.len() {
+    for index in 0..current.body.len() {
         let Node::Loop(nest) = current.body[index].clone() else {
-            index += 1;
             continue;
         };
         // Candidate generation guided by the approximate model: the search
@@ -118,17 +116,10 @@ pub fn tiramisu_schedule(program: &Program, threads: usize) -> Result<Program, T
             .take(3)
             .filter_map(|(_, r)| evaluate_recipe(&current, index, &r, &truth).map(|t| (t, r)))
             .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        match best {
-            Some((_, recipe)) => {
-                if let Some(next) = apply_recipe_to_program(&current, index, &recipe) {
-                    let added = next.body.len() + 1 - current.body.len();
-                    current = next;
-                    index += added.max(1);
-                } else {
-                    index += 1;
-                }
-            }
-            None => index += 1,
+        if let Some(next) =
+            best.and_then(|(_, recipe)| apply_recipe_to_program(&current, index, &recipe))
+        {
+            current = next;
         }
     }
     Ok(current)

@@ -261,9 +261,6 @@ impl TuningDatabase {
             .steps
             .iter()
             .map(|step| match step {
-                Transform::Interchange { order } => Transform::Interchange {
-                    order: order.iter().map(&rename).collect(),
-                },
                 Transform::Tile { tiles } => Transform::Tile {
                     tiles: tiles.iter().map(|(v, s)| (rename(v), *s)).collect(),
                 },
@@ -273,13 +270,9 @@ impl TuningDatabase {
                     iter: rename(iter),
                     factor: *factor,
                 },
-                Transform::Fission => Transform::Fission,
             })
             .collect();
-        Some(Recipe {
-            steps,
-            blas: entry.recipe.blas,
-        })
+        Some(Recipe::new(steps))
     }
 }
 
@@ -604,9 +597,7 @@ mod tests {
         let nest = p.loop_nests()[0];
         let chain: Vec<Var> = nest.nested_iterators();
         let recipe = TuningDatabase::retarget(&e, &chain).unwrap();
-        let out = recipe.apply_to_nest(nest).unwrap();
-        assert_eq!(out.len(), 1);
-        let tiled = out[0].as_loop().unwrap();
+        let tiled = recipe.apply_to_nest(nest).unwrap();
         assert!(tiled.schedule.parallel);
         assert_eq!(tiled.iter, Var::new("x_t"));
     }

@@ -12,9 +12,10 @@
 //!    the normalized A variants by a search that prices every recipe of a
 //!    nest's small space and keeps the cheapest ([`search`]; the paper's
 //!    search is evolutionary),
-//! 4. the chosen recipes (interchange, tiling, parallelization,
-//!    vectorization) are applied and the result is costed on the machine
-//!    model.
+//! 4. the chosen recipes (tiling, parallelization, vectorization; the loop
+//!    order is normalization's, fixed in step 1) are applied, each
+//!    rewriting one nest into one nest, and the result is costed on the
+//!    machine model.
 //!
 //! The entry point is [`scheduler::DaisyScheduler`]. A seeded database can
 //! be persisted to disk ([`DaisyScheduler::persist`]) and reloaded

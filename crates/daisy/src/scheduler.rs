@@ -7,7 +7,7 @@ use dependence::DependenceGraph;
 use loop_ir::expr::Var;
 use loop_ir::nest::Node;
 use loop_ir::program::Program;
-use loop_ir::structural_hash_nodes;
+use loop_ir::structural_hash_node;
 use machine::pool::parallel_map;
 use machine::{CostModel, CostReport, MachineConfig, NestCost};
 use normalize::{NormalizedProgram, Normalizer};
@@ -139,8 +139,8 @@ pub struct PhaseTimings {
     /// Per-nest planning: idiom detection, database lookup, legality
     /// gates, candidate rewriting and pricing.
     pub search_ns: u64,
-    /// Deterministic merge: winners spliced in, replacement nodes and idiom
-    /// calls priced, the report totalled from the per-node costs.
+    /// Deterministic merge: each winner put in its nest's slot, idiom calls
+    /// priced, the report totalled from the per-node costs.
     pub cost_ns: u64,
 }
 
@@ -461,12 +461,12 @@ impl DaisyScheduler {
     /// * One pricing of the normalized program, in the `seed` phase. The
     ///   per-node costs are kept: every transfer-tuning candidate is then
     ///   scored by the nest it rewrote (see `plan_node`), each winner's plan
-    ///   keeps the costs of its replacement nodes, and the merge splices
-    ///   those into the vector beside the nodes they replace, pricing only
-    ///   idiom calls. Decision-line estimates and the final [`CostReport`] are
-    ///   sums over the vector in body order — the order
-    ///   [`CostModel::estimate`] adds in — so nothing the outcome carries
-    ///   depends on the program around a nest being re-priced.
+    ///   keeps the cost of its rewritten nest, and the merge puts it in the
+    ///   nest's slot of the vector, pricing only idiom calls. Decision-line
+    ///   estimates and the final [`CostReport`] are sums over the vector in
+    ///   body order — the order [`CostModel::estimate`] adds in — so
+    ///   nothing the outcome carries depends on the program around a nest
+    ///   being re-priced.
     ///
     /// After normalization the top-level nests are independent: idiom
     /// detection, database lookup, legality checks and candidate pricing for
@@ -493,23 +493,20 @@ impl DaisyScheduler {
             })
         });
 
-        // Phase 2: deterministic merge in nest order. `costs` stays aligned
-        // with `current.body`; recipes can change the number of top-level
-        // nodes, so track an explicit cursor.
+        // Phase 2: deterministic merge in nest order. A plan replaces at
+        // most its own node, so `costs` stays aligned with `current.body`.
         let mut current = normalized;
         let mut costs = baseline.per_nest;
         let mut decisions = Vec::new();
         let (report, cost_ns) = telemetry::timed("cost", || {
-            let mut index = 0usize;
-            for plan in plans {
+            for (index, plan) in plans.into_iter().enumerate() {
                 match plan {
-                    NestPlan::Passthrough => index += 1,
+                    NestPlan::Passthrough => {}
                     NestPlan::Idiom(call) => {
                         decisions.push(format!("nest {index}: replaced with {call}"));
                         let node = Node::Call(call);
                         costs[index] = model.node_cost(&current, &node);
                         current.body[index] = node;
-                        index += 1;
                     }
                     NestPlan::Recipe {
                         recipe,
@@ -517,27 +514,24 @@ impl DaisyScheduler {
                         replacement,
                         priced,
                     } => {
-                        let added = replacement.len();
-                        costs.splice(index..=index, priced);
-                        current.body.splice(index..=index, replacement);
+                        costs[index] = priced;
+                        current.body[index] = replacement;
                         // The whole-program estimate *with earlier decisions
                         // applied*, as a sequential walk would log it.
                         let seconds = costs.iter().fold(0.0, |sum, cost| sum + cost.seconds);
                         decisions.push(format!(
                             "nest {index}: applied recipe from {source} ({recipe}), est. {seconds:.4}s"
                         ));
-                        index += added.max(1);
                     }
                     NestPlan::Unoptimized(_) => {
                         decisions.push(format!("nest {index}: left unoptimized (-O3 only)"));
-                        index += 1;
                     }
                 }
             }
             CostReport::from_nests(costs)
         });
         // Debug builds re-price the result whole, a pricing release builds
-        // skip: the spliced costs must total to exactly it.
+        // skip: the merged costs must total to exactly it.
         debug_assert_eq!(report, model.estimate(&current));
         telemetry::counter("daisy.schedule.calls", 1);
         telemetry::counter("daisy.schedule.nests", current.body.len() as u64);
@@ -571,10 +565,10 @@ impl DaisyScheduler {
     /// What a candidate costs does not grow with the program around the
     /// nest: the recipe rewrites *the nest alone*, candidates dedupe on the
     /// rewrite's structural hash, and the search's [`ScoreContext`] scores
-    /// one as the baseline's prefix costs + the rewrite's nodes + the
+    /// one as the baseline's prefix costs + the rewritten nest + the
     /// suffix costs, in body order — bit-identical to pricing the
-    /// materialized candidate program. The winning rewrite and its node
-    /// costs travel in the plan; nothing is applied or priced twice.
+    /// materialized candidate program. The winning rewrite and its cost
+    /// travel in the plan; nothing is applied or priced twice.
     fn plan_node(
         &self,
         normalized: &Program,
@@ -653,7 +647,7 @@ impl DaisyScheduler {
                     let Some(replacement) = context.rewrite(&recipe) else {
                         continue;
                     };
-                    let hash = structural_hash_nodes(&replacement);
+                    let hash = structural_hash_node(&replacement);
                     if priced.contains(&hash) {
                         continue;
                     }
@@ -729,9 +723,9 @@ enum NestPlan {
     Recipe {
         recipe: Recipe,
         source: String,
-        replacement: Vec<Node>,
-        /// The costs of `replacement`'s nodes, as the candidate was scored.
-        priced: Vec<NestCost>,
+        replacement: Node,
+        /// The cost of `replacement`, as the candidate was scored.
+        priced: NestCost,
     },
     /// Left as normalization made it, for the reason given.
     Unoptimized(Unoptimized),

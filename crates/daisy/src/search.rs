@@ -39,7 +39,7 @@
 //! (summed in the same order as a full [`CostModel::estimate`], so scores
 //! are bit-identical to the naive path). That is `ScoreContext`: the
 //! semantic gate plus `Recipe::apply_to_nest` on *the nest alone*
-//! (`rewrite`), and prefix costs + the rewrite's nodes + suffix costs
+//! (`rewrite`), and prefix costs + the rewritten nest + suffix costs
 //! (`score_rewrite`). The search scores its candidates through it, and so
 //! does the scheduler's transfer tuning (`DaisyScheduler::schedule` prices
 //! the normalized program once and hands every nest's database candidates
@@ -47,8 +47,8 @@
 //! program around the nest, whoever asks. The cost model keeps no tables,
 //! so each caller prices a node once and keeps the number: seeding prices a
 //! program once for all of its nests' searches, and `score_rewrite` hands
-//! back the rewrite's node costs with its score, which the scheduler's merge
-//! splices in for the winner instead of pricing it again.
+//! back the rewritten nest's cost with its score, which the scheduler's
+//! merge puts in the winner's slot instead of pricing it again.
 //!
 //! Per nest of transfer tuning: the exact match's and the nearest
 //! neighbours' recipes are retargeted onto the nest's chain and deduped
@@ -67,7 +67,7 @@
 //!    structurally identical are caught at stage 3.
 //! 2. **Early reject.** A unique recipe is checked against the nest's
 //!    dependence graph — parallelizing a loop that carries a dependence or
-//!    requesting a lexicographically negative permutation scores
+//!    tiling across a dependence that tiling would reverse scores
 //!    `f64::INFINITY` outright — and then *applied to the nest alone*
 //!    (cheap, structural — no program clone); recipes whose transform
 //!    legality check fails are likewise rejected without ever reaching the
@@ -86,11 +86,11 @@
 
 use std::collections::BTreeSet;
 
-use dependence::{is_permutation_legal, DependenceGraph};
+use dependence::DependenceGraph;
 use loop_ir::expr::Var;
 use loop_ir::nest::{Loop, Node};
 use loop_ir::program::Program;
-use loop_ir::structural_hash_nodes;
+use loop_ir::structural_hash_node;
 use machine::pool::{parallel_map, Counters};
 use machine::{CostModel, NestCost};
 use transforms::{perfect_chain, Recipe, Transform};
@@ -240,7 +240,7 @@ impl EvolutionarySearch {
         // Stage 2: rewrite the unique recipes on the calling thread (cheap,
         // structural). The semantic gate and recipes that fail to apply
         // score infinity without ever reaching the cost model.
-        let rewrites: Vec<Option<Vec<Node>>> = unique
+        let rewrites: Vec<Option<Node>> = unique
             .iter()
             .map(|recipe| context.rewrite(recipe))
             .collect();
@@ -257,10 +257,10 @@ impl EvolutionarySearch {
         // calling thread is the pool's one fan-out rule to decide. Scores
         // are identical at any fan-out.
         let mut group_of: Vec<Option<usize>> = vec![None; unique.len()];
-        let mut groups: Vec<(u64, &Vec<Node>)> = Vec::new();
+        let mut groups: Vec<(u64, &Node)> = Vec::new();
         for (index, rewrite) in rewrites.iter().enumerate() {
             let Some(rewrite) = rewrite else { continue };
-            let hash = structural_hash_nodes(rewrite);
+            let hash = structural_hash_node(rewrite);
             let group = groups
                 .iter()
                 .position(|(h, _)| *h == hash)
@@ -271,7 +271,7 @@ impl EvolutionarySearch {
             group_of[index] = Some(group);
         }
         telemetry::counter("daisy.search.rewrites_priced", groups.len() as u64);
-        let price = |&(_, rewrite): &(u64, &Vec<Node>)| context.score_rewrite(rewrite, model).0;
+        let price = |&(_, rewrite): &(u64, &Node)| context.score_rewrite(rewrite, model).0;
         let workers = if self.parallel { 0 } else { 1 };
         let group_costs = parallel_map(workers, &groups, &PARALLEL, price);
         slot_of
@@ -332,17 +332,12 @@ pub fn nest_scoped_graph(program: &Program, nest: &Loop) -> DependenceGraph {
 
 /// Semantic legality gate for a recipe against a nest's dependence graph:
 ///
-/// * `interchange(order)` is illegal when the permuted direction vector of
-///   any dependence becomes lexicographically negative,
 /// * `tile(x:..)` is illegal when any dependence direction on a tiled
 ///   iterator admits `>`: `tile_band` hoists the tile loops outermost, and
 ///   a hoisted `>` level can run sink iterations before their source while
-///   every other tile loop sits at "same tile" — the same reordering an
-///   `interchange` to that order would be rejected for,
+///   every other tile loop sits at "same tile",
 /// * `parallelize(x)` is illegal when `x` carries a dependence at its
-///   position in the *final* loop order — a parallel mark travels with its
-///   loop through later interchanges, so marks are validated after the
-///   whole recipe's order is known, not at the step that set them,
+///   position in the nest,
 /// * `parallelize(x_t)` (the hoisted tile loop of `x`) is illegal whenever
 ///   any dependence admits `<` in `x`: the tile loop runs above the whole
 ///   band, where no other loop can discharge the dependence (outer tile
@@ -357,10 +352,9 @@ pub fn nest_scoped_graph(program: &Program, nest: &Loop) -> DependenceGraph {
 /// model prices them as in-order SIMD/ILP, which is semantics-preserving
 /// for the dependence patterns the IR can express.
 pub fn recipe_is_semantically_legal(graph: &DependenceGraph, nest: &Loop, recipe: &Recipe) -> bool {
-    let iters = nest.nested_iterators();
-    // The loop order as the recipe unfolds, original iterators only (tile
-    // loops are tracked through `tiled`: each `x_t` chunks `x` in place).
-    let mut order = iters.clone();
+    // The nest's loops, outermost first: no step reorders them (tile loops
+    // are tracked through `tiled`: each `x_t` chunks `x` in place).
+    let order = nest.nested_iterators();
     let mut tiled: BTreeSet<Var> = BTreeSet::new();
     let mut parallel_points: BTreeSet<Var> = BTreeSet::new();
     let mut parallel_tiles: BTreeSet<Var> = BTreeSet::new();
@@ -368,29 +362,13 @@ pub fn recipe_is_semantically_legal(graph: &DependenceGraph, nest: &Loop, recipe
         match step {
             Transform::Parallelize { iter } => {
                 match iter.as_str().strip_suffix("_t") {
-                    Some(stripped) if !iters.contains(iter) => {
+                    Some(stripped) if !order.contains(iter) => {
                         parallel_tiles.insert(Var::new(stripped));
                     }
                     _ => {
                         parallel_points.insert(iter.clone());
                     }
                 };
-            }
-            Transform::Interchange { order: new_order } => {
-                let distinct: BTreeSet<&Var> = new_order.iter().collect();
-                let applies = new_order.iter().all(|v| iters.contains(v))
-                    && distinct.len() == new_order.len();
-                if !applies {
-                    continue;
-                }
-                if !is_permutation_legal(graph, nest, new_order) {
-                    return false;
-                }
-                // The step names the new absolute order; iterators it does
-                // not mention keep their previous relative order behind it.
-                let mut next = new_order.clone();
-                next.extend(order.iter().filter(|v| !new_order.contains(v)).cloned());
-                order = next;
             }
             Transform::Tile { tiles } => {
                 // The hoisted tile loop of `v` replays `v`'s direction
@@ -400,7 +378,7 @@ pub fn recipe_is_semantically_legal(graph: &DependenceGraph, nest: &Loop, recipe
                 // `=`), so the reordering is illegal.
                 let hoisted_negative = graph.all().iter().any(|dep| {
                     tiles.iter().any(|(v, _)| {
-                        iters.contains(v) && dep.direction_of(v).is_some_and(|d| d.may_be_gt())
+                        order.contains(v) && dep.direction_of(v).is_some_and(|d| d.may_be_gt())
                     })
                 });
                 if hoisted_negative {
@@ -408,7 +386,7 @@ pub fn recipe_is_semantically_legal(graph: &DependenceGraph, nest: &Loop, recipe
                 }
                 tiled.extend(tiles.iter().map(|(v, _)| v.clone()));
             }
-            _ => {}
+            Transform::Vectorize { .. } | Transform::Unroll { .. } => {}
         }
     }
     // A tile loop sits above the whole band where nothing discharges a
@@ -422,9 +400,9 @@ pub fn recipe_is_semantically_legal(graph: &DependenceGraph, nest: &Loop, recipe
             return false;
         }
     }
-    // Point-loop marks are judged at their position in the final order:
-    // carried when the dependence can run in `base`'s direction while
-    // every outer non-tile loop admits `=`.
+    // Point-loop marks are judged at their position in the nest: carried
+    // when the dependence can run in `base`'s direction while every outer
+    // non-tile loop admits `=`.
     for base in &parallel_points {
         let Some(pos) = order.iter().position(|v| v == base) else {
             continue;
@@ -457,37 +435,28 @@ pub(crate) struct ScoreContext<'a> {
 }
 
 impl ScoreContext<'_> {
-    /// The candidate that applies `recipe` to the nest, as the nodes that
-    /// replace it — `None` when the recipe fails the semantic legality gate
+    /// The candidate that applies `recipe` to the nest, as the node that
+    /// replaces it — `None` when the recipe fails the semantic legality gate
     /// or does not apply. Structural only: no program clone, no pricing.
-    pub(crate) fn rewrite(&self, recipe: &Recipe) -> Option<Vec<Node>> {
+    pub(crate) fn rewrite(&self, recipe: &Recipe) -> Option<Node> {
         if !recipe_is_semantically_legal(self.graph, self.nest, recipe) {
             return None;
         }
-        recipe.apply_to_nest(self.nest).ok()
+        recipe.apply_to_nest(self.nest).ok().map(Node::Loop)
     }
 
     /// Whole-program seconds of the candidate that replaces the nest with
-    /// `rewrite`, and the costs of `rewrite`'s nodes, which a caller splices
-    /// in if the candidate wins. Seconds are summed node by node in body
-    /// order — the exact order [`CostModel::estimate`] uses — so they are
-    /// bit-identical to pricing the materialized candidate program.
-    pub(crate) fn score_rewrite(
-        &self,
-        rewrite: &[Node],
-        model: &CostModel,
-    ) -> (f64, Vec<NestCost>) {
+    /// `rewrite`, and the cost of `rewrite`, which a caller keeps if the
+    /// candidate wins. Seconds are summed node by node in body order — the
+    /// exact order [`CostModel::estimate`] uses — so they are bit-identical
+    /// to pricing the materialized candidate program.
+    pub(crate) fn score_rewrite(&self, rewrite: &Node, model: &CostModel) -> (f64, NestCost) {
         let mut seconds = 0.0;
         for cost in &self.node_costs[..self.nest_index] {
             seconds += cost.seconds;
         }
-        let priced: Vec<NestCost> = rewrite
-            .iter()
-            .map(|node| model.node_cost(self.program, node))
-            .collect();
-        for cost in &priced {
-            seconds += cost.seconds;
-        }
+        let priced = model.node_cost(self.program, rewrite);
+        seconds += priced.seconds;
         for cost in &self.node_costs[self.nest_index + 1..] {
             seconds += cost.seconds;
         }
@@ -520,7 +489,7 @@ pub fn apply_recipe_to_program(
     };
     let replacement = recipe.apply_to_nest(nest).ok()?;
     let mut out = program.clone();
-    out.body.splice(nest_index..=nest_index, replacement);
+    out.body[nest_index] = Node::Loop(replacement);
     Some(out)
 }
 
@@ -855,35 +824,8 @@ mod tests {
             &tiled_par_point_i
         ));
 
-        // The gate follows interchanges: after swapping to (j, i), the
-        // dependence A[i][j] = A[i-1][j] is carried by i at the *inner*
-        // level only while j stays `=` — so parallelizing the new
-        // outermost j is legal, and parallelizing i is still illegal
-        // (j admits `=`, letting the dependence run in i).
-        let swap_par_j = Recipe::new(vec![
-            Transform::Interchange {
-                order: vec![Var::new("j"), Var::new("i")],
-            },
-            Transform::Parallelize {
-                iter: Var::new("j"),
-            },
-        ]);
-        let swap_par_i = Recipe::new(vec![
-            Transform::Interchange {
-                order: vec![Var::new("j"), Var::new("i")],
-            },
-            Transform::Parallelize {
-                iter: Var::new("i"),
-            },
-        ]);
-        assert!(recipe_is_semantically_legal(&graph, nest, &swap_par_j));
-        assert!(!recipe_is_semantically_legal(&graph, nest, &swap_par_i));
-
-        // A diagonal dependence A[i][j] = A[i-1][j-1]: in the original
-        // order i carries it and j is parallel; after interchange to
-        // (j, i) the roles flip — j carries it, i becomes parallel. The
-        // pre-fix gate consulted the original order for both and got both
-        // post-interchange answers wrong.
+        // A diagonal dependence A[i][j] = A[i-1][j-1]: i carries it, and j
+        // is parallel because the outer i never stays `=` on it.
         let diag = parse_program(
             "program diag { param N = 64; array A[N][N];
                for i in 1..N { for j in 1..N { A[i][j] = A[i - 1][j - 1] + 1.0; } } }",
@@ -897,12 +839,7 @@ mod tests {
         assert!(!recipe_is_semantically_legal(
             &diag_graph,
             diag_nest,
-            &swap_par_j
-        ));
-        assert!(recipe_is_semantically_legal(
-            &diag_graph,
-            diag_nest,
-            &swap_par_i
+            &par_i
         ));
 
         // tile_band hoists j_t above i, where nothing discharges the
@@ -920,24 +857,6 @@ mod tests {
             &diag_graph,
             diag_nest,
             &tile_par_jt
-        ));
-
-        // A parallel mark travels with its loop through a later
-        // interchange: parallelize(j) is legal in order (i, j), but the
-        // subsequent swap moves the marked j outermost where it carries
-        // the diagonal dependence.
-        let par_j_then_swap = Recipe::new(vec![
-            Transform::Parallelize {
-                iter: Var::new("j"),
-            },
-            Transform::Interchange {
-                order: vec![Var::new("j"), Var::new("i")],
-            },
-        ]);
-        assert!(!recipe_is_semantically_legal(
-            &diag_graph,
-            diag_nest,
-            &par_j_then_swap
         ));
 
         // The gate rejects before costing: the illegal candidate scores
@@ -958,34 +877,6 @@ mod tests {
                 assert_eq!(iter, &Var::new("j"), "only j may be parallelized");
             }
         }
-    }
-
-    #[test]
-    fn illegal_interchange_is_gated() {
-        // A[i][j] = A[i-1][j+1]: direction (<, >); swapping i and j flips it
-        // to (>, <), lexicographically negative.
-        let p = parse_program(
-            "program skew { param N = 8; array A[N][N];
-               for i in 1..N { for j in 0..N - 1 { A[i][j] = A[i - 1][j + 1] + 1.0; } } }",
-        )
-        .unwrap();
-        let Node::Loop(nest) = &p.body[0] else {
-            panic!("first node is a nest");
-        };
-        let graph = nest_scoped_graph(&p, nest);
-        let swap = Recipe::new(vec![Transform::Interchange {
-            order: vec![Var::new("j"), Var::new("i")],
-        }]);
-        let keep = Recipe::new(vec![Transform::Interchange {
-            order: vec![Var::new("i"), Var::new("j")],
-        }]);
-        assert!(!recipe_is_semantically_legal(&graph, nest, &swap));
-        assert!(recipe_is_semantically_legal(&graph, nest, &keep));
-        // A recipe naming unknown iterators is left to the structural gate.
-        let unknown = Recipe::new(vec![Transform::Interchange {
-            order: vec![Var::new("x"), Var::new("y")],
-        }]);
-        assert!(recipe_is_semantically_legal(&graph, nest, &unknown));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! tests below do not see each other (or the harness); counts are exact and
 //! repeat run to run.
 //!
-//! Mean allocations per generated program (seeds 1..=2000, release build;
+//! Mean allocations per generated program (seeds 1..=2000, release build
+//! unless the column says otherwise;
 //! `960f646` copied every subscript tree per `accesses()` and per affine
 //! form, one fold borrows them since; at `0a530e4` the stride pass still
 //! linearized nests it cannot permute and built a nest for every order that
@@ -20,22 +21,26 @@
 //! computation and kept a vector per access, per array and per pair
 //! (queries borrow since); at `132902c` pricing built an affine form per
 //! access and looked every nest and computation up in two shared tables,
-//! now strides come straight from the affine fold and nothing is cached):
+//! now strides come straight from the affine fold and nothing is cached; at
+//! `a727bf5` a recipe rewrote a nest into a vector of nodes, through a
+//! vector of nests per step, now into one nest):
 //!
-//! | | `ce82fa1` | `960f646` | `0a530e4` | `11ec2cd` | `132902c` | now | budget |
-//! |---|---|---|---|---|---|---|---|
-//! | `parse_program` | | | | 326 | 155 | 155 | 163 |
-//! | `Normalizer::run` | 3 623 | 1 388 | 1 000 | 664 | 301 | 301 | 316 |
-//! | `dependence::analyze` | | | | 184 | 57 | 57 | 60 |
-//! | `DaisyScheduler::schedule`, 64-sibling database | 7 217 | 3 185 | 2 321 | 1 436 | 747 | 716 | 795 |
-//! | `CompiledProgram::lower` | | | | 388 | 251 | 251 | 279 |
-//! | `ProgramData::seeded` (storage) | | | | 80 | 49 | 49 | 51 |
-//! | `CompiledProgram::execute` | | | | 4 | 3 | 3 | 4 |
-//! | the front door | | | | 3 082 | 1 563 | 1 532 | 1 668 |
+//! | | `ce82fa1` | `960f646` | `0a530e4` | `11ec2cd` | `132902c` | `a727bf5` | now, release / debug | budget |
+//! |---|---|---|---|---|---|---|---|---|
+//! | `parse_program` | | | | 326 | 155 | 155 | 155 | 163 |
+//! | `Normalizer::run` | 3 623 | 1 388 | 1 000 | 664 | 301 | 301 | 301 | 316 |
+//! | `dependence::analyze` | | | | 184 | 57 | 57 | 57 | 60 |
+//! | `DaisyScheduler::schedule`, 64-sibling database | 7 217 | 3 185 | 2 321 | 1 436 | 747 | 716 | 681 / 717 | 753 |
+//! | `CompiledProgram::lower` | | | | 388 | 251 | 251 | 251 | 279 |
+//! | `ProgramData::seeded` (storage) | | | | 80 | 49 | 49 | 49 | 51 |
+//! | `CompiledProgram::execute` | | | | 4 | 3 | 3 | 3 | 4 |
+//! | the front door | | | | 3 082 | 1 563 | 1 532 | 1 497 / 1 533 | 1 610 |
 //!
-//! Debug builds allocate a little more (`debug_assert!`s that collect, and
-//! one that prices the scheduled program again: `schedule` 752) and stay
-//! inside the same budgets.
+//! Tier-1 (`cargo test`) holds these budgets in debug builds and CI holds
+//! them in release, so a budget is the larger build's mean plus 5 %. Only
+//! `schedule`, and the front door through it, differ by build: the debug
+//! count includes one whole-program re-pricing of the scheduled program by
+//! `schedule`'s `debug_assert_eq!`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,15 +101,15 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
 }
 
 /// Budgets, mean allocations per program: each stage's mean at the last
-/// ratchet plus 5 %.
+/// ratchet, in the build that allocates more, plus 5 %.
 const PARSE: u64 = 163;
 const NORMALIZE: u64 = 316;
 const ANALYZE: u64 = 60;
-const SCHEDULE: u64 = 795;
+const SCHEDULE: u64 = 753;
 const LOWER: u64 = 279;
 const STORAGE: u64 = 51;
 const EXECUTE: u64 = 4;
-const FRONT_DOOR: u64 = 1668;
+const FRONT_DOOR: u64 = 1610;
 
 fn generated(seeds: std::ops::RangeInclusive<u64>) -> Vec<Program> {
     let gen = GenConfig::default();

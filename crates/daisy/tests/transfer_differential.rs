@@ -113,28 +113,23 @@ fn oracle(scheduler: &DaisyScheduler, program: &Program) -> ScheduleOutcome {
 
     let mut current = normalized;
     let mut decisions = Vec::new();
-    let mut index = 0usize;
-    for plan in plans {
+    for (index, plan) in plans.into_iter().enumerate() {
         match plan {
-            Decision::Passthrough => index += 1,
+            Decision::Passthrough => {}
             Decision::Idiom(call) => {
                 decisions.push(format!("nest {index}: replaced with {call}"));
                 current.body[index] = Node::Call(call);
-                index += 1;
             }
             Decision::Recipe { recipe, source } => {
-                let before = current.body.len();
                 current = apply_recipe_to_program(&current, index, &recipe)
                     .expect("the recipe applied to this very nest when it was priced");
                 let seconds = model.estimate(&current).seconds;
                 decisions.push(format!(
                     "nest {index}: applied recipe from {source} ({recipe}), est. {seconds:.4}s"
                 ));
-                index += (current.body.len() + 1 - before).max(1);
             }
             Decision::Unoptimized => {
                 decisions.push(format!("nest {index}: left unoptimized (-O3 only)"));
-                index += 1;
             }
         }
     }

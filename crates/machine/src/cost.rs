@@ -770,7 +770,7 @@ mod tests {
             iter: Var::new("j"),
         }]);
         let mut vectorized = p.clone();
-        vectorized.body = recipe.apply_to_nest(&nest).unwrap();
+        vectorized.body = vec![Node::Loop(recipe.apply_to_nest(&nest).unwrap())];
         let model = CostModel::sequential();
         let base = model.estimate(&p).seconds;
         let vec = model.estimate(&vectorized).seconds;
@@ -785,7 +785,7 @@ mod tests {
             iter: Var::new("i"),
         }]);
         let mut parallel = p.clone();
-        parallel.body = recipe.apply_to_nest(&nest).unwrap();
+        parallel.body = vec![Node::Loop(recipe.apply_to_nest(&nest).unwrap())];
         let machine = MachineConfig::xeon_e5_2680v3();
         let t1 = CostModel::new(machine.clone(), 1)
             .estimate(&parallel)

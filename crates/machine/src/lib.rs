@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates schedules by running generated code on an Intel Xeon
 //! E5-2680 v3. This reproduction has no LLVM backend, so the crate provides
-//! the substitutes (see DESIGN.md):
+//! the substitutes:
 //!
 //! * [`exec`] — the compiled loop-nest execution engine: one lowering (flat
 //!   array slots, affine offset/stride plans, closed-form zero-trip and

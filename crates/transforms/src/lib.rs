@@ -5,8 +5,11 @@
 //! interchange, tiling, parallelization and vectorization" (§4). This crate
 //! implements those transformations on the loop-nest IR, plus the two
 //! structural primitives the normalization passes are built from
-//! (distribution/fission and fusion), and the [`recipe`] module that packages
-//! them into reusable sequences.
+//! (distribution/fission and fusion). Interchange and fission serve
+//! normalization, which fixes every loop order a priori; the [`recipe`]
+//! module packages what is left to the scheduler — tiling and the parallel,
+//! vector and unroll marks — into reusable sequences that rewrite one nest
+//! into one nest.
 //!
 //! All transformations are pure: they take loops or programs by reference and
 //! return transformed copies, leaving legality decisions to the caller (the
@@ -28,5 +31,5 @@ pub use error::{Result, TransformError};
 pub use fission::{distribute, distribute_all};
 pub use fusion::{fuse, fuse_producer_consumers};
 pub use interchange::{check_interchange, interchange, perfect_chain};
-pub use recipe::{blas_from_wire, blas_to_wire, Recipe, Transform, TransformTag};
+pub use recipe::{Recipe, Transform, TransformTag};
 pub use tiling::tile_band;

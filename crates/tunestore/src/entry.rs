@@ -1,7 +1,7 @@
 //! The stored form of one tuning-database entry and its binary codec.
 
 use loop_ir::expr::Var;
-use transforms::{blas_from_wire, blas_to_wire, Recipe, Transform, TransformTag};
+use transforms::{Recipe, Transform, TransformTag};
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{Result, StoreError};
@@ -90,19 +90,13 @@ impl StoredEntry {
     }
 }
 
-/// Encodes a recipe: the BLAS marker byte, then the tagged step list.
+/// Encodes a recipe: the step count (u32), then each step as its
+/// [`TransformTag`] byte followed by its operands.
 pub fn encode_recipe(recipe: &Recipe, w: &mut ByteWriter) {
-    w.u8(blas_to_wire(recipe.blas));
     w.u32(recipe.steps.len() as u32);
     for step in &recipe.steps {
         w.u8(step.tag() as u8);
         match step {
-            Transform::Interchange { order } => {
-                w.u32(order.len() as u32);
-                for v in order {
-                    w.string(v.as_str());
-                }
-            }
             Transform::Tile { tiles } => {
                 w.u32(tiles.len() as u32);
                 for (v, size) in tiles {
@@ -117,16 +111,12 @@ pub fn encode_recipe(recipe: &Recipe, w: &mut ByteWriter) {
                 w.string(iter.as_str());
                 w.u32(*factor);
             }
-            Transform::Fission => {}
         }
     }
 }
 
 /// Decodes a recipe written by [`encode_recipe`].
 pub fn decode_recipe(r: &mut ByteReader<'_>) -> Result<Recipe> {
-    let blas_byte = r.u8("blas marker")?;
-    let blas = blas_from_wire(blas_byte)
-        .ok_or_else(|| StoreError::Corrupt(format!("unknown BLAS marker byte {blas_byte}")))?;
     let step_count = r.count(1, "step count")?;
     let mut steps = Vec::with_capacity(step_count);
     for _ in 0..step_count {
@@ -134,14 +124,6 @@ pub fn decode_recipe(r: &mut ByteReader<'_>) -> Result<Recipe> {
         let tag = TransformTag::from_wire(tag_byte)
             .ok_or_else(|| StoreError::Corrupt(format!("unknown transform tag {tag_byte}")))?;
         steps.push(match tag {
-            TransformTag::Interchange => {
-                let n = r.count(4, "interchange order length")?;
-                let mut order = Vec::with_capacity(n);
-                for _ in 0..n {
-                    order.push(Var::new(r.string("interchange iterator")?));
-                }
-                Transform::Interchange { order }
-            }
             TransformTag::Tile => {
                 let n = r.count(12, "tile count")?;
                 let mut tiles = Vec::with_capacity(n);
@@ -162,16 +144,14 @@ pub fn decode_recipe(r: &mut ByteReader<'_>) -> Result<Recipe> {
                 iter: Var::new(r.string("unroll iterator")?),
                 factor: r.u32("unroll factor")?,
             },
-            TransformTag::Fission => Transform::Fission,
         });
     }
-    Ok(Recipe { steps, blas })
+    Ok(Recipe::new(steps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loop_ir::nest::BlasKind;
 
     fn sample_entry() -> StoredEntry {
         StoredEntry {
@@ -179,9 +159,6 @@ mod tests {
             cost: 0.0123,
             embedding: vec![1.0, -2.5, 0.0, 3.25],
             recipe: Recipe::new(vec![
-                Transform::Interchange {
-                    order: vec![Var::new("i"), Var::new("k"), Var::new("j")],
-                },
                 Transform::Tile {
                     tiles: vec![(Var::new("i"), 32), (Var::new("j"), 64)],
                 },
@@ -195,7 +172,6 @@ mod tests {
                     iter: Var::new("k"),
                     factor: 4,
                 },
-                Transform::Fission,
             ]),
             chain: vec![Var::new("i"), Var::new("k"), Var::new("j")],
             source: "gemm#0".to_string(),
@@ -215,18 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn blas_recipe_round_trips() {
-        let mut entry = sample_entry();
-        entry.recipe = Recipe::blas(BlasKind::Syr2k);
-        let mut w = ByteWriter::new();
-        entry.encode(&mut w);
-        let bytes = w.into_bytes();
-        let decoded = StoredEntry::decode(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(decoded.recipe.blas, Some(BlasKind::Syr2k));
-        assert!(decoded.recipe.steps.is_empty());
-    }
-
-    #[test]
     fn every_truncation_point_errors() {
         let entry = sample_entry();
         let mut w = ByteWriter::new();
@@ -243,21 +207,19 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_corrupt() {
-        let mut w = ByteWriter::new();
-        w.u8(77); // bogus BLAS marker
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            decode_recipe(&mut ByteReader::new(&bytes)),
-            Err(StoreError::Corrupt(_))
-        ));
-        let mut w = ByteWriter::new();
-        w.u8(0); // blas: none
-        w.u32(1); // one step
-        w.u8(250); // bogus transform tag
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            decode_recipe(&mut ByteReader::new(&bytes)),
-            Err(StoreError::Corrupt(_))
-        ));
+        // 0 (interchange) and 5 (fission) are retired tags; 250 was never one.
+        for tag in [0, 5, 250] {
+            let mut w = ByteWriter::new();
+            w.u32(1); // one step
+            w.u8(tag);
+            let bytes = w.into_bytes();
+            assert!(
+                matches!(
+                    decode_recipe(&mut ByteReader::new(&bytes)),
+                    Err(StoreError::Corrupt(_))
+                ),
+                "tag {tag}"
+            );
+        }
     }
 }

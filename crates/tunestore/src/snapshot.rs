@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"DAISYTDB"
-//! 8       4     format version (u32, currently 1)
+//! 8       4     format version (u32, currently 2)
 //! 12      8     header section length H (u64)
 //! 20      H     header section: fingerprint string, entry count (u32)
 //! 20+H    8     FNV-1a checksum of the header section (u64)
@@ -35,7 +35,8 @@ pub const MAGIC: &[u8; 8] = b"DAISYTDB";
 
 /// Current store format version. Bump when the layout changes; readers
 /// reject versions they do not understand rather than misinterpreting bytes.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 dropped the BLAS marker byte that led every version-1 recipe.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// An in-memory store snapshot: the environment fingerprint it was produced
 /// under and its entries, in insertion order.
@@ -352,12 +353,15 @@ mod tests {
             Snapshot::decode(&bytes),
             Err(StoreError::BadMagic)
         ));
-        let mut bytes = snapshot().encode();
-        bytes[8] = 99; // version little-endian low byte
-        assert!(matches!(
-            Snapshot::decode(&bytes),
-            Err(StoreError::UnsupportedVersion(_))
-        ));
+        // 1 is the format before recipes lost their BLAS marker byte.
+        for version in [1, 99] {
+            let mut bytes = snapshot().encode();
+            bytes[8] = version; // version little-endian low byte
+            assert!(matches!(
+                Snapshot::decode(&bytes),
+                Err(StoreError::UnsupportedVersion(v)) if v == u32::from(version)
+            ));
+        }
     }
 
     #[test]

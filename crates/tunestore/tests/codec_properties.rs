@@ -2,7 +2,6 @@
 //! and random corruption/truncation must produce an `Err`, never a panic.
 
 use loop_ir::expr::Var;
-use loop_ir::nest::BlasKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,38 +22,23 @@ fn any_var(rng: &mut StdRng) -> Var {
 
 /// Draws one random transform, covering every variant.
 fn any_transform(rng: &mut StdRng) -> Transform {
-    match rng.gen_range(0..6) {
-        0 => Transform::Interchange {
-            order: (0..rng.gen_range(0..4usize))
-                .map(|_| any_var(rng))
-                .collect(),
-        },
-        1 => Transform::Tile {
+    match rng.gen_range(0..4) {
+        0 => Transform::Tile {
             tiles: (0..rng.gen_range(0..4usize))
                 .map(|_| (any_var(rng), rng.gen_range(1..1024i64)))
                 .collect(),
         },
-        2 => Transform::Parallelize { iter: any_var(rng) },
-        3 => Transform::Vectorize { iter: any_var(rng) },
-        4 => Transform::Unroll {
+        1 => Transform::Parallelize { iter: any_var(rng) },
+        2 => Transform::Vectorize { iter: any_var(rng) },
+        _ => Transform::Unroll {
             iter: any_var(rng),
             factor: rng.gen_range(2..32u32),
         },
-        _ => Transform::Fission,
     }
 }
 
-/// Draws a random recipe: either a BLAS marker or 0..6 random steps.
+/// Draws a random recipe of 0..6 random steps.
 fn any_recipe(rng: &mut StdRng) -> Recipe {
-    if rng.gen_bool(0.15) {
-        let kind = match rng.gen_range(0..4) {
-            0 => BlasKind::Gemm,
-            1 => BlasKind::Syrk,
-            2 => BlasKind::Syr2k,
-            _ => BlasKind::Gemv,
-        };
-        return Recipe::blas(kind);
-    }
     Recipe::new(
         (0..rng.gen_range(0..6usize))
             .map(|_| any_transform(rng))

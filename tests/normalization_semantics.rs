@@ -4,6 +4,7 @@
 
 use baselines::{clang_schedule, icc_schedule, polly_schedule};
 use daisy::{DaisyConfig, DaisyScheduler};
+use loop_ir::nest::Node;
 use machine::interp::run_seeded;
 use normalize::Normalizer;
 use polybench::{all_benchmarks, random_b_variant, Dataset};
@@ -83,6 +84,50 @@ fn baseline_schedulers_do_not_change_program_results() {
             );
         }
     }
+}
+
+#[test]
+fn scheduled_polybench_computes_what_its_input_computes() {
+    // Both schedulers `reproduce` runs, with and without normalization,
+    // seeded from the 15 Mini A variants; every A, B and Py variant they
+    // schedule must compute what it computed before.
+    let a_variants: Vec<_> = all_benchmarks()
+        .iter()
+        .map(|b| (b.a)(Dataset::Mini))
+        .collect();
+    let nonorm = DaisyConfig {
+        normalize: false,
+        ..DaisyConfig::default()
+    };
+    let (mut outcomes, mut with_call, mut with_tile) = (0, 0, 0);
+    for config in [DaisyConfig::default(), nonorm] {
+        let normalize = config.normalize;
+        let mut scheduler = DaisyScheduler::new(config);
+        scheduler.seed_from_programs(&a_variants);
+        for b in all_benchmarks() {
+            let (py, _) = (b.py)(Dataset::Mini);
+            for (label, program) in [
+                ("A", (b.a)(Dataset::Mini)),
+                ("B", (b.b)(Dataset::Mini)),
+                ("Py", py),
+            ] {
+                let scheduled = scheduler.schedule(&program).program;
+                let name = format!("{} {label}, normalize {normalize}", b.name);
+                assert_equivalent(&name, &program, &scheduled, b.outputs);
+                outcomes += 1;
+                // The idiom path and the recipe path must both be reached.
+                with_call += usize::from(scheduled.body.iter().any(|n| matches!(n, Node::Call(_))));
+                let mut tiled = false;
+                for nest in scheduled.loop_nests() {
+                    nest.for_each_loop(&mut |l| tiled |= l.iter.as_str().ends_with("_t"));
+                }
+                with_tile += usize::from(tiled);
+            }
+        }
+    }
+    assert_eq!(outcomes, 90);
+    assert!(with_call > 0, "no outcome holds a BLAS call");
+    assert!(with_tile > 0, "no outcome holds a tile loop");
 }
 
 #[test]
